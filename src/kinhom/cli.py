@@ -8,8 +8,11 @@ exist at that point::
     kinhom effective --config scenario.ini --out out/ # + coefficients
     kinhom macro     --config scenario.ini --out out/ # + limit density
     kinhom kinetic   --config scenario.ini --out out/ # + kinetic runs
-    kinhom sweep     --config scenario.ini --jobs 4   # convergence table
+    kinhom sweep     --config scenario.ini            # convergence table
     kinhom pipeline  --config scenario.ini --out out/ # everything
+
+The stages run serially.  ``--jobs N`` is accepted for compatibility with
+older scripts and ignored.
 
 Exit status: 0 on success, 1 when a stage fails, 2 on a bad scenario file.
 """
@@ -61,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="DIR", default=None,
                        help="output directory (default: the scenario's [output] dir)")
         p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="parallel workers for sweeps and sampled coefficients")
+                       help="ignored; accepted for compatibility (the pipeline runs serially)")
         p.add_argument("--seed", type=int, default=0, metavar="S",
                        help="seed for the randomized diagnostics")
     return parser
@@ -90,9 +93,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     try:
-        report = run_pipeline(
-            cfg, jobs=args.jobs, seed=args.seed, stop_after=_STOP[args.command]
-        )
+        report = run_pipeline(cfg, seed=args.seed, stop_after=_STOP[args.command])
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

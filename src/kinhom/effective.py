@@ -26,7 +26,6 @@ macroscopic model is meaningless there.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +33,7 @@ import numpy as np
 from kinhom.cell_solver import (
     assemble,
     assemble_spectral_ap,
+    corrector_diagnostics,
     equilibrium_F,
     solve_chi_star,
 )
@@ -181,18 +181,8 @@ def _solve_at(kernel, x, vm, backend, grid, scheme, n_modes, tol):
     chi, b = solve_chi_star(op, F, tol=tol)
     D = diffusion_matrix(op, chi, F)
     ellipticity_gate(D)
-    worst_res = 0.0
-    worst_const = 0.0
-    # re-derive per-solve diagnostics cheaply from the assembled pieces
-    F_flat = op.unwrap(F)
-    for j, c in enumerate(chi):
-        a_j = op.velocity_profile(j)
-        rhs = -(a_j - b[j] * op.const)
-        res = op.norm(op.apply_P_adjoint(op.unwrap(c)) - rhs)
-        nrm = op.norm(rhs)
-        worst_res = max(worst_res, res / nrm if nrm > 0 else res)
-        worst_const = max(worst_const, op.norm(op.unwrap(c)) / nrm if nrm > 0 else 0.0)
-    return op, F, F_flat, chi, b, D, worst_res, worst_const
+    res, const = corrector_diagnostics(op, chi, b)
+    return op, op.unwrap(F), chi, b, D, res, const
 
 
 def assemble_effective(
@@ -205,7 +195,6 @@ def assemble_effective(
     backend: str | None = None,
     n_modes: int = 8,
     tol: float | None = None,
-    jobs: int = 1,
 ) -> EffectiveCoefficients:
     """Solve the cell problems and average them into macro coefficients.
 
@@ -228,7 +217,7 @@ def assemble_effective(
     x_independent = getattr(kernel, "x_dependence", "none") == "none"
     if x is None or np.isscalar(x) or x_independent:
         x0 = 0.0 if x is None else (float(np.atleast_1d(np.asarray(x, dtype=float))[0]))
-        _, _, _, _, b, D, res, const = _solve_at(
+        _, _, _, b, D, res, const = _solve_at(
             kernel, x0, vm, backend, grid, scheme, n_modes, tol
         )
         U = np.zeros(vm.dim)
@@ -238,27 +227,21 @@ def assemble_effective(
 
     x_arr = np.asarray(x, dtype=float).reshape(-1)
     n_x = x_arr.size
-
-    def work(xi):
-        return _solve_at(kernel, float(xi), vm, backend, grid, scheme, n_modes, tol)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=int(jobs)) as pool:
-            solved = list(pool.map(work, x_arr))
-    else:
-        solved = [work(xi) for xi in x_arr]
+    solved = [
+        _solve_at(kernel, float(xi), vm, backend, grid, scheme, n_modes, tol) for xi in x_arr
+    ]
 
     d = vm.dim
-    D_all = np.stack([s[5] for s in solved])
-    b_all = np.stack([s[4] for s in solved])
-    res = max(s[6] for s in solved)
-    const = max(s[7] for s in solved)
+    D_all = np.stack([s[4] for s in solved])
+    b_all = np.stack([s[3] for s in solved])
+    res = max(s[5] for s in solved)
+    const = max(s[6] for s in solved)
 
     # slow gradient of the equilibrium along the (first) macro axis
-    F_stack = np.stack([np.asarray(s[2]) for s in solved])
+    F_stack = np.stack([np.asarray(s[1]) for s in solved])
     dF_dx1 = np.gradient(F_stack, x_arr, axis=0, edge_order=2)
     U_all = np.zeros((n_x, d))
-    for m, (op, _, _, chi, _, _, _, _) in enumerate(solved):
+    for m, (op, _, chi, _, _, _, _) in enumerate(solved):
         grads = [dF_dx1[m]] + [None] * (d - 1)
         U_all[m] = drift_vector(op, chi, grads)
     return EffectiveCoefficients(

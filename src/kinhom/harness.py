@@ -24,7 +24,6 @@ import logging
 import os
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,13 +32,14 @@ from kinhom.cell_solver import (
     SpectralField,
     assemble,
     assemble_spectral_ap,
+    corrector_diagnostics,
     equilibrium_F,
     solve_chi_star,
     verify_variational,
 )
-from kinhom.collision import PhaseField, ScatteringKernel, check_sdb, make_kernel
+from kinhom.collision import PhaseField, ScatteringKernel, check_sdb, make_kernel, sdb_gap
 from kinhom.effective import EffectiveCoefficients, assemble_effective, ellipticity_gate
-from kinhom.kinetic_ref import KineticSolver, KineticState
+from kinhom.kinetic_ref import KineticSolver, KineticState, periodic_shift, shift_wavenumbers
 from kinhom.macro_solver import DriftDiffusionSolver, MacroField
 from kinhom.phase_space import (
     CellGrid,
@@ -465,14 +465,6 @@ def _stage(name: str):
     return _Ctx()
 
 
-def _circular_shift(values: np.ndarray, shift: float, length: float) -> np.ndarray:
-    """Translate periodic samples right by ``shift`` via the FFT phase rule."""
-    n = values.shape[0]
-    kappa = 2.0 * np.pi * np.fft.rfftfreq(n, d=length / n)
-    spectra = np.fft.rfft(values) * np.exp(-1j * kappa * shift)
-    return np.fft.irfft(spectra, n=n)
-
-
 def _profile_moment(F_field, m_kind: str, vm: VelocityMeasure) -> np.ndarray:
     """Cell-average ``M(F_k m)`` per velocity node for a catalogue profile."""
     if m_kind == "1":
@@ -517,7 +509,7 @@ def sigma_test(
     eps = states[0].epsilon
     x = grid.axes()[0]
     h = grid.cell_volume
-    length = 2.0 * grid.half_width
+    kappa = shift_wavenumbers(grid)
     times = np.array([s.t for s in states])
     a1 = vm.field[:, 0]
 
@@ -535,7 +527,7 @@ def sigma_test(
     for t in times:
         rho_t = macro.at_time(t)
         shift = drift * t / eps
-        rho_slices.append(_circular_shift(rho_t, shift, length) if shift else rho_t)
+        rho_slices.append(periodic_shift(rho_t, shift, kappa) if shift else rho_t)
 
     rows: list[SigmaRow] = []
     for m_kind in m_kinds:
@@ -579,7 +571,8 @@ def run_pipeline(
     coefficients, macro integration, then — when a ``[kinetic]`` section
     is present — kinetic runs per epsilon with sweep and sigma tables.
     ``stop_after`` truncates the run after the named stage, leaving later
-    report fields unset.
+    report fields unset.  The stages run serially; ``jobs`` is accepted
+    for compatibility and ignored.
     """
     report = PipelineReport(config=cfg)
 
@@ -596,20 +589,11 @@ def run_pipeline(
         if backend == "grid":
             grid = cfg.build_cell_grid()
             sdb = check_sdb(kernel, 0.0, grid, vm)
-            report.sdb_gap = float(sdb.max_rel_gap)
-            if not sdb.passed:
-                raise ValueError(
-                    f"kernel violates semi-detailed balance "
-                    f"(relative gap {sdb.max_rel_gap:.3e})"
-                )
         else:
             grid = None
-            g = kernel.node_matrix(vm)
-            gap = float(np.max(np.abs(g @ vm.weights - vm.weights @ g)))
-            scale = float(np.max(np.abs(g @ vm.weights)))
-            report.sdb_gap = gap / scale if scale > 0 else gap
-            if gap > 1e-12 * scale:
-                raise ValueError(f"kernel violates semi-detailed balance (gap {gap:.3e})")
+            sdb = sdb_gap(kernel.node_matrix(vm), vm.weights)
+        report.sdb_gap = sdb.max_rel_gap
+        sdb.require()
     if stop_after == "check":
         return _finish()
 
@@ -623,16 +607,7 @@ def run_pipeline(
         report.lam = lam
         report.flux = b
         report.variational_residual = verify_variational(op, op.unwrap(F), seed=seed)
-        F_flat = op.unwrap(F)
-        worst_res = worst_const = 0.0
-        for j, c in enumerate(chi):
-            rhs = -(op.velocity_profile(j) - b[j] * op.const)
-            nrm = op.norm(rhs)
-            if nrm > 0:
-                worst_res = max(worst_res, op.norm(op.apply_P_adjoint(op.unwrap(c)) - rhs) / nrm)
-                worst_const = max(worst_const, op.norm(op.unwrap(c)) / nrm)
-        report.corrector_residual = worst_res
-        report.bound_constant = worst_const
+        report.corrector_residual, report.bound_constant = corrector_diagnostics(op, chi, b)
         F_field = F
     if stop_after == "cell":
         return _finish()
@@ -649,7 +624,6 @@ def run_pipeline(
             backend=backend,
             n_modes=cfg.cell["n_modes"],
             tol=cfg.cell["tol"],
-            jobs=jobs,
         )
         report.coefficients = coeffs
         D_all = coeffs.D if coeffs.D.ndim == 3 else coeffs.D[None, :, :]
@@ -674,21 +648,23 @@ def run_pipeline(
 
     if cfg.kinetic is not None:
         with _stage("kinetic"):
-            _run_kinetic(cfg, report, vm, kernel, mg, macro, F_field, jobs)
+            _run_kinetic(cfg, report, vm, kernel, mg, macro, F_field)
 
     return _finish()
 
 
-def _run_kinetic(cfg, report, vm, kernel, mg, macro, F_field, jobs):
+def _run_kinetic(cfg, report, vm, kernel, mg, macro, F_field):
     T = cfg.macro["t"]
     times = cfg.checkpoint_times()
     b1 = float(report.flux[0])
     drift = b1 if abs(b1) > 1e-10 else 0.0
     quasi = kernel.natural_period is None
-    length = 2.0 * mg.half_width
+    kappa = shift_wavenumbers(mg)
     ref_final = macro.at_time(T)
 
-    def run_one(eps: float):
+    epsilons = list(cfg.kinetic["epsilons"])
+    rows = []
+    for eps in epsilons:
         t0 = time.perf_counter()
         solver = KineticSolver(
             kernel,
@@ -702,24 +678,10 @@ def _run_kinetic(cfg, report, vm, kernel, mg, macro, F_field, jobs):
         )
         states = solver.run(cfg.initial_f(mg, vm), T, checkpoints=times)
         runtime = time.perf_counter() - t0
-        ref = ref_final
-        if drift:
-            ref = _circular_shift(ref_final, drift * T / eps, length)
-        rho_eps = states[-1].density()
-        err = float(np.linalg.norm(rho_eps - ref) / np.linalg.norm(ref))
+        ref = periodic_shift(ref_final, drift * T / eps, kappa) if drift else ref_final
+        err = float(np.linalg.norm(states[-1].density() - ref) / np.linalg.norm(ref))
         l2 = [s.l2_norm() for s in states]
         flag = bool(max(l2) > l2[0] * (1.0 + 1e-8))
-        return states, err, runtime, flag
-
-    epsilons = list(cfg.kinetic["epsilons"])
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=int(jobs)) as pool:
-            outcomes = list(pool.map(run_one, epsilons))
-    else:
-        outcomes = [run_one(e) for e in epsilons]
-
-    rows = []
-    for eps, (states, err, runtime, flag) in zip(epsilons, outcomes):
         report.kinetic_states[eps] = states
         rows.append(SweepRow(epsilon=eps, err=err, runtime=runtime, l2_flag=flag))
         report.sigma_rows.extend(
@@ -736,10 +698,13 @@ def _run_kinetic(cfg, report, vm, kernel, mg, macro, F_field, jobs):
 
 
 def epsilon_sweep(cfg: ScenarioConfig, jobs: int = 1, seed: int = 0) -> SweepResult:
-    """Run the pipeline and return the kinetic-vs-macro convergence table."""
+    """Run the pipeline and return the kinetic-vs-macro convergence table.
+
+    ``jobs`` is accepted for compatibility and ignored.
+    """
     if cfg.kinetic is None:
         raise ConfigError("epsilon_sweep needs a [kinetic] section")
-    report = run_pipeline(cfg, jobs=jobs, seed=seed)
+    report = run_pipeline(cfg, seed=seed)
     assert report.sweep is not None
     return report.sweep
 

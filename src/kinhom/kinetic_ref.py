@@ -31,10 +31,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from kinhom.collision import BalanceError, ScatteringKernel
-from kinhom.phase_space import MacroGrid, VelocityMeasure
+from kinhom.collision import ScatteringKernel, gain_loss, sdb_gap
+from kinhom.phase_space import MacroGrid, VelocityMeasure, checkpoint_substeps
 
-__all__ = ["StabilityError", "KineticState", "KineticSolver"]
+__all__ = [
+    "StabilityError",
+    "KineticState",
+    "KineticSolver",
+    "periodic_shift",
+    "shift_wavenumbers",
+]
 
 log = logging.getLogger(__name__)
 
@@ -68,12 +74,19 @@ class KineticState:
         )
 
 
-def _node_generator(kernel, vm: VelocityMeasure) -> np.ndarray:
-    """Velocity-block generator ``Q0 = g diag(mu) - diag(g mu)`` of a unit-rate kernel."""
-    g = np.asarray(kernel, dtype=float)
-    gain = g * vm.weights[None, :]
-    loss = g @ vm.weights
-    return gain - np.diag(loss)
+def shift_wavenumbers(grid: MacroGrid) -> np.ndarray:
+    """Angular wavenumbers of the real FFT along a periodic 1-D macro grid."""
+    return 2.0 * np.pi * np.fft.rfftfreq(grid.shape[0], d=grid.spacing[0])
+
+
+def periodic_shift(values: np.ndarray, shift, kappa: np.ndarray) -> np.ndarray:
+    """Translate periodic samples right along axis 0 via the FFT phase rule.
+
+    ``shift`` is a scalar or one shift per column of ``values``; ``kappa``
+    holds the grid's :func:`shift_wavenumbers`.
+    """
+    spectra = np.fft.rfft(values, axis=0) * np.exp(-1j * np.multiply.outer(kappa, shift))
+    return np.fft.irfft(spectra, n=values.shape[0], axis=0)
 
 
 class KineticSolver:
@@ -144,20 +157,14 @@ class KineticSolver:
         if np.any(rates <= 0):
             raise ValueError("scattering rates must be strictly positive")
         if validate:
-            outgoing = rates @ vm.weights          # second slot integrated
-            incoming = vm.weights @ rates          # first slot integrated
-            gap = np.abs(outgoing - incoming)
-            scale = np.maximum(np.maximum(outgoing, incoming), 1e-300)
-            worst = float((gap / scale).max())
-            if worst > 1e-12:
-                raise BalanceError(
-                    f"kernel violates semi-detailed balance (gap {worst:.3e}); "
-                    "pass validate=False only for negative controls"
-                )
-        self._Q = np.stack([_node_generator(rates[j], vm) for j in range(n_x)])
-        self._sigma_max = float((rates @ vm.weights).max())
+            sdb_gap(rates, vm.weights).require()
+        # per-point generators Q = gain - diag(loss)
+        self._Q, loss = gain_loss(rates, vm.weights)
+        nodes = np.arange(vm.n_nodes)
+        self._Q[:, nodes, nodes] -= loss
+        self._sigma_max = float(loss.max())
         self._speeds = vm.field[:, 0]
-        self._kappa = 2.0 * np.pi * np.fft.rfftfreq(n_x, d=grid.spacing[0])
+        self._kappa = shift_wavenumbers(grid)
         self._collision_cache: dict[float, np.ndarray] = {}
 
     # -- step-size policy -------------------------------------------------------
@@ -193,23 +200,20 @@ class KineticSolver:
 
     def transport_half(self, f: np.ndarray, dt: float) -> np.ndarray:
         """Advance ``df/dt + (a/eps) df/dx = 0`` over ``dt/2``."""
+        if self.scheme == "shift":
+            return periodic_shift(f, self._speeds * dt / (2.0 * self.epsilon), self._kappa)
         out = np.array(f, dtype=float)
         h = self.grid.spacing[0]
-        if self.scheme == "upwind":
-            for k, a in enumerate(self._speeds):
-                if a == 0.0:
-                    continue
-                nu = a * dt / (2.0 * self.epsilon * h)
-                col = out[:, k]
-                if a > 0:
-                    out[:, k] = col - nu * (col - np.roll(col, 1))
-                else:
-                    out[:, k] = col - nu * (np.roll(col, -1) - col)
-            return out
-        spectra = np.fft.rfft(out, axis=0)
-        shifts = self._speeds * dt / (2.0 * self.epsilon)
-        spectra *= np.exp(-1j * np.outer(self._kappa, shifts))
-        return np.fft.irfft(spectra, n=out.shape[0], axis=0)
+        for k, a in enumerate(self._speeds):
+            if a == 0.0:
+                continue
+            nu = a * dt / (2.0 * self.epsilon * h)
+            col = out[:, k]
+            if a > 0:
+                out[:, k] = col - nu * (col - np.roll(col, 1))
+            else:
+                out[:, k] = col - nu * (np.roll(col, -1) - col)
+        return out
 
     def _collision_matrices(self, dt: float) -> np.ndarray:
         key = round(float(dt), 15)
@@ -257,12 +261,8 @@ class KineticSolver:
             raise ValueError(
                 f"initial state must have shape {(self.grid.n_points, self.vm.n_nodes)}"
             )
-        if checkpoints is None:
-            checkpoints = np.array([0.0, float(T)])
-        times = np.asarray(checkpoints, dtype=float)
-        if times[0] != 0.0 or not np.all(np.diff(times) > 0) or abs(times[-1] - T) > 1e-12:
-            raise ValueError("checkpoints must start at 0, increase, and end at T")
         dt_target = float(dt) if dt is not None else self.default_dt()
+        plan = checkpoint_substeps(checkpoints, T, dt_target)
         self._check_cfl(dt_target)
 
         states = [
@@ -270,13 +270,10 @@ class KineticSolver:
                          grid=self.grid, vm=self.vm)
         ]
         l2_init = states[0].l2_norm()
-        for t0, t1 in zip(times[:-1], times[1:]):
-            span = t1 - t0
-            n_sub = max(1, int(np.ceil(span / dt_target - 1e-12)))
-            sub_dt = span / n_sub
+        for t1, n_sub, sub_dt in plan:
             for _ in range(n_sub):
                 f = self.step(f, sub_dt)
-            state = KineticState(f=f.copy(), t=float(t1), epsilon=self.epsilon,
+            state = KineticState(f=f.copy(), t=t1, epsilon=self.epsilon,
                                  dt=sub_dt, grid=self.grid, vm=self.vm)
             if state.l2_norm() > l2_init * (1.0 + 1e-8):
                 log.warning(

@@ -25,7 +25,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from kinhom.phase_space import MacroGrid, VelocityMeasure
+from kinhom.phase_space import MacroGrid, VelocityMeasure, checkpoint_substeps
 
 __all__ = ["MacroField", "DriftDiffusionSolver", "initial_density"]
 
@@ -260,21 +260,13 @@ class DriftDiffusionSolver:
         per interval so checkpoint times are hit exactly.
         """
         rho0 = np.asarray(rho0, dtype=float).reshape(self.grid.shape)
-        if checkpoints is None:
-            checkpoints = np.array([0.0, float(T)])
-        times = np.asarray(checkpoints, dtype=float)
-        if times[0] != 0.0 or not np.all(np.diff(times) > 0) or abs(times[-1] - T) > 1e-12:
-            raise ValueError("checkpoints must start at 0, increase, and end at T")
         dt_target = float(dt) if dt is not None else float(T) / 1024.0
+        plan = checkpoint_substeps(checkpoints, T, dt_target)
         slices = [rho0]
         rho = rho0
-        used_dt = dt_target
-        for t0, t1 in zip(times[:-1], times[1:]):
-            span = t1 - t0
-            n_sub = max(1, int(np.ceil(span / dt_target - 1e-12)))
-            sub_dt = span / n_sub
-            used_dt = sub_dt
+        for _, n_sub, sub_dt in plan:
             for _ in range(n_sub):
                 rho = self.step(rho, sub_dt)
             slices.append(rho)
-        return MacroField(times=times, values=np.stack(slices), grid=self.grid, dt=used_dt)
+        times = np.array([0.0] + [t1 for t1, _, _ in plan])
+        return MacroField(times=times, values=np.stack(slices), grid=self.grid, dt=plan[-1][2])

@@ -23,6 +23,7 @@ __all__ = [
     "velocity_from_tables",
     "integrate_v",
     "validate_h1",
+    "checkpoint_substeps",
 ]
 
 log = logging.getLogger(__name__)
@@ -228,6 +229,23 @@ class MacroGrid:
     @property
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
+
+
+def checkpoint_substeps(checkpoints, T: float, dt: float) -> list[tuple[float, int, float]]:
+    """Split ``[0, T]`` at checkpoint times into equal sub-steps of at most ``dt``.
+
+    ``checkpoints`` defaults to ``[0, T]``.  Returns one ``(t1, n_sub,
+    sub_dt)`` per checkpoint interval ending at ``t1``; the step is shrunk
+    per interval so checkpoint times are hit exactly.
+    """
+    times = np.array([0.0, float(T)]) if checkpoints is None else np.asarray(checkpoints, dtype=float)
+    if times[0] != 0.0 or not np.all(np.diff(times) > 0) or abs(times[-1] - T) > 1e-12:
+        raise ValueError("checkpoints must start at 0, increase, and end at T")
+    plan = []
+    for t0, t1 in zip(times[:-1], times[1:]):
+        n_sub = max(1, int(np.ceil((t1 - t0) / dt - 1e-12)))
+        plan.append((float(t1), n_sub, (t1 - t0) / n_sub))
+    return plan
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,10 @@ from kinhom.collision import (
     check_sdb,
     make_kernel,
 )
-from kinhom.phase_space import CellGrid, two_velocity_1d, velocity_from_tables
+from kinhom.cell_solver import assemble, assemble_spectral_ap
+from kinhom.harness import StageError, parse_config, run_pipeline
+from kinhom.kinetic_ref import KineticSolver
+from kinhom.phase_space import CellGrid, MacroGrid, two_velocity_1d, velocity_from_tables
 
 
 def _random_sdb_kernel(rng, K):
@@ -47,6 +50,39 @@ def test_sdb_detection_positive_control():
     for _ in range(20):
         report = check_sdb(_random_sdb_kernel(rng, 3), 0.0, grid, vm)
         assert report.passed
+
+
+def _accepts(build) -> bool:
+    try:
+        build()
+    except BalanceError:
+        return False
+    except StageError as exc:
+        if isinstance(exc.__cause__, BalanceError):
+            return False
+        raise
+    return True
+
+
+@pytest.mark.parametrize("delta, balanced", [(1e-12, True), (3e-12, False)])
+def test_every_backend_gates_on_one_balance_gap(delta, balanced):
+    # relative gap delta / (2 + delta): 5e-13 passes, 1.5e-12 fails the 1e-12 gate
+    vm = two_velocity_1d()
+    kernel = make_kernel("table", table=np.array([[1.0, 1.0 + delta], [1.0, 1.0]]))
+    scenario = (
+        "[cell]\nbackend = spectral_ap\n\n"
+        f"[sigma]\nfamily = table\ntable = 1.0, {1.0 + delta!r}; 1.0, 1.0\n"
+    )
+    verdicts = {
+        "check_sdb": check_sdb(kernel, 0.0, CellGrid((8,)), vm).passed,
+        "assemble": _accepts(lambda: assemble(kernel, 0.0, vm, CellGrid((8,)))),
+        "assemble_spectral_ap": _accepts(lambda: assemble_spectral_ap(kernel, 0.0, vm)),
+        "KineticSolver": _accepts(lambda: KineticSolver(
+            kernel, vm, MacroGrid(half_width=1.0, shape=(8,), bc="periodic"), epsilon=0.5)),
+        "run_pipeline": _accepts(
+            lambda: run_pipeline(parse_config(scenario), stop_after="cell")),
+    }
+    assert verdicts == dict.fromkeys(verdicts, balanced)
 
 
 def test_conservation_and_duality_randomized():

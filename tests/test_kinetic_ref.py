@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kinhom.collision import BalanceError, make_kernel
-from kinhom.kinetic_ref import KineticSolver, StabilityError
+from kinhom.kinetic_ref import KineticSolver, StabilityError, periodic_shift, shift_wavenumbers
 from kinhom.phase_space import MacroGrid, two_velocity_1d
 
 VM = two_velocity_1d()
@@ -126,6 +126,9 @@ def test_shift_transport_matches_integer_roll():
     # node order (-1, +1): f(t, x) = f0(x - a t/eps)
     assert np.max(np.abs(out[:, 0] - np.roll(f[:, 0], -m))) < 1e-12
     assert np.max(np.abs(out[:, 1] - np.roll(f[:, 1], m))) < 1e-12
+    # a scalar shift of one column, as the harness shifts densities
+    moved = periodic_shift(f[:, 1], m * h, shift_wavenumbers(grid))
+    assert np.max(np.abs(moved - np.roll(f[:, 1], m))) < 1e-12
 
 
 def test_per_point_rate_table_matches_kernel_evaluation():
@@ -137,6 +140,10 @@ def test_per_point_rate_table_matches_kernel_evaluation():
     f = _smooth_initial(GRID, VM)
     dt = from_kernel.default_dt()
     assert np.max(np.abs(from_table.step(f, dt) - from_kernel.step(f, dt))) < 1e-15
+    # per-point loop reference for the vectorized generators: g diag(mu) - diag(g mu)
+    tol = 4.0 * np.finfo(float).eps * rates.max()
+    for g, Q in zip(rates, from_table._Q):
+        assert np.max(np.abs(Q - (g * VM.weights - np.diag(g @ VM.weights)))) <= tol
 
 
 def test_constructor_and_run_guards():
