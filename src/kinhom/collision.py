@@ -29,7 +29,7 @@ incoming rates
 
 :func:`sdb_gap` measures the one relative gap every solver gates on: the
 maximum over samples and nodes of ``|out - in| / max(|out|, |in|, 1e-300)``.
-Solvers refuse kernels whose gap exceeds 1e-12.
+Solvers refuse kernels whose gap exceeds ``SDB_TOL`` = 1e-12.
 """
 
 from __future__ import annotations
@@ -449,28 +449,31 @@ def apply_Q_star(kernel, x, f: PhaseField) -> PhaseField:
     return apply_Q(_swapped(kernel, x, f.grid, f.vm), x, f)
 
 
+#: Largest relative semi-detailed balance gap a solver accepts.
+SDB_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class SdbReport:
     """Outcome of the semi-detailed balance check."""
 
     max_abs_gap: float
     max_rel_gap: float
-    tol: float
 
     @property
     def passed(self) -> bool:
-        return self.max_rel_gap <= self.tol
+        return self.max_rel_gap <= SDB_TOL
 
     def require(self) -> None:
         """Raise :class:`BalanceError` unless the check passed."""
         if not self.passed:
             raise BalanceError(
                 f"kernel violates semi-detailed balance "
-                f"(relative gap {self.max_rel_gap:.3e} > {self.tol:.1e})"
+                f"(relative gap {self.max_rel_gap:.3e} > {SDB_TOL:.1e})"
             )
 
 
-def sdb_gap(rates, weights: np.ndarray, tol: float = 1e-12) -> SdbReport:
+def sdb_gap(rates, weights: np.ndarray) -> SdbReport:
     """Semi-detailed balance gap of rates ``(..., K, K)`` under ``weights``.
 
     Compares the outgoing rate (second slot integrated) with the incoming
@@ -487,10 +490,9 @@ def sdb_gap(rates, weights: np.ndarray, tol: float = 1e-12) -> SdbReport:
     return SdbReport(
         max_abs_gap=float(gap.max()),
         max_rel_gap=float((gap / scale).max()),
-        tol=tol,
     )
 
 
-def check_sdb(kernel, x, grid: CellGrid, vm: VelocityMeasure, tol: float = 1e-12) -> SdbReport:
+def check_sdb(kernel, x, grid: CellGrid, vm: VelocityMeasure) -> SdbReport:
     """:func:`sdb_gap` of the kernel sampled on a cell grid."""
-    return sdb_gap(_sampled(kernel, x, grid, vm), vm.weights, tol)
+    return sdb_gap(_sampled(kernel, x, grid, vm), vm.weights)

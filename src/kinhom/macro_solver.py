@@ -269,4 +269,5 @@ class DriftDiffusionSolver:
                 rho = self.step(rho, sub_dt)
             slices.append(rho)
         times = np.array([0.0] + [t1 for t1, _, _ in plan])
-        return MacroField(times=times, values=np.stack(slices), grid=self.grid, dt=plan[-1][2])
+        return MacroField(times=times, values=np.stack(slices), grid=self.grid,
+                          dt=plan[-1][2] if plan else dt_target)

@@ -164,6 +164,11 @@ def test_checkpoint_lookup_and_validation():
         solver.run(rho0, 0.3, checkpoints=np.array([0.1, 0.3]))
     with pytest.raises(ValueError):
         solver.run(rho0, 0.3, checkpoints=np.array([0.0, 0.2]))
+    # a zero horizon takes no step and keeps only the initial slice
+    field = solver.run(rho0, 0.0, dt=0.1, checkpoints=np.array([0.0]))
+    assert np.array_equal(field.times, [0.0])
+    assert np.array_equal(field.at_time(0.0), rho0)
+    assert field.dt == 0.1
 
 
 def test_initial_density_integrates_velocity_nodes():
