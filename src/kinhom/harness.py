@@ -69,6 +69,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 FMT = "%.17g"
+_CSV_BLOCK = 4096  # rows per formatting pass of the table writer
 
 
 class ConfigError(ValueError):
@@ -764,11 +765,27 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _csv(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(FMT % v if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _csv(header: list[str], columns: list) -> str:
+    """Comma-separated table: the header line, then one line per row.
+
+    ``columns`` holds one equal-length sequence per header name.  Float
+    columns are written with ``FMT``, integer columns with ``%d`` and any
+    other column with ``%s``.  Each block of ``_CSV_BLOCK`` rows is one
+    ``%`` pass over its row-major cells; the blocks bound the number of
+    cell objects alive at once.
+    """
+    columns = [np.asarray(col) for col in columns]
+    n_rows, n_cols = len(columns[0]), len(columns)
+    specs = {"f": FMT, "i": "%d", "u": "%d"}
+    line = ",".join(specs.get(col.dtype.kind, "%s") for col in columns) + "\n"
+    parts = [",".join(header) + "\n"]
+    for lo in range(0, n_rows, _CSV_BLOCK):
+        hi = min(lo + _CSV_BLOCK, n_rows)
+        cells: list = [None] * ((hi - lo) * n_cols)
+        for c, col in enumerate(columns):
+            cells[c::n_cols] = col[lo:hi].tolist()
+        parts.append(line * (hi - lo) % tuple(cells))
+    return "".join(parts)
 
 
 def emit_tables(report: PipelineReport, out_dir: str) -> dict[str, str]:
@@ -796,55 +813,53 @@ def emit_tables(report: PipelineReport, out_dir: str) -> dict[str, str]:
         header += [f"b_{i + 1}" for i in range(d)]
         header += ["lambda", "ellipticity_min"]
         if coeffs.constant:
-            xs = [0.0]
-            Ds = coeffs.D[None]
-            Us = coeffs.U[None]
-            bs = coeffs.flux[None]
+            xs = np.zeros(1)
+            Ds, Us = coeffs.D[None], coeffs.U[None]
         else:
-            xs = list(coeffs.x)
-            Ds, Us, bs = coeffs.D, coeffs.U, coeffs.flux
-        rows = []
-        for m, xv in enumerate(xs):
-            row = [float(xv)]
-            row += [float(v) for v in Ds[m].ravel()]
-            row += [float(v) for v in Us[m]]
-            row += [float(v) for v in bs[m]] if bs.ndim == 2 else [float(v) for v in coeffs.flux]
-            row += [report.lam, report.ellipticity_min]
-            rows.append(row)
-        emit("effective.csv", _csv(header, rows))
+            xs = np.asarray(coeffs.x, dtype=float)
+            Ds, Us = coeffs.D, coeffs.U
+        n = xs.size
+        bs = np.broadcast_to(coeffs.flux, (n, d))
+        columns = [xs]
+        columns += [Ds[:, i, j] for i in range(d) for j in range(d)]
+        columns += [Us[:, i] for i in range(d)]
+        columns += [bs[:, i] for i in range(d)]
+        columns += [[report.lam] * n, [report.ellipticity_min] * n]
+        emit("effective.csv", _csv(header, columns))
 
     if report.macro is not None:
         mf = report.macro
-        x = mf.grid.axes()[0] if mf.grid.dim == 1 else None
-        rows = []
-        if x is not None:
-            for ti, t in enumerate(mf.times):
-                for j in range(x.size):
-                    rows.append([float(t), float(x[j]), float(mf.values[ti, j])])
-            emit("macro.csv", _csv(["t", "x", "rho"], rows))
+        if mf.grid.dim == 1:
+            n_x = mf.grid.shape[0]
+            columns = [np.repeat(mf.times, n_x), np.tile(mf.grid.axes()[0], len(mf.times)),
+                       mf.values.ravel()]
+            emit("macro.csv", _csv(["t", "x", "rho"], columns))
 
     for eps, states in report.kinetic_states.items():
         x = states[0].grid.axes()[0]
-        rows = []
-        for s in states:
-            for j in range(x.size):
-                for k in range(s.vm.n_nodes):
-                    rows.append([float(s.t), float(x[j]), k, float(s.f[j, k])])
-        emit(f"kinetic_eps_{eps:g}.csv", _csv(["t", "x", "v_index", "f"], rows))
+        K = states[0].vm.n_nodes
+        columns = [
+            np.repeat([s.t for s in states], x.size * K),
+            np.tile(np.repeat(x, K), len(states)),
+            np.tile(np.arange(K), len(states) * x.size),
+            np.concatenate([s.f.ravel() for s in states]),
+        ]
+        emit(f"kinetic_eps_{eps:g}.csv", _csv(["t", "x", "v_index", "f"], columns))
 
     if report.sweep is not None:
-        rows = [
-            [r.epsilon, r.err, r.runtime, "yes" if r.l2_flag else "no"]
-            for r in report.sweep.rows
+        rows = report.sweep.rows
+        columns = [
+            [r.epsilon for r in rows],
+            [r.err for r in rows],
+            [r.runtime for r in rows],
+            ["yes" if r.l2_flag else "no" for r in rows],
         ]
-        emit("sweep.csv", _csv(["epsilon", "err", "runtime_s", "l2_flag"], rows))
+        emit("sweep.csv", _csv(["epsilon", "err", "runtime_s", "l2_flag"], columns))
 
     if report.sigma_rows:
-        rows = [
-            [r.epsilon, r.phi, r.m, r.c, r.lhs, r.rhs, r.residual]
-            for r in report.sigma_rows
-        ]
-        emit("sigma.csv", _csv(["epsilon", "phi", "m", "c", "lhs", "rhs", "residual"], rows))
+        names = ["epsilon", "phi", "m", "c", "lhs", "rhs", "residual"]
+        columns = [[getattr(r, name) for r in report.sigma_rows] for name in names]
+        emit("sigma.csv", _csv(names, columns))
 
     if report.summary:
         lines = [

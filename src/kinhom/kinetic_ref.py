@@ -10,6 +10,12 @@ phase-shift), a full collision step at every grid point (implicit Euler by
 default, or the exact matrix exponential), and a second transport
 half-step.
 
+Everything that depends only on the step size is built once per size and
+reused by every sub-step: the FFT phase factors of the shift half-step
+(keyed on the exact ``dt``) and the per-point collision matrices (keyed on
+``dt`` to 12 significant digits, so sub-steps that differ by roundoff
+share one set; the exact closure computes them in one batched ``expm``).
+
 Both collision closures conserve mass identically for balanced kernels —
 the weighted row sums of Q vanish, and that property transfers to
 ``(I - tau Q)^{-1}`` and ``expm(tau Q)`` alike — and are L2-dissipative,
@@ -85,7 +91,18 @@ def periodic_shift(values: np.ndarray, shift, kappa: np.ndarray) -> np.ndarray:
     ``shift`` is a scalar or one shift per column of ``values``; ``kappa``
     holds the grid's :func:`shift_wavenumbers`.
     """
-    spectra = np.fft.rfft(values, axis=0) * np.exp(-1j * np.multiply.outer(kappa, shift))
+    return _apply_phase(values, _phase(kappa, shift))
+
+
+def _phase(kappa: np.ndarray, shift) -> np.ndarray:
+    """FFT phase factors ``exp(-i kappa shift)`` of a rightward translation."""
+    return np.exp(-1j * np.multiply.outer(kappa, shift))
+
+
+def _apply_phase(values: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """Multiply the real FFT of ``values`` along axis 0 by ``phase`` and invert."""
+    spectra = np.fft.rfft(values, axis=0)
+    spectra *= phase
     return np.fft.irfft(spectra, n=values.shape[0], axis=0)
 
 
@@ -165,6 +182,8 @@ class KineticSolver:
         self._sigma_max = float(loss.max())
         self._speeds = vm.field[:, 0]
         self._kappa = shift_wavenumbers(grid)
+        # everything that depends only on the step size, built once per size
+        self._phase_cache: dict[float, np.ndarray] = {}
         self._collision_cache: dict[float, np.ndarray] = {}
 
     # -- step-size policy -------------------------------------------------------
@@ -201,7 +220,13 @@ class KineticSolver:
     def transport_half(self, f: np.ndarray, dt: float) -> np.ndarray:
         """Advance ``df/dt + (a/eps) df/dx = 0`` over ``dt/2``."""
         if self.scheme == "shift":
-            return periodic_shift(f, self._speeds * dt / (2.0 * self.epsilon), self._kappa)
+            # keyed on the exact step: the phase of each call's own dt
+            key = float(dt)
+            phase = self._phase_cache.get(key)
+            if phase is None:
+                shift = self._speeds * dt / (2.0 * self.epsilon)
+                phase = self._phase_cache[key] = _phase(self._kappa, shift)
+            return _apply_phase(f, phase)
         out = np.array(f, dtype=float)
         h = self.grid.spacing[0]
         for k, a in enumerate(self._speeds):
@@ -216,14 +241,15 @@ class KineticSolver:
         return out
 
     def _collision_matrices(self, dt: float) -> np.ndarray:
-        key = round(float(dt), 15)
+        # 12 significant digits: steps that differ by roundoff share one entry
+        key = float(f"{float(dt):.11e}")
         if key not in self._collision_cache:
             tau = dt / self.epsilon**2
             if self.collision == "implicit":
                 eye = np.eye(self.vm.n_nodes)
                 mats = np.linalg.inv(eye[None, :, :] - tau * self._Q)
             else:
-                mats = np.stack([scipy.linalg.expm(tau * Qj) for Qj in self._Q])
+                mats = scipy.linalg.expm(tau * self._Q)
             self._collision_cache[key] = mats
         return self._collision_cache[key]
 

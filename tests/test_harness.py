@@ -5,10 +5,12 @@ import re
 import numpy as np
 import pytest
 
+from kinhom import harness
 from kinhom.cli import main as cli_main
 from kinhom.harness import (
     ConfigError,
     StageError,
+    _csv,
     dump_config,
     emit_tables,
     epsilon_sweep,
@@ -177,6 +179,24 @@ def test_emitted_tables_and_determinism(tmp_path):
             assert strip(text_a) == strip(text_b)
         else:
             assert text_a == text_b
+
+
+def test_csv_writer_matches_a_per_row_formatter(monkeypatch):
+    floats = np.array([-0.0, 1e-300, np.nan, 0.1, -2.5e17, np.inf, 3.0])
+    ints = np.arange(-3, 4)
+    flags = ["yes", "no", "yes", "yes", "no", "no", "yes"]
+    header = ["a", "k", "flag", "b"]
+    columns = [floats, ints, flags, list(floats[::-1])]
+    rows = [[float(a), int(k), flag, float(b)]
+            for a, k, flag, b in zip(floats, ints, flags, floats[::-1])]
+    lines = [",".join(header)]
+    lines += [",".join("%.17g" % v if isinstance(v, float) else str(v) for v in row)
+              for row in rows]
+    assert _csv(header, columns) == "\n".join(lines) + "\n"
+    assert _csv(header, [[], [], [], []]) == "a,k,flag,b\n"
+    # rows split across formatting blocks, the last one short
+    monkeypatch.setattr(harness, "_CSV_BLOCK", 3)
+    assert _csv(header, columns) == "\n".join(lines) + "\n"
 
 
 def test_rate_scaling_correspondence():

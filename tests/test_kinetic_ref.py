@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kinhom.collision import BalanceError, make_kernel
 from kinhom.kinetic_ref import KineticSolver, StabilityError, periodic_shift, shift_wavenumbers
@@ -129,6 +130,48 @@ def test_shift_transport_matches_integer_roll():
     # a scalar shift of one column, as the harness shifts densities
     moved = periodic_shift(f[:, 1], m * h, shift_wavenumbers(grid))
     assert np.max(np.abs(moved - np.roll(f[:, 1], m))) < 1e-12
+
+
+def test_shift_half_step_is_bitwise_the_periodic_shift():
+    eps = 0.05
+    solver = KineticSolver(SINUSOIDAL, VM, GRID, epsilon=eps, scheme="shift",
+                           collision="exact")
+    f = _smooth_initial(GRID, VM)
+    dt = solver.default_dt()
+    kappa = shift_wavenumbers(GRID)
+    # the phase table is keyed on the exact step; the 1e-14 neighbour moves the
+    # result, and a key rounded to 12 digits would give it the phase of dt
+    for step in (dt, np.nextafter(dt, 1.0), dt * (1.0 + 1e-14), dt):
+        expect = periodic_shift(f, VM.field[:, 0] * step / (2.0 * eps), kappa)
+        assert np.array_equal(solver.transport_half(f, step), expect)
+
+
+def test_exact_collision_is_bitwise_the_per_point_expm():
+    eps = 0.05
+    solver = KineticSolver(SINUSOIDAL, VM, GRID, epsilon=eps, collision="exact")
+    f = _smooth_initial(GRID, VM)
+    dt = solver.default_dt()
+    tau = dt / eps**2
+    mats = np.stack([scipy.linalg.expm(tau * Q) for Q in solver._Q])
+    expect = np.einsum("xkl,xl->xk", mats, f)
+    assert np.array_equal(solver.collision_full(f, dt), expect)
+
+
+@pytest.mark.parametrize("collision", ["implicit", "exact"])
+def test_collision_cache_tells_small_steps_apart(collision):
+    # the cache key keeps 12 significant digits, whatever the size of dt
+    def solver():
+        return KineticSolver(SINUSOIDAL, VM, GRID, epsilon=1e-4, collision=collision)
+
+    f = _smooth_initial(GRID, VM)
+    warm = solver()
+    warm.collision_full(f, 1.0e-12)
+    assert np.array_equal(warm.collision_full(f, 1.0004e-12),
+                          solver().collision_full(f, 1.0004e-12))
+    # steps that differ only by roundoff share one set of matrices
+    dt = warm.default_dt()
+    assert np.array_equal(warm.collision_full(f, np.nextafter(dt, 1.0)),
+                          warm.collision_full(f, dt))
 
 
 def test_per_point_rate_table_matches_kernel_evaluation():
