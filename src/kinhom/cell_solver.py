@@ -45,14 +45,13 @@ __all__ = [
     "SpectralCellOperator",
     "SpectralField",
     "CorrectorSolution",
+    "ChiStarSolution",
     "assemble",
     "assemble_spectral_ap",
-    "apply_A_inverse",
     "equilibrium_F",
     "solve_corrector",
     "solve_adjoint_corrector",
     "solve_chi_star",
-    "corrector_diagnostics",
     "verify_variational",
 ]
 
@@ -215,6 +214,10 @@ class _CellOperatorBase:
 
     def apply_O_adjoint(self, f: np.ndarray) -> np.ndarray:
         return self.apply_K_adjoint(self.apply_A_adjoint_inverse(f))
+
+    def hermitize(self, flat: np.ndarray) -> np.ndarray:
+        """Project onto fields with real samples (identity on a real grid)."""
+        return flat
 
     # -- diagnostics -----------------------------------------------------------
 
@@ -486,11 +489,6 @@ def assemble_spectral_ap(kernel: ScatteringKernel, x, vm: VelocityMeasure,
 # ---------------------------------------------------------------------------
 
 
-def apply_A_inverse(op: _CellOperatorBase, h):
-    """Invert the transport-plus-absorption part; returns a wrapped field."""
-    return op.wrap(op.apply_A_inverse(op.unwrap(h)))
-
-
 def equilibrium_F(op: _CellOperatorBase, tol_eig: float = 1e-12,
                   max_iter: int = 100_000, tol_lambda: float = 1e-8):
     """Principal eigenpair of the gain-relaxation map; normalized equilibrium.
@@ -529,9 +527,7 @@ def equilibrium_F(op: _CellOperatorBase, tol_eig: float = 1e-12,
             f"principal eigenvalue {lam!r} deviates from 1 beyond {tol_lambda:.1e}; "
             "kernel and quadrature are inconsistent"
         )
-    F = op.apply_A_inverse(h)
-    if hasattr(op, "hermitize"):
-        F = op.hermitize(F)
+    F = op.hermitize(op.apply_A_inverse(h))
     mass = op.mean_v(F)
     if mass == 0.0:
         raise ConvergenceError("equilibrium has zero mean; cannot normalize")
@@ -584,6 +580,41 @@ def _deflated_gmres(op: _CellOperatorBase, action, rhs: np.ndarray,
     return x, count["n"]
 
 
+def _gauged_solve(op: _CellOperatorBase, rhs, null: np.ndarray, tol: float | None,
+                  compat_tol: float, *, adjoint: bool, null_scale: float) -> CorrectorSolution:
+    """Shared body of the forward and adjoint corrector solves.
+
+    ``null`` spans the cokernel of the operator being inverted: the
+    constant for ``P``, the equilibrium for ``P*``.  Checks compatibility
+    ``<null, rhs> = 0`` against ``compat_tol * max(1, null_scale ||rhs||)``,
+    solves the rewritten fixed-point system by deflated GMRES, maps back
+    through ``A^{-1}`` (or its adjoint), gauges the result to zero mean,
+    and gates on a relative residual of 1e-9.
+    """
+    rhs_flat = op.unwrap(rhs).astype(op.dtype)
+    rhs_norm = op.norm(rhs_flat)
+    compat = float(np.real(op.inner(null, rhs_flat)))
+    kind = "adjoint " if adjoint else ""
+    if abs(compat) > compat_tol * max(1.0, null_scale * rhs_norm):
+        pairing = "rhs F" if adjoint else "g"
+        raise CompatibilityError(
+            f"int M({pairing}) dmu = {compat:.3e} violates the {kind}solvability condition"
+        )
+    apply_O = op.apply_O_adjoint if adjoint else op.apply_O
+    tol = 1e-12 if tol is None else tol
+    h, n_iter = _deflated_gmres(op, lambda v: v - apply_O(v), rhs_flat, null, tol)
+    f = op.hermitize(op.apply_A_adjoint_inverse(h) if adjoint else op.apply_A_inverse(h))
+    f = f - (op.mean_v(f) / op.mean_v(op.const)) * op.const
+    residual = op.norm((op.apply_P_adjoint(f) if adjoint else op.apply_P(f)) - rhs_flat)
+    if rhs_norm > 0 and residual > 1e-9 * rhs_norm:
+        raise ConvergenceError(
+            f"{kind}corrector residual {residual:.3e} exceeds 1e-9 relative"
+        )
+    constant = op.norm(f) / rhs_norm if rhs_norm > 0 else 0.0
+    return CorrectorSolution(field=op.wrap(f), residual=residual,
+                             bound_constant=constant, iterations=n_iter)
+
+
 def solve_corrector(op: _CellOperatorBase, g, tol: float | None = None,
                     compat_tol: float = 1e-10) -> CorrectorSolution:
     """Solve ``P f = g`` for the unique zero-mean corrector.
@@ -592,31 +623,7 @@ def solve_corrector(op: _CellOperatorBase, g, tol: float | None = None,
     rewritten system ``(I - O) h = g`` by deflated GMRES, maps back through
     ``f = A^{-1} h``, and gauges the result to ``int M(f) dmu = 0``.
     """
-    g_flat = op.unwrap(g).astype(op.dtype)
-    g_norm = op.norm(g_flat)
-    compat = op.mean_v(g_flat)
-    if abs(compat) > compat_tol * max(1.0, g_norm):
-        raise CompatibilityError(
-            f"int M(g) dmu = {compat:.3e} violates the solvability condition"
-        )
-    tol = 1e-12 if tol is None else tol
-
-    def action(v):
-        return v - op.apply_O(v)
-
-    h, n_iter = _deflated_gmres(op, action, g_flat, op.const, tol)
-    f = op.apply_A_inverse(h)
-    if hasattr(op, "hermitize"):
-        f = op.hermitize(f)
-    f = f - (op.mean_v(f) / op.mean_v(op.const)) * op.const
-    residual = op.norm(op.apply_P(f) - g_flat)
-    if g_norm > 0 and residual > 1e-9 * g_norm:
-        raise ConvergenceError(
-            f"corrector residual {residual:.3e} exceeds 1e-9 relative"
-        )
-    constant = op.norm(f) / g_norm if g_norm > 0 else 0.0
-    return CorrectorSolution(field=op.wrap(f), residual=residual,
-                             bound_constant=constant, iterations=n_iter)
+    return _gauged_solve(op, g, op.const, tol, compat_tol, adjoint=False, null_scale=1.0)
 
 
 def solve_adjoint_corrector(op: _CellOperatorBase, rhs, F, tol: float | None = None,
@@ -626,77 +633,49 @@ def solve_adjoint_corrector(op: _CellOperatorBase, rhs, F, tol: float | None = N
     The solvability condition is ``int M(rhs * F) dmu = 0`` with ``F`` the
     equilibrium spanning ``ker P``.
     """
-    rhs_flat = op.unwrap(rhs).astype(op.dtype)
     F_flat = op.unwrap(F).astype(op.dtype)
-    rhs_norm = op.norm(rhs_flat)
-    compat = float(np.real(op.inner(F_flat, rhs_flat)))
-    if abs(compat) > compat_tol * max(1.0, rhs_norm * op.norm(F_flat)):
-        raise CompatibilityError(
-            f"int M(rhs F) dmu = {compat:.3e} violates the adjoint solvability condition"
-        )
-    tol = 1e-12 if tol is None else tol
-
-    def action(v):
-        return v - op.apply_O_adjoint(v)
-
-    h, n_iter = _deflated_gmres(op, action, rhs_flat, F_flat, tol)
-    phi = op.apply_A_adjoint_inverse(h)
-    if hasattr(op, "hermitize"):
-        phi = op.hermitize(phi)
-    phi = phi - (op.mean_v(phi) / op.mean_v(op.const)) * op.const
-    residual = op.norm(op.apply_P_adjoint(phi) - rhs_flat)
-    if rhs_norm > 0 and residual > 1e-9 * rhs_norm:
-        raise ConvergenceError(
-            f"adjoint corrector residual {residual:.3e} exceeds 1e-9 relative"
-        )
-    constant = op.norm(phi) / rhs_norm if rhs_norm > 0 else 0.0
-    return CorrectorSolution(field=op.wrap(phi), residual=residual,
-                             bound_constant=constant, iterations=n_iter)
+    return _gauged_solve(op, rhs, F_flat, tol, compat_tol, adjoint=True, null_scale=op.norm(F_flat))
 
 
-def solve_chi_star(op: _CellOperatorBase, F, tol: float | None = None):
+@dataclass(frozen=True)
+class ChiStarSolution:
+    """Adjoint correctors with the equilibrium flux and their worst diagnostics.
+
+    ``residual`` is the largest ``||P* chi_j - rhs_j|| / ||rhs_j||`` and
+    ``bound_constant`` the largest ``||chi_j|| / ||rhs_j||``; a vanishing
+    right-hand side reports the absolute residual and a zero constant.
+    """
+
+    chi: list
+    b: np.ndarray
+    residual: float
+    bound_constant: float
+
+
+def solve_chi_star(op: _CellOperatorBase, F, tol: float | None = None) -> ChiStarSolution:
     """Adjoint correctors driven by the transport directions.
 
     For each spatial component ``j`` this solves ``P* chi_j = -(a_j - b_j)``
     where ``b_j = int M(a_j F) dmu`` is the equilibrium flux.  The shift by
     ``b_j`` restores solvability whenever the flux does not vanish; ``b``
-    is returned so downstream consumers know the co-moving frame.
-
-    Returns
-    -------
-    (chi, b) :
-        List of wrapped corrector fields (one per dimension) and the flux
-        vector ``b``.
+    is returned so downstream consumers know the co-moving frame.  The
+    residual and bound diagnostics come from each corrector solve.
     """
     F_flat = op.unwrap(F)
     d = op.vm.dim
     chi = []
     b = np.zeros(d)
+    worst_res = worst_const = 0.0
     for j in range(d):
         a_j = op.velocity_profile(j)
         b[j] = float(np.real(op.inner(F_flat, a_j)))  # int M(a_j F) dmu
         rhs = -(a_j - b[j] * op.const)
         sol = solve_adjoint_corrector(op, rhs, F, tol=tol)
         chi.append(sol.field)
-    return chi, b
-
-
-def corrector_diagnostics(op: _CellOperatorBase, chi, b) -> tuple[float, float]:
-    """Worst relative residual and bound constant of :func:`solve_chi_star`'s output.
-
-    For each component ``j`` this measures ``||P* chi_j - rhs_j|| / ||rhs_j||``
-    and ``||chi_j|| / ||rhs_j||`` with ``rhs_j = -(a_j - b_j)``; a vanishing
-    right-hand side reports the absolute residual and a zero constant.
-    """
-    worst_res = worst_const = 0.0
-    for j, c in enumerate(chi):
-        rhs = -(op.velocity_profile(j) - b[j] * op.const)
-        chi_flat = op.unwrap(c)
-        res = op.norm(op.apply_P_adjoint(chi_flat) - rhs)
         nrm = op.norm(rhs)
-        worst_res = max(worst_res, res / nrm if nrm > 0 else res)
-        worst_const = max(worst_const, op.norm(chi_flat) / nrm if nrm > 0 else 0.0)
-    return worst_res, worst_const
+        worst_res = max(worst_res, sol.residual / nrm if nrm > 0 else sol.residual)
+        worst_const = max(worst_const, sol.bound_constant)
+    return ChiStarSolution(chi=chi, b=b, residual=worst_res, bound_constant=worst_const)
 
 
 def verify_variational(op: _CellOperatorBase, F, n_fields: int = 8, seed: int = 0) -> float:
@@ -716,12 +695,7 @@ def verify_variational(op: _CellOperatorBase, F, n_fields: int = 8, seed: int = 
         # elementwise square is the coefficient vector of a_j(v)^2
         tests.append((a_j ** 2).astype(op.dtype))
     for _ in range(n_fields):
-        v = rng.standard_normal(op.size)
-        if op.dtype is complex:
-            v = v.astype(complex)
-            if hasattr(op, "hermitize"):
-                v = op.hermitize(v)
-        tests.append(v)
+        tests.append(op.hermitize(rng.standard_normal(op.size).astype(op.dtype)))
     worst = 0.0
     for phi in tests:
         denom = op.norm(F_flat) * op.norm(phi)

@@ -30,13 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kinhom.cell_solver import (
-    assemble,
-    assemble_spectral_ap,
-    corrector_diagnostics,
-    equilibrium_F,
-    solve_chi_star,
-)
+from kinhom.cell_solver import assemble, assemble_spectral_ap, equilibrium_F, solve_chi_star
 from kinhom.phase_space import CellGrid, VelocityMeasure
 
 __all__ = [
@@ -47,6 +41,9 @@ __all__ = [
     "drift_vector",
     "ellipticity_gate",
     "check_vfc",
+    "CellSolution",
+    "default_backend",
+    "solve_cell",
     "assemble_effective",
 ]
 
@@ -172,17 +169,51 @@ class EffectiveCoefficients:
         return D_out, U_out
 
 
-def _solve_at(kernel, x, vm, backend, grid, scheme, n_modes, tol):
+def default_backend(kernel) -> str:
+    """``"grid"`` for kernels with a finite period, else ``"spectral_ap"``."""
+    return "grid" if kernel.natural_period is not None else "spectral_ap"
+
+
+@dataclass(frozen=True)
+class CellSolution:
+    """One solved cell problem at macro position ``x`` (see :func:`solve_cell`)."""
+
+    x: float
+    op: object
+    lam: float
+    F: object            # wrapped equilibrium
+    chi: list            # wrapped adjoint correctors, one per dimension
+    b: np.ndarray        # equilibrium flux
+    D: np.ndarray        # divergence-form diffusion tensor, ellipticity-gated
+    residual: float
+    bound_constant: float
+    settings: tuple      # (backend, grid, scheme, n_modes, tol) it was solved with
+
+
+def solve_cell(kernel, x, vm: VelocityMeasure, *, backend: str | None = None,
+               grid: CellGrid | None = None, scheme: str = "upwind", n_modes: int = 8,
+               tol: float | None = None) -> CellSolution:
+    """Solve the cell problem at ``x``: operator, equilibrium, correctors, ``D``.
+
+    ``backend`` is ``"grid"`` (needs ``grid`` and ``scheme``) or
+    ``"spectral_ap"`` (uses ``n_modes``); ``None`` picks
+    :func:`default_backend`.  Raises :class:`EllipticityError` when the
+    diffusion tensor has a non-positive direction.
+    """
+    backend = default_backend(kernel) if backend is None else backend
     if backend == "spectral_ap":
         op = assemble_spectral_ap(kernel, x, vm, n_modes=n_modes)
+    elif grid is None:
+        raise ValueError("grid backend needs a cell grid")
     else:
         op = assemble(kernel, x, vm, grid, scheme=scheme)
-    _, F = equilibrium_F(op)
-    chi, b = solve_chi_star(op, F, tol=tol)
-    D = diffusion_matrix(op, chi, F)
+    lam, F = equilibrium_F(op)
+    star = solve_chi_star(op, F, tol=tol)
+    D = diffusion_matrix(op, star.chi, F)
     ellipticity_gate(D)
-    res, const = corrector_diagnostics(op, chi, b)
-    return op, op.unwrap(F), chi, b, D, res, const
+    return CellSolution(x=x, op=op, lam=lam, F=F, chi=star.chi, b=star.b, D=D,
+                        residual=star.residual, bound_constant=star.bound_constant,
+                        settings=(backend, grid, scheme, n_modes, tol))
 
 
 def assemble_effective(
@@ -195,6 +226,7 @@ def assemble_effective(
     backend: str | None = None,
     n_modes: int = 8,
     tol: float | None = None,
+    cell: CellSolution | None = None,
 ) -> EffectiveCoefficients:
     """Solve the cell problems and average them into macro coefficients.
 
@@ -205,45 +237,40 @@ def assemble_effective(
     to build the drift.  Kernels without modulation short-circuit to a
     single cell solve.
 
-    ``backend`` is ``"grid"`` or ``"spectral_ap"``; by default kernels
-    with a finite period use the grid backend and genuinely quasi-periodic
-    ones the frequency lattice.
+    The cell settings are those of :func:`solve_cell`.  ``cell``, a
+    :func:`solve_cell` result for the same kernel, velocity set and
+    settings, stands in for the single solve when the kernel has no
+    modulation or ``cell.x`` is the requested scalar ``x``; the result is
+    the same with or without it.
     """
-    if backend is None:
-        backend = "grid" if kernel.natural_period is not None else "spectral_ap"
-    if backend == "grid" and grid is None:
-        raise ValueError("grid backend needs a cell grid")
+    backend = default_backend(kernel) if backend is None else backend
+    if cell is not None and (cell.op.kernel is not kernel or cell.op.vm is not vm
+                             or cell.settings != (backend, grid, scheme, n_modes, tol)):
+        raise ValueError("cell was solved for another kernel, velocity set or settings")
+
+    def solve(xi: float) -> CellSolution:
+        return solve_cell(kernel, xi, vm, backend=backend, grid=grid, scheme=scheme,
+                          n_modes=n_modes, tol=tol)
 
     x_independent = getattr(kernel, "x_dependence", "none") == "none"
     if x is None or np.isscalar(x) or x_independent:
-        x0 = 0.0 if x is None else (float(np.atleast_1d(np.asarray(x, dtype=float))[0]))
-        _, _, _, b, D, res, const = _solve_at(
-            kernel, x0, vm, backend, grid, scheme, n_modes, tol
-        )
-        U = np.zeros(vm.dim)
-        return EffectiveCoefficients(
-            x=None, D=D, U=U, flux=b, residual=res, bound_constant=const
-        )
+        x0 = 0.0 if x is None else float(np.atleast_1d(np.asarray(x, dtype=float))[0])
+        c = cell if cell is not None and (x_independent or cell.x == x0) else solve(x0)
+        return EffectiveCoefficients(x=None, D=c.D, U=np.zeros(vm.dim), flux=c.b,
+                                     residual=c.residual, bound_constant=c.bound_constant)
 
     x_arr = np.asarray(x, dtype=float).reshape(-1)
-    n_x = x_arr.size
-    solved = [
-        _solve_at(kernel, float(xi), vm, backend, grid, scheme, n_modes, tol) for xi in x_arr
-    ]
-
-    d = vm.dim
-    D_all = np.stack([s[4] for s in solved])
-    b_all = np.stack([s[3] for s in solved])
-    res = max(s[5] for s in solved)
-    const = max(s[6] for s in solved)
+    solved = [solve(float(xi)) for xi in x_arr]
 
     # slow gradient of the equilibrium along the (first) macro axis
-    F_stack = np.stack([np.asarray(s[1]) for s in solved])
+    F_stack = np.stack([s.op.unwrap(s.F) for s in solved])
     dF_dx1 = np.gradient(F_stack, x_arr, axis=0, edge_order=2)
-    U_all = np.zeros((n_x, d))
-    for m, (op, _, chi, _, _, _, _) in enumerate(solved):
-        grads = [dF_dx1[m]] + [None] * (d - 1)
-        U_all[m] = drift_vector(op, chi, grads)
+    d = vm.dim
+    U_all = np.zeros((x_arr.size, d))
+    for m, s in enumerate(solved):
+        U_all[m] = drift_vector(s.op, s.chi, [dF_dx1[m]] + [None] * (d - 1))
     return EffectiveCoefficients(
-        x=x_arr, D=D_all, U=U_all, flux=b_all, residual=res, bound_constant=const
+        x=x_arr, D=np.stack([s.D for s in solved]), U=U_all, flux=np.stack([s.b for s in solved]),
+        residual=max(s.residual for s in solved),
+        bound_constant=max(s.bound_constant for s in solved),
     )

@@ -28,17 +28,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from kinhom.cell_solver import (
-    SpectralField,
+from kinhom.cell_solver import SpectralField, verify_variational
+from kinhom.cell_solver import (  # noqa: F401  (perfbench/tracing.py wraps these names here)
     assemble,
     assemble_spectral_ap,
-    corrector_diagnostics,
     equilibrium_F,
     solve_chi_star,
-    verify_variational,
 )
 from kinhom.collision import PhaseField, ScatteringKernel, check_sdb, make_kernel, sdb_gap
-from kinhom.effective import EffectiveCoefficients, assemble_effective, ellipticity_gate
+from kinhom.effective import (
+    EffectiveCoefficients,
+    assemble_effective,
+    default_backend,
+    ellipticity_gate,
+    solve_cell,
+)
 from kinhom.kinetic_ref import KineticSolver, KineticState, periodic_shift, shift_wavenumbers
 from kinhom.macro_solver import DriftDiffusionSolver, MacroField
 from kinhom.phase_space import (
@@ -279,9 +283,7 @@ class ScenarioConfig:
 
     def cell_backend(self, kernel: ScatteringKernel) -> str:
         backend = self.cell["backend"]
-        if backend == "auto":
-            return "grid" if kernel.natural_period is not None else "spectral_ap"
-        return backend
+        return default_backend(kernel) if backend == "auto" else backend
 
     def checkpoint_times(self) -> np.ndarray:
         return np.linspace(0.0, self.macro["t"], self.macro["checkpoints"] + 1)
@@ -466,26 +468,28 @@ def _stage(name: str):
     return _Ctx()
 
 
+# fast test profiles m(y) = wave(freq * y) of the sigma test, besides m = 1
+_PROFILES = {
+    "cos2pi": (2.0 * np.pi, np.cos),
+    "sin2pi": (2.0 * np.pi, np.sin),
+    "cos2r2pi": (2.0 * np.sqrt(2.0) * np.pi, np.cos),
+}
+
+
 def _profile_moment(F_field, m_kind: str, vm: VelocityMeasure) -> np.ndarray:
     """Cell-average ``M(F_k m)`` per velocity node for a catalogue profile."""
     if m_kind == "1":
         return np.asarray(F_field.mean_y(), dtype=float)
-    freq_map = {
-        "cos2pi": (2.0 * np.pi, "cos"),
-        "sin2pi": (2.0 * np.pi, "sin"),
-        "cos2r2pi": (2.0 * np.sqrt(2.0) * np.pi, "cos"),
-    }
-    freq, flavor = freq_map[m_kind]
+    freq, wave = _PROFILES[m_kind]
     if isinstance(F_field, PhaseField):
         y = F_field.grid.axes()[0]
-        m_vals = np.cos(freq * y) if flavor == "cos" else np.sin(freq * y)
-        return (F_field.values * m_vals[:, None]).mean(axis=0)
+        return (F_field.values * wave(freq * y)[:, None]).mean(axis=0)
     if isinstance(F_field, SpectralField):
         idx = np.flatnonzero(np.abs(F_field.freqs - freq) < 1e-9)
         if idx.size == 0:
             return np.zeros(vm.n_nodes)
         coeff = F_field.coeffs[idx[0]]
-        return coeff.real if flavor == "cos" else -coeff.imag
+        return coeff.real if wave is np.cos else -coeff.imag
     raise TypeError(f"unsupported equilibrium field {type(F_field)!r}")
 
 
@@ -517,12 +521,6 @@ def sigma_test(
     phis = {"1": lambda t, xx: np.ones_like(xx), "gauss": lambda t, xx: np.exp(-(xx**2) / 2.0)}
     m_kinds = ["1", "cos2pi", "sin2pi"] + (["cos2r2pi"] if include_quasi else [])
     c_kinds = {"1": np.ones(vm.n_nodes), "a1": a1}
-    m_freqs = {
-        "1": None,
-        "cos2pi": (2.0 * np.pi, np.cos),
-        "sin2pi": (2.0 * np.pi, np.sin),
-        "cos2r2pi": (2.0 * np.sqrt(2.0) * np.pi, np.cos),
-    }
 
     rho_slices = []
     for t in times:
@@ -536,8 +534,11 @@ def sigma_test(
         for c_name, c_vals in c_kinds.items():
             mk = _profile_moment(F_field, m_kind, vm)
             moments[c_name] = float(np.sum(vm.weights * c_vals * mk))
-        fm = m_freqs[m_kind]
-        m_fast = np.ones_like(x) if fm is None else fm[1](fm[0] * x / eps)
+        if m_kind == "1":
+            m_fast = np.ones_like(x)
+        else:
+            freq, wave = _PROFILES[m_kind]
+            m_fast = wave(freq * x / eps)
         for phi_name, phi in phis.items():
             phi_slices = [phi(t, x) for t in times]
             for c_name, c_vals in c_kinds.items():
@@ -598,34 +599,22 @@ def run_pipeline(
     if stop_after == "check":
         return _finish()
 
+    settings = dict(backend=backend, grid=grid, scheme=cfg.cell["scheme"],
+                    n_modes=cfg.cell["n_modes"], tol=cfg.cell["tol"])
     with _stage("cell"):
-        if backend == "grid":
-            op = assemble(kernel, 0.0, vm, grid, scheme=cfg.cell["scheme"])
-        else:
-            op = assemble_spectral_ap(kernel, 0.0, vm, n_modes=cfg.cell["n_modes"])
-        lam, F = equilibrium_F(op)
-        chi, b = solve_chi_star(op, F, tol=cfg.cell["tol"])
-        report.lam = lam
-        report.flux = b
-        report.variational_residual = verify_variational(op, op.unwrap(F), seed=seed)
-        report.corrector_residual, report.bound_constant = corrector_diagnostics(op, chi, b)
-        F_field = F
+        cell = solve_cell(kernel, 0.0, vm, **settings)
+        report.lam = cell.lam
+        report.flux = cell.b
+        report.variational_residual = verify_variational(cell.op, cell.op.unwrap(cell.F), seed=seed)
+        report.corrector_residual = cell.residual
+        report.bound_constant = cell.bound_constant
     if stop_after == "cell":
         return _finish()
 
     with _stage("effective"):
         mg = cfg.build_macro_grid()
         x_samples = mg.axes()[0] if kernel.x_dependence != "none" else None
-        coeffs = assemble_effective(
-            kernel,
-            vm,
-            x=x_samples,
-            grid=grid,
-            scheme=cfg.cell["scheme"],
-            backend=backend,
-            n_modes=cfg.cell["n_modes"],
-            tol=cfg.cell["tol"],
-        )
+        coeffs = assemble_effective(kernel, vm, x=x_samples, cell=cell, **settings)
         report.coefficients = coeffs
         D_all = coeffs.D if coeffs.D.ndim == 3 else coeffs.D[None, :, :]
         report.ellipticity_min = min(ellipticity_gate(Dm) for Dm in D_all)
@@ -649,7 +638,7 @@ def run_pipeline(
 
     if cfg.kinetic is not None:
         with _stage("kinetic"):
-            _run_kinetic(cfg, report, vm, kernel, mg, macro, F_field)
+            _run_kinetic(cfg, report, vm, kernel, mg, macro, cell.F)
 
     return _finish()
 

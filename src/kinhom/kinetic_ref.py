@@ -38,7 +38,7 @@ import numpy as np
 import scipy.linalg
 
 from kinhom.collision import ScatteringKernel, gain_loss, sdb_gap
-from kinhom.phase_space import MacroGrid, VelocityMeasure, checkpoint_substeps
+from kinhom.phase_space import MacroGrid, VelocityMeasure, checkpoint_substeps, step_key
 
 __all__ = [
     "StabilityError",
@@ -241,8 +241,7 @@ class KineticSolver:
         return out
 
     def _collision_matrices(self, dt: float) -> np.ndarray:
-        # 12 significant digits: steps that differ by roundoff share one entry
-        key = float(f"{float(dt):.11e}")
+        key = step_key(dt)
         if key not in self._collision_cache:
             tau = dt / self.epsilon**2
             if self.collision == "implicit":

@@ -25,7 +25,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from kinhom.phase_space import MacroGrid, VelocityMeasure, checkpoint_substeps
+from kinhom.phase_space import MacroGrid, VelocityMeasure, checkpoint_substeps, step_key
 
 __all__ = ["MacroField", "DriftDiffusionSolver", "initial_density"]
 
@@ -230,7 +230,7 @@ class DriftDiffusionSolver:
         return np.inf if self._max_dnorm == 0 else h2 / (2.0 * self.grid.dim * self._max_dnorm)
 
     def _factors(self, dt: float):
-        key = round(float(dt), 15)
+        key = step_key(dt)
         if key not in self._factor_cache:
             n = self.grid.n_points
             eye = sparse.identity(n, format="csr")

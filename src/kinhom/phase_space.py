@@ -24,6 +24,7 @@ __all__ = [
     "integrate_v",
     "validate_h1",
     "checkpoint_substeps",
+    "step_key",
 ]
 
 log = logging.getLogger(__name__)
@@ -246,6 +247,15 @@ def checkpoint_substeps(checkpoints, T: float, dt: float) -> list[tuple[float, i
         n_sub = max(1, int(np.ceil((t1 - t0) / dt - 1e-12)))
         plan.append((float(t1), n_sub, (t1 - t0) / n_sub))
     return plan
+
+
+def step_key(dt: float) -> float:
+    """Cache key of a step size: ``dt`` to 12 significant digits.
+
+    Steps that differ by roundoff share one key; steps that differ in their
+    leading digits never do, however small they are.
+    """
+    return float(f"{float(dt):.11e}")
 
 
 # ---------------------------------------------------------------------------

@@ -136,7 +136,8 @@ def test_criterion_2_constant_kernel_closed_forms():
     op = assemble(kernel, 0.0, VM, grid, scheme="upwind")
     lam, F = equilibrium_F(op)
     assert np.max(np.abs(op.unwrap(F).real - 0.5)) <= 1e-10
-    chi, b = solve_chi_star(op, F)
+    star = solve_chi_star(op, F)
+    chi, b = star.chi, star.b
     assert abs(b[0]) <= 1e-10
     v = VM.field[:, 0]
     assert np.max(np.abs(chi[0].values - (-v / 2.0)[None, :])) <= 1e-10

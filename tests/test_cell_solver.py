@@ -32,7 +32,8 @@ def test_constant_kernel_closed_forms(scheme):
     lam, F = equilibrium_F(op)
     assert abs(lam - 1.0) < 1e-12
     assert np.max(np.abs(F.values - 0.5)) < 1e-10
-    chi, b = solve_chi_star(op, F)
+    star = solve_chi_star(op, F)
+    chi, b = star.chi, star.b
     assert abs(b[0]) < 1e-12
     expect = -VM.field[:, 0] / 2.0
     assert np.max(np.abs(chi[0].values - expect[None, :])) < 1e-10
@@ -44,7 +45,8 @@ def test_constant_kernel_closed_forms_spectral_ap():
     assert abs(lam - 1.0) < 1e-12
     y = np.linspace(0.0, 3.0, 7)
     assert np.max(np.abs(F.sample(y) - 0.5)) < 1e-10
-    chi, b = solve_chi_star(op, F)
+    star = solve_chi_star(op, F)
+    chi, b = star.chi, star.b
     assert abs(b[0]) < 1e-12
     assert np.max(np.abs(chi[0].sample(y) - (-VM.field[:, 0] / 2.0)[None, :])) < 1e-10
 
@@ -195,14 +197,14 @@ def test_upwind_converges_to_spectral_corrector():
     # Nyquist, upwind carries an O(h) bias that must shrink ~ first order
     ref_op = assemble(SINUSOIDAL, 0.0, VM, CellGrid((256,)), scheme="spectral")
     _, F_ref = equilibrium_F(ref_op)
-    chi_ref, _ = solve_chi_star(ref_op, F_ref)
+    chi_ref = solve_chi_star(ref_op, F_ref).chi
     y = ref_op.grid.axes()[0]
 
     errs = []
     for n in (32, 64, 128):
         op = assemble(SINUSOIDAL, 0.0, VM, CellGrid((n,)), scheme="upwind")
         _, F = equilibrium_F(op)
-        chi, _ = solve_chi_star(op, F)
+        chi = solve_chi_star(op, F).chi
         stride = 256 // n
         errs.append(np.max(np.abs(chi[0].values - chi_ref[0].values[::stride])))
     assert errs[0] > errs[1] > errs[2]
@@ -216,8 +218,10 @@ def test_lattice_backend_matches_grid_backend():
     _, F_s = equilibrium_F(op_s)
     y = op_g.grid.axes()[0]
     assert np.max(np.abs(F_s.sample(y) - F_g.values)) < 1e-10
-    chi_g, b_g = solve_chi_star(op_g, F_g)
-    chi_s, b_s = solve_chi_star(op_s, F_s)
+    star_g = solve_chi_star(op_g, F_g)
+    star_s = solve_chi_star(op_s, F_s)
+    chi_g, b_g = star_g.chi, star_g.b
+    chi_s, b_s = star_s.chi, star_s.b
     assert np.max(np.abs(b_g - b_s)) < 1e-10
     assert np.max(np.abs(chi_s[0].sample(y) - chi_g[0].values)) < 1e-8
 
@@ -240,3 +244,27 @@ def test_spectral_field_sampling_consistency():
     dense_mean = F.sample(np.linspace(0, 1, 2048, endpoint=False)).mean(axis=0)
     assert np.max(np.abs(dense_mean - F.coeffs[zero].real)) < 1e-12
     assert np.max(np.abs(np.asarray(F.mean_y()) - F.coeffs[zero].real)) < 1e-14
+
+
+@pytest.mark.parametrize("build", [
+    lambda: assemble(SINUSOIDAL, 0.0, two_velocity_1d(weights=(1.0, 2.0)), GRID32),
+    lambda: assemble_spectral_ap(
+        make_kernel("quasi_periodic", base=1.0, alpha1=0.2, alpha2=0.2), 0.0, VM
+    ),
+], ids=["grid", "spectral_ap"])
+def test_chi_star_diagnostics_come_from_the_solves(build):
+    # reference: recompute each corrector's residual and bound from its field
+    op = build()
+    _, F = equilibrium_F(op)
+    star = solve_chi_star(op, F)
+    worst_res = worst_const = 0.0
+    for j, c in enumerate(star.chi):
+        rhs = -(op.velocity_profile(j) - star.b[j] * op.const)
+        chi_flat = op.unwrap(c)
+        res = op.norm(op.apply_P_adjoint(chi_flat) - rhs)
+        nrm = op.norm(rhs)
+        worst_res = max(worst_res, res / nrm if nrm > 0 else res)
+        worst_const = max(worst_const, op.norm(chi_flat) / nrm if nrm > 0 else 0.0)
+    assert star.residual == worst_res
+    assert star.bound_constant == worst_const
+    assert 0.0 < star.residual < 1e-9 and star.bound_constant > 0.0

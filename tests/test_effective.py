@@ -11,6 +11,7 @@ from kinhom.effective import (
     check_vfc,
     diffusion_matrix,
     ellipticity_gate,
+    solve_cell,
 )
 from kinhom.phase_space import CellGrid, two_velocity_1d, uniform_circle
 
@@ -36,7 +37,7 @@ def test_constant_kernel_coefficients():
 def test_pairing_and_divergence_form_conventions():
     op = assemble(CONSTANT, 0.0, VM, GRID, scheme="upwind")
     _, F = equilibrium_F(op)
-    chi, _ = solve_chi_star(op, F)
+    chi = solve_chi_star(op, F).chi
     raw = diffusion_matrix(op, chi, F, convention="pairing")
     eff = diffusion_matrix(op, chi, F, convention="effective")
     assert abs(raw[0, 0] + 0.5) < 1e-10
@@ -70,7 +71,8 @@ def test_diffusion_scales_inversely_with_kernel_strength():
 def test_diffusion_is_gauge_invariant_when_flux_vanishes():
     op = assemble(SINUSOIDAL, 0.0, VM, GRID, scheme="upwind")
     _, F = equilibrium_F(op)
-    chi, b = solve_chi_star(op, F)
+    star = solve_chi_star(op, F)
+    chi, b = star.chi, star.b
     assert abs(b[0]) < 1e-12
     D = diffusion_matrix(op, chi, F)
     shifted = [op.wrap(op.unwrap(chi[0]) + 0.3 * op.const)]
@@ -126,3 +128,36 @@ def test_slow_modulation_sampled_coefficients():
 def test_grid_backend_requires_a_grid():
     with pytest.raises(ValueError):
         assemble_effective(CONSTANT, VM)
+
+
+def _same_coefficients(a, b):
+    assert (a.x is None) == (b.x is None)
+    for name in ("D", "U", "flux"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert a.residual == b.residual and a.bound_constant == b.bound_constant
+
+
+@pytest.mark.parametrize("kernel, x", [
+    (SINUSOIDAL, None),
+    (SINUSOIDAL, np.linspace(-1.0, 1.0, 5)),  # x-independent: one solve stands for all
+    (make_kernel("sinusoidal", x_dependence="tanh", x_amplitude=0.3), 0.0),
+    (make_kernel("sinusoidal", x_dependence="tanh", x_amplitude=0.3), 0.7),
+    (make_kernel("sinusoidal", x_dependence="tanh", x_amplitude=0.3), np.array([-0.5, 0.0, 0.5])),
+])
+def test_a_solved_cell_gives_the_same_coefficients(kernel, x):
+    vm = two_velocity_1d(weights=(1.0, 2.0))
+    cell = solve_cell(kernel, 0.0, vm, grid=GRID)
+    _same_coefficients(assemble_effective(kernel, vm, x=x, grid=GRID, cell=cell),
+                       assemble_effective(kernel, vm, x=x, grid=GRID))
+
+
+def test_a_cell_from_another_problem_is_refused():
+    cell = solve_cell(SINUSOIDAL, 0.0, VM, grid=GRID)
+    with pytest.raises(ValueError, match="another kernel"):
+        assemble_effective(CONSTANT, VM, grid=GRID, cell=cell)
+    with pytest.raises(ValueError, match="another kernel"):
+        assemble_effective(SINUSOIDAL, two_velocity_1d(), grid=GRID, cell=cell)
+    with pytest.raises(ValueError, match="another kernel"):
+        assemble_effective(SINUSOIDAL, VM, grid=GRID, scheme="spectral", cell=cell)
+    with pytest.raises(ValueError, match="another kernel"):
+        assemble_effective(SINUSOIDAL, VM, backend="spectral_ap", cell=cell)

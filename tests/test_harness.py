@@ -130,6 +130,46 @@ def test_stage_errors_name_the_stage():
         epsilon_sweep(parse_config(MINIMAL))
 
 
+
+def _count_assembles(monkeypatch):
+    """Count cell-operator assemblies made through the pipeline's modules."""
+    from kinhom import effective
+
+    calls = {"assemble": 0, "assemble_spectral_ap": 0}
+    for module in (harness, effective):
+        for name in calls:
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("sigma, backend", [
+    ("family = sinusoidal", "grid"),
+    ("family = quasi_periodic", "spectral_ap"),
+])
+def test_pipeline_solves_an_unmodulated_cell_once(monkeypatch, sigma, backend):
+    calls = _count_assembles(monkeypatch)
+    text = MINIMAL.replace("family = sinusoidal", sigma).replace(
+        "n = 32\n", f"n = 32\nbackend = {backend}\n")
+    report = run_pipeline(parse_config(text))
+    assert report.coefficients.constant
+    grid = backend == "grid"
+    assert calls == {"assemble": int(grid), "assemble_spectral_ap": int(not grid)}
+
+
+def test_pipeline_solves_a_modulated_cell_per_macro_point(monkeypatch):
+    calls = _count_assembles(monkeypatch)
+    text = MINIMAL.replace("family = sinusoidal",
+                           "family = sinusoidal\nx_dependence = tanh\nx_amplitude = 0.3")
+    cfg = parse_config(text)
+    run_pipeline(cfg)
+    assert calls == {"assemble": cfg.macro["n"] + 1, "assemble_spectral_ap": 0}
+
 def test_pipeline_with_kinetic_produces_sweep_and_sigma_rows():
     report = run_pipeline(parse_config(KINETIC))
     assert set(report.kinetic_states) == {0.4, 0.2}

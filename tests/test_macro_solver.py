@@ -171,6 +171,22 @@ def test_checkpoint_lookup_and_validation():
     assert field.dt == 0.1
 
 
+
+def test_factor_cache_tells_tiny_steps_apart():
+    # a cache keyed on dt to 15 decimal places gave every step below 5e-16
+    # the key 0.0, so the second step reused the factors of the first
+    mg = MacroGrid(half_width=2.0, shape=(64,), bc="periodic")
+    rho = _gaussian(mg.axes()[0], 0.3)
+    solver = DriftDiffusionSolver(mg, D=np.array([[0.5]]))
+    solver.step(rho, 1e-16)
+    fresh = DriftDiffusionSolver(mg, D=np.array([[0.5]])).step(rho, 4e-16)
+    assert np.array_equal(solver.step(rho, 4e-16), fresh)
+    # steps that differ only by roundoff still share one factorization
+    solver.step(rho, 0.01)
+    assert len(solver._factor_cache) == 3
+    solver.step(rho, 0.01 * (1.0 + 1e-15))
+    assert len(solver._factor_cache) == 3
+
 def test_initial_density_integrates_velocity_nodes():
     vm = two_velocity_1d(weights=(1.0, 2.0))
     mg = MacroGrid(half_width=1.0, shape=(16,), bc="periodic")
