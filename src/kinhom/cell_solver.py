@@ -42,6 +42,8 @@ __all__ = [
     "CompatibilityError",
     "ConvergenceError",
     "CellOperator",
+    "DENSE_CELL_BYTES",
+    "dense_cell_bytes",
     "SpectralCellOperator",
     "SpectralField",
     "CorrectorSolution",
@@ -75,16 +77,16 @@ def _upwind_matrix(n: int, h: float, speed: float) -> sparse.csr_matrix:
     """First-order upwind discretization of ``speed * d/dy`` (periodic)."""
     if speed == 0.0:
         return sparse.csr_matrix((n, n))
-    e = np.ones(n)
-    if speed > 0:
-        # backward difference: (f_j - f_{j-1}) / h
-        mat = sparse.diags([e, -e], [0, -1], shape=(n, n), format="lil")
-        mat[0, n - 1] = -1.0
-    else:
-        # forward difference: (f_{j+1} - f_j) / h
-        mat = sparse.diags([-e, e], [0, 1], shape=(n, n), format="lil")
-        mat[n - 1, 0] = 1.0
-    return (speed / h) * mat.tocsr()
+    # backward difference (f_j - f_{j-1}) / h for speed > 0, forward
+    # difference (f_{j+1} - f_j) / h otherwise: |speed|/h on the diagonal,
+    # its negative at the upwind neighbour; two entries a row, columns sorted
+    diag = abs(speed / h)
+    j = np.arange(n)
+    nb = (j - 1) % n if speed > 0 else (j + 1) % n
+    low = np.where(nb < j, -diag, diag)  # value at the lower column
+    data = np.stack([low, -low], axis=1).ravel()
+    indices = np.stack([np.minimum(j, nb), np.maximum(j, nb)], axis=1).ravel()
+    return sparse.csr_matrix((data, indices, np.arange(0, 2 * n + 1, 2)), shape=(n, n))
 
 
 def _spectral_matrix(n: int, period: float) -> np.ndarray:
@@ -149,16 +151,28 @@ class _Factorized:
 # ---------------------------------------------------------------------------
 
 
+def _adjoint(mat):
+    """Conjugate transpose; for a real matrix the transpose, sharing storage."""
+    return mat.conj().T if np.iscomplexobj(mat) else mat.T
+
+
 class _CellOperatorBase:
     """State shared by both backends.
 
-    Subclasses populate: ``P`` (matrix), ``A_fact`` (factorized A),
-    ``K_mat``, ``weights`` (flat inner-product weights), ``const`` (the
-    constant function), ``sigma_min``, ``vm``, and conversion helpers.
+    Subclasses pass ``A = transport + Sigma`` and the gain ``K`` to
+    :meth:`_set_matrices`, which stores ``A_mat``, ``K_mat``, ``P = A - K``,
+    the factorized ``A_fact`` and the conjugate transposes ``P_H`` and
+    ``K_H``, built once so adjoint actions do not rebuild them per call.
+    Subclasses also populate ``weights`` (flat inner-product weights),
+    ``const`` (the constant function), ``sigma_min``, ``vm``, and
+    conversion helpers.
     """
 
     P: np.ndarray
     K_mat: np.ndarray
+    A_mat: np.ndarray
+    P_H: np.ndarray
+    K_H: np.ndarray
     A_fact: _Factorized
     weights: np.ndarray
     const: np.ndarray
@@ -188,19 +202,27 @@ class _CellOperatorBase:
         """
         return float(np.real(self.inner(self.const, f)))
 
+    def _set_matrices(self, A, K_mat) -> None:
+        self.A_mat = A
+        self.K_mat = K_mat
+        self.P = A - K_mat
+        self.A_fact = _Factorized(A)
+        self.P_H = _adjoint(self.P)
+        self.K_H = _adjoint(K_mat)
+
     # -- operator actions ----------------------------------------------------
 
     def apply_P(self, f: np.ndarray) -> np.ndarray:
         return self.P @ f
 
     def apply_P_adjoint(self, f: np.ndarray) -> np.ndarray:
-        return (self.P.conj().T @ (self.weights * f)) / self.weights
+        return (self.P_H @ (self.weights * f)) / self.weights
 
     def apply_K(self, f: np.ndarray) -> np.ndarray:
         return self.K_mat @ f
 
     def apply_K_adjoint(self, f: np.ndarray) -> np.ndarray:
-        return (self.K_mat.conj().T @ (self.weights * f)) / self.weights
+        return (self.K_H @ (self.weights * f)) / self.weights
 
     def apply_A_inverse(self, f: np.ndarray) -> np.ndarray:
         return self.A_fact.solve(f)
@@ -233,6 +255,20 @@ class _CellOperatorBase:
 # ---------------------------------------------------------------------------
 
 
+# Largest memory the dense ``scheme = "spectral"`` grid operator may take.
+DENSE_CELL_BYTES = 4 * 2**30
+
+
+def dense_cell_bytes(size: int) -> int:
+    """Bytes of the dense grid operator on ``size`` unknowns.
+
+    Counts six float64 ``size x size`` arrays: transport, gain, ``A``,
+    ``P`` and the LU factor of ``A`` are alive together, and forming ``A``
+    takes one more temporarily.
+    """
+    return 6 * 8 * size * size
+
+
 class CellOperator(_CellOperatorBase):
     """Cell operator sampled on a periodic grid (see :func:`assemble`)."""
 
@@ -251,6 +287,13 @@ class CellOperator(_CellOperatorBase):
         self.n_points = n
         self.size = n * K
         self.field_shape = (*grid.shape, K)
+        need = dense_cell_bytes(self.size)
+        if scheme == "spectral" and need > DENSE_CELL_BYTES:
+            raise ValueError(
+                f"dense spectral cell operator on {self.size} unknowns needs {need} bytes "
+                f"({need / 2**30:.1f} GiB), over DENSE_CELL_BYTES = {DENSE_CELL_BYTES}; "
+                "use scheme = upwind or a coarser cell grid"
+            )
 
         samp = _sampled(kernel, x, grid, vm).reshape(n, K, K)
         sdb_gap(samp, vm.weights).require()
@@ -263,8 +306,7 @@ class CellOperator(_CellOperatorBase):
             raise ValueError("absorption rate must be strictly positive")
         sigma_flat = sigma.reshape(-1)
 
-        dense = scheme == "spectral"
-        if dense:
+        if scheme == "spectral":
             T = np.zeros((self.size, self.size))
             for k in range(K):
                 T[k::K, k::K] = _transport_matrix(grid, vm.field[k], scheme)
@@ -274,24 +316,26 @@ class CellOperator(_CellOperatorBase):
                 for l in range(K):
                     Km[diag_idx + k, diag_idx + l] = gain[:, k, l]
             A = T + np.diag(sigma_flat)
-            self.P = A - Km
         else:
-            blocks = []
+            # A = transport + Sigma in one constructor: Sigma on the diagonal,
+            # velocity k's stencil T_k[r, c] at (r*K + k, c*K + k); a diagonal
+            # entry sums two terms, so the order of summation cannot matter
+            diag = np.arange(self.size)
+            rows, cols, vals = [diag], [diag], [sigma_flat]
             for k in range(K):
                 Tk = _transport_matrix(grid, vm.field[k], scheme)
-                Ek = sparse.csr_matrix(([1.0], ([k], [k])), shape=(K, K))
-                blocks.append(sparse.kron(Tk, Ek, format="csr"))
-            T = sum(blocks)
-            jj, kk, ll = np.meshgrid(np.arange(n), np.arange(K), np.arange(K), indexing="ij")
-            rows = (jj * K + kk).ravel()
-            cols = (jj * K + ll).ravel()
-            Km = sparse.csr_matrix((gain.ravel(), (rows, cols)), shape=(self.size, self.size))
-            A = (T + sparse.diags(sigma_flat)).tocsr()
-            self.P = (A - Km).tocsr()
-
-        self.K_mat = Km
-        self.A_mat = A
-        self.A_fact = _Factorized(A)
+                rows.append(np.repeat(np.arange(n) * K + k, np.diff(Tk.indptr)))
+                cols.append(Tk.indices * K + k)
+                vals.append(Tk.data)
+            A = sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                                  shape=(self.size, self.size))
+            # gain: a dense K x K block on each grid point, rows in (point, node) order
+            block_cols = np.arange(n)[:, None, None] * K + np.arange(K)
+            Km = sparse.csr_matrix(
+                (gain.ravel(), np.broadcast_to(block_cols, (n, K, K)).ravel(),
+                 np.arange(0, self.size * K + 1, K)),
+                shape=(self.size, self.size))
+        self._set_matrices(A, Km)
         self.weights = np.tile(vm.weights, n) / n
         self.const = np.ones(self.size)
         self.sigma_flat = sigma_flat
@@ -424,10 +468,7 @@ class SpectralCellOperator(_CellOperatorBase):
         transport = np.diag(np.kron(1j * self.lattice, np.ones(K)) * np.tile(a, n_lat))
         A = transport + np.kron(mult, np.diag(sig_v))
         Km = np.kron(mult, gain_v)
-        self.P = A - Km
-        self.K_mat = Km
-        self.A_mat = A
-        self.A_fact = _Factorized(A)
+        self._set_matrices(A, Km)
         self.size = n_lat * K
         self.weights = np.tile(vm.weights, n_lat)
         const = np.zeros(self.size, dtype=complex)

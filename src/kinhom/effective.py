@@ -230,12 +230,19 @@ def assemble_effective(
 ) -> EffectiveCoefficients:
     """Solve the cell problems and average them into macro coefficients.
 
-    ``x`` may be ``None`` (no modulation), a scalar, or a 1-D array of
-    macro positions.  The whitelisted macroscopic modulations vary along
-    the first coordinate only, so sampled assembly differentiates the
-    equilibrium along that axis (centered inside, one-sided at the ends)
-    to build the drift.  Kernels without modulation short-circuit to a
-    single cell solve.
+    ``x`` may be ``None`` (no modulation), a scalar, or a 1-D array of at
+    least three strictly increasing macro positions.  The whitelisted
+    macroscopic modulations vary along the first coordinate only, so
+    sampled assembly differentiates the equilibrium along that axis
+    (second order, centered inside, one-sided at the ends) to build the
+    drift.  Kernels without modulation short-circuit to a single cell
+    solve.
+
+    Sampled assembly keeps fields, not operators: each position's flat
+    equilibrium and correctors, ``D``, flux and diagnostics are kept and
+    its operator and factorization are dropped; the drift pairs the fields
+    through one retained operator, since the pairing depends only on the
+    grid or lattice shape and the velocity set.
 
     The cell settings are those of :func:`solve_cell`.  ``cell``, a
     :func:`solve_cell` result for the same kernel, velocity set and
@@ -253,24 +260,29 @@ def assemble_effective(
                           n_modes=n_modes, tol=tol)
 
     x_independent = getattr(kernel, "x_dependence", "none") == "none"
-    if x is None or np.isscalar(x) or x_independent:
+    if x is None or np.ndim(x) == 0 or x_independent:
         x0 = 0.0 if x is None else float(np.atleast_1d(np.asarray(x, dtype=float))[0])
         c = cell if cell is not None and (x_independent or cell.x == x0) else solve(x0)
         return EffectiveCoefficients(x=None, D=c.D, U=np.zeros(vm.dim), flux=c.b,
                                      residual=c.residual, bound_constant=c.bound_constant)
 
     x_arr = np.asarray(x, dtype=float).reshape(-1)
-    solved = [solve(float(xi)) for xi in x_arr]
+    if x_arr.size < 3 or not (np.all(np.isfinite(x_arr)) and np.all(np.diff(x_arr) > 0)):
+        raise ValueError("sampled macro positions x need at least 3 finite, strictly "
+                         f"increasing values; got {x_arr.size} values")
+    kept = []  # per position: flat F, flat correctors, D, flux, residual, bound constant
+    for xi in x_arr:
+        s = solve(float(xi))
+        op = s.op
+        kept.append((op.unwrap(s.F), [op.unwrap(c) for c in s.chi], s.D, s.b,
+                     s.residual, s.bound_constant))
+    F, chi, D, b, residual, bound = zip(*kept)
 
     # slow gradient of the equilibrium along the (first) macro axis
-    F_stack = np.stack([s.op.unwrap(s.F) for s in solved])
-    dF_dx1 = np.gradient(F_stack, x_arr, axis=0, edge_order=2)
+    dF_dx1 = np.gradient(np.stack(F), x_arr, axis=0, edge_order=2)
     d = vm.dim
     U_all = np.zeros((x_arr.size, d))
-    for m, s in enumerate(solved):
-        U_all[m] = drift_vector(s.op, s.chi, [dF_dx1[m]] + [None] * (d - 1))
-    return EffectiveCoefficients(
-        x=x_arr, D=np.stack([s.D for s in solved]), U=U_all, flux=np.stack([s.b for s in solved]),
-        residual=max(s.residual for s in solved),
-        bound_constant=max(s.bound_constant for s in solved),
-    )
+    for m, chi_m in enumerate(chi):
+        U_all[m] = drift_vector(op, chi_m, [dF_dx1[m]] + [None] * (d - 1))
+    return EffectiveCoefficients(x=x_arr, D=np.stack(D), U=U_all, flux=np.stack(b),
+                                 residual=max(residual), bound_constant=max(bound))

@@ -1,19 +1,23 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy import sparse
 
+from kinhom import cell_solver
 from kinhom.cell_solver import (
+    DENSE_CELL_BYTES,
     CompatibilityError,
     assemble,
     assemble_spectral_ap,
+    dense_cell_bytes,
     equilibrium_F,
     solve_adjoint_corrector,
     solve_chi_star,
     solve_corrector,
     verify_variational,
 )
-from kinhom.collision import BalanceError, make_kernel
-from kinhom.phase_space import CellGrid, two_velocity_1d, velocity_from_tables
+from kinhom.collision import BalanceError, _sampled, gain_loss, make_kernel
+from kinhom.phase_space import CellGrid, two_velocity_1d, uniform_circle, velocity_from_tables
 
 VM = two_velocity_1d()
 GRID32 = CellGrid((32,))
@@ -268,3 +272,116 @@ def test_chi_star_diagnostics_come_from_the_solves(build):
     assert star.residual == worst_res
     assert star.bound_constant == worst_const
     assert 0.0 < star.residual < 1e-9 and star.bound_constant > 0.0
+
+
+# ---------------------------------------------------------------------------
+# assembly pinned to the sparse construction it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_upwind(n, h, speed):
+    # lil construction: diagonals, then the periodic corner
+    if speed == 0.0:
+        return sparse.csr_matrix((n, n))
+    e = np.ones(n)
+    if speed > 0:
+        mat = sparse.diags([e, -e], [0, -1], shape=(n, n), format="lil")
+        mat[0, n - 1] = -1.0
+    else:
+        mat = sparse.diags([-e, e], [0, 1], shape=(n, n), format="lil")
+        mat[n - 1, 0] = 1.0
+    return (speed / h) * mat.tocsr()
+
+
+def _reference_matrices(kernel, vm, grid):
+    """``(P, A, K)`` built with kron, sum(blocks) and COO, as before."""
+    K, n = vm.n_nodes, grid.n_points
+    size = n * K
+    gain, sigma = gain_loss(_sampled(kernel, 0.0, grid, vm).reshape(n, K, K), vm.weights)
+    blocks = []
+    for k in range(K):
+        mats = [_reference_upwind(grid.shape[ax], grid.spacing[ax], float(vm.field[k, ax]))
+                for ax in range(grid.dim)]
+        if grid.dim == 1:
+            Tk = mats[0]
+        else:
+            eye0 = sparse.identity(grid.shape[0], format="csr")
+            eye1 = sparse.identity(grid.shape[1], format="csr")
+            Tk = sparse.kron(mats[0], eye1, format="csr") + sparse.kron(eye0, mats[1], format="csr")
+        Ek = sparse.csr_matrix(([1.0], ([k], [k])), shape=(K, K))
+        blocks.append(sparse.kron(Tk, Ek, format="csr"))
+    T = sum(blocks)
+    jj, kk, ll = np.meshgrid(np.arange(n), np.arange(K), np.arange(K), indexing="ij")
+    Km = sparse.csr_matrix((gain.ravel(), ((jj * K + kk).ravel(), (jj * K + ll).ravel())),
+                           shape=(size, size))
+    A = (T + sparse.diags(sigma.reshape(-1))).tocsr()
+    return (A - Km).tocsr(), A, Km
+
+
+@pytest.mark.parametrize("speed", [1.5, -0.7, 6e-17, 0.0])
+def test_upwind_matrix_is_bitwise_the_lil_reference(speed):
+    got, want = cell_solver._upwind_matrix(16, 1.0 / 16, speed), _reference_upwind(16, 1.0 / 16, speed)
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, part), getattr(want, part))
+
+
+@pytest.mark.parametrize("kernel, vm, grid", [
+    (SINUSOIDAL, two_velocity_1d(weights=(1.0, 2.0)), CellGrid((16,))),
+    (SINUSOIDAL, two_velocity_1d(weights=(1.0, 2.0)), CellGrid((33,))),
+    (make_kernel("sinusoidal", base=1.0, alpha=0.5, dim=2), uniform_circle(8), CellGrid((8, 8))),
+], ids=["1d-16", "1d-33", "2d-8x8"])
+def test_upwind_assembly_is_bitwise_the_sparse_reference(kernel, vm, grid):
+    op = assemble(kernel, 0.0, vm, grid, scheme="upwind")
+    for got, want in zip((op.P, op.A_mat, op.K_mat), _reference_matrices(kernel, vm, grid)):
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, part), getattr(want, part))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: assemble(SINUSOIDAL, 0.0, two_velocity_1d(weights=(1.0, 2.0)), CellGrid((16,))),
+    lambda: assemble(SINUSOIDAL, 0.0, two_velocity_1d(weights=(1.0, 2.0)), CellGrid((16,)),
+                     scheme="spectral"),
+    lambda: assemble_spectral_ap(
+        make_kernel("quasi_periodic", base=1.0, alpha1=0.2, alpha2=0.2), 0.0, VM
+    ),
+], ids=["upwind", "spectral", "spectral_ap"])
+def test_adjoint_actions_are_bitwise_the_conjugate_transpose(build):
+    op = build()
+    rng = np.random.default_rng(3)
+    f = rng.standard_normal(op.size).astype(op.dtype)
+    if op.dtype is complex:
+        f = f + 1j * rng.standard_normal(op.size)
+    w = op.weights
+
+    def weighted_adjoint(M, g):
+        return (M.conj().T @ (w * g)) / w
+
+    assert np.array_equal(op.apply_P_adjoint(f), weighted_adjoint(op.P, f))
+    assert np.array_equal(op.apply_K_adjoint(f), weighted_adjoint(op.K_mat, f))
+    assert np.array_equal(op.apply_O_adjoint(f),
+                          weighted_adjoint(op.K_mat, op.apply_A_adjoint_inverse(f)))
+
+
+# ---------------------------------------------------------------------------
+# dense memory guard
+# ---------------------------------------------------------------------------
+
+def test_dense_size_estimate_without_building():
+    # 64^2 points x 8 velocities: each dense size^2 array alone is 8.6 GB
+    size = 64 * 64 * 8
+    assert 8 * size * size > 8.5e9
+    assert dense_cell_bytes(size) == 6 * 8 * size * size
+    assert dense_cell_bytes(size) > DENSE_CELL_BYTES
+    # the largest dense cell of the acceptance suite, 1024 points x 2 nodes, fits
+    assert dense_cell_bytes(1024 * 2) <= DENSE_CELL_BYTES
+
+
+def test_dense_cell_over_budget_is_refused(monkeypatch):
+    grid = CellGrid((16,))
+    needed = dense_cell_bytes(grid.n_points * VM.n_nodes)
+    monkeypatch.setattr(cell_solver, "DENSE_CELL_BYTES", needed)
+    assemble(SINUSOIDAL, 0.0, VM, grid, scheme="spectral")
+    monkeypatch.setattr(cell_solver, "DENSE_CELL_BYTES", needed - 1)
+    with pytest.raises(ValueError, match=f"32 unknowns needs .*{needed} bytes"):
+        assemble(SINUSOIDAL, 0.0, VM, grid, scheme="spectral")
+    # the sparse scheme has no dense matrices to refuse
+    assemble(SINUSOIDAL, 0.0, VM, grid, scheme="upwind")

@@ -1,8 +1,12 @@
 """Homogenized coefficients: closed forms, gates, covariance, sampling."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from kinhom import effective
 from kinhom.cell_solver import assemble, equilibrium_F, solve_chi_star
 from kinhom.collision import make_kernel
 from kinhom.effective import (
@@ -10,6 +14,7 @@ from kinhom.effective import (
     assemble_effective,
     check_vfc,
     diffusion_matrix,
+    drift_vector,
     ellipticity_gate,
     solve_cell,
 )
@@ -161,3 +166,56 @@ def test_a_cell_from_another_problem_is_refused():
         assemble_effective(SINUSOIDAL, VM, grid=GRID, scheme="spectral", cell=cell)
     with pytest.raises(ValueError, match="another kernel"):
         assemble_effective(SINUSOIDAL, VM, backend="spectral_ap", cell=cell)
+
+
+TANH = make_kernel("sinusoidal", base=1.0, alpha=0.5, x_dependence="tanh", x_amplitude=0.5)
+
+
+@pytest.mark.parametrize("backend", ["grid", "spectral_ap"])
+def test_sampled_assembly_matches_a_per_cell_reference(backend):
+    vm = two_velocity_1d(weights=(1.0, 2.0))
+    grid = CellGrid((16,))
+    x = np.linspace(-1.5, 1.5, 7)
+    eff = assemble_effective(TANH, vm, x=x, grid=grid, backend=backend)
+    # reference: keep every solved cell, then differentiate and pair
+    solved = [solve_cell(TANH, xi, vm, backend=backend, grid=grid) for xi in x]
+    dF = np.gradient(np.stack([s.op.unwrap(s.F) for s in solved]), x, axis=0, edge_order=2)
+    U = np.stack([drift_vector(s.op, s.chi, [dF[m]]) for m, s in enumerate(solved)])
+    assert np.array_equal(eff.x, x)
+    assert np.array_equal(eff.D, np.stack([s.D for s in solved]))
+    assert np.array_equal(eff.U, U)
+    assert np.array_equal(eff.flux, np.stack([s.b for s in solved]))
+    assert eff.residual == max(s.residual for s in solved)
+    assert eff.bound_constant == max(s.bound_constant for s in solved)
+
+
+def test_sampled_assembly_keeps_no_operator(monkeypatch):
+    built, alive = [], []
+
+    def recording_assemble(*args, **kwargs):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in built))
+        op = assemble(*args, **kwargs)
+        built.append(weakref.ref(op))
+        return op
+
+    monkeypatch.setattr(effective, "assemble", recording_assemble)
+    eff = assemble_effective(TANH, VM, x=np.linspace(-1.0, 1.0, 5), grid=CellGrid((16,)))
+    gc.collect()
+    assert len(built) == 5 and eff.D.shape == (5, 1, 1)
+    # at most the previous position's operator lives while the next is built
+    assert max(alive) <= 1
+    assert [ref for ref in built if ref() is not None] == []
+
+
+@pytest.mark.parametrize("x", [
+    np.array([-0.5, 0.0, 0.0, 0.5]),   # repeated position: the drift was nan
+    np.array([0.5, 0.0, -0.5]),        # decreasing: interpolation was wrong
+    np.array([0.0, 1.0, 0.5]),         # not monotone
+    np.array([0.25]),                  # one point: np.gradient raised IndexError
+    np.array([0.0, 1.0]),              # too few for the second-order gradient
+    np.array([0.0, np.nan, 1.0]),
+], ids=["repeated", "decreasing", "unsorted", "one", "two", "nan"])
+def test_sampled_positions_must_increase(x):
+    with pytest.raises(ValueError, match="at least 3 finite, strictly increasing"):
+        assemble_effective(TANH, VM, x=x, grid=CellGrid((16,)))
