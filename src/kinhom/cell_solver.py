@@ -43,7 +43,6 @@ __all__ = [
     "ConvergenceError",
     "CellOperator",
     "DENSE_CELL_BYTES",
-    "dense_cell_bytes",
     "SpectralCellOperator",
     "SpectralField",
     "CorrectorSolution",
@@ -255,11 +254,15 @@ class _CellOperatorBase:
 # ---------------------------------------------------------------------------
 
 
-# Largest memory the dense ``scheme = "spectral"`` grid operator may take.
+# Largest memory the dense ``scheme = "spectral"`` grid operator may take:
+# half of an 8 GiB machine, the smallest the tests and the benchmark run on,
+# so the rest of the process and the machine's other work keep the other
+# half.  That is about 9460 unknowns (6 * 8 * 9460**2 bytes); larger cells
+# take ``scheme = "upwind"`` (sparse) or the spectral_ap backend.
 DENSE_CELL_BYTES = 4 * 2**30
 
 
-def dense_cell_bytes(size: int) -> int:
+def _dense_cell_bytes(size: int) -> int:
     """Bytes of the dense grid operator on ``size`` unknowns.
 
     Counts six float64 ``size x size`` arrays: transport, gain, ``A``,
@@ -287,13 +290,14 @@ class CellOperator(_CellOperatorBase):
         self.n_points = n
         self.size = n * K
         self.field_shape = (*grid.shape, K)
-        need = dense_cell_bytes(self.size)
-        if scheme == "spectral" and need > DENSE_CELL_BYTES:
-            raise ValueError(
-                f"dense spectral cell operator on {self.size} unknowns needs {need} bytes "
-                f"({need / 2**30:.1f} GiB), over DENSE_CELL_BYTES = {DENSE_CELL_BYTES}; "
-                "use scheme = upwind or a coarser cell grid"
-            )
+        if scheme == "spectral":
+            need = _dense_cell_bytes(self.size)
+            if need > DENSE_CELL_BYTES:
+                raise ValueError(
+                    f"dense spectral cell operator on {self.size} unknowns needs {need} "
+                    f"bytes ({need / 2**30:.1f} GiB), over DENSE_CELL_BYTES = "
+                    f"{DENSE_CELL_BYTES}; use scheme = upwind or a coarser cell grid"
+                )
 
         samp = _sampled(kernel, x, grid, vm).reshape(n, K, K)
         sdb_gap(samp, vm.weights).require()

@@ -216,6 +216,20 @@ def solve_cell(kernel, x, vm: VelocityMeasure, *, backend: str | None = None,
                         settings=(backend, grid, scheme, n_modes, tol))
 
 
+def _require_increasing(x: np.ndarray) -> None:
+    """Refuse sampled macro positions the slow gradient cannot use, saying why."""
+    rule = "sampled macro positions x need at least 3 finite, strictly increasing values"
+    if x.size < 3:
+        raise ValueError(f"{rule}; got only {x.size}")
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise ValueError(f"{rule}; x[{bad[0]}] = {x[bad[0]]} is not finite")
+    bad = np.flatnonzero(np.diff(x) <= 0)
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"{rule}; x[{i}] = {x[i]} is followed by x[{i + 1}] = {x[i + 1]}")
+
+
 def assemble_effective(
     kernel,
     vm: VelocityMeasure,
@@ -267,9 +281,7 @@ def assemble_effective(
                                      residual=c.residual, bound_constant=c.bound_constant)
 
     x_arr = np.asarray(x, dtype=float).reshape(-1)
-    if x_arr.size < 3 or not (np.all(np.isfinite(x_arr)) and np.all(np.diff(x_arr) > 0)):
-        raise ValueError("sampled macro positions x need at least 3 finite, strictly "
-                         f"increasing values; got {x_arr.size} values")
+    _require_increasing(x_arr)
     kept = []  # per position: flat F, flat correctors, D, flux, residual, bound constant
     for xi in x_arr:
         s = solve(float(xi))

@@ -1,6 +1,7 @@
 """Homogenized coefficients: closed forms, gates, covariance, sampling."""
 
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -208,14 +209,19 @@ def test_sampled_assembly_keeps_no_operator(monkeypatch):
     assert [ref for ref in built if ref() is not None] == []
 
 
-@pytest.mark.parametrize("x", [
-    np.array([-0.5, 0.0, 0.0, 0.5]),   # repeated position: the drift was nan
-    np.array([0.5, 0.0, -0.5]),        # decreasing: interpolation was wrong
-    np.array([0.0, 1.0, 0.5]),         # not monotone
-    np.array([0.25]),                  # one point: np.gradient raised IndexError
-    np.array([0.0, 1.0]),              # too few for the second-order gradient
-    np.array([0.0, np.nan, 1.0]),
+@pytest.mark.parametrize("x, cause", [
+    # repeated position: the drift was nan
+    (np.array([-0.5, 0.0, 0.0, 0.5]), r"x\[1\] = 0.0 is followed by x\[2\] = 0.0"),
+    # decreasing: interpolation was wrong
+    (np.array([0.5, 0.0, -0.5]), r"x\[0\] = 0.5 is followed by x\[1\] = 0.0"),
+    (np.array([0.0, 1.0, 0.5]), r"x\[1\] = 1.0 is followed by x\[2\] = 0.5"),
+    # one point: np.gradient raised IndexError
+    (np.array([0.25]), "got only 1"),
+    # too few for the second-order gradient
+    (np.array([0.0, 1.0]), "got only 2"),
+    (np.array([0.0, np.nan, 1.0]), r"x\[1\] = nan is not finite"),
 ], ids=["repeated", "decreasing", "unsorted", "one", "two", "nan"])
-def test_sampled_positions_must_increase(x):
-    with pytest.raises(ValueError, match="at least 3 finite, strictly increasing"):
+def test_sampled_positions_must_increase(x, cause):
+    with pytest.raises(ValueError, match="at least 3 finite, strictly increasing") as err:
         assemble_effective(TANH, VM, x=x, grid=CellGrid((16,)))
+    assert re.search(cause, str(err.value))

@@ -1,11 +1,11 @@
 """Print the sha256 of every table the benchmark scenarios emit.
 
     python3 tools/table_digest.py --seed 1
-    python3 tools/table_digest.py --seed 1 --root ../other-checkout --workload tanh
+    python3 tools/table_digest.py --seed 1 --root ../other-checkout
 
-For each scenario of ``perfbench/workloads.py`` (all three by default) this
-runs ``run_pipeline`` and ``emit_tables`` into a temporary directory, as one
-benchmark operation does, and prints one line per emitted table:
+For each scenario of ``perfbench/workloads.py`` this runs ``run_pipeline``
+and ``emit_tables`` into a temporary directory, as one benchmark operation
+does, and prints one line per emitted table:
 ``<workload> <table> <sha256>``.  ``sweep.csv`` is hashed without its
 ``runtime_s`` column, the only timing in the tables, so two checkouts that
 compute the same numbers print the same lines.  ``--root`` is the checkout
@@ -42,13 +42,13 @@ def _without_column(text: str, name: str) -> str:
                      for line in lines)
 
 
-def table_digests(names, seed: int) -> list[tuple[str, str, str]]:
-    """``(workload, table, sha256)`` for every table of every workload in ``names``."""
+def table_digests(seed: int) -> list[tuple[str, str, str]]:
+    """``(workload, table, sha256)`` for every table of every benchmark workload."""
     import workloads
     from kinhom import harness
 
     out = []
-    for name in names:
+    for name in workloads.NAMES:
         cfg = harness.parse_config(workloads.scenario(name, seed))
         report = harness.run_pipeline(cfg, jobs=1, seed=seed)
         with tempfile.TemporaryDirectory() as tmp:
@@ -67,13 +67,10 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--root", default=here, help="checkout to import (default: this one)")
-    p.add_argument("--workload", action="append", help="one workload (repeatable; default all)")
     args = p.parse_args(argv)
     root = os.path.abspath(args.root)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
-    import workloads
-
-    for name, table, digest in table_digests(args.workload or workloads.NAMES, args.seed):
+    for name, table, digest in table_digests(args.seed):
         print(f"{name} {table} {digest}")
     return 0
 
