@@ -49,6 +49,7 @@ __all__ = [
     "ChiStarSolution",
     "assemble",
     "assemble_spectral_ap",
+    "dense_cell_gate",
     "equilibrium_F",
     "solve_corrector",
     "solve_adjoint_corrector",
@@ -272,6 +273,24 @@ def _dense_cell_bytes(size: int) -> int:
     return 6 * 8 * size * size
 
 
+def dense_cell_gate(scheme: str, size: int) -> None:
+    """Refuse a dense ``spectral`` grid cell on ``size`` unknowns over budget.
+
+    Raises ``ValueError`` with the byte count when the dense operator would
+    exceed ``DENSE_CELL_BYTES``; ``upwind`` is sparse and always passes.
+    Allocates nothing, so the check stage can run it before any solve.
+    """
+    if scheme != "spectral":
+        return
+    need = _dense_cell_bytes(size)
+    if need > DENSE_CELL_BYTES:
+        raise ValueError(
+            f"dense spectral cell operator on {size} unknowns needs {need} "
+            f"bytes ({need / 2**30:.1f} GiB), over DENSE_CELL_BYTES = "
+            f"{DENSE_CELL_BYTES}; use scheme = upwind or a coarser cell grid"
+        )
+
+
 class CellOperator(_CellOperatorBase):
     """Cell operator sampled on a periodic grid (see :func:`assemble`)."""
 
@@ -290,14 +309,7 @@ class CellOperator(_CellOperatorBase):
         self.n_points = n
         self.size = n * K
         self.field_shape = (*grid.shape, K)
-        if scheme == "spectral":
-            need = _dense_cell_bytes(self.size)
-            if need > DENSE_CELL_BYTES:
-                raise ValueError(
-                    f"dense spectral cell operator on {self.size} unknowns needs {need} "
-                    f"bytes ({need / 2**30:.1f} GiB), over DENSE_CELL_BYTES = "
-                    f"{DENSE_CELL_BYTES}; use scheme = upwind or a coarser cell grid"
-                )
+        dense_cell_gate(scheme, self.size)
 
         samp = _sampled(kernel, x, grid, vm).reshape(n, K, K)
         sdb_gap(samp, vm.weights).require()

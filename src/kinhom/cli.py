@@ -51,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, blurb in [
-        ("check", "validate the scenario: balance and velocity-span gates"),
+        ("check", "validate the scenario: balance, velocity-span and dense-cell size gates"),
         ("cell", "solve the cell problems (equilibrium and correctors)"),
         ("effective", "compute homogenized diffusion/drift coefficients"),
         ("macro", "integrate the limit drift-diffusion equation"),

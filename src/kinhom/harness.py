@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from kinhom.cell_solver import SpectralField, verify_variational
+from kinhom.cell_solver import SpectralField, dense_cell_gate, verify_variational
 from kinhom.cell_solver import (  # noqa: F401  (perfbench/tracing.py wraps these names here)
     assemble,
     assemble_spectral_ap,
@@ -452,7 +452,7 @@ class PipelineReport:
     kinetic_states: dict[float, list[KineticState]] = field(default_factory=dict)
     sweep: SweepResult | None = None
     sigma_rows: list[SigmaRow] = field(default_factory=list)
-    summary: dict[str, float | str] = field(default_factory=dict)
+    summary: dict[str, float | int | str] = field(default_factory=dict)
 
 
 def _stage(name: str):
@@ -569,9 +569,10 @@ def run_pipeline(
 ) -> PipelineReport:
     """Execute the full homogenization pipeline for one scenario.
 
-    Stages: gate checks (balance, velocity-span), cell solves, effective
-    coefficients, macro integration, then — when a ``[kinetic]`` section
-    is present — kinetic runs per epsilon with sweep and sigma tables.
+    Stages: gate checks (balance, velocity-span, dense-cell size), cell
+    solves, effective coefficients, macro integration, then — when a
+    ``[kinetic]`` section is present — kinetic runs per epsilon with sweep
+    and sigma tables.
     ``stop_after`` truncates the run after the named stage, leaving later
     report fields unset.  The stages run serially; ``jobs`` is accepted
     for compatibility and ignored.
@@ -590,6 +591,7 @@ def run_pipeline(
         backend = cfg.cell_backend(kernel)
         if backend == "grid":
             grid = cfg.build_cell_grid()
+            dense_cell_gate(cfg.cell["scheme"], grid.n_points * vm.n_nodes)
             sdb = check_sdb(kernel, 0.0, grid, vm)
         else:
             grid = None
@@ -699,10 +701,10 @@ def epsilon_sweep(cfg: ScenarioConfig, jobs: int = 1, seed: int = 0) -> SweepRes
     return report.sweep
 
 
-def _summarize(report: PipelineReport) -> dict[str, float | str]:
+def _summarize(report: PipelineReport) -> dict[str, float | int | str]:
     cfg = report.config
     coeffs = report.coefficients
-    out: dict[str, float | str] = {
+    out: dict[str, float | int | str] = {
         "scenario": cfg.scenario["name"],
         "sdb_relative_gap": report.sdb_gap,
         "h1_ok": "yes" if report.h1_ok else "no",
@@ -727,6 +729,8 @@ def _summarize(report: PipelineReport) -> dict[str, float | str]:
     if report.macro is not None:
         mass = report.macro.mass()
         out["macro_mass_drift"] = float(abs(mass[-1] - mass[0]) / mass[0])
+        out["macro_steps"] = report.macro.steps
+        out["macro_dt"] = float(report.macro.dt)
     if report.sweep is not None:
         for row in report.sweep.rows:
             out[f"err_eps_{row.epsilon:g}"] = row.err

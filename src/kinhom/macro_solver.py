@@ -12,8 +12,18 @@ telescopes, so the total mass is conserved to roundoff by construction —
 not as a happy numerical accident.
 
 Time stepping is the theta scheme (Crank-Nicolson by default,
-unconditionally stable for theta >= 1/2); the implicit matrix is
-prefactorized and reused across steps with the same dt.
+unconditionally stable for theta >= 1/2).  How a step is solved depends on
+the input, with the same operator and the same scheme either way:
+
+* periodic grid, the same ``D`` and ``U`` in every cell: ``L`` is
+  circulant, so a step is the pointwise Fourier multiplier
+  ``(1 + (1-theta) dt lam) / (1 - theta dt lam)`` with ``lam = rfftn(L e_0)``
+  read off the assembled matrix (real transforms: ``L`` and ``rho`` are
+  real, so half the spectrum determines the step);
+* per-cell coefficients or a no-flux grid: the implicit matrix is
+  LU-factorized (``splu``).
+
+Either way the multiplier or the factors are cached per step size.
 """
 
 from __future__ import annotations
@@ -67,6 +77,7 @@ class MacroField:
     values: np.ndarray          # (n_t, *grid.shape)
     grid: MacroGrid
     dt: float
+    steps: int                  # theta steps taken from t = 0
 
     def mass(self) -> np.ndarray:
         """Total mass per checkpoint (cell sums times cell volume)."""
@@ -109,6 +120,9 @@ class DriftDiffusionSolver:
     drift_mode :
         ``"central"`` face average (second order) or ``"upwind"``
         (positivity-friendly with theta = 1).
+
+    ``symbol`` holds the half-spectrum eigenvalues of ``L`` when steps are
+    Fourier multipliers, and is None when they are LU solves.
     """
 
     def __init__(self, grid: MacroGrid, D, U=None, theta: float = 0.5,
@@ -124,8 +138,11 @@ class DriftDiffusionSolver:
         self.D = _per_cell(D, n, (d, d))
         self.U = _per_cell(np.zeros(d) if U is None else U, n, (d,))
         self.drift_mode = drift_mode
-        self._max_dnorm = float(max(np.linalg.norm(Dc, 2) for Dc in self.D)) if n else 0.0
+        self._max_dnorm = float(np.linalg.norm(self.D, 2, axis=(1, 2)).max()) if n else 0.0
         self.L = self._assemble()
+        self.symbol = self._circulant_symbol()
+        # per step key: the Fourier multiplier when ``symbol`` is set, else
+        # the LU factors of the implicit matrix
         self._factor_cache: dict[float, object] = {}
         self._rhs_cache: dict[float, sparse.csr_matrix] = {}
 
@@ -223,11 +240,34 @@ class DriftDiffusionSolver:
             raise AssertionError(f"flux-form assembly lost conservation ({colsum:.3e})")
         return L
 
+    def _circulant_symbol(self) -> np.ndarray | None:
+        """Eigenvalues ``rfftn(L e_0)`` of ``L`` when it is circulant, else None.
+
+        ``L`` is circulant when the grid is periodic and every cell holds
+        the same ``D`` and ``U``; its first column is then the stencil, and
+        the DFT diagonalizes it.  ``L`` is real, so the half spectrum of
+        ``rfftn`` holds every eigenvalue up to conjugation.
+        """
+        if (self.grid.bc != "periodic" or np.any(self.D != self.D[0])
+                or np.any(self.U != self.U[0])):
+            return None
+        e0 = np.zeros(self.grid.n_points)
+        e0[0] = 1.0
+        return np.fft.rfftn((self.L @ e0).reshape(self.grid.shape))
+
     # -- stepping ----------------------------------------------------------------
 
     def _stability_limit(self) -> float:
         h2 = min(self.grid.spacing) ** 2
         return np.inf if self._max_dnorm == 0 else h2 / (2.0 * self.grid.dim * self._max_dnorm)
+
+    def _multiplier(self, dt: float) -> np.ndarray:
+        key = step_key(dt)
+        if key not in self._factor_cache:
+            lam = self.symbol
+            self._factor_cache[key] = (1.0 + (1.0 - self.theta) * dt * lam) / (
+                1.0 - self.theta * dt * lam)
+        return self._factor_cache[key]
 
     def _factors(self, dt: float):
         key = step_key(dt)
@@ -247,6 +287,11 @@ class DriftDiffusionSolver:
                 f"explicit step dt={dt:.3e} exceeds the stability "
                 f"limit {self._stability_limit():.3e}"
             )
+        if self.symbol is not None:
+            shape = self.grid.shape
+            axes = tuple(range(len(shape)))
+            rho_hat = np.fft.rfftn(np.asarray(rho, dtype=float).reshape(shape))
+            return np.fft.irfftn(rho_hat * self._multiplier(dt), s=shape, axes=axes)
         lu, rhs = self._factors(dt)
         flat = np.asarray(rho, dtype=float).reshape(-1)
         out = lu.solve(rhs @ flat)
@@ -270,4 +315,5 @@ class DriftDiffusionSolver:
             slices.append(rho)
         times = np.array([0.0] + [t1 for t1, _, _ in plan])
         return MacroField(times=times, values=np.stack(slices), grid=self.grid,
-                          dt=plan[-1][2] if plan else dt_target)
+                          dt=plan[-1][2] if plan else dt_target,
+                          steps=sum(n_sub for _, n_sub, _ in plan))

@@ -130,6 +130,84 @@ def test_stage_errors_name_the_stage():
         epsilon_sweep(parse_config(MINIMAL))
 
 
+def test_check_stage_refuses_an_oversized_dense_cell():
+    # 64^2 points x 8 velocities: the dense spectral operator would take
+    # 6 * 8 * 32768^2 bytes, so the check stage refuses it before any solve
+    text = ("[scenario]\nname = dense\ndimension = 2\n"
+            "[velocity]\nfamily = uniform_circle\nn = 8\n"
+            "[cell]\nn = 64\nscheme = spectral\n")
+    with pytest.raises(StageError, match="51539607552 bytes") as info:
+        run_pipeline(parse_config(text), stop_after="check")
+    assert info.value.stage == "check"
+
+
+CIRCLE2D_REDUCED = """\
+[scenario]
+name = circle2d
+dimension = 2
+
+[velocity]
+family = uniform_circle
+n = 8
+
+[cell]
+n = 8
+scheme = upwind
+
+[sigma]
+family = sinusoidal
+alpha = 0.5
+
+[macro]
+n = 16
+"""
+
+SMALL_EPS_REDUCED = """\
+[scenario]
+name = small_eps
+
+[cell]
+n = 16
+scheme = spectral
+
+[sigma]
+family = sinusoidal
+alpha = 0.5
+
+[macro]
+n = 128
+t = 0.05
+checkpoints = 10
+
+[kinetic]
+epsilons = 0.4, 0.2
+scheme = shift
+collision = exact
+"""
+
+
+@pytest.mark.parametrize("text", [CIRCLE2D_REDUCED, SMALL_EPS_REDUCED],
+                         ids=["circle2d", "small_eps"])
+def test_summary_counts_macro_steps_and_dt(monkeypatch, text):
+    # ten checkpoint intervals of 103 steps each under the default
+    # dt = t / 1024; both runs take the Fourier step
+    from kinhom.macro_solver import DriftDiffusionSolver
+
+    calls = []
+    step = DriftDiffusionSolver.step
+
+    def counted(self, *args):
+        calls.append(self.symbol is not None)
+        return step(self, *args)
+
+    monkeypatch.setattr(DriftDiffusionSolver, "step", counted)
+    cfg = parse_config(text)
+    summary = run_pipeline(cfg, stop_after="macro").summary
+    assert summary["macro_steps"] == len(calls) == 1030
+    assert all(calls)
+    assert summary["macro_dt"] == pytest.approx(cfg.macro["t"] / 1030, rel=1e-12)
+
+
 
 def _count_assembles(monkeypatch):
     """Count cell-operator assemblies made through the pipeline's modules."""

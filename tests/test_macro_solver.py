@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import SuperLU, splu
 
 from kinhom.macro_solver import DriftDiffusionSolver, initial_density
 from kinhom.phase_space import MacroGrid, two_velocity_1d, uniform_circle
@@ -186,6 +188,57 @@ def test_factor_cache_tells_tiny_steps_apart():
     assert len(solver._factor_cache) == 3
     solver.step(rho, 0.01 * (1.0 + 1e-15))
     assert len(solver._factor_cache) == 3
+
+
+@pytest.mark.parametrize("shape", [(128,), (48, 40)])
+@pytest.mark.parametrize("drift_mode", ["central", "upwind"])
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+def test_fft_step_matches_the_lu_step(shape, drift_mode, theta):
+    # constant D and U on a periodic grid take the Fourier path; the same
+    # theta scheme solved by LU on the assembled operator is the reference
+    mg = MacroGrid(half_width=2.0, shape=shape, bc="periodic")
+    if len(shape) == 1:
+        D, U = np.array([[0.3]]), np.array([0.7])
+    else:
+        D, U = np.array([[0.4, 0.12], [0.09, 0.25]]), np.array([0.6, -0.45])
+    solver = DriftDiffusionSolver(mg, D=D, U=U, theta=theta, drift_mode=drift_mode)
+    assert solver.symbol is not None
+    dt = 0.5 * solver._stability_limit() if theta == 0.0 else 0.01
+
+    eye = sparse.identity(mg.n_points, format="csc")
+    lu = splu((eye - theta * dt * solver.L).tocsc())
+    rhs = (eye + (1.0 - theta) * dt * solver.L).tocsr()
+    rng = np.random.default_rng(3)
+    rho_fft = rng.random(shape)
+    rho_lu = rho_fft.ravel()
+    for _ in range(50):
+        rho_fft = solver.step(rho_fft, dt)
+        rho_lu = lu.solve(rhs @ rho_lu)
+    assert np.max(np.abs(rho_fft.ravel() - rho_lu)) <= 1e-13 * np.max(np.abs(rho_lu))
+
+
+def test_per_cell_or_no_flux_input_keeps_the_lu_step():
+    rho = _gaussian(MacroGrid(half_width=2.0, shape=(32,)).axes()[0], 0.3)
+    varying = np.linspace(0.2, 0.4, 32).reshape(-1, 1, 1)
+    cases = [
+        (MacroGrid(half_width=2.0, shape=(32,), bc="periodic"), varying),
+        (MacroGrid(half_width=2.0, shape=(32,), bc="no-flux"), np.array([[0.3]])),
+    ]
+    for mg, D in cases:
+        solver = DriftDiffusionSolver(mg, D=D, U=np.array([0.5]))
+        assert solver.symbol is None
+        solver.step(rho, 0.01)
+        (factors,) = solver._factor_cache.values()
+        assert isinstance(factors, SuperLU)
+
+
+def test_max_dnorm_batched_equals_the_per_cell_loop():
+    mg = MacroGrid(half_width=2.0, shape=(24, 20), bc="periodic")
+    A = np.random.default_rng(5).normal(size=(mg.n_points, 2, 2))
+    D = A + A.transpose(0, 2, 1)
+    solver = DriftDiffusionSolver(mg, D=D)
+    assert solver._max_dnorm == max(np.linalg.norm(Dc, 2) for Dc in D)
+
 
 def test_initial_density_integrates_velocity_nodes():
     vm = two_velocity_1d(weights=(1.0, 2.0))
