@@ -151,7 +151,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "scheme": ("str", "upwind", ("upwind", "shift")),
         "collision": ("str", "implicit", ("implicit", "exact")),
         "c_cfl": ("float", 0.9, None),
-        "c_split": ("float", 0.1, None),
+        "c_split": ("auto", "auto", None),
     },
     "output": {
         "dir": ("str", "out", None),
@@ -736,6 +736,14 @@ def _summarize(report: PipelineReport) -> dict[str, float | int | str]:
             out[f"err_eps_{row.epsilon:g}"] = row.err
         out["sweep_monotone"] = "yes" if report.sweep.monotone else "no"
         out["sweep_min_ratio"] = report.sweep.min_ratio
+    for eps, states in report.kinetic_states.items():
+        first, last = states[0], states[-1]
+        out[f"kinetic_steps_eps_{eps:g}"] = last.steps
+        out[f"kinetic_dt_eps_{eps:g}"] = float(last.dt)
+        out[f"kinetic_mass_drift_eps_{eps:g}"] = abs(last.mass() - first.mass()) / first.mass()
+        out[f"kinetic_min_f_eps_{eps:g}"] = float(min(s.f.min() for s in states))
+        if last.split_est is not None:
+            out[f"split_est_eps_{eps:g}"] = last.split_est
     return out
 
 

@@ -209,6 +209,56 @@ def test_summary_counts_macro_steps_and_dt(monkeypatch, text):
 
 
 
+@pytest.mark.parametrize("c_split, line", [
+    (None, "c_split = auto"), ("auto", "c_split = auto"), ("0.25", "c_split = 0.25"),
+])
+def test_split_cap_roundtrips(c_split, line):
+    text = KINETIC if c_split is None else KINETIC + f"c_split = {c_split}\n"
+    cfg = parse_config(text)
+    assert cfg.kinetic["c_split"] == (0.25 if c_split == "0.25" else "auto")
+    dumped = dump_config(cfg)
+    assert line in dumped.splitlines()
+    assert parse_config(dumped) == cfg
+    assert dump_config(parse_config(dumped)) == dumped
+
+
+@pytest.mark.parametrize("scheme, collision, runs", [
+    ("shift", "exact", 3), ("upwind", "implicit", 1),
+])
+def test_summary_counts_kinetic_steps_dt_mass_and_split_estimate(monkeypatch, scheme,
+                                                                 collision, runs):
+    # shift + exact takes a coarse run and a fine run of twice its steps
+    from kinhom.kinetic_ref import KineticSolver
+    from kinhom.phase_space import checkpoint_substeps
+
+    calls = []
+    step = KineticSolver.step
+
+    def counted(self, *args):
+        calls.append(self.epsilon)
+        return step(self, *args)
+
+    monkeypatch.setattr(KineticSolver, "step", counted)
+    text = SMALL_EPS_REDUCED.replace("scheme = shift", f"scheme = {scheme}")
+    cfg = parse_config(text.replace("collision = exact", f"collision = {collision}"))
+    report = run_pipeline(cfg)
+    summary = report.summary
+    for eps, states in report.kinetic_states.items():
+        solver = KineticSolver(cfg.build_kernel(), cfg.build_velocity(), cfg.build_macro_grid(),
+                               epsilon=eps, scheme=scheme, collision=collision)
+        plan = checkpoint_substeps(cfg.checkpoint_times(), cfg.macro["t"], solver.default_dt())
+        n_sub = sum(n for _, n, _ in plan)
+        assert summary[f"kinetic_steps_eps_{eps:g}"] == runs * n_sub == calls.count(eps)
+        assert summary[f"kinetic_dt_eps_{eps:g}"] == plan[-1][2]
+        assert 0.0 <= summary[f"kinetic_mass_drift_eps_{eps:g}"] <= 1e-13
+        assert summary[f"kinetic_min_f_eps_{eps:g}"] == min(s.f.min() for s in states)
+        if runs == 3:
+            assert 0.0 < summary[f"split_est_eps_{eps:g}"] == states[-1].split_est < 1e-2
+        else:
+            assert f"split_est_eps_{eps:g}" not in summary
+    assert len(calls) == sum(summary[f"kinetic_steps_eps_{e:g}"] for e in cfg.kinetic["epsilons"])
+
+
 def _count_assembles(monkeypatch):
     """Count cell-operator assemblies made through the pipeline's modules."""
     from kinhom import effective

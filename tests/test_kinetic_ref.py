@@ -5,8 +5,15 @@ import pytest
 import scipy.linalg
 
 from kinhom.collision import BalanceError, make_kernel
-from kinhom.kinetic_ref import KineticSolver, StabilityError, periodic_shift, shift_wavenumbers
-from kinhom.phase_space import MacroGrid, two_velocity_1d
+from kinhom.kinetic_ref import (
+    C_SPLIT_EXTRAPOLATED,
+    C_SPLIT_STRANG,
+    KineticSolver,
+    StabilityError,
+    periodic_shift,
+    shift_wavenumbers,
+)
+from kinhom.phase_space import MacroGrid, checkpoint_substeps, two_velocity_1d
 
 VM = two_velocity_1d()
 GRID = MacroGrid(half_width=2.0, shape=(64,), bc="periodic")
@@ -208,3 +215,105 @@ def test_constructor_and_run_guards():
     with pytest.raises(ValueError):
         solver.run(_smooth_initial(GRID, VM), 0.1,
                    checkpoints=np.array([0.05, 0.1]))
+
+
+def _strang(solver, f, plan, refine=1):
+    """Plain Strang through ``plan``, each interval at ``refine`` times its steps."""
+    for _, n_sub, sub_dt in plan:
+        for _ in range(refine * n_sub):
+            f = solver.step(f, sub_dt / refine)
+    return f
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.1])
+def test_extrapolated_run_is_within_3e_5_of_a_finer_extrapolated_pair(eps):
+    # reference: (4 S_{dt/2} - S_dt)/3 with the coarse step at cap 0.1, built
+    # here from step loops; plain Strang at that cap is about 9e-5 away
+    T = 0.1
+    times = np.linspace(0.0, T, 3)
+    f0 = _smooth_initial(GRID, VM)
+    ref_solver = KineticSolver(SINUSOIDAL, VM, GRID, epsilon=eps, scheme="shift",
+                               collision="exact", c_split=0.1)
+    plan = checkpoint_substeps(times, T, ref_solver.default_dt())
+    coarse = _strang(ref_solver, f0, plan)
+    ref = (4.0 * _strang(ref_solver, f0, plan, refine=2) - coarse) / 3.0
+    solver = KineticSolver(SINUSOIDAL, VM, GRID, epsilon=eps, scheme="shift",
+                           collision="exact")
+    final = solver.run(f0, T, checkpoints=times)[-1]
+    assert np.linalg.norm(final.f - ref) / np.linalg.norm(ref) <= 3e-5
+    # the step-doubling estimate bounds the fine run's own splitting error
+    assert final.split_est > np.linalg.norm(final.f - ref) / np.linalg.norm(ref)
+
+
+def test_fine_run_takes_exactly_twice_the_coarse_steps():
+    solver = KineticSolver(SINUSOIDAL, VM, GRID, epsilon=0.1, scheme="shift",
+                           collision="exact")
+    dt = solver.default_dt()
+    # first interval: 3 + 7.5e-13 coarse steps long, so ceil rounds down at dt
+    # but up at dt/2, where it is 6 + 1.5e-12 steps long
+    t1 = 3.0 * dt * (1.0 + 2.5e-13)
+    times = np.array([0.0, t1, t1 + 2.5 * dt])
+    plan = checkpoint_substeps(times, times[-1], dt)
+    assert plan[0][1] == 3
+    assert checkpoint_substeps(times, times[-1], dt / 2)[0][1] == 7
+    taken = []
+    step = solver.step
+
+    def recorded(f, sub_dt):
+        taken.append(sub_dt)
+        return step(f, sub_dt)
+
+    solver.step = recorded
+    states = solver.run(_smooth_initial(GRID, VM), times[-1], checkpoints=times)
+    expect = []
+    for _, n_sub, sub_dt in plan:
+        expect += [sub_dt] * n_sub + [sub_dt / 2] * (2 * n_sub)
+    assert taken == expect
+    assert [s.steps for s in states] == [0, 9, 18]
+    assert [s.dt for s in states] == [dt] + [sub_dt for _, _, sub_dt in plan]
+
+
+def test_extrapolated_run_conserves_mass_and_l2():
+    solver = KineticSolver(SINUSOIDAL, VM, GRID, epsilon=0.1, scheme="shift",
+                           collision="exact")
+    times = np.linspace(0.0, 0.1, 6)
+    states = solver.run(_smooth_initial(GRID, VM), 0.1, checkpoints=times)
+    plan = checkpoint_substeps(times, 0.1, solver.default_dt())
+    assert states[-1].steps == 3 * sum(n_sub for _, n_sub, _ in plan)
+    m0 = states[0].mass()
+    assert all(abs(s.mass() - m0) <= 1e-13 * m0 for s in states)
+    norms = [s.l2_norm() for s in states]
+    assert all(n1 <= n0 * (1 + 1e-12) for n0, n1 in zip(norms, norms[1:]))
+
+
+@pytest.mark.parametrize("scheme, collision", [
+    ("upwind", "implicit"), ("upwind", "exact"), ("shift", "implicit"),
+])
+def test_unextrapolated_run_is_bitwise_a_loop_of_steps(scheme, collision):
+    solver = KineticSolver(SINUSOIDAL, VM, GRID, epsilon=0.2, scheme=scheme,
+                           collision=collision)
+    times = np.linspace(0.0, 0.05, 4)
+    f = _smooth_initial(GRID, VM)
+    states = solver.run(f, 0.05, checkpoints=times)
+    plan = checkpoint_substeps(times, 0.05, solver.default_dt())
+    assert np.array_equal(states[0].f, f)
+    for state, (t1, n_sub, sub_dt) in zip(states[1:], plan):
+        f = _strang(solver, f, [(t1, n_sub, sub_dt)])
+        assert np.array_equal(state.f, f)
+        assert state.t == t1 and state.dt == sub_dt and state.split_est is None
+    assert states[-1].steps == sum(n_sub for _, n_sub, _ in plan)
+
+
+@pytest.mark.parametrize("scheme, collision, auto", [
+    ("shift", "exact", C_SPLIT_EXTRAPOLATED), ("shift", "implicit", C_SPLIT_STRANG),
+    ("upwind", "exact", C_SPLIT_STRANG),
+])
+def test_split_cap_auto_and_explicit(scheme, collision, auto):
+    eps = 0.1
+    x = GRID.axes()[0]
+    sigma_max = 2.0 * (1.0 + 0.5 * np.sin(2.0 * np.pi * x / eps)).max()
+    for c_split, cap in (("auto", auto), (0.25, 0.25)):
+        solver = KineticSolver(SINUSOIDAL, VM, GRID, epsilon=eps, scheme=scheme,
+                               collision=collision, c_split=c_split)
+        assert solver.c_split == cap
+        assert solver.default_dt() == pytest.approx(cap * eps**2 / sigma_max)
