@@ -23,12 +23,21 @@ the input, with the same operator and the same scheme either way:
 * per-cell coefficients or a no-flux grid: the implicit matrix is
   LU-factorized (``splu``).
 
-Either way the multiplier or the factors are cached per step size.
+A run keeps only its checkpoints, so it advances one checkpoint interval
+per ``step(rho, dt, n)`` call.  On the Fourier path the ``n`` steps of an
+interval are one multiplication by the power ``m(dt)**n`` of the step
+multiplier ``m(dt)`` (the scheme is linear, time-invariant and diagonal in
+Fourier space); the LU path solves ``n`` times.  The power or the factors
+are cached per step size.  The zero mode of the symbol is set to exactly 0,
+the column sum of a flux-form ``L``, so the multiplier keeps the mass
+exactly instead of compounding the transform's roundoff over the steps.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,12 +147,11 @@ class DriftDiffusionSolver:
         self.D = _per_cell(D, n, (d, d))
         self.U = _per_cell(np.zeros(d) if U is None else U, n, (d,))
         self.drift_mode = drift_mode
-        self._max_dnorm = float(np.linalg.norm(self.D, 2, axis=(1, 2)).max()) if n else 0.0
         self.L = self._assemble()
         self.symbol = self._circulant_symbol()
-        # per step key: the Fourier multiplier when ``symbol`` is set, else
-        # the LU factors of the implicit matrix
-        self._factor_cache: dict[float, object] = {}
+        # the multiplier power per (step key, count) when ``symbol`` is set,
+        # else the LU factors of the implicit matrix per step key
+        self._factor_cache: dict[object, object] = {}
         self._rhs_cache: dict[float, sparse.csr_matrix] = {}
 
     # -- operator assembly ----------------------------------------------------
@@ -253,20 +261,30 @@ class DriftDiffusionSolver:
             return None
         e0 = np.zeros(self.grid.n_points)
         e0[0] = 1.0
-        return np.fft.rfftn((self.L @ e0).reshape(self.grid.shape))
+        symbol = np.fft.rfftn((self.L @ e0).reshape(self.grid.shape))
+        # the zero mode is the first column sum, 0 in flux form; rfftn
+        # returns it as roundoff, which the multiplier would compound
+        symbol.flat[0] = 0.0
+        return symbol
 
     # -- stepping ----------------------------------------------------------------
+
+    @functools.cached_property
+    def _max_dnorm(self) -> float:
+        """Largest spectral norm of the per-cell ``D``; read only by the explicit gate."""
+        return float(np.linalg.norm(self.D, 2, axis=(1, 2)).max()) if self.grid.n_points else 0.0
 
     def _stability_limit(self) -> float:
         h2 = min(self.grid.spacing) ** 2
         return np.inf if self._max_dnorm == 0 else h2 / (2.0 * self.grid.dim * self._max_dnorm)
 
-    def _multiplier(self, dt: float) -> np.ndarray:
-        key = step_key(dt)
+    def _multiplier(self, dt: float, n: int) -> np.ndarray:
+        """``m(dt)**n``: ``n`` theta steps of size ``dt`` in Fourier space."""
+        key = (step_key(dt), n)
         if key not in self._factor_cache:
             lam = self.symbol
-            self._factor_cache[key] = (1.0 + (1.0 - self.theta) * dt * lam) / (
-                1.0 - self.theta * dt * lam)
+            m = (1.0 + (1.0 - self.theta) * dt * lam) / (1.0 - self.theta * dt * lam)
+            self._factor_cache[key] = m**n
         return self._factor_cache[key]
 
     def _factors(self, dt: float):
@@ -280,8 +298,10 @@ class DriftDiffusionSolver:
             self._rhs_cache[key] = rhs
         return self._factor_cache[key], self._rhs_cache[key]
 
-    def step(self, rho: np.ndarray, dt: float) -> np.ndarray:
-        """Advance one theta-scheme step (shape-preserving)."""
+    def step(self, rho: np.ndarray, dt: float, n: int = 1) -> np.ndarray:
+        """Advance ``n`` theta-scheme steps of size ``dt`` (shape-preserving)."""
+        if not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"step count must be an integer >= 1, got {n!r}")
         if self.theta < 0.5 and dt > self._stability_limit():
             raise ValueError(
                 f"explicit step dt={dt:.3e} exceeds the stability "
@@ -291,11 +311,12 @@ class DriftDiffusionSolver:
             shape = self.grid.shape
             axes = tuple(range(len(shape)))
             rho_hat = np.fft.rfftn(np.asarray(rho, dtype=float).reshape(shape))
-            return np.fft.irfftn(rho_hat * self._multiplier(dt), s=shape, axes=axes)
+            return np.fft.irfftn(rho_hat * self._multiplier(dt, n), s=shape, axes=axes)
         lu, rhs = self._factors(dt)
         flat = np.asarray(rho, dtype=float).reshape(-1)
-        out = lu.solve(rhs @ flat)
-        return out.reshape(self.grid.shape)
+        for _ in range(n):
+            flat = lu.solve(rhs @ flat)
+        return flat.reshape(self.grid.shape)
 
     def run(self, rho0: np.ndarray, T: float, dt: float | None = None,
             checkpoints: np.ndarray | None = None) -> MacroField:
@@ -310,8 +331,7 @@ class DriftDiffusionSolver:
         slices = [rho0]
         rho = rho0
         for _, n_sub, sub_dt in plan:
-            for _ in range(n_sub):
-                rho = self.step(rho, sub_dt)
+            rho = self.step(rho, sub_dt, n_sub)
             slices.append(rho)
         times = np.array([0.0] + [t1 for t1, _, _ in plan])
         return MacroField(times=times, values=np.stack(slices), grid=self.grid,

@@ -190,21 +190,22 @@ collision = exact
                          ids=["circle2d", "small_eps"])
 def test_summary_counts_macro_steps_and_dt(monkeypatch, text):
     # ten checkpoint intervals of 103 steps each under the default
-    # dt = t / 1024; both runs take the Fourier step
+    # dt = t / 1024, each advanced by one Fourier step call
     from kinhom.macro_solver import DriftDiffusionSolver
 
     calls = []
     step = DriftDiffusionSolver.step
 
-    def counted(self, *args):
-        calls.append(self.symbol is not None)
-        return step(self, *args)
+    def counted(self, rho, dt, n=1):
+        calls.append((self.symbol is not None, n))
+        return step(self, rho, dt, n)
 
     monkeypatch.setattr(DriftDiffusionSolver, "step", counted)
     cfg = parse_config(text)
     summary = run_pipeline(cfg, stop_after="macro").summary
-    assert summary["macro_steps"] == len(calls) == 1030
-    assert all(calls)
+    assert summary["macro_steps"] == sum(n for _, n in calls) == 1030
+    assert [n for _, n in calls] == [103] * 10
+    assert all(fourier for fourier, _ in calls)
     assert summary["macro_dt"] == pytest.approx(cfg.macro["t"] / 1030, rel=1e-12)
 
 

@@ -211,10 +211,14 @@ def test_fft_step_matches_the_lu_step(shape, drift_mode, theta):
     rng = np.random.default_rng(3)
     rho_fft = rng.random(shape)
     rho_lu = rho_fft.ravel()
+    rho0 = rho_fft
     for _ in range(50):
         rho_fft = solver.step(rho_fft, dt)
         rho_lu = lu.solve(rhs @ rho_lu)
     assert np.max(np.abs(rho_fft.ravel() - rho_lu)) <= 1e-13 * np.max(np.abs(rho_lu))
+    # the same 50 steps as one multiplier power
+    rho_pow = solver.step(rho0, dt, 50)
+    assert np.max(np.abs(rho_pow.ravel() - rho_lu)) <= 1e-13 * np.max(np.abs(rho_lu))
 
 
 def test_per_cell_or_no_flux_input_keeps_the_lu_step():
@@ -227,9 +231,47 @@ def test_per_cell_or_no_flux_input_keeps_the_lu_step():
     for mg, D in cases:
         solver = DriftDiffusionSolver(mg, D=D, U=np.array([0.5]))
         assert solver.symbol is None
-        solver.step(rho, 0.01)
+        single = rho
+        for _ in range(5):
+            single = solver.step(single, 0.01)
         (factors,) = solver._factor_cache.values()
         assert isinstance(factors, SuperLU)
+        assert np.array_equal(solver.step(rho, 0.01, 5), single)
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.5])
+def test_step_refuses_a_count_that_is_not_a_positive_integer(n):
+    mg = MacroGrid(half_width=2.0, shape=(32,), bc="periodic")
+    rho = _gaussian(mg.axes()[0], 0.3)
+    for D in (np.array([[0.3]]), np.linspace(0.2, 0.4, 32).reshape(-1, 1, 1)):
+        with pytest.raises(ValueError):
+            DriftDiffusionSolver(mg, D=D).step(rho, 0.01, n)
+
+
+def test_explicit_gate_checks_the_step_size_whatever_the_count():
+    mg = MacroGrid(half_width=4.0, shape=(64,), bc="periodic")
+    solver = DriftDiffusionSolver(mg, D=np.array([[0.5]]), theta=0.0)
+    limit = mg.spacing[0] ** 2 / (2.0 * 0.5)
+    rho = _gaussian(mg.axes()[0], 0.5)
+    for n in (1, 3):
+        with pytest.raises(ValueError):
+            solver.step(rho, 1.25 * limit, n)
+    assert solver.step(rho, 0.8 * limit, 3).shape == rho.shape
+
+
+def test_fourier_run_keeps_the_mass_over_a_thousand_steps():
+    # rfftn returned the symbol's zero mode (the first column sum of L, 0
+    # in flux form) as 1.1e-13 here; its multiplier drifted the mass by
+    # 1.4e-12 over these 1030 steps
+    mg = MacroGrid(half_width=2.0, shape=(128, 128), bc="periodic")
+    D, U = np.array([[0.4, 0.12], [0.09, 0.25]]), np.array([0.6, -0.45])
+    solver = DriftDiffusionSolver(mg, D=D, U=U, drift_mode="upwind")
+    assert solver.symbol is not None
+    rho0 = np.random.default_rng(3).random(mg.shape)
+    field = solver.run(rho0, 10.3, dt=0.01, checkpoints=np.linspace(0.0, 10.3, 11))
+    assert field.steps == 1030
+    mass = field.mass()
+    assert np.max(np.abs(mass - mass[0])) <= 1e-14 * mass[0]
 
 
 def test_max_dnorm_batched_equals_the_per_cell_loop():

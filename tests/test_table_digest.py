@@ -1,0 +1,54 @@
+"""Column comparison of ``tools/table_digest.py``, on hand-written tables."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "table_digest.py"
+
+
+@pytest.fixture
+def digest(monkeypatch):
+    # the tool pins the BLAS thread variables on import; keep that local
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    spec = importlib.util.spec_from_file_location("table_digest", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_compare_reports_a_numeric_column_moved_at_roundoff(digest):
+    old = "x,rho\n0.0,1.0\n0.5,4.0\n"
+    new = "x,rho\n0.0,1.0000000000000002\n0.5,4.0\n"
+    assert digest.compare("macro.csv", new, old) == [
+        "x: max abs diff 0.000e+00, max rel diff 0.000e+00",
+        "rho: max abs diff 2.220e-16, max rel diff 5.551e-17",
+    ]
+
+
+def test_compare_names_text_columns_same_or_different(digest):
+    old = "scheme,tag\nshift,a\nupwind,b\n"
+    new = "scheme,tag\nshift,a\nupwind,c\n"
+    assert digest.compare("sweep.csv", new, old) == [
+        "scheme: not numeric, same",
+        "tag: not numeric, differs",
+    ]
+
+
+def test_compare_names_a_summary_key_present_on_one_side_only(digest):
+    old = "macro_steps = 1030\nold_key = 1\n"
+    new = "macro_steps = 1030\nnew_key = 2\n"
+    assert digest.compare("summary.txt", new, old) == [
+        "macro_steps: max abs diff 0.000e+00, max rel diff 0.000e+00",
+        "old_key: only in --root",
+        "new_key: only in this checkout",
+    ]
+
+
+def test_without_column_drops_the_runtime(digest):
+    text = "eps,err,runtime_s,ratio\n0.1,1e-3,0.52,2.0\n0.05,5e-4,1.04,2.0\n"
+    assert digest._without_column(text, "runtime_s") == (
+        "eps,err,ratio\n0.1,1e-3,2.0\n0.05,5e-4,2.0\n"
+    )
