@@ -23,17 +23,25 @@ Solves handle the singular structure explicitly: the equilibrium comes from
 power iteration on the gain-relaxation map  O = K A^{-1}  (principal
 eigenvalue 1), and corrector equations are Krylov solves of the rewritten
 fixed-point system with the one-dimensional kernel deflated out.
+
+Cell problems are small and solved many times (one per macro position when
+the rates vary with x), so a solve does only its arithmetic: GMRES runs in
+this module, operation for operation scipy's ``gmres`` (same iterates,
+same iteration counts) without its per-call set-up, and the upwind
+stencils are built once per (n, h, speed) and shared by every cell.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, gmres, splu
+from scipy.linalg import get_lapack_funcs
+from scipy.sparse.linalg import splu
 
 from kinhom.collision import PhaseField, ScatteringKernel, _sampled, gain_loss, sdb_gap
 from kinhom.phase_space import CellGrid, VelocityMeasure
@@ -73,10 +81,15 @@ class ConvergenceError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=32)
 def _upwind_matrix(n: int, h: float, speed: float) -> sparse.csr_matrix:
-    """First-order upwind discretization of ``speed * d/dy`` (periodic)."""
+    """First-order upwind discretization of ``speed * d/dy`` (periodic).
+
+    Built once per ``(n, h, speed)`` and shared by every cell operator, so
+    its arrays are read-only.
+    """
     if speed == 0.0:
-        return sparse.csr_matrix((n, n))
+        return _read_only(sparse.csr_matrix((n, n)))
     # backward difference (f_j - f_{j-1}) / h for speed > 0, forward
     # difference (f_{j+1} - f_j) / h otherwise: |speed|/h on the diagonal,
     # its negative at the upwind neighbour; two entries a row, columns sorted
@@ -86,7 +99,14 @@ def _upwind_matrix(n: int, h: float, speed: float) -> sparse.csr_matrix:
     low = np.where(nb < j, -diag, diag)  # value at the lower column
     data = np.stack([low, -low], axis=1).ravel()
     indices = np.stack([np.minimum(j, nb), np.maximum(j, nb)], axis=1).ravel()
-    return sparse.csr_matrix((data, indices, np.arange(0, 2 * n + 1, 2)), shape=(n, n))
+    return _read_only(sparse.csr_matrix((data, indices, np.arange(0, 2 * n + 1, 2)),
+                                        shape=(n, n)))
+
+
+def _read_only(mat: sparse.csr_matrix) -> sparse.csr_matrix:
+    for part in (mat.data, mat.indices, mat.indptr):
+        part.flags.writeable = False
+    return mat
 
 
 def _spectral_matrix(n: int, period: float) -> np.ndarray:
@@ -188,10 +208,6 @@ class _CellOperatorBase:
 
     def norm(self, f: np.ndarray) -> float:
         return float(np.sqrt(np.real(np.sum(self.weights * np.abs(f) ** 2))))
-
-    def project_out(self, f: np.ndarray, direction: np.ndarray) -> np.ndarray:
-        coef = self.inner(direction, f) / self.inner(direction, direction)
-        return f - coef * direction
 
     def mean_v(self, f: np.ndarray) -> float:
         """``int M(f) dmu`` of a flat field.
@@ -614,6 +630,102 @@ class CorrectorSolution:
     iterations: int
 
 
+# Givens rotations from LAPACK, one routine per dtype
+_LARTG = {char: get_lapack_funcs("lartg", dtype=np.dtype(char)) for char in "dD"}
+
+
+def _gmres(matvec, b: np.ndarray, rtol: float, restart: int,
+           maxiter: int) -> tuple[np.ndarray, int]:
+    """Restarted GMRES from ``x0 = 0``; returns ``(x, info)``.
+
+    The arithmetic of ``scipy.sparse.linalg.gmres(A, b, rtol=rtol, atol=0,
+    restart=restart, maxiter=maxiter)`` (scipy 1.17, no preconditioner),
+    operation for operation, so ``x``, ``info`` and the ``matvec`` calls are
+    the same: modified Gram-Schmidt, LAPACK ``lartg`` rotations, the
+    gh-8400 restart control of the inner tolerance, and the true residual
+    after each cycle.  What it drops is the set-up around a small solve:
+    the operator wrapper, the per-call LAPACK lookup, the full-size basis
+    allocation and the fancy-indexed Hessenberg updates.  ``info`` is 0 on
+    convergence and ``maxiter`` otherwise.
+    """
+    dtype = b.dtype.type
+    dot = np.vdot if np.iscomplexobj(b) else np.dot
+    lartg = _LARTG[b.dtype.char]
+    eps = np.finfo(b.dtype.char).eps
+    n = b.size
+    restart = min(restart, n)
+    bnrm2 = np.linalg.norm(b)
+    if bnrm2 == 0:
+        return b, 0
+    atol = max(0.0, float(rtol) * float(bnrm2))
+    ptol_max_factor = 1.0
+    ptol = bnrm2 * min(ptol_max_factor, atol / bnrm2)
+    x = np.zeros(n, dtype=b.dtype)
+    if bnrm2 < atol:
+        return x, 0
+    r = b
+    for _ in range(maxiter):
+        beta = np.linalg.norm(r)
+        basis = [r * (1 / beta)]
+        S = [dtype(beta)]     # right-hand side of the rotated least-squares problem
+        rotations = []        # (c, s) of each column
+        H = []                # rotated Hessenberg columns, entries 0..col
+        breakdown = False
+        for col in range(restart):
+            w = matvec(basis[col])
+            h0 = np.linalg.norm(w)
+            hcol = []
+            for v in basis:
+                t = dot(v, w)
+                hcol.append(t)
+                w -= t * v
+            h1 = np.linalg.norm(w)
+            if h1 <= eps * h0:  # exact solution in the current space
+                sub = dtype(0)
+                breakdown = True
+            else:
+                sub = dtype(h1)
+                w *= 1 / h1
+            basis.append(w)
+            for k in range(col):
+                c, s = rotations[k]
+                n0, n1 = hcol[k], hcol[k + 1]
+                hcol[k] = c * n0 + s * n1
+                hcol[k + 1] = -s.conj() * n0 + c * n1
+            c, s, mag = lartg(hcol[col], sub)
+            rotations.append((dtype(c), dtype(s)))
+            hcol[col] = mag
+            H.append(np.array(hcol, dtype=b.dtype))
+            tmp = -np.conjugate(s) * S[col]
+            S[col] = dtype(c * S[col])
+            S.append(dtype(tmp))
+            presid = np.abs(tmp)
+            if presid <= ptol or breakdown:
+                break
+        # back substitution on the upper-triangular H, skipping zero pivots
+        if H[col][col] == 0:
+            S[col] = dtype(0)
+        y = np.array(S[:col + 1], dtype=b.dtype)
+        for k in range(col, 0, -1):
+            if y[k] != 0:
+                y[k] /= H[k][k]
+                yk = y[k]
+                y[:k] -= yk * H[k][:k]
+        if y[0] != 0:
+            y[0] /= H[0][0]
+        x += y @ np.array(basis[:col + 1])
+        r = b - matvec(x)
+        rnorm = np.linalg.norm(r)
+        if rnorm <= atol or breakdown:
+            break
+        if presid <= ptol:  # inner tolerance met, true residual not: tighten it
+            ptol_max_factor = max(eps, 0.25 * ptol_max_factor)
+        else:
+            ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
+        ptol = presid * min(ptol_max_factor, atol / rnorm)
+    return x, 0 if rnorm <= atol else maxiter
+
+
 def _deflated_gmres(op: _CellOperatorBase, action, rhs: np.ndarray,
                     deflate: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
     """GMRES on the deflated fixed-point system.
@@ -621,20 +733,25 @@ def _deflated_gmres(op: _CellOperatorBase, action, rhs: np.ndarray,
     ``action`` is the map ``v -> (I - O) v`` (or its adjoint twin); the
     projector removes the ``deflate`` direction, which spans the cokernel,
     so the restricted operator is nonsingular and iterates stay in the
-    solvable subspace.
+    solvable subspace.  Returns the solution and the number of operator
+    applications.
     """
-    count = {"n": 0}
+    norm2 = op.inner(deflate, deflate)
+    count = 0
+
+    def project(f):
+        return f - (op.inner(deflate, f) / norm2) * deflate
 
     def projected(v):
-        count["n"] += 1
-        return op.project_out(action(v), deflate)
+        nonlocal count
+        count += 1
+        return project(action(v))
 
-    lin = LinearOperator((rhs.size, rhs.size), matvec=projected, dtype=op.dtype)
-    b = op.project_out(rhs.astype(op.dtype), deflate)
-    x, info = gmres(lin, b, rtol=tol, atol=0.0, restart=min(rhs.size, 300), maxiter=50)
+    x, info = _gmres(projected, project(rhs.astype(op.dtype)), tol,
+                     restart=min(rhs.size, 300), maxiter=50)
     if info != 0:
         raise ConvergenceError(f"deflated GMRES failed to converge (info={info})")
-    return x, count["n"]
+    return x, count
 
 
 def _gauged_solve(op: _CellOperatorBase, rhs, null: np.ndarray, tol: float | None,

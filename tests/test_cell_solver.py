@@ -1,12 +1,16 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy import sparse
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from kinhom import cell_solver
 from kinhom.cell_solver import (
     DENSE_CELL_BYTES,
     CompatibilityError,
+    ConvergenceError,
     assemble,
     assemble_spectral_ap,
     equilibrium_F,
@@ -358,6 +362,196 @@ def test_adjoint_actions_are_bitwise_the_conjugate_transpose(build):
     assert np.array_equal(op.apply_K_adjoint(f), weighted_adjoint(op.K_mat, f))
     assert np.array_equal(op.apply_O_adjoint(f),
                           weighted_adjoint(op.K_mat, op.apply_A_adjoint_inverse(f)))
+
+
+@pytest.mark.parametrize("speed", [1.5, -0.7, 0.0])
+def test_upwind_matrix_is_built_once_and_read_only(speed):
+    first = cell_solver._upwind_matrix(16, 1.0 / 16, speed)
+    assert cell_solver._upwind_matrix(16, 1.0 / 16, speed) is first
+    for part in ("data", "indices", "indptr"):
+        with pytest.raises(ValueError):
+            getattr(first, part)[:1] = 0
+
+
+# ---------------------------------------------------------------------------
+# GMRES pinned to scipy.sparse.linalg.gmres
+# ---------------------------------------------------------------------------
+
+def _counted(matrix):
+    calls = []
+
+    def matvec(v):
+        calls.append(None)
+        return matrix @ v
+
+    return matvec, calls
+
+
+def _both_gmres(matrix, b, rtol, restart, maxiter):
+    """``(x, info, matvecs)`` of scipy's gmres and of the module's loop."""
+    ref_mv, ref_calls = _counted(matrix)
+    lin = LinearOperator(matrix.shape, matvec=ref_mv, dtype=np.result_type(matrix, b))
+    x_ref, info_ref = gmres(lin, b, rtol=rtol, atol=0.0, restart=restart, maxiter=maxiter)
+    mv, calls = _counted(matrix)
+    x, info = cell_solver._gmres(mv, b, rtol, restart, maxiter)
+    return (x, info, len(calls)), (x_ref, info_ref, len(ref_calls))
+
+
+def _random_system(n, dtype, seed, spread=1.0):
+    rng = np.random.default_rng(seed)
+    matrix = 2.0 * np.eye(n) + spread * rng.standard_normal((n, n)) / np.sqrt(n)
+    b = rng.standard_normal(n)
+    if dtype is complex:
+        matrix = matrix + 0.5j * spread * rng.standard_normal((n, n)) / np.sqrt(n)
+        b = b + 1j * rng.standard_normal(n)
+    return matrix, b
+
+
+def _assert_same(got, want):
+    (x, info, calls), (x_ref, info_ref, calls_ref) = got, want
+    assert x.dtype == x_ref.dtype
+    assert np.array_equal(x, x_ref)
+    assert (info, calls) == (info_ref, calls_ref)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("restart", [3, 5, None], ids=["restart3", "restart5", "restart_n"])
+def test_gmres_is_bitwise_scipy_gmres(dtype, restart):
+    n = 48
+    matrix, b = _random_system(n, dtype, seed=11)
+    got, want = _both_gmres(matrix, b, 1e-12, restart or n, 50)
+    _assert_same(got, want)
+    assert got[1] == 0
+    if restart is not None:
+        assert got[2] > restart + 1  # more than one cycle
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_gmres_solves_a_diagonal_system_in_n_steps(dtype):
+    # n distinct eigenvalues: the Krylov space is exhausted after n steps
+    n = 6
+    matrix = np.diag(np.arange(1.0, n + 1)).astype(dtype)
+    b = np.linspace(1.0, 2.0, n).astype(dtype) * (1 + 0.5j if dtype is complex else 1)
+    got, want = _both_gmres(matrix, b, 1e-12, n, 50)
+    _assert_same(got, want)
+    assert got[1:] == (0, n + 1)  # n inner steps and one true-residual check
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_gmres_breakdown_is_the_exact_solution(dtype):
+    # the cyclic shift maps e_0 -> e_1 -> ... -> e_0: the basis is exact, the
+    # residual stalls at |b| for n - 1 steps, and step n breaks down (h1 = 0)
+    # on the exact solution, even with rtol = 0
+    n = 6
+    matrix = np.roll(np.eye(n), 1, axis=0).astype(dtype)
+    b = np.eye(n, dtype=dtype)[0]
+    got, want = _both_gmres(matrix, b, 0.0, n, 50)
+    _assert_same(got, want)
+    assert got[1:] == (0, n + 1)
+    assert np.array_equal(got[0], np.eye(n, dtype=dtype)[n - 1])
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_gmres_zero_rhs_returns_zero_without_matvecs(dtype):
+    matrix, _ = _random_system(10, dtype, seed=2)
+    got, want = _both_gmres(matrix, np.zeros(10, dtype=dtype), 1e-12, 10, 50)
+    _assert_same(got, want)
+    assert not got[0].any() and got[1:] == (0, 0)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_gmres_not_converging_reports_maxiter(dtype):
+    matrix, b = _random_system(40, dtype, seed=5, spread=3.0)
+    got, want = _both_gmres(matrix, b, 1e-12, 2, 3)
+    _assert_same(got, want)
+    assert got[1] == 3 and got[2] == 3 * (2 + 1)
+
+
+@pytest.mark.parametrize("dtype, seed", [(float, 1), (complex, 2)])
+def test_gmres_restarts_when_the_true_residual_lags_the_inner_one(dtype, seed):
+    # at rtol = 1e-14 these systems meet the inner tolerance before the true
+    # residual meets atol, so the next cycle runs with a tightened ptol
+    matrix, b = _random_system(48, dtype, seed=seed, spread=3.0)
+    got, want = _both_gmres(matrix, b, 1e-14, 48, 50)
+    _assert_same(got, want)
+    assert got[1] == 0
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_gmres_on_a_singular_operator_skips_the_zero_pivot(dtype):
+    # A = 0: the first step breaks down with a zero rotated pivot, which the
+    # back substitution skips; the residual stays |b| and the solve gives up
+    b = np.linspace(1.0, 2.0, 5).astype(dtype)
+    got, want = _both_gmres(np.zeros((5, 5), dtype=dtype), b, 1e-12, 5, 50)
+    _assert_same(got, want)
+    assert not got[0].any() and got[1:] == (50, 2)
+
+
+def test_deflated_gmres_names_info_when_it_fails():
+    rng = np.random.default_rng(7)
+    matrix = np.eye(8) + rng.standard_normal((8, 8))
+    op = SimpleNamespace(dtype=float, inner=lambda f, g: np.sum(np.conj(f) * g))
+    deflate = np.ones(8)
+    rhs = rng.standard_normal(8)
+    with pytest.raises(ConvergenceError, match=r"deflated GMRES failed to converge \(info=50\)"):
+        cell_solver._deflated_gmres(op, lambda v: matrix @ v, rhs, deflate, tol=0.0)
+
+
+def _scipy_deflated_gmres(op, action, rhs, deflate, tol):
+    """The ``scipy.sparse.linalg.gmres`` body the module's loop replaced."""
+    count = {"n": 0}
+
+    def project_out(f):
+        return f - (op.inner(deflate, f) / op.inner(deflate, deflate)) * deflate
+
+    def projected(v):
+        count["n"] += 1
+        return project_out(action(v))
+
+    lin = LinearOperator((rhs.size, rhs.size), matvec=projected, dtype=op.dtype)
+    b = project_out(rhs.astype(op.dtype))
+    x, info = gmres(lin, b, rtol=tol, atol=0.0, restart=min(rhs.size, 300), maxiter=50)
+    if info != 0:
+        raise ConvergenceError(f"deflated GMRES failed to converge (info={info})")
+    return x, count["n"]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: assemble(SINUSOIDAL, 0.3, two_velocity_1d(weights=(1.0, 2.0)), CellGrid((64,))),
+    lambda: assemble(SINUSOIDAL, 0.0, two_velocity_1d(weights=(1.0, 2.0)), CellGrid((33,)),
+                     scheme="spectral"),
+    lambda: assemble_spectral_ap(
+        make_kernel("quasi_periodic", base=1.0, alpha1=0.2, alpha2=0.2), 0.0, VM
+    ),
+], ids=["upwind", "spectral", "spectral_ap"])
+def test_cell_solves_are_bitwise_the_scipy_gmres_solves(build, monkeypatch):
+    op = build()
+    _, F = equilibrium_F(op)
+    g = op.velocity_profile(0)
+    g = g - (op.mean_v(g) / op.mean_v(op.const)) * op.const
+
+    def solves():
+        star = solve_chi_star(op, F)
+        adj = solve_adjoint_corrector(op, -op.velocity_profile(0) + star.b[0] * op.const, F)
+        return star, adj, solve_corrector(op, g)
+
+    loops = []
+    real_gmres = cell_solver._gmres
+    monkeypatch.setattr(cell_solver, "_gmres", lambda *a, **k: loops.append(1) or real_gmres(*a, **k))
+    star, adj, fwd = solves()
+    assert len(loops) == 3  # every solve ran the module's loop
+    monkeypatch.setattr(cell_solver, "_deflated_gmres", _scipy_deflated_gmres)
+    star_ref, adj_ref, fwd_ref = solves()
+    assert len(loops) == 3
+
+    for got, want in zip(star.chi, star_ref.chi):
+        assert np.array_equal(op.unwrap(got), op.unwrap(want))
+    assert (star.residual, star.bound_constant) == (star_ref.residual, star_ref.bound_constant)
+    for got, want in ((adj, adj_ref), (fwd, fwd_ref)):
+        assert np.array_equal(op.unwrap(got.field), op.unwrap(want.field))
+        assert (got.residual, got.bound_constant, got.iterations) == (
+            want.residual, want.bound_constant, want.iterations)
+        assert got.iterations > 0
 
 
 # ---------------------------------------------------------------------------
