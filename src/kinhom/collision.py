@@ -6,7 +6,11 @@ Every built-in kernel is a positive separable product
 
 where ``c`` comes from a small whitelist of macroscopic modulations,
 ``s`` is a microstructure profile (periodic, quasi-periodic, or periodic
-plus a vanishing defect), and ``g`` is a scalar or a node table.
+plus a vanishing defect), and ``g`` is a scalar or a node table.  One
+table builds the periodic or quasi-periodic part of ``s`` as a
+``SpectralAPFn`` that cell samples, frequencies and bounds all read; only
+the kinetic reference's pointwise :meth:`ScatteringKernel.evaluate` adds
+the defect.
 
 The gain/loss operators act on sampled phase-space fields:
 
@@ -38,13 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kinhom.mv_algebra import (
-    AsymptoticPeriodicFn,
-    MeanValueFunction,
-    PeriodicGridFn,
-    RepresentationError,
-    SpectralAPFn,
-)
+from kinhom.mv_algebra import RepresentationError, SpectralAPFn
 from kinhom.phase_space import CellGrid, VelocityMeasure
 
 __all__ = [
@@ -61,8 +59,6 @@ __all__ = [
     "gain_loss",
     "sdb_gap",
 ]
-
-ROOT2 = float(np.sqrt(2.0))
 
 
 class BalanceError(ValueError):
@@ -125,11 +121,10 @@ class ScatteringKernel:
     Use :func:`make_kernel` to construct one of the named families.  The
     kernel itself is velocity-set agnostic: the node factor ``g`` is either
     a scalar or a table whose shape is validated against the velocity set
-    at call time.
+    at call time.  ``profile`` is the periodic or almost-periodic part of
+    ``s`` and ``natural_period`` the smallest cell period that represents it
+    exactly, or ``None``; both come from :meth:`_profile_table`.
     """
-
-    #: profile kinds with an exact finite frequency content
-    _SPECTRAL_KINDS = ("constant", "sinusoidal", "quasi_periodic", "quasi_approx")
 
     def __init__(
         self,
@@ -169,22 +164,14 @@ class ScatteringKernel:
         self.x_dependence = x_dependence
         self.x_amplitude = float(x_amplitude)
         self.dim = int(dim)
-        self._validate_positive()
+        self._validate()
+        self.profile, self.natural_period = self._profile_table()
+        if self._profile_min() <= 0:
+            raise ValueError("profile parameters allow nonpositive rates")
 
-    # -- construction checks -----------------------------------------------
+    # -- construction --------------------------------------------------------
 
-    def _profile_min(self) -> float:
-        if self.kind == "constant":
-            return self.base
-        if self.kind == "sinusoidal":
-            return self.base - abs(self.alpha)
-        if self.kind in ("quasi_periodic", "quasi_approx"):
-            return self.base - abs(self.alpha1) - abs(self.alpha2)
-        if self.kind == "sinusoidal_defect":
-            return self.base - abs(self.alpha) - abs(self.defect_amplitude)
-        raise AssertionError(self.kind)
-
-    def _validate_positive(self) -> None:
+    def _validate(self) -> None:
         if self.kind == "quasi_approx" and (self.q < 1 or self.p < 1):
             raise ValueError("rational approximant needs positive integers p, q")
         if self.table is not None:
@@ -194,10 +181,35 @@ class ScatteringKernel:
                 raise ValueError("node table must be strictly positive")
         elif self.s0 <= 0:
             raise ValueError("scalar node factor must be strictly positive")
-        if self._profile_min() <= 0:
-            raise ValueError("profile parameters allow nonpositive rates")
         if self.x_dependence == "tanh" and abs(self.x_amplitude) >= 1:
             raise ValueError("tanh modulation amplitude must satisfy |beta| < 1")
+
+    def _profile_table(self) -> tuple[SpectralAPFn, float | None]:
+        """``(profile, natural_period)`` of each kind."""
+        w = 2.0 * np.pi
+        const = SpectralAPFn.constant(self.base, self.dim)
+        if self.kind == "constant":
+            return const, 1.0
+        if self.kind == "sinusoidal" and self.dim == 2:
+            # sin(a) sin(b) = (cos(a - b) - cos(a + b)) / 2
+            modes = np.array([[w, w], [-w, -w], [w, -w], [-w, w]])
+            return const + SpectralAPFn(modes, self.alpha / 4 * np.array([-1, -1, 1, 1])), 1.0
+        if self.kind in ("sinusoidal", "sinusoidal_defect"):
+            return const + SpectralAPFn.sine(w, self.alpha), 1.0
+        if self.kind == "quasi_periodic":
+            w2, period = 2.0 * np.sqrt(2.0) * np.pi, None
+        else:  # quasi_approx
+            w2, period = w * self.p / self.q, float(self.q)
+        waves = SpectralAPFn.cosine(w, self.alpha1) + SpectralAPFn.cosine(w2, self.alpha2)
+        return const + waves, period
+
+    def _profile_spread(self) -> float:
+        """Bound on ``|s - M(s)|``: the oscillating amplitudes plus the defect's."""
+        oscillating = np.any(self.profile.freqs != 0.0, axis=1)
+        return float(np.abs(self.profile.coeffs[oscillating]).sum()) + abs(self.defect_amplitude)
+
+    def _profile_min(self) -> float:
+        return self.profile.mean() - self._profile_spread()
 
     # -- factors -------------------------------------------------------------
 
@@ -221,64 +233,17 @@ class ScatteringKernel:
         return float(out[0]) if single_point else out
 
     def profile_values(self, y: np.ndarray) -> np.ndarray:
-        """Closed-form profile ``s`` at arbitrary fast coordinates."""
-        y = np.asarray(y, dtype=float)
-        if self.kind == "constant":
-            shape = y.shape if self.dim == 1 else y.shape[:-1]
-            return np.full(shape, self.base)
-        if self.kind == "sinusoidal":
-            if self.dim == 1:
-                return self.base + self.alpha * np.sin(2.0 * np.pi * y)
-            return self.base + self.alpha * np.sin(2 * np.pi * y[..., 0]) * np.sin(2 * np.pi * y[..., 1])
-        if self.kind == "quasi_periodic":
-            return (
-                self.base
-                + self.alpha1 * np.cos(2.0 * np.pi * y)
-                + self.alpha2 * np.cos(2.0 * ROOT2 * np.pi * y)
-            )
-        if self.kind == "quasi_approx":
-            return (
-                self.base
-                + self.alpha1 * np.cos(2.0 * np.pi * y)
-                + self.alpha2 * np.cos(2.0 * np.pi * (self.p / self.q) * y)
-            )
+        """Profile ``s`` at arbitrary fast coordinates, defect included."""
+        s = self.profile.evaluate(y)
         if self.kind == "sinusoidal_defect":
-            bump = self.defect_amplitude * np.exp(-((y / self.defect_width) ** 2))
-            return self.base + self.alpha * np.sin(2.0 * np.pi * y) + bump
-        raise AssertionError(self.kind)
-
-    @property
-    def natural_period(self) -> float | None:
-        """Smallest cell period that represents the profile exactly, if any."""
-        if self.kind in ("constant", "sinusoidal", "sinusoidal_defect"):
-            return 1.0
-        if self.kind == "quasi_approx":
-            return float(self.q)
-        return None  # genuinely quasi-periodic
+            s = s + self.defect_amplitude * np.exp(-((np.asarray(y) / self.defect_width) ** 2))
+        return s
 
     def profile_frequencies(self) -> tuple[np.ndarray, np.ndarray]:
-        """Exact frequency content ``(freqs, coeffs)`` of the profile."""
-        if self.kind not in self._SPECTRAL_KINDS:
-            raise RepresentationError(f"{self.kind} profile has no finite spectrum")
-        if self.kind == "constant":
-            return np.array([0.0]), np.array([self.base + 0j])
-        if self.kind == "sinusoidal":
-            if self.dim != 1:
-                raise RepresentationError("spectral profile factor is one-dimensional")
-            w = 2.0 * np.pi
-            return (
-                np.array([0.0, w, -w]),
-                np.array([self.base, self.alpha / 2j, -self.alpha / 2j], dtype=complex),
-            )
-        w2 = 2.0 * ROOT2 * np.pi if self.kind == "quasi_periodic" else 2.0 * np.pi * self.p / self.q
-        w1 = 2.0 * np.pi
-        return (
-            np.array([0.0, w1, -w1, w2, -w2]),
-            np.array(
-                [self.base, self.alpha1 / 2, self.alpha1 / 2, self.alpha2 / 2, self.alpha2 / 2],
-                dtype=complex,
-            ),
-        )
+        """Exact frequency content ``(freqs, coeffs)`` of the 1-D ``profile``."""
+        if self.profile.dim != 1:
+            raise RepresentationError("spectral profile factor is one-dimensional")
+        return self.profile.freqs[:, 0], self.profile.coeffs
 
     def node_matrix(self, vm: VelocityMeasure) -> np.ndarray:
         """The ``(K, K)`` node factor ``g`` resolved against a velocity set."""
@@ -292,20 +257,26 @@ class ScatteringKernel:
 
     # -- sampling -------------------------------------------------------------
 
+    def _rates(self, x, s: np.ndarray, vm: VelocityMeasure) -> np.ndarray:
+        """``c(x) s g``, shape ``(*s.shape, K, K)``."""
+        out = np.multiply.outer(s, self.node_matrix(vm))
+        c = self.x_factor(x)
+        return np.asarray(c)[..., None, None] * out if np.ndim(c) else float(c) * out
+
     def evaluate(self, x, y: np.ndarray, vm: VelocityMeasure) -> np.ndarray:
         """Pointwise rates ``sigma(x, y, v_k, v_l)``, shape ``(*y, K, K)``.
 
-        Index ``k`` is the first velocity slot, ``l`` the second.  This is
-        the closed form used by the kinetic reference along ``y = x/eps``.
+        Index ``k`` is the first velocity slot, ``l`` the second.  The
+        kinetic reference evaluates this along ``y = x/eps``, defect included.
         """
-        s = self.profile_values(y)
-        g = self.node_matrix(vm)
-        c = self.x_factor(x)
-        out = np.multiply.outer(s, g)
-        return np.asarray(c)[..., None, None] * out if np.ndim(c) else float(c) * out
+        return self._rates(x, self.profile_values(y), vm)
 
     def sample_cell(self, x, grid: CellGrid, vm: VelocityMeasure) -> np.ndarray:
-        """Rates on a full cell grid, shape ``(*grid.shape, K, K)``."""
+        """Rates on a full cell grid, shape ``(*grid.shape, K, K)``.
+
+        The cell samples ``profile`` only: a vanishing defect leaves the
+        homogenized coefficients unchanged, so no cell copies it.
+        """
         period = self.natural_period
         if period is None:
             raise RepresentationError(
@@ -321,54 +292,14 @@ class ScatteringKernel:
                 f"grid has {grid.dim}"
             )
         pts = grid.points()
-        y = pts[:, 0] if grid.dim == 1 else pts
-        vals = self.evaluate(x, y, vm)
+        vals = self._rates(x, self.profile.evaluate(pts[:, 0] if grid.dim == 1 else pts), vm)
         return vals.reshape(*grid.shape, vm.n_nodes, vm.n_nodes)
-
-    def mv_function(self, x, k: int, l: int, grid: CellGrid | None = None) -> MeanValueFunction:
-        """The profile of ``sigma(x, . , v_k, v_l)`` as a mean-value function."""
-        c = float(np.asarray(self.x_factor(x)))
-        amp = c * float(self.node_matrix_entry(k, l))
-        if grid is not None:
-            if self.kind == "sinusoidal_defect":
-                per = PeriodicGridFn.from_callable(
-                    lambda yy: self.base + self.alpha * np.sin(2 * np.pi * yy),
-                    grid.shape, dim=1, period=grid.period,
-                ) * amp
-                half = 8.0 * self.defect_width
-                axis = np.linspace(-half, half, 1024)
-                bump = amp * self.defect_amplitude * np.exp(-((axis / self.defect_width) ** 2))
-                return AsymptoticPeriodicFn(per, axis, bump)
-            if grid.dim == 1:
-                prof = PeriodicGridFn.from_callable(
-                    self.profile_values, grid.shape, dim=1, period=grid.period
-                )
-            else:
-                prof = PeriodicGridFn.from_callable(
-                    lambda y1, y2: self.profile_values(np.stack([y1, y2], axis=-1)),
-                    grid.shape, dim=2, period=grid.period,
-                )
-            return prof * amp
-        freqs, coeffs = self.profile_frequencies()
-        return SpectralAPFn(freqs, coeffs * amp)
-
-    def node_matrix_entry(self, k: int, l: int) -> float:
-        if self.table is None:
-            return self.s0
-        return float(self.table[k, l])
 
     def sup_bound(self) -> float:
         """A sup bound for the rate over all arguments."""
         g_max = self.s0 if self.table is None else float(self.table.max())
-        s_max = {
-            "constant": self.base,
-            "sinusoidal": self.base + abs(self.alpha),
-            "quasi_periodic": self.base + abs(self.alpha1) + abs(self.alpha2),
-            "quasi_approx": self.base + abs(self.alpha1) + abs(self.alpha2),
-            "sinusoidal_defect": self.base + abs(self.alpha) + abs(self.defect_amplitude),
-        }[self.kind]
         c_max = 1.0 + abs(self.x_amplitude)
-        return c_max * s_max * g_max
+        return c_max * (self.profile.mean() + self._profile_spread()) * g_max
 
     def __repr__(self) -> str:
         return f"ScatteringKernel(kind={self.kind!r}, x_dependence={self.x_dependence!r})"

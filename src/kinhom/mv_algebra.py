@@ -304,9 +304,15 @@ class SpectralAPFn:
         if freqs.shape[0] != coeffs.shape[0]:
             raise RepresentationError("freqs and coeffs lengths differ")
 
+        # Merge by rounded key, but store each key's first exact frequency:
+        # the key itself is off by up to FREQ_TOL / 2, which a phase
+        # ``lam * y`` grows with ``y``.
         merged: dict[tuple[float, ...], complex] = {}
+        exact: dict[tuple[float, ...], np.ndarray] = {}
         for lam, c in zip(freqs, coeffs):
-            merged[_canonical_freq_key(lam)] = merged.get(_canonical_freq_key(lam), 0j) + c
+            key = _canonical_freq_key(lam)
+            merged[key] = merged.get(key, 0j) + c
+            exact.setdefault(key, lam)
         # Hermitian symmetrization: pair lam with -lam.
         sym: dict[tuple[float, ...], complex] = {}
         for key, c in merged.items():
@@ -314,8 +320,9 @@ class SpectralAPFn:
             cm = merged.get(mirror, 0j)
             sym[key] = 0.5 * (c + np.conj(cm))
             sym[mirror] = 0.5 * (cm + np.conj(c))
+            exact.setdefault(mirror, 0.0 - exact[key])
         keys = sorted(sym.keys())
-        self.freqs = np.array(keys, dtype=float).reshape(len(keys), freqs.shape[1])
+        self.freqs = np.array([exact[k] for k in keys]).reshape(len(keys), freqs.shape[1])
         self.coeffs = np.array([sym[k] for k in keys], dtype=complex)
         self.truncation: TruncationReport | None = None
 
@@ -393,10 +400,11 @@ class SpectralAPFn:
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
+        # real phase first: complex points would make the product a complex matmul
         if self.dim == 1:
-            phases = np.exp(1j * np.atleast_1d(pts)[:, None] * self.freqs[:, 0][None, :])
+            phases = np.exp(1j * (np.atleast_1d(pts)[:, None] * self.freqs[:, 0][None, :]))
         else:
-            phases = np.exp(1j * pts.reshape(-1, self.dim) @ self.freqs.T)
+            phases = np.exp(1j * (pts.reshape(-1, self.dim) @ self.freqs.T))
         vals = (phases @ self.coeffs).real
         return vals.reshape(np.shape(pts) if self.dim == 1 else np.shape(pts)[:-1])
 

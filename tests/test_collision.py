@@ -13,6 +13,7 @@ from kinhom.collision import (
     make_kernel,
 )
 from kinhom.cell_solver import assemble, assemble_spectral_ap
+from kinhom.effective import solve_cell
 from kinhom.harness import StageError, parse_config, run_pipeline
 from kinhom.kinetic_ref import KineticSolver
 from kinhom.phase_space import CellGrid, MacroGrid, two_velocity_1d, velocity_from_tables
@@ -119,15 +120,71 @@ def test_gain_bounded_by_kernel_sup():
         assert np.all(np.abs(Kf.values) <= bound[:, None] + 1e-12)
 
 
-def test_sinusoidal_profile_and_frequencies():
-    kernel = make_kernel("sinusoidal", base=1.0, alpha=0.5)
-    y = np.linspace(0, 1, 33)
-    assert np.allclose(kernel.profile_values(y), 1.0 + 0.5 * np.sin(2 * np.pi * y))
-    freqs, coeffs = kernel.profile_frequencies()
-    # reconstruct the profile from its frequency content
-    recon = np.real(np.exp(1j * np.outer(y, freqs)) @ coeffs)
-    assert np.allclose(recon, kernel.profile_values(y), atol=1e-14)
-    assert kernel.natural_period == 1.0
+TWO_PI = 2 * np.pi
+
+# kind -> (make_kernel arguments, closed form of s, old _profile_min,
+# old sup of s, natural period)
+PROFILE_TABLE = {
+    "constant": (
+        dict(kind="constant"),
+        lambda y: np.full(y.shape, 1.0), 1.0, 1.0, 1.0,
+    ),
+    "constant_2d": (
+        dict(kind="constant", dim=2),
+        lambda y: np.full(y.shape[:-1], 1.0), 1.0, 1.0, 1.0,
+    ),
+    "sinusoidal": (
+        dict(kind="sinusoidal", base=1.0, alpha=0.5),
+        lambda y: 1.0 + 0.5 * np.sin(TWO_PI * y), 1.0 - 0.5, 1.0 + 0.5, 1.0,
+    ),
+    "sinusoidal_2d": (
+        dict(kind="sinusoidal", base=1.2, alpha=-0.5, dim=2),
+        lambda y: 1.2 - 0.5 * np.sin(TWO_PI * y[..., 0]) * np.sin(TWO_PI * y[..., 1]),
+        1.2 - 0.5, 1.2 + 0.5, 1.0,
+    ),
+    "quasi_periodic": (
+        dict(kind="quasi_periodic", base=1.0, alpha1=0.2, alpha2=-0.3),
+        lambda y: 1.0 + 0.2 * np.cos(TWO_PI * y) - 0.3 * np.cos(2 * np.sqrt(2) * np.pi * y),
+        1.0 - 0.2 - 0.3, 1.0 + 0.2 + 0.3, None,
+    ),
+    "quasi_approx": (
+        dict(kind="quasi_approx", base=1.0, alpha1=0.2, alpha2=0.3, p=239, q=169),
+        lambda y: 1.0 + 0.2 * np.cos(TWO_PI * y) + 0.3 * np.cos(TWO_PI * (239 / 169) * y),
+        1.0 - 0.2 - 0.3, 1.0 + 0.2 + 0.3, 169.0,
+    ),
+    "sinusoidal_defect": (
+        dict(kind="sinusoidal_defect", base=1.0, alpha=0.25,
+             defect_amplitude=-0.5, defect_width=0.25),
+        lambda y: 1.0 + 0.25 * np.sin(TWO_PI * y) - 0.5 * np.exp(-((y / 0.25) ** 2)),
+        1.0 - 0.25 - 0.5, 1.0 + 0.25 + 0.5, 1.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PROFILE_TABLE)
+def test_sinusoidal_profile_and_frequencies(name):
+    params, closed_form, s_min, s_max, period = PROFILE_TABLE[name]
+    params = dict(params, s0=2.0, x_dependence="tanh", x_amplitude=0.25)
+    kernel = make_kernel(**params)
+    base = params.get("base", 1.0)
+    rng = np.random.default_rng(7)
+    if kernel.dim == 1:
+        y = np.concatenate([np.linspace(-3.0, 3.0, 601), rng.uniform(-1e3, 1e3, 2000)])
+    else:
+        y = np.concatenate([rng.uniform(-3.0, 3.0, (600, 2)), rng.uniform(-1e3, 1e3, (2000, 2))])
+    assert np.abs(kernel.profile_values(y) - closed_form(y)).max() <= 1e-12
+    assert kernel.profile.mean() == base
+    assert abs(kernel._profile_min() - s_min) <= 1e-15
+    assert abs(kernel.sup_bound() - 1.25 * s_max * 2.0) <= 1e-15
+    assert kernel.natural_period == period
+    if kernel.dim == 1:
+        # the frequency content is the profile without the defect
+        freqs, coeffs = kernel.profile_frequencies()
+        recon = np.real(np.exp(1j * np.outer(y, freqs)) @ coeffs)
+        assert np.allclose(recon, kernel.profile.evaluate(y), rtol=0, atol=1e-12)
+    else:
+        with pytest.raises(RepresentationError):
+            kernel.profile_frequencies()
 
 
 def test_quasi_periodic_has_no_period_and_refuses_cell_sampling():
@@ -157,6 +214,9 @@ def test_positivity_guard():
         make_kernel("sinusoidal", base=1.0, alpha=1.5)  # profile dips negative
     with pytest.raises(ValueError):
         make_kernel("table", table=np.array([[1.0, -0.1], [0.5, 1.0]]))
+    # checked before the profile is built, which would divide by q
+    with pytest.raises(ValueError, match="positive integers p, q"):
+        make_kernel("quasi_approx", base=1.0, alpha1=0.2, alpha2=0.2, p=1, q=0)
 
 
 def test_tanh_macro_modulation():
@@ -190,3 +250,19 @@ def test_defect_kernel_profile():
     far = kernel.profile_values(np.array([500.0]))[0]
     assert abs(near - (1.0 + 0.5)) < 1e-12
     assert abs(far - (1.0 + 0.25 * np.sin(2 * np.pi * 500.0))) < 1e-9
+
+
+def test_defect_is_invisible_to_the_grid_cell():
+    # a localized defect on a periodic background homogenizes to the
+    # background (Blanc, Le Bris & Lions 2012): the cell samples only the
+    # background, while the kinetic reference keeps the bump
+    vm = two_velocity_1d()
+    grid = CellGrid((128,))
+    defect = make_kernel("sinusoidal_defect", base=1.0, alpha=0.25,
+                         defect_amplitude=0.5, defect_width=0.25)
+    background = make_kernel("sinusoidal", base=1.0, alpha=0.25)
+    assert np.array_equal(defect.sample_cell(0.0, grid, vm),
+                          background.sample_cell(0.0, grid, vm))
+    D = [solve_cell(k, 0.0, vm, grid=grid, scheme="upwind").D for k in (defect, background)]
+    assert np.array_equal(D[0], D[1])
+    assert abs(defect.evaluate(0.0, np.zeros(1), vm)[0, 0, 0] - 1.5) < 1e-15

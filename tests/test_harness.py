@@ -316,6 +316,37 @@ def test_pipeline_with_kinetic_produces_sweep_and_sigma_rows():
     assert "sweep_min_ratio" in report.summary
 
 
+DEFECT = """\
+[scenario]
+name = defect
+
+[sigma]
+family = sinusoidal_defect
+alpha = 0.25
+defect_amplitude = 0.5
+
+[initial]
+width = 0.3
+
+[macro]
+n = 256
+t = 0.2
+
+[kinetic]
+epsilons = 0.2, 0.1, 0.05
+scheme = shift
+collision = exact
+"""
+
+
+def test_defect_sweep_error_falls_with_eps():
+    # the macro model homogenizes the background and the kinetic reference
+    # sees one defect at the origin: both target the same limit, so the
+    # sweep error keeps falling instead of settling on a gap
+    errs = [row.err for row in run_pipeline(parse_config(DEFECT)).sweep.rows]
+    assert errs[0] > errs[1] > errs[2]
+
+
 def test_emitted_tables_and_determinism(tmp_path):
     cfg = parse_config(KINETIC)
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"

@@ -172,3 +172,26 @@ def test_spectral_product_truncation_reports_dropped_weight():
     assert prod.truncation is not None
     assert prod.truncation.dropped_modes > 0
     assert prod.truncation.dropped_l2 > 0
+
+
+@pytest.mark.parametrize("w", [2 * np.pi, 2 * RT2 * np.pi, 2 * np.pi * 239 / 169])
+def test_spectral_frequencies_are_stored_exactly(w):
+    # merging by a rounded key must not round the stored frequency: the
+    # phase error grows with y
+    u = SpectralAPFn.cosine(w, 0.2)
+    assert sorted(u.freqs[:, 0].tolist()) == [-w, w]
+    y = np.array([1000.0])
+    assert abs(u.evaluate(y)[0] - 0.2 * np.cos(w * y[0])) < 1e-12
+    # a mirror the input lacks is the exact negative
+    v = SpectralAPFn(np.array([w]), np.array([0.1 + 0j]))
+    assert sorted(v.freqs[:, 0].tolist()) == [-w, w]
+
+
+def test_spectral_evaluate_in_two_dimensions():
+    w = 2 * np.pi
+    freqs = np.array([[0.0, 0.0], [w, w], [-w, -w], [w, -w], [-w, w]])
+    u = SpectralAPFn(freqs, np.array([1.0, -0.125, -0.125, 0.125, 0.125], dtype=complex))
+    pts = np.random.default_rng(0).uniform(-3.0, 3.0, (4, 5, 2))
+    expect = 1.0 + 0.5 * np.sin(w * pts[..., 0]) * np.sin(w * pts[..., 1])
+    assert u.evaluate(pts).shape == (4, 5)
+    assert np.allclose(u.evaluate(pts), expect, rtol=0, atol=1e-14)

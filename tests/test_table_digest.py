@@ -52,3 +52,25 @@ def test_without_column_drops_the_runtime(digest):
     assert digest._without_column(text, "runtime_s") == (
         "eps,err,ratio\n0.1,1e-3,2.0\n0.05,5e-4,2.0\n"
     )
+
+
+def test_largest_difference_names_its_workload_table_and_column(digest):
+    old = {
+        ("a", "macro.csv"): "x,rho\n0.0,1.0\n0.5,4.0\n",
+        ("a", "summary.txt"): "err = 1e-3\nscheme = shift\n",
+        ("b", "sweep.csv"): "eps,err\n0.1,2e-3\n",
+        ("b", "config.ini"): "[scenario]\nname = b\n",
+    }
+    new = dict(old)
+    new[("a", "macro.csv")] = "x,rho\n0.0,1.0000000000000002\n0.5,4.0\n"
+    new[("a", "summary.txt")] = "err = 1.5e-3\nscheme = upwind\n"
+    new[("b", "config.ini")] = "[scenario]\nname = c\n"
+    assert digest.largest_difference(new, old) == (
+        "largest numeric difference: 5.000e-04 in a summary.txt column err"
+    )
+    assert digest.largest_difference(old, old) == (
+        "largest numeric difference: 0.000e+00 in a macro.csv column x"
+    )
+    assert digest.largest_difference({}, old) == (
+        "largest numeric difference: no numeric column on both sides"
+    )

@@ -15,7 +15,9 @@ then ends in ``same`` or ``differs``; under a table that differs, one
 indented line per numeric column (per key of ``summary.txt``) gives the
 largest absolute difference, and that difference over the largest
 magnitude of the column at ``--root`` (the relative difference), so a
-change that moves a table at roundoff shows as such.
+change that moves a table at roundoff shows as such.  The last line gives
+the largest absolute difference over every numeric column of every table,
+with its workload, table and column: one bound for the whole comparison.
 Values that do not parse as numbers, rows or keys present on one side only,
 and a ``config.ini`` that differs are named as such.
 
@@ -103,9 +105,17 @@ def _numbers(values: list[str]) -> list[float] | None:
         return None
 
 
+def _max_abs_diff(a: list[float], b: list[float]) -> float:
+    return max((abs(x - y) for x, y in zip(a, b)), default=0.0)
+
+
+def _is_numeric_table(table: str) -> bool:
+    return table.endswith((".csv", "summary.txt"))
+
+
 def compare(table: str, new: str, old: str) -> list[str]:
     """One line per column (or summary key) of two versions of a table."""
-    if not table.endswith((".csv", "summary.txt")):
+    if not _is_numeric_table(table):
         return ["text differs (not a numeric table)"]
     new_cols, old_cols = _columns(table, new), _columns(table, old)
     lines = []
@@ -121,11 +131,36 @@ def compare(table: str, new: str, old: str) -> list[str]:
         elif len(a) != len(b):
             lines.append(f"{name}: {len(a)} values, --root has {len(b)}")
         else:
-            diff = max((abs(x - y) for x, y in zip(a, b)), default=0.0)
+            diff = _max_abs_diff(a, b)
             scale = max((abs(y) for y in b), default=0.0)
             rel = diff / scale if scale else (0.0 if diff == 0 else math.inf)
             lines.append(f"{name}: max abs diff {diff:.3e}, max rel diff {rel:.3e}")
     return lines
+
+
+def largest_difference(new: dict, old: dict) -> str:
+    """The largest absolute difference over the numeric columns both sides share.
+
+    ``new`` and ``old`` map ``(workload, table)`` to table text; columns
+    whose values do not all parse as numbers, or whose lengths differ, are
+    left out (``compare`` names them).
+    """
+    best = None
+    for key in sorted(set(new) & set(old)):
+        if not _is_numeric_table(key[1]):
+            continue
+        new_cols, old_cols = _columns(key[1], new[key]), _columns(key[1], old[key])
+        for name in (c for c in old_cols if c in new_cols):
+            a, b = _numbers(new_cols[name]), _numbers(old_cols[name])
+            if a is None or b is None or len(a) != len(b):
+                continue
+            diff = _max_abs_diff(a, b)
+            if best is None or diff > best[0]:
+                best = (diff, *key, name)
+    if best is None:
+        return "largest numeric difference: no numeric column on both sides"
+    diff, workload, table, column = best
+    return f"largest numeric difference: {diff:.3e} in {workload} {table} column {column}"
 
 
 def main(argv=None) -> int:
@@ -155,6 +190,8 @@ def main(argv=None) -> int:
                 print(f"    {detail}")
     for name, table in sorted(set(old or {}) - set(new)):
         print(f"{name} {table} only in --root")
+    if old is not None:
+        print(largest_difference(new, old))
     return 0
 
 
