@@ -8,17 +8,7 @@ cross-validates the whole chain against a direct kinetic reference solver
 at finite scale separation.
 """
 
-from kinhom.mv_algebra import (
-    AsymptoticPeriodicFn,
-    PeriodicGridFn,
-    RepresentationError,
-    SpectralAPFn,
-    besicovitch_seminorm,
-    grad_y,
-    mean_of_product,
-    mean_value,
-    translate,
-)
+from kinhom.mv_algebra import PeriodicGridFn, RepresentationError, SpectralAPFn
 from kinhom.phase_space import CellGrid, MacroGrid, VelocityMeasure
 from kinhom.collision import (
     BalanceError,
@@ -67,15 +57,9 @@ from kinhom.harness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticPeriodicFn",
     "PeriodicGridFn",
     "SpectralAPFn",
     "RepresentationError",
-    "besicovitch_seminorm",
-    "grad_y",
-    "mean_of_product",
-    "mean_value",
-    "translate",
     "CellGrid",
     "MacroGrid",
     "VelocityMeasure",

@@ -383,6 +383,17 @@ def _validate_consistency(cfg: ScenarioConfig) -> None:
         )
     if cfg.sigma["family"] == "table" and not cfg.sigma["table"].strip():
         raise ConfigError("key `sigma.table`: required for the table family")
+    if cfg.cell["n_modes"] < 1:
+        raise ConfigError("key `cell.n_modes`: must be at least 1")
+    if not cfg.initial["width"] > 0:
+        raise ConfigError("key `initial.width`: must be positive")
+    if cfg.kinetic is not None:
+        # tables and summary keys are labelled by `%g` of eps
+        labels = [f"{eps:g}" for eps in cfg.kinetic["epsilons"]]
+        if len(set(labels)) < len(labels):
+            raise ConfigError(
+                f"key `kinetic.epsilons`: labels {', '.join(labels)} repeat under %g"
+            )
 
 
 def dump_config(cfg: ScenarioConfig) -> str:

@@ -102,6 +102,29 @@ def test_consistency_validation():
         parse_config("[sigma]\nfamily = table\n")
 
 
+@pytest.mark.parametrize("width", ["0", "-0.1", "nan"])
+def test_nonpositive_initial_width_is_refused(width):
+    # a zero width gives a NaN density that no pipeline stage would catch
+    with pytest.raises(ConfigError, match=re.escape("key `initial.width`")):
+        parse_config(MINIMAL.replace("width = 0.3", f"width = {width}"))
+
+
+@pytest.mark.parametrize("epsilons", ["0.2, 0.2", "0.1, 0.1000001", "0.4, 0.2, 0.4"])
+def test_epsilons_colliding_under_g_are_refused(epsilons):
+    # colliding labels would overwrite each other's tables and summary keys
+    with pytest.raises(ConfigError, match=re.escape("key `kinetic.epsilons`")):
+        parse_config(MINIMAL + f"[kinetic]\nepsilons = {epsilons}\n")
+    parse_config(MINIMAL + "[kinetic]\nepsilons = 0.1, 0.10001\n")
+
+
+@pytest.mark.parametrize("n_modes", ["0", "-1"])
+def test_empty_frequency_lattice_is_refused(n_modes):
+    # the lattice keeps modes -n_modes..n_modes: below 1 it resolves no
+    # oscillation, below 0 it is empty
+    with pytest.raises(ConfigError, match=re.escape("key `cell.n_modes`")):
+        parse_config(f"[cell]\nbackend = spectral_ap\nn_modes = {n_modes}\n")
+
+
 def test_pipeline_without_kinetic_section():
     report = run_pipeline(parse_config(MINIMAL))
     assert abs(report.lam - 1.0) < 1e-10
