@@ -14,8 +14,6 @@ from kinhom.collision import (
     BalanceError,
     PhaseField,
     ScatteringKernel,
-    absorption_rate,
-    apply_K,
     apply_Q,
     apply_Q_star,
     check_sdb,
@@ -37,18 +35,15 @@ from kinhom.effective import (
     EffectiveCoefficients,
     EllipticityError,
     assemble_effective,
-    check_vfc,
     diffusion_matrix,
-    drift_vector,
 )
-from kinhom.macro_solver import DriftDiffusionSolver, MacroField, initial_density
+from kinhom.macro_solver import DriftDiffusionSolver, MacroField
 from kinhom.kinetic_ref import KineticSolver, KineticState, StabilityError
 from kinhom.harness import (
     ConfigError,
     ScenarioConfig,
     dump_config,
     emit_tables,
-    epsilon_sweep,
     parse_config,
     run_pipeline,
     sigma_test,
@@ -66,8 +61,6 @@ __all__ = [
     "BalanceError",
     "PhaseField",
     "ScatteringKernel",
-    "absorption_rate",
-    "apply_K",
     "apply_Q",
     "apply_Q_star",
     "check_sdb",
@@ -85,12 +78,9 @@ __all__ = [
     "EffectiveCoefficients",
     "EllipticityError",
     "assemble_effective",
-    "check_vfc",
     "diffusion_matrix",
-    "drift_vector",
     "DriftDiffusionSolver",
     "MacroField",
-    "initial_density",
     "KineticSolver",
     "KineticState",
     "StabilityError",
@@ -98,7 +88,6 @@ __all__ = [
     "ScenarioConfig",
     "dump_config",
     "emit_tables",
-    "epsilon_sweep",
     "parse_config",
     "run_pipeline",
     "sigma_test",

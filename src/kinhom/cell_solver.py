@@ -259,10 +259,10 @@ class _CellOperatorBase:
 
     # -- diagnostics -----------------------------------------------------------
 
-    def dense_P(self, max_size: int = 6000) -> np.ndarray:
+    def dense_P(self) -> np.ndarray:
         n = self.P.shape[0]
-        if n > max_size:
-            raise ValueError(f"dense dump limited to {max_size} rows, operator has {n}")
+        if n > 6000:
+            raise ValueError(f"dense dump limited to 6000 rows, operator has {n}")
         return self.P.toarray() if sparse.issparse(self.P) else np.array(self.P)
 
 
@@ -454,7 +454,6 @@ class SpectralCellOperator(_CellOperatorBase):
         self.kernel = kernel
         self.x = x
         self.vm = vm
-        self.generators = gens
         self.dtype = complex
 
         # integer-coordinate lattice
@@ -469,7 +468,6 @@ class SpectralCellOperator(_CellOperatorBase):
             aa, bb = np.meshgrid(np.arange(-m, m + 1), np.arange(-m, m + 1), indexing="ij")
             coords = np.stack([aa.ravel(), bb.ravel()], axis=1)
             lattice = coords[:, 0] * gens[0] + coords[:, 1] * gens[1]
-        self.coords = coords
         self.lattice = lattice.astype(float)
         n_lat = coords.shape[0]
         self.n_lattice = n_lat
@@ -542,9 +540,9 @@ class SpectralCellOperator(_CellOperatorBase):
         gc = np.asarray(g, dtype=complex).reshape(self.n_lattice, self.vm.n_nodes)
         return np.sum(fc * np.conj(gc), axis=0).real
 
-    def values(self, flat: np.ndarray, n_samples: int = 2048) -> np.ndarray:
+    def values(self, flat: np.ndarray) -> np.ndarray:
         """Real space samples for positivity diagnostics."""
-        y = np.linspace(0.0, 64.0, n_samples, endpoint=False)
+        y = np.linspace(0.0, 64.0, 2048, endpoint=False)
         return self.wrap(flat).sample(y).reshape(-1)
 
 
@@ -562,14 +560,13 @@ def assemble_spectral_ap(kernel: ScatteringKernel, x, vm: VelocityMeasure,
 # ---------------------------------------------------------------------------
 
 
-def equilibrium_F(op: _CellOperatorBase, tol_eig: float = 1e-12,
-                  max_iter: int = 100_000, tol_lambda: float = 1e-8):
+def equilibrium_F(op: _CellOperatorBase):
     """Principal eigenpair of the gain-relaxation map; normalized equilibrium.
 
-    Power iteration on ``O = K A^{-1}``; the Rayleigh quotient must land on
-    1 within ``tol_lambda`` (anything else signals kernel/quadrature
-    inconsistency).  The returned field satisfies ``int M(F) dmu = 1`` and
-    is strictly positive.
+    Power iteration on ``O = K A^{-1}`` until the Rayleigh quotient moves
+    by at most 1e-12, within 100000 iterations; it must land on 1 within
+    1e-8 (anything else signals kernel/quadrature inconsistency).  The
+    returned field satisfies ``int M(F) dmu = 1`` and is strictly positive.
 
     Returns
     -------
@@ -580,24 +577,24 @@ def equilibrium_F(op: _CellOperatorBase, tol_eig: float = 1e-12,
     h = h / op.norm(h)
     lam_prev = np.inf
     lam = 0.0
-    for _ in range(int(max_iter)):
+    for _ in range(100_000):
         oh = op.apply_O(h)
         lam = float(np.real(op.inner(h, oh))) / float(np.real(op.inner(h, h)))
         nrm = op.norm(oh)
         if nrm == 0.0:
             raise ConvergenceError("gain-relaxation map annihilated the iterate")
         h = oh / nrm
-        if abs(lam - lam_prev) <= tol_eig:
+        if abs(lam - lam_prev) <= 1e-12:
             break
         lam_prev = lam
     else:
         raise ConvergenceError(
-            f"power iteration did not converge in {max_iter} iterations "
+            "power iteration did not converge in 100000 iterations "
             f"(last increment {abs(lam - lam_prev):.3e})"
         )
-    if abs(lam - 1.0) > tol_lambda:
+    if abs(lam - 1.0) > 1e-8:
         raise ConvergenceError(
-            f"principal eigenvalue {lam!r} deviates from 1 beyond {tol_lambda:.1e}; "
+            f"principal eigenvalue {lam!r} deviates from 1 beyond 1.0e-08; "
             "kernel and quadrature are inconsistent"
         )
     F = op.hermitize(op.apply_A_inverse(h))
@@ -755,12 +752,12 @@ def _deflated_gmres(op: _CellOperatorBase, action, rhs: np.ndarray,
 
 
 def _gauged_solve(op: _CellOperatorBase, rhs, null: np.ndarray, tol: float | None,
-                  compat_tol: float, *, adjoint: bool, null_scale: float) -> CorrectorSolution:
+                  *, adjoint: bool, null_scale: float) -> CorrectorSolution:
     """Shared body of the forward and adjoint corrector solves.
 
     ``null`` spans the cokernel of the operator being inverted: the
     constant for ``P``, the equilibrium for ``P*``.  Checks compatibility
-    ``<null, rhs> = 0`` against ``compat_tol * max(1, null_scale ||rhs||)``,
+    ``<null, rhs> = 0`` against ``1e-10 * max(1, null_scale ||rhs||)``,
     solves the rewritten fixed-point system by deflated GMRES, maps back
     through ``A^{-1}`` (or its adjoint), gauges the result to zero mean,
     and gates on a relative residual of 1e-9.
@@ -769,7 +766,7 @@ def _gauged_solve(op: _CellOperatorBase, rhs, null: np.ndarray, tol: float | Non
     rhs_norm = op.norm(rhs_flat)
     compat = float(np.real(op.inner(null, rhs_flat)))
     kind = "adjoint " if adjoint else ""
-    if abs(compat) > compat_tol * max(1.0, null_scale * rhs_norm):
+    if abs(compat) > 1e-10 * max(1.0, null_scale * rhs_norm):
         pairing = "rhs F" if adjoint else "g"
         raise CompatibilityError(
             f"int M({pairing}) dmu = {compat:.3e} violates the {kind}solvability condition"
@@ -789,26 +786,24 @@ def _gauged_solve(op: _CellOperatorBase, rhs, null: np.ndarray, tol: float | Non
                              bound_constant=constant, iterations=n_iter)
 
 
-def solve_corrector(op: _CellOperatorBase, g, tol: float | None = None,
-                    compat_tol: float = 1e-10) -> CorrectorSolution:
+def solve_corrector(op: _CellOperatorBase, g, tol: float | None = None) -> CorrectorSolution:
     """Solve ``P f = g`` for the unique zero-mean corrector.
 
     Requires the compatibility condition ``int M(g) dmu = 0``; solves the
     rewritten system ``(I - O) h = g`` by deflated GMRES, maps back through
     ``f = A^{-1} h``, and gauges the result to ``int M(f) dmu = 0``.
     """
-    return _gauged_solve(op, g, op.const, tol, compat_tol, adjoint=False, null_scale=1.0)
+    return _gauged_solve(op, g, op.const, tol, adjoint=False, null_scale=1.0)
 
 
-def solve_adjoint_corrector(op: _CellOperatorBase, rhs, F, tol: float | None = None,
-                            compat_tol: float = 1e-10) -> CorrectorSolution:
+def solve_adjoint_corrector(op: _CellOperatorBase, rhs, F, tol: float | None = None) -> CorrectorSolution:
     """Solve ``P* phi = rhs`` (adjoint cell problem) with zero-mean gauge.
 
     The solvability condition is ``int M(rhs * F) dmu = 0`` with ``F`` the
     equilibrium spanning ``ker P``.
     """
     F_flat = op.unwrap(F).astype(op.dtype)
-    return _gauged_solve(op, rhs, F_flat, tol, compat_tol, adjoint=True, null_scale=op.norm(F_flat))
+    return _gauged_solve(op, rhs, F_flat, tol, adjoint=True, null_scale=op.norm(F_flat))
 
 
 @dataclass(frozen=True)
@@ -852,11 +847,11 @@ def solve_chi_star(op: _CellOperatorBase, F, tol: float | None = None) -> ChiSta
     return ChiStarSolution(chi=chi, b=b, residual=worst_res, bound_constant=worst_const)
 
 
-def verify_variational(op: _CellOperatorBase, F, n_fields: int = 8, seed: int = 0) -> float:
+def verify_variational(op: _CellOperatorBase, F, seed: int = 0) -> float:
     """Weak-form residual of the equilibrium against a test-field battery.
 
     Returns ``max |<F, P* phi>| / (||F|| ||phi||)`` over structured and
-    random test fields; a converged equilibrium drives this to roundoff,
+    eight random test fields; a converged equilibrium drives this to roundoff,
     an unconverged one does not.
     """
     F_flat = op.unwrap(F)
@@ -868,7 +863,7 @@ def verify_variational(op: _CellOperatorBase, F, n_fields: int = 8, seed: int = 
         # velocity profiles live on the mean-zero-frequency row, so the
         # elementwise square is the coefficient vector of a_j(v)^2
         tests.append((a_j ** 2).astype(op.dtype))
-    for _ in range(n_fields):
+    for _ in range(8):
         tests.append(op.hermitize(rng.standard_normal(op.size).astype(op.dtype)))
     worst = 0.0
     for phi in tests:

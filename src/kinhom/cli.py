@@ -11,8 +11,8 @@ exist at that point::
     kinhom sweep     --config scenario.ini            # convergence table
     kinhom pipeline  --config scenario.ini --out out/ # everything
 
-The stages run serially.  ``--jobs N`` is accepted for compatibility with
-older scripts and ignored.
+``--out DIR`` overrides the scenario's output directory and ``--seed S``
+pins the randomized diagnostics.
 
 Exit status: 0 on success, 1 when a stage fails, 2 on a bad scenario file.
 """
@@ -63,8 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, metavar="PATH", help="scenario file")
         p.add_argument("--out", metavar="DIR", default=None,
                        help="output directory (default: the scenario's [output] dir)")
-        p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="ignored; accepted for compatibility (the pipeline runs serially)")
         p.add_argument("--seed", type=int, default=0, metavar="S",
                        help="seed for the randomized diagnostics")
     return parser

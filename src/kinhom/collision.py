@@ -24,10 +24,10 @@ the gain:
     Sigma(y, v) = int sigma(x, y, v, w) dmu(w),     Q = K - Sigma * id.
 
 :func:`gain_loss` builds ``(K, Sigma)`` for every operator in the package:
-the cell operators, the kinetic reference and the ``apply_*`` functions.
-With this loss ``Q 1 = 0`` for every kernel.  Mass conservation and the
-duality of ``Q`` and ``Q*`` need semi-detailed balance, equal outgoing and
-incoming rates
+the cell operators, the kinetic reference, :func:`apply_Q` and
+:func:`apply_Q_star`.  With this loss ``Q 1 = 0`` for every kernel.  Mass
+conservation and the duality of ``Q`` and ``Q*`` need semi-detailed
+balance, equal outgoing and incoming rates
 
     out(v) = int sigma(., v, w) dmu(w),   in(v) = int sigma(., w, v) dmu(w).
 
@@ -51,10 +51,8 @@ __all__ = [
     "ScatteringKernel",
     "SdbReport",
     "make_kernel",
-    "absorption_rate",
     "apply_Q",
     "apply_Q_star",
-    "apply_K",
     "check_sdb",
     "gain_loss",
     "sdb_gap",
@@ -96,15 +94,6 @@ class PhaseField:
         """Cell average per velocity node, shape ``(K,)``."""
         axes = tuple(range(self.grid.dim))
         return self.values.mean(axis=axes)
-
-    def mean_v_total(self) -> float:
-        """``int M(f) dmu`` — cell average then velocity integral."""
-        return float(self.vm.integrate(self.mean_y(), axis=-1))
-
-    def norm(self) -> float:
-        """Natural norm: sqrt( int M(f^2) dmu )."""
-        axes = tuple(range(self.grid.dim))
-        return float(np.sqrt(self.vm.integrate((self.values ** 2).mean(axis=axes), axis=-1)))
 
     def with_values(self, values: np.ndarray) -> "PhaseField":
         return PhaseField(values=values, grid=self.grid, vm=self.vm)
@@ -295,12 +284,6 @@ class ScatteringKernel:
         vals = self._rates(x, self.profile.evaluate(pts[:, 0] if grid.dim == 1 else pts), vm)
         return vals.reshape(*grid.shape, vm.n_nodes, vm.n_nodes)
 
-    def sup_bound(self) -> float:
-        """A sup bound for the rate over all arguments."""
-        g_max = self.s0 if self.table is None else float(self.table.max())
-        c_max = 1.0 + abs(self.x_amplitude)
-        return c_max * (self.profile.mean() + self._profile_spread()) * g_max
-
     def __repr__(self) -> str:
         return f"ScatteringKernel(kind={self.kind!r}, x_dependence={self.x_dependence!r})"
 
@@ -349,35 +332,15 @@ def gain_loss(rates, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gain, gain.sum(axis=-1)
 
 
-def _swapped(kernel, x, grid: CellGrid, vm: VelocityMeasure) -> np.ndarray:
-    return np.swapaxes(_sampled(kernel, x, grid, vm), -1, -2)
-
-
-def absorption_rate(kernel, x, grid: CellGrid, vm: VelocityMeasure) -> np.ndarray:
-    """Incoming rate ``int sigma(x, y, w, v) dmu(w)``, shape ``(*grid.shape, K)``.
-
-    The *first* velocity slot is integrated: this is the loss rate of the
-    slot-swapped kernel that defines ``Q*``.  It equals the loss rate of
-    ``Q`` exactly when the kernel satisfies semi-detailed balance.
-    """
-    return gain_loss(_swapped(kernel, x, grid, vm), vm.weights)[1]
-
-
 def apply_Q(kernel, x, f: PhaseField) -> PhaseField:
     """Jump operator: gain minus same-slot loss."""
     gain, loss = gain_loss(_sampled(kernel, x, f.grid, f.vm), f.vm.weights)
     return f.with_values(np.einsum("...kl,...l->...k", gain, f.values) - loss * f.values)
 
 
-def apply_K(kernel, x, f: PhaseField) -> PhaseField:
-    """Gain part only: ``int sigma(x, y, v, w) f(w) dmu(w)``."""
-    gain, _ = gain_loss(_sampled(kernel, x, f.grid, f.vm), f.vm.weights)
-    return f.with_values(np.einsum("...kl,...l->...k", gain, f.values))
-
-
 def apply_Q_star(kernel, x, f: PhaseField) -> PhaseField:
     """Adjoint jump operator (kernel velocity slots swapped)."""
-    return apply_Q(_swapped(kernel, x, f.grid, f.vm), x, f)
+    return apply_Q(np.swapaxes(_sampled(kernel, x, f.grid, f.vm), -1, -2), x, f)
 
 
 #: Largest relative semi-detailed balance gap a solver accepts.

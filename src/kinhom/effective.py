@@ -36,11 +36,8 @@ from kinhom.phase_space import CellGrid, VelocityMeasure
 __all__ = [
     "EllipticityError",
     "EffectiveCoefficients",
-    "VfcReport",
     "diffusion_matrix",
-    "drift_vector",
     "ellipticity_gate",
-    "check_vfc",
     "CellSolution",
     "default_backend",
     "solve_cell",
@@ -50,6 +47,18 @@ __all__ = [
 
 class EllipticityError(RuntimeError):
     """The symmetrized diffusion tensor has a non-positive direction."""
+
+
+def _pairing(op, chi, G) -> np.ndarray:
+    """Corrector pairing ``M_ij = int M(chi_i a_j G) dmu`` of a field ``G``."""
+    d = op.vm.dim
+    G_flat = op.unwrap(G)
+    mat = np.zeros((d, d))
+    for i in range(d):
+        moments = op.pair_mean_y(op.unwrap(chi[i]), G_flat)  # M(chi_i,k G_k) per node
+        for j in range(d):
+            mat[i, j] = float(np.sum(op.vm.weights * op.vm.field[:, j] * moments))
+    return mat
 
 
 def diffusion_matrix(op, chi, F, convention: str = "effective") -> np.ndarray:
@@ -62,72 +71,21 @@ def diffusion_matrix(op, chi, F, convention: str = "effective") -> np.ndarray:
     """
     if convention not in ("effective", "pairing"):
         raise ValueError(f"unknown convention {convention!r}")
-    d = op.vm.dim
-    F_flat = op.unwrap(F)
-    mat = np.zeros((d, d))
-    for i in range(d):
-        chi_flat = op.unwrap(chi[i])
-        moments = op.pair_mean_y(chi_flat, F_flat)  # M(chi_i,k F_k) per node
-        for j in range(d):
-            mat[i, j] = float(np.sum(op.vm.weights * op.vm.field[:, j] * moments))
+    mat = _pairing(op, chi, F)
     return -mat if convention == "effective" else mat
 
 
-def ellipticity_gate(D: np.ndarray, tol: float = 1e-10) -> float:
+def ellipticity_gate(D: np.ndarray) -> float:
     """Smallest eigenvalue of ``sym(D)``; raises if meaningfully negative."""
     sym = 0.5 * (D + D.T)
     lam_min = float(np.linalg.eigvalsh(sym).min())
     scale = max(float(np.trace(sym)), 1.0)
-    if lam_min <= -tol * scale:
+    if lam_min <= -1e-10 * scale:
         raise EllipticityError(
             f"symmetrized diffusion tensor has eigenvalue {lam_min:.3e}; "
             "the velocity set does not span this direction"
         )
     return lam_min
-
-
-def drift_vector(op, chi, dF_dx) -> np.ndarray:
-    """Homogenized drift from correctors and the slow gradient of F.
-
-    ``dF_dx`` is a sequence of flat fields, one per macroscopic direction
-    (missing trailing directions are treated as zero).  Returns the
-    divergence-form drift ``U_i = -sum_j int M(chi_i a_j dF/dx_j) dmu``.
-    """
-    d = op.vm.dim
-    U = np.zeros(d)
-    for j, dF in enumerate(dF_dx):
-        if dF is None:
-            continue
-        dF_flat = op.unwrap(dF)
-        for i in range(d):
-            moments = op.pair_mean_y(op.unwrap(chi[i]), dF_flat)
-            U[i] -= float(np.sum(op.vm.weights * op.vm.field[:, j] * moments))
-    return U
-
-
-@dataclass(frozen=True)
-class VfcReport:
-    """Vanishing-flux check: equilibrium flux and verdict."""
-
-    flux: np.ndarray
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return bool(np.max(np.abs(self.flux)) <= self.tol)
-
-
-def check_vfc(op, F, tol: float = 1e-12) -> VfcReport:
-    """Report the equilibrium flux ``b_j = int M(a_j F) dmu``.
-
-    A vanishing flux means the diffusion limit needs no co-moving frame.
-    """
-    F_flat = op.unwrap(F)
-    d = op.vm.dim
-    b = np.array([
-        float(np.real(op.inner(F_flat, op.velocity_profile(j)))) for j in range(d)
-    ])
-    return VfcReport(flux=b, tol=tol)
 
 
 @dataclass(frozen=True)
@@ -149,24 +107,6 @@ class EffectiveCoefficients:
     @property
     def constant(self) -> bool:
         return self.x is None
-
-    def at_points(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Coefficients at arbitrary macro points (interpolating if sampled)."""
-        points = np.atleast_1d(np.asarray(points, dtype=float))
-        n = points.shape[0]
-        if self.constant:
-            return (
-                np.broadcast_to(self.D, (n, *self.D.shape)).copy(),
-                np.broadcast_to(self.U, (n, *self.U.shape)).copy(),
-            )
-        d = self.D.shape[-1]
-        D_out = np.empty((n, d, d))
-        U_out = np.empty((n, d))
-        for i in range(d):
-            U_out[:, i] = np.interp(points, self.x, self.U[:, i])
-            for j in range(d):
-                D_out[:, i, j] = np.interp(points, self.x, self.D[:, i, j])
-        return D_out, U_out
 
 
 def default_backend(kernel) -> str:
@@ -244,12 +184,11 @@ def assemble_effective(
 ) -> EffectiveCoefficients:
     """Solve the cell problems and average them into macro coefficients.
 
-    ``x`` may be ``None`` (no modulation), a scalar, or a 1-D array of at
-    least three strictly increasing macro positions.  The whitelisted
-    macroscopic modulations vary along the first coordinate only, so
-    sampled assembly differentiates the equilibrium along that axis
-    (second order, centered inside, one-sided at the ends) to build the
-    drift.  Kernels without modulation short-circuit to a single cell
+    ``x`` is ``None`` (no modulation) or a 1-D array of at least three
+    strictly increasing macro positions.  The whitelisted macroscopic
+    modulations vary along the first coordinate only, so sampled assembly
+    differentiates the equilibrium along that axis (second order, centered
+    inside, one-sided at the ends) to build the drift.  Kernels without modulation short-circuit to a single cell
     solve.
 
     Sampled assembly keeps fields, not operators: each position's flat
@@ -260,9 +199,9 @@ def assemble_effective(
 
     The cell settings are those of :func:`solve_cell`.  ``cell``, a
     :func:`solve_cell` result for the same kernel, velocity set and
-    settings, stands in for the single solve when the kernel has no
-    modulation or ``cell.x`` is the requested scalar ``x``; the result is
-    the same with or without it.
+    settings, stands in for the single solve at ``x = 0`` when the kernel
+    has no modulation or ``x`` is ``None``; the result is the same with or
+    without it.
     """
     backend = default_backend(kernel) if backend is None else backend
     if cell is not None and (cell.op.kernel is not kernel or cell.op.vm is not vm
@@ -273,10 +212,8 @@ def assemble_effective(
         return solve_cell(kernel, xi, vm, backend=backend, grid=grid, scheme=scheme,
                           n_modes=n_modes, tol=tol)
 
-    x_independent = getattr(kernel, "x_dependence", "none") == "none"
-    if x is None or np.ndim(x) == 0 or x_independent:
-        x0 = 0.0 if x is None else float(np.atleast_1d(np.asarray(x, dtype=float))[0])
-        c = cell if cell is not None and (x_independent or cell.x == x0) else solve(x0)
+    if x is None or kernel.x_dependence == "none":
+        c = cell if cell is not None and cell.x == 0.0 else solve(0.0)
         return EffectiveCoefficients(x=None, D=c.D, U=np.zeros(vm.dim), flux=c.b,
                                      residual=c.residual, bound_constant=c.bound_constant)
 
@@ -290,11 +227,10 @@ def assemble_effective(
                      s.residual, s.bound_constant))
     F, chi, D, b, residual, bound = zip(*kept)
 
-    # slow gradient of the equilibrium along the (first) macro axis
+    # slow gradient of the equilibrium along the (first) macro axis; the drift
+    # U_i = -sum_j int M(chi_i a_j dF/dx_j) dmu keeps only its j = 1 term,
+    # and 0.0 - pairing (not -pairing) writes a zero drift as 0, not -0
     dF_dx1 = np.gradient(np.stack(F), x_arr, axis=0, edge_order=2)
-    d = vm.dim
-    U_all = np.zeros((x_arr.size, d))
-    for m, chi_m in enumerate(chi):
-        U_all[m] = drift_vector(op, chi_m, [dF_dx1[m]] + [None] * (d - 1))
-    return EffectiveCoefficients(x=x_arr, D=np.stack(D), U=U_all, flux=np.stack(b),
+    U = np.stack([0.0 - _pairing(op, chi_m, dF)[:, 0] for chi_m, dF in zip(chi, dF_dx1)])
+    return EffectiveCoefficients(x=x_arr, D=np.stack(D), U=U, flux=np.stack(b),
                                  residual=max(residual), bound_constant=max(bound))

@@ -65,7 +65,6 @@ __all__ = [
     "parse_config",
     "dump_config",
     "run_pipeline",
-    "epsilon_sweep",
     "sigma_test",
     "emit_tables",
 ]
@@ -385,8 +384,16 @@ def _validate_consistency(cfg: ScenarioConfig) -> None:
         raise ConfigError("key `sigma.table`: required for the table family")
     if cfg.cell["n_modes"] < 1:
         raise ConfigError("key `cell.n_modes`: must be at least 1")
-    if not cfg.initial["width"] > 0:
-        raise ConfigError("key `initial.width`: must be positive")
+    if d != 1 and cfg.sigma["x_dependence"] != "none":
+        raise ConfigError(
+            "key `sigma.x_dependence`: the effective stage samples one macro axis; "
+            "slow modulation needs `scenario.dimension` = 1"
+        )
+    for sec, key in (("initial", "width"), ("macro", "dt"), ("kinetic", "c_cfl"),
+                     ("kinetic", "c_split")):
+        values = getattr(cfg, sec)
+        if values is not None and values[key] != "auto" and not values[key] > 0:
+            raise ConfigError(f"key `{sec}.{key}`: must be positive")
     if cfg.kinetic is not None:
         # tables and summary keys are labelled by `%g` of eps
         labels = [f"{eps:g}" for eps in cfg.kinetic["epsilons"]]
@@ -585,8 +592,8 @@ def run_pipeline(
     ``[kinetic]`` section is present — kinetic runs per epsilon with sweep
     and sigma tables.
     ``stop_after`` truncates the run after the named stage, leaving later
-    report fields unset.  The stages run serially; ``jobs`` is accepted
-    for compatibility and ignored.
+    report fields unset.  The stages run serially; ``jobs`` is ignored
+    (``perfbench/run.py`` still passes it).
     """
     report = PipelineReport(config=cfg)
 
@@ -636,12 +643,8 @@ def run_pipeline(
 
     with _stage("macro"):
         rho0 = cfg.initial_rho(mg)
-        if coeffs.constant:
-            D_run, U_run = coeffs.D, coeffs.U
-        else:
-            pts = mg.axes()[0]
-            D_run, U_run = coeffs.at_points(pts)
-        solver = DriftDiffusionSolver(mg, D_run, U_run, theta=cfg.macro["theta"])
+        # sampled coefficients come one per macro cell centre, as the solver takes them
+        solver = DriftDiffusionSolver(mg, coeffs.D, coeffs.U, theta=cfg.macro["theta"])
         macro = solver.run(
             rho0, cfg.macro["t"], dt=cfg.macro_dt(), checkpoints=cfg.checkpoint_times()
         )
@@ -698,18 +701,6 @@ def _run_kinetic(cfg, report, vm, kernel, mg, macro, F_field):
     min_ratio = min(ratios) if ratios else float("nan")
     shift = abs(drift) * T / min(epsilons) if drift else 0.0
     report.sweep = SweepResult(rows=ordered, monotone=monotone, min_ratio=min_ratio, drift_shift=shift)
-
-
-def epsilon_sweep(cfg: ScenarioConfig, jobs: int = 1, seed: int = 0) -> SweepResult:
-    """Run the pipeline and return the kinetic-vs-macro convergence table.
-
-    ``jobs`` is accepted for compatibility and ignored.
-    """
-    if cfg.kinetic is None:
-        raise ConfigError("epsilon_sweep needs a [kinetic] section")
-    report = run_pipeline(cfg, seed=seed)
-    assert report.sweep is not None
-    return report.sweep
 
 
 def _summarize(report: PipelineReport) -> dict[str, float | int | str]:

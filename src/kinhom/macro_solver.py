@@ -7,7 +7,7 @@ Solves the drift-diffusion Cauchy problem
 on a truncated, cell-centered macro grid with periodic or no-flux
 boundaries.  The spatial operator is assembled in flux form: every face
 between two cells carries one flux value (diffusive part from the face-
-averaged tensor, drift part central or upwinded), and the divergence
+averaged tensor, drift part the central face average), and the divergence
 telescopes, so the total mass is conserved to roundoff by construction —
 not as a happy numerical accident.
 
@@ -36,7 +36,6 @@ exactly instead of compounding the transform's roundoff over the steps.
 from __future__ import annotations
 
 import functools
-import logging
 import numbers
 from dataclasses import dataclass
 
@@ -44,38 +43,9 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from kinhom.phase_space import MacroGrid, VelocityMeasure, checkpoint_substeps, step_key
+from kinhom.phase_space import MacroGrid, checkpoint_substeps, step_key
 
-__all__ = ["MacroField", "DriftDiffusionSolver", "initial_density"]
-
-log = logging.getLogger(__name__)
-
-
-def initial_density(f0, vm: VelocityMeasure, mg: MacroGrid) -> np.ndarray:
-    """Velocity integral of the initial phase-space datum on the macro grid.
-
-    ``f0(x, v)`` is called with an array of positions (shape ``(n,)`` in
-    1-D, ``(n, d)`` otherwise) and one velocity node at a time; the result
-    is ``rho(0, x_j) = int f0(x_j, v) dmu(v)`` with the grid's shape.
-    Nonpositive samples are legal input but draw a warning, since the
-    well-posedness theory assumes a strictly positive datum.
-    """
-    axes = mg.axes()
-    if mg.dim == 1:
-        pts = axes[0]
-    else:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    slices = []
-    nonpos = 0
-    for k in range(vm.n_nodes):
-        vals = np.asarray(f0(pts, vm.nodes[k]), dtype=float)
-        nonpos += int(np.sum(vals <= 0))
-        slices.append(vals.reshape(mg.shape))
-    if nonpos:
-        log.warning("initial datum has %d nonpositive samples", nonpos)
-    stacked = np.stack(slices, axis=-1)
-    return vm.integrate(stacked, axis=-1)
+__all__ = ["MacroField", "DriftDiffusionSolver"]
 
 
 @dataclass(frozen=True)
@@ -93,9 +63,10 @@ class MacroField:
         axes = tuple(range(1, self.values.ndim))
         return self.values.sum(axis=axes) * self.grid.cell_volume
 
-    def at_time(self, t: float, tol: float = 1e-9) -> np.ndarray:
+    def at_time(self, t: float) -> np.ndarray:
+        """The checkpoint at ``t``, within 1e-9 relative."""
         idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > tol * max(1.0, abs(t)):
+        if abs(self.times[idx] - t) > 1e-9 * max(1.0, abs(t)):
             raise KeyError(f"no checkpoint at t={t} (nearest {self.times[idx]})")
         return self.values[idx]
 
@@ -126,18 +97,12 @@ class DriftDiffusionSolver:
     theta :
         Implicitness: 1/2 = Crank-Nicolson (default), 1 = implicit Euler,
         0 = explicit (stability-checked against ``h^2 / (2 d max|D|)``).
-    drift_mode :
-        ``"central"`` face average (second order) or ``"upwind"``
-        (positivity-friendly with theta = 1).
 
     ``symbol`` holds the half-spectrum eigenvalues of ``L`` when steps are
     Fourier multipliers, and is None when they are LU solves.
     """
 
-    def __init__(self, grid: MacroGrid, D, U=None, theta: float = 0.5,
-                 drift_mode: str = "central"):
-        if drift_mode not in ("central", "upwind"):
-            raise ValueError(f"unknown drift mode {drift_mode!r}")
+    def __init__(self, grid: MacroGrid, D, U=None, theta: float = 0.5):
         if not 0.0 <= theta <= 1.0:
             raise ValueError("theta must lie in [0, 1]")
         self.grid = grid
@@ -146,7 +111,6 @@ class DriftDiffusionSolver:
         n = grid.n_points
         self.D = _per_cell(D, n, (d, d))
         self.U = _per_cell(np.zeros(d) if U is None else U, n, (d,))
-        self.drift_mode = drift_mode
         self.L = self._assemble()
         self.symbol = self._circulant_symbol()
         # the multiplier power per (step key, count) when ``symbol`` is set,
@@ -222,16 +186,8 @@ class DriftDiffusionSolver:
             Uax = self.U[:, ax]
             u_f = 0.5 * (Uax[Cm] + Uax[Rm])
             if np.any(u_f != 0.0):
-                if self.drift_mode == "central":
-                    face_terms.append((Cm, 0.5 * u_f))
-                    face_terms.append((Rm, 0.5 * u_f))
-                else:
-                    # d rho/dt = d(u rho)/dx transports against the sign of
-                    # u, so the face value comes from the right cell when
-                    # u > 0 (CIR upwinding; keeps L an M-matrix).
-                    up = u_f > 0
-                    face_terms.append((Rm, np.where(up, u_f, 0.0)))
-                    face_terms.append((Cm, np.where(up, 0.0, u_f)))
+                face_terms.append((Cm, 0.5 * u_f))
+                face_terms.append((Rm, 0.5 * u_f))
 
             # divergence: face (C -> R) adds +flux/h at C and -flux/h at R
             for col, coef in face_terms:

@@ -21,7 +21,6 @@ __all__ = [
     "two_velocity_1d",
     "uniform_circle",
     "velocity_from_tables",
-    "integrate_v",
     "validate_h1",
     "checkpoint_substeps",
     "step_key",
@@ -106,16 +105,7 @@ def uniform_circle(n: int, speed: float = 1.0) -> VelocityMeasure:
 
 def velocity_from_tables(nodes, weights, field=None) -> VelocityMeasure:
     """User-supplied velocity set; ``field`` defaults to the nodes."""
-    nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    if nodes.shape[0] == 1 and np.asarray(weights).size > 1:
-        nodes = nodes.T
-    fld = nodes if field is None else field
-    return VelocityMeasure(nodes=nodes, weights=np.asarray(weights, dtype=float), field=fld)
-
-
-def integrate_v(vm: VelocityMeasure, values: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Velocity integral of sampled values (weighted sum over nodes)."""
-    return vm.integrate(values, axis=axis)
+    return VelocityMeasure(nodes=nodes, weights=weights, field=nodes if field is None else field)
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +210,6 @@ class MacroGrid:
             for n, h in zip(self.shape, self.spacing)
         )
 
-    def points(self) -> np.ndarray:
-        axes = self.axes()
-        if self.dim == 1:
-            return axes[0][:, None]
-        xx = np.meshgrid(*axes, indexing="ij")
-        return np.stack([x.ravel(order="C") for x in xx], axis=1)
-
     @property
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
@@ -237,11 +220,14 @@ def checkpoint_substeps(checkpoints, T: float, dt: float) -> list[tuple[float, i
 
     ``checkpoints`` defaults to ``[0, T]``.  Returns one ``(t1, n_sub,
     sub_dt)`` per checkpoint interval ending at ``t1``; the step is shrunk
-    per interval so checkpoint times are hit exactly.
+    per interval so checkpoint times are hit exactly.  Refuses a ``dt``
+    that is not positive and finite unless there is no interval to step.
     """
     times = np.array([0.0, float(T)]) if checkpoints is None else np.asarray(checkpoints, dtype=float)
     if times[0] != 0.0 or not np.all(np.diff(times) > 0) or abs(times[-1] - T) > 1e-12:
         raise ValueError("checkpoints must start at 0, increase, and end at T")
+    if times.size > 1 and not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"step size must be positive and finite, got {dt!r}")
     plan = []
     for t0, t1 in zip(times[:-1], times[1:]):
         n_sub = max(1, int(np.ceil((t1 - t0) / dt - 1e-12)))
@@ -276,14 +262,14 @@ class H1Report:
         return not bool(self.degenerate.any())
 
 
-def validate_h1(vm: VelocityMeasure, probes: np.ndarray | None = None, tol: float = 1e-12) -> H1Report:
+def validate_h1(vm: VelocityMeasure, probes: np.ndarray | None = None) -> H1Report:
     """Check that no direction is invisible to the transport field.
 
     For each probe direction ``xi`` this reports ``min_k |a_k . xi|`` and
-    flags directions where *every* node projection vanishes (transport
-    blind spots).  This is a warning-only surrogate for the continuum
-    non-degeneracy assumption, which involves constants a discrete node set
-    cannot certify.
+    flags directions where *every* node projection is below 1e-12
+    (transport blind spots).  This is a warning-only surrogate for the
+    continuum non-degeneracy assumption, which involves constants a
+    discrete node set cannot certify.
     """
     if probes is None:
         if vm.dim == 1:
@@ -293,14 +279,14 @@ def validate_h1(vm: VelocityMeasure, probes: np.ndarray | None = None, tol: floa
             probes = np.stack([np.cos(angles), np.sin(angles)], axis=1)
             # also probe perpendicular to each node direction
             norms = np.linalg.norm(vm.field, axis=1, keepdims=True)
-            safe = np.where(norms > tol, norms, 1.0)
+            safe = np.where(norms > 1e-12, norms, 1.0)
             unit = vm.field / safe
             perp = np.stack([-unit[:, 1], unit[:, 0]], axis=1)
             probes = np.vstack([probes, perp])
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     proj = np.abs(probes @ vm.field.T)  # (m, K)
     min_proj = proj.min(axis=1)
-    degenerate = (proj < tol).all(axis=1)
+    degenerate = (proj < 1e-12).all(axis=1)
     if degenerate.any():
         log.warning(
             "transport field has %d degenerate probe direction(s); "

@@ -13,9 +13,7 @@ from kinhom.collision import make_kernel
 from kinhom.effective import (
     EllipticityError,
     assemble_effective,
-    check_vfc,
     diffusion_matrix,
-    drift_vector,
     ellipticity_gate,
     solve_cell,
 )
@@ -35,9 +33,6 @@ def test_constant_kernel_coefficients():
     assert abs(eff.U[0]) < 1e-12
     assert abs(eff.flux[0]) < 1e-12
     assert eff.residual < 1e-9
-    D_pts, U_pts = eff.at_points(np.array([-1.0, 0.25, 3.0]))
-    assert D_pts.shape == (3, 1, 1) and U_pts.shape == (3, 1)
-    assert np.max(np.abs(D_pts - 0.5)) < 1e-10
 
 
 def test_pairing_and_divergence_form_conventions():
@@ -94,12 +89,6 @@ def test_asymmetric_weights_closed_forms():
     assert abs(eff.flux[0] - 1.0 / 3.0) < 1e-10
     assert abs(eff.D[0, 0] - 8.0 / 27.0) < 1e-10
     assert abs(eff.U[0]) < 1e-12
-    # nonzero equilibrium flux shows up in the vanishing-flux report
-    op = assemble(CONSTANT, 0.0, vm, GRID, scheme="upwind")
-    _, F = equilibrium_F(op)
-    report = check_vfc(op, F)
-    assert not report.passed
-    assert abs(report.flux[0] - 1.0 / 3.0) < 1e-10
 
 
 def test_circle_velocity_set_gives_isotropic_tensor():
@@ -123,12 +112,6 @@ def test_slow_modulation_sampled_coefficients():
     # the equilibrium never depends on x, so the sampled drift is exactly zero
     assert np.max(np.abs(eff.U)) < 1e-12
     assert np.max(np.abs(eff.flux)) < 1e-12
-    # interpolation matches the piecewise-linear oracle off the sample points
-    query = np.array([-1.37, 0.0, 0.61])
-    D_pts, U_pts = eff.at_points(query)
-    oracle = np.interp(query, x, eff.D[:, 0, 0])
-    assert np.max(np.abs(D_pts[:, 0, 0] - oracle)) < 1e-14
-    assert np.max(np.abs(U_pts)) < 1e-12
 
 
 def test_grid_backend_requires_a_grid():
@@ -146,8 +129,8 @@ def _same_coefficients(a, b):
 @pytest.mark.parametrize("kernel, x", [
     (SINUSOIDAL, None),
     (SINUSOIDAL, np.linspace(-1.0, 1.0, 5)),  # x-independent: one solve stands for all
-    (make_kernel("sinusoidal", x_dependence="tanh", x_amplitude=0.3), 0.0),
-    (make_kernel("sinusoidal", x_dependence="tanh", x_amplitude=0.3), 0.7),
+    (make_kernel("sinusoidal", x_dependence="tanh", x_amplitude=0.3), None),
+    (make_kernel("sinusoidal", x_dependence="tanh", x_amplitude=0.3), np.array([0.2, 0.5, 0.9])),
     (make_kernel("sinusoidal", x_dependence="tanh", x_amplitude=0.3), np.array([-0.5, 0.0, 0.5])),
 ])
 def test_a_solved_cell_gives_the_same_coefficients(kernel, x):
@@ -178,10 +161,12 @@ def test_sampled_assembly_matches_a_per_cell_reference(backend):
     grid = CellGrid((16,))
     x = np.linspace(-1.5, 1.5, 7)
     eff = assemble_effective(TANH, vm, x=x, grid=grid, backend=backend)
-    # reference: keep every solved cell, then differentiate and pair
+    # reference: keep every solved cell, then differentiate and pair;
+    # 0.0 - pairing, not -pairing, gives a zero drift as +0.0
     solved = [solve_cell(TANH, xi, vm, backend=backend, grid=grid) for xi in x]
     dF = np.gradient(np.stack([s.op.unwrap(s.F) for s in solved]), x, axis=0, edge_order=2)
-    U = np.stack([drift_vector(s.op, s.chi, [dF[m]]) for m, s in enumerate(solved)])
+    U = np.stack([0.0 - diffusion_matrix(s.op, s.chi, dF[m], convention="pairing")[:, 0]
+                  for m, s in enumerate(solved)])
     assert np.array_equal(eff.x, x)
     assert np.array_equal(eff.D, np.stack([s.D for s in solved]))
     assert np.array_equal(eff.U, U)

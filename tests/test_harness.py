@@ -13,7 +13,6 @@ from kinhom.harness import (
     _csv,
     dump_config,
     emit_tables,
-    epsilon_sweep,
     parse_config,
     run_pipeline,
 )
@@ -109,6 +108,36 @@ def test_nonpositive_initial_width_is_refused(width):
         parse_config(MINIMAL.replace("width = 0.3", f"width = {width}"))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("macro.dt", "0"), ("macro.dt", "-0.01"), ("kinetic.c_cfl", "0"),
+    ("kinetic.c_cfl", "-0.9"), ("kinetic.c_split", "0"), ("kinetic.c_split", "-0.5"),
+])
+def test_nonpositive_step_sizes_are_refused(key, value):
+    # a negative macro.dt ran one step per checkpoint interval, and 0 failed
+    # in the macro stage converting an infinite step count
+    section, name = key.split(".")
+    kinetic = MINIMAL + "[kinetic]\nepsilons = 0.4\n"
+    with pytest.raises(ConfigError, match=re.escape(f"key `{key}`: must be positive")):
+        parse_config(kinetic.replace(f"[{section}]\n", f"[{section}]\n{name} = {value}\n"))
+    parse_config(kinetic.replace(f"[{section}]\n", f"[{section}]\n{name} = 0.05\n"))
+    if name != "c_cfl":
+        parse_config(kinetic.replace(f"[{section}]\n", f"[{section}]\n{name} = auto\n"))
+
+
+def test_two_dimensional_slow_modulation_is_refused(tmp_path, capsys):
+    # the effective stage samples one macro axis, so the macro stage failed
+    # on a (n, 2, 2) coefficient array it could not read per cell
+    text = ("[scenario]\ndimension = 2\n[velocity]\nfamily = uniform_circle\n"
+            "[sigma]\nx_dependence = tanh\nx_amplitude = 0.3\n")
+    with pytest.raises(ConfigError, match=re.escape("key `sigma.x_dependence`")):
+        parse_config(text)
+    path = tmp_path / "tanh2d.ini"
+    path.write_text(text)
+    assert cli_main(["check", "--config", str(path)]) == 2
+    assert "sigma.x_dependence" in capsys.readouterr().err
+    parse_config(text.replace("tanh", "none"))
+
+
 @pytest.mark.parametrize("epsilons", ["0.2, 0.2", "0.1, 0.1000001", "0.4, 0.2, 0.4"])
 def test_epsilons_colliding_under_g_are_refused(epsilons):
     # colliding labels would overwrite each other's tables and summary keys
@@ -149,8 +178,6 @@ def test_stage_errors_name_the_stage():
     with pytest.raises(StageError, match="^stage check:") as info:
         run_pipeline(parse_config(UNBALANCED))
     assert info.value.stage == "check"
-    with pytest.raises(ConfigError):
-        epsilon_sweep(parse_config(MINIMAL))
 
 
 def test_check_stage_refuses_an_oversized_dense_cell():

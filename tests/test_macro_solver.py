@@ -5,8 +5,9 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import SuperLU, splu
 
-from kinhom.macro_solver import DriftDiffusionSolver, initial_density
-from kinhom.phase_space import MacroGrid, two_velocity_1d, uniform_circle
+from kinhom.harness import parse_config
+from kinhom.macro_solver import DriftDiffusionSolver
+from kinhom.phase_space import MacroGrid
 
 
 def _gaussian(x, width):
@@ -94,18 +95,6 @@ def test_pure_drift_translates_the_profile():
     assert abs(comT - (com0 - u0 * T)) < 1e-3
 
 
-def test_upwind_drift_keeps_sharp_fronts_nonnegative():
-    mg = MacroGrid(half_width=2.0, shape=(128,), bc="periodic")
-    x = mg.axes()[0]
-    rho0 = np.where(np.abs(x) < 0.5, 1.0, 0.0)
-    up = DriftDiffusionSolver(mg, D=np.array([[0.0]]), U=np.array([1.0]),
-                              theta=1.0, drift_mode="upwind")
-    field = up.run(rho0, 0.5, dt=1e-2)
-    assert field.values[-1].min() >= -1e-13
-    mass = field.mass()
-    assert abs(mass[-1] - mass[0]) <= 1e-12 * mass[0]
-
-
 def test_explicit_step_is_stability_checked():
     mg = MacroGrid(half_width=4.0, shape=(64,), bc="periodic")
     x = mg.axes()[0]
@@ -191,17 +180,18 @@ def test_factor_cache_tells_tiny_steps_apart():
 
 
 @pytest.mark.parametrize("shape", [(128,), (48, 40)])
-@pytest.mark.parametrize("drift_mode", ["central", "upwind"])
+@pytest.mark.parametrize("drift", ["central", "none"])
 @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
-def test_fft_step_matches_the_lu_step(shape, drift_mode, theta):
+def test_fft_step_matches_the_lu_step(shape, drift, theta):
     # constant D and U on a periodic grid take the Fourier path; the same
-    # theta scheme solved by LU on the assembled operator is the reference
+    # theta scheme solved by LU on the assembled operator is the reference.
+    # The drift is the central face average, or absent
     mg = MacroGrid(half_width=2.0, shape=shape, bc="periodic")
     if len(shape) == 1:
         D, U = np.array([[0.3]]), np.array([0.7])
     else:
         D, U = np.array([[0.4, 0.12], [0.09, 0.25]]), np.array([0.6, -0.45])
-    solver = DriftDiffusionSolver(mg, D=D, U=U, theta=theta, drift_mode=drift_mode)
+    solver = DriftDiffusionSolver(mg, D=D, U=U if drift == "central" else None, theta=theta)
     assert solver.symbol is not None
     dt = 0.5 * solver._stability_limit() if theta == 0.0 else 0.01
 
@@ -261,11 +251,11 @@ def test_explicit_gate_checks_the_step_size_whatever_the_count():
 
 def test_fourier_run_keeps_the_mass_over_a_thousand_steps():
     # rfftn returned the symbol's zero mode (the first column sum of L, 0
-    # in flux form) as 1.1e-13 here; its multiplier drifted the mass by
-    # 1.4e-12 over these 1030 steps
-    mg = MacroGrid(half_width=2.0, shape=(128, 128), bc="periodic")
+    # in flux form) as -1.1e-13 here; its multiplier drifted the mass by
+    # 1.3e-12 over these 1030 steps
+    mg = MacroGrid(half_width=2.0, shape=(96, 128), bc="periodic")
     D, U = np.array([[0.4, 0.12], [0.09, 0.25]]), np.array([0.6, -0.45])
-    solver = DriftDiffusionSolver(mg, D=D, U=U, drift_mode="upwind")
+    solver = DriftDiffusionSolver(mg, D=D, U=U)
     assert solver.symbol is not None
     rho0 = np.random.default_rng(3).random(mg.shape)
     field = solver.run(rho0, 10.3, dt=0.01, checkpoints=np.linspace(0.0, 10.3, 11))
@@ -283,25 +273,12 @@ def test_max_dnorm_batched_equals_the_per_cell_loop():
 
 
 def test_initial_density_integrates_velocity_nodes():
-    vm = two_velocity_1d(weights=(1.0, 2.0))
-    mg = MacroGrid(half_width=1.0, shape=(16,), bc="periodic")
-    x = mg.axes()[0]
-
-    def f0(pts, v):
-        return np.exp(-(pts**2)) * (2.0 if v[0] > 0 else 1.0)
-
-    rho = initial_density(f0, vm, mg)
-    # weights (1, 2) on nodes (-1, +1): rho = (1*1 + 2*2) exp(-x^2)
-    assert np.max(np.abs(rho - 5.0 * np.exp(-(x**2)))) < 1e-14
-
-    vm2 = uniform_circle(4)
-    mg2 = MacroGrid(half_width=1.0, shape=(8, 8), bc="periodic")
-
-    def g0(pts, v):
-        return np.exp(-np.sum(pts**2, axis=-1))
-
-    rho2 = initial_density(g0, vm2, mg2)
-    ax, ay = mg2.axes()
-    X, Y = np.meshgrid(ax, ay, indexing="ij")
-    assert rho2.shape == (8, 8)
-    assert np.max(np.abs(rho2 - 2.0 * np.pi * np.exp(-(X**2) - Y**2))) < 1e-12
+    # the kinetic datum, prepared or not, integrates over the velocity nodes
+    # to the density the macro run starts from
+    for text in ("[velocity]\nweights = 1.0, 2.0\n[initial]\ncenter = 0.3\n",
+                 "[velocity]\nweights = 1.0, 2.0\n[initial]\nprepared = no\n",
+                 "[scenario]\ndimension = 2\n[velocity]\nfamily = uniform_circle\nn = 4\n"):
+        cfg = parse_config(text)
+        mg, vm = cfg.build_macro_grid(), cfg.build_velocity()
+        rho = vm.integrate(cfg.initial_f(mg, vm)).reshape(mg.shape)
+        assert np.max(np.abs(rho - cfg.initial_rho(mg))) < 1e-14

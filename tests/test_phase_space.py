@@ -4,7 +4,7 @@ import pytest
 from kinhom.phase_space import (
     CellGrid,
     MacroGrid,
-    integrate_v,
+    checkpoint_substeps,
     two_velocity_1d,
     uniform_circle,
     validate_h1,
@@ -18,7 +18,7 @@ def test_two_velocity_totals():
     assert vm.total_mass == 3.0
     assert np.array_equal(vm.nodes[:, 0], [-1.0, 1.0])
     # int a dmu = -1*1 + 1*2 = 1
-    assert integrate_v(vm, vm.field[:, 0]) == 1.0
+    assert vm.integrate(vm.field[:, 0]) == 1.0
 
 
 def test_uniform_circle_quadrature():
@@ -85,3 +85,13 @@ def test_macro_grid_validation():
         MacroGrid(half_width=-1.0, shape=(16,))
     with pytest.raises(ValueError):
         MacroGrid(half_width=1.0, shape=(16,), bc="reflecting")
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.01, np.inf, np.nan])
+def test_checkpoint_plan_refuses_a_step_that_is_not_positive_and_finite(dt):
+    # max(1, ceil(interval / dt)) made a negative step one step per interval
+    with pytest.raises(ValueError, match="positive and finite"):
+        checkpoint_substeps([0.0, 0.5, 1.0], 1.0, dt)
+    assert checkpoint_substeps([0.0, 0.5, 1.0], 1.0, 0.2) == [(0.5, 3, 0.5 / 3), (1.0, 3, 0.5 / 3)]
+    # a zero horizon takes no step, so its step size is never used
+    assert checkpoint_substeps([0.0], 0.0, dt) == []

@@ -60,7 +60,7 @@ def emit_all(root: str, seed: int, out_dir: str) -> None:
 
     for name in workloads.NAMES:
         cfg = harness.parse_config(workloads.scenario(name, seed))
-        report = harness.run_pipeline(cfg, jobs=1, seed=seed)
+        report = harness.run_pipeline(cfg, seed=seed)
         harness.emit_tables(report, os.path.join(out_dir, name))
 
 
