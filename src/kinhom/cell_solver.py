@@ -456,39 +456,26 @@ class SpectralCellOperator(_CellOperatorBase):
         self.vm = vm
         self.dtype = complex
 
-        # integer-coordinate lattice
+        # integer-coordinate lattice: the box -m..m per generator, row-major,
+        # so -t is the reversed index and t = 0 the middle one
         m = int(n_modes)
-        if len(gens) == 0:
-            coords = np.zeros((1, 1), dtype=int)
-            lattice = np.zeros(1)
-        elif len(gens) == 1:
-            coords = np.arange(-m, m + 1, dtype=int)[:, None]
-            lattice = coords[:, 0] * gens[0]
-        else:
-            aa, bb = np.meshgrid(np.arange(-m, m + 1), np.arange(-m, m + 1), indexing="ij")
-            coords = np.stack([aa.ravel(), bb.ravel()], axis=1)
-            lattice = coords[:, 0] * gens[0] + coords[:, 1] * gens[1]
-        self.lattice = lattice.astype(float)
-        n_lat = coords.shape[0]
+        box = (2 * m + 1,) * len(gens)
+        n_lat = int(np.prod(box))
+        coords = np.indices(box).reshape(len(gens), n_lat).T - m
+        self.lattice = (coords * np.array(gens)).sum(axis=1)
         self.n_lattice = n_lat
-        index = {tuple(t): i for i, t in enumerate(coords)}
-        self.mirror = np.array([index[tuple(-t)] for t in coords])
+        self.mirror = np.arange(n_lat - 1, -1, -1)
 
         # profile multiplication operator on the lattice
         mult = np.zeros((n_lat, n_lat), dtype=complex)
         for f, cf in zip(freqs, coeffs):
-            if abs(f) < 1e-12:
-                shift = tuple([0] * coords.shape[1])
-            else:
-                g_idx = gens.index(round(float(abs(f)), 9))
-                shift = tuple(
-                    int(np.sign(f)) if i == g_idx else 0 for i in range(coords.shape[1])
-                )
-            for i, t in enumerate(coords):
-                target = tuple(np.asarray(t) + np.asarray(shift))
-                j = index.get(target)
-                if j is not None:
-                    mult[j, i] += cf
+            shift = np.zeros(len(gens), dtype=int)
+            if abs(f) >= 1e-12:
+                shift[gens.index(round(float(abs(f)), 9))] = int(np.sign(f))
+            target = coords + shift
+            inside = np.all(np.abs(target) <= m, axis=1)
+            rows = np.ravel_multi_index(tuple((target[inside] + m).T), box)
+            mult[rows, np.flatnonzero(inside)] += cf
         K = vm.n_nodes
         g = kernel.node_matrix(vm)
         sdb_gap(g, vm.weights).require()  # the profile factor cancels from the gap
@@ -502,7 +489,7 @@ class SpectralCellOperator(_CellOperatorBase):
         self.size = n_lat * K
         self.weights = np.tile(vm.weights, n_lat)
         const = np.zeros(self.size, dtype=complex)
-        zero_row = index[tuple([0] * coords.shape[1])]
+        zero_row = n_lat // 2
         const[zero_row * K: zero_row * K + K] = 1.0
         self.const = const
         self.zero_row = zero_row

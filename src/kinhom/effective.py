@@ -12,12 +12,13 @@ solutions:
   flux of the equilibrium.  The raw pairing ``int M(chi_i a_j F) dmu`` is
   negative (semi-)definite; the divergence-form tensor is its negative,
   which is what this module returns and what the macro solver consumes.
-* ``U``   pairs the correctors against the macroscopic gradient of the
-  equilibrium, and vanishes identically whenever the equilibrium does not
-  depend on the slow variable (which balanced kernels force).
+* ``U``   pairs the correctors against the slow gradient of the
+  equilibrium, and is zero: ``collision.gain_loss`` takes the loss rate as
+  the gain's row sum, so ``P 1 = 0`` for every rate table and the
+  equilibrium is the constant ``1 / mu(V)`` at every macro position.
 * ``b``   is the equilibrium flux ``int M(a F) dmu``; a nonzero value
   means the expansion lives in a co-moving frame, and downstream
-  comparisons must shift by it.
+  comparisons must shift by it.  It is the only drift.
 
 Ellipticity of the symmetrized tensor is a hard gate: a non-positive
 direction means the velocity set cannot span that direction and the
@@ -49,18 +50,6 @@ class EllipticityError(RuntimeError):
     """The symmetrized diffusion tensor has a non-positive direction."""
 
 
-def _pairing(op, chi, G) -> np.ndarray:
-    """Corrector pairing ``M_ij = int M(chi_i a_j G) dmu`` of a field ``G``."""
-    d = op.vm.dim
-    G_flat = op.unwrap(G)
-    mat = np.zeros((d, d))
-    for i in range(d):
-        moments = op.pair_mean_y(op.unwrap(chi[i]), G_flat)  # M(chi_i,k G_k) per node
-        for j in range(d):
-            mat[i, j] = float(np.sum(op.vm.weights * op.vm.field[:, j] * moments))
-    return mat
-
-
 def diffusion_matrix(op, chi, F, convention: str = "effective") -> np.ndarray:
     """Homogenized diffusion tensor from correctors and equilibrium.
 
@@ -71,7 +60,13 @@ def diffusion_matrix(op, chi, F, convention: str = "effective") -> np.ndarray:
     """
     if convention not in ("effective", "pairing"):
         raise ValueError(f"unknown convention {convention!r}")
-    mat = _pairing(op, chi, F)
+    d = op.vm.dim
+    F_flat = op.unwrap(F)
+    mat = np.zeros((d, d))
+    for i in range(d):
+        moments = op.pair_mean_y(op.unwrap(chi[i]), F_flat)  # M(chi_i,k F_k) per node
+        for j in range(d):
+            mat[i, j] = float(np.sum(op.vm.weights * op.vm.field[:, j] * moments))
     return -mat if convention == "effective" else mat
 
 
@@ -156,20 +151,6 @@ def solve_cell(kernel, x, vm: VelocityMeasure, *, backend: str | None = None,
                         settings=(backend, grid, scheme, n_modes, tol))
 
 
-def _require_increasing(x: np.ndarray) -> None:
-    """Refuse sampled macro positions the slow gradient cannot use, saying why."""
-    rule = "sampled macro positions x need at least 3 finite, strictly increasing values"
-    if x.size < 3:
-        raise ValueError(f"{rule}; got only {x.size}")
-    bad = np.flatnonzero(~np.isfinite(x))
-    if bad.size:
-        raise ValueError(f"{rule}; x[{bad[0]}] = {x[bad[0]]} is not finite")
-    bad = np.flatnonzero(np.diff(x) <= 0)
-    if bad.size:
-        i = bad[0]
-        raise ValueError(f"{rule}; x[{i}] = {x[i]} is followed by x[{i + 1}] = {x[i + 1]}")
-
-
 def assemble_effective(
     kernel,
     vm: VelocityMeasure,
@@ -184,18 +165,12 @@ def assemble_effective(
 ) -> EffectiveCoefficients:
     """Solve the cell problems and average them into macro coefficients.
 
-    ``x`` is ``None`` (no modulation) or a 1-D array of at least three
-    strictly increasing macro positions.  The whitelisted macroscopic
-    modulations vary along the first coordinate only, so sampled assembly
-    differentiates the equilibrium along that axis (second order, centered
-    inside, one-sided at the ends) to build the drift.  Kernels without modulation short-circuit to a single cell
-    solve.
-
-    Sampled assembly keeps fields, not operators: each position's flat
-    equilibrium and correctors, ``D``, flux and diagnostics are kept and
-    its operator and factorization are dropped; the drift pairs the fields
-    through one retained operator, since the pairing depends only on the
-    grid or lattice shape and the velocity set.
+    ``x`` is ``None`` (no modulation) or a non-empty 1-D array of finite
+    macro positions.  Kernels without modulation short-circuit to a single
+    cell solve.  Sampled assembly solves one cell per position and keeps
+    only its ``D``, flux and diagnostics, dropping each operator before the
+    next solve; the drift ``U`` is zero at every position (see the module
+    docstring).
 
     The cell settings are those of :func:`solve_cell`.  ``cell``, a
     :func:`solve_cell` result for the same kernel, velocity set and
@@ -218,19 +193,13 @@ def assemble_effective(
                                      residual=c.residual, bound_constant=c.bound_constant)
 
     x_arr = np.asarray(x, dtype=float).reshape(-1)
-    _require_increasing(x_arr)
-    kept = []  # per position: flat F, flat correctors, D, flux, residual, bound constant
+    if x_arr.size == 0 or not np.all(np.isfinite(x_arr)):
+        raise ValueError(f"sampled macro positions x must be non-empty and finite; got {x_arr}")
+    kept = []  # per position: D, flux, residual, bound constant
     for xi in x_arr:
         s = solve(float(xi))
-        op = s.op
-        kept.append((op.unwrap(s.F), [op.unwrap(c) for c in s.chi], s.D, s.b,
-                     s.residual, s.bound_constant))
-    F, chi, D, b, residual, bound = zip(*kept)
-
-    # slow gradient of the equilibrium along the (first) macro axis; the drift
-    # U_i = -sum_j int M(chi_i a_j dF/dx_j) dmu keeps only its j = 1 term,
-    # and 0.0 - pairing (not -pairing) writes a zero drift as 0, not -0
-    dF_dx1 = np.gradient(np.stack(F), x_arr, axis=0, edge_order=2)
-    U = np.stack([0.0 - _pairing(op, chi_m, dF)[:, 0] for chi_m, dF in zip(chi, dF_dx1)])
-    return EffectiveCoefficients(x=x_arr, D=np.stack(D), U=U, flux=np.stack(b),
-                                 residual=max(residual), bound_constant=max(bound))
+        kept.append((s.D, s.b, s.residual, s.bound_constant))
+    D, b, residual, bound = zip(*kept)
+    return EffectiveCoefficients(x=x_arr, D=np.stack(D), U=np.zeros((x_arr.size, vm.dim)),
+                                 flux=np.stack(b), residual=max(residual),
+                                 bound_constant=max(bound))

@@ -389,12 +389,23 @@ def _validate_consistency(cfg: ScenarioConfig) -> None:
             "key `sigma.x_dependence`: the effective stage samples one macro axis; "
             "slow modulation needs `scenario.dimension` = 1"
         )
-    for sec, key in (("initial", "width"), ("macro", "dt"), ("kinetic", "c_cfl"),
-                     ("kinetic", "c_split")):
+    for sec, key in (("cell", "tol"), ("initial", "width"), ("macro", "half_width"),
+                     ("macro", "dt"), ("kinetic", "c_cfl"), ("kinetic", "c_split")):
         values = getattr(cfg, sec)
         if values is not None and values[key] != "auto" and not values[key] > 0:
             raise ConfigError(f"key `{sec}.{key}`: must be positive")
+    if not 0.0 <= cfg.macro["theta"] <= 1.0:
+        raise ConfigError("key `macro.theta`: must lie in [0, 1]")
+    t, n_check = cfg.macro["t"], cfg.macro["checkpoints"]
+    if not (np.isfinite(t) and t >= 0):
+        raise ConfigError("key `macro.t`: must be finite and non-negative")
+    if n_check < 0 or (t > 0) != (n_check > 0):
+        # the checkpoints split [0, t] into `checkpoints` equal intervals
+        raise ConfigError("key `macro.checkpoints`: must be positive when `macro.t` > 0 "
+                          "and 0 when `macro.t` = 0")
     if cfg.kinetic is not None:
+        if not all(np.isfinite(eps) and eps > 0 for eps in cfg.kinetic["epsilons"]):
+            raise ConfigError("key `kinetic.epsilons`: every value must be positive and finite")
         # tables and summary keys are labelled by `%g` of eps
         labels = [f"{eps:g}" for eps in cfg.kinetic["epsilons"]]
         if len(set(labels)) < len(labels):

@@ -219,6 +219,10 @@ class KineticSolver:
         self._Q[:, nodes, nodes] -= loss
         self._sigma_max = float(loss.max())
         self._speeds = vm.field[:, 0]
+        # the upwind CFL limit on the step; the shift transport and zero speeds set none
+        amax = float(np.abs(self._speeds).max())
+        self._cfl_dt = (self.c_cfl * self.epsilon * grid.spacing[0] / amax
+                        if scheme == "upwind" and amax > 0 else np.inf)
         self._kappa = shift_wavenumbers(grid)
         # everything that depends only on the step size, built once per size
         self._phase_cache: dict[float, np.ndarray] = {}
@@ -228,28 +232,17 @@ class KineticSolver:
 
     def default_dt(self) -> float:
         """Largest (coarse) step honoring the CFL (upwind) and splitting caps."""
-        h = self.grid.spacing[0]
-        amax = float(np.abs(self._speeds).max())
-        candidates = []
-        if self.scheme == "upwind" and amax > 0:
-            candidates.append(self.c_cfl * self.epsilon * h / amax)
+        dt = self._cfl_dt
         if self.scheme == "shift" or self.collision == "exact":
-            candidates.append(self.c_split * self.epsilon**2 / self._sigma_max)
-        if not candidates:
-            candidates.append(self.c_cfl * self.epsilon * h)
-        return float(min(candidates))
+            dt = min(dt, self.c_split * self.epsilon**2 / self._sigma_max)
+        if dt == np.inf:  # upwind + implicit with every speed zero: nothing caps the step
+            dt = self.c_cfl * self.epsilon * self.grid.spacing[0]
+        return float(dt)
 
     def _check_cfl(self, dt: float) -> None:
-        if self.scheme != "upwind":
-            return
-        h = self.grid.spacing[0]
-        amax = float(np.abs(self._speeds).max())
-        if amax == 0:
-            return
-        limit = self.c_cfl * self.epsilon * h / amax
-        if dt > limit * (1 + 1e-12):
+        if dt > self._cfl_dt * (1 + 1e-12):
             raise StabilityError(
-                f"dt={dt:.3e} exceeds the upwind CFL limit {limit:.3e} "
+                f"dt={dt:.3e} exceeds the upwind CFL limit {self._cfl_dt:.3e} "
                 f"(c_cfl={self.c_cfl}, eps={self.epsilon})"
             )
 
@@ -323,11 +316,10 @@ class KineticSolver:
         f0: np.ndarray,
         T: float,
         checkpoints: np.ndarray | None = None,
-        dt: float | None = None,
     ) -> list[KineticState]:
         """Integrate to ``T`` and return the checkpoint states.
 
-        The step size (``dt`` or :meth:`default_dt`) is shrunk per
+        The step size (:meth:`default_dt`) is shrunk per
         checkpoint interval so checkpoint times are hit exactly.  For
         ``shift`` with ``exact`` that is the coarse step: a fine run takes
         exactly twice its steps at half its size, and every state holds
@@ -341,9 +333,8 @@ class KineticSolver:
             raise ValueError(
                 f"initial state must have shape {(self.grid.n_points, self.vm.n_nodes)}"
             )
-        dt_target = float(dt) if dt is not None else self.default_dt()
+        dt_target = self.default_dt()
         plan = checkpoint_substeps(checkpoints, T, dt_target)
-        self._check_cfl(dt_target)
 
         states = [
             KineticState(f=f.copy(), t=0.0, epsilon=self.epsilon, dt=dt_target,

@@ -339,6 +339,68 @@ def test_upwind_assembly_is_bitwise_the_sparse_reference(kernel, vm, grid):
             assert np.array_equal(getattr(got, part), getattr(want, part))
 
 
+def _reference_lattice(kernel, x, vm, n_modes):
+    """``(A, K, lattice, mirror, zero_row)`` built with a coordinate dict, as before."""
+    freqs, coeffs = kernel.profile_frequencies()
+    gens = sorted({round(float(abs(f)), 9) for f in freqs if abs(f) > 1e-12})
+    m = int(n_modes)
+    if len(gens) == 0:
+        coords = np.zeros((1, 1), dtype=int)
+        lattice = np.zeros(1)
+    elif len(gens) == 1:
+        coords = np.arange(-m, m + 1, dtype=int)[:, None]
+        lattice = coords[:, 0] * gens[0]
+    else:
+        aa, bb = np.meshgrid(np.arange(-m, m + 1), np.arange(-m, m + 1), indexing="ij")
+        coords = np.stack([aa.ravel(), bb.ravel()], axis=1)
+        lattice = coords[:, 0] * gens[0] + coords[:, 1] * gens[1]
+    lattice = lattice.astype(float)
+    n_lat = coords.shape[0]
+    index = {tuple(t): i for i, t in enumerate(coords)}
+    mirror = np.array([index[tuple(-t)] for t in coords])
+    mult = np.zeros((n_lat, n_lat), dtype=complex)
+    for f, cf in zip(freqs, coeffs):
+        if abs(f) < 1e-12:
+            shift = tuple([0] * coords.shape[1])
+        else:
+            g_idx = gens.index(round(float(abs(f)), 9))
+            shift = tuple(int(np.sign(f)) if i == g_idx else 0 for i in range(coords.shape[1]))
+        for i, t in enumerate(coords):
+            j = index.get(tuple(np.asarray(t) + np.asarray(shift)))
+            if j is not None:
+                mult[j, i] += cf
+    K = vm.n_nodes
+    c = float(np.asarray(kernel.x_factor(x)))
+    gain_v, sig_v = gain_loss(c * kernel.node_matrix(vm), vm.weights)
+    transport = np.diag(np.kron(1j * lattice, np.ones(K)) * np.tile(vm.field[:, 0], n_lat))
+    A = transport + np.kron(mult, np.diag(sig_v))
+    return A, np.kron(mult, gain_v), lattice, mirror, index[tuple([0] * coords.shape[1])]
+
+
+@pytest.mark.parametrize("n_modes", [1, 3, 8])
+@pytest.mark.parametrize("kernel, x", [
+    (CONSTANT, 0.0),
+    (SINUSOIDAL, 0.0),
+    (make_kernel("quasi_periodic", base=1.0, alpha1=0.2, alpha2=-0.3), 0.0),
+    (make_kernel("quasi_approx", base=1.0, alpha1=0.2, alpha2=0.3, p=239, q=169), 0.0),
+    (make_kernel("sinusoidal_defect", base=1.0, alpha=0.25, defect_amplitude=-0.5,
+                 defect_width=0.25), 0.0),
+    (make_kernel("quasi_periodic", base=1.0, alpha1=0.2, alpha2=0.2, x_dependence="tanh",
+                 x_amplitude=0.5), 0.7),
+], ids=["constant", "sinusoidal", "quasi_periodic", "quasi_approx", "defect", "tanh"])
+def test_lattice_assembly_is_bitwise_the_dict_reference(kernel, x, n_modes):
+    vm = two_velocity_1d(weights=(1.0, 2.0))
+    op = assemble_spectral_ap(kernel, x, vm, n_modes=n_modes)
+    A, Km, lattice, mirror, zero_row = _reference_lattice(kernel, x, vm, n_modes)
+    for got, want in ((op.A_mat, A), (op.K_mat, Km), (op.P, A - Km),
+                      (op.lattice, lattice), (op.mirror, mirror)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert op.zero_row == zero_row
+    const = np.zeros(op.size, dtype=complex)
+    const[zero_row * vm.n_nodes:(zero_row + 1) * vm.n_nodes] = 1.0
+    assert np.array_equal(op.const, const)
+
+
 @pytest.mark.parametrize("build", [
     lambda: assemble(SINUSOIDAL, 0.0, two_velocity_1d(weights=(1.0, 2.0)), CellGrid((16,))),
     lambda: assemble(SINUSOIDAL, 0.0, two_velocity_1d(weights=(1.0, 2.0)), CellGrid((16,)),

@@ -154,6 +154,56 @@ def test_empty_frequency_lattice_is_refused(n_modes):
         parse_config(f"[cell]\nbackend = spectral_ap\nn_modes = {n_modes}\n")
 
 
+def _with(settings: dict) -> str:
+    """The kinetic MINIMAL scenario with each ``section.key`` set as given."""
+    text = MINIMAL + "[kinetic]\nepsilons = 0.4\n"
+    for dotted, value in settings.items():
+        section, name = dotted.split(".")
+        text, hits = re.subn(rf"(?m)^{name} = .*$", f"{name} = {value}", text)
+        if not hits:
+            text = text.replace(f"[{section}]\n", f"[{section}]\n{name} = {value}\n")
+    return text
+
+
+@pytest.mark.parametrize("key, settings, message", [
+    # each ran earlier stages, then failed with exit code 1 in a later one
+    ("macro.t", {"macro.t": "-0.1"}, "must be finite and non-negative"),
+    ("macro.t", {"macro.t": "inf"}, "must be finite and non-negative"),
+    ("macro.t", {"macro.t": "nan"}, "must be finite and non-negative"),
+    ("macro.checkpoints", {"macro.checkpoints": "-1"}, "must be positive when"),
+    ("macro.checkpoints", {"macro.checkpoints": "0"}, "must be positive when"),
+    ("macro.checkpoints", {"macro.t": "0", "macro.checkpoints": "3"}, "must be positive when"),
+    ("kinetic.epsilons", {"kinetic.epsilons": "0.4, 0"}, "every value must be positive"),
+    ("kinetic.epsilons", {"kinetic.epsilons": "-0.1"}, "every value must be positive"),
+    ("kinetic.epsilons", {"kinetic.epsilons": "0.4, inf"}, "every value must be positive"),
+    ("kinetic.epsilons", {"kinetic.epsilons": "nan"}, "every value must be positive"),
+    ("macro.theta", {"macro.theta": "-0.5"}, "must lie in [0, 1]"),
+    ("macro.theta", {"macro.theta": "1.5"}, "must lie in [0, 1]"),
+    ("macro.theta", {"macro.theta": "nan"}, "must lie in [0, 1]"),
+    ("macro.half_width", {"macro.half_width": "0"}, "must be positive"),
+    ("macro.half_width", {"macro.half_width": "-2"}, "must be positive"),
+    ("cell.tol", {"cell.tol": "0"}, "must be positive"),
+    ("cell.tol", {"cell.tol": "-1e-12"}, "must be positive"),
+])
+def test_late_failing_scenario_values_are_refused(tmp_path, capsys, key, settings, message):
+    text = _with(settings)
+    with pytest.raises(ConfigError, match=re.escape(f"key `{key}`: {message}")):
+        parse_config(text)
+    path = tmp_path / "late.ini"
+    path.write_text(text)
+    assert cli_main(["check", "--config", str(path)]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_a_run_of_zero_length_stays_valid():
+    cfg = parse_config(_with({"macro.t": "0", "macro.checkpoints": "0"}))
+    assert list(cfg.checkpoint_times()) == [0.0]
+    for theta in ("0", "1"):
+        parse_config(_with({"macro.theta": theta}))
+    report = run_pipeline(cfg, stop_after="macro")
+    assert report.macro.times.tolist() == [0.0]
+
+
 def test_pipeline_without_kinetic_section():
     report = run_pipeline(parse_config(MINIMAL))
     assert abs(report.lam - 1.0) < 1e-10
