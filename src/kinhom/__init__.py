@@ -38,7 +38,7 @@ from kinhom.effective import (
     diffusion_matrix,
 )
 from kinhom.macro_solver import DriftDiffusionSolver, MacroField
-from kinhom.kinetic_ref import KineticSolver, KineticState, StabilityError
+from kinhom.kinetic_ref import KineticSolver, KineticState
 from kinhom.harness import (
     ConfigError,
     ScenarioConfig,
@@ -83,7 +83,6 @@ __all__ = [
     "MacroField",
     "KineticSolver",
     "KineticState",
-    "StabilityError",
     "ConfigError",
     "ScenarioConfig",
     "dump_config",

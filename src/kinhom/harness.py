@@ -147,9 +147,9 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     },
     "kinetic": {
         "epsilons": ("floatlist", (0.4, 0.2, 0.1), None),
-        "scheme": ("str", "upwind", ("upwind", "shift")),
-        "collision": ("str", "implicit", ("implicit", "exact")),
-        "c_cfl": ("float", 0.9, None),
+        # one scheme each; the keys stay so scenarios that name it still parse
+        "scheme": ("str", "shift", ("shift",)),
+        "collision": ("str", "exact", ("exact",)),
         "c_split": ("auto", "auto", None),
     },
     "output": {
@@ -245,14 +245,7 @@ class ScenarioConfig:
         if fam == "constant":
             params["s0"] = s["s0"]
         elif fam == "table":
-            rows = [
-                [float(tok) for tok in row.split(",")]
-                for row in s["table"].split(";")
-                if row.strip()
-            ]
-            if not rows:
-                raise ConfigError("key `sigma.table`: empty table")
-            params["table"] = np.asarray(rows, dtype=float)
+            params["table"] = _node_table(s["table"])
         elif fam == "sinusoidal":
             params.update(base=s["base"], alpha=s["alpha"])
         elif fam in ("quasi_periodic", "quasi_approx"):
@@ -312,6 +305,18 @@ class ScenarioConfig:
         else:
             f0[:, 0] = rho / vm.weights[0]
         return f0
+
+
+def _node_table(text: str) -> np.ndarray:
+    """The ``sigma.table`` rows ``a, b; c, d`` as a square float array."""
+    try:
+        rows = [[float(tok) for tok in row.split(",")] for row in text.split(";") if row.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"key `sigma.table`: {exc}") from None
+    if not rows or any(len(row) != len(rows) for row in rows):
+        raise ConfigError(f"key `sigma.table`: need a square table; got {len(rows)} rows "
+                          f"of lengths {[len(row) for row in rows]}")
+    return np.asarray(rows, dtype=float)
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -380,8 +385,29 @@ def _validate_consistency(cfg: ScenarioConfig) -> None:
             "key `kinetic.epsilons`: the kinetic reference is one-dimensional; "
             "drop the [kinetic] section for 2-D scenarios"
         )
-    if cfg.sigma["family"] == "table" and not cfg.sigma["table"].strip():
-        raise ConfigError("key `sigma.table`: required for the table family")
+    if fam == "two_velocity":
+        n_nodes = 2
+        weights = cfg.velocity["weights"]
+        if len(weights) != 2 or not all(np.isfinite(w) and w > 0 for w in weights):
+            raise ConfigError("key `velocity.weights`: two_velocity needs exactly two "
+                              "positive finite weights")
+    else:
+        n_nodes = cfg.velocity["n"]
+        if n_nodes < 3:
+            raise ConfigError("key `velocity.n`: uniform_circle needs at least 3 nodes")
+    if cfg.sigma["family"] == "table":
+        if not cfg.sigma["table"].strip():
+            raise ConfigError("key `sigma.table`: required for the table family")
+        shape = _node_table(cfg.sigma["table"]).shape
+        if shape != (n_nodes, n_nodes):
+            raise ConfigError(f"key `sigma.table`: is {shape[0]} x {shape[1]}, but the "
+                              f"velocity set has {n_nodes} nodes")
+    if cfg.cell["n"] < 4:
+        raise ConfigError("key `cell.n`: must be at least 4")
+    if cfg.macro["n"] < 8:
+        raise ConfigError("key `macro.n`: must be at least 8")
+    if cfg.sigma["x_dependence"] == "tanh" and not abs(cfg.sigma["x_amplitude"]) < 1:
+        raise ConfigError("key `sigma.x_amplitude`: tanh modulation needs |x_amplitude| < 1")
     if cfg.cell["n_modes"] < 1:
         raise ConfigError("key `cell.n_modes`: must be at least 1")
     if d != 1 and cfg.sigma["x_dependence"] != "none":
@@ -389,8 +415,8 @@ def _validate_consistency(cfg: ScenarioConfig) -> None:
             "key `sigma.x_dependence`: the effective stage samples one macro axis; "
             "slow modulation needs `scenario.dimension` = 1"
         )
-    for sec, key in (("cell", "tol"), ("initial", "width"), ("macro", "half_width"),
-                     ("macro", "dt"), ("kinetic", "c_cfl"), ("kinetic", "c_split")):
+    for sec, key in (("cell", "period"), ("cell", "tol"), ("initial", "width"),
+                     ("macro", "half_width"), ("macro", "dt"), ("kinetic", "c_split")):
         values = getattr(cfg, sec)
         if values is not None and values[key] != "auto" and not values[key] > 0:
             raise ConfigError(f"key `{sec}.{key}`: must be positive")
@@ -647,6 +673,9 @@ def run_pipeline(
         x_samples = mg.axes()[0] if kernel.x_dependence != "none" else None
         coeffs = assemble_effective(kernel, vm, x=x_samples, cell=cell, **settings)
         report.coefficients = coeffs
+        # the worst diagnostics over every cell solve, the sampled ones included
+        report.corrector_residual = max(report.corrector_residual, coeffs.residual)
+        report.bound_constant = max(report.bound_constant, coeffs.bound_constant)
         D_all = coeffs.D if coeffs.D.ndim == 3 else coeffs.D[None, :, :]
         report.ellipticity_min = min(ellipticity_gate(Dm) for Dm in D_all)
     if stop_after == "effective":
@@ -688,9 +717,6 @@ def _run_kinetic(cfg, report, vm, kernel, mg, macro, F_field):
             vm,
             mg,
             epsilon=eps,
-            scheme=cfg.kinetic["scheme"],
-            collision=cfg.kinetic["collision"],
-            c_cfl=cfg.kinetic["c_cfl"],
             c_split=cfg.kinetic["c_split"],
         )
         states = solver.run(cfg.initial_f(mg, vm), T, checkpoints=times)

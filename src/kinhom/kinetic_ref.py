@@ -5,43 +5,41 @@ Integrates
     eps df/dt + a(v) df/dx = (1/eps) Q f,      Q evaluated at y = x/eps,
 
 on a periodic 1-D macro grid by Strang splitting: a transport half-step at
-speed ``a/eps`` (first-order upwind by default, or an exact FFT
-phase-shift), a full collision step at every grid point (implicit Euler by
-default, or the exact matrix exponential), and a second transport
-half-step.
-
-Everything that depends only on the step size is built once per size and
-reused by every sub-step: the FFT phase factors of the shift half-step
-(keyed on the exact ``dt``) and the per-point collision matrices (keyed on
-``dt`` to 12 significant digits, so sub-steps that differ by roundoff
-share one set; the exact closure computes them in one batched ``expm``).
-The collision product is formed per velocity node from those matrices,
-stored ``(K, K, n_x)``: ``out[:, k] = M[k, 0] f[:, 0] + M[k, 1] f[:, 1] +
-...`` as whole-grid multiplies and in-place adds in that order, which is
-``einsum``'s sum for two nodes without its per-call dispatch.
-
-Both collision closures conserve mass identically for balanced kernels —
-the weighted row sums of Q vanish, and that property transfers to
-``(I - tau Q)^{-1}`` and ``expm(tau Q)`` alike — and are L2-dissipative,
-which is what the monitor checks.  The solver refuses kernels that violate
-semi-detailed balance unless explicitly told not to (negative controls).
-
-Scheme notes: the implicit collision step adds an O(dt/eps^2) artificial
-broadening to the walked-out density, which is harmless for single runs
-but visible in sharp limit studies; those should configure
-``collision="exact"``.  With ``scheme="shift"`` as well, the Strang step is
-symmetric and second order in ``dt`` alone, its global error expands in
-even powers of ``dt``, and :meth:`KineticSolver.run` returns the Richardson
-extrapolation ``(4 S_{dt/2} - S_dt)/3`` of a coarse run and a fine run of
-exactly twice the steps (Hairer, Lubich & Wanner, *Geometric Numerical
-Integration*, 2006, II.4).  That removes the O((dt Sigma/eps^2)^2)
-splitting bias, so the coarse step is capped at ``c_split = 0.5`` (times
-``eps^2 / Sigma_max``) against 0.1 for plain Strang, and each state
+speed ``a/eps`` by exact FFT phase-shift, a full collision step at every
+grid point by the exact matrix exponential, and a second transport
+half-step.  Both sub-steps are exact, so the only error in ``dt`` is the
+splitting's: the step is symmetric and second order in ``dt`` alone, its
+global error expands in even powers of ``dt``, and :meth:`KineticSolver.run`
+returns the Richardson extrapolation ``(4 S_{dt/2} - S_dt)/3`` of a coarse
+run and a fine run of exactly twice the steps (Hairer, Lubich & Wanner,
+*Geometric Numerical Integration*, 2006, II.4).  That removes the
+O((dt Sigma/eps^2)^2) splitting bias, the coarse step is capped at
+``c_split eps^2 / Sigma_max`` with ``c_split = 0.5``, and each state
 carries the step-doubling estimate ``|S_{dt/2} - S_dt| / (3 |S_{dt/2}|)``
 of the fine run's own splitting error, a bound on what extrapolation
 leaves.  The combination is linear, so it conserves mass, but it does not
-keep positivity.  The other three combinations are not symmetric second
-order (upwind transport, implicit-Euler collision) and run plain Strang.
+keep positivity.
+
+There is no upwind transport or implicit-Euler collision: upwind adds
+O(h/eps) numerical diffusion and implicit Euler an O(dt/eps^2) broadening,
+so with either the error does not fall with ``eps`` and the scheme is not
+asymptotic-preserving (Jin, *SIAM J. Sci. Comput.* 21 (1999) 441-454).
+
+Everything that depends only on the step size is built once per size and
+reused by every sub-step: the FFT phase factors of the half-step (keyed on
+the exact ``dt``) and the per-point collision matrices (keyed on ``dt`` to
+12 significant digits, so sub-steps that differ by roundoff share one set;
+computed in one batched ``expm``).  The collision product is formed per
+velocity node from those matrices, stored ``(K, K, n_x)``: ``out[:, k] =
+M[k, 0] f[:, 0] + M[k, 1] f[:, 1] + ...`` as whole-grid multiplies and
+in-place adds in that order, which is ``einsum``'s sum for two nodes
+without its per-call dispatch.
+
+The collision step conserves mass identically for balanced kernels — the
+weighted row sums of Q vanish, and that property transfers to
+``expm(tau Q)`` — and is L2-dissipative, which is what the monitor checks.
+The solver refuses kernels that violate semi-detailed balance unless
+explicitly told not to (negative controls).
 """
 
 from __future__ import annotations
@@ -57,8 +55,6 @@ from kinhom.phase_space import MacroGrid, VelocityMeasure, checkpoint_substeps, 
 
 __all__ = [
     "C_SPLIT_EXTRAPOLATED",
-    "C_SPLIT_STRANG",
-    "StabilityError",
     "KineticState",
     "KineticSolver",
     "periodic_shift",
@@ -67,18 +63,12 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# ``c_split = "auto"``: the cap on the coarse step of the extrapolated
-# shift+exact pair, and on the Strang step of every other combination.
+# ``c_split = "auto"``: the cap on the coarse step of the Richardson pair.
 # From 0.6 up, what extrapolation leaves lifts the (1, cos2pi, a1)
 # oscillation residual at eps = 0.1 above its roundoff-level value at
 # eps = 0.2, which acceptance criterion 6 requires to fall
 # (``tools/split_study.py`` prints the series).
 C_SPLIT_EXTRAPOLATED = 0.5
-C_SPLIT_STRANG = 0.1
-
-
-class StabilityError(RuntimeError):
-    """A requested time step violates the scheme's stability condition."""
 
 
 @dataclass(frozen=True)
@@ -92,7 +82,7 @@ class KineticState:
     grid: MacroGrid
     vm: VelocityMeasure
     steps: int = 0                  # Strang steps taken from t = 0, coarse plus fine
-    split_est: float | None = None  # step-doubling estimate; extrapolated runs only
+    split_est: float | None = None  # step-doubling estimate; None at t = 0
 
     def density(self) -> np.ndarray:
         """Velocity integral ``rho(t, x_j) = int f dmu``."""
@@ -146,18 +136,9 @@ class KineticSolver:
         per-point ``(n_x, K, K)`` — for controlled experiments.
     grid :
         Periodic 1-D macro grid.
-    scheme :
-        Transport half-step: ``"upwind"`` (default, CFL-limited) or
-        ``"shift"`` (exact FFT translation, no CFL).
-    collision :
-        ``"implicit"`` (default; backward Euler, unconditionally stable)
-        or ``"exact"`` (matrix exponential; use for limit studies).
-        ``shift`` with ``exact`` runs Richardson-extrapolated Strang.
     c_split :
-        Splitting cap ``c_split eps^2 / Sigma_max`` on the step: the coarse
-        step where :meth:`run` extrapolates, the Strang step elsewhere.
-        ``"auto"`` picks :data:`C_SPLIT_EXTRAPOLATED` or
-        :data:`C_SPLIT_STRANG`.
+        Splitting cap ``c_split eps^2 / Sigma_max`` on the coarse step of
+        :meth:`run`.  ``"auto"`` is :data:`C_SPLIT_EXTRAPOLATED`.
     validate :
         Refuse kernels failing semi-detailed balance.  Disable only for
         negative-control experiments.
@@ -169,9 +150,6 @@ class KineticSolver:
         vm: VelocityMeasure,
         grid: MacroGrid,
         epsilon: float,
-        scheme: str = "upwind",
-        collision: str = "implicit",
-        c_cfl: float = 0.9,
         c_split: float | str = "auto",
         validate: bool = True,
     ):
@@ -179,23 +157,12 @@ class KineticSolver:
             raise ValueError("the kinetic reference is one-dimensional")
         if grid.bc != "periodic":
             raise ValueError("the kinetic reference needs a periodic macro grid")
-        if scheme not in ("upwind", "shift"):
-            raise ValueError(f"unknown transport scheme {scheme!r}")
-        if collision not in ("implicit", "exact"):
-            raise ValueError(f"unknown collision closure {collision!r}")
         if epsilon <= 0:
             raise ValueError("epsilon must be positive")
         self.vm = vm
         self.grid = grid
         self.epsilon = float(epsilon)
-        self.scheme = scheme
-        self.collision = collision
-        self.c_cfl = float(c_cfl)
-        # the only pair whose Strang step is symmetric and second order in dt
-        self.extrapolate = scheme == "shift" and collision == "exact"
-        if c_split == "auto":
-            c_split = C_SPLIT_EXTRAPOLATED if self.extrapolate else C_SPLIT_STRANG
-        self.c_split = float(c_split)
+        self.c_split = float(C_SPLIT_EXTRAPOLATED if c_split == "auto" else c_split)
 
         n_x = grid.n_points
         x = grid.axes()[0]
@@ -219,10 +186,6 @@ class KineticSolver:
         self._Q[:, nodes, nodes] -= loss
         self._sigma_max = float(loss.max())
         self._speeds = vm.field[:, 0]
-        # the upwind CFL limit on the step; the shift transport and zero speeds set none
-        amax = float(np.abs(self._speeds).max())
-        self._cfl_dt = (self.c_cfl * self.epsilon * grid.spacing[0] / amax
-                        if scheme == "upwind" and amax > 0 else np.inf)
         self._kappa = shift_wavenumbers(grid)
         # everything that depends only on the step size, built once per size
         self._phase_cache: dict[float, np.ndarray] = {}
@@ -231,56 +194,26 @@ class KineticSolver:
     # -- step-size policy -------------------------------------------------------
 
     def default_dt(self) -> float:
-        """Largest (coarse) step honoring the CFL (upwind) and splitting caps."""
-        dt = self._cfl_dt
-        if self.scheme == "shift" or self.collision == "exact":
-            dt = min(dt, self.c_split * self.epsilon**2 / self._sigma_max)
-        if dt == np.inf:  # upwind + implicit with every speed zero: nothing caps the step
-            dt = self.c_cfl * self.epsilon * self.grid.spacing[0]
-        return float(dt)
-
-    def _check_cfl(self, dt: float) -> None:
-        if dt > self._cfl_dt * (1 + 1e-12):
-            raise StabilityError(
-                f"dt={dt:.3e} exceeds the upwind CFL limit {self._cfl_dt:.3e} "
-                f"(c_cfl={self.c_cfl}, eps={self.epsilon})"
-            )
+        """The coarse step: the splitting cap ``c_split eps^2 / Sigma_max``."""
+        return float(self.c_split * self.epsilon**2 / self._sigma_max)
 
     # -- split sub-steps ----------------------------------------------------------
 
     def transport_half(self, f: np.ndarray, dt: float) -> np.ndarray:
-        """Advance ``df/dt + (a/eps) df/dx = 0`` over ``dt/2``."""
-        if self.scheme == "shift":
-            # keyed on the exact step: the phase of each call's own dt
-            key = float(dt)
-            phase = self._phase_cache.get(key)
-            if phase is None:
-                shift = self._speeds * dt / (2.0 * self.epsilon)
-                phase = self._phase_cache[key] = _phase(self._kappa, shift)
-            return _apply_phase(f, phase)
-        out = np.array(f, dtype=float)
-        h = self.grid.spacing[0]
-        for k, a in enumerate(self._speeds):
-            if a == 0.0:
-                continue
-            nu = a * dt / (2.0 * self.epsilon * h)
-            col = out[:, k]
-            if a > 0:
-                out[:, k] = col - nu * (col - np.roll(col, 1))
-            else:
-                out[:, k] = col - nu * (np.roll(col, -1) - col)
-        return out
+        """Advance ``df/dt + (a/eps) df/dx = 0`` over ``dt/2`` by exact shift."""
+        # keyed on the exact step: the phase of each call's own dt
+        key = float(dt)
+        phase = self._phase_cache.get(key)
+        if phase is None:
+            shift = self._speeds * dt / (2.0 * self.epsilon)
+            phase = self._phase_cache[key] = _phase(self._kappa, shift)
+        return _apply_phase(f, phase)
 
     def _collision_matrices(self, dt: float) -> np.ndarray:
-        """Per-point step matrices as a contiguous ``(K, K, n_x)`` array."""
+        """Per-point ``expm(dt Q / eps^2)`` as a contiguous ``(K, K, n_x)`` array."""
         key = step_key(dt)
         if key not in self._collision_cache:
-            tau = dt / self.epsilon**2
-            if self.collision == "implicit":
-                eye = np.eye(self.vm.n_nodes)
-                mats = np.linalg.inv(eye[None, :, :] - tau * self._Q)
-            else:
-                mats = scipy.linalg.expm(tau * self._Q)
+            mats = scipy.linalg.expm(dt / self.epsilon**2 * self._Q)
             self._collision_cache[key] = np.ascontiguousarray(mats.transpose(1, 2, 0))
         return self._collision_cache[key]
 
@@ -304,7 +237,6 @@ class KineticSolver:
 
     def step(self, f: np.ndarray, dt: float) -> np.ndarray:
         """One Strang step: transport half, collision, transport half."""
-        self._check_cfl(dt)
         mid = self.transport_half(f, dt)
         mid = self.collision_full(mid, dt)
         return self.transport_half(mid, dt)
@@ -319,9 +251,8 @@ class KineticSolver:
     ) -> list[KineticState]:
         """Integrate to ``T`` and return the checkpoint states.
 
-        The step size (:meth:`default_dt`) is shrunk per
-        checkpoint interval so checkpoint times are hit exactly.  For
-        ``shift`` with ``exact`` that is the coarse step: a fine run takes
+        The coarse step (:meth:`default_dt`) is shrunk per checkpoint
+        interval so checkpoint times are hit exactly.  A fine run takes
         exactly twice its steps at half its size, and every state holds
         ``(4 fine - coarse)/3`` with the step-doubling ``split_est``.  The
         L2 monitor is evaluated at every checkpoint; growth beyond 1e-8
@@ -347,18 +278,14 @@ class KineticSolver:
         for t1, n_sub, sub_dt in plan:
             for _ in range(n_sub):
                 f = self.step(f, sub_dt)
-            steps += n_sub
-            if self.extrapolate:
-                # twice the coarse count, not checkpoint_substeps at dt/2,
-                # whose ceil may round one step further up
-                for _ in range(2 * n_sub):
-                    fine = self.step(fine, sub_dt / 2)
-                steps += 2 * n_sub
-                out = (4.0 * fine - f) / 3.0
-                est = float(np.sqrt(np.sum(weights * (fine - f) ** 2)
-                                    / np.sum(weights * fine**2))) / 3.0
-            else:
-                out, est = f.copy(), None
+            # twice the coarse count, not checkpoint_substeps at dt/2,
+            # whose ceil may round one step further up
+            for _ in range(2 * n_sub):
+                fine = self.step(fine, sub_dt / 2)
+            steps += 3 * n_sub
+            out = (4.0 * fine - f) / 3.0
+            est = float(np.sqrt(np.sum(weights * (fine - f) ** 2)
+                                / np.sum(weights * fine**2))) / 3.0
             state = KineticState(f=out, t=t1, epsilon=self.epsilon, dt=sub_dt,
                                  grid=self.grid, vm=self.vm, steps=steps, split_est=est)
             if state.l2_norm() > l2_init * (1.0 + 1e-8):

@@ -1,5 +1,7 @@
 """Scenario configs, pipeline stages, emitted tables, CLI exit codes."""
 
+import configparser
+import io
 import re
 
 import numpy as np
@@ -67,7 +69,8 @@ def test_defaults_and_canonical_roundtrip():
     assert dump_config(parse_config(text)) == text
     with_kinetic = parse_config(KINETIC)
     assert with_kinetic.kinetic["epsilons"] == (0.4, 0.2)
-    assert with_kinetic.kinetic["collision"] == "implicit"
+    assert with_kinetic.kinetic["scheme"] == "shift"
+    assert with_kinetic.kinetic["collision"] == "exact"
     assert dump_config(parse_config(dump_config(with_kinetic))) == dump_config(with_kinetic)
 
 
@@ -109,8 +112,8 @@ def test_nonpositive_initial_width_is_refused(width):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("macro.dt", "0"), ("macro.dt", "-0.01"), ("kinetic.c_cfl", "0"),
-    ("kinetic.c_cfl", "-0.9"), ("kinetic.c_split", "0"), ("kinetic.c_split", "-0.5"),
+    ("macro.dt", "0"), ("macro.dt", "-0.01"), ("kinetic.c_split", "0"),
+    ("kinetic.c_split", "-0.5"),
 ])
 def test_nonpositive_step_sizes_are_refused(key, value):
     # a negative macro.dt ran one step per checkpoint interval, and 0 failed
@@ -120,8 +123,7 @@ def test_nonpositive_step_sizes_are_refused(key, value):
     with pytest.raises(ConfigError, match=re.escape(f"key `{key}`: must be positive")):
         parse_config(kinetic.replace(f"[{section}]\n", f"[{section}]\n{name} = {value}\n"))
     parse_config(kinetic.replace(f"[{section}]\n", f"[{section}]\n{name} = 0.05\n"))
-    if name != "c_cfl":
-        parse_config(kinetic.replace(f"[{section}]\n", f"[{section}]\n{name} = auto\n"))
+    parse_config(kinetic.replace(f"[{section}]\n", f"[{section}]\n{name} = auto\n"))
 
 
 def test_two_dimensional_slow_modulation_is_refused(tmp_path, capsys):
@@ -155,14 +157,23 @@ def test_empty_frequency_lattice_is_refused(n_modes):
 
 
 def _with(settings: dict) -> str:
-    """The kinetic MINIMAL scenario with each ``section.key`` set as given."""
-    text = MINIMAL + "[kinetic]\nepsilons = 0.4\n"
+    """The kinetic MINIMAL scenario with each ``section.key`` set as given.
+
+    A value of ``None`` drops the key's whole section.
+    """
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_string(MINIMAL + "[kinetic]\nepsilons = 0.4\n")
     for dotted, value in settings.items():
         section, name = dotted.split(".")
-        text, hits = re.subn(rf"(?m)^{name} = .*$", f"{name} = {value}", text)
-        if not hits:
-            text = text.replace(f"[{section}]\n", f"[{section}]\n{name} = {value}\n")
-    return text
+        if value is None:
+            cp.remove_section(section)
+            continue
+        if not cp.has_section(section):
+            cp.add_section(section)
+        cp[section][name] = value
+    out = io.StringIO()
+    cp.write(out)
+    return out.getvalue()
 
 
 @pytest.mark.parametrize("key, settings, message", [
@@ -184,6 +195,29 @@ def _with(settings: dict) -> str:
     ("macro.half_width", {"macro.half_width": "-2"}, "must be positive"),
     ("cell.tol", {"cell.tol": "0"}, "must be positive"),
     ("cell.tol", {"cell.tol": "-1e-12"}, "must be positive"),
+    ("cell.period", {"cell.period": "0"}, "must be positive"),
+    ("cell.period", {"cell.period": "-1"}, "must be positive"),
+    # these failed with a message that named no key
+    ("cell.n", {"cell.n": "3"}, "must be at least 4"),
+    ("cell.n", {"cell.n": "0"}, "must be at least 4"),
+    ("macro.n", {"macro.n": "7"}, "must be at least 8"),
+    ("velocity.n", {"velocity.family": "uniform_circle", "velocity.n": "2",
+                    "scenario.dimension": "2", "kinetic.epsilons": None},
+     "uniform_circle needs at least 3 nodes"),
+    ("velocity.weights", {"velocity.weights": "1.0"}, "two_velocity needs exactly two positive"),
+    ("velocity.weights", {"velocity.weights": "1.0, 1.0, 1.0"}, "two_velocity needs exactly two positive"),
+    ("velocity.weights", {"velocity.weights": "1.0, 0.0"}, "two_velocity needs exactly two positive"),
+    ("velocity.weights", {"velocity.weights": "1.0, -2.0"}, "two_velocity needs exactly two positive"),
+    ("sigma.x_amplitude", {"sigma.x_dependence": "tanh", "sigma.x_amplitude": "1.5"},
+     "tanh modulation needs |x_amplitude| < 1"),
+    ("sigma.x_amplitude", {"sigma.x_dependence": "tanh", "sigma.x_amplitude": "-1"},
+     "tanh modulation needs |x_amplitude| < 1"),
+    ("sigma.table", {"sigma.family": "table", "sigma.table": "1, 1; 1"},
+     "need a square table; got 2 rows of lengths [2, 1]"),
+    ("sigma.table", {"sigma.family": "table", "sigma.table": "1, 1, 1; 1, 1, 1"},
+     "need a square table; got 2 rows of lengths [3, 3]"),
+    ("sigma.table", {"sigma.family": "table", "sigma.table": "1, 1, 1; 1, 1, 1; 1, 1, 1"},
+     "is 3 x 3, but the velocity set has 2 nodes"),
 ])
 def test_late_failing_scenario_values_are_refused(tmp_path, capsys, key, settings, message):
     text = _with(settings)
@@ -310,6 +344,32 @@ def test_summary_counts_macro_steps_and_dt(monkeypatch, text):
 
 
 
+@pytest.mark.parametrize("key, value", [("scheme", "upwind"), ("collision", "implicit")])
+def test_kinetic_scheme_keys_take_one_value(key, value):
+    # the kinetic reference runs exact shift transport with exact collision only
+    with pytest.raises(ConfigError, match=re.escape(f"key `kinetic.{key}`")):
+        parse_config(KINETIC + f"{key} = {value}\n")
+    with pytest.raises(ConfigError, match=re.escape("unknown key `kinetic.c_cfl`")):
+        parse_config(KINETIC + "c_cfl = 0.9\n")
+    cfg = parse_config(KINETIC + "scheme = shift\ncollision = exact\n")
+    assert cfg == parse_config(KINETIC)
+    dumped = dump_config(cfg)
+    assert {"scheme = shift", "collision = exact"} <= set(dumped.splitlines())
+    assert dump_config(parse_config(dumped)) == dumped
+
+
+def test_bare_kinetic_section_sweep_passes(tmp_path, capsys):
+    # default constant kernel, eps = 0.4, 0.2, 0.1: the error falls by at
+    # least 1.5 per halving of eps (upwind with implicit Euler gave 0.59)
+    path = tmp_path / "bare.ini"
+    path.write_text("[kinetic]\n")
+    sweep = run_pipeline(parse_config(path.read_text())).sweep
+    assert sweep.monotone and sweep.min_ratio >= 1.5
+    assert cli_main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    verdict = capsys.readouterr().out.splitlines()[-1]
+    assert verdict.startswith("verdict: monotone=yes") and verdict.endswith(": PASS")
+
+
 @pytest.mark.parametrize("c_split, line", [
     (None, "c_split = auto"), ("auto", "c_split = auto"), ("0.25", "c_split = 0.25"),
 ])
@@ -323,12 +383,11 @@ def test_split_cap_roundtrips(c_split, line):
     assert dump_config(parse_config(dumped)) == dumped
 
 
-@pytest.mark.parametrize("scheme, collision, runs", [
-    ("shift", "exact", 3), ("upwind", "implicit", 1),
-])
+# the scenario names the one scheme pair; each run takes a coarse run and a
+# fine run of twice its steps
+@pytest.mark.parametrize("scheme, collision, runs", [("shift", "exact", 3)])
 def test_summary_counts_kinetic_steps_dt_mass_and_split_estimate(monkeypatch, scheme,
                                                                  collision, runs):
-    # shift + exact takes a coarse run and a fine run of twice its steps
     from kinhom.kinetic_ref import KineticSolver
     from kinhom.phase_space import checkpoint_substeps
 
@@ -346,17 +405,14 @@ def test_summary_counts_kinetic_steps_dt_mass_and_split_estimate(monkeypatch, sc
     summary = report.summary
     for eps, states in report.kinetic_states.items():
         solver = KineticSolver(cfg.build_kernel(), cfg.build_velocity(), cfg.build_macro_grid(),
-                               epsilon=eps, scheme=scheme, collision=collision)
+                               epsilon=eps)
         plan = checkpoint_substeps(cfg.checkpoint_times(), cfg.macro["t"], solver.default_dt())
         n_sub = sum(n for _, n, _ in plan)
         assert summary[f"kinetic_steps_eps_{eps:g}"] == runs * n_sub == calls.count(eps)
         assert summary[f"kinetic_dt_eps_{eps:g}"] == plan[-1][2]
         assert 0.0 <= summary[f"kinetic_mass_drift_eps_{eps:g}"] <= 1e-13
         assert summary[f"kinetic_min_f_eps_{eps:g}"] == min(s.f.min() for s in states)
-        if runs == 3:
-            assert 0.0 < summary[f"split_est_eps_{eps:g}"] == states[-1].split_est < 1e-2
-        else:
-            assert f"split_est_eps_{eps:g}" not in summary
+        assert 0.0 < summary[f"split_est_eps_{eps:g}"] == states[-1].split_est < 1e-2
     assert len(calls) == sum(summary[f"kinetic_steps_eps_{e:g}"] for e in cfg.kinetic["epsilons"])
 
 
@@ -398,6 +454,42 @@ def test_pipeline_solves_a_modulated_cell_per_macro_point(monkeypatch):
     cfg = parse_config(text)
     run_pipeline(cfg)
     assert calls == {"assemble": cfg.macro["n"] + 1, "assemble_spectral_ap": 0}
+
+
+TANH_REDUCED = """\
+[scenario]
+name = tanh
+
+[cell]
+n = 16
+
+[sigma]
+family = sinusoidal
+alpha = 0.5
+x_dependence = tanh
+x_amplitude = 0.5
+
+[macro]
+n = 32
+"""
+
+
+def test_summary_reports_the_worst_corrector_diagnostics():
+    # the x = 0 cell is not the worst one: its residual is about 7e-16
+    # against 7e-13 elsewhere, and its bound constant 0.51 against 1.004
+    from kinhom.effective import solve_cell
+
+    cfg = parse_config(TANH_REDUCED)
+    summary = run_pipeline(cfg, stop_after="effective").summary
+    kernel, vm, grid = cfg.build_kernel(), cfg.build_velocity(), cfg.build_cell_grid()
+    cells = [solve_cell(kernel, float(x), vm, backend="grid", grid=grid,
+                        scheme=cfg.cell["scheme"], n_modes=cfg.cell["n_modes"],
+                        tol=cfg.cell["tol"])
+             for x in [0.0, *cfg.build_macro_grid().axes()[0]]]
+    assert summary["corrector_residual"] == max(c.residual for c in cells)
+    assert summary["bound_constant"] == max(c.bound_constant for c in cells)
+    assert summary["bound_constant"] > cells[0].bound_constant
+
 
 def test_pipeline_with_kinetic_produces_sweep_and_sigma_rows():
     report = run_pipeline(parse_config(KINETIC))

@@ -7,9 +7,7 @@ import scipy.linalg
 from kinhom.collision import BalanceError, make_kernel
 from kinhom.kinetic_ref import (
     C_SPLIT_EXTRAPOLATED,
-    C_SPLIT_STRANG,
     KineticSolver,
-    StabilityError,
     periodic_shift,
     shift_wavenumbers,
 )
@@ -26,11 +24,10 @@ def _smooth_initial(grid, vm):
     return np.stack([base * (1.0 + 0.2 * k) for k in range(vm.n_nodes)], axis=1)
 
 
-@pytest.mark.parametrize("scheme", ["upwind", "shift"])
-@pytest.mark.parametrize("collision", ["implicit", "exact"])
-def test_global_equilibrium_is_steady(scheme, collision):
-    solver = KineticSolver(SINUSOIDAL, VM, GRID, epsilon=0.5,
-                           scheme=scheme, collision=collision)
+# ids name the collision-transport pair, the one the solver runs
+@pytest.mark.parametrize("c_split", ["auto"], ids=["exact-shift"])
+def test_global_equilibrium_is_steady(c_split):
+    solver = KineticSolver(SINUSOIDAL, VM, GRID, epsilon=0.5, c_split=c_split)
     f0 = np.full((GRID.n_points, VM.n_nodes), 0.5)
     states = solver.run(f0, 0.05)
     assert np.max(np.abs(states[-1].f - f0)) < 1e-13
@@ -52,7 +49,7 @@ def test_collision_step_closed_form_decay():
     # equilibrium decay at rate sigma mu(V) = 2 in the scaled time dt/eps^2
     solver = KineticSolver(make_kernel("constant", s0=1.0), VM,
                            MacroGrid(half_width=1.0, shape=(8,), bc="periodic"),
-                           epsilon=1.0, collision="exact")
+                           epsilon=1.0)
     dev = np.array([1.0, -1.0])
     f0 = 0.5 + 0.01 * np.tile(dev, (8, 1))
     dt = 0.25
@@ -61,20 +58,12 @@ def test_collision_step_closed_form_decay():
     expect = 0.5 + 0.01 * factor * np.tile(dev, (8, 1))
     assert np.max(np.abs(out - expect)) < 1e-14
 
-    implicit = KineticSolver(make_kernel("constant", s0=1.0), VM,
-                             MacroGrid(half_width=1.0, shape=(8,), bc="periodic"),
-                             epsilon=1.0, collision="implicit")
-    out_i = implicit.collision_full(f0, dt)
-    expect_i = 0.5 + 0.01 / (1.0 + 2.0 * dt) * np.tile(dev, (8, 1))
-    assert np.max(np.abs(out_i - expect_i)) < 1e-14
-
 
 def test_collision_decay_with_asymmetric_weights():
     # weights (1, 2): mu(V) = 3, and the mu-orthogonal deviation is (2, -1)
     vm = two_velocity_1d(weights=(1.0, 2.0))
     grid = MacroGrid(half_width=1.0, shape=(8,), bc="periodic")
-    solver = KineticSolver(make_kernel("constant", s0=1.0), vm, grid,
-                           epsilon=1.0, collision="exact")
+    solver = KineticSolver(make_kernel("constant", s0=1.0), vm, grid, epsilon=1.0)
     dev = np.array([2.0, -1.0])
     f0 = 1.0 / 3.0 + 0.01 * np.tile(dev, (8, 1))
     out = solver.collision_full(f0, 0.2)
@@ -104,27 +93,11 @@ def test_unbalanced_kernel_is_refused_unless_negative_control():
     assert abs(m1 - m0) > 1e-6 * abs(m0)
 
 
-def test_upwind_cfl_gate_and_default_dt():
-    eps = 0.25
-    solver = KineticSolver(SINUSOIDAL, VM, GRID, epsilon=eps)
-    h = GRID.spacing[0]
-    assert solver.default_dt() == pytest.approx(0.9 * eps * h)
-    with pytest.raises(StabilityError):
-        solver.step(_smooth_initial(GRID, VM), 2.0 * solver.default_dt())
-    # the splitting cap takes over for the exact closure when it is tighter
-    exact = KineticSolver(SINUSOIDAL, VM, GRID, epsilon=eps, collision="exact")
-    x = GRID.axes()[0]
-    sigma_max = 2.0 * (1.0 + 0.5 * np.sin(2.0 * np.pi * x / eps)).max()
-    expected = min(0.9 * eps * h, 0.1 * eps**2 / sigma_max)
-    assert exact.default_dt() == pytest.approx(expected)
-
-
 def test_shift_transport_matches_integer_roll():
     n_x = 32
     grid = MacroGrid(half_width=1.0, shape=(n_x,), bc="periodic")
     eps = 0.5
-    solver = KineticSolver(make_kernel("constant", s0=1.0), VM, grid,
-                           epsilon=eps, scheme="shift")
+    solver = KineticSolver(make_kernel("constant", s0=1.0), VM, grid, epsilon=eps)
     h = grid.spacing[0]
     m = 3
     dt = 2.0 * eps * h * m  # half-step moves speed-one data by m cells
@@ -141,8 +114,7 @@ def test_shift_transport_matches_integer_roll():
 
 def test_shift_half_step_is_bitwise_the_periodic_shift():
     eps = 0.05
-    solver = KineticSolver(SINUSOIDAL, VM, GRID, epsilon=eps, scheme="shift",
-                           collision="exact")
+    solver = KineticSolver(SINUSOIDAL, VM, GRID, epsilon=eps)
     f = _smooth_initial(GRID, VM)
     dt = solver.default_dt()
     kappa = shift_wavenumbers(GRID)
@@ -155,7 +127,7 @@ def test_shift_half_step_is_bitwise_the_periodic_shift():
 
 def test_exact_collision_is_bitwise_the_per_point_expm():
     eps = 0.05
-    solver = KineticSolver(SINUSOIDAL, VM, GRID, epsilon=eps, collision="exact")
+    solver = KineticSolver(SINUSOIDAL, VM, GRID, epsilon=eps)
     f = _smooth_initial(GRID, VM)
     dt = solver.default_dt()
     tau = dt / eps**2
@@ -164,11 +136,11 @@ def test_exact_collision_is_bitwise_the_per_point_expm():
     assert np.array_equal(solver.collision_full(f, dt), expect)
 
 
-@pytest.mark.parametrize("collision", ["implicit", "exact"])
-def test_collision_cache_tells_small_steps_apart(collision):
+@pytest.mark.parametrize("epsilon", [1e-4], ids=["exact"])
+def test_collision_cache_tells_small_steps_apart(epsilon):
     # the cache key keeps 12 significant digits, whatever the size of dt
     def solver():
-        return KineticSolver(SINUSOIDAL, VM, GRID, epsilon=1e-4, collision=collision)
+        return KineticSolver(SINUSOIDAL, VM, GRID, epsilon=epsilon)
 
     f = _smooth_initial(GRID, VM)
     warm = solver()
@@ -200,10 +172,6 @@ def test_constructor_and_run_guards():
     with pytest.raises(ValueError):
         KineticSolver(SINUSOIDAL, VM, GRID, epsilon=-0.1)
     with pytest.raises(ValueError):
-        KineticSolver(SINUSOIDAL, VM, GRID, epsilon=0.5, scheme="lax")
-    with pytest.raises(ValueError):
-        KineticSolver(SINUSOIDAL, VM, GRID, epsilon=0.5, collision="chebyshev")
-    with pytest.raises(ValueError):
         KineticSolver(SINUSOIDAL, VM,
                       MacroGrid(half_width=2.0, shape=(64,), bc="no-flux"),
                       epsilon=0.5)
@@ -232,13 +200,11 @@ def test_extrapolated_run_is_within_3e_5_of_a_finer_extrapolated_pair(eps):
     T = 0.1
     times = np.linspace(0.0, T, 3)
     f0 = _smooth_initial(GRID, VM)
-    ref_solver = KineticSolver(SINUSOIDAL, VM, GRID, epsilon=eps, scheme="shift",
-                               collision="exact", c_split=0.1)
+    ref_solver = KineticSolver(SINUSOIDAL, VM, GRID, epsilon=eps, c_split=0.1)
     plan = checkpoint_substeps(times, T, ref_solver.default_dt())
     coarse = _strang(ref_solver, f0, plan)
     ref = (4.0 * _strang(ref_solver, f0, plan, refine=2) - coarse) / 3.0
-    solver = KineticSolver(SINUSOIDAL, VM, GRID, epsilon=eps, scheme="shift",
-                           collision="exact")
+    solver = KineticSolver(SINUSOIDAL, VM, GRID, epsilon=eps)
     final = solver.run(f0, T, checkpoints=times)[-1]
     assert np.linalg.norm(final.f - ref) / np.linalg.norm(ref) <= 3e-5
     # the step-doubling estimate bounds the fine run's own splitting error
@@ -246,8 +212,7 @@ def test_extrapolated_run_is_within_3e_5_of_a_finer_extrapolated_pair(eps):
 
 
 def test_fine_run_takes_exactly_twice_the_coarse_steps():
-    solver = KineticSolver(SINUSOIDAL, VM, GRID, epsilon=0.1, scheme="shift",
-                           collision="exact")
+    solver = KineticSolver(SINUSOIDAL, VM, GRID, epsilon=0.1)
     dt = solver.default_dt()
     # first interval: 3 + 7.5e-13 coarse steps long, so ceil rounds down at dt
     # but up at dt/2, where it is 6 + 1.5e-12 steps long
@@ -274,8 +239,7 @@ def test_fine_run_takes_exactly_twice_the_coarse_steps():
 
 
 def test_extrapolated_run_conserves_mass_and_l2():
-    solver = KineticSolver(SINUSOIDAL, VM, GRID, epsilon=0.1, scheme="shift",
-                           collision="exact")
+    solver = KineticSolver(SINUSOIDAL, VM, GRID, epsilon=0.1)
     times = np.linspace(0.0, 0.1, 6)
     states = solver.run(_smooth_initial(GRID, VM), 0.1, checkpoints=times)
     plan = checkpoint_substeps(times, 0.1, solver.default_dt())
@@ -286,34 +250,13 @@ def test_extrapolated_run_conserves_mass_and_l2():
     assert all(n1 <= n0 * (1 + 1e-12) for n0, n1 in zip(norms, norms[1:]))
 
 
-@pytest.mark.parametrize("scheme, collision", [
-    ("upwind", "implicit"), ("upwind", "exact"), ("shift", "implicit"),
-])
-def test_unextrapolated_run_is_bitwise_a_loop_of_steps(scheme, collision):
-    solver = KineticSolver(SINUSOIDAL, VM, GRID, epsilon=0.2, scheme=scheme,
-                           collision=collision)
-    times = np.linspace(0.0, 0.05, 4)
-    f = _smooth_initial(GRID, VM)
-    states = solver.run(f, 0.05, checkpoints=times)
-    plan = checkpoint_substeps(times, 0.05, solver.default_dt())
-    assert np.array_equal(states[0].f, f)
-    for state, (t1, n_sub, sub_dt) in zip(states[1:], plan):
-        f = _strang(solver, f, [(t1, n_sub, sub_dt)])
-        assert np.array_equal(state.f, f)
-        assert state.t == t1 and state.dt == sub_dt and state.split_est is None
-    assert states[-1].steps == sum(n_sub for _, n_sub, _ in plan)
-
-
-@pytest.mark.parametrize("scheme, collision, auto", [
-    ("shift", "exact", C_SPLIT_EXTRAPOLATED), ("shift", "implicit", C_SPLIT_STRANG),
-    ("upwind", "exact", C_SPLIT_STRANG),
-])
-def test_split_cap_auto_and_explicit(scheme, collision, auto):
+@pytest.mark.parametrize("auto", [C_SPLIT_EXTRAPOLATED], ids=["shift-exact-0.5"])
+def test_split_cap_auto_and_explicit(auto):
     eps = 0.1
     x = GRID.axes()[0]
     sigma_max = 2.0 * (1.0 + 0.5 * np.sin(2.0 * np.pi * x / eps)).max()
+    assert auto == 0.5
     for c_split, cap in (("auto", auto), (0.25, 0.25)):
-        solver = KineticSolver(SINUSOIDAL, VM, GRID, epsilon=eps, scheme=scheme,
-                               collision=collision, c_split=c_split)
+        solver = KineticSolver(SINUSOIDAL, VM, GRID, epsilon=eps, c_split=c_split)
         assert solver.c_split == cap
         assert solver.default_dt() == pytest.approx(cap * eps**2 / sigma_max)

@@ -43,7 +43,7 @@ def test_split_study_prints_errors_steps_and_the_criterion_6_series(study, tmp_p
         (eps, cap) for eps in epsilons for cap in caps)
     for eps, cap, strang_err, strang_steps, run_err, run_steps, split_est in rows:
         assert math.isfinite(float(strang_err)) and math.isfinite(float(run_err))
-        # shift + exact extrapolates: a coarse run and a fine run of twice its steps
+        # every run is a coarse run and a fine run of twice its steps
         assert int(run_steps) == 3 * int(strang_steps)
         assert float(split_est) > 0.0
 

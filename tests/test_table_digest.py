@@ -47,6 +47,17 @@ def test_compare_names_a_summary_key_present_on_one_side_only(digest):
     ]
 
 
+def test_compare_prints_the_lines_of_a_text_table_on_one_side_only(digest):
+    old = "[kinetic]\nepsilons = 0.1\nscheme = shift\nc_cfl = 0.9\nc_split = auto\n"
+    new = old.replace("c_cfl = 0.9\n", "")
+    assert digest.compare("config.ini", new, old) == ["- c_cfl = 0.9"]
+    assert digest.compare("config.ini", old, new) == ["+ c_cfl = 0.9"]
+    moved = new.replace("epsilons = 0.1", "epsilons = 0.2")
+    assert digest.compare("config.ini", moved, old) == [
+        "- epsilons = 0.1", "+ epsilons = 0.2", "- c_cfl = 0.9",
+    ]
+
+
 def test_without_column_drops_the_runtime(digest):
     text = "eps,err,runtime_s,ratio\n0.1,1e-3,0.52,2.0\n0.05,5e-4,1.04,2.0\n"
     assert digest._without_column(text, "runtime_s") == (

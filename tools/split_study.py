@@ -6,16 +6,16 @@
 For every ``eps`` of the scenario's ``[kinetic]`` section and every cap
 ``c_split`` this prints the relative L2 error of the final ``f`` of plain
 Strang (a loop of ``KineticSolver.step``) and of ``KineticSolver.run``
-(the Richardson-extrapolated pair on ``shift`` + ``exact``, plain Strang
-otherwise) against a reference: ``run`` at ``--ref-cap``.  Each line also
-gives the Strang steps of both and the ``split_est`` of ``run``.
+(the Richardson combination of a coarse and a fine Strang run) against a
+reference: ``run`` at ``--ref-cap``.  Each line also gives the Strang
+steps of both and the ``split_est`` of ``run``.
 
 Then, per cap, it prints the residual series of the ``(phi=1, m=cos2pi,
 c=a1)`` oscillation functional over the scenario's ``eps``, largest
 first, and whether it falls, as acceptance criterion 6 requires.  On the
 criterion-6 scenario (``CROSSVAL_CONFIG`` of ``tests/test_acceptance.py``
 saved to a file) that series sits at roundoff, and this is what limits the
-extrapolated cap.
+cap of ``run``.
 
 Each cap runs the whole pipeline once (the ``run`` states and the sigma
 rows) and one Strang loop per ``eps``.  ``--workload`` takes the scenario
@@ -50,9 +50,7 @@ def with_cap(cfg: harness.ScenarioConfig, cap: float) -> harness.ScenarioConfig:
 def strang(cfg: harness.ScenarioConfig, eps: float, cap: float) -> tuple[np.ndarray, int]:
     """Final ``f`` and step count of plain Strang at cap ``cap``."""
     vm, mg = cfg.build_velocity(), cfg.build_macro_grid()
-    kin = cfg.kinetic
-    solver = KineticSolver(cfg.build_kernel(), vm, mg, epsilon=eps, scheme=kin["scheme"],
-                           collision=kin["collision"], c_cfl=kin["c_cfl"], c_split=cap)
+    solver = KineticSolver(cfg.build_kernel(), vm, mg, epsilon=eps, c_split=cap)
     f, steps = cfg.initial_f(mg, vm), 0
     for _, n_sub, sub_dt in checkpoint_substeps(cfg.checkpoint_times(), cfg.macro["t"],
                                                 solver.default_dt()):
@@ -98,8 +96,7 @@ def main(argv=None) -> int:
     epsilons = sorted(cfg.kinetic["epsilons"], reverse=True)
 
     ref = harness.run_pipeline(with_cap(cfg, args.ref_cap)).kinetic_states
-    print(f"scenario {cfg.scenario['name']}: scheme {cfg.kinetic['scheme']}, collision "
-          f"{cfg.kinetic['collision']}; reference = run at c_split {args.ref_cap:g}")
+    print(f"scenario {cfg.scenario['name']}: reference = run at c_split {args.ref_cap:g}")
     print(f"{'eps':>8} {'cap':>5} {'strang_err':>11} {'strang_steps':>12} "
           f"{'run_err':>11} {'run_steps':>9} {'split_est':>11}")
     series = {}
@@ -110,9 +107,8 @@ def main(argv=None) -> int:
             f_ref = ref[eps][-1].f
             f_strang, n_strang = strang(cfg, eps, cap)
             last = report.kinetic_states[eps][-1]
-            est = "-" if last.split_est is None else f"{last.split_est:.3e}"
             print(f"{eps:8g} {cap:5g} {rel(f_strang, f_ref):11.3e} {n_strang:12d} "
-                  f"{rel(last.f, f_ref):11.3e} {last.steps:9d} {est:>11}")
+                  f"{rel(last.f, f_ref):11.3e} {last.steps:9d} {last.split_est:11.3e}")
     print("criterion 6: (phi=1, m=cos2pi, c=a1) residual at eps = "
           + ", ".join(f"{e:g}" for e in epsilons))
     for cap, values in series.items():

@@ -18,8 +18,10 @@ magnitude of the column at ``--root`` (the relative difference), so a
 change that moves a table at roundoff shows as such.  The last line gives
 the largest absolute difference over every numeric column of every table,
 with its workload, table and column: one bound for the whole comparison.
-Values that do not parse as numbers, rows or keys present on one side only,
-and a ``config.ini`` that differs are named as such.
+Values that do not parse as numbers and rows or keys present on one side
+only are named as such.  Under a table that is not numeric, such as
+``config.ini``, each line present on one side only is printed as
+``- line`` (at ``--root``) or ``+ line`` (in this checkout).
 
 Each checkout runs in its own process, which imports that checkout's
 ``src/`` and ``perfbench/``.  BLAS runs single-threaded, as in the
@@ -35,6 +37,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import csv  # noqa: E402
+import difflib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import math  # noqa: E402
@@ -114,9 +117,14 @@ def _is_numeric_table(table: str) -> bool:
 
 
 def compare(table: str, new: str, old: str) -> list[str]:
-    """One line per column (or summary key) of two versions of a table."""
+    """One line per column (or summary key) of two versions of a table.
+
+    A table that is not numeric gives its lines present on one side only,
+    ``- line`` for ``old`` and ``+ line`` for ``new``.
+    """
     if not _is_numeric_table(table):
-        return ["text differs (not a numeric table)"]
+        return [line for line in difflib.ndiff(old.splitlines(), new.splitlines())
+                if line.startswith(("- ", "+ "))]
     new_cols, old_cols = _columns(table, new), _columns(table, old)
     lines = []
     for name in list(old_cols) + [c for c in new_cols if c not in old_cols]:
