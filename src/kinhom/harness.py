@@ -369,10 +369,24 @@ def parse_config(text: str) -> ScenarioConfig:
     return cfg
 
 
+# the amplitude keys of each profile family: its rates are bounded below by
+# `sigma.base` less the sum of their absolute values, as in the kernel's own
+# positivity check
+_PROFILE_AMPLITUDES = {
+    "sinusoidal": ("alpha",),
+    "sinusoidal_defect": ("alpha", "defect_amplitude"),
+    "quasi_periodic": ("alpha1", "alpha2"),
+    "quasi_approx": ("alpha1", "alpha2"),
+}
+
+
 def _validate_consistency(cfg: ScenarioConfig) -> None:
     d = cfg.dimension
     if d not in (1, 2):
         raise ConfigError("key `scenario.dimension`: must be 1 or 2")
+    speed = cfg.velocity["speed"]
+    if not (np.isfinite(speed) and speed > 0):
+        raise ConfigError("key `velocity.speed`: must be positive and finite")
     fam = cfg.velocity["family"]
     fam_dim = 1 if fam == "two_velocity" else 2
     if fam_dim != d:
@@ -395,13 +409,25 @@ def _validate_consistency(cfg: ScenarioConfig) -> None:
         n_nodes = cfg.velocity["n"]
         if n_nodes < 3:
             raise ConfigError("key `velocity.n`: uniform_circle needs at least 3 nodes")
-    if cfg.sigma["family"] == "table":
-        if not cfg.sigma["table"].strip():
+    sigma = cfg.sigma
+    if sigma["family"] == "table":
+        if not sigma["table"].strip():
             raise ConfigError("key `sigma.table`: required for the table family")
-        shape = _node_table(cfg.sigma["table"]).shape
-        if shape != (n_nodes, n_nodes):
-            raise ConfigError(f"key `sigma.table`: is {shape[0]} x {shape[1]}, but the "
-                              f"velocity set has {n_nodes} nodes")
+        table = _node_table(sigma["table"])
+        if table.shape != (n_nodes, n_nodes):
+            raise ConfigError(f"key `sigma.table`: is {table.shape[0]} x {table.shape[1]}, "
+                              f"but the velocity set has {n_nodes} nodes")
+        if not np.all(np.isfinite(table) & (table > 0)):
+            raise ConfigError("key `sigma.table`: every entry must be positive and finite")
+    if sigma["family"] == "constant" and not (np.isfinite(sigma["s0"]) and sigma["s0"] > 0):
+        raise ConfigError("key `sigma.s0`: must be positive and finite")
+    amplitudes = _PROFILE_AMPLITUDES.get(sigma["family"], ())
+    if amplitudes:
+        floor = sigma["base"] - sum(abs(sigma[key]) for key in amplitudes)
+        if not (np.isfinite(floor) and floor > 0):
+            terms = " - ".join(f"|`sigma.{key}`|" for key in amplitudes)
+            raise ConfigError(f"key `sigma.{amplitudes[0]}`: the rate floor `sigma.base` - "
+                              f"{terms} is {floor:g}; it must be positive and finite")
     if cfg.cell["n"] < 4:
         raise ConfigError("key `cell.n`: must be at least 4")
     if cfg.macro["n"] < 8:

@@ -20,6 +20,20 @@ of the fine run's own splitting error, a bound on what extrapolation
 leaves.  The combination is linear, so it conserves mass, but it does not
 keep positivity.
 
+Between steps the state is the real FFT of ``f`` along ``x``, shape
+``(n_x//2 + 1, K)``.  The exact shift is diagonal there, so a half-step is
+one multiply by the phase factors ``exp(-i kappa a dt / (2 eps))``, and a
+Strang step makes one inverse FFT before the collision (pointwise, in
+real space) and one forward FFT after it; :meth:`KineticSolver.run`
+transforms ``f0`` once and inverts the two runs only at checkpoints.  On
+an even grid the Nyquist mode ``cos(pi j)`` has no sine partner on the
+grid, so a shifted Nyquist mode keeps only its real part, as an ``irfft``
+of the product would: its phase is ``cos(kappa_N shift)``.  With that
+phase the spectral steps equal the real-space composition of
+:func:`periodic_shift` and :meth:`KineticSolver.collision_full` to
+roundoff; with the complex phase the Nyquist content would turn into an
+imaginary part that the next ``irfft`` drops.
+
 There is no upwind transport or implicit-Euler collision: upwind adds
 O(h/eps) numerical diffusion and implicit Euler an O(dt/eps^2) broadening,
 so with either the error does not fall with ``eps`` and the scheme is not
@@ -109,19 +123,14 @@ def periodic_shift(values: np.ndarray, shift, kappa: np.ndarray) -> np.ndarray:
     ``shift`` is a scalar or one shift per column of ``values``; ``kappa``
     holds the grid's :func:`shift_wavenumbers`.
     """
-    return _apply_phase(values, _phase(kappa, shift))
+    spectra = np.fft.rfft(values, axis=0)
+    spectra *= _phase(kappa, shift)
+    return np.fft.irfft(spectra, n=values.shape[0], axis=0)
 
 
 def _phase(kappa: np.ndarray, shift) -> np.ndarray:
     """FFT phase factors ``exp(-i kappa shift)`` of a rightward translation."""
     return np.exp(-1j * np.multiply.outer(kappa, shift))
-
-
-def _apply_phase(values: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """Multiply the real FFT of ``values`` along axis 0 by ``phase`` and invert."""
-    spectra = np.fft.rfft(values, axis=0)
-    spectra *= phase
-    return np.fft.irfft(spectra, n=values.shape[0], axis=0)
 
 
 class KineticSolver:
@@ -199,15 +208,22 @@ class KineticSolver:
 
     # -- split sub-steps ----------------------------------------------------------
 
-    def transport_half(self, f: np.ndarray, dt: float) -> np.ndarray:
-        """Advance ``df/dt + (a/eps) df/dx = 0`` over ``dt/2`` by exact shift."""
+    def transport_half(self, spectra: np.ndarray, dt: float) -> np.ndarray:
+        """Advance ``df/dt + (a/eps) df/dx = 0`` over ``dt/2`` by exact shift.
+
+        ``spectra`` is the real FFT of ``f`` along ``x``, ``(n_x//2 + 1, K)``;
+        the shift multiplies it by the phase factors and returns the product.
+        """
         # keyed on the exact step: the phase of each call's own dt
         key = float(dt)
         phase = self._phase_cache.get(key)
         if phase is None:
             shift = self._speeds * dt / (2.0 * self.epsilon)
             phase = self._phase_cache[key] = _phase(self._kappa, shift)
-        return _apply_phase(f, phase)
+            if self.grid.n_points % 2 == 0:
+                # the Nyquist mode is real on the grid: keep cos(kappa_N shift)
+                phase[-1] = phase[-1].real
+        return spectra * phase
 
     def _collision_matrices(self, dt: float) -> np.ndarray:
         """Per-point ``expm(dt Q / eps^2)`` as a contiguous ``(K, K, n_x)`` array."""
@@ -235,11 +251,15 @@ class KineticSolver:
                 col += term
         return out
 
-    def step(self, f: np.ndarray, dt: float) -> np.ndarray:
-        """One Strang step: transport half, collision, transport half."""
-        mid = self.transport_half(f, dt)
+    def step(self, spectra: np.ndarray, dt: float) -> np.ndarray:
+        """One Strang step on the real FFT of ``f`` along ``x``.
+
+        Transport half, then the collision in real space between one
+        inverse and one forward FFT, then transport half.
+        """
+        mid = np.fft.irfft(self.transport_half(spectra, dt), n=self.grid.n_points, axis=0)
         mid = self.collision_full(mid, dt)
-        return self.transport_half(mid, dt)
+        return self.transport_half(np.fft.rfft(mid, axis=0), dt)
 
     # -- full integration -----------------------------------------------------------
 
@@ -272,17 +292,21 @@ class KineticSolver:
                          grid=self.grid, vm=self.vm)
         ]
         l2_init = states[0].l2_norm()
-        fine = f
+        # both runs carry the real FFT along x from one transform of f0
+        coarse_hat = fine_hat = np.fft.rfft(f, axis=0)
+        n_x = self.grid.n_points
         steps = 0
         weights = self.vm.weights
         for t1, n_sub, sub_dt in plan:
             for _ in range(n_sub):
-                f = self.step(f, sub_dt)
+                coarse_hat = self.step(coarse_hat, sub_dt)
             # twice the coarse count, not checkpoint_substeps at dt/2,
             # whose ceil may round one step further up
             for _ in range(2 * n_sub):
-                fine = self.step(fine, sub_dt / 2)
+                fine_hat = self.step(fine_hat, sub_dt / 2)
             steps += 3 * n_sub
+            f = np.fft.irfft(coarse_hat, n=n_x, axis=0)
+            fine = np.fft.irfft(fine_hat, n=n_x, axis=0)
             out = (4.0 * fine - f) / 3.0
             est = float(np.sqrt(np.sum(weights * (fine - f) ** 2)
                                 / np.sum(weights * fine**2))) / 3.0

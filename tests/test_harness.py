@@ -218,6 +218,29 @@ def _with(settings: dict) -> str:
      "need a square table; got 2 rows of lengths [3, 3]"),
     ("sigma.table", {"sigma.family": "table", "sigma.table": "1, 1, 1; 1, 1, 1; 1, 1, 1"},
      "is 3 x 3, but the velocity set has 2 nodes"),
+    # rate parameters that give non-positive rates
+    ("sigma.s0", {"sigma.family": "constant", "sigma.s0": "-1"}, "must be positive and finite"),
+    ("sigma.s0", {"sigma.family": "constant", "sigma.s0": "0"}, "must be positive and finite"),
+    ("sigma.table", {"sigma.family": "table", "sigma.table": "1, 0; 0, 1"},
+     "every entry must be positive and finite"),
+    ("sigma.table", {"sigma.family": "table", "sigma.table": "1, -2; 0.5, 1"},
+     "every entry must be positive and finite"),
+    ("sigma.alpha", {"sigma.alpha": "1.5"},
+     "the rate floor `sigma.base` - |`sigma.alpha`| is -0.5; it must be positive and finite"),
+    ("sigma.alpha", {"sigma.base": "0.5", "sigma.alpha": "-0.5"},
+     "the rate floor `sigma.base` - |`sigma.alpha`| is 0; it must be positive and finite"),
+    ("sigma.alpha1", {"sigma.family": "quasi_periodic", "sigma.alpha1": "0.6",
+                      "sigma.alpha2": "0.5", "kinetic.epsilons": None},
+     "the rate floor `sigma.base` - |`sigma.alpha1`| - |`sigma.alpha2`| is -0.1; "
+     "it must be positive and finite"),
+    ("sigma.alpha", {"sigma.family": "sinusoidal_defect", "sigma.defect_amplitude": "-0.6"},
+     "the rate floor `sigma.base` - |`sigma.alpha`| - |`sigma.defect_amplitude`| is -0.1; "
+     "it must be positive and finite"),
+    # a velocity set that does not move
+    ("velocity.speed", {"velocity.speed": "0"}, "must be positive and finite"),
+    ("velocity.speed", {"velocity.speed": "-1"}, "must be positive and finite"),
+    ("velocity.speed", {"velocity.speed": "inf"}, "must be positive and finite"),
+    ("velocity.speed", {"velocity.speed": "nan"}, "must be positive and finite"),
 ])
 def test_late_failing_scenario_values_are_refused(tmp_path, capsys, key, settings, message):
     text = _with(settings)
@@ -227,6 +250,17 @@ def test_late_failing_scenario_values_are_refused(tmp_path, capsys, key, setting
     path.write_text(text)
     assert cli_main(["check", "--config", str(path)]) == 2
     assert key in capsys.readouterr().err
+
+
+def test_motionless_velocity_set_is_refused_before_the_sweep(tmp_path, capsys):
+    # with speed 0 the diffusion tensor is zero, which the ellipticity gate let
+    # through: the sweep exited 0 with D_eff_11 = -0 and errors at roundoff
+    path = tmp_path / "still.ini"
+    path.write_text("[velocity]\nspeed = 0\n\n[cell]\nn = 16\n\n"
+                    "[macro]\nn = 16\nt = 0.05\ncheckpoints = 2\n\n"
+                    "[kinetic]\nepsilons = 0.4, 0.2\n")
+    assert cli_main(["sweep", "--config", str(path)]) == 2
+    assert "key `velocity.speed`: must be positive and finite" in capsys.readouterr().err
 
 
 def test_a_run_of_zero_length_stays_valid():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from kinhom import harness
 from kinhom.collision import BalanceError, make_kernel
 from kinhom.kinetic_ref import (
     C_SPLIT_EXTRAPOLATED,
@@ -16,6 +17,23 @@ from kinhom.phase_space import MacroGrid, checkpoint_substeps, two_velocity_1d
 VM = two_velocity_1d()
 GRID = MacroGrid(half_width=2.0, shape=(64,), bc="periodic")
 SINUSOIDAL = make_kernel("sinusoidal", base=1.0, alpha=0.5)
+
+
+def _hat(f):
+    """The solver's state: the real FFT of ``f`` along ``x``."""
+    return np.fft.rfft(f, axis=0)
+
+
+def _real(spectra, grid):
+    return np.fft.irfft(spectra, n=grid.n_points, axis=0)
+
+
+def _real_space_step(solver, f, dt):
+    """One Strang step composed in real space: shift, collision, shift."""
+    shift = solver.vm.field[:, 0] * dt / (2.0 * solver.epsilon)
+    kappa = shift_wavenumbers(solver.grid)
+    mid = solver.collision_full(periodic_shift(f, shift, kappa), dt)
+    return periodic_shift(mid, shift, kappa)
 
 
 def _smooth_initial(grid, vm):
@@ -38,8 +56,10 @@ def test_mass_conserved_over_many_steps():
     f = _smooth_initial(GRID, VM)
     m0 = (f @ VM.weights).sum() * GRID.cell_volume
     dt = solver.default_dt()
+    spectra = _hat(f)
     for _ in range(1000):
-        f = solver.step(f, dt)
+        spectra = solver.step(spectra, dt)
+    f = _real(spectra, GRID)
     m1 = (f @ VM.weights).sum() * GRID.cell_volume
     assert abs(m1 - m0) <= 1e-12 * abs(m0)
 
@@ -87,8 +107,10 @@ def test_unbalanced_kernel_is_refused_unless_negative_control():
     solver = KineticSolver(lopsided, VM, GRID, epsilon=0.5, validate=False)
     f = _smooth_initial(GRID, VM)
     m0 = (f @ VM.weights).sum() * GRID.cell_volume
+    spectra = _hat(f)
     for _ in range(50):
-        f = solver.step(f, solver.default_dt())
+        spectra = solver.step(spectra, solver.default_dt())
+    f = _real(spectra, GRID)
     m1 = (f @ VM.weights).sum() * GRID.cell_volume
     assert abs(m1 - m0) > 1e-6 * abs(m0)
 
@@ -103,7 +125,7 @@ def test_shift_transport_matches_integer_roll():
     dt = 2.0 * eps * h * m  # half-step moves speed-one data by m cells
     rng = np.random.default_rng(7)
     f = rng.standard_normal((n_x, VM.n_nodes))
-    out = solver.transport_half(f, dt)
+    out = _real(solver.transport_half(_hat(f), dt), grid)
     # node order (-1, +1): f(t, x) = f0(x - a t/eps)
     assert np.max(np.abs(out[:, 0] - np.roll(f[:, 0], -m))) < 1e-12
     assert np.max(np.abs(out[:, 1] - np.roll(f[:, 1], m))) < 1e-12
@@ -115,14 +137,30 @@ def test_shift_transport_matches_integer_roll():
 def test_shift_half_step_is_bitwise_the_periodic_shift():
     eps = 0.05
     solver = KineticSolver(SINUSOIDAL, VM, GRID, epsilon=eps)
-    f = _smooth_initial(GRID, VM)
     dt = solver.default_dt()
     kappa = shift_wavenumbers(GRID)
-    # the phase table is keyed on the exact step; the 1e-14 neighbour moves the
-    # result, and a key rounded to 12 digits would give it the phase of dt
-    for step in (dt, np.nextafter(dt, 1.0), dt * (1.0 + 1e-14), dt):
-        expect = periodic_shift(f, VM.field[:, 0] * step / (2.0 * eps), kappa)
-        assert np.array_equal(solver.transport_half(f, step), expect)
+    # random data has O(1) content in the Nyquist mode of the even grid
+    noise = np.random.default_rng(3).standard_normal((GRID.n_points, VM.n_nodes))
+    for f in (_smooth_initial(GRID, VM), noise):
+        # the phase table is keyed on the exact step; the 1e-14 neighbour moves the
+        # result, and a key rounded to 12 digits would give it the phase of dt
+        for step in (dt, np.nextafter(dt, 1.0), dt * (1.0 + 1e-14), dt):
+            expect = periodic_shift(f, VM.field[:, 0] * step / (2.0 * eps), kappa)
+            assert np.array_equal(_real(solver.transport_half(_hat(f), step), GRID), expect)
+
+
+def test_spectral_steps_match_real_space_steps_through_the_nyquist_mode():
+    # random data on an even grid carries O(1) Nyquist content; irfft keeps
+    # only the real part of that mode, so its phase must be cos(kappa_N shift)
+    grid = MacroGrid(half_width=1.0, shape=(32,), bc="periodic")
+    solver = KineticSolver(SINUSOIDAL, VM, grid, epsilon=0.3)
+    f = np.random.default_rng(11).standard_normal((grid.n_points, VM.n_nodes))
+    dt = 7.0 * solver.default_dt()  # shifts of a few cells, not whole cells
+    spectra, expect = _hat(f), f
+    for _ in range(3):
+        spectra = solver.step(spectra, dt)
+        expect = _real_space_step(solver, expect, dt)
+    assert np.max(np.abs(_real(spectra, grid) - expect)) <= 1e-13
 
 
 def test_exact_collision_is_bitwise_the_per_point_expm():
@@ -161,7 +199,9 @@ def test_per_point_rate_table_matches_kernel_evaluation():
     from_kernel = KineticSolver(SINUSOIDAL, VM, GRID, epsilon=eps)
     f = _smooth_initial(GRID, VM)
     dt = from_kernel.default_dt()
-    assert np.max(np.abs(from_table.step(f, dt) - from_kernel.step(f, dt))) < 1e-15
+    by_table = _real(from_table.step(_hat(f), dt), GRID)
+    by_kernel = _real(from_kernel.step(_hat(f), dt), GRID)
+    assert np.max(np.abs(by_table - by_kernel)) < 1e-15
     # per-point loop reference for the vectorized generators: g diag(mu) - diag(g mu)
     tol = 4.0 * np.finfo(float).eps * rates.max()
     for g, Q in zip(rates, from_table._Q):
@@ -187,10 +227,11 @@ def test_constructor_and_run_guards():
 
 def _strang(solver, f, plan, refine=1):
     """Plain Strang through ``plan``, each interval at ``refine`` times its steps."""
+    spectra = _hat(f)
     for _, n_sub, sub_dt in plan:
         for _ in range(refine * n_sub):
-            f = solver.step(f, sub_dt / refine)
-    return f
+            spectra = solver.step(spectra, sub_dt / refine)
+    return _real(spectra, solver.grid)
 
 
 @pytest.mark.parametrize("eps", [0.2, 0.1])
@@ -260,3 +301,45 @@ def test_split_cap_auto_and_explicit(auto):
         solver = KineticSolver(SINUSOIDAL, VM, GRID, epsilon=eps, c_split=c_split)
         assert solver.c_split == cap
         assert solver.default_dt() == pytest.approx(cap * eps**2 / sigma_max)
+
+
+SMALL_EPS_REDUCED = """\
+[cell]
+n = 16
+scheme = spectral
+
+[sigma]
+family = sinusoidal
+alpha = 0.5
+
+[macro]
+n = 128
+t = 0.05
+checkpoints = 10
+
+[kinetic]
+epsilons = 0.4, 0.2
+"""
+
+
+@pytest.mark.parametrize("eps", [0.4, 0.2])
+def test_run_matches_a_richardson_pair_of_real_space_steps(eps):
+    # the reduced small_eps scenario; every checkpoint of the spectral run
+    # against the same coarse and fine Strang runs composed in real space
+    cfg = harness.parse_config(SMALL_EPS_REDUCED)
+    vm, grid = cfg.build_velocity(), cfg.build_macro_grid()
+    solver = KineticSolver(cfg.build_kernel(), vm, grid, epsilon=eps)
+    times, T = cfg.checkpoint_times(), cfg.macro["t"]
+    f0 = cfg.initial_f(grid, vm)
+    states = solver.run(f0, T, checkpoints=times)
+    coarse = fine = f0
+    plan = checkpoint_substeps(times, T, solver.default_dt())
+    assert len(states) == len(plan) + 1
+    for state, (t1, n_sub, sub_dt) in zip(states[1:], plan):
+        for _ in range(n_sub):
+            coarse = _real_space_step(solver, coarse, sub_dt)
+        for _ in range(2 * n_sub):
+            fine = _real_space_step(solver, fine, sub_dt / 2)
+        expect = (4.0 * fine - coarse) / 3.0
+        assert state.t == t1
+        assert np.linalg.norm(state.f - expect) <= 1e-12 * np.linalg.norm(expect)
