@@ -19,10 +19,11 @@ Two backends share one protocol:
   profiles, a Galerkin compression onto integer combinations of the
   profile's generator frequencies.
 
-Solves handle the singular structure explicitly: the equilibrium comes from
-power iteration on the gain-relaxation map  O = K A^{-1}  (principal
-eigenvalue 1), and corrector equations are Krylov solves of the rewritten
-fixed-point system with the one-dimensional kernel deflated out.
+Solves handle the singular structure explicitly.  The loss is the gain's
+row sum, so the equilibrium is the constant: ``A 1`` is the eigenvector of
+the gain-relaxation map  O = K A^{-1}  with eigenvalue 1, which one
+application checks.  Corrector equations are Krylov solves of the
+rewritten fixed-point system with the one-dimensional kernel deflated out.
 
 Cell problems are small and solved many times (one per macro position when
 the rates vary with x), so a solve does only its arithmetic: GMRES runs in
@@ -34,7 +35,6 @@ stencils are built once per (n, h, speed) and shared by every cell.
 from __future__ import annotations
 
 import functools
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +64,6 @@ __all__ = [
     "solve_chi_star",
     "verify_variational",
 ]
-
-log = logging.getLogger(__name__)
 
 
 class CompatibilityError(ValueError):
@@ -328,9 +326,9 @@ class CellOperator(_CellOperatorBase):
         dense_cell_gate(scheme, self.size)
 
         samp = _sampled(kernel, x, grid, vm).reshape(n, K, K)
+        if not np.all(np.isfinite(samp) & (samp > 0)):
+            raise ValueError("scattering rates must be positive and finite on the grid")
         sdb_gap(samp, vm.weights).require()
-        if np.any(samp <= 0):
-            raise ValueError("scattering rates must be strictly positive on the grid")
 
         gain, sigma = gain_loss(samp, vm.weights)
         self.sigma_min = float(sigma.min())
@@ -394,9 +392,6 @@ class CellOperator(_CellOperatorBase):
         """Per-node cell average ``M(f_k g_k)``, shape ``(K,)``."""
         prod = (f * g).reshape(self.n_points, self.vm.n_nodes)
         return prod.mean(axis=0)
-
-    def values(self, flat: np.ndarray) -> np.ndarray:
-        return np.asarray(flat, dtype=float)
 
 
 def assemble(kernel, x, vm: VelocityMeasure, grid: CellGrid,
@@ -527,11 +522,6 @@ class SpectralCellOperator(_CellOperatorBase):
         gc = np.asarray(g, dtype=complex).reshape(self.n_lattice, self.vm.n_nodes)
         return np.sum(fc * np.conj(gc), axis=0).real
 
-    def values(self, flat: np.ndarray) -> np.ndarray:
-        """Real space samples for positivity diagnostics."""
-        y = np.linspace(0.0, 64.0, 2048, endpoint=False)
-        return self.wrap(flat).sample(y).reshape(-1)
-
 
 def assemble_spectral_ap(kernel: ScatteringKernel, x, vm: VelocityMeasure,
                          n_modes: int = 8) -> SpectralCellOperator:
@@ -548,60 +538,28 @@ def assemble_spectral_ap(kernel: ScatteringKernel, x, vm: VelocityMeasure,
 
 
 def equilibrium_F(op: _CellOperatorBase):
-    """Principal eigenpair of the gain-relaxation map; normalized equilibrium.
+    """Principal eigenvalue of the gain-relaxation map; normalized equilibrium.
 
-    Power iteration on ``O = K A^{-1}`` until the Rayleigh quotient moves
-    by at most 1e-12, within 100000 iterations; it must land on 1 within
-    1e-8 (anything else signals kernel/quadrature inconsistency).  The
-    returned field satisfies ``int M(F) dmu = 1`` and is strictly positive.
+    The loss is the gain's row sum (see :func:`kinhom.collision.gain_loss`),
+    so ``P 1 = 0``: ``h = A 1`` satisfies ``O h = K 1 = A 1 = h``, and the
+    equilibrium is the constant.  ``lam`` is the Rayleigh quotient of
+    ``O = K A^{-1}`` at ``h``, one application; it must be 1 within 1e-8
+    (anything else signals kernel/quadrature inconsistency).  The returned
+    field is ``1 / mu(V)``, so ``int M(F) dmu = 1``.
 
     Returns
     -------
     (lam, F) :
-        The converged eigenvalue and the wrapped equilibrium field.
+        The eigenvalue and the wrapped equilibrium field.
     """
-    h = op.apply_P(op.const) + op.apply_K(op.const)  # = A(1), strictly positive
-    h = h / op.norm(h)
-    lam_prev = np.inf
-    lam = 0.0
-    for _ in range(100_000):
-        oh = op.apply_O(h)
-        lam = float(np.real(op.inner(h, oh))) / float(np.real(op.inner(h, h)))
-        nrm = op.norm(oh)
-        if nrm == 0.0:
-            raise ConvergenceError("gain-relaxation map annihilated the iterate")
-        h = oh / nrm
-        if abs(lam - lam_prev) <= 1e-12:
-            break
-        lam_prev = lam
-    else:
-        raise ConvergenceError(
-            "power iteration did not converge in 100000 iterations "
-            f"(last increment {abs(lam - lam_prev):.3e})"
-        )
+    h = op.A_mat @ op.const
+    lam = float(np.real(op.inner(h, op.apply_O(h)))) / float(np.real(op.inner(h, h)))
     if abs(lam - 1.0) > 1e-8:
         raise ConvergenceError(
             f"principal eigenvalue {lam!r} deviates from 1 beyond 1.0e-08; "
             "kernel and quadrature are inconsistent"
         )
-    F = op.hermitize(op.apply_A_inverse(h))
-    mass = op.mean_v(F)
-    if mass == 0.0:
-        raise ConvergenceError("equilibrium has zero mean; cannot normalize")
-    F = F / mass
-    vals = op.values(F)
-    scale = float(np.max(np.abs(vals)))
-    if vals.min() <= -1e-12 * scale:
-        raise ConvergenceError(
-            f"equilibrium has negative samples (min {vals.min():.3e})"
-        )
-    if isinstance(F, np.ndarray) and not np.iscomplexobj(F):
-        tiny = vals.min()
-        if tiny <= 0.0:
-            n_clamped = int(np.sum(F <= 0))
-            log.warning("clamping %d nonpositive equilibrium samples to tiny positive", n_clamped)
-            F = np.where(F <= 0, 1e-16 * scale, F)
-    return lam, op.wrap(F)
+    return lam, op.wrap(op.const / op.mean_v(op.const))
 
 
 @dataclass(frozen=True)

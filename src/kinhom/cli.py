@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("check", "validate the scenario: balance, velocity-span and dense-cell size gates"),
         ("cell", "solve the cell problems (equilibrium and correctors)"),
         ("effective", "compute homogenized diffusion/drift coefficients"),
-        ("macro", "integrate the limit drift-diffusion equation"),
+        ("macro", "integrate the limit diffusion equation"),
         ("kinetic", "run the kinetic reference solver per epsilon"),
         ("sweep", "kinetic-vs-macro error table over the epsilon list"),
         ("pipeline", "run every stage and emit all tables"),

@@ -163,6 +163,9 @@ class ScatteringKernel:
     def _validate(self) -> None:
         if self.kind == "quasi_approx" and (self.q < 1 or self.p < 1):
             raise ValueError("rational approximant needs positive integers p, q")
+        if self.kind == "sinusoidal_defect" and not (np.isfinite(self.defect_width)
+                                                     and self.defect_width > 0):
+            raise ValueError("defect width must be positive and finite")
         if self.table is not None:
             if self.table.ndim != 2 or self.table.shape[0] != self.table.shape[1]:
                 raise ValueError("node table must be square")

@@ -15,7 +15,8 @@ solutions:
 * ``U``   pairs the correctors against the slow gradient of the
   equilibrium, and is zero: ``collision.gain_loss`` takes the loss rate as
   the gain's row sum, so ``P 1 = 0`` for every rate table and the
-  equilibrium is the constant ``1 / mu(V)`` at every macro position.
+  equilibrium is the constant ``1 / mu(V)`` at every macro position.  It
+  is kept only as a reported zero; the macro solver does not take it.
 * ``b``   is the equilibrium flux ``int M(a F) dmu``; a nonzero value
   means the expansion lives in a co-moving frame, and downstream
   comparisons must shift by it.  It is the only drift.

@@ -421,6 +421,13 @@ def _validate_consistency(cfg: ScenarioConfig) -> None:
             raise ConfigError("key `sigma.table`: every entry must be positive and finite")
     if sigma["family"] == "constant" and not (np.isfinite(sigma["s0"]) and sigma["s0"] > 0):
         raise ConfigError("key `sigma.s0`: must be positive and finite")
+    if sigma["family"] == "sinusoidal_defect" and not (np.isfinite(sigma["defect_width"])
+                                                       and sigma["defect_width"] > 0):
+        raise ConfigError("key `sigma.defect_width`: must be positive and finite")
+    if sigma["family"] == "quasi_approx":
+        for key in ("p", "q"):
+            if sigma[key] < 1:
+                raise ConfigError(f"key `sigma.{key}`: quasi_approx needs an integer >= 1")
     amplitudes = _PROFILE_AMPLITUDES.get(sigma["family"], ())
     if amplitudes:
         floor = sigma["base"] - sum(abs(sigma[key]) for key in amplitudes)
@@ -710,7 +717,7 @@ def run_pipeline(
     with _stage("macro"):
         rho0 = cfg.initial_rho(mg)
         # sampled coefficients come one per macro cell centre, as the solver takes them
-        solver = DriftDiffusionSolver(mg, coeffs.D, coeffs.U, theta=cfg.macro["theta"])
+        solver = DriftDiffusionSolver(mg, coeffs.D, theta=cfg.macro["theta"])
         macro = solver.run(
             rho0, cfg.macro["t"], dt=cfg.macro_dt(), checkpoints=cfg.checkpoint_times()
         )

@@ -185,8 +185,8 @@ class KineticSolver:
                 rates = arr.copy()
             else:
                 raise ValueError(f"kernel table has shape {arr.shape}")
-        if np.any(rates <= 0):
-            raise ValueError("scattering rates must be strictly positive")
+        if not np.all(np.isfinite(rates) & (rates > 0)):
+            raise ValueError("scattering rates must be positive and finite")
         if validate:
             sdb_gap(rates, vm.weights).require()
         # per-point generators Q = gain - diag(loss)

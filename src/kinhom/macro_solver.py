@@ -1,21 +1,22 @@
 """Conservative theta-scheme integrator for the homogenized limit.
 
-Solves the drift-diffusion Cauchy problem
+Solves the Cauchy problem of the homogenized limit
 
-    d rho / dt = div( D(x)^T grad rho + U(x) rho )
+    d rho / dt = div( D(x)^T grad rho )
 
 on a truncated, cell-centered macro grid with periodic or no-flux
-boundaries.  The spatial operator is assembled in flux form: every face
-between two cells carries one flux value (diffusive part from the face-
-averaged tensor, drift part the central face average), and the divergence
-telescopes, so the total mass is conserved to roundoff by construction —
-not as a happy numerical accident.
+boundaries.  The drift of the limit is zero: every cell equilibrium is the
+constant (see :mod:`kinhom.effective`).  The spatial operator is assembled
+in flux form: every face between two cells carries one flux value, from
+the face-averaged tensor, and the divergence telescopes, so the total mass
+is conserved to roundoff by construction — not as a happy numerical
+accident.
 
 Time stepping is the theta scheme (Crank-Nicolson by default,
 unconditionally stable for theta >= 1/2).  How a step is solved depends on
 the input, with the same operator and the same scheme either way:
 
-* periodic grid, the same ``D`` and ``U`` in every cell: ``L`` is
+* periodic grid, the same ``D`` in every cell: ``L`` is
   circulant, so a step is the pointwise Fourier multiplier
   ``(1 + (1-theta) dt lam) / (1 - theta dt lam)`` with ``lam = rfftn(L e_0)``
   read off the assembled matrix (real transforms: ``L`` and ``rho`` are
@@ -84,16 +85,16 @@ def _per_cell(coef, n_cells: int, expect_shape: tuple) -> np.ndarray:
 
 
 class DriftDiffusionSolver:
-    """Flux-form theta scheme for the homogenized drift-diffusion equation.
+    """Flux-form theta scheme for the homogenized diffusion equation.
 
     Parameters
     ----------
     grid :
         Cell-centered macro grid (1-D or 2-D; periodic or no-flux).
-    D, U :
-        Diffusion tensor ``(d, d)`` and drift ``(d,)``, constant or per
-        cell (leading axis = flattened grid, C order).  The symmetrized
-        tensor must have passed the ellipticity gate upstream.
+    D :
+        Diffusion tensor ``(d, d)``, constant or per cell (leading axis =
+        flattened grid, C order).  The symmetrized tensor must have passed
+        the ellipticity gate upstream.
     theta :
         Implicitness: 1/2 = Crank-Nicolson (default), 1 = implicit Euler,
         0 = explicit (stability-checked against ``h^2 / (2 d max|D|)``).
@@ -102,7 +103,7 @@ class DriftDiffusionSolver:
     Fourier multipliers, and is None when they are LU solves.
     """
 
-    def __init__(self, grid: MacroGrid, D, U=None, theta: float = 0.5):
+    def __init__(self, grid: MacroGrid, D, theta: float = 0.5):
         if not 0.0 <= theta <= 1.0:
             raise ValueError("theta must lie in [0, 1]")
         self.grid = grid
@@ -110,7 +111,6 @@ class DriftDiffusionSolver:
         d = grid.dim
         n = grid.n_points
         self.D = _per_cell(D, n, (d, d))
-        self.U = _per_cell(np.zeros(d) if U is None else U, n, (d,))
         self.L = self._assemble()
         self.symbol = self._circulant_symbol()
         # the multiplier power per (step key, count) when ``symbol`` is set,
@@ -183,12 +183,6 @@ class DriftDiffusionSolver:
                 face_terms.append((RjR[mask], quarter))
                 face_terms.append((LjR[mask], -quarter))
 
-            Uax = self.U[:, ax]
-            u_f = 0.5 * (Uax[Cm] + Uax[Rm])
-            if np.any(u_f != 0.0):
-                face_terms.append((Cm, 0.5 * u_f))
-                face_terms.append((Rm, 0.5 * u_f))
-
             # divergence: face (C -> R) adds +flux/h at C and -flux/h at R
             for col, coef in face_terms:
                 add(Cm, col, coef / h)
@@ -208,12 +202,11 @@ class DriftDiffusionSolver:
         """Eigenvalues ``rfftn(L e_0)`` of ``L`` when it is circulant, else None.
 
         ``L`` is circulant when the grid is periodic and every cell holds
-        the same ``D`` and ``U``; its first column is then the stencil, and
-        the DFT diagonalizes it.  ``L`` is real, so the half spectrum of
-        ``rfftn`` holds every eigenvalue up to conjugation.
+        the same ``D``; its first column is then the stencil, and the DFT
+        diagonalizes it.  ``L`` is real, so the half spectrum of ``rfftn``
+        holds every eigenvalue up to conjugation.
         """
-        if (self.grid.bc != "periodic" or np.any(self.D != self.D[0])
-                or np.any(self.U != self.U[0])):
+        if self.grid.bc != "periodic" or np.any(self.D != self.D[0]):
             return None
         e0 = np.zeros(self.grid.n_points)
         e0[0] = 1.0

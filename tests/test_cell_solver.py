@@ -58,6 +58,53 @@ def test_constant_kernel_closed_forms_spectral_ap():
     assert np.max(np.abs(chi[0].sample(y) - (-VM.field[:, 0] / 2.0)[None, :])) < 1e-10
 
 
+@pytest.mark.parametrize("build", [
+    lambda vm: assemble(SINUSOIDAL, 0.0, vm, GRID32, scheme="upwind"),
+    lambda vm: assemble(SINUSOIDAL, 0.0, vm, GRID32, scheme="spectral"),
+    lambda vm: assemble_spectral_ap(
+        make_kernel("quasi_periodic", base=1.0, alpha1=0.3, alpha2=0.2), 0.0, vm),
+], ids=["upwind", "spectral", "spectral_ap"])
+def test_equilibrium_is_the_constant_from_one_application_of_O(build):
+    # P 1 = 0, so A 1 is the eigenvector of O = K A^-1: one application
+    # measures the eigenvalue, and F = 1/mu(V) with no iteration
+    vm = two_velocity_1d(weights=(1.0, 2.0))
+    op = build(vm)
+    calls = []
+    apply_O = op.apply_O
+    op.apply_O = lambda f: calls.append(1) or apply_O(f)
+    lam, F = equilibrium_F(op)
+    assert len(calls) == 1
+    assert abs(lam - 1.0) < 1e-12
+    flat = op.unwrap(F)
+    assert np.array_equal(flat, op.const / op.mean_v(op.const))
+    assert np.max(np.abs(flat - op.const / 3.0)) <= 1e-15
+    assert op.mean_v(flat) == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: assemble(SINUSOIDAL, 0.0, VM, GRID32, scheme="upwind"),
+    lambda: assemble_spectral_ap(
+        make_kernel("quasi_periodic", base=1.0, alpha1=0.3, alpha2=0.2), 0.0, VM),
+], ids=["grid", "spectral_ap"])
+def test_eigenvalue_gate_refuses_an_inconsistent_gain(build):
+    # a gain 1 % above the loss breaks P 1 = 0; the Rayleigh quotient then
+    # reads 1.01 and the gate refuses the operator
+    op = build()
+    op._set_matrices(op.A_mat, 1.01 * op.K_mat)
+    with pytest.raises(ConvergenceError, match="deviates from 1 beyond 1.0e-08"):
+        equilibrium_F(op)
+
+
+def test_non_finite_sampled_rates_are_refused():
+    # refused before the balance gate, which would read the gap as NaN and
+    # blame semi-detailed balance
+    for bad in (np.nan, np.inf):
+        rates = np.ones((32, 2, 2))
+        rates[5, 1, 0] = bad
+        with pytest.raises(ValueError, match="positive and finite on the grid"):
+            assemble(rates, 0.0, VM, GRID32)
+
+
 # ---------------------------------------------------------------------------
 # dense oracles on the 32 x 2 discretization
 # ---------------------------------------------------------------------------

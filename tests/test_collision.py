@@ -192,6 +192,12 @@ def test_positivity_guard():
     # checked before the profile is built, which would divide by q
     with pytest.raises(ValueError, match="positive integers p, q"):
         make_kernel("quasi_approx", base=1.0, alpha1=0.2, alpha2=0.2, p=1, q=0)
+    # a zero width made the Gaussian 0/0 at y = 0: the profile read NaN
+    # there and the bare sinusoid elsewhere, so the defect silently vanished
+    for width in (0.0, -0.25, np.nan, np.inf):
+        with pytest.raises(ValueError, match="defect width must be positive and finite"):
+            make_kernel("sinusoidal_defect", base=1.0, alpha=0.25,
+                        defect_amplitude=0.5, defect_width=width)
 
 
 def test_tanh_macro_modulation():

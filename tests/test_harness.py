@@ -241,6 +241,21 @@ def _with(settings: dict) -> str:
     ("velocity.speed", {"velocity.speed": "-1"}, "must be positive and finite"),
     ("velocity.speed", {"velocity.speed": "inf"}, "must be positive and finite"),
     ("velocity.speed", {"velocity.speed": "nan"}, "must be positive and finite"),
+    # a zero width made the defect vanish with no warning (`kinhom sweep`
+    # on 16 cells exited 0 with PASS); a quasi_approx p or q below 1 failed
+    # in the check stage with a message that named no key
+    ("sigma.defect_width", {"sigma.family": "sinusoidal_defect", "sigma.defect_width": "0"},
+     "must be positive and finite"),
+    ("sigma.defect_width", {"sigma.family": "sinusoidal_defect", "sigma.defect_width": "-0.25"},
+     "must be positive and finite"),
+    ("sigma.defect_width", {"sigma.family": "sinusoidal_defect", "sigma.defect_width": "nan"},
+     "must be positive and finite"),
+    ("sigma.defect_width", {"sigma.family": "sinusoidal_defect", "sigma.defect_width": "inf"},
+     "must be positive and finite"),
+    ("sigma.p", {"sigma.family": "quasi_approx", "sigma.p": "0"},
+     "quasi_approx needs an integer >= 1"),
+    ("sigma.q", {"sigma.family": "quasi_approx", "sigma.q": "-3"},
+     "quasi_approx needs an integer >= 1"),
 ])
 def test_late_failing_scenario_values_are_refused(tmp_path, capsys, key, settings, message):
     text = _with(settings)

@@ -217,6 +217,13 @@ def test_constructor_and_run_guards():
                       epsilon=0.5)
     with pytest.raises(ValueError):
         KineticSolver(np.array([[1.0, 1.0], [1.0, -1.0]]), VM, GRID, epsilon=0.5)
+    # `rates <= 0` is False for NaN, so a NaN rate passed the guard
+    for bad in (np.nan, np.inf):
+        rates = SINUSOIDAL.evaluate(GRID.axes()[0], GRID.axes()[0] / 0.5, VM)
+        rates[7, 0, 1] = bad
+        for validate in (True, False):
+            with pytest.raises(ValueError, match="positive and finite"):
+                KineticSolver(rates, VM, GRID, epsilon=0.5, validate=validate)
     solver = KineticSolver(SINUSOIDAL, VM, GRID, epsilon=0.5)
     with pytest.raises(ValueError):
         solver.run(np.zeros((3, 3)), 0.1)
