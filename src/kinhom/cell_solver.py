@@ -59,6 +59,7 @@ __all__ = [
     "assemble_spectral_ap",
     "dense_cell_gate",
     "equilibrium_F",
+    "lattice_cell_gate",
     "solve_corrector",
     "solve_adjoint_corrector",
     "solve_chi_star",
@@ -269,11 +270,13 @@ class _CellOperatorBase:
 # ---------------------------------------------------------------------------
 
 
-# Largest memory the dense ``scheme = "spectral"`` grid operator may take:
-# half of an 8 GiB machine, the smallest the tests and the benchmark run on,
-# so the rest of the process and the machine's other work keep the other
-# half.  That is about 9460 unknowns (6 * 8 * 9460**2 bytes); larger cells
-# take ``scheme = "upwind"`` (sparse) or the spectral_ap backend.
+# Largest memory a dense cell operator may take, the grid's ``scheme =
+# "spectral"`` and the frequency lattice alike: half of an 8 GiB machine,
+# the smallest the tests and the benchmark run on, so the rest of the
+# process and the machine's other work keep the other half.  That is about
+# 9460 grid unknowns (6 * 8 * 9460**2 bytes), or 5792 lattice unknowns
+# (8 * 16 * 5792**2); larger grid cells take ``scheme = "upwind"`` (sparse)
+# or the spectral_ap backend, larger lattices fewer modes.
 DENSE_CELL_BYTES = 4 * 2**30
 
 
@@ -388,11 +391,6 @@ class CellOperator(_CellOperatorBase):
         """Flat field of ``a_component(v)`` (y-independent)."""
         return np.tile(self.vm.field[:, component], self.n_points)
 
-    def pair_mean_y(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """Per-node cell average ``M(f_k g_k)``, shape ``(K,)``."""
-        prod = (f * g).reshape(self.n_points, self.vm.n_nodes)
-        return prod.mean(axis=0)
-
 
 def assemble(kernel, x, vm: VelocityMeasure, grid: CellGrid,
              scheme: str = "upwind") -> CellOperator:
@@ -428,6 +426,46 @@ class SpectralField:
         return self.coeffs[zero[0]].real
 
 
+def _lattice_generators(kernel: ScatteringKernel) -> list[float]:
+    """The distinct positive frequencies of the kernel's profile, sorted.
+
+    They generate the frequency lattice; at most two are supported.
+    """
+    freqs, _ = kernel.profile_frequencies()
+    gens = sorted({round(float(abs(f)), 9) for f in freqs if abs(f) > 1e-12})
+    if len(gens) > 2:
+        raise ValueError("at most two generator frequencies are supported")
+    return gens
+
+
+def _lattice_cell_bytes(size: int) -> int:
+    """Bytes of the frequency-lattice operator on ``size`` unknowns.
+
+    Counts eight complex128 ``size x size`` arrays: ``A``, the gain, ``P``,
+    the LU factor of ``A`` and the conjugate transposes of ``P`` and the
+    gain are alive together, and forming ``A`` takes two more temporarily
+    (measured peak: about 7.3 such arrays).
+    """
+    return 8 * 16 * size * size
+
+
+def lattice_cell_gate(kernel: ScatteringKernel, vm: VelocityMeasure, n_modes: int) -> None:
+    """Refuse a frequency-lattice cell over ``DENSE_CELL_BYTES``.
+
+    The lattice keeps ``2 n_modes + 1`` modes per generator, times the
+    velocity nodes.  Raises ``ValueError`` with the byte count; allocates
+    nothing, so the check stage can run it before any solve.
+    """
+    size = (2 * int(n_modes) + 1) ** len(_lattice_generators(kernel)) * vm.n_nodes
+    need = _lattice_cell_bytes(size)
+    if need > DENSE_CELL_BYTES:
+        raise ValueError(
+            f"frequency-lattice cell operator on {size} unknowns needs {need} "
+            f"bytes ({need / 2**30:.1f} GiB), over DENSE_CELL_BYTES = "
+            f"{DENSE_CELL_BYTES}; lower cell.n_modes"
+        )
+
+
 class SpectralCellOperator(_CellOperatorBase):
     """Galerkin compression of the cell operator onto a frequency lattice.
 
@@ -441,11 +479,10 @@ class SpectralCellOperator(_CellOperatorBase):
     def __init__(self, kernel: ScatteringKernel, x, vm: VelocityMeasure, n_modes: int = 8):
         if vm.dim != 1:
             raise ValueError("the frequency-lattice backend is one-dimensional")
+        lattice_cell_gate(kernel, vm, n_modes)
         freqs, coeffs = kernel.profile_frequencies()
         c = float(np.asarray(kernel.x_factor(x)))
-        gens = sorted({round(float(abs(f)), 9) for f in freqs if abs(f) > 1e-12})
-        if len(gens) > 2:
-            raise ValueError("at most two generator frequencies are supported")
+        gens = _lattice_generators(kernel)
         self.kernel = kernel
         self.x = x
         self.vm = vm
@@ -516,11 +553,6 @@ class SpectralCellOperator(_CellOperatorBase):
         K = self.vm.n_nodes
         out[self.zero_row * K: self.zero_row * K + K] = self.vm.field[:, component]
         return out
-
-    def pair_mean_y(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        fc = np.asarray(f, dtype=complex).reshape(self.n_lattice, self.vm.n_nodes)
-        gc = np.asarray(g, dtype=complex).reshape(self.n_lattice, self.vm.n_nodes)
-        return np.sum(fc * np.conj(gc), axis=0).real
 
 
 def assemble_spectral_ap(kernel: ScatteringKernel, x, vm: VelocityMeasure,

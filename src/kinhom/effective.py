@@ -63,11 +63,12 @@ def diffusion_matrix(op, chi, F, convention: str = "effective") -> np.ndarray:
         raise ValueError(f"unknown convention {convention!r}")
     d = op.vm.dim
     F_flat = op.unwrap(F)
-    mat = np.zeros((d, d))
-    for i in range(d):
-        moments = op.pair_mean_y(op.unwrap(chi[i]), F_flat)  # M(chi_i,k F_k) per node
-        for j in range(d):
-            mat[i, j] = float(np.sum(op.vm.weights * op.vm.field[:, j] * moments))
+    # M_ij = <a_j F, chi_i>.  On the frequency lattice the elementwise product
+    # is the coefficient vector of a_j F only because both fields sit on the
+    # zero-frequency row: the profile a_j(v) does not depend on y, nor does
+    # the constant equilibrium
+    mat = np.array([[float(np.real(op.inner(op.velocity_profile(j) * F_flat, op.unwrap(c))))
+                     for j in range(d)] for c in chi])
     return -mat if convention == "effective" else mat
 
 

@@ -28,14 +28,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from kinhom.cell_solver import SpectralField, dense_cell_gate, verify_variational
+from kinhom.cell_solver import dense_cell_gate, lattice_cell_gate, verify_variational
 from kinhom.cell_solver import (  # noqa: F401  (perfbench/tracing.py wraps these names here)
     assemble,
     assemble_spectral_ap,
     equilibrium_F,
     solve_chi_star,
 )
-from kinhom.collision import PhaseField, ScatteringKernel, check_sdb, make_kernel, sdb_gap
+from kinhom.collision import ScatteringKernel, check_sdb, make_kernel, sdb_gap
 from kinhom.effective import (
     EffectiveCoefficients,
     assemble_effective,
@@ -443,6 +443,8 @@ def _validate_consistency(cfg: ScenarioConfig) -> None:
         raise ConfigError("key `sigma.x_amplitude`: tanh modulation needs |x_amplitude| < 1")
     if cfg.cell["n_modes"] < 1:
         raise ConfigError("key `cell.n_modes`: must be at least 1")
+    if d != 1 and cfg.cell["backend"] == "spectral_ap":
+        raise ConfigError("key `cell.backend`: the frequency-lattice backend is one-dimensional")
     if d != 1 and cfg.sigma["x_dependence"] != "none":
         raise ConfigError(
             "key `sigma.x_dependence`: the effective stage samples one macro axis; "
@@ -451,8 +453,20 @@ def _validate_consistency(cfg: ScenarioConfig) -> None:
     for sec, key in (("cell", "period"), ("cell", "tol"), ("initial", "width"),
                      ("macro", "half_width"), ("macro", "dt"), ("kinetic", "c_split")):
         values = getattr(cfg, sec)
-        if values is not None and values[key] != "auto" and not values[key] > 0:
-            raise ConfigError(f"key `{sec}.{key}`: must be positive")
+        if values is not None and values[key] != "auto" and not (np.isfinite(values[key])
+                                                                 and values[key] > 0):
+            raise ConfigError(f"key `{sec}.{key}`: must be positive and finite")
+    if not np.isfinite(cfg.initial["center"]):
+        raise ConfigError("key `initial.center`: must be finite")
+    # a datum that vanishes on the grid has no mass for the sweep and the
+    # mass monitors to divide by
+    rho0 = cfg.initial_rho(cfg.build_macro_grid())
+    if cfg.initial["kind"] == "gaussian" and not np.any(rho0 > 0):
+        raise ConfigError(
+            f"key `initial.center`: the gaussian datum of width {cfg.initial['width']:g} "
+            f"centred at {cfg.initial['center']:g} has no positive sample on the macro grid "
+            f"[-{cfg.macro['half_width']:g}, {cfg.macro['half_width']:g}]"
+        )
     if not 0.0 <= cfg.macro["theta"] <= 1.0:
         raise ConfigError("key `macro.theta`: must lie in [0, 1]")
     t, n_check = cfg.macro["t"], cfg.macro["checkpoints"]
@@ -564,91 +578,56 @@ _PROFILES = {
 }
 
 
-def _profile_moment(F_field, m_kind: str, vm: VelocityMeasure) -> np.ndarray:
-    """Cell-average ``M(F_k m)`` per velocity node for a catalogue profile."""
-    if m_kind == "1":
-        return np.asarray(F_field.mean_y(), dtype=float)
-    freq, wave = _PROFILES[m_kind]
-    if isinstance(F_field, PhaseField):
-        y = F_field.grid.axes()[0]
-        return (F_field.values * wave(freq * y)[:, None]).mean(axis=0)
-    if isinstance(F_field, SpectralField):
-        idx = np.flatnonzero(np.abs(F_field.freqs - freq) < 1e-9)
-        if idx.size == 0:
-            return np.zeros(vm.n_nodes)
-        coeff = F_field.coeffs[idx[0]]
-        return coeff.real if wave is np.cos else -coeff.imag
-    raise TypeError(f"unsupported equilibrium field {type(F_field)!r}")
-
-
 def sigma_test(
     states: list[KineticState],
-    macro: MacroField,
-    F_field,
+    rho_frame: list[np.ndarray],
     *,
-    drift: float = 0.0,
     include_quasi: bool = False,
 ) -> list[SigmaRow]:
     """Oscillation-aware weak-convergence residuals on a test catalogue.
 
-    For each test function ``psi = phi(t,x) m(y) c(v)`` this compares the
-    kinetic pairing ``iint f_eps psi(t, x, x/eps, v) dmu dx dt`` against
-    the factorized limit ``iint M(f0 psi) dmu dx dt`` with
-    ``f0 = rho0 F`` (drift-shifted when the equilibrium flux is nonzero),
-    integrating checkpoints by the trapezoid rule.
+    For each test function ``psi = phi(x) m(y) c(v)`` this compares the
+    kinetic pairing ``iint f_eps psi(x, x/eps, v) dmu dx dt`` against the
+    factorized limit ``iint M(rho F psi) dmu dx dt``, integrating the
+    checkpoints by the trapezoid rule.  ``rho_frame`` holds the macro
+    density at each state's time, in the co-moving frame of the
+    equilibrium flux (see :func:`_run_kinetic`).
     """
     vm = states[0].vm
     grid = states[0].grid
     eps = states[0].epsilon
     x = grid.axes()[0]
     h = grid.cell_volume
-    kappa = shift_wavenumbers(grid)
     times = np.array([s.t for s in states])
-    a1 = vm.field[:, 0]
 
-    phis = {"1": lambda t, xx: np.ones_like(xx), "gauss": lambda t, xx: np.exp(-(xx**2) / 2.0)}
+    phis = {"1": np.ones_like(x), "gauss": np.exp(-(x**2) / 2.0)}
     m_kinds = ["1", "cos2pi", "sin2pi"] + (["cos2r2pi"] if include_quasi else [])
-    c_kinds = {"1": np.ones(vm.n_nodes), "a1": a1}
-
-    rho_slices = []
-    for t in times:
-        rho_t = macro.at_time(t)
-        shift = drift * t / eps
-        rho_slices.append(periodic_shift(rho_t, shift, kappa) if shift else rho_t)
+    c_kinds = {"1": np.ones(vm.n_nodes), "a1": vm.field[:, 0]}
 
     rows: list[SigmaRow] = []
     for m_kind in m_kinds:
-        moments = {}  # c_kind -> scalar sum_k mu_k c_k M(F_k m)
-        for c_name, c_vals in c_kinds.items():
-            mk = _profile_moment(F_field, m_kind, vm)
-            moments[c_name] = float(np.sum(vm.weights * c_vals * mk))
         if m_kind == "1":
             m_fast = np.ones_like(x)
         else:
             freq, wave = _PROFILES[m_kind]
             m_fast = wave(freq * x / eps)
         for phi_name, phi in phis.items():
-            phi_slices = [phi(t, x) for t in times]
             for c_name, c_vals in c_kinds.items():
                 lhs_t = [
                     h * float(np.sum((s.f * (vm.weights * c_vals)[None, :]).sum(axis=1)
-                                     * phi_slices[i] * m_fast))
-                    for i, s in enumerate(states)
+                                     * phi * m_fast))
+                    for s in states
                 ]
-                rhs_t = [
-                    h * float(np.sum(rho_slices[i] * phi_slices[i])) * moments[c_name]
-                    for i in range(len(states))
-                ]
-                rows.append(
-                    SigmaRow(
-                        epsilon=eps,
-                        phi=phi_name,
-                        m=m_kind,
-                        c=c_name,
-                        lhs=float(np.trapezoid(lhs_t, times)),
-                        rhs=float(np.trapezoid(rhs_t, times)),
-                    )
-                )
+                # the equilibrium is the constant F = 1 / mu(V), so the limit
+                # moment sum_k mu_k c_k M(F_k m) is sum_k mu_k c_k / mu(V) for
+                # m = 1 and 0 for every oscillating profile, whose mean is 0
+                rhs = 0.0
+                if m_kind == "1":
+                    moment = float(np.sum(vm.weights * c_vals)) / vm.total_mass
+                    rhs = float(np.trapezoid([h * float(np.sum(r * phi)) * moment
+                                              for r in rho_frame], times))
+                rows.append(SigmaRow(epsilon=eps, phi=phi_name, m=m_kind, c=c_name,
+                                     lhs=float(np.trapezoid(lhs_t, times)), rhs=rhs))
     return rows
 
 
@@ -683,6 +662,7 @@ def run_pipeline(
             sdb = check_sdb(kernel, 0.0, grid, vm)
         else:
             grid = None
+            lattice_cell_gate(kernel, vm, cfg.cell["n_modes"])
             sdb = sdb_gap(kernel.node_matrix(vm), vm.weights)
         report.sdb_gap = sdb.max_rel_gap
         sdb.require()
@@ -727,19 +707,18 @@ def run_pipeline(
 
     if cfg.kinetic is not None:
         with _stage("kinetic"):
-            _run_kinetic(cfg, report, vm, kernel, mg, macro, cell.F)
+            _run_kinetic(cfg, report, vm, kernel, mg, macro)
 
     return _finish()
 
 
-def _run_kinetic(cfg, report, vm, kernel, mg, macro, F_field):
+def _run_kinetic(cfg, report, vm, kernel, mg, macro):
     T = cfg.macro["t"]
     times = cfg.checkpoint_times()
     b1 = float(report.flux[0])
     drift = b1 if abs(b1) > 1e-10 else 0.0
     quasi = kernel.natural_period is None
     kappa = shift_wavenumbers(mg)
-    ref_final = macro.at_time(T)
 
     epsilons = list(cfg.kinetic["epsilons"])
     rows = []
@@ -754,15 +733,20 @@ def _run_kinetic(cfg, report, vm, kernel, mg, macro, F_field):
         )
         states = solver.run(cfg.initial_f(mg, vm), T, checkpoints=times)
         runtime = time.perf_counter() - t0
-        ref = periodic_shift(ref_final, drift * T / eps, kappa) if drift else ref_final
+        # the macro density at each state's time, in the frame co-moving with
+        # the equilibrium flux
+        rho_frame = []
+        for s in states:
+            shift = drift * s.t / eps
+            rho_t = macro.at_time(s.t)
+            rho_frame.append(periodic_shift(rho_t, shift, kappa) if shift else rho_t)
+        ref = rho_frame[-1]
         err = float(np.linalg.norm(states[-1].density() - ref) / np.linalg.norm(ref))
         l2 = [s.l2_norm() for s in states]
         flag = bool(max(l2) > l2[0] * (1.0 + 1e-8))
         report.kinetic_states[eps] = states
         rows.append(SweepRow(epsilon=eps, err=err, runtime=runtime, l2_flag=flag))
-        report.sigma_rows.extend(
-            sigma_test(states, macro, F_field, drift=drift, include_quasi=quasi)
-        )
+        report.sigma_rows.extend(sigma_test(states, rho_frame, include_quasi=quasi))
 
     ordered = sorted(rows, key=lambda r: -r.epsilon)
     errs = [r.err for r in ordered]

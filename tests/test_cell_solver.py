@@ -684,3 +684,26 @@ def test_dense_cell_over_budget_is_refused(monkeypatch):
         assemble(SINUSOIDAL, 0.0, VM, grid, scheme="spectral")
     # the sparse scheme has no dense matrices to refuse
     assemble(SINUSOIDAL, 0.0, VM, grid, scheme="upwind")
+
+
+def test_lattice_size_estimate_without_building():
+    # 61^2 modes x 2 velocities (n_modes = 30) is refused, without building anything
+    assert cell_solver._lattice_cell_bytes(61 * 61 * 2) > DENSE_CELL_BYTES
+    # 33^2 modes x 2 velocities (n_modes = 16, about 0.5 GiB at its peak) fits
+    assert cell_solver._lattice_cell_bytes(33 * 33 * 2) <= DENSE_CELL_BYTES
+
+
+@pytest.mark.parametrize("kernel, size", [
+    (SINUSOIDAL, 5 * 2),                                                       # one generator
+    (make_kernel("quasi_periodic", base=1.0, alpha1=0.2, alpha2=0.2), 25 * 2),  # two
+], ids=["sinusoidal", "quasi_periodic"])
+def test_lattice_cell_over_budget_is_refused(monkeypatch, kernel, size):
+    # the gate and the operator count the same lattice
+    needed = cell_solver._lattice_cell_bytes(size)
+    monkeypatch.setattr(cell_solver, "DENSE_CELL_BYTES", needed)
+    assert assemble_spectral_ap(kernel, 0.0, VM, n_modes=2).size == size
+    monkeypatch.setattr(cell_solver, "DENSE_CELL_BYTES", needed - 1)
+    with pytest.raises(ValueError, match=f"{size} unknowns needs {needed} bytes"):
+        assemble_spectral_ap(kernel, 0.0, VM, n_modes=2)
+    with pytest.raises(ValueError, match=f"{size} unknowns needs {needed} bytes"):
+        cell_solver.lattice_cell_gate(kernel, VM, 2)

@@ -267,6 +267,48 @@ def test_late_failing_scenario_values_are_refused(tmp_path, capsys, key, setting
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["cell.period", "cell.tol", "initial.width", "macro.half_width",
+                                 "macro.dt", "kinetic.c_split"])
+def test_infinite_positive_values_are_refused(tmp_path, capsys, key):
+    # +inf passed `> 0`: the run then failed in a later stage with a message
+    # that named no key, or (initial.width) exited 0 with a flat datum
+    text = _with({key: "inf"})
+    with pytest.raises(ConfigError, match=re.escape(f"key `{key}`: must be positive and finite")):
+        parse_config(text)
+    path = tmp_path / "inf.ini"
+    path.write_text(text)
+    assert cli_main(["check", "--config", str(path)]) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"initial.center": "nan"}, "must be finite"),
+    ({"initial.center": "inf"}, "must be finite"),
+    ({"initial.center": "-inf"}, "must be finite"),
+    # the datum sits outside [-2, 2]; it underflows to 0 at every point
+    ({"initial.center": "50"}, "has no positive sample on the macro grid"),
+    # a width far below the spacing 1/16 falls between the points
+    ({"initial.width": "1e-6"}, "has no positive sample on the macro grid"),
+])
+def test_initial_datum_without_mass_is_refused(tmp_path, capsys, settings, message):
+    # each ran: the sweep gave err = nan, the pipeline macro_mass_drift = nan,
+    # or the sweep's summary raised ZeroDivisionError outside every stage
+    text = _with(settings)
+    with pytest.raises(ConfigError, match=re.escape("key `initial.center`: ") + ".*" + message):
+        parse_config(text)
+    path = tmp_path / "datum.ini"
+    path.write_text(text)
+    assert cli_main(["sweep", "--config", str(path)]) == 2
+    assert "initial.center" in capsys.readouterr().err
+
+
+def test_initial_datum_with_mass_on_the_grid_is_accepted():
+    parse_config(_with({"initial.center": "1.5"}))
+    parse_config(_with({"initial.width": "0.02"}))
+    # a uniform datum has mass wherever its (unused) centre lies
+    parse_config(_with({"initial.kind": "uniform", "initial.center": "50"}))
+
+
 def test_motionless_velocity_set_is_refused_before_the_sweep(tmp_path, capsys):
     # with speed 0 the diffusion tensor is zero, which the ellipticity gate let
     # through: the sweep exited 0 with D_eff_11 = -0 and errors at roundoff
@@ -322,6 +364,27 @@ def test_check_stage_refuses_an_oversized_dense_cell():
     with pytest.raises(StageError, match="51539607552 bytes") as info:
         run_pipeline(parse_config(text), stop_after="check")
     assert info.value.stage == "check"
+
+
+def test_two_dimensional_frequency_lattice_is_refused():
+    # `kinhom check` passed it, and the cell stage failed with a message that
+    # named no key
+    text = ("[scenario]\ndimension = 2\n[velocity]\nfamily = uniform_circle\n"
+            "[cell]\nbackend = spectral_ap\n")
+    with pytest.raises(ConfigError, match=re.escape("key `cell.backend`: the frequency-lattice")):
+        parse_config(text)
+    parse_config(text.replace("spectral_ap", "grid"))
+
+
+def test_check_stage_refuses_an_oversized_frequency_lattice():
+    # 61^2 modes x 2 velocities: the lattice operator would take
+    # 8 * 16 * 7442^2 bytes, so the check stage refuses it before any solve
+    text = ("[sigma]\nfamily = quasi_periodic\n"
+            "[cell]\nbackend = spectral_ap\nn_modes = 30\n")
+    with pytest.raises(StageError, match="7442 unknowns needs 7089070592 bytes") as info:
+        run_pipeline(parse_config(text), stop_after="check")
+    assert info.value.stage == "check"
+    run_pipeline(parse_config(text.replace("30", "16")), stop_after="check")
 
 
 CIRCLE2D_REDUCED = """\
@@ -555,6 +618,51 @@ def test_pipeline_with_kinetic_produces_sweep_and_sigma_rows():
             assert row.residual <= 1e-10
     assert "err_eps_0.4" in report.summary
     assert "sweep_min_ratio" in report.summary
+
+
+SIGMA_KINETIC = """\
+[scenario]
+name = sigma
+
+[cell]
+n = 16
+backend = {backend}
+
+[sigma]
+family = {family}
+
+[initial]
+width = 0.3
+
+[macro]
+half_width = 2.0
+n = 64
+t = 0.1
+checkpoints = 2
+
+[kinetic]
+epsilons = 0.4, 0.2
+"""
+
+
+@pytest.mark.parametrize("family, backend, m_kinds", [
+    # the catalogue adds m = cos(2 sqrt(2) pi y) for a kernel with no period
+    ("quasi_periodic", "spectral_ap", {"1", "cos2pi", "sin2pi", "cos2r2pi"}),
+    ("sinusoidal", "grid", {"1", "cos2pi", "sin2pi"}),
+])
+def test_sigma_limit_moments_on_both_backends(family, backend, m_kinds):
+    report = run_pipeline(parse_config(SIGMA_KINETIC.format(family=family, backend=backend)))
+    for eps in (0.4, 0.2):
+        rows = [r for r in report.sigma_rows if r.epsilon == eps]
+        assert len(rows) == 2 * len(m_kinds) * 2  # {1, gauss} x m x {1, a1}
+        assert {r.m for r in rows} == m_kinds
+    for row in report.sigma_rows:
+        if (row.phi, row.m, row.c) == ("1", "1", "1"):
+            assert row.residual <= 1e-10
+        if row.m != "1":
+            # the constant equilibrium's mean against an oscillating profile
+            # is exactly 0 (the grid's sampled mean gave -2.6e-18 here)
+            assert row.rhs == 0.0
 
 
 DEFECT = """\
