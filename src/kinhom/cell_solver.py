@@ -184,7 +184,7 @@ class _CellOperatorBase:
     ``K_H``, built once so adjoint actions do not rebuild them per call.
     Subclasses also populate ``weights`` (flat inner-product weights),
     ``const`` (the constant function), ``sigma_min``, ``vm``, and
-    conversion helpers.
+    conversion helpers.  The equilibrium ``F`` follows from ``const``.
     """
 
     P: np.ndarray
@@ -216,6 +216,13 @@ class _CellOperatorBase:
         lattice only the zero mode carries a nonzero cell mean.
         """
         return float(np.real(self.inner(self.const, f)))
+
+    @functools.cached_property
+    def F(self) -> np.ndarray:
+        """Flat equilibrium ``1 / mu(V)`` spanning ``ker P``; read-only, as the solves share it."""
+        F = self.const / self.mean_v(self.const)
+        F.flags.writeable = False
+        return F
 
     def _set_matrices(self, A, K_mat) -> None:
         self.A_mat = A
@@ -577,7 +584,7 @@ def equilibrium_F(op: _CellOperatorBase):
     equilibrium is the constant.  ``lam`` is the Rayleigh quotient of
     ``O = K A^{-1}`` at ``h``, one application; it must be 1 within 1e-8
     (anything else signals kernel/quadrature inconsistency).  The returned
-    field is ``1 / mu(V)``, so ``int M(F) dmu = 1``.
+    field is ``op.F = 1 / mu(V)``, so ``int M(F) dmu = 1``.
 
     Returns
     -------
@@ -591,7 +598,7 @@ def equilibrium_F(op: _CellOperatorBase):
             f"principal eigenvalue {lam!r} deviates from 1 beyond 1.0e-08; "
             "kernel and quadrature are inconsistent"
         )
-    return lam, op.wrap(op.const / op.mean_v(op.const))
+    return lam, op.wrap(op.F)
 
 
 @dataclass(frozen=True)
@@ -728,17 +735,17 @@ def _deflated_gmres(op: _CellOperatorBase, action, rhs: np.ndarray,
     return x, count
 
 
-def _gauged_solve(op: _CellOperatorBase, rhs, null: np.ndarray, tol: float | None,
-                  *, adjoint: bool, null_scale: float) -> CorrectorSolution:
+def _gauged_solve(op: _CellOperatorBase, rhs, tol: float | None, *,
+                  adjoint: bool) -> CorrectorSolution:
     """Shared body of the forward and adjoint corrector solves.
 
-    ``null`` spans the cokernel of the operator being inverted: the
-    constant for ``P``, the equilibrium for ``P*``.  Checks compatibility
-    ``<null, rhs> = 0`` against ``1e-10 * max(1, null_scale ||rhs||)``,
-    solves the rewritten fixed-point system by deflated GMRES, maps back
-    through ``A^{-1}`` (or its adjoint), gauges the result to zero mean,
-    and gates on a relative residual of 1e-9.
+    ``null`` spans the cokernel: ``const`` for ``P``, ``op.F`` for ``P*``.
+    Checks ``<null, rhs> = 0`` against ``1e-10 * max(1, ||rhs||)`` (``||F||
+    ||rhs||`` for ``P*``), solves the rewritten fixed-point system by
+    deflated GMRES, maps back through ``A^{-1}`` (or its adjoint), gauges
+    the result to zero mean, and gates on a relative residual of 1e-9.
     """
+    null, null_scale = (op.F, op.norm(op.F)) if adjoint else (op.const, 1.0)
     rhs_flat = op.unwrap(rhs).astype(op.dtype)
     rhs_norm = op.norm(rhs_flat)
     compat = float(np.real(op.inner(null, rhs_flat)))
@@ -770,17 +777,16 @@ def solve_corrector(op: _CellOperatorBase, g, tol: float | None = None) -> Corre
     rewritten system ``(I - O) h = g`` by deflated GMRES, maps back through
     ``f = A^{-1} h``, and gauges the result to ``int M(f) dmu = 0``.
     """
-    return _gauged_solve(op, g, op.const, tol, adjoint=False, null_scale=1.0)
+    return _gauged_solve(op, g, tol, adjoint=False)
 
 
-def solve_adjoint_corrector(op: _CellOperatorBase, rhs, F, tol: float | None = None) -> CorrectorSolution:
+def solve_adjoint_corrector(op: _CellOperatorBase, rhs, tol: float | None = None) -> CorrectorSolution:
     """Solve ``P* phi = rhs`` (adjoint cell problem) with zero-mean gauge.
 
-    The solvability condition is ``int M(rhs * F) dmu = 0`` with ``F`` the
-    equilibrium spanning ``ker P``.
+    The solvability condition is ``int M(rhs * F) dmu = 0`` with ``F =
+    op.F`` the equilibrium spanning ``ker P``.
     """
-    F_flat = op.unwrap(F).astype(op.dtype)
-    return _gauged_solve(op, rhs, F_flat, tol, adjoint=True, null_scale=op.norm(F_flat))
+    return _gauged_solve(op, rhs, tol, adjoint=True)
 
 
 @dataclass(frozen=True)
@@ -798,7 +804,7 @@ class ChiStarSolution:
     bound_constant: float
 
 
-def solve_chi_star(op: _CellOperatorBase, F, tol: float | None = None) -> ChiStarSolution:
+def solve_chi_star(op: _CellOperatorBase, tol: float | None = None) -> ChiStarSolution:
     """Adjoint correctors driven by the transport directions.
 
     For each spatial component ``j`` this solves ``P* chi_j = -(a_j - b_j)``
@@ -807,16 +813,15 @@ def solve_chi_star(op: _CellOperatorBase, F, tol: float | None = None) -> ChiSta
     is returned so downstream consumers know the co-moving frame.  The
     residual and bound diagnostics come from each corrector solve.
     """
-    F_flat = op.unwrap(F)
     d = op.vm.dim
     chi = []
     b = np.zeros(d)
     worst_res = worst_const = 0.0
     for j in range(d):
         a_j = op.velocity_profile(j)
-        b[j] = float(np.real(op.inner(F_flat, a_j)))  # int M(a_j F) dmu
+        b[j] = float(np.real(op.inner(op.F, a_j)))  # int M(a_j F) dmu
         rhs = -(a_j - b[j] * op.const)
-        sol = solve_adjoint_corrector(op, rhs, F, tol=tol)
+        sol = solve_adjoint_corrector(op, rhs, tol=tol)
         chi.append(sol.field)
         nrm = op.norm(rhs)
         worst_res = max(worst_res, sol.residual / nrm if nrm > 0 else sol.residual)
@@ -824,14 +829,13 @@ def solve_chi_star(op: _CellOperatorBase, F, tol: float | None = None) -> ChiSta
     return ChiStarSolution(chi=chi, b=b, residual=worst_res, bound_constant=worst_const)
 
 
-def verify_variational(op: _CellOperatorBase, F, seed: int = 0) -> float:
-    """Weak-form residual of the equilibrium against a test-field battery.
+def verify_variational(op: _CellOperatorBase, seed: int = 0) -> float:
+    """Weak-form residual of the equilibrium ``op.F`` against a test-field battery.
 
     Returns ``max |<F, P* phi>| / (||F|| ||phi||)`` over structured and
     eight random test fields; a converged equilibrium drives this to roundoff,
     an unconverged one does not.
     """
-    F_flat = op.unwrap(F)
     rng = np.random.default_rng(seed)
     tests = [op.const.astype(op.dtype)]
     for j in range(op.vm.dim):
@@ -844,8 +848,8 @@ def verify_variational(op: _CellOperatorBase, F, seed: int = 0) -> float:
         tests.append(op.hermitize(rng.standard_normal(op.size).astype(op.dtype)))
     worst = 0.0
     for phi in tests:
-        denom = op.norm(F_flat) * op.norm(phi)
+        denom = op.norm(op.F) * op.norm(phi)
         if denom == 0:
             continue
-        worst = max(worst, abs(float(np.real(op.inner(F_flat, op.apply_P_adjoint(phi))))) / denom)
+        worst = max(worst, abs(float(np.real(op.inner(op.F, op.apply_P_adjoint(phi))))) / denom)
     return worst

@@ -47,6 +47,7 @@ from kinhom.phase_space import CellGrid, VelocityMeasure
 
 __all__ = [
     "BalanceError",
+    "ONE_DIMENSIONAL_KINDS",
     "PhaseField",
     "ScatteringKernel",
     "SdbReport",
@@ -61,6 +62,10 @@ __all__ = [
 
 class BalanceError(ValueError):
     """A kernel violates semi-detailed balance where balance is required."""
+
+
+# kernel families whose profile exists only in one dimension
+ONE_DIMENSIONAL_KINDS = ("quasi_periodic", "quasi_approx", "sinusoidal_defect")
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +142,7 @@ class ScatteringKernel:
             raise ValueError(f"unknown kernel kind {kind!r}")
         if x_dependence not in ("none", "tanh"):
             raise ValueError(f"x dependence {x_dependence!r} is not whitelisted")
-        if kind in ("quasi_periodic", "quasi_approx", "sinusoidal_defect") and dim != 1:
+        if kind in ONE_DIMENSIONAL_KINDS and dim != 1:
             raise ValueError(f"{kind} profiles are one-dimensional")
         self.kind = kind
         self.base = float(base)

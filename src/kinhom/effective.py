@@ -51,8 +51,8 @@ class EllipticityError(RuntimeError):
     """The symmetrized diffusion tensor has a non-positive direction."""
 
 
-def diffusion_matrix(op, chi, F, convention: str = "effective") -> np.ndarray:
-    """Homogenized diffusion tensor from correctors and equilibrium.
+def diffusion_matrix(op, chi, convention: str = "effective") -> np.ndarray:
+    """Homogenized diffusion tensor from correctors and the equilibrium ``op.F``.
 
     Computes the corrector-flux pairing ``M_ij = int M(chi_i a_j F) dmu``.
     With ``convention="effective"`` (default) returns ``-M``, the
@@ -62,12 +62,11 @@ def diffusion_matrix(op, chi, F, convention: str = "effective") -> np.ndarray:
     if convention not in ("effective", "pairing"):
         raise ValueError(f"unknown convention {convention!r}")
     d = op.vm.dim
-    F_flat = op.unwrap(F)
     # M_ij = <a_j F, chi_i>.  On the frequency lattice the elementwise product
     # is the coefficient vector of a_j F only because both fields sit on the
     # zero-frequency row: the profile a_j(v) does not depend on y, nor does
     # the constant equilibrium
-    mat = np.array([[float(np.real(op.inner(op.velocity_profile(j) * F_flat, op.unwrap(c))))
+    mat = np.array([[float(np.real(op.inner(op.velocity_profile(j) * op.F, op.unwrap(c))))
                      for j in range(d)] for c in chi])
     return -mat if convention == "effective" else mat
 
@@ -113,18 +112,15 @@ def default_backend(kernel) -> str:
 
 @dataclass(frozen=True)
 class CellSolution:
-    """One solved cell problem at macro position ``x`` (see :func:`solve_cell`)."""
+    """One solved cell problem (see :func:`solve_cell`)."""
 
-    x: float
-    op: object
+    op: object           # cell operator; its kernel, velocity set and equilibrium F
     lam: float
-    F: object            # wrapped equilibrium
-    chi: list            # wrapped adjoint correctors, one per dimension
     b: np.ndarray        # equilibrium flux
     D: np.ndarray        # divergence-form diffusion tensor, ellipticity-gated
     residual: float
     bound_constant: float
-    settings: tuple      # (backend, grid, scheme, n_modes, tol) it was solved with
+    settings: dict       # the solve_cell keywords it was solved with, backend resolved
 
 
 def solve_cell(kernel, x, vm: VelocityMeasure, *, backend: str | None = None,
@@ -144,62 +140,39 @@ def solve_cell(kernel, x, vm: VelocityMeasure, *, backend: str | None = None,
         raise ValueError("grid backend needs a cell grid")
     else:
         op = assemble(kernel, x, vm, grid, scheme=scheme)
-    lam, F = equilibrium_F(op)
-    star = solve_chi_star(op, F, tol=tol)
-    D = diffusion_matrix(op, star.chi, F)
+    lam, _ = equilibrium_F(op)
+    star = solve_chi_star(op, tol=tol)
+    D = diffusion_matrix(op, star.chi)
     ellipticity_gate(D)
-    return CellSolution(x=x, op=op, lam=lam, F=F, chi=star.chi, b=star.b, D=D,
-                        residual=star.residual, bound_constant=star.bound_constant,
-                        settings=(backend, grid, scheme, n_modes, tol))
+    return CellSolution(op=op, lam=lam, b=star.b, D=D, residual=star.residual,
+                        bound_constant=star.bound_constant,
+                        settings=dict(backend=backend, grid=grid, scheme=scheme,
+                                      n_modes=n_modes, tol=tol))
 
 
-def assemble_effective(
-    kernel,
-    vm: VelocityMeasure,
-    x=None,
-    *,
-    grid: CellGrid | None = None,
-    scheme: str = "upwind",
-    backend: str | None = None,
-    n_modes: int = 8,
-    tol: float | None = None,
-    cell: CellSolution | None = None,
-) -> EffectiveCoefficients:
-    """Solve the cell problems and average them into macro coefficients.
+def assemble_effective(cell: CellSolution, x=None) -> EffectiveCoefficients:
+    """Average the cell problems into macro coefficients.
 
-    ``x`` is ``None`` (no modulation) or a non-empty 1-D array of finite
-    macro positions.  Kernels without modulation short-circuit to a single
-    cell solve.  Sampled assembly solves one cell per position and keeps
-    only its ``D``, flux and diagnostics, dropping each operator before the
-    next solve; the drift ``U`` is zero at every position (see the module
-    docstring).
-
-    The cell settings are those of :func:`solve_cell`.  ``cell``, a
-    :func:`solve_cell` result for the same kernel, velocity set and
-    settings, stands in for the single solve at ``x = 0`` when the kernel
-    has no modulation or ``x`` is ``None``; the result is the same with or
-    without it.
+    ``cell`` is the :func:`solve_cell` result at ``x = 0``.  ``x`` is
+    ``None`` (no modulation) or a non-empty 1-D array of finite macro
+    positions.  A kernel without modulation, or ``x = None``, gives the
+    cell's own ``D``, flux and diagnostics.  Otherwise sampled assembly
+    solves one cell per position with the kernel, velocity set and settings
+    of ``cell``, keeps only its ``D``, flux and diagnostics, and drops each
+    operator before the next solve; the drift ``U`` is zero at every
+    position (see the module docstring).
     """
-    backend = default_backend(kernel) if backend is None else backend
-    if cell is not None and (cell.op.kernel is not kernel or cell.op.vm is not vm
-                             or cell.settings != (backend, grid, scheme, n_modes, tol)):
-        raise ValueError("cell was solved for another kernel, velocity set or settings")
-
-    def solve(xi: float) -> CellSolution:
-        return solve_cell(kernel, xi, vm, backend=backend, grid=grid, scheme=scheme,
-                          n_modes=n_modes, tol=tol)
-
+    kernel, vm = cell.op.kernel, cell.op.vm
     if x is None or kernel.x_dependence == "none":
-        c = cell if cell is not None and cell.x == 0.0 else solve(0.0)
-        return EffectiveCoefficients(x=None, D=c.D, U=np.zeros(vm.dim), flux=c.b,
-                                     residual=c.residual, bound_constant=c.bound_constant)
+        return EffectiveCoefficients(x=None, D=cell.D, U=np.zeros(vm.dim), flux=cell.b,
+                                     residual=cell.residual, bound_constant=cell.bound_constant)
 
     x_arr = np.asarray(x, dtype=float).reshape(-1)
     if x_arr.size == 0 or not np.all(np.isfinite(x_arr)):
         raise ValueError(f"sampled macro positions x must be non-empty and finite; got {x_arr}")
     kept = []  # per position: D, flux, residual, bound constant
     for xi in x_arr:
-        s = solve(float(xi))
+        s = solve_cell(kernel, float(xi), vm, **cell.settings)
         kept.append((s.D, s.b, s.residual, s.bound_constant))
     D, b, residual, bound = zip(*kept)
     return EffectiveCoefficients(x=x_arr, D=np.stack(D), U=np.zeros((x_arr.size, vm.dim)),

@@ -20,7 +20,6 @@ from __future__ import annotations
 import configparser
 import difflib
 import io
-import logging
 import os
 import tempfile
 import time
@@ -35,7 +34,7 @@ from kinhom.cell_solver import (  # noqa: F401  (perfbench/tracing.py wraps thes
     equilibrium_F,
     solve_chi_star,
 )
-from kinhom.collision import ScatteringKernel, check_sdb, make_kernel, sdb_gap
+from kinhom.collision import ONE_DIMENSIONAL_KINDS, ScatteringKernel, check_sdb, make_kernel, sdb_gap
 from kinhom.effective import (
     EffectiveCoefficients,
     assemble_effective,
@@ -68,8 +67,6 @@ __all__ = [
     "sigma_test",
     "emit_tables",
 ]
-
-log = logging.getLogger(__name__)
 
 FMT = "%.17g"
 _CSV_BLOCK = 4096  # rows per formatting pass of the table writer
@@ -456,6 +453,14 @@ def _validate_consistency(cfg: ScenarioConfig) -> None:
         if values is not None and values[key] != "auto" and not (np.isfinite(values[key])
                                                                  and values[key] > 0):
             raise ConfigError(f"key `{sec}.{key}`: must be positive and finite")
+    _validate_cell_for_kernel(cfg)
+    if cfg.macro["bc"] == "no-flux" and cfg.kinetic is not None:
+        raise ConfigError("key `macro.bc`: the kinetic reference needs a periodic macro grid; "
+                          "drop the [kinetic] section for no-flux scenarios")
+    if cfg.macro["bc"] == "no-flux" and d != 1:
+        # the macro solver refuses off-diagonal diffusion on no-flux walls, and
+        # every assembled 2-D tensor carries off-diagonal roundoff
+        raise ConfigError("key `macro.bc`: no-flux boundaries need `scenario.dimension` = 1")
     if not np.isfinite(cfg.initial["center"]):
         raise ConfigError("key `initial.center`: must be finite")
     # a datum that vanishes on the grid has no mass for the sweep and the
@@ -485,6 +490,25 @@ def _validate_consistency(cfg: ScenarioConfig) -> None:
             raise ConfigError(
                 f"key `kinetic.epsilons`: labels {', '.join(labels)} repeat under %g"
             )
+
+
+def _validate_cell_for_kernel(cfg: ScenarioConfig) -> None:
+    """Refuse a kernel the cell stage cannot represent, naming the key to change."""
+    fam = cfg.sigma["family"]
+    if fam in ONE_DIMENSIONAL_KINDS and cfg.dimension != 1:
+        raise ConfigError(f"key `sigma.family`: {fam} profiles are one-dimensional; "
+                          f"`scenario.dimension` = {cfg.dimension}")
+    kernel = cfg.build_kernel()
+    if cfg.cell_backend(kernel) != "grid":
+        return
+    period = kernel.natural_period
+    if period is None:
+        raise ConfigError(f"key `cell.backend`: the {fam} kernel is not periodic; "
+                          "use spectral_ap or auto")
+    cells = cfg.cell["period"] / period
+    if round(cells) < 1 or abs(cells - round(cells)) > 1e-9:
+        raise ConfigError(f"key `cell.period`: {cfg.cell['period']:g} is not a multiple "
+                          f"of the {fam} kernel period {period:g}")
 
 
 def dump_config(cfg: ScenarioConfig) -> str:
@@ -669,13 +693,12 @@ def run_pipeline(
     if stop_after == "check":
         return _finish()
 
-    settings = dict(backend=backend, grid=grid, scheme=cfg.cell["scheme"],
-                    n_modes=cfg.cell["n_modes"], tol=cfg.cell["tol"])
     with _stage("cell"):
-        cell = solve_cell(kernel, 0.0, vm, **settings)
+        cell = solve_cell(kernel, 0.0, vm, backend=backend, grid=grid, scheme=cfg.cell["scheme"],
+                          n_modes=cfg.cell["n_modes"], tol=cfg.cell["tol"])
         report.lam = cell.lam
         report.flux = cell.b
-        report.variational_residual = verify_variational(cell.op, cell.op.unwrap(cell.F), seed=seed)
+        report.variational_residual = verify_variational(cell.op, seed=seed)
         report.corrector_residual = cell.residual
         report.bound_constant = cell.bound_constant
     if stop_after == "cell":
@@ -684,7 +707,7 @@ def run_pipeline(
     with _stage("effective"):
         mg = cfg.build_macro_grid()
         x_samples = mg.axes()[0] if kernel.x_dependence != "none" else None
-        coeffs = assemble_effective(kernel, vm, x=x_samples, cell=cell, **settings)
+        coeffs = assemble_effective(cell, x=x_samples)
         report.coefficients = coeffs
         # the worst diagnostics over every cell solve, the sampled ones included
         report.corrector_residual = max(report.corrector_residual, coeffs.residual)

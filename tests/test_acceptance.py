@@ -22,7 +22,7 @@ from kinhom.cell_solver import (
     solve_corrector,
 )
 from kinhom.collision import PhaseField, apply_Q, apply_Q_star, check_sdb, make_kernel
-from kinhom.effective import assemble_effective, diffusion_matrix
+from kinhom.effective import assemble_effective, diffusion_matrix, solve_cell
 from kinhom.harness import parse_config, run_pipeline
 from kinhom.macro_solver import DriftDiffusionSolver
 from kinhom.mv_algebra import PeriodicGridFn
@@ -136,14 +136,14 @@ def test_criterion_2_constant_kernel_closed_forms():
     op = assemble(kernel, 0.0, VM, grid, scheme="upwind")
     lam, F = equilibrium_F(op)
     assert np.max(np.abs(op.unwrap(F).real - 0.5)) <= 1e-10
-    star = solve_chi_star(op, F)
+    star = solve_chi_star(op)
     chi, b = star.chi, star.b
     assert abs(b[0]) <= 1e-10
     v = VM.field[:, 0]
     assert np.max(np.abs(chi[0].values - (-v / 2.0)[None, :])) <= 1e-10
-    pairing = diffusion_matrix(op, chi, F, convention="pairing")
+    pairing = diffusion_matrix(op, chi, convention="pairing")
     assert abs(pairing[0, 0] + 0.5) <= 1e-10
-    eff = assemble_effective(kernel, VM, grid=grid)
+    eff = assemble_effective(solve_cell(kernel, 0.0, VM, grid=grid))
     assert abs(eff.D[0, 0] - 0.5) <= 1e-10
     assert abs(eff.U[0]) <= 1e-12
     assert abs(eff.flux[0]) <= 1e-10
@@ -171,7 +171,7 @@ def test_criterion_3_dense_oracle_equivalence():
     P_star = np.linalg.solve(W, P.T @ W)
     aug_adj = np.vstack([P_star, op.weights[None, :]])
     dense_adj, *_ = np.linalg.lstsq(aug_adj, np.concatenate([-g, [0.0]]), rcond=None)
-    adj = solve_adjoint_corrector(op, -g, F)
+    adj = solve_adjoint_corrector(op, -g)
     assert np.max(np.abs(op.unwrap(adj.field) - dense_adj)) <= 1e-8
     print("criterion 3: PASS — 1-D null space; F and both correctors match dense solves")
 
@@ -269,12 +269,12 @@ def test_criterion_7_macro_heat_kernel_accuracy():
 def test_criterion_8_quasi_periodic_consistency():
     t0 = time.perf_counter()
     quasi = make_kernel("quasi_periodic", base=1.0, alpha1=0.2, alpha2=0.2)
-    eff_q = assemble_effective(quasi, VM, backend="spectral_ap", n_modes=8)
+    eff_q = assemble_effective(solve_cell(quasi, 0.0, VM, backend="spectral_ap", n_modes=8))
     approx = make_kernel("quasi_approx", base=1.0, alpha1=0.2, alpha2=0.2,
                          p=239, q=169)
-    eff_g = assemble_effective(
-        approx, VM, grid=CellGrid((1024,), period=(169.0,)), scheme="spectral"
-    )
+    eff_g = assemble_effective(solve_cell(
+        approx, 0.0, VM, grid=CellGrid((1024,), period=(169.0,)), scheme="spectral"
+    ))
     rel = abs(eff_q.D[0, 0] - eff_g.D[0, 0]) / abs(eff_g.D[0, 0])
     elapsed = time.perf_counter() - t0
     assert rel <= 1e-3

@@ -39,7 +39,7 @@ def test_constant_kernel_closed_forms(scheme):
     lam, F = equilibrium_F(op)
     assert abs(lam - 1.0) < 1e-12
     assert np.max(np.abs(F.values - 0.5)) < 1e-10
-    star = solve_chi_star(op, F)
+    star = solve_chi_star(op)
     chi, b = star.chi, star.b
     assert abs(b[0]) < 1e-12
     expect = -VM.field[:, 0] / 2.0
@@ -52,7 +52,7 @@ def test_constant_kernel_closed_forms_spectral_ap():
     assert abs(lam - 1.0) < 1e-12
     y = np.linspace(0.0, 3.0, 7)
     assert np.max(np.abs(F.sample(y) - 0.5)) < 1e-10
-    star = solve_chi_star(op, F)
+    star = solve_chi_star(op)
     chi, b = star.chi, star.b
     assert abs(b[0]) < 1e-12
     assert np.max(np.abs(chi[0].sample(y) - (-VM.field[:, 0] / 2.0)[None, :])) < 1e-10
@@ -77,6 +77,8 @@ def test_equilibrium_is_the_constant_from_one_application_of_O(build):
     assert abs(lam - 1.0) < 1e-12
     flat = op.unwrap(F)
     assert np.array_equal(flat, op.const / op.mean_v(op.const))
+    # the operator carries the same equilibrium the solves read
+    assert np.array_equal(op.F, op.const / op.mean_v(op.const)) and np.array_equal(op.F, flat)
     assert np.max(np.abs(flat - op.const / 3.0)) <= 1e-15
     assert op.mean_v(flat) == pytest.approx(1.0, abs=1e-15)
 
@@ -157,24 +159,22 @@ def test_corrector_matches_dense_least_squares():
 
 def test_adjoint_corrector_matches_dense_least_squares():
     op = assemble(SINUSOIDAL, 0.0, VM, GRID32, scheme="spectral")
-    _, F = equilibrium_F(op)
     P = op.dense_P()
     W = np.diag(op.weights)
     P_star = np.linalg.solve(W, P.T @ W)
     rhs = -op.velocity_profile(0)  # b = 0 here, so no shift needed
     aug = np.vstack([P_star, op.weights[None, :]])
     dense, *_ = np.linalg.lstsq(aug, np.concatenate([rhs, [0.0]]), rcond=None)
-    sol = solve_adjoint_corrector(op, rhs, F)
+    sol = solve_adjoint_corrector(op, rhs)
     assert np.max(np.abs(op.unwrap(sol.field) - dense)) < 1e-8
 
 
 def test_incompatible_data_is_refused():
     op = assemble(CONSTANT, 0.0, VM, GRID32, scheme="upwind")
-    _, F = equilibrium_F(op)
     with pytest.raises(CompatibilityError):
         solve_corrector(op, op.const)  # mean_v(1) = mu(V) != 0
     with pytest.raises(CompatibilityError):
-        solve_adjoint_corrector(op, op.const, F)
+        solve_adjoint_corrector(op, op.const)
 
 
 def test_unbalanced_kernel_is_refused():
@@ -238,8 +238,7 @@ def test_variational_residual_is_roundoff():
         ),
     ):
         op = build()
-        _, F = equilibrium_F(op)
-        assert verify_variational(op, F) < 1e-12
+        assert verify_variational(op) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -250,15 +249,13 @@ def test_upwind_converges_to_spectral_corrector():
     # v-independent sinusoidal rate: the spectral solve is exact below
     # Nyquist, upwind carries an O(h) bias that must shrink ~ first order
     ref_op = assemble(SINUSOIDAL, 0.0, VM, CellGrid((256,)), scheme="spectral")
-    _, F_ref = equilibrium_F(ref_op)
-    chi_ref = solve_chi_star(ref_op, F_ref).chi
+    chi_ref = solve_chi_star(ref_op).chi
     y = ref_op.grid.axes()[0]
 
     errs = []
     for n in (32, 64, 128):
         op = assemble(SINUSOIDAL, 0.0, VM, CellGrid((n,)), scheme="upwind")
-        _, F = equilibrium_F(op)
-        chi = solve_chi_star(op, F).chi
+        chi = solve_chi_star(op).chi
         stride = 256 // n
         errs.append(np.max(np.abs(chi[0].values - chi_ref[0].values[::stride])))
     assert errs[0] > errs[1] > errs[2]
@@ -272,8 +269,8 @@ def test_lattice_backend_matches_grid_backend():
     _, F_s = equilibrium_F(op_s)
     y = op_g.grid.axes()[0]
     assert np.max(np.abs(F_s.sample(y) - F_g.values)) < 1e-10
-    star_g = solve_chi_star(op_g, F_g)
-    star_s = solve_chi_star(op_s, F_s)
+    star_g = solve_chi_star(op_g)
+    star_s = solve_chi_star(op_s)
     chi_g, b_g = star_g.chi, star_g.b
     chi_s, b_s = star_s.chi, star_s.b
     assert np.max(np.abs(b_g - b_s)) < 1e-10
@@ -309,8 +306,7 @@ def test_spectral_field_sampling_consistency():
 def test_chi_star_diagnostics_come_from_the_solves(build):
     # reference: recompute each corrector's residual and bound from its field
     op = build()
-    _, F = equilibrium_F(op)
-    star = solve_chi_star(op, F)
+    star = solve_chi_star(op)
     worst_res = worst_const = 0.0
     for j, c in enumerate(star.chi):
         rhs = -(op.velocity_profile(j) - star.b[j] * op.const)
@@ -635,13 +631,12 @@ def _scipy_deflated_gmres(op, action, rhs, deflate, tol):
 ], ids=["upwind", "spectral", "spectral_ap"])
 def test_cell_solves_are_bitwise_the_scipy_gmres_solves(build, monkeypatch):
     op = build()
-    _, F = equilibrium_F(op)
     g = op.velocity_profile(0)
     g = g - (op.mean_v(g) / op.mean_v(op.const)) * op.const
 
     def solves():
-        star = solve_chi_star(op, F)
-        adj = solve_adjoint_corrector(op, -op.velocity_profile(0) + star.b[0] * op.const, F)
+        star = solve_chi_star(op)
+        adj = solve_adjoint_corrector(op, -op.velocity_profile(0) + star.b[0] * op.const)
         return star, adj, solve_corrector(op, g)
 
     loops = []

@@ -27,7 +27,7 @@ SINUSOIDAL = make_kernel("sinusoidal", base=1.0, alpha=0.5)
 
 def test_constant_kernel_coefficients():
     # sigma = 1, weights (1, 1): D = 1/2, no drift, no equilibrium flux
-    eff = assemble_effective(CONSTANT, VM, grid=GRID)
+    eff = assemble_effective(solve_cell(CONSTANT, 0.0, VM, grid=GRID))
     assert eff.constant
     assert abs(eff.D[0, 0] - 0.5) < 1e-10
     assert abs(eff.U[0]) < 1e-12
@@ -37,14 +37,13 @@ def test_constant_kernel_coefficients():
 
 def test_pairing_and_divergence_form_conventions():
     op = assemble(CONSTANT, 0.0, VM, GRID, scheme="upwind")
-    _, F = equilibrium_F(op)
-    chi = solve_chi_star(op, F).chi
-    raw = diffusion_matrix(op, chi, F, convention="pairing")
-    eff = diffusion_matrix(op, chi, F, convention="effective")
+    chi = solve_chi_star(op).chi
+    raw = diffusion_matrix(op, chi, convention="pairing")
+    eff = diffusion_matrix(op, chi, convention="effective")
     assert abs(raw[0, 0] + 0.5) < 1e-10
     assert np.max(np.abs(eff + raw)) < 1e-15
     with pytest.raises(ValueError):
-        diffusion_matrix(op, chi, F, convention="symmetrized")
+        diffusion_matrix(op, chi, convention="symmetrized")
 
 
 def test_ellipticity_gate():
@@ -63,21 +62,20 @@ def test_diffusion_scales_inversely_with_kernel_strength():
     # transport term inert, so D(c sigma) = D(sigma) / c.  (An oscillating
     # kernel rebalances transport against collisions and breaks this.)
     c = 3.7
-    base = assemble_effective(CONSTANT, VM, grid=GRID)
-    scaled = assemble_effective(make_kernel("constant", s0=c), VM, grid=GRID)
+    base = assemble_effective(solve_cell(CONSTANT, 0.0, VM, grid=GRID))
+    scaled = assemble_effective(solve_cell(make_kernel("constant", s0=c), 0.0, VM, grid=GRID))
     assert abs(scaled.D[0, 0] - base.D[0, 0] / c) < 1e-10
     assert abs(scaled.flux[0]) < 1e-12
 
 
 def test_diffusion_is_gauge_invariant_when_flux_vanishes():
     op = assemble(SINUSOIDAL, 0.0, VM, GRID, scheme="upwind")
-    _, F = equilibrium_F(op)
-    star = solve_chi_star(op, F)
+    star = solve_chi_star(op)
     chi, b = star.chi, star.b
     assert abs(b[0]) < 1e-12
-    D = diffusion_matrix(op, chi, F)
+    D = diffusion_matrix(op, chi)
     shifted = [op.wrap(op.unwrap(chi[0]) + 0.3 * op.const)]
-    D_shift = diffusion_matrix(op, shifted, F)
+    D_shift = diffusion_matrix(op, shifted)
     assert np.max(np.abs(D_shift - D)) < 1e-12
 
 
@@ -85,7 +83,7 @@ def test_asymmetric_weights_closed_forms():
     # weights (1, 2) on nodes (-1, +1), sigma = 1: mu(V) = 3, F = 1/3,
     # flux b = 1/3, and D = -(1/3) sum w a (-(a - b)/3) = 8/27.
     vm = two_velocity_1d(weights=(1.0, 2.0))
-    eff = assemble_effective(CONSTANT, vm, grid=GRID)
+    eff = assemble_effective(solve_cell(CONSTANT, 0.0, vm, grid=GRID))
     assert abs(eff.flux[0] - 1.0 / 3.0) < 1e-10
     assert abs(eff.D[0, 0] - 8.0 / 27.0) < 1e-10
     assert abs(eff.U[0]) < 1e-12
@@ -94,7 +92,7 @@ def test_asymmetric_weights_closed_forms():
 def test_circle_velocity_set_gives_isotropic_tensor():
     vm = uniform_circle(8, speed=1.3)
     kernel = make_kernel("constant", s0=1.0, dim=2)
-    eff = assemble_effective(kernel, vm, grid=CellGrid((8, 8)))
+    eff = assemble_effective(solve_cell(kernel, 0.0, vm, grid=CellGrid((8, 8))))
     expected = 1.3**2 / (4.0 * np.pi)
     assert np.max(np.abs(eff.D - expected * np.eye(2))) < 1e-10
     assert np.max(np.abs(eff.U)) < 1e-12
@@ -105,7 +103,7 @@ def test_slow_modulation_sampled_coefficients():
     # sigma(x, y) = (1 + 0.4 tanh x): D(x) = 1 / (2 (1 + 0.4 tanh x)), U = 0
     kernel = make_kernel("constant", s0=1.0, x_dependence="tanh", x_amplitude=0.4)
     x = np.linspace(-2.0, 2.0, 21)
-    eff = assemble_effective(kernel, VM, x=x, grid=CellGrid((16,)))
+    eff = assemble_effective(solve_cell(kernel, 0.0, VM, grid=CellGrid((16,))), x=x)
     assert not eff.constant
     expected = 1.0 / (2.0 * (1.0 + 0.4 * np.tanh(x)))
     assert np.max(np.abs(eff.D[:, 0, 0] - expected)) < 1e-8
@@ -116,43 +114,26 @@ def test_slow_modulation_sampled_coefficients():
 
 def test_grid_backend_requires_a_grid():
     with pytest.raises(ValueError):
-        assemble_effective(CONSTANT, VM)
-
-
-def _same_coefficients(a, b):
-    assert (a.x is None) == (b.x is None)
-    for name in ("D", "U", "flux"):
-        assert np.array_equal(getattr(a, name), getattr(b, name))
-    assert a.residual == b.residual and a.bound_constant == b.bound_constant
-
-
-@pytest.mark.parametrize("kernel, x", [
-    (SINUSOIDAL, None),
-    (SINUSOIDAL, np.linspace(-1.0, 1.0, 5)),  # x-independent: one solve stands for all
-    (make_kernel("sinusoidal", x_dependence="tanh", x_amplitude=0.3), None),
-    (make_kernel("sinusoidal", x_dependence="tanh", x_amplitude=0.3), np.array([0.2, 0.5, 0.9])),
-    (make_kernel("sinusoidal", x_dependence="tanh", x_amplitude=0.3), np.array([-0.5, 0.0, 0.5])),
-])
-def test_a_solved_cell_gives_the_same_coefficients(kernel, x):
-    vm = two_velocity_1d(weights=(1.0, 2.0))
-    cell = solve_cell(kernel, 0.0, vm, grid=GRID)
-    _same_coefficients(assemble_effective(kernel, vm, x=x, grid=GRID, cell=cell),
-                       assemble_effective(kernel, vm, x=x, grid=GRID))
-
-
-def test_a_cell_from_another_problem_is_refused():
-    cell = solve_cell(SINUSOIDAL, 0.0, VM, grid=GRID)
-    with pytest.raises(ValueError, match="another kernel"):
-        assemble_effective(CONSTANT, VM, grid=GRID, cell=cell)
-    with pytest.raises(ValueError, match="another kernel"):
-        assemble_effective(SINUSOIDAL, two_velocity_1d(), grid=GRID, cell=cell)
-    with pytest.raises(ValueError, match="another kernel"):
-        assemble_effective(SINUSOIDAL, VM, grid=GRID, scheme="spectral", cell=cell)
-    with pytest.raises(ValueError, match="another kernel"):
-        assemble_effective(SINUSOIDAL, VM, backend="spectral_ap", cell=cell)
+        assemble_effective(solve_cell(CONSTANT, 0.0, VM))
 
 
 TANH = make_kernel("sinusoidal", base=1.0, alpha=0.5, x_dependence="tanh", x_amplitude=0.5)
+
+
+@pytest.mark.parametrize("kernel, x", [
+    (SINUSOIDAL, np.linspace(-1.0, 1.0, 5)),  # x-independent: the cell stands for all
+    (TANH, None),
+], ids=["unmodulated", "no-positions"])
+@pytest.mark.parametrize("backend", ["grid", "spectral_ap"])
+def test_an_unsampled_assembly_returns_the_solved_cell(monkeypatch, kernel, x, backend):
+    vm = two_velocity_1d(weights=(1.0, 2.0))
+    cell = solve_cell(kernel, 0.0, vm, backend=backend, grid=GRID)
+    monkeypatch.setattr(effective, "solve_cell", lambda *a, **k: pytest.fail("cell solved again"))
+    eff = assemble_effective(cell, x=x)
+    assert eff.x is None
+    assert np.array_equal(eff.D, cell.D) and np.array_equal(eff.flux, cell.b)
+    assert np.array_equal(eff.U, np.zeros(1)) and not np.signbit(eff.U).any()
+    assert (eff.residual, eff.bound_constant) == (cell.residual, cell.bound_constant)
 
 
 @pytest.mark.parametrize("backend", ["grid", "spectral_ap"])
@@ -160,7 +141,7 @@ def test_sampled_assembly_matches_a_per_cell_reference(backend):
     vm = two_velocity_1d(weights=(1.0, 2.0))
     grid = CellGrid((16,))
     x = np.linspace(-1.5, 1.5, 7)
-    eff = assemble_effective(TANH, vm, x=x, grid=grid, backend=backend)
+    eff = assemble_effective(solve_cell(TANH, 0.0, vm, backend=backend, grid=grid), x=x)
     solved = [solve_cell(TANH, xi, vm, backend=backend, grid=grid) for xi in x]
     assert np.array_equal(eff.x, x)
     assert np.array_equal(eff.D, np.stack([s.D for s in solved]))
@@ -181,8 +162,9 @@ def test_sampled_assembly_keeps_no_operator(monkeypatch):
         built.append(weakref.ref(op))
         return op
 
+    cell = solve_cell(TANH, 0.0, VM, grid=CellGrid((16,)))
     monkeypatch.setattr(effective, "assemble", recording_assemble)
-    eff = assemble_effective(TANH, VM, x=np.linspace(-1.0, 1.0, 5), grid=CellGrid((16,)))
+    eff = assemble_effective(cell, x=np.linspace(-1.0, 1.0, 5))
     gc.collect()
     assert len(built) == 5 and eff.D.shape == (5, 1, 1)
     # at most the previous position's operator lives while the next is built
@@ -199,7 +181,7 @@ def test_sampled_assembly_keeps_no_operator(monkeypatch):
 ], ids=["repeated", "decreasing", "unsorted", "one", "two"])
 def test_sampled_positions_need_not_increase(x):
     # with no slow gradient to take, each position is its own cell solve
-    eff = assemble_effective(TANH, VM, x=x, grid=CellGrid((16,)))
+    eff = assemble_effective(solve_cell(TANH, 0.0, VM, grid=CellGrid((16,))), x=x)
     solved = [solve_cell(TANH, xi, VM, grid=CellGrid((16,))) for xi in x]
     assert np.array_equal(eff.D, np.stack([s.D for s in solved]))
     assert np.array_equal(eff.U, np.zeros((x.size, 1)))
@@ -212,7 +194,7 @@ def test_sampled_positions_need_not_increase(x):
 ], ids=["empty", "nan", "inf"])
 def test_sampled_positions_must_be_finite(x, cause):
     with pytest.raises(ValueError, match="non-empty and finite") as err:
-        assemble_effective(TANH, VM, x=x, grid=CellGrid((16,)))
+        assemble_effective(solve_cell(TANH, 0.0, VM, grid=CellGrid((16,))), x=x)
     assert re.search(cause, str(err.value))
 
 

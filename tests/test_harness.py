@@ -256,6 +256,26 @@ def _with(settings: dict) -> str:
      "quasi_approx needs an integer >= 1"),
     ("sigma.q", {"sigma.family": "quasi_approx", "sigma.q": "-3"},
      "quasi_approx needs an integer >= 1"),
+    # a kernel the cell stage cannot represent failed in the check stage
+    # with a message that named no key
+    ("cell.backend", {"cell.backend": "grid", "sigma.family": "quasi_periodic"},
+     "the quasi_periodic kernel is not periodic; use spectral_ap or auto"),
+    ("cell.period", {"sigma.family": "quasi_approx", "sigma.q": "2"},
+     "1 is not a multiple of the quasi_approx kernel period 2"),
+    ("cell.period", {"cell.period": "0.5"}, "0.5 is not a multiple of the sinusoidal kernel period 1"),
+    # a period below 1e-9 rounded to zero cells and passed the grid's own test
+    ("cell.period", {"cell.period": "1e-12"},
+     "1e-12 is not a multiple of the sinusoidal kernel period 1"),
+    *[("sigma.family", {"sigma.family": fam, "scenario.dimension": "2",
+                        "velocity.family": "uniform_circle", "kinetic.epsilons": None},
+       f"{fam} profiles are one-dimensional; `scenario.dimension` = 2")
+      for fam in ("sinusoidal_defect", "quasi_periodic", "quasi_approx")],
+    # no-flux walls failed in the kinetic stage, after every other stage, or
+    # in the 2-D macro stage on the roundoff off-diagonal of every tensor
+    ("macro.bc", {"macro.bc": "no-flux"}, "the kinetic reference needs a periodic macro grid"),
+    ("macro.bc", {"macro.bc": "no-flux", "scenario.dimension": "2",
+                  "velocity.family": "uniform_circle", "kinetic.epsilons": None},
+     "no-flux boundaries need `scenario.dimension` = 1"),
 ])
 def test_late_failing_scenario_values_are_refused(tmp_path, capsys, key, settings, message):
     text = _with(settings)
