@@ -918,9 +918,13 @@ def emit_tables(report: PipelineReport, out_dir: str) -> dict[str, str]:
     for eps, states in report.kinetic_states.items():
         x = states[0].grid.axes()[0]
         K = states[0].vm.n_nodes
+        # t and x repeat across rows: format each value once and write the
+        # strings (object arrays, so no fixed-width copies) with %s
+        t_text = np.array([FMT % s.t for s in states], dtype=object)
+        x_text = np.array([FMT % v for v in x.tolist()], dtype=object)
         columns = [
-            np.repeat([s.t for s in states], x.size * K),
-            np.tile(np.repeat(x, K), len(states)),
+            np.repeat(t_text, x.size * K),
+            np.tile(np.repeat(x_text, K), len(states)),
             np.tile(np.arange(K), len(states) * x.size),
             np.concatenate([s.f.ravel() for s in states]),
         ]

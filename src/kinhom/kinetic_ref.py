@@ -20,12 +20,16 @@ of the fine run's own splitting error, a bound on what extrapolation
 leaves.  The combination is linear, so it conserves mass, but it does not
 keep positivity.
 
-Between steps the state is the real FFT of ``f`` along ``x``, shape
-``(n_x//2 + 1, K)``.  The exact shift is diagonal there, so a half-step is
-one multiply by the phase factors ``exp(-i kappa a dt / (2 eps))``, and a
-Strang step makes one inverse FFT before the collision (pointwise, in
-real space) and one forward FFT after it; :meth:`KineticSolver.run`
-transforms ``f0`` once and inverts the two runs only at checkpoints.  On
+Between steps the state is the real FFT of ``f`` along ``x``, held
+velocity-major: shape ``(K, n_x//2 + 1)``, one contiguous row per velocity
+node.  The exact shift is diagonal there, so a half-step is one multiply
+by the phase factors ``exp(-i kappa a dt / (2 eps))``, a table of the same
+shape, and a Strang step makes one inverse FFT along the last axis before
+the collision (pointwise, in real space, ``(K, n_x)``) and one forward FFT
+after it.  :meth:`KineticSolver.run` transforms ``f0`` once and inverts the
+two runs only at checkpoints, where it transposes back: a
+:class:`KineticState` holds ``f`` as ``(n_x, K)`` in C order, so its
+reductions sum in the same order whatever the layout of the steps.  On
 an even grid the Nyquist mode ``cos(pi j)`` has no sine partner on the
 grid, so a shifted Nyquist mode keeps only its real part, as an ``irfft``
 of the product would: its phase is ``cos(kappa_N shift)``.  With that
@@ -43,11 +47,13 @@ Everything that depends only on the step size is built once per size and
 reused by every sub-step: the FFT phase factors of the half-step (keyed on
 the exact ``dt``) and the per-point collision matrices (keyed on ``dt`` to
 12 significant digits, so sub-steps that differ by roundoff share one set;
-computed in one batched ``expm``).  The collision product is formed per
-velocity node from those matrices, stored ``(K, K, n_x)``: ``out[:, k] =
-M[k, 0] f[:, 0] + M[k, 1] f[:, 1] + ...`` as whole-grid multiplies and
-in-place adds in that order, which is ``einsum``'s sum for two nodes
-without its per-call dispatch.
+computed in one batched ``expm``).  The collision product is formed from
+those matrices, stored ``(K, K, n_x)`` with the column index first, as one
+multiply and one in-place add of whole ``(K, n_x)`` blocks per matrix
+column: ``out = M[:, 0] f[0] + M[:, 1] f[1] + ...`` in that order.  Per element that is
+the sum ``M[k, 0] f[0] + M[k, 1] f[1] + ...`` of ``einsum`` for two nodes,
+without its per-call dispatch, and K rather than K^2 ufunc calls per
+product.
 
 The collision step conserves mass identically for balanced kernels — the
 weighted row sums of Q vanish, and that property transfers to
@@ -173,7 +179,8 @@ class KineticSolver:
         self.epsilon = float(epsilon)
         self.c_split = float(C_SPLIT_EXTRAPOLATED if c_split == "auto" else c_split)
 
-        n_x = grid.n_points
+        # an int once: ``grid.n_points`` is a product over the shape
+        n_x = self._n_x = grid.n_points
         x = grid.axes()[0]
         if isinstance(kernel, ScatteringKernel):
             rates = kernel.evaluate(x, x / self.epsilon, vm)  # (n_x, K, K)
@@ -211,55 +218,58 @@ class KineticSolver:
     def transport_half(self, spectra: np.ndarray, dt: float) -> np.ndarray:
         """Advance ``df/dt + (a/eps) df/dx = 0`` over ``dt/2`` by exact shift.
 
-        ``spectra`` is the real FFT of ``f`` along ``x``, ``(n_x//2 + 1, K)``;
-        the shift multiplies it by the phase factors and returns the product.
+        ``spectra`` is the real FFT of ``f`` along ``x``, velocity-major
+        ``(K, n_x//2 + 1)``; the shift multiplies it by the phase factors
+        and returns the product.
         """
         # keyed on the exact step: the phase of each call's own dt
         key = float(dt)
         phase = self._phase_cache.get(key)
         if phase is None:
             shift = self._speeds * dt / (2.0 * self.epsilon)
-            phase = self._phase_cache[key] = _phase(self._kappa, shift)
-            if self.grid.n_points % 2 == 0:
+            phase = np.ascontiguousarray(_phase(self._kappa, shift).T)
+            if self._n_x % 2 == 0:
                 # the Nyquist mode is real on the grid: keep cos(kappa_N shift)
-                phase[-1] = phase[-1].real
+                phase[:, -1] = phase[:, -1].real
+            self._phase_cache[key] = phase
         return spectra * phase
 
     def _collision_matrices(self, dt: float) -> np.ndarray:
-        """Per-point ``expm(dt Q / eps^2)`` as a contiguous ``(K, K, n_x)`` array."""
+        """Per-point ``expm(dt Q / eps^2)`` as a contiguous ``(K, K, n_x)`` array.
+
+        Indexed ``[l, k, x]``: entry ``(k, l)`` of the matrix at point ``x``,
+        so ``M[l]`` is the whole-grid column ``l`` of every matrix.
+        """
         key = step_key(dt)
         if key not in self._collision_cache:
             mats = scipy.linalg.expm(dt / self.epsilon**2 * self._Q)
-            self._collision_cache[key] = np.ascontiguousarray(mats.transpose(1, 2, 0))
+            self._collision_cache[key] = np.ascontiguousarray(mats.transpose(2, 1, 0))
         return self._collision_cache[key]
 
     def collision_full(self, f: np.ndarray, dt: float) -> np.ndarray:
         """Advance ``df/dt = (1/eps^2) Q f`` over ``dt`` at every point.
 
-        ``out[:, k] = M[k, 0] f[:, 0] + M[k, 1] f[:, 1] + ...``, summed in
-        that order, elementwise over the grid.
+        ``f`` is velocity-major, ``(K, n_x)``.  ``out[k] = M[k, 0] f[0] +
+        M[k, 1] f[1] + ...``, summed in that order, elementwise over the
+        grid: one multiply and one add of whole ``(K, n_x)`` blocks per
+        velocity node ``l``.
         """
         mats = self._collision_matrices(dt)
-        n_nodes = mats.shape[0]
-        out = np.empty(f.shape)
-        term = np.empty(f.shape[0])
-        for k in range(n_nodes):
-            col = out[:, k]
-            np.multiply(mats[k, 0], f[:, 0], out=col)
-            for l in range(1, n_nodes):
-                np.multiply(mats[k, l], f[:, l], out=term)
-                col += term
+        out = mats[0] * f[0]
+        for l in range(1, mats.shape[0]):
+            out += mats[l] * f[l]
         return out
 
     def step(self, spectra: np.ndarray, dt: float) -> np.ndarray:
-        """One Strang step on the real FFT of ``f`` along ``x``.
+        """One Strang step on the real FFT of ``f`` along ``x``, ``(K, n_x//2 + 1)``.
 
-        Transport half, then the collision in real space between one
-        inverse and one forward FFT, then transport half.
+        Transport half, then the collision in real space, ``(K, n_x)``,
+        between one inverse and one forward FFT along the last axis, then
+        transport half.
         """
-        mid = np.fft.irfft(self.transport_half(spectra, dt), n=self.grid.n_points, axis=0)
+        mid = np.fft.irfft(self.transport_half(spectra, dt), n=self._n_x)
         mid = self.collision_full(mid, dt)
-        return self.transport_half(np.fft.rfft(mid, axis=0), dt)
+        return self.transport_half(np.fft.rfft(mid), dt)
 
     # -- full integration -----------------------------------------------------------
 
@@ -280,9 +290,10 @@ class KineticSolver:
         happen for balanced kernels).
         """
         f = np.array(f0, dtype=float)
-        if f.shape != (self.grid.n_points, self.vm.n_nodes):
+        n_x = self._n_x
+        if f.shape != (n_x, self.vm.n_nodes):
             raise ValueError(
-                f"initial state must have shape {(self.grid.n_points, self.vm.n_nodes)}"
+                f"initial state must have shape {(n_x, self.vm.n_nodes)}"
             )
         dt_target = self.default_dt()
         plan = checkpoint_substeps(checkpoints, T, dt_target)
@@ -292,9 +303,10 @@ class KineticSolver:
                          grid=self.grid, vm=self.vm)
         ]
         l2_init = states[0].l2_norm()
-        # both runs carry the real FFT along x from one transform of f0
-        coarse_hat = fine_hat = np.fft.rfft(f, axis=0)
-        n_x = self.grid.n_points
+        # both runs carry the velocity-major real FFT along x from one
+        # transform of f0; states go back to (n_x, K) only at checkpoints,
+        # so every reduction below sums in that order
+        coarse_hat = fine_hat = np.fft.rfft(np.ascontiguousarray(f.T))
         steps = 0
         weights = self.vm.weights
         for t1, n_sub, sub_dt in plan:
@@ -305,8 +317,8 @@ class KineticSolver:
             for _ in range(2 * n_sub):
                 fine_hat = self.step(fine_hat, sub_dt / 2)
             steps += 3 * n_sub
-            f = np.fft.irfft(coarse_hat, n=n_x, axis=0)
-            fine = np.fft.irfft(fine_hat, n=n_x, axis=0)
+            f = np.ascontiguousarray(np.fft.irfft(coarse_hat, n=n_x).T)
+            fine = np.ascontiguousarray(np.fft.irfft(fine_hat, n=n_x).T)
             out = (4.0 * fine - f) / 3.0
             est = float(np.sqrt(np.sum(weights * (fine - f) ** 2)
                                 / np.sum(weights * fine**2))) / 3.0

@@ -766,6 +766,30 @@ def test_csv_writer_matches_a_per_row_formatter(monkeypatch):
     # rows split across formatting blocks, the last one short
     monkeypatch.setattr(harness, "_CSV_BLOCK", 3)
     assert _csv(header, columns) == "\n".join(lines) + "\n"
+    # a column of preformatted FMT strings writes as its float column does
+    special = np.array([-0.0, 1e-300, np.nan, np.inf])
+    text = np.array([harness.FMT % v for v in special.tolist()], dtype=object)
+    assert _csv(["a"], [text]) == _csv(["a"], [special]) == "a\n-0\n1e-300\nnan\ninf\n"
+
+
+def test_kinetic_tables_match_the_float_column_writer(tmp_path):
+    # emit_tables formats the repeated t and x values once; the bytes are
+    # those of the table written from the float columns
+    report = run_pipeline(parse_config(SMALL_EPS_REDUCED))
+    paths = emit_tables(report, str(tmp_path))
+    assert len(report.kinetic_states) == 2
+    for eps, states in report.kinetic_states.items():
+        x = states[0].grid.axes()[0]
+        K = states[0].vm.n_nodes
+        columns = [
+            np.repeat([s.t for s in states], x.size * K),
+            np.tile(np.repeat(x, K), len(states)),
+            np.tile(np.arange(K), len(states) * x.size),
+            np.concatenate([s.f.ravel() for s in states]),
+        ]
+        expect = _csv(["t", "x", "v_index", "f"], columns)
+        with open(paths[f"kinetic_eps_{eps:g}.csv"], "rb") as fh:
+            assert fh.read() == expect.encode()
 
 
 def test_rate_scaling_correspondence():

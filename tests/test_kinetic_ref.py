@@ -12,7 +12,12 @@ from kinhom.kinetic_ref import (
     periodic_shift,
     shift_wavenumbers,
 )
-from kinhom.phase_space import MacroGrid, checkpoint_substeps, two_velocity_1d
+from kinhom.phase_space import (
+    MacroGrid,
+    checkpoint_substeps,
+    two_velocity_1d,
+    velocity_from_tables,
+)
 
 VM = two_velocity_1d()
 GRID = MacroGrid(half_width=2.0, shape=(64,), bc="periodic")
@@ -20,19 +25,26 @@ SINUSOIDAL = make_kernel("sinusoidal", base=1.0, alpha=0.5)
 
 
 def _hat(f):
-    """The solver's state: the real FFT of ``f`` along ``x``."""
-    return np.fft.rfft(f, axis=0)
+    """The solver's state from ``f`` of shape ``(n_x, K)``: the real FFT along
+    ``x``, velocity-major ``(K, n_x//2 + 1)``."""
+    return np.fft.rfft(f.T)
 
 
 def _real(spectra, grid):
-    return np.fft.irfft(spectra, n=grid.n_points, axis=0)
+    """``f`` of shape ``(n_x, K)`` back from the solver's state."""
+    return np.fft.irfft(spectra, n=grid.n_points).T
+
+
+def _collide(solver, f, dt):
+    """The collision of ``f`` of shape ``(n_x, K)``; the solver's is ``(K, n_x)``."""
+    return solver.collision_full(f.T, dt).T
 
 
 def _real_space_step(solver, f, dt):
     """One Strang step composed in real space: shift, collision, shift."""
     shift = solver.vm.field[:, 0] * dt / (2.0 * solver.epsilon)
     kappa = shift_wavenumbers(solver.grid)
-    mid = solver.collision_full(periodic_shift(f, shift, kappa), dt)
+    mid = _collide(solver, periodic_shift(f, shift, kappa), dt)
     return periodic_shift(mid, shift, kappa)
 
 
@@ -73,7 +85,7 @@ def test_collision_step_closed_form_decay():
     dev = np.array([1.0, -1.0])
     f0 = 0.5 + 0.01 * np.tile(dev, (8, 1))
     dt = 0.25
-    out = solver.collision_full(f0, dt)
+    out = _collide(solver, f0, dt)
     factor = np.exp(-2.0 * dt)  # tau = dt / eps^2 = dt here
     expect = 0.5 + 0.01 * factor * np.tile(dev, (8, 1))
     assert np.max(np.abs(out - expect)) < 1e-14
@@ -86,7 +98,7 @@ def test_collision_decay_with_asymmetric_weights():
     solver = KineticSolver(make_kernel("constant", s0=1.0), vm, grid, epsilon=1.0)
     dev = np.array([2.0, -1.0])
     f0 = 1.0 / 3.0 + 0.01 * np.tile(dev, (8, 1))
-    out = solver.collision_full(f0, 0.2)
+    out = _collide(solver, f0, 0.2)
     expect = 1.0 / 3.0 + 0.01 * np.exp(-3.0 * 0.2) * np.tile(dev, (8, 1))
     assert np.max(np.abs(out - expect)) < 1e-14
 
@@ -171,7 +183,30 @@ def test_exact_collision_is_bitwise_the_per_point_expm():
     tau = dt / eps**2
     mats = np.stack([scipy.linalg.expm(tau * Q) for Q in solver._Q])
     expect = np.einsum("xkl,xl->xk", mats, f)
-    assert np.array_equal(solver.collision_full(f, dt), expect)
+    assert np.array_equal(_collide(solver, f, dt), expect)
+
+
+@pytest.mark.parametrize("n_nodes", [2, 4, 8])
+def test_collision_is_bitwise_the_per_point_sum_in_node_order(n_nodes):
+    # out[k] = M[k, 0] f[0] + M[k, 1] f[1] + ..., each product and add in
+    # that order, at every grid point
+    nodes = np.linspace(-1.0, 1.0, n_nodes)[:, None]
+    vm = velocity_from_tables(nodes=nodes, weights=np.linspace(0.5, 1.5, n_nodes))
+    grid = MacroGrid(half_width=1.0, shape=(2048,), bc="periodic")
+    rng = np.random.default_rng(n_nodes)
+    table = rng.uniform(0.5, 1.5, (n_nodes, n_nodes))
+    solver = KineticSolver(table + table.T, vm, grid, epsilon=0.05)
+    f = rng.standard_normal((n_nodes, grid.n_points))
+    dt = solver.default_dt()
+    mats = scipy.linalg.expm(dt / solver.epsilon**2 * solver._Q)  # (n_x, K, K)
+    expect = np.empty_like(f)
+    for k in range(n_nodes):
+        expect[k] = mats[:, k, 0] * f[0]
+        for l in range(1, n_nodes):
+            expect[k] += mats[:, k, l] * f[l]
+    out = solver.collision_full(f, dt)
+    assert out.shape == (n_nodes, grid.n_points)
+    assert np.array_equal(out, expect)
 
 
 @pytest.mark.parametrize("epsilon", [1e-4], ids=["exact"])
@@ -182,13 +217,13 @@ def test_collision_cache_tells_small_steps_apart(epsilon):
 
     f = _smooth_initial(GRID, VM)
     warm = solver()
-    warm.collision_full(f, 1.0e-12)
-    assert np.array_equal(warm.collision_full(f, 1.0004e-12),
-                          solver().collision_full(f, 1.0004e-12))
+    _collide(warm, f, 1.0e-12)
+    assert np.array_equal(_collide(warm, f, 1.0004e-12),
+                          _collide(solver(), f, 1.0004e-12))
     # steps that differ only by roundoff share one set of matrices
     dt = warm.default_dt()
-    assert np.array_equal(warm.collision_full(f, np.nextafter(dt, 1.0)),
-                          warm.collision_full(f, dt))
+    assert np.array_equal(_collide(warm, f, np.nextafter(dt, 1.0)),
+                          _collide(warm, f, dt))
 
 
 def test_per_point_rate_table_matches_kernel_evaluation():

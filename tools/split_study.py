@@ -51,14 +51,14 @@ def strang(cfg: harness.ScenarioConfig, eps: float, cap: float) -> tuple[np.ndar
     """Final ``f`` and step count of plain Strang at cap ``cap``."""
     vm, mg = cfg.build_velocity(), cfg.build_macro_grid()
     solver = KineticSolver(cfg.build_kernel(), vm, mg, epsilon=eps, c_split=cap)
-    # the solver steps the real FFT of f along x
-    spectra, steps = np.fft.rfft(cfg.initial_f(mg, vm), axis=0), 0
+    # the solver steps the real FFT of f along x, velocity-major (K, n_x//2 + 1)
+    spectra, steps = np.fft.rfft(np.ascontiguousarray(cfg.initial_f(mg, vm).T)), 0
     for _, n_sub, sub_dt in checkpoint_substeps(cfg.checkpoint_times(), cfg.macro["t"],
                                                 solver.default_dt()):
         for _ in range(n_sub):
             spectra = solver.step(spectra, sub_dt)
         steps += n_sub
-    return np.fft.irfft(spectra, n=mg.n_points, axis=0), steps
+    return np.ascontiguousarray(np.fft.irfft(spectra, n=mg.n_points).T), steps
 
 
 def criterion6_series(report: harness.PipelineReport, epsilons: list[float]) -> list[float]:
