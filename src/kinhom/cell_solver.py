@@ -28,8 +28,12 @@ rewritten fixed-point system with the one-dimensional kernel deflated out.
 Cell problems are small and solved many times (one per macro position when
 the rates vary with x), so a solve does only its arithmetic: GMRES runs in
 this module, operation for operation scipy's ``gmres`` (same iterates,
-same iteration counts) without its per-call set-up, and the upwind
-stencils are built once per (n, h, speed) and shared by every cell.
+same iteration counts) without its per-call set-up.  The upwind operator
+is assembled from an index plan, built once per (cell grid, velocity set):
+the sparse structure of ``A``, ``K`` and ``P``, where each part's entries
+sit in ``P``, the CSC order of ``A`` and the transport values.  An operator
+at one position then fills only data; the operators of one sampled family
+share a plan through the ``plans`` dict of :func:`assemble`.
 """
 
 from __future__ import annotations
@@ -119,8 +123,6 @@ def _spectral_matrix(n: int, period: float) -> np.ndarray:
 
 def _transport_matrix(grid: CellGrid, velocity: np.ndarray, scheme: str):
     """Discrete ``a . grad_y`` on the flattened grid for one velocity node."""
-    if scheme not in ("upwind", "spectral"):
-        raise ValueError(f"unknown transport scheme {scheme!r}")
     mats = []
     for axis in range(grid.dim):
         n = grid.shape[axis]
@@ -148,7 +150,7 @@ class _Factorized:
     def __init__(self, mat):
         self._sparse = sparse.issparse(mat)
         if self._sparse:
-            self._lu = splu(mat.tocsc())
+            self._lu = splu(mat.tocsc())  # a CSC matrix is factored as it is, no copy
         else:
             self._lu = scipy.linalg.lu_factor(np.asarray(mat))
         self._complex = np.iscomplexobj(mat.data if self._sparse else mat)
@@ -182,6 +184,7 @@ class _CellOperatorBase:
     :meth:`_set_matrices`, which stores ``A_mat``, ``K_mat``, ``P = A - K``,
     the factorized ``A_fact`` and the conjugate transposes ``P_H`` and
     ``K_H``, built once so adjoint actions do not rebuild them per call.
+    A subclass that has ``P`` and a CSC copy of ``A`` already passes them.
     Subclasses also populate ``weights`` (flat inner-product weights),
     ``const`` (the constant function), ``sigma_min``, ``vm``, and
     conversion helpers.  The equilibrium ``F`` follows from ``const``.
@@ -224,11 +227,11 @@ class _CellOperatorBase:
         F.flags.writeable = False
         return F
 
-    def _set_matrices(self, A, K_mat) -> None:
+    def _set_matrices(self, A, K_mat, P=None, A_csc=None) -> None:
         self.A_mat = A
         self.K_mat = K_mat
-        self.P = A - K_mat
-        self.A_fact = _Factorized(A)
+        self.P = A - K_mat if P is None else P
+        self.A_fact = _Factorized(A if A_csc is None else A_csc)
         self.P_H = _adjoint(self.P)
         self.K_H = _adjoint(K_mat)
 
@@ -315,12 +318,143 @@ def dense_cell_gate(scheme: str, size: int) -> None:
         )
 
 
+def _plan_key(grid: CellGrid, vm: VelocityMeasure) -> tuple:
+    """What an upwind plan depends on: the grid and the nodes' speeds and weights."""
+    return (grid.shape, grid.period, vm.field.shape, vm.field.tobytes(), vm.weights.tobytes())
+
+
+class _UpwindPlan:
+    """Index plan of the upwind cell operator on one grid and velocity set.
+
+    Everything of ``A = T + Sigma``, ``K`` and ``P = A - K`` that does not
+    depend on the rates: the CSR structure of the three, the transport
+    values on ``A``'s entries, the entries of ``A``'s diagonal, where
+    ``A``'s and ``K``'s entries sit in ``P``, the CSC order of ``A``, and
+    the weights.  :meth:`matrices` then fills data only, and the result is
+    bitwise what ``A - K`` and ``A.tocsc()`` give.  The arrays are shared
+    by the operators built from the plan, so they are read-only.  Building
+    it costs about one assembly by constructors: one COO build of ``A``,
+    one sparse add for ``P`` and one ``tocsc``.
+    """
+
+    def __init__(self, grid: CellGrid, vm: VelocityMeasure):
+        K, n = vm.n_nodes, grid.n_points
+        size = n * K
+        self.shape = (size, size)
+
+        # A's structure from one COO build: Sigma on the diagonal, velocity
+        # k's stencil T_k[r, c] at (r*K + k, c*K + k).  Entries are coded, the
+        # diagonal 1 and stencil entry i 2 (i + 1), so a diagonal entry that
+        # sums both parts still names the stencil entry.  Indices are int32,
+        # the type scipy picks, so the constructors convert no array
+        diag = np.arange(size, dtype=np.int32)
+        rows, cols, stencil = [diag], [diag], []
+        for k in range(K):
+            Tk = _transport_matrix(grid, vm.field[k], "upwind")
+            rows.append(np.repeat(diag[k::K], np.diff(Tk.indptr)))
+            cols.append(Tk.indices * np.int32(K) + np.int32(k))
+            stencil.append(Tk.data)
+        stencil = np.concatenate(stencil)
+        codes = np.concatenate([np.ones(size, dtype=np.int32),
+                                2 * np.arange(1, stencil.size + 1, dtype=np.int32)])
+        A = sparse.csr_matrix((codes, (np.concatenate(rows), np.concatenate(cols))),
+                              shape=self.shape)
+        self.on_diag = (A.data & 1).astype(bool)  # in row order, one entry a row
+        has_stencil = A.data > 1
+        self.transport = np.zeros(A.nnz)
+        self.transport[has_stencil] = stencil[(A.data[has_stencil] >> 1) - 1]
+        self.A_indices, self.A_indptr = A.indices, A.indptr
+
+        # the gain: a dense K x K block on each grid point, rows in (point, node) order
+        block_cols = diag[::K, None, None] + np.arange(K, dtype=np.int32)
+        Kc = sparse.csr_matrix((np.full(size * K, 2, dtype=np.int8),
+                                np.broadcast_to(block_cols, (n, K, K)).ravel(),
+                                np.arange(0, size * K + 1, K, dtype=np.int32)), shape=self.shape)
+        self.K_indices, self.K_indptr = Kc.indices, Kc.indptr
+
+        # P's structure is the merge A - K makes; adding A coded 1 and K coded 2
+        # makes the same merge, and the code says whose entries each one holds.
+        # Both keep their order in P, so a mask of P's entries places each.
+        # The sum's indices sit in a buffer sized for both operands; the
+        # operators keep a compact copy
+        Pc = sparse.csr_matrix((np.ones(A.nnz, dtype=np.int8), A.indices, A.indptr),
+                               shape=self.shape) + Kc
+        self.from_A = (Pc.data & 1).astype(bool)
+        self.from_K = (Pc.data & 2).astype(bool)
+        self.P_indices, self.P_indptr = Pc.indices.copy(), Pc.indptr
+
+        # A in CSC: the transpose of the entry numbers gives the order
+        At = sparse.csr_matrix((np.arange(A.nnz, dtype=np.int32), A.indices, A.indptr),
+                               shape=self.shape).tocsc()
+        self.csc_order, self.csc_indices, self.csc_indptr = At.data, At.indices, At.indptr
+
+        self.weights = np.tile(vm.weights, n) / n
+        for part in (self.on_diag, self.transport, self.A_indices, self.A_indptr,
+                     self.K_indices, self.K_indptr, self.from_A, self.from_K,
+                     self.P_indices, self.P_indptr, self.csc_order, self.csc_indices,
+                     self.csc_indptr, self.weights):
+            part.flags.writeable = False
+
+    def matrices(self, sigma: np.ndarray, gain: np.ndarray):
+        """``(A, K, P, A in CSC)`` for the loss ``sigma`` and gain blocks ``gain``."""
+        a = self.transport.copy()
+        a[self.on_diag] += sigma  # T_kk + Sigma, the one sum on A's diagonal
+        g = gain.ravel()
+        A = sparse.csr_matrix((a, self.A_indices, self.A_indptr), shape=self.shape)
+        Km = sparse.csr_matrix((g, self.K_indices, self.K_indptr), shape=self.shape)
+        # P's data is a - g where both hold an entry, a or -g where one does:
+        # -g everywhere K is, then a added in place ((-g) + a is a - g to the bit)
+        p = np.zeros(self.P_indices.size)
+        p[self.from_K] = g
+        np.negative(p, out=p)
+        p[self.from_A] += a
+        # A - K drops an entry that comes out zero; keep its structure exactly
+        P = (sparse.csr_matrix((p, self.P_indices, self.P_indptr), shape=self.shape)
+             if p.all() else A - Km)
+        A_csc = sparse.csc_matrix((a[self.csc_order], self.csc_indices, self.csc_indptr),
+                                  shape=self.shape)
+        return A, Km, P, A_csc
+
+
+def _upwind_matrices(grid: CellGrid, vm: VelocityMeasure, plans: dict | None,
+                     sigma: np.ndarray, gain: np.ndarray):
+    """``(weights, (A, K, P, A in CSC))`` from the plan in ``plans``, built if missing.
+
+    A plan no dict keeps is freed on return, before the factorization's peak.
+    """
+    key = _plan_key(grid, vm)
+    plan = None if plans is None else plans.get(key)
+    if plan is None:
+        plan = _UpwindPlan(grid, vm)
+        if plans is not None:
+            plans[key] = plan
+    return plan.weights, plan.matrices(sigma, gain)
+
+
+def _gated_gain_loss(kernel, x, grid: CellGrid, vm: VelocityMeasure):
+    """Gain ``(n, K, K)`` and loss ``(n, K)`` of the rates sampled on ``grid``.
+
+    Refuses rates that are not positive and finite, or that fail
+    semi-detailed balance.  The rates are freed on return: the operator
+    keeps only the gain, so they are not alive at the factorization's peak.
+    """
+    K, n = vm.n_nodes, grid.n_points
+    samp = _sampled(kernel, x, grid, vm).reshape(n, K, K)
+    if not np.all(np.isfinite(samp) & (samp > 0)):
+        raise ValueError("scattering rates must be positive and finite on the grid")
+    sdb_gap(samp, vm.weights).require()
+    return gain_loss(samp, vm.weights)
+
+
 class CellOperator(_CellOperatorBase):
     """Cell operator sampled on a periodic grid (see :func:`assemble`)."""
 
-    def __init__(self, kernel, x, vm: VelocityMeasure, grid: CellGrid, scheme: str):
+    def __init__(self, kernel, x, vm: VelocityMeasure, grid: CellGrid, scheme: str,
+                 plans: dict | None = None):
         if grid.dim != vm.dim:
             raise ValueError(f"cell grid dim {grid.dim} != velocity dim {vm.dim}")
+        if scheme not in ("upwind", "spectral"):
+            raise ValueError(f"unknown transport scheme {scheme!r}")
         self.kernel = kernel
         self.x = x
         self.vm = vm
@@ -335,12 +469,7 @@ class CellOperator(_CellOperatorBase):
         self.field_shape = (*grid.shape, K)
         dense_cell_gate(scheme, self.size)
 
-        samp = _sampled(kernel, x, grid, vm).reshape(n, K, K)
-        if not np.all(np.isfinite(samp) & (samp > 0)):
-            raise ValueError("scattering rates must be positive and finite on the grid")
-        sdb_gap(samp, vm.weights).require()
-
-        gain, sigma = gain_loss(samp, vm.weights)
+        gain, sigma = _gated_gain_loss(kernel, x, grid, vm)
         self.sigma_min = float(sigma.min())
         if self.sigma_min <= 0:
             raise ValueError("absorption rate must be strictly positive")
@@ -355,30 +484,22 @@ class CellOperator(_CellOperatorBase):
             for k in range(K):
                 for l in range(K):
                     Km[diag_idx + k, diag_idx + l] = gain[:, k, l]
-            A = T + np.diag(sigma_flat)
+            self._set_matrices(T + np.diag(sigma_flat), Km)
+            self.weights = np.tile(vm.weights, n) / n
         else:
-            # A = transport + Sigma in one constructor: Sigma on the diagonal,
-            # velocity k's stencil T_k[r, c] at (r*K + k, c*K + k); a diagonal
-            # entry sums two terms, so the order of summation cannot matter
-            diag = np.arange(self.size)
-            rows, cols, vals = [diag], [diag], [sigma_flat]
-            for k in range(K):
-                Tk = _transport_matrix(grid, vm.field[k], scheme)
-                rows.append(np.repeat(np.arange(n) * K + k, np.diff(Tk.indptr)))
-                cols.append(Tk.indices * K + k)
-                vals.append(Tk.data)
-            A = sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                                  shape=(self.size, self.size))
-            # gain: a dense K x K block on each grid point, rows in (point, node) order
-            block_cols = np.arange(n)[:, None, None] * K + np.arange(K)
-            Km = sparse.csr_matrix(
-                (gain.ravel(), np.broadcast_to(block_cols, (n, K, K)).ravel(),
-                 np.arange(0, self.size * K + 1, K)),
-                shape=(self.size, self.size))
-        self._set_matrices(A, Km)
-        self.weights = np.tile(vm.weights, n) / n
+            self.weights, matrices = _upwind_matrices(grid, vm, plans, sigma_flat, gain)
+            self._set_matrices(*matrices)
         self.const = np.ones(self.size)
         self.sigma_flat = sigma_flat
+
+    # -- inner-product geometry --------------------------------------------
+
+    def inner(self, f: np.ndarray, g: np.ndarray):
+        """Weighted pairing ``int M(f g) dmu``: grid fields are real, so no ``conj``."""
+        return np.add.reduce(self.weights * f * g)
+
+    def norm(self, f: np.ndarray) -> float:
+        return float(np.sqrt(np.add.reduce(self.weights * (f * f))))
 
     # -- field conversion ----------------------------------------------------
 
@@ -400,12 +521,16 @@ class CellOperator(_CellOperatorBase):
 
 
 def assemble(kernel, x, vm: VelocityMeasure, grid: CellGrid,
-             scheme: str = "upwind") -> CellOperator:
+             scheme: str = "upwind", *, plans: dict | None = None) -> CellOperator:
     """Build the grid-backend cell operator at macro position ``x``.
 
-    Refuses kernels that fail semi-detailed balance.
+    Refuses kernels that fail semi-detailed balance.  An ``upwind``
+    operator is filled in from an index plan of its grid and velocity set;
+    ``plans`` is a dict the caller keeps to share plans between operators
+    (the positions of one sampled family), keyed by what a plan depends
+    on.  Without it the plan is built for this operator alone.
     """
-    return CellOperator(kernel, x, vm, grid, scheme)
+    return CellOperator(kernel, x, vm, grid, scheme, plans)
 
 
 # ---------------------------------------------------------------------------

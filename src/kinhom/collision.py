@@ -162,6 +162,7 @@ class ScatteringKernel:
         self.profile, self.natural_period = self._profile_table()
         if self._profile_min() <= 0:
             raise ValueError("profile parameters allow nonpositive rates")
+        self._cell_profile: tuple[CellGrid, np.ndarray] | None = None  # see sample_cell
 
     # -- construction --------------------------------------------------------
 
@@ -272,7 +273,10 @@ class ScatteringKernel:
         """Rates on a full cell grid, shape ``(*grid.shape, K, K)``.
 
         The cell samples ``profile`` only: a vanishing defect leaves the
-        homogenized coefficients unchanged, so no cell copies it.
+        homogenized coefficients unchanged, so no cell copies it.  The
+        profile samples of the last grid are kept, so the sampled positions
+        of a modulated kernel evaluate ``s`` once; the rates ``c(x) s g``
+        are the same to the bit.
         """
         period = self.natural_period
         if period is None:
@@ -288,8 +292,12 @@ class ScatteringKernel:
                 f"kernel oscillates in {self.dim} dimension(s) but the cell "
                 f"grid has {grid.dim}"
             )
-        pts = grid.points()
-        vals = self._rates(x, self.profile.evaluate(pts[:, 0] if grid.dim == 1 else pts), vm)
+        if self._cell_profile is None or self._cell_profile[0] != grid:
+            pts = grid.points()
+            s = self.profile.evaluate(pts[:, 0] if grid.dim == 1 else pts)
+            s.flags.writeable = False
+            self._cell_profile = (grid, s)
+        vals = self._rates(x, self._cell_profile[1], vm)
         return vals.reshape(*grid.shape, vm.n_nodes, vm.n_nodes)
 
     def __repr__(self) -> str:

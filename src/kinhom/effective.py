@@ -125,13 +125,15 @@ class CellSolution:
 
 def solve_cell(kernel, x, vm: VelocityMeasure, *, backend: str | None = None,
                grid: CellGrid | None = None, scheme: str = "upwind", n_modes: int = 8,
-               tol: float | None = None) -> CellSolution:
+               tol: float | None = None, plans: dict | None = None) -> CellSolution:
     """Solve the cell problem at ``x``: operator, equilibrium, correctors, ``D``.
 
     ``backend`` is ``"grid"`` (needs ``grid`` and ``scheme``) or
     ``"spectral_ap"`` (uses ``n_modes``); ``None`` picks
-    :func:`default_backend`.  Raises :class:`EllipticityError` when the
-    diffusion tensor has a non-positive direction.
+    :func:`default_backend`.  ``plans`` shares the grid operator's index
+    plan between solves (see :func:`kinhom.cell_solver.assemble`); it is
+    not a setting.  Raises :class:`EllipticityError` when the diffusion
+    tensor has a non-positive direction.
     """
     backend = default_backend(kernel) if backend is None else backend
     if backend == "spectral_ap":
@@ -139,7 +141,7 @@ def solve_cell(kernel, x, vm: VelocityMeasure, *, backend: str | None = None,
     elif grid is None:
         raise ValueError("grid backend needs a cell grid")
     else:
-        op = assemble(kernel, x, vm, grid, scheme=scheme)
+        op = assemble(kernel, x, vm, grid, scheme=scheme, plans=plans)
     lam, _ = equilibrium_F(op)
     star = solve_chi_star(op, tol=tol)
     D = diffusion_matrix(op, star.chi)
@@ -160,7 +162,8 @@ def assemble_effective(cell: CellSolution, x=None) -> EffectiveCoefficients:
     solves one cell per position with the kernel, velocity set and settings
     of ``cell``, keeps only its ``D``, flux and diagnostics, and drops each
     operator before the next solve; the drift ``U`` is zero at every
-    position (see the module docstring).
+    position (see the module docstring).  The positions share one index
+    plan of the grid operator, which this call drops when it returns.
     """
     kernel, vm = cell.op.kernel, cell.op.vm
     if x is None or kernel.x_dependence == "none":
@@ -171,8 +174,9 @@ def assemble_effective(cell: CellSolution, x=None) -> EffectiveCoefficients:
     if x_arr.size == 0 or not np.all(np.isfinite(x_arr)):
         raise ValueError(f"sampled macro positions x must be non-empty and finite; got {x_arr}")
     kept = []  # per position: D, flux, residual, bound constant
+    plans = {}
     for xi in x_arr:
-        s = solve_cell(kernel, float(xi), vm, **cell.settings)
+        s = solve_cell(kernel, float(xi), vm, plans=plans, **cell.settings)
         kept.append((s.D, s.b, s.residual, s.bound_constant))
     D, b, residual, bound = zip(*kept)
     return EffectiveCoefficients(x=x_arr, D=np.stack(D), U=np.zeros((x_arr.size, vm.dim)),

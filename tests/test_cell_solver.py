@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, gmres
+from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from kinhom import cell_solver
 from kinhom.cell_solver import (
@@ -95,6 +95,11 @@ def test_eigenvalue_gate_refuses_an_inconsistent_gain(build):
     op._set_matrices(op.A_mat, 1.01 * op.K_mat)
     with pytest.raises(ConvergenceError, match="deviates from 1 beyond 1.0e-08"):
         equilibrium_F(op)
+
+
+def test_unknown_transport_scheme_is_refused():
+    with pytest.raises(ValueError, match="unknown transport scheme 'central'"):
+        assemble(SINUSOIDAL, 0.0, VM, GRID32, scheme="central")
 
 
 def test_non_finite_sampled_rates_are_refused():
@@ -380,6 +385,98 @@ def test_upwind_assembly_is_bitwise_the_sparse_reference(kernel, vm, grid):
     for got, want in zip((op.P, op.A_mat, op.K_mat), _reference_matrices(kernel, vm, grid)):
         for part in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got, part), getattr(want, part))
+
+
+def _assert_bitwise(got, want):
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, part), getattr(want, part))
+
+
+def _fresh_rates(kernel, x, grid, vm):
+    """The rates on ``grid`` from ``evaluate``, which keeps no profile samples."""
+    pts = grid.points()
+    rates = kernel.evaluate(x, pts[:, 0] if grid.dim == 1 else pts, vm)
+    return rates.reshape(*grid.shape, vm.n_nodes, vm.n_nodes)
+
+
+@pytest.mark.parametrize("dim, vm, grid", [
+    (1, two_velocity_1d(weights=(1.0, 2.0)), CellGrid((16,))),
+    (1, two_velocity_1d(weights=(1.0, 2.0)), CellGrid((33,))),
+    (2, uniform_circle(8), CellGrid((8, 8))),
+], ids=["1d-16", "1d-33", "2d-8x8"])
+def test_sampled_operators_from_one_plan_are_bitwise_the_sparse_reference(
+        dim, vm, grid, monkeypatch):
+    # positions of a tanh-modulated kernel in a row, as the effective stage
+    # solves them: one plan serves all, and each operator is the reference
+    # built at its own rates
+    kernel = make_kernel("sinusoidal", base=1.0, alpha=0.5, x_dependence="tanh",
+                         x_amplitude=0.5, dim=dim)
+    factored = []
+
+    def recording_splu(mat):
+        factored.append(mat)
+        return splu(mat)
+
+    monkeypatch.setattr(cell_solver, "splu", recording_splu)
+    plans = {}
+    for i, x in enumerate((-1.3, 0.4, 2.0, 0.4)):
+        op = assemble(kernel, x, vm, grid, plans=plans)
+        P, A, Km = _reference_matrices(_fresh_rates(kernel, x, grid, vm), vm, grid)
+        for got, want in zip((op.P, op.A_mat, op.K_mat), (P, A, Km)):
+            _assert_bitwise(got, want)
+        assert factored[i].format == "csc"
+        _assert_bitwise(factored[i], A.tocsc())
+    assert len(plans) == 1
+
+
+def test_a_plan_serves_only_its_grid_and_velocity_set():
+    # one dict of plans across grids and velocity sets of equal sizes, taken
+    # in turn: an operator built from another entry's plan would differ from
+    # its reference
+    kernel = make_kernel("sinusoidal", base=1.0, alpha=0.5, x_dependence="tanh",
+                         x_amplitude=0.5)
+    cases = [
+        (1.0, two_velocity_1d()),
+        (2.0, two_velocity_1d()),                    # another spacing
+        (1.0, two_velocity_1d(speed=1.5)),           # other speeds
+        (1.0, two_velocity_1d(weights=(1.0, 2.0))),  # other weights
+        (1.0, velocity_from_tables([[-1.0], [0.0], [1.0]], [1.0, 1.0, 1.0])),  # a resting node
+        (1.0, velocity_from_tables([[-1.0], [0.5], [1.0]], [1.0, 1.0, 1.0])),
+        (1.0, velocity_from_tables([[0.0]], [1.0])),  # P = A - K cancels to no entries
+        (1.0, velocity_from_tables([[0.0]], [2.0])),
+    ]
+    plans = {}
+    for x in (0.3, -0.8):
+        for period, vm in cases:
+            grid = CellGrid((16,), period=period)
+            op = assemble(kernel, x, vm, grid, plans=plans)
+            for got, want in zip((op.P, op.A_mat, op.K_mat),
+                                 _reference_matrices(_fresh_rates(kernel, x, grid, vm), vm, grid)):
+                _assert_bitwise(got, want)
+            assert np.array_equal(op.weights, np.tile(vm.weights, 16) / 16)
+            assert np.array_equal(op.velocity_profile(0), np.tile(vm.field[:, 0], 16))
+    assert len(plans) == len(cases)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: assemble(SINUSOIDAL, 0.0, two_velocity_1d(weights=(1.0, 2.0)), CellGrid((16,))),
+    lambda: assemble(SINUSOIDAL, 0.0, two_velocity_1d(weights=(1.0, 2.0)), CellGrid((16,)),
+                     scheme="spectral"),
+    lambda: assemble_spectral_ap(
+        make_kernel("quasi_periodic", base=1.0, alpha1=0.2, alpha2=0.2), 0.0, VM
+    ),
+], ids=["upwind", "spectral", "spectral_ap"])
+def test_inner_and_norm_are_bitwise_the_conjugated_pairing(build):
+    op = build()
+    rng = np.random.default_rng(5)
+    w = op.weights
+    for _ in range(4):
+        f, g = (rng.standard_normal(op.size).astype(op.dtype) for _ in range(2))
+        if op.dtype is complex:
+            f, g = f + 1j * rng.standard_normal(op.size), g - 1j * rng.standard_normal(op.size)
+        got, want = op.inner(f, g), np.sum(w * np.conj(f) * g)
+        assert got == want and type(got) is type(want)
+        assert op.norm(f) == float(np.sqrt(np.real(np.sum(w * np.abs(f) ** 2))))
 
 
 def _reference_lattice(kernel, x, vm, n_modes):

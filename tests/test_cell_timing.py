@@ -1,0 +1,41 @@
+"""``tools/cell_timing.py`` on the reduced ``tanh`` workload."""
+
+import importlib.util
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "cell_timing.py"
+
+
+@pytest.fixture
+def timing(monkeypatch):
+    # the tool pins the BLAS thread variables and extends sys.path on import;
+    # keep both local to the test
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("cell_timing", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_cell_timing_prints_ms_per_position_of_each_layer(timing, capsys):
+    assert timing.main(["--reduced", "--sweeps", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # the reduced scenario: 32 macro positions on a 16-point upwind cell
+    assert lines[0] == ("tanh seed 1: 32 positions, 16-point upwind cell, 2 velocities, "
+                        "min of 2 sweeps")
+    assert lines[1].split() == ["layer", "ms/position"]
+    rows = [line.split() for line in lines[2:]]
+    assert [name for name, _ in rows] == list(timing.LAYERS)
+    assert all(math.isfinite(float(value)) and float(value) > 0.0 for _, value in rows)
+
+
+def test_cell_timing_refuses_zero_sweeps(timing):
+    with pytest.raises(SystemExit):
+        timing.main(["--reduced", "--sweeps", "0"])

@@ -1,0 +1,102 @@
+"""Per-position cost of the sampled cell solves of the ``tanh`` workload.
+
+    python3 tools/cell_timing.py
+    python3 tools/cell_timing.py --seed 1 --sweeps 5 --reduced
+
+Under ``x_dependence = tanh`` the effective stage solves one cell problem
+per macro position.  This tool sweeps those positions (the macro cell
+centres of the ``tanh`` scenario of ``perfbench/workloads.py``) and prints
+the milliseconds per position of each layer of a solve:
+
+* ``assemble``: the operator at one position;
+* ``equilibrium_F``: the principal-eigenvalue check;
+* ``solve_chi_star``: the adjoint correctors;
+* ``solve_cell``: the whole solve as the effective stage calls it.
+
+A sweep times every position once; each line is the minimum over
+``--sweeps`` sweeps of the sweep's total divided by the number of
+positions.  As in the effective stage, the ``x = 0`` cell stays alive
+while the sweeps run, and the positions of a sweep share one index plan
+of the grid operator (each sweep builds its own).  BLAS runs
+single-threaded.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+import workloads  # noqa: E402
+from kinhom import harness  # noqa: E402
+from kinhom.cell_solver import assemble, equilibrium_F, solve_chi_star  # noqa: E402
+from kinhom.effective import solve_cell  # noqa: E402
+
+LAYERS = ("assemble", "equilibrium_F", "solve_chi_star", "solve_cell")
+
+
+def sweep(cell, positions) -> dict[str, float]:
+    """Seconds spent in each layer over one pass of ``positions``."""
+    kernel, vm, settings = cell.op.kernel, cell.op.vm, cell.settings
+    grid, scheme = settings["grid"], settings["scheme"]
+    total = dict.fromkeys(LAYERS, 0.0)
+    clock = time.perf_counter
+    plans = {}
+    for x in positions:
+        t0 = clock()
+        op = assemble(kernel, x, vm, grid, scheme=scheme, plans=plans)
+        t1 = clock()
+        equilibrium_F(op)
+        t2 = clock()
+        solve_chi_star(op, tol=settings["tol"])
+        t3 = clock()
+        total["assemble"] += t1 - t0
+        total["equilibrium_F"] += t2 - t1
+        total["solve_chi_star"] += t3 - t2
+    plans = {}
+    for x in positions:
+        t0 = clock()
+        solve_cell(kernel, x, vm, plans=plans, **settings)
+        total["solve_cell"] += clock() - t0
+    return total
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
+    p.add_argument("--sweeps", type=int, default=5, help="sweeps over the positions (default 5)")
+    p.add_argument("--reduced", action="store_true", help="the reduced tanh scenario")
+    args = p.parse_args(argv)
+    if args.sweeps < 1:
+        p.error("--sweeps must be at least 1")
+
+    cfg = harness.parse_config(workloads.scenario("tanh", args.seed, reduced=args.reduced))
+    vm, kernel = cfg.build_velocity(), cfg.build_kernel()
+    grid = cfg.build_cell_grid()
+    positions = [float(x) for x in cfg.build_macro_grid().axes()[0]]
+    cell = solve_cell(kernel, 0.0, vm, backend=cfg.cell_backend(kernel), grid=grid,
+                      scheme=cfg.cell["scheme"], n_modes=cfg.cell["n_modes"], tol=cfg.cell["tol"])
+    best = dict.fromkeys(LAYERS, float("inf"))
+    for _ in range(args.sweeps):
+        for name, secs in sweep(cell, positions).items():
+            best[name] = min(best[name], secs)
+
+    print(f"tanh seed {args.seed}: {len(positions)} positions, {grid.n_points}-point "
+          f"{cfg.cell['scheme']} cell, {vm.n_nodes} velocities, "
+          f"min of {args.sweeps} sweeps")
+    print(f"{'layer':<16}{'ms/position':>12}")
+    for name in LAYERS:
+        print(f"{name:<16}{1e3 * best[name] / len(positions):>12.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
