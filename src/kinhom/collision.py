@@ -243,6 +243,19 @@ class ScatteringKernel:
             raise RepresentationError("spectral profile factor is one-dimensional")
         return self.profile.freqs[:, 0], self.profile.coeffs
 
+    def fast_period(self) -> float:
+        """Shortest period in ``y`` among the profile's oscillating modes.
+
+        ``2 pi / |omega|`` for the largest frequency ``omega`` of ``profile``
+        with a nonzero coefficient: the kernel period 1 of the one-mode
+        periodic families, and the shortest wave of a quasi-periodic
+        profile or its approximant.  A profile that does not oscillate
+        gives the unit cell, 1.
+        """
+        freqs, coeffs = self.profile_frequencies()
+        live = np.abs(freqs[(freqs != 0.0) & (coeffs != 0.0)])
+        return float(2.0 * np.pi / live.max()) if live.size else 1.0
+
     def node_matrix(self, vm: VelocityMeasure) -> np.ndarray:
         """The ``(K, K)`` node factor ``g`` resolved against a velocity set."""
         if self.table is None:

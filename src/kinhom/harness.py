@@ -817,6 +817,10 @@ def _summarize(report: PipelineReport) -> dict[str, float | int | str]:
         out["sweep_min_ratio"] = report.sweep.min_ratio
     for eps, states in report.kinetic_states.items():
         first, last = states[0], states[-1]
+        # macro cells per fast period eps P: N eps P / L
+        n_x, length = last.grid.shape[0], 2.0 * last.grid.half_width
+        period = cfg.build_kernel().fast_period()
+        out[f"kinetic_points_per_period_eps_{eps:g}"] = n_x * eps * period / length
         out[f"kinetic_steps_eps_{eps:g}"] = last.steps
         out[f"kinetic_dt_eps_{eps:g}"] = float(last.dt)
         out[f"kinetic_mass_drift_eps_{eps:g}"] = abs(last.mass() - first.mass()) / first.mass()

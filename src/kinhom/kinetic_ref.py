@@ -24,19 +24,23 @@ Between steps the state is the real FFT of ``f`` along ``x``, held
 velocity-major: shape ``(K, n_x//2 + 1)``, one contiguous row per velocity
 node.  The exact shift is diagonal there, so a half-step is one multiply
 by the phase factors ``exp(-i kappa a dt / (2 eps))``, a table of the same
-shape, and a Strang step makes one inverse FFT along the last axis before
-the collision (pointwise, in real space, ``(K, n_x)``) and one forward FFT
-after it.  :meth:`KineticSolver.run` transforms ``f0`` once and inverts the
-two runs only at checkpoints, where it transposes back: a
-:class:`KineticState` holds ``f`` as ``(n_x, K)`` in C order, so its
-reductions sum in the same order whatever the layout of the steps.  On
-an even grid the Nyquist mode ``cos(pi j)`` has no sine partner on the
-grid, so a shifted Nyquist mode keeps only its real part, as an ``irfft``
-of the product would: its phase is ``cos(kappa_N shift)``.  With that
-phase the spectral steps equal the real-space composition of
-:func:`periodic_shift` and :meth:`KineticSolver.collision_full` to
-roundoff; with the complex phase the Nyquist content would turn into an
-imaginary part that the next ``irfft`` drops.
+shape.  The collision is pointwise, in real space, but only the deviations
+of ``f`` from its velocity-constant part need to go there (the
+micro-macro split of Lemou & Mieussens, *SIAM J. Sci. Comput.* 31 (2008)
+334-368): a Strang step makes one inverse FFT of the K-1 rows
+``f[1:] - f[0]``, forms the collision increment ``(M - I) f`` from them,
+``(K, n_x)``, and adds its forward FFT, K rows, to the state.
+:meth:`KineticSolver.run` transforms ``f0`` once and inverts the two runs
+only at checkpoints, where it transposes back: a :class:`KineticState`
+holds ``f`` as ``(n_x, K)`` in C order, so its reductions sum in the same
+order whatever the layout of the steps.  On an even grid the Nyquist mode
+``cos(pi j)`` has no sine partner on the grid, so a shifted Nyquist mode
+keeps only its real part, as an ``irfft`` of the product would: its phase
+is ``cos(kappa_N shift)``.  With that phase the spectral steps equal the
+real-space composition of :func:`periodic_shift` and the collision step
+``f + collision_full(f[1:] - f[0])`` to roundoff; with the complex phase
+the Nyquist content would turn into an imaginary part that the next
+``irfft`` drops.
 
 There is no upwind transport or implicit-Euler collision: upwind adds
 O(h/eps) numerical diffusion and implicit Euler an O(dt/eps^2) broadening,
@@ -45,21 +49,30 @@ asymptotic-preserving (Jin, *SIAM J. Sci. Comput.* 21 (1999) 441-454).
 
 Everything that depends only on the step size is built once per size and
 reused by every sub-step: the FFT phase factors of the half-step (keyed on
-the exact ``dt``) and the per-point collision matrices (keyed on ``dt`` to
-12 significant digits, so sub-steps that differ by roundoff share one set;
-computed in one batched ``expm``).  The collision product is formed from
-those matrices, stored ``(K, K, n_x)`` with the column index first, as one
-multiply and one in-place add of whole ``(K, n_x)`` blocks per matrix
-column: ``out = M[:, 0] f[0] + M[:, 1] f[1] + ...`` in that order.  Per element that is
-the sum ``M[k, 0] f[0] + M[k, 1] f[1] + ...`` of ``einsum`` for two nodes,
-without its per-call dispatch, and K rather than K^2 ufunc calls per
-product.
+the exact ``dt``) and the per-point collision tables (computed in one
+batched ``expm``, looked up by the exact ``dt`` and, on a miss, by ``dt`` to
+12 significant digits, so sub-steps that differ by roundoff share one
+set).
 
-The collision step conserves mass identically for balanced kernels — the
-weighted row sums of Q vanish, and that property transfers to
-``expm(tau Q)`` — and is L2-dissipative, which is what the monitor checks.
-The solver refuses kernels that violate semi-detailed balance unless
-explicitly told not to (negative controls).
+The collision step is ``M = expm(dt Q / eps^2)`` at every point.
+:func:`~kinhom.collision.gain_loss` takes the loss as the gain's row sum,
+so ``Q 1 = 0`` for every rate table, balanced or not: ``M - I``
+annihilates the velocity-constant vector, and exactly
+
+    M f = f + sum_{l >= 1} (M - I)[:, l] (f_l - f_0).
+
+The tables are columns ``1..K-1`` of ``D = M - I``, stored
+``(K-1, K, n_x)`` with the column index first, and the increment is one
+multiply and one in-place add of whole ``(K, n_x)`` blocks per deviation
+row: ``D[:, 1] g[0] + D[:, 2] g[1] + ...`` in that order.  With one
+velocity node there are no deviations, the increment is zero and the run
+is pure transport.
+
+For balanced kernels the weighted column sums ``mu^T Q`` vanish too, and
+that transfers to ``expm(tau Q)``: the collision step conserves mass and
+is L2-dissipative, which is what the monitor checks.  The solver refuses
+kernels that violate semi-detailed balance unless explicitly told not to
+(negative controls).
 """
 
 from __future__ import annotations
@@ -205,6 +218,7 @@ class KineticSolver:
         self._kappa = shift_wavenumbers(grid)
         # everything that depends only on the step size, built once per size
         self._phase_cache: dict[float, np.ndarray] = {}
+        self._collision_by_dt: dict[float, np.ndarray] = {}
         self._collision_cache: dict[float, np.ndarray] = {}
 
     # -- step-size policy -------------------------------------------------------
@@ -235,41 +249,57 @@ class KineticSolver:
         return spectra * phase
 
     def _collision_matrices(self, dt: float) -> np.ndarray:
-        """Per-point ``expm(dt Q / eps^2)`` as a contiguous ``(K, K, n_x)`` array.
+        """Columns ``1..K-1`` of the per-point ``expm(dt Q / eps^2) - I``.
 
-        Indexed ``[l, k, x]``: entry ``(k, l)`` of the matrix at point ``x``,
-        so ``M[l]`` is the whole-grid column ``l`` of every matrix.
+        A contiguous ``(K-1, K, n_x)`` array indexed ``[l - 1, k, x]``: entry
+        ``(k, l)`` of the matrix at point ``x``, so ``D[l - 1]`` is the
+        whole-grid column ``l`` of every matrix.  Looked up by the exact
+        ``dt`` first, then by its :func:`step_key`.
         """
-        key = step_key(dt)
-        if key not in self._collision_cache:
-            mats = scipy.linalg.expm(dt / self.epsilon**2 * self._Q)
-            self._collision_cache[key] = np.ascontiguousarray(mats.transpose(2, 1, 0))
-        return self._collision_cache[key]
+        mats = self._collision_by_dt.get(dt)
+        if mats is None:
+            key = step_key(dt)
+            mats = self._collision_cache.get(key)
+            if mats is None:
+                mats = scipy.linalg.expm(dt / self.epsilon**2 * self._Q)
+                nodes = np.arange(mats.shape[1])
+                mats[:, nodes, nodes] -= 1.0
+                mats = np.ascontiguousarray(mats[:, :, 1:].transpose(2, 1, 0))
+                self._collision_cache[key] = mats
+            self._collision_by_dt[dt] = mats
+        return mats
 
-    def collision_full(self, f: np.ndarray, dt: float) -> np.ndarray:
-        """Advance ``df/dt = (1/eps^2) Q f`` over ``dt`` at every point.
+    def collision_full(self, g: np.ndarray, dt: float) -> np.ndarray:
+        """Increment ``(M - I) f`` of the collision step ``M = expm(dt Q / eps^2)``.
 
-        ``f`` is velocity-major, ``(K, n_x)``.  ``out[k] = M[k, 0] f[0] +
-        M[k, 1] f[1] + ...``, summed in that order, elementwise over the
-        grid: one multiply and one add of whole ``(K, n_x)`` blocks per
-        velocity node ``l``.
+        ``g = f[1:] - f[0]`` holds the deviations of the velocity-major
+        ``f`` from its first node, ``(K-1, n_x)``; ``Q 1 = 0``, so ``M - I``
+        annihilates the velocity-constant part and ``(M - I) f = D[:, 1] g[0]
+        + D[:, 2] g[1] + ...`` with ``D = M - I``, summed in that order,
+        elementwise over the grid: one multiply and one add of whole
+        ``(K, n_x)`` blocks per deviation row.  The result is ``(K, n_x)``;
+        with one node there are no deviations and it is zero.
         """
         mats = self._collision_matrices(dt)
-        out = mats[0] * f[0]
+        if not mats.shape[0]:
+            return np.zeros(mats.shape[1:])
+        out = mats[0] * g[0]
         for l in range(1, mats.shape[0]):
-            out += mats[l] * f[l]
+            out += mats[l] * g[l]
         return out
 
     def step(self, spectra: np.ndarray, dt: float) -> np.ndarray:
         """One Strang step on the real FFT of ``f`` along ``x``, ``(K, n_x//2 + 1)``.
 
-        Transport half, then the collision in real space, ``(K, n_x)``,
-        between one inverse and one forward FFT along the last axis, then
-        transport half.
+        Transport half; then the collision increment, computed in real
+        space from the K-1 deviations ``f[1:] - f[0]`` (one inverse FFT of
+        K-1 rows) and added back in Fourier space (one forward FFT of K
+        rows); then transport half.
         """
-        mid = np.fft.irfft(self.transport_half(spectra, dt), n=self._n_x)
-        mid = self.collision_full(mid, dt)
-        return self.transport_half(np.fft.rfft(mid), dt)
+        spectra = self.transport_half(spectra, dt)
+        g = np.fft.irfft(spectra[1:] - spectra[0], n=self._n_x)
+        spectra += np.fft.rfft(self.collision_full(g, dt))
+        return self.transport_half(spectra, dt)
 
     # -- full integration -----------------------------------------------------------
 

@@ -246,3 +246,19 @@ def test_defect_is_invisible_to_the_grid_cell():
     D = [solve_cell(k, 0.0, vm, grid=grid, scheme="upwind").D for k in (defect, background)]
     assert np.array_equal(D[0], D[1])
     assert abs(defect.evaluate(0.0, np.zeros(1), vm)[0, 0, 0] - 1.5) < 1e-15
+
+
+def test_fast_period_is_the_shortest_oscillating_wave():
+    assert make_kernel("sinusoidal", alpha=0.5).fast_period() == 1.0
+    assert make_kernel("sinusoidal_defect", alpha=0.5, defect_amplitude=0.2).fast_period() == 1.0
+    # no oscillation: the unit cell
+    assert make_kernel("constant", s0=1.0).fast_period() == 1.0
+    assert make_kernel("quasi_periodic", alpha1=0.0, alpha2=0.0).fast_period() == 1.0
+    # the quasi-periodic profile's shortest wave is cos(2 sqrt2 pi y), and the
+    # approximant's is cos(2 pi p y / q), not its period q
+    quasi = make_kernel("quasi_periodic", alpha1=0.3, alpha2=0.2)
+    assert quasi.fast_period() == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-15)
+    assert make_kernel("quasi_periodic", alpha1=0.3, alpha2=0.0).fast_period() == 1.0
+    approx = make_kernel("quasi_approx", alpha1=0.3, alpha2=0.2, p=3, q=2)
+    assert approx.natural_period == 2.0
+    assert approx.fast_period() == pytest.approx(2.0 / 3.0, rel=1e-15)

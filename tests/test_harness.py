@@ -1,8 +1,10 @@
 """Scenario configs, pipeline stages, emitted tables, CLI exit codes."""
 
 import configparser
+import importlib.util
 import io
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -513,6 +515,29 @@ def test_split_cap_roundtrips(c_split, line):
     assert line in dumped.splitlines()
     assert parse_config(dumped) == cfg
     assert dump_config(parse_config(dumped)) == dumped
+
+
+def _workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("reduced, expect", [
+    (False, {0.1: 25.6, 0.05: 12.8, 0.025: 6.4}),
+    (True, {0.4: 6.4, 0.2: 3.2}),
+], ids=["small_eps", "small_eps-reduced"])
+def test_summary_reports_points_per_fast_period(reduced, expect):
+    # N eps P / L with the sinusoidal period P = 1: the grid and eps alone
+    # set it, so a short run reports the benchmark scenario's values
+    text = _workloads().scenario("small_eps", 1, reduced=reduced)
+    cfg = parse_config(re.sub(r"^t = .*$", "t = 0.001", text, flags=re.M))
+    summary = run_pipeline(cfg).summary
+    points = {float(k.rsplit("_", 1)[1]): v for k, v in summary.items()
+              if k.startswith("kinetic_points_per_period_eps_")}
+    assert points == pytest.approx(expect, rel=1e-12, abs=0.0)
 
 
 # the scenario names the one scheme pair; each run takes a coarse run and a

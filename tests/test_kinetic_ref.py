@@ -36,8 +36,11 @@ def _real(spectra, grid):
 
 
 def _collide(solver, f, dt):
-    """The collision of ``f`` of shape ``(n_x, K)``; the solver's is ``(K, n_x)``."""
-    return solver.collision_full(f.T, dt).T
+    """The collision step of ``f`` of shape ``(n_x, K)``: ``f`` plus the solver's
+    increment, which takes the deviations ``f[1:] - f[0]`` of the
+    velocity-major ``(K, n_x)`` and returns ``(K, n_x)``."""
+    f = f.T
+    return (f + solver.collision_full(f[1:] - f[0], dt)).T
 
 
 def _real_space_step(solver, f, dt):
@@ -176,37 +179,98 @@ def test_spectral_steps_match_real_space_steps_through_the_nyquist_mode():
 
 
 def test_exact_collision_is_bitwise_the_per_point_expm():
+    # the increment is (expm(tau Q) - I) f from columns 1.. of the per-point
+    # matrices and the deviations f[1:] - f[0], applied in node order
     eps = 0.05
     solver = KineticSolver(SINUSOIDAL, VM, GRID, epsilon=eps)
-    f = _smooth_initial(GRID, VM)
+    f = _smooth_initial(GRID, VM).T
     dt = solver.default_dt()
     tau = dt / eps**2
-    mats = np.stack([scipy.linalg.expm(tau * Q) for Q in solver._Q])
-    expect = np.einsum("xkl,xl->xk", mats, f)
-    assert np.array_equal(_collide(solver, f, dt), expect)
+    eye = np.eye(VM.n_nodes)
+    mats = np.stack([scipy.linalg.expm(tau * Q) - eye for Q in solver._Q])
+    g = f[1:] - f[0]
+    expect = mats[:, :, 1].T * g[0]
+    for l in range(2, VM.n_nodes):
+        expect += mats[:, :, l].T * g[l - 1]
+    assert np.array_equal(solver.collision_full(g, dt), expect)
+
+
+def _balanced_solver(n_nodes, grid, rng):
+    nodes = np.linspace(-1.0, 1.0, n_nodes)[:, None]
+    vm = velocity_from_tables(nodes=nodes, weights=np.linspace(0.5, 1.5, n_nodes))
+    table = rng.uniform(0.5, 1.5, (n_nodes, n_nodes))
+    return KineticSolver(table + table.T, vm, grid, epsilon=0.05)
 
 
 @pytest.mark.parametrize("n_nodes", [2, 4, 8])
 def test_collision_is_bitwise_the_per_point_sum_in_node_order(n_nodes):
-    # out[k] = M[k, 0] f[0] + M[k, 1] f[1] + ..., each product and add in
-    # that order, at every grid point
-    nodes = np.linspace(-1.0, 1.0, n_nodes)[:, None]
-    vm = velocity_from_tables(nodes=nodes, weights=np.linspace(0.5, 1.5, n_nodes))
+    # out[k] = D[k, 1] g[0] + D[k, 2] g[1] + ..., D = expm(tau Q) - I and
+    # g = f[1:] - f[0], each product and add in that order, at every grid point
     grid = MacroGrid(half_width=1.0, shape=(2048,), bc="periodic")
     rng = np.random.default_rng(n_nodes)
-    table = rng.uniform(0.5, 1.5, (n_nodes, n_nodes))
-    solver = KineticSolver(table + table.T, vm, grid, epsilon=0.05)
+    solver = _balanced_solver(n_nodes, grid, rng)
     f = rng.standard_normal((n_nodes, grid.n_points))
+    g = f[1:] - f[0]
     dt = solver.default_dt()
     mats = scipy.linalg.expm(dt / solver.epsilon**2 * solver._Q)  # (n_x, K, K)
+    mats -= np.eye(n_nodes)
     expect = np.empty_like(f)
     for k in range(n_nodes):
-        expect[k] = mats[:, k, 0] * f[0]
-        for l in range(1, n_nodes):
-            expect[k] += mats[:, k, l] * f[l]
-    out = solver.collision_full(f, dt)
+        expect[k] = mats[:, k, 1] * g[0]
+        for l in range(2, n_nodes):
+            expect[k] += mats[:, k, l] * g[l - 1]
+    out = solver.collision_full(g, dt)
     assert out.shape == (n_nodes, grid.n_points)
     assert np.array_equal(out, expect)
+
+
+@pytest.mark.parametrize("n_nodes", [2, 4, 8])
+def test_deviation_steps_match_full_matrix_steps(n_nodes):
+    # the old step: irfft of all K rows, the per-point expm(tau Q) product,
+    # rfft; random data on an even grid carries O(1) Nyquist content
+    grid = MacroGrid(half_width=1.0, shape=(64,), bc="periodic")
+    rng = np.random.default_rng(100 + n_nodes)
+    solver = _balanced_solver(n_nodes, grid, rng)
+    f = rng.standard_normal((grid.n_points, n_nodes))
+    dt = 7.0 * solver.default_dt()
+    mats = scipy.linalg.expm(dt / solver.epsilon**2 * solver._Q)
+    spectra = expect = _hat(f)
+    for _ in range(3):
+        spectra = solver.step(spectra, dt)
+        mid = np.fft.irfft(solver.transport_half(expect, dt), n=grid.n_points)
+        mid = np.einsum("xkl,lx->kx", mats, mid)
+        expect = solver.transport_half(np.fft.rfft(mid), dt)
+    got, want = _real(spectra, grid), _real(expect, grid)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_velocity_constant_data_get_a_zero_increment():
+    # Q 1 = 0 for any table, the unbalanced one too: a velocity-constant f has
+    # no deviations, and its increment is exactly zero
+    lopsided = np.array([[1.0, 2.0], [0.5, 1.0]])
+    for kernel, validate in ((SINUSOIDAL, True), (lopsided, False)):
+        solver = KineticSolver(kernel, VM, GRID, epsilon=0.2, validate=validate)
+        row = np.random.default_rng(5).standard_normal(GRID.n_points)
+        f = np.stack([row] * VM.n_nodes)
+        out = solver.collision_full(f[1:] - f[0], solver.default_dt())
+        assert out.shape == f.shape and not np.any(out)
+
+
+def test_one_node_run_is_pure_transport():
+    # no deviation rows, so no collision: the run is the exact shift by a T / eps
+    vm = velocity_from_tables(nodes=np.array([[0.7]]), weights=np.array([1.0]))
+    eps, T = 0.3, 0.05
+    for n_x in (33, 64):
+        grid = MacroGrid(half_width=1.0, shape=(n_x,), bc="periodic")
+        solver = KineticSolver(np.array([[1.3]]), vm, grid, epsilon=eps)
+        x = grid.axes()[0]
+        # odd grids have no Nyquist mode, so random data shift exactly
+        f0 = (np.random.default_rng(n_x).standard_normal((n_x, 1)) if n_x % 2
+              else np.exp(-(x**2) / 0.05)[:, None])
+        states = solver.run(f0, T, checkpoints=np.linspace(0.0, T, 4))
+        expect = periodic_shift(f0, vm.field[:, 0] * T / eps, shift_wavenumbers(grid))
+        assert states[-1].steps > 0
+        assert np.max(np.abs(states[-1].f - expect)) <= 1e-13
 
 
 @pytest.mark.parametrize("epsilon", [1e-4], ids=["exact"])
@@ -224,6 +288,31 @@ def test_collision_cache_tells_small_steps_apart(epsilon):
     dt = warm.default_dt()
     assert np.array_equal(_collide(warm, f, np.nextafter(dt, 1.0)),
                           _collide(warm, f, dt))
+
+
+def test_collision_tables_are_looked_up_by_exact_step_first(monkeypatch):
+    # step_key formats a string; a repeated step finds its tables without it,
+    # and a roundoff neighbour falls back to it once and shares the same set
+    from kinhom import kinetic_ref
+
+    keys = []
+    step_key = kinetic_ref.step_key
+
+    def counted(dt):
+        keys.append(dt)
+        return step_key(dt)
+
+    monkeypatch.setattr(kinetic_ref, "step_key", counted)
+    solver = KineticSolver(SINUSOIDAL, VM, GRID, epsilon=0.2)
+    dt = solver.default_dt()
+    first = solver._collision_matrices(dt)
+    for _ in range(3):
+        assert solver._collision_matrices(dt) is first
+    assert keys == [dt]
+    near = np.nextafter(dt, 1.0)
+    assert solver._collision_matrices(near) is first
+    assert solver._collision_matrices(near) is first
+    assert keys == [dt, near]
 
 
 def test_per_point_rate_table_matches_kernel_evaluation():
