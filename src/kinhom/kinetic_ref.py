@@ -25,11 +25,13 @@ velocity-major: shape ``(K, n_x//2 + 1)``, one contiguous row per velocity
 node.  The exact shift is diagonal there, so a half-step is one multiply
 by the phase factors ``exp(-i kappa a dt / (2 eps))``, a table of the same
 shape.  The collision is pointwise, in real space, but only the deviations
-of ``f`` from its velocity-constant part need to go there (the
-micro-macro split of Lemou & Mieussens, *SIAM J. Sci. Comput.* 31 (2008)
-334-368): a Strang step makes one inverse FFT of the K-1 rows
-``f[1:] - f[0]``, forms the collision increment ``(M - I) f`` from them,
-``(K, n_x)``, and adds its forward FFT, K rows, to the state.
+of ``f`` from its velocity-constant part need to go there, and only the
+part of the increment that mass conservation leaves free needs to come
+back (the micro-macro split of Lemou & Mieussens, *SIAM J. Sci. Comput.*
+31 (2008) 334-368): a Strang step makes one inverse FFT of the K-1 rows
+``f[1:] - f[0]``, forms rows ``1..K-1`` of the collision increment
+``(M - I) f`` from them, makes one forward FFT of those K-1 rows, and adds
+them to the state with row 0 rebuilt in Fourier space (see below).
 :meth:`KineticSolver.run` transforms ``f0`` once and inverts the two runs
 only at checkpoints, where it transposes back: a :class:`KineticState`
 holds ``f`` as ``(n_x, K)`` in C order, so its reductions sum in the same
@@ -38,9 +40,8 @@ order whatever the layout of the steps.  On an even grid the Nyquist mode
 keeps only its real part, as an ``irfft`` of the product would: its phase
 is ``cos(kappa_N shift)``.  With that phase the spectral steps equal the
 real-space composition of :func:`periodic_shift` and the collision step
-``f + collision_full(f[1:] - f[0])`` to roundoff; with the complex phase
-the Nyquist content would turn into an imaginary part that the next
-``irfft`` drops.
+``f -> M f`` to roundoff; with the complex phase the Nyquist content would
+turn into an imaginary part that the next ``irfft`` drops.
 
 There is no upwind transport or implicit-Euler collision: upwind adds
 O(h/eps) numerical diffusion and implicit Euler an O(dt/eps^2) broadening,
@@ -49,30 +50,41 @@ asymptotic-preserving (Jin, *SIAM J. Sci. Comput.* 21 (1999) 441-454).
 
 Everything that depends only on the step size is built once per size and
 reused by every sub-step: the FFT phase factors of the half-step (keyed on
-the exact ``dt``) and the per-point collision tables (computed in one
-batched ``expm``, looked up by the exact ``dt`` and, on a miss, by ``dt`` to
-12 significant digits, so sub-steps that differ by roundoff share one
-set).
+the exact ``dt``) and the per-point collision tables (looked up by the
+exact ``dt`` and, on a miss, by ``dt`` to 12 significant digits, so
+sub-steps that differ by roundoff share one set).
 
-The collision step is ``M = expm(dt Q / eps^2)`` at every point.
-:func:`~kinhom.collision.gain_loss` takes the loss as the gain's row sum,
-so ``Q 1 = 0`` for every rate table, balanced or not: ``M - I``
+The collision step is ``M = expm(dt Q / eps^2)`` at every point, all
+``n_x`` of them in one batched scaling-and-squaring Padé(13) exponential
+(Higham, *SIAM J. Matrix Anal. Appl.* 26 (2005) 1179-1193): one scaling
+from the batch's largest 1-norm, batched matrix products and one batched
+solve.  :func:`~kinhom.collision.gain_loss` takes the loss as the gain's
+row sum, so ``Q 1 = 0`` for every rate table, balanced or not: ``M - I``
 annihilates the velocity-constant vector, and exactly
 
     M f = f + sum_{l >= 1} (M - I)[:, l] (f_l - f_0).
 
-The tables are columns ``1..K-1`` of ``D = M - I``, stored
-``(K-1, K, n_x)`` with the column index first, and the increment is one
-multiply and one in-place add of whole ``(K, n_x)`` blocks per deviation
-row: ``D[:, 1] g[0] + D[:, 2] g[1] + ...`` in that order.  With one
-velocity node there are no deviations, the increment is zero and the run
-is pure transport.
+The tables are columns ``1..K-1`` of ``D = M - I`` in the rows the solver
+keeps, stored ``(K-1, R, n_x)`` with the column index first, and the
+increment is one multiply and one in-place add of whole ``(R, n_x)``
+blocks per deviation row: ``D[:, 1] g[0] + D[:, 2] g[1] + ...`` in that
+order.  With one velocity node there are no deviations, the increment is
+zero and the run is pure transport.
 
-For balanced kernels the weighted column sums ``mu^T Q`` vanish too, and
-that transfers to ``expm(tau Q)``: the collision step conserves mass and
-is L2-dissipative, which is what the monitor checks.  The solver refuses
-kernels that violate semi-detailed balance unless explicitly told not to
-(negative controls).
+For balanced kernels the weighted column sums vanish too, and that
+transfers to the exponential: ``mu^T Q = 0`` gives ``mu^T (M - I) = 0``,
+so row 0 of the increment is ``-sum_{k >= 1} (mu_k / mu_0)`` times row
+``k``.  A validated solver keeps rows ``R = 1..K-1`` only, forward
+transforms K-1 rows and rebuilds row 0's spectrum from theirs in the add
+to the state; the weighted zero mode ``sum_k mu_k f_hat_k[0]``, the mass,
+then holds to roundoff.  Balance holds to the gate's tolerance
+:data:`~kinhom.collision.SDB_TOL`, not exactly: ``(mu^T Q)_l = mu_l (in_l
+- out_l)`` and ``expm(s Q)`` is row-stochastic, so the row-0 defect this
+drops is at most about ``SDB_TOL (dt Sigma_max / eps^2) (mu(V) / mu_0) max|f|``
+a step.  The collision step is L2-dissipative, which is what the monitor
+checks.  The solver refuses kernels that violate semi-detailed balance
+unless explicitly told not to; those negative controls keep all K rows, so
+their mass drifts as the unbalanced kernel makes it.
 """
 
 from __future__ import annotations
@@ -81,7 +93,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from kinhom.collision import ScatteringKernel, gain_loss, sdb_gap
 from kinhom.phase_space import MacroGrid, VelocityMeasure, checkpoint_substeps, step_key
@@ -143,8 +154,46 @@ def periodic_shift(values: np.ndarray, shift, kappa: np.ndarray) -> np.ndarray:
     holds the grid's :func:`shift_wavenumbers`.
     """
     spectra = np.fft.rfft(values, axis=0)
-    spectra *= _phase(kappa, shift)
+    phase = _phase(kappa, shift)
+    # along axis 0: a scalar shift of 2-D values moves every column alike
+    spectra *= phase.reshape(phase.shape + (1,) * (spectra.ndim - phase.ndim))
     return np.fft.irfft(spectra, n=values.shape[0], axis=0)
+
+
+# Padé(13) numerator coefficients and the 1-norm bound up to which it meets
+# double precision without scaling (Higham 2005, Table 2.3)
+_PADE_13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA_13 = 5.371920351148152
+
+
+def _expm(A: np.ndarray) -> np.ndarray:
+    """``expm`` of every matrix of a ``(n, K, K)`` batch at once.
+
+    Scaling and squaring with the Padé(13) approximant (Higham, *SIAM J.
+    Matrix Anal. Appl.* 26 (2005) 1179-1193): one scaling ``2^-s`` for the
+    whole batch, from its largest 1-norm, batched matrix products, one
+    batched solve and ``s`` squarings.
+    """
+    norm = float(np.abs(A).sum(axis=-2).max())
+    s = int(np.ceil(np.log2(norm / _THETA_13))) if norm > _THETA_13 else 0
+    A = A / 2.0**s
+    b = _PADE_13
+    eye = np.eye(A.shape[-1])
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
+    R = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        R = R @ R
+    return R
 
 
 def _phase(kappa: np.ndarray, shift) -> np.ndarray:
@@ -213,6 +262,18 @@ class KineticSolver:
         self._Q, loss = gain_loss(rates, vm.weights)
         nodes = np.arange(vm.n_nodes)
         self._Q[:, nodes, nodes] -= loss
+        # the rows of (M - I) f that collision_full returns, and the (K, rows)
+        # matrix that lifts their spectra to all K rows: balance gives
+        # mu^T (M - I) = 0, so row 0 is -sum_{k >= 1} (mu_k / mu_0) row k; a
+        # negative control keeps every row
+        first = 1 if validate else 0
+        self._rows = slice(first, None)
+        self._lift = np.eye(vm.n_nodes)[:, first:]
+        if validate:
+            self._lift[0] = -vm.weights[1:] / vm.weights[0]
+        # its columns as complex (K, 1) blocks: a complex-by-complex column
+        # multiply costs a third of a mixed one or of a (K, rows) matmul
+        self._lift_columns = list(self._lift.T.astype(complex)[:, :, None])
         self._sigma_max = float(loss.max())
         self._speeds = vm.field[:, 0]
         self._kappa = shift_wavenumbers(grid)
@@ -249,36 +310,42 @@ class KineticSolver:
         return spectra * phase
 
     def _collision_matrices(self, dt: float) -> np.ndarray:
-        """Columns ``1..K-1`` of the per-point ``expm(dt Q / eps^2) - I``.
+        """Columns ``1..K-1`` of the per-point ``expm(dt Q / eps^2) - I``, in
+        the rows the solver keeps.
 
-        A contiguous ``(K-1, K, n_x)`` array indexed ``[l - 1, k, x]``: entry
-        ``(k, l)`` of the matrix at point ``x``, so ``D[l - 1]`` is the
-        whole-grid column ``l`` of every matrix.  Looked up by the exact
-        ``dt`` first, then by its :func:`step_key`.
+        A contiguous ``(K-1, R, n_x)`` array indexed ``[l - 1, i, x]``:
+        entry ``(k, l)`` of the matrix at point ``x``, ``k`` the ``i``-th kept
+        row (``1..K-1`` for a validated kernel, all ``K`` for a negative
+        control), so ``D[l - 1]`` is the whole-grid column ``l`` of every
+        matrix.  Looked up by the exact ``dt`` first, then by its
+        :func:`step_key`.
         """
         mats = self._collision_by_dt.get(dt)
         if mats is None:
             key = step_key(dt)
             mats = self._collision_cache.get(key)
             if mats is None:
-                mats = scipy.linalg.expm(dt / self.epsilon**2 * self._Q)
+                mats = _expm(dt / self.epsilon**2 * self._Q)
                 nodes = np.arange(mats.shape[1])
                 mats[:, nodes, nodes] -= 1.0
-                mats = np.ascontiguousarray(mats[:, :, 1:].transpose(2, 1, 0))
+                mats = np.ascontiguousarray(mats[:, self._rows, 1:].transpose(2, 1, 0))
                 self._collision_cache[key] = mats
             self._collision_by_dt[dt] = mats
         return mats
 
     def collision_full(self, g: np.ndarray, dt: float) -> np.ndarray:
-        """Increment ``(M - I) f`` of the collision step ``M = expm(dt Q / eps^2)``.
+        """Kept rows of the increment ``(M - I) f`` of the collision step
+        ``M = expm(dt Q / eps^2)``.
 
         ``g = f[1:] - f[0]`` holds the deviations of the velocity-major
         ``f`` from its first node, ``(K-1, n_x)``; ``Q 1 = 0``, so ``M - I``
         annihilates the velocity-constant part and ``(M - I) f = D[:, 1] g[0]
         + D[:, 2] g[1] + ...`` with ``D = M - I``, summed in that order,
         elementwise over the grid: one multiply and one add of whole
-        ``(K, n_x)`` blocks per deviation row.  The result is ``(K, n_x)``;
-        with one node there are no deviations and it is zero.
+        ``(R, n_x)`` blocks per deviation row.  The result is ``(R, n_x)``:
+        rows ``1..K-1`` for a validated kernel, whose row 0 follows from mass
+        conservation, and all ``K`` rows for a negative control.  With one
+        node there are no deviations and it is zero.
         """
         mats = self._collision_matrices(dt)
         if not mats.shape[0]:
@@ -293,13 +360,24 @@ class KineticSolver:
 
         Transport half; then the collision increment, computed in real
         space from the K-1 deviations ``f[1:] - f[0]`` (one inverse FFT of
-        K-1 rows) and added back in Fourier space (one forward FFT of K
-        rows); then transport half.
+        K-1 rows), sent to Fourier space in the rows
+        :meth:`collision_full` returns (one forward FFT of K-1 rows for a
+        validated kernel) and lifted to all K rows in the add; then
+        transport half.
         """
         spectra = self.transport_half(spectra, dt)
         g = np.fft.irfft(spectra[1:] - spectra[0], n=self._n_x)
-        spectra += np.fft.rfft(self.collision_full(g, dt))
+        self._add_increment(spectra, self.collision_full(g, dt))
         return self.transport_half(spectra, dt)
+
+    def _add_increment(self, spectra: np.ndarray, increment: np.ndarray) -> None:
+        """Add the increment, its kept rows in real space, to ``spectra`` in place.
+
+        One forward FFT of the kept rows; each row's spectrum, times its
+        column of the lift, goes into all K rows.
+        """
+        for column, row in zip(self._lift_columns, np.fft.rfft(increment)):
+            spectra += column * row
 
     # -- full integration -----------------------------------------------------------
 

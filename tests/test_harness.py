@@ -3,6 +3,7 @@
 import configparser
 import importlib.util
 import io
+import logging
 import re
 from pathlib import Path
 
@@ -538,6 +539,25 @@ def test_summary_reports_points_per_fast_period(reduced, expect):
     points = {float(k.rsplit("_", 1)[1]): v for k, v in summary.items()
               if k.startswith("kinetic_points_per_period_eps_")}
     assert points == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+
+def test_kinetic_stage_warns_below_three_points_per_fast_period(caplog):
+    # 512 cells at eps = 0.025 give 1.6 points per period, where the sweep
+    # ratio flattened; the reduced small_eps, at 6.4 and 3.2, stays quiet
+    text = re.sub(r"^t = .*$", "t = 0.001", _workloads().scenario("small_eps", 1), flags=re.M)
+    coarse = re.sub(r"^epsilons = .*$", "epsilons = 0.025",
+                    re.sub(r"^n = 2048$", "n = 512", text, flags=re.M), flags=re.M)
+    reduced = re.sub(r"^t = .*$", "t = 0.001",
+                     _workloads().scenario("small_eps", 1, reduced=True), flags=re.M)
+    for scenario, expect in ((coarse, 1), (reduced, 0)):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="kinhom.harness"):
+            summary = run_pipeline(parse_config(scenario)).summary
+        warned = [r.getMessage() for r in caplog.records if r.name == "kinhom.harness"]
+        assert len(warned) == expect
+        if expect:
+            assert summary["kinetic_points_per_period_eps_0.025"] == pytest.approx(1.6)
+            assert "eps=0.025 has 1.6 macro cells per fast period (below 3)" in warned[0]
 
 
 # the scenario names the one scheme pair; each run takes a coarse run and a

@@ -1,5 +1,8 @@
 """Kinetic reference integrator: invariants, oracles, guards."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -36,11 +39,19 @@ def _real(spectra, grid):
 
 
 def _collide(solver, f, dt):
-    """The collision step of ``f`` of shape ``(n_x, K)``: ``f`` plus the solver's
-    increment, which takes the deviations ``f[1:] - f[0]`` of the
-    velocity-major ``(K, n_x)`` and returns ``(K, n_x)``."""
+    """The collision step of ``f`` of shape ``(n_x, K)`` by a per-point
+    ``scipy.linalg.expm(dt Q / eps^2)`` over all K rows."""
+    mats = scipy.linalg.expm(dt / solver.epsilon**2 * solver._Q)  # (n_x, K, K)
+    return np.einsum("xkl,xl->xk", mats, f)
+
+
+def _solver_collide(solver, f, dt):
+    """The solver's collision step of ``f`` of shape ``(n_x, K)``: ``f`` plus
+    its increment, whose kept rows :meth:`collision_full` makes from the
+    deviations ``f[1:] - f[0]`` of the velocity-major ``(K, n_x)`` and whose
+    lift gives all K rows."""
     f = f.T
-    return (f + solver.collision_full(f[1:] - f[0], dt)).T
+    return (f + solver._lift @ solver.collision_full(f[1:] - f[0], dt)).T
 
 
 def _real_space_step(solver, f, dt):
@@ -88,7 +99,7 @@ def test_collision_step_closed_form_decay():
     dev = np.array([1.0, -1.0])
     f0 = 0.5 + 0.01 * np.tile(dev, (8, 1))
     dt = 0.25
-    out = _collide(solver, f0, dt)
+    out = _solver_collide(solver, f0, dt)
     factor = np.exp(-2.0 * dt)  # tau = dt / eps^2 = dt here
     expect = 0.5 + 0.01 * factor * np.tile(dev, (8, 1))
     assert np.max(np.abs(out - expect)) < 1e-14
@@ -101,7 +112,7 @@ def test_collision_decay_with_asymmetric_weights():
     solver = KineticSolver(make_kernel("constant", s0=1.0), vm, grid, epsilon=1.0)
     dev = np.array([2.0, -1.0])
     f0 = 1.0 / 3.0 + 0.01 * np.tile(dev, (8, 1))
-    out = _collide(solver, f0, 0.2)
+    out = _solver_collide(solver, f0, 0.2)
     expect = 1.0 / 3.0 + 0.01 * np.exp(-3.0 * 0.2) * np.tile(dev, (8, 1))
     assert np.max(np.abs(out - expect)) < 1e-14
 
@@ -149,6 +160,18 @@ def test_shift_transport_matches_integer_roll():
     assert np.max(np.abs(moved - np.roll(f[:, 1], m))) < 1e-12
 
 
+@pytest.mark.parametrize("n_cols", [1, 17], ids=["column", "half-spectrum-wide"])
+def test_scalar_shift_moves_every_column_of_2d_values(n_cols):
+    # the phase runs along axis 0; broadcast along the last axis it raises on
+    # a (32, 1) column and gives each of 17 = 32//2 + 1 columns one phase
+    grid = MacroGrid(half_width=1.0, shape=(32,), bc="periodic")
+    m = 3
+    f = np.random.default_rng(n_cols).standard_normal((32, n_cols))
+    moved = periodic_shift(f, m * grid.spacing[0], shift_wavenumbers(grid))
+    assert moved.shape == f.shape
+    assert np.max(np.abs(moved - np.roll(f, m, axis=0))) < 1e-12
+
+
 def test_shift_half_step_is_bitwise_the_periodic_shift():
     eps = 0.05
     solver = KineticSolver(SINUSOIDAL, VM, GRID, epsilon=eps)
@@ -178,23 +201,6 @@ def test_spectral_steps_match_real_space_steps_through_the_nyquist_mode():
     assert np.max(np.abs(_real(spectra, grid) - expect)) <= 1e-13
 
 
-def test_exact_collision_is_bitwise_the_per_point_expm():
-    # the increment is (expm(tau Q) - I) f from columns 1.. of the per-point
-    # matrices and the deviations f[1:] - f[0], applied in node order
-    eps = 0.05
-    solver = KineticSolver(SINUSOIDAL, VM, GRID, epsilon=eps)
-    f = _smooth_initial(GRID, VM).T
-    dt = solver.default_dt()
-    tau = dt / eps**2
-    eye = np.eye(VM.n_nodes)
-    mats = np.stack([scipy.linalg.expm(tau * Q) - eye for Q in solver._Q])
-    g = f[1:] - f[0]
-    expect = mats[:, :, 1].T * g[0]
-    for l in range(2, VM.n_nodes):
-        expect += mats[:, :, l].T * g[l - 1]
-    assert np.array_equal(solver.collision_full(g, dt), expect)
-
-
 def _balanced_solver(n_nodes, grid, rng):
     nodes = np.linspace(-1.0, 1.0, n_nodes)[:, None]
     vm = velocity_from_tables(nodes=nodes, weights=np.linspace(0.5, 1.5, n_nodes))
@@ -203,25 +209,86 @@ def _balanced_solver(n_nodes, grid, rng):
 
 
 @pytest.mark.parametrize("n_nodes", [2, 4, 8])
-def test_collision_is_bitwise_the_per_point_sum_in_node_order(n_nodes):
-    # out[k] = D[k, 1] g[0] + D[k, 2] g[1] + ..., D = expm(tau Q) - I and
-    # g = f[1:] - f[0], each product and add in that order, at every grid point
+def test_collision_is_bitwise_the_node_order_sum_of_its_tables(n_nodes):
+    # out[i] = D[k, 1] g[0] + D[k, 2] g[1] + ..., k the i-th kept row of
+    # D = expm(tau Q) - I and g = f[1:] - f[0], each product and add in that
+    # order, at every grid point
     grid = MacroGrid(half_width=1.0, shape=(2048,), bc="periodic")
     rng = np.random.default_rng(n_nodes)
     solver = _balanced_solver(n_nodes, grid, rng)
     f = rng.standard_normal((n_nodes, grid.n_points))
     g = f[1:] - f[0]
     dt = solver.default_dt()
-    mats = scipy.linalg.expm(dt / solver.epsilon**2 * solver._Q)  # (n_x, K, K)
-    mats -= np.eye(n_nodes)
-    expect = np.empty_like(f)
-    for k in range(n_nodes):
-        expect[k] = mats[:, k, 1] * g[0]
-        for l in range(2, n_nodes):
-            expect[k] += mats[:, k, l] * g[l - 1]
+    tables = solver._collision_matrices(dt)  # [l - 1, i, x]
+    # a validated kernel keeps rows 1..K-1
+    assert tables.shape == (n_nodes - 1, n_nodes - 1, grid.n_points)
+    expect = np.empty((n_nodes - 1, grid.n_points))
+    for i in range(n_nodes - 1):
+        expect[i] = tables[0, i] * g[0]
+        for l in range(1, n_nodes - 1):
+            expect[i] += tables[l, i] * g[l]
     out = solver.collision_full(g, dt)
-    assert out.shape == (n_nodes, grid.n_points)
+    assert out.shape == expect.shape
     assert np.array_equal(out, expect)
+
+
+@pytest.mark.parametrize("multiple", [0.5, 1.0, 7.0, 50.0])
+@pytest.mark.parametrize("n_nodes", [2, 4, 8])
+def test_collision_tables_match_the_per_point_expm(n_nodes, multiple):
+    # the batched Pade(13) tables, and the full columns the lift rebuilds from
+    # them, against scipy's expm at every point, relative to max |expm - I|
+    grid = MacroGrid(half_width=1.0, shape=(2048,), bc="periodic")
+    solver = _balanced_solver(n_nodes, grid, np.random.default_rng(n_nodes))
+    dt = multiple * solver.default_dt()
+    D = scipy.linalg.expm(dt / solver.epsilon**2 * solver._Q) - np.eye(n_nodes)
+    tables = solver._collision_matrices(dt).transpose(2, 1, 0)  # (n_x, K-1, K-1)
+    tol = 2e-14 * np.max(np.abs(D))
+    assert np.max(np.abs(tables - D[:, 1:, 1:])) <= tol
+    lifted = np.einsum("kr,xrl->xkl", solver._lift, tables)
+    assert np.max(np.abs(lifted - D[:, :, 1:])) <= tol
+
+
+def _workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_two_node_tables_match_the_closed_form_on_small_eps():
+    # Q 1 = 0 makes A = tau Q satisfy A^2 = -t A with t = -tr A, so
+    # expm(A) - I = -expm1(-t)/t A exactly; on the small_eps generator
+    cfg = harness.parse_config(_workloads().scenario("small_eps", 1))
+    vm, grid = cfg.build_velocity(), cfg.build_macro_grid()
+    eps = min(cfg.kinetic["epsilons"])
+    solver = KineticSolver(cfg.build_kernel(), vm, grid, epsilon=eps)
+    for multiple in (0.5, 1.0, 7.0, 50.0):
+        dt = multiple * solver.default_dt()
+        A = dt / eps**2 * solver._Q
+        t = -np.trace(A, axis1=1, axis2=2)
+        exact = (-np.expm1(-t) / t)[:, None, None] * A
+        tables = solver._collision_matrices(dt)  # (1, 1, n_x): entry (1, 1)
+        tol = 1e-14 * np.max(np.abs(exact))
+        assert np.max(np.abs(tables[0, 0] - exact[:, 1, 1])) <= tol
+        lifted = solver._lift[:, 0] * tables[0, 0][:, None]  # column 1
+        assert np.max(np.abs(lifted - exact[:, :, 1])) <= tol
+
+
+@pytest.mark.parametrize("n_nodes", [2, 4, 8])
+def test_balanced_steps_hold_the_weighted_zero_mode(n_nodes):
+    # mu^T (M - I) = 0: the lift fixes row 0 of the increment, so the weighted
+    # zero mode sum_k mu_k f_hat_k[0], the mass, holds to roundoff
+    grid = MacroGrid(half_width=1.0, shape=(256,), bc="periodic")
+    rng = np.random.default_rng(200 + n_nodes)
+    solver = _balanced_solver(n_nodes, grid, rng)
+    spectra = _hat(rng.uniform(0.5, 1.5, (grid.n_points, n_nodes)))
+    weights = solver.vm.weights
+    m0 = weights @ spectra[:, 0]
+    dt = solver.default_dt()
+    for _ in range(200):
+        spectra = solver.step(spectra, dt)
+    assert abs(weights @ spectra[:, 0] - m0) <= 1e-14 * abs(m0)
 
 
 @pytest.mark.parametrize("n_nodes", [2, 4, 8])
@@ -253,7 +320,9 @@ def test_velocity_constant_data_get_a_zero_increment():
         row = np.random.default_rng(5).standard_normal(GRID.n_points)
         f = np.stack([row] * VM.n_nodes)
         out = solver.collision_full(f[1:] - f[0], solver.default_dt())
-        assert out.shape == f.shape and not np.any(out)
+        # rows 1..K-1 for the balanced kernel, all K for the negative control
+        rows = VM.n_nodes - 1 if validate else VM.n_nodes
+        assert out.shape == (rows, GRID.n_points) and not np.any(out)
 
 
 def test_one_node_run_is_pure_transport():
@@ -281,13 +350,13 @@ def test_collision_cache_tells_small_steps_apart(epsilon):
 
     f = _smooth_initial(GRID, VM)
     warm = solver()
-    _collide(warm, f, 1.0e-12)
-    assert np.array_equal(_collide(warm, f, 1.0004e-12),
-                          _collide(solver(), f, 1.0004e-12))
+    _solver_collide(warm, f, 1.0e-12)
+    assert np.array_equal(_solver_collide(warm, f, 1.0004e-12),
+                          _solver_collide(solver(), f, 1.0004e-12))
     # steps that differ only by roundoff share one set of matrices
     dt = warm.default_dt()
-    assert np.array_equal(_collide(warm, f, np.nextafter(dt, 1.0)),
-                          _collide(warm, f, dt))
+    assert np.array_equal(_solver_collide(warm, f, np.nextafter(dt, 1.0)),
+                          _solver_collide(warm, f, dt))
 
 
 def test_collision_tables_are_looked_up_by_exact_step_first(monkeypatch):

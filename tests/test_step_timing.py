@@ -32,7 +32,7 @@ def test_step_timing_prints_us_per_call_of_each_sub_step(timing, capsys):
     assert lines[0].endswith(", min of 2 repeats of 3 calls")
     assert lines[1].split() == ["sub-step", "us/call"]
     rows = [line.split() for line in lines[2:]]
-    assert [name for name, _ in rows] == list(timing.SUB_STEPS)
+    assert [name for name, _ in rows] == list(timing.SUB_STEPS + timing.TABLES)
     assert all(math.isfinite(float(value)) and float(value) > 0.0 for _, value in rows)
 
 

@@ -11,12 +11,19 @@ and prints the microseconds per call of:
 * ``step``: one whole Strang step, :meth:`KineticSolver.step`;
 * ``transport_half``: one exact-shift half-step (a step makes two);
 * ``irfft``: the deviations ``f[1:] - f[0]`` back to real space, K-1 rows;
-* ``collision_full``: the collision increment from those deviations;
-* ``rfft``: the increment to Fourier space, K rows, added to the state.
+* ``collision_full``: the kept rows of the collision increment from those
+  deviations, K-1 rows for the scenario's balanced kernel;
+* ``rfft_lift``: those rows to Fourier space, K-1 rows, lifted to all K
+  rows by the mass-conservation recombination and added to the state;
+* ``tables``: the collision tables of one step size, the batched Padé
+  exponential of ``dt Q / eps^2`` over the whole grid;
+* ``expm_scipy``: the same exponentials by ``scipy.linalg.expm``, for
+  comparison.
 
 Each figure is the minimum over ``--repeats`` repeats of the mean over
-``--calls`` calls; the sub-steps run on the data a step would give them.
-BLAS runs single-threaded.
+``--calls`` calls; the two table rows make one call per repeat.  The
+sub-steps run on the data a step would give them.  BLAS runs
+single-threaded.
 """
 
 from __future__ import annotations
@@ -34,11 +41,13 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import numpy as np  # noqa: E402
+import scipy.linalg  # noqa: E402
 import workloads  # noqa: E402
-from kinhom import harness  # noqa: E402
+from kinhom import harness, kinetic_ref  # noqa: E402
 from kinhom.kinetic_ref import KineticSolver  # noqa: E402
 
-SUB_STEPS = ("step", "transport_half", "irfft", "collision_full", "rfft")
+SUB_STEPS = ("step", "transport_half", "irfft", "collision_full", "rfft_lift")
+TABLES = ("tables", "expm_scipy")
 
 
 def calls(solver: KineticSolver, spectra: np.ndarray, dt: float) -> dict:
@@ -52,7 +61,16 @@ def calls(solver: KineticSolver, spectra: np.ndarray, dt: float) -> dict:
         "transport_half": lambda: solver.transport_half(spectra, dt),
         "irfft": lambda: np.fft.irfft(half[1:] - half[0], n=n_x),
         "collision_full": lambda: solver.collision_full(g, dt),
-        "rfft": lambda: half + np.fft.rfft(increment),
+        "rfft_lift": lambda: solver._add_increment(half.copy(), increment),
+    }
+
+
+def table_calls(solver: KineticSolver, dt: float) -> dict:
+    """The collision tables' exponentials of ``dt Q / eps^2``, both ways."""
+    generators = dt / solver.epsilon**2 * solver._Q
+    return {
+        "tables": lambda: kinetic_ref._expm(generators),
+        "expm_scipy": lambda: scipy.linalg.expm(generators),
     }
 
 
@@ -94,6 +112,8 @@ def main(argv=None) -> int:
     print(f"{'sub-step':<16}{'us/call':>10}")
     for name, fn in calls(solver, spectra, dt).items():
         print(f"{name:<16}{best_us(fn, args.calls, args.repeats):>10.2f}")
+    for name, fn in table_calls(solver, dt).items():
+        print(f"{name:<16}{best_us(fn, 1, args.repeats):>10.2f}")
     return 0
 
 
