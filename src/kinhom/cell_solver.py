@@ -34,21 +34,27 @@ the sparse structure of ``A``, ``K`` and ``P``, where each part's entries
 sit in ``P``, the CSC order of ``A`` and the transport values.  An operator
 at one position then fills only data; the operators of one sampled family
 share a plan through the ``plans`` dict of :func:`assemble`.
+
+scipy is imported inside the functions that build, factor or densify an
+operator, so importing this module, and the gates the check stage runs
+(:func:`dense_cell_gate`, :func:`lattice_cell_gate`), load numpy alone;
+the first assembly of a process loads ``scipy.sparse`` and
+``scipy.linalg``.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg
-from scipy import sparse
-from scipy.linalg import get_lapack_funcs
-from scipy.sparse.linalg import splu
 
 from kinhom.collision import PhaseField, ScatteringKernel, _sampled, gain_loss, sdb_gap
 from kinhom.phase_space import CellGrid, VelocityMeasure
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "CompatibilityError",
@@ -91,6 +97,8 @@ def _upwind_matrix(n: int, h: float, speed: float) -> sparse.csr_matrix:
     Built once per ``(n, h, speed)`` and shared by every cell operator, so
     its arrays are read-only.
     """
+    import scipy.sparse as sparse
+
     if speed == 0.0:
         return _read_only(sparse.csr_matrix((n, n)))
     # backward difference (f_j - f_{j-1}) / h for speed > 0, forward
@@ -114,6 +122,8 @@ def _read_only(mat: sparse.csr_matrix) -> sparse.csr_matrix:
 
 def _spectral_matrix(n: int, period: float) -> np.ndarray:
     """Dense Fourier-collocation differentiation matrix (periodic)."""
+    import scipy.linalg
+
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=period / n)
     if n % 2 == 0:
         k[n // 2] = 0.0
@@ -135,6 +145,8 @@ def _transport_matrix(grid: CellGrid, velocity: np.ndarray, scheme: str):
     if grid.dim == 1:
         return mats[0]
     if scheme == "upwind":
+        import scipy.sparse as sparse
+
         eye0 = sparse.identity(grid.shape[0], format="csr")
         eye1 = sparse.identity(grid.shape[1], format="csr")
         return sparse.kron(mats[0], eye1, format="csr") + sparse.kron(eye0, mats[1], format="csr")
@@ -146,24 +158,42 @@ def _transport_matrix(grid: CellGrid, velocity: np.ndarray, scheme: str):
 # ---------------------------------------------------------------------------
 
 
+def splu(mat):
+    """scipy's sparse LU, imported at the first factorization.
+
+    A name of this module, so a test can wrap every factorization.
+    """
+    import scipy.sparse.linalg
+
+    return scipy.sparse.linalg.splu(mat)
+
+
 class _Factorized:
     def __init__(self, mat):
-        self._sparse = sparse.issparse(mat)
+        import scipy.sparse
+
+        self._sparse = scipy.sparse.issparse(mat)
         if self._sparse:
             self._lu = splu(mat.tocsc())  # a CSC matrix is factored as it is, no copy
         else:
+            import scipy.linalg
+
             self._lu = scipy.linalg.lu_factor(np.asarray(mat))
         self._complex = np.iscomplexobj(mat.data if self._sparse else mat)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         if self._sparse:
             return self._lu.solve(b)
+        import scipy.linalg
+
         return scipy.linalg.lu_solve(self._lu, b)
 
     def solve_adjoint(self, b: np.ndarray) -> np.ndarray:
         """Solve with the (conjugate) transpose of the factored matrix."""
         if self._sparse:
             return self._lu.solve(b, trans="H" if self._complex else "T")
+        import scipy.linalg
+
         return scipy.linalg.lu_solve(self._lu, b, trans=2 if self._complex else 1)
 
 
@@ -272,7 +302,9 @@ class _CellOperatorBase:
         n = self.P.shape[0]
         if n > 6000:
             raise ValueError(f"dense dump limited to 6000 rows, operator has {n}")
-        return self.P.toarray() if sparse.issparse(self.P) else np.array(self.P)
+        import scipy.sparse
+
+        return self.P.toarray() if scipy.sparse.issparse(self.P) else np.array(self.P)
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +370,8 @@ class _UpwindPlan:
     """
 
     def __init__(self, grid: CellGrid, vm: VelocityMeasure):
+        import scipy.sparse as sparse
+
         K, n = vm.n_nodes, grid.n_points
         size = n * K
         self.shape = (size, size)
@@ -397,6 +431,8 @@ class _UpwindPlan:
 
     def matrices(self, sigma: np.ndarray, gain: np.ndarray):
         """``(A, K, P, A in CSC)`` for the loss ``sigma`` and gain blocks ``gain``."""
+        import scipy.sparse as sparse
+
         a = self.transport.copy()
         a[self.on_diag] += sigma  # T_kk + Sigma, the one sum on A's diagonal
         g = gain.ravel()
@@ -736,8 +772,12 @@ class CorrectorSolution:
     iterations: int
 
 
-# Givens rotations from LAPACK, one routine per dtype
-_LARTG = {char: get_lapack_funcs("lartg", dtype=np.dtype(char)) for char in "dD"}
+@functools.cache
+def _lartg(char: str):
+    """LAPACK's Givens rotation ``lartg`` for dtype ``char``, looked up once."""
+    from scipy.linalg import get_lapack_funcs
+
+    return get_lapack_funcs("lartg", dtype=np.dtype(char))
 
 
 def _gmres(matvec, b: np.ndarray, rtol: float, restart: int,
@@ -756,7 +796,7 @@ def _gmres(matvec, b: np.ndarray, rtol: float, restart: int,
     """
     dtype = b.dtype.type
     dot = np.vdot if np.iscomplexobj(b) else np.dot
-    lartg = _LARTG[b.dtype.char]
+    lartg = _lartg(b.dtype.char)
     eps = np.finfo(b.dtype.char).eps
     n = b.size
     restart = min(restart, n)

@@ -43,7 +43,13 @@ from kinhom.effective import (
     ellipticity_gate,
     solve_cell,
 )
-from kinhom.kinetic_ref import KineticSolver, KineticState, periodic_shift, shift_wavenumbers
+from kinhom.kinetic_ref import (
+    KineticSolver,
+    KineticState,
+    initial_tail,
+    periodic_shift,
+    shift_wavenumbers,
+)
 from kinhom.macro_solver import DriftDiffusionSolver, MacroField
 from kinhom.phase_space import (
     CellGrid,
@@ -73,7 +79,7 @@ log = logging.getLogger(__name__)
 
 FMT = "%.17g"
 _CSV_BLOCK = 4096  # rows per formatting pass of the table writer
-# macro cells per fast period eps P below which the kinetic stage warns: 1.6
+# macro cells per fast period eps P below which the check stage warns: 1.6
 # flattened the sweep (512 cells, eps = 0.025) and, with drift, made the
 # error grow as eps fell; 3.2 (the reduced small_eps) still falls cleanly
 _MIN_POINTS_PER_PERIOD = 3.0
@@ -574,6 +580,7 @@ class PipelineReport:
     config: ScenarioConfig
     sdb_gap: float = 0.0
     h1_ok: bool = True
+    initial_tail: float | None = None  # the kinetic datum's, from the check stage
     lam: float = 0.0
     flux: np.ndarray = field(default_factory=lambda: np.zeros(1))
     variational_residual: float = 0.0
@@ -667,7 +674,8 @@ def run_pipeline(
 ) -> PipelineReport:
     """Execute the full homogenization pipeline for one scenario.
 
-    Stages: gate checks (balance, velocity-span, dense-cell size), cell
+    Stages: gate checks (balance, velocity-span, dense-cell size, and the
+    kinetic pre-flight when a ``[kinetic]`` section is present), cell
     solves, effective coefficients, macro integration, then — when a
     ``[kinetic]`` section is present — kinetic runs per epsilon with sweep
     and sigma tables.
@@ -697,6 +705,8 @@ def run_pipeline(
             sdb = sdb_gap(kernel.node_matrix(vm), vm.weights)
         report.sdb_gap = sdb.max_rel_gap
         sdb.require()
+        if cfg.kinetic is not None:
+            report.initial_tail = _kinetic_preflight(cfg, kernel)
     if stop_after == "check":
         return _finish()
 
@@ -742,6 +752,28 @@ def run_pipeline(
     return _finish()
 
 
+def _kinetic_preflight(cfg, kernel) -> float:
+    """Warn, before any solve, where the kinetic reference will be unreliable.
+
+    Below ``_MIN_POINTS_PER_PERIOD`` macro cells per fast period ``eps P``
+    it is under-resolved in ``y``; above ``TAIL_LEVEL`` of relative spectral
+    tail its datum rings.  Returns that tail
+    (:func:`kinhom.kinetic_ref.initial_tail`).  Both only warn: the reduced
+    benchmark scenario, its warm-up, has the ringing datum.
+    """
+    mg = cfg.build_macro_grid()
+    period = kernel.fast_period()
+    for eps in cfg.kinetic["epsilons"]:
+        points = _points_per_period(mg, eps, period)
+        if points < _MIN_POINTS_PER_PERIOD:
+            log.warning(
+                "kinetic reference at eps=%g has %.3g macro cells per fast period "
+                "(below %g): it is under-resolved and its error may not fall with eps",
+                eps, points, _MIN_POINTS_PER_PERIOD,
+            )
+    return initial_tail(cfg.initial_rho(mg))
+
+
 def _run_kinetic(cfg, report, vm, kernel, mg, macro):
     T = cfg.macro["t"]
     times = cfg.checkpoint_times()
@@ -751,16 +783,8 @@ def _run_kinetic(cfg, report, vm, kernel, mg, macro):
     kappa = shift_wavenumbers(mg)
 
     epsilons = list(cfg.kinetic["epsilons"])
-    period = kernel.fast_period()
     rows = []
     for eps in epsilons:
-        points = _points_per_period(mg, eps, period)
-        if points < _MIN_POINTS_PER_PERIOD:
-            log.warning(
-                "kinetic reference at eps=%g has %.3g macro cells per fast period "
-                "(below %g): it is under-resolved and its error may not fall with eps",
-                eps, points, _MIN_POINTS_PER_PERIOD,
-            )
         t0 = time.perf_counter()
         solver = KineticSolver(
             kernel,
@@ -808,6 +832,8 @@ def _summarize(report: PipelineReport) -> dict[str, float | int | str]:
         "sdb_relative_gap": report.sdb_gap,
         "h1_ok": "yes" if report.h1_ok else "no",
     }
+    if report.initial_tail is not None:
+        out["kinetic_initial_tail"] = report.initial_tail
     if report.lam != 0.0:  # cell stage ran
         out["lambda"] = report.lam
         out["variational_residual"] = report.variational_residual

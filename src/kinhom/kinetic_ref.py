@@ -101,6 +101,7 @@ __all__ = [
     "C_SPLIT_EXTRAPOLATED",
     "KineticState",
     "KineticSolver",
+    "initial_tail",
     "periodic_shift",
     "shift_wavenumbers",
 ]
@@ -113,6 +114,15 @@ log = logging.getLogger(__name__)
 # eps = 0.2, which acceptance criterion 6 requires to fall
 # (``tools/split_study.py`` prints the series).
 C_SPLIT_EXTRAPOLATED = 0.5
+
+# :func:`initial_tail` level above which the exact shift of a datum rings.
+# Gaussian data of width 0.05-0.3 on 128 and 256 cells of [-4, 4], at 6.4
+# cells per fast period: data with a tail at roundoff leave the
+# smallest f at -3e-6 (128 cells) and -7e-7 (256) of max f; tails up to
+# 4e-4 stay within a few times that, 8.9e-4 gives -8.8e-6, and 2e-2 gives
+# -4e-5 to -5e-5.  The reduced small_eps datum (tail 2.2e-2) reaches
+# -3.2e-3 at 3.2 cells per period
+TAIL_LEVEL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -145,6 +155,30 @@ class KineticState:
 def shift_wavenumbers(grid: MacroGrid) -> np.ndarray:
     """Angular wavenumbers of the real FFT along a periodic 1-D macro grid."""
     return 2.0 * np.pi * np.fft.rfftfreq(grid.shape[0], d=grid.spacing[0])
+
+
+def initial_tail(rho: np.ndarray) -> float:
+    """Relative L2 weight of a periodic 1-D density at high wavenumbers.
+
+    ``||rho_high|| / ||rho||`` by Parseval, where ``rho_high`` keeps the
+    real-FFT modes from half the Nyquist wavenumber up.  The exact shift
+    moves those modes as they are, so a datum with a large tail rings (the
+    Gibbs oscillation of its grid interpolant) and ``f`` goes negative.
+    Logs a warning above ``TAIL_LEVEL``; the check stage calls it before
+    any solve.
+    """
+    n = rho.size
+    power = np.abs(np.fft.rfft(rho)) ** 2
+    power[1:(n + 1) // 2] *= 2.0  # each of these modes stands for a conjugate pair
+    tail = float(np.sqrt(power[n // 4:].sum() / power.sum()))
+    if tail > TAIL_LEVEL:
+        log.warning(
+            "initial density has relative spectral tail %.3g above half the Nyquist "
+            "wavenumber (above %g): the kinetic reference's exact shift rings on it "
+            "and f may go negative; refine macro.n or widen the datum",
+            tail, TAIL_LEVEL,
+        )
+    return tail
 
 
 def periodic_shift(values: np.ndarray, shift, kappa: np.ndarray) -> np.ndarray:

@@ -32,6 +32,10 @@ Fourier space); the LU path solves ``n`` times.  The power or the factors
 are cached per step size.  The zero mode of the symbol is set to exactly 0,
 the column sum of a flux-form ``L``, so the multiplier keeps the mass
 exactly instead of compounding the transform's roundoff over the steps.
+
+scipy is imported by the solver, not by this module: constructing a
+``DriftDiffusionSolver`` (the sparse assembly of ``L``) loads
+``scipy.sparse``, and the first LU-path step size loads its ``splu``.
 """
 
 from __future__ import annotations
@@ -39,12 +43,14 @@ from __future__ import annotations
 import functools
 import numbers
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from kinhom.phase_space import MacroGrid, checkpoint_substeps, step_key
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = ["MacroField", "DriftDiffusionSolver"]
 
@@ -121,6 +127,8 @@ class DriftDiffusionSolver:
     # -- operator assembly ----------------------------------------------------
 
     def _assemble(self) -> sparse.csr_matrix:
+        import scipy.sparse as sparse
+
         grid = self.grid
         d = grid.dim
         n = grid.n_points
@@ -239,6 +247,9 @@ class DriftDiffusionSolver:
     def _factors(self, dt: float):
         key = step_key(dt)
         if key not in self._factor_cache:
+            import scipy.sparse as sparse
+            from scipy.sparse.linalg import splu
+
             n = self.grid.n_points
             eye = sparse.identity(n, format="csr")
             lhs = (eye - self.theta * dt * self.L).tocsc()

@@ -560,6 +560,37 @@ def test_kinetic_stage_warns_below_three_points_per_fast_period(caplog):
             assert "eps=0.025 has 1.6 macro cells per fast period (below 3)" in warned[0]
 
 
+@pytest.mark.parametrize("reduced", [False, True], ids=["small_eps", "small_eps-reduced"])
+def test_check_stage_reports_the_initial_tail_and_warns_above_its_level(caplog, reduced):
+    # the reduced small_eps Gaussian (width 0.1 at h = 1/16) rings under the
+    # exact shift (kinetic_min_f -1.5e-3); at h = 1/256 its tail is roundoff
+    cfg = parse_config(_workloads().scenario("small_eps", 1, reduced=reduced))
+    with caplog.at_level(logging.WARNING):
+        summary = run_pipeline(cfg, stop_after="check").summary
+    warned = [r.getMessage() for r in caplog.records if r.name.startswith("kinhom.")]
+    if reduced:
+        assert summary["kinetic_initial_tail"] == pytest.approx(2.15e-2, rel=1e-2)
+        assert len(warned) == 1 and "relative spectral tail 0.0215" in warned[0]
+    else:
+        assert summary["kinetic_initial_tail"] < 1e-14
+        assert warned == []
+    assert "kinetic_initial_tail" not in run_pipeline(parse_config(MINIMAL),
+                                                      stop_after="check").summary
+
+
+def test_check_stage_warns_below_three_points_per_fast_period(caplog):
+    # the resolution warning comes before any solve: 512 cells at eps = 0.025
+    # give p = 1.6, and eps = 0.1 (p = 6.4) stays quiet
+    text = re.sub(r"^n = 2048$", "n = 512", _workloads().scenario("small_eps", 1), flags=re.M)
+    cfg = parse_config(re.sub(r"^epsilons = .*$", "epsilons = 0.1, 0.025", text, flags=re.M))
+    with caplog.at_level(logging.WARNING, logger="kinhom.harness"):
+        report = run_pipeline(cfg, stop_after="check")
+    warned = [r.getMessage() for r in caplog.records if r.name == "kinhom.harness"]
+    assert len(warned) == 1
+    assert "eps=0.025 has 1.6 macro cells per fast period (below 3)" in warned[0]
+    assert report.macro is None and not report.kinetic_states
+
+
 # the scenario names the one scheme pair; each run takes a coarse run and a
 # fine run of twice its steps
 @pytest.mark.parametrize("scheme, collision, runs", [("shift", "exact", 3)])

@@ -11,7 +11,9 @@ from kinhom import harness
 from kinhom.collision import BalanceError, make_kernel
 from kinhom.kinetic_ref import (
     C_SPLIT_EXTRAPOLATED,
+    TAIL_LEVEL,
     KineticSolver,
+    initial_tail,
     periodic_shift,
     shift_wavenumbers,
 )
@@ -170,6 +172,24 @@ def test_scalar_shift_moves_every_column_of_2d_values(n_cols):
     moved = periodic_shift(f, m * grid.spacing[0], shift_wavenumbers(grid))
     assert moved.shape == f.shape
     assert np.max(np.abs(moved - np.roll(f, m, axis=0))) < 1e-12
+
+
+def test_initial_tail_is_the_parseval_weight_from_half_nyquist_up(caplog):
+    # on 64 cells half the Nyquist wavenumber is mode 16: a pair of modes
+    # below it has no tail, mode 16 is all tail, and a mix splits by Parseval
+    x = GRID.axes()[0]
+    k = 2.0 * np.pi / (2.0 * GRID.half_width)
+    low = 1.0 + np.cos(3 * k * x)          # power 1 + 1/2
+    high = 0.5 * np.sin(16 * k * x)        # power 1/8
+    with caplog.at_level("WARNING", logger="kinhom.kinetic_ref"):
+        assert initial_tail(low) < 1e-15
+        assert initial_tail(high) == pytest.approx(1.0, rel=1e-12)
+        assert initial_tail(low + high) == pytest.approx(np.sqrt(0.125 / 1.625), rel=1e-12)
+        # the zero and Nyquist modes stand for themselves alone
+        assert initial_tail(1.0 + np.tile([1.0, -1.0], 32)) == pytest.approx(np.sqrt(0.5),
+                                                                             rel=1e-12)
+    warned = [r for r in caplog.records if r.name == "kinhom.kinetic_ref"]
+    assert len(warned) == 3 and all(f"(above {TAIL_LEVEL:g})" in r.getMessage() for r in warned)
 
 
 def test_shift_half_step_is_bitwise_the_periodic_shift():
