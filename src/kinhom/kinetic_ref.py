@@ -43,6 +43,18 @@ real-space composition of :func:`periodic_shift` and the collision step
 ``f -> M f`` to roundoff; with the complex phase the Nyquist content would
 turn into an imaginary part that the next ``irfft`` drops.
 
+The coarse and the fine run are stepped together: :meth:`KineticSolver.run`
+holds them as one stacked ``(2, K, n_x//2 + 1)`` pair, and each coarse step
+is one :meth:`~KineticSolver.step` of the pair at the size tuple ``(dt,
+dt/2)``, the coarse step with the fine run's first, then one step of the
+fine run alone at ``dt/2``: two ``step`` calls and four FFT calls per
+coarse step instead of three and six, most of whose cost on a 1-D grid is
+the per-call overhead of numpy's FFT.  ``step``, ``transport_half`` and
+``collision_full`` take an optional leading stack axis, with ``dt`` a
+tuple of one size per entry, through one code path (``...`` indexing); the
+arithmetic per element is that of the single steps, so every state is
+bitwise what separate coarse and fine loops give.
+
 There is no upwind transport or implicit-Euler collision: upwind adds
 O(h/eps) numerical diffusion and implicit Euler an O(dt/eps^2) broadening,
 so with either the error does not fall with ``eps`` and the scheme is not
@@ -52,7 +64,9 @@ Everything that depends only on the step size is built once per size and
 reused by every sub-step: the FFT phase factors of the half-step (keyed on
 the exact ``dt``) and the per-point collision tables (looked up by the
 exact ``dt`` and, on a miss, by ``dt`` to 12 significant digits, so
-sub-steps that differ by roundoff share one set).
+sub-steps that differ by roundoff share one set).  A size tuple gets the
+stack of its sizes' tables, built once from them and cached under the
+tuple, so a stacked sub-step makes one lookup.
 
 The collision step is ``M = expm(dt Q / eps^2)`` at every point, all
 ``n_x`` of them in one batched scaling-and-squaring Padé(13) exponential
@@ -312,8 +326,8 @@ class KineticSolver:
         self._speeds = vm.field[:, 0]
         self._kappa = shift_wavenumbers(grid)
         # everything that depends only on the step size, built once per size
-        self._phase_cache: dict[float, np.ndarray] = {}
-        self._collision_by_dt: dict[float, np.ndarray] = {}
+        self._phase_cache: dict[float | tuple, np.ndarray] = {}
+        self._collision_by_dt: dict[float | tuple, np.ndarray] = {}
         self._collision_cache: dict[float, np.ndarray] = {}
 
     # -- step-size policy -------------------------------------------------------
@@ -324,26 +338,34 @@ class KineticSolver:
 
     # -- split sub-steps ----------------------------------------------------------
 
-    def transport_half(self, spectra: np.ndarray, dt: float) -> np.ndarray:
+    def transport_half(self, spectra: np.ndarray, dt: float | tuple[float, ...]) -> np.ndarray:
         """Advance ``df/dt + (a/eps) df/dx = 0`` over ``dt/2`` by exact shift.
 
         ``spectra`` is the real FFT of ``f`` along ``x``, velocity-major
-        ``(K, n_x//2 + 1)``; the shift multiplies it by the phase factors
-        and returns the product.
+        ``(K, n_x//2 + 1)``, or a stack ``(S, K, n_x//2 + 1)`` of such states
+        with ``dt`` a tuple of their ``S`` step sizes; the shift multiplies
+        it by the phase factors and returns the product.
         """
-        # keyed on the exact step: the phase of each call's own dt
-        key = float(dt)
-        phase = self._phase_cache.get(key)
-        if phase is None:
-            shift = self._speeds * dt / (2.0 * self.epsilon)
-            phase = np.ascontiguousarray(_phase(self._kappa, shift).T)
-            if self._n_x % 2 == 0:
-                # the Nyquist mode is real on the grid: keep cos(kappa_N shift)
-                phase[:, -1] = phase[:, -1].real
-            self._phase_cache[key] = phase
-        return spectra * phase
+        return spectra * self._phase_table(dt)
 
-    def _collision_matrices(self, dt: float) -> np.ndarray:
+    def _phase_table(self, dt: float | tuple[float, ...]) -> np.ndarray:
+        """The phase factors of a half-step, ``(K, n_x//2 + 1)``, cached
+        under the exact ``dt``; for a tuple of ``S`` sizes, the ``(S, K,
+        n_x//2 + 1)`` stack of their tables, cached under the tuple."""
+        phase = self._phase_cache.get(dt)
+        if phase is None:
+            if isinstance(dt, tuple):
+                phase = np.stack([self._phase_table(d) for d in dt])
+            else:
+                shift = self._speeds * dt / (2.0 * self.epsilon)
+                phase = np.ascontiguousarray(_phase(self._kappa, shift).T)
+                if self._n_x % 2 == 0:
+                    # the Nyquist mode is real on the grid: keep cos(kappa_N shift)
+                    phase[:, -1] = phase[:, -1].real
+            self._phase_cache[dt] = phase
+        return phase
+
+    def _collision_matrices(self, dt: float | tuple[float, ...]) -> np.ndarray:
         """Columns ``1..K-1`` of the per-point ``expm(dt Q / eps^2) - I``, in
         the rows the solver keeps.
 
@@ -352,22 +374,26 @@ class KineticSolver:
         row (``1..K-1`` for a validated kernel, all ``K`` for a negative
         control), so ``D[l - 1]`` is the whole-grid column ``l`` of every
         matrix.  Looked up by the exact ``dt`` first, then by its
-        :func:`step_key`.
+        :func:`step_key`.  For a tuple of ``S`` sizes, the ``(K-1, S, R,
+        n_x)`` stack of their tables along axis 1, cached under the tuple.
         """
         mats = self._collision_by_dt.get(dt)
         if mats is None:
-            key = step_key(dt)
-            mats = self._collision_cache.get(key)
-            if mats is None:
-                mats = _expm(dt / self.epsilon**2 * self._Q)
-                nodes = np.arange(mats.shape[1])
-                mats[:, nodes, nodes] -= 1.0
-                mats = np.ascontiguousarray(mats[:, self._rows, 1:].transpose(2, 1, 0))
-                self._collision_cache[key] = mats
+            if isinstance(dt, tuple):
+                mats = np.stack([self._collision_matrices(d) for d in dt], axis=1)
+            else:
+                key = step_key(dt)
+                mats = self._collision_cache.get(key)
+                if mats is None:
+                    mats = _expm(dt / self.epsilon**2 * self._Q)
+                    nodes = np.arange(mats.shape[1])
+                    mats[:, nodes, nodes] -= 1.0
+                    mats = np.ascontiguousarray(mats[:, self._rows, 1:].transpose(2, 1, 0))
+                    self._collision_cache[key] = mats
             self._collision_by_dt[dt] = mats
         return mats
 
-    def collision_full(self, g: np.ndarray, dt: float) -> np.ndarray:
+    def collision_full(self, g: np.ndarray, dt: float | tuple[float, ...]) -> np.ndarray:
         """Kept rows of the increment ``(M - I) f`` of the collision step
         ``M = expm(dt Q / eps^2)``.
 
@@ -379,17 +405,19 @@ class KineticSolver:
         ``(R, n_x)`` blocks per deviation row.  The result is ``(R, n_x)``:
         rows ``1..K-1`` for a validated kernel, whose row 0 follows from mass
         conservation, and all ``K`` rows for a negative control.  With one
-        node there are no deviations and it is zero.
+        node there are no deviations and it is zero.  A stack ``(S, K-1,
+        n_x)`` of deviations with a tuple of ``S`` sizes gives ``(S, R,
+        n_x)``, each entry with its own size's tables.
         """
         mats = self._collision_matrices(dt)
         if not mats.shape[0]:
             return np.zeros(mats.shape[1:])
-        out = mats[0] * g[0]
+        out = mats[0] * g[..., 0, None, :]
         for l in range(1, mats.shape[0]):
-            out += mats[l] * g[l]
+            out += mats[l] * g[..., l, None, :]
         return out
 
-    def step(self, spectra: np.ndarray, dt: float) -> np.ndarray:
+    def step(self, spectra: np.ndarray, dt: float | tuple[float, ...]) -> np.ndarray:
         """One Strang step on the real FFT of ``f`` along ``x``, ``(K, n_x//2 + 1)``.
 
         Transport half; then the collision increment, computed in real
@@ -397,10 +425,13 @@ class KineticSolver:
         K-1 rows), sent to Fourier space in the rows
         :meth:`collision_full` returns (one forward FFT of K-1 rows for a
         validated kernel) and lifted to all K rows in the add; then
-        transport half.
+        transport half.  A stack ``(S, K, n_x//2 + 1)`` of states with a
+        tuple of ``S`` sizes takes one step of each, every entry at its own
+        size, in the same calls: the arithmetic per element is that of the
+        single steps, so each entry is bitwise what a single step gives.
         """
         spectra = self.transport_half(spectra, dt)
-        g = np.fft.irfft(spectra[1:] - spectra[0], n=self._n_x)
+        g = np.fft.irfft(spectra[..., 1:, :] - spectra[..., :1, :], n=self._n_x)
         self._add_increment(spectra, self.collision_full(g, dt))
         return self.transport_half(spectra, dt)
 
@@ -410,8 +441,9 @@ class KineticSolver:
         One forward FFT of the kept rows; each row's spectrum, times its
         column of the lift, goes into all K rows.
         """
-        for column, row in zip(self._lift_columns, np.fft.rfft(increment)):
-            spectra += column * row
+        rows = np.fft.rfft(increment)
+        for i, column in enumerate(self._lift_columns):
+            spectra += column * rows[..., i, None, :]
 
     # -- full integration -----------------------------------------------------------
 
@@ -446,21 +478,25 @@ class KineticSolver:
         ]
         l2_init = states[0].l2_norm()
         # both runs carry the velocity-major real FFT along x from one
-        # transform of f0; states go back to (n_x, K) only at checkpoints,
+        # transform of f0, stacked: pair[0] the coarse run, pair[1] the fine
+        # run.  Each coarse step steps the pair at (dt, dt/2), then the fine
+        # run alone at dt/2.  States go back to (n_x, K) only at checkpoints,
         # so every reduction below sums in that order
-        coarse_hat = fine_hat = np.fft.rfft(np.ascontiguousarray(f.T))
+        f_hat = np.fft.rfft(np.ascontiguousarray(f.T))
+        pair = np.stack([f_hat, f_hat])
         steps = 0
         weights = self.vm.weights
         for t1, n_sub, sub_dt in plan:
+            # the fine run takes two steps per coarse step: twice the coarse
+            # count, not checkpoint_substeps at dt/2, whose ceil may round
+            # one step further up
+            sizes = (sub_dt, sub_dt / 2)
             for _ in range(n_sub):
-                coarse_hat = self.step(coarse_hat, sub_dt)
-            # twice the coarse count, not checkpoint_substeps at dt/2,
-            # whose ceil may round one step further up
-            for _ in range(2 * n_sub):
-                fine_hat = self.step(fine_hat, sub_dt / 2)
+                pair = self.step(pair, sizes)
+                pair[1] = self.step(pair[1], sizes[1])
             steps += 3 * n_sub
-            f = np.ascontiguousarray(np.fft.irfft(coarse_hat, n=n_x).T)
-            fine = np.ascontiguousarray(np.fft.irfft(fine_hat, n=n_x).T)
+            f = np.ascontiguousarray(np.fft.irfft(pair[0], n=n_x).T)
+            fine = np.ascontiguousarray(np.fft.irfft(pair[1], n=n_x).T)
             out = (4.0 * fine - f) / 3.0
             est = float(np.sqrt(np.sum(weights * (fine - f) ** 2)
                                 / np.sum(weights * fine**2))) / 3.0

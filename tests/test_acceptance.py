@@ -24,6 +24,7 @@ from kinhom.cell_solver import (
 from kinhom.collision import PhaseField, apply_Q, apply_Q_star, check_sdb, make_kernel
 from kinhom.effective import assemble_effective, diffusion_matrix, solve_cell
 from kinhom.harness import parse_config, run_pipeline
+from kinhom.kinetic_ref import periodic_shift, shift_wavenumbers
 from kinhom.macro_solver import DriftDiffusionSolver
 from kinhom.mv_algebra import PeriodicGridFn
 from kinhom.phase_space import (
@@ -94,6 +95,43 @@ checkpoints = 10
 
 [kinetic]
 epsilons = 0.2
+scheme = shift
+collision = exact
+"""
+
+# weights (1, 4) give the flux b = 0.6, and with it a D that the averaged rate
+# does not give: every other kinetic check runs where the two coincide
+HOMOGENIZATION_CONFIG = """\
+[scenario]
+name = homogenization
+
+[velocity]
+family = two_velocity
+weights = 1.0, 4.0
+
+[cell]
+n = 64
+scheme = spectral
+
+[sigma]
+family = sinusoidal
+base = 1.0
+alpha = 0.9
+
+[initial]
+kind = gaussian
+center = 0.0
+width = 0.1
+prepared = yes
+
+[macro]
+half_width = 4.0
+n = 1024
+t = 0.5
+checkpoints = 10
+
+[kinetic]
+epsilons = 0.2, 0.1, 0.05
 scheme = shift
 collision = exact
 """
@@ -301,3 +339,59 @@ def test_criterion_9_drifting_equilibrium_path():
     assert report.sweep.drift_shift == pytest.approx(b * 0.5 / 0.2)
     print(f"criterion 9: PASS — b = 1/3, compat {compat:.2e} <= 1e-10, "
           f"err(0.2) = {row.err:.4f} <= 0.10 against the drift-shifted limit")
+
+
+def test_criterion_10_homogenized_not_averaged_diffusion():
+    t0 = time.perf_counter()
+    report = run_pipeline(parse_config(HOMOGENIZATION_CONFIG))
+    errs = [row.err for row in report.sweep.rows]  # ordered eps = 0.2, 0.1, 0.05
+    assert report.sweep.monotone
+    assert report.sweep.min_ratio >= 1.5
+    D = float(report.coefficients.D[0, 0])
+    D_avg = 0.128  # D of the constant unit rate at weights (1, 4)
+    assert D > 1.05 * D_avg
+    # negative control: the macro solve alone with the averaged D, against
+    # the same kinetic states in the same co-moving frame, misses the bound
+    # the averaged rate <1 + 0.9 sin> = 1 as a constant kernel
+    text = HOMOGENIZATION_CONFIG.replace("family = sinusoidal\nbase = 1.0\nalpha = 0.9\n",
+                                         "family = constant\ns0 = 1.0\n")
+    averaged = run_pipeline(parse_config(text), stop_after="macro")
+    assert abs(averaged.coefficients.D[0, 0] - D_avg) <= 1e-12
+    b = float(report.flux[0])
+    assert abs(b - 0.6) <= 1e-10 and abs(averaged.flux[0] - b) <= 1e-10
+    mg = report.config.build_macro_grid()
+    kappa = shift_wavenumbers(mg)
+    avg_errs = []
+    for row in report.sweep.rows:
+        final = report.kinetic_states[row.epsilon][-1]
+        ref = periodic_shift(averaged.macro.at_time(final.t), b * final.t / row.epsilon, kappa)
+        avg_errs.append(float(np.linalg.norm(final.density() - ref) / np.linalg.norm(ref)))
+    avg_ratios = [e1 / e2 for e1, e2 in zip(avg_errs, avg_errs[1:])]
+    assert min(avg_ratios) < 1.5
+    elapsed = time.perf_counter() - t0
+    print(f"criterion 10: PASS — D = {D:.6f} vs averaged {D_avg}; "
+          f"err(eps) = {errs}, min ratio {report.sweep.min_ratio:.3f} >= 1.5; averaged D "
+          f"gives {avg_errs}, min ratio {min(avg_ratios):.3f} < 1.5, in {elapsed:.2f} s")
+
+
+def test_criterion_11_quasi_periodic_consistency_with_flux():
+    # at weights (1, 4) the lattice and the rational approximant 239/169 give
+    # a D that is not the averaged one, so their agreement is a real check
+    t0 = time.perf_counter()
+    vm = two_velocity_1d(weights=(1.0, 4.0))
+    quasi = make_kernel("quasi_periodic", base=1.0, alpha1=0.2, alpha2=0.2)
+    D_lattice = assemble_effective(
+        solve_cell(quasi, 0.0, vm, backend="spectral_ap", n_modes=8)).D[0, 0]
+    approx = make_kernel("quasi_approx", base=1.0, alpha1=0.2, alpha2=0.2, p=239, q=169)
+    D_grid = assemble_effective(solve_cell(
+        approx, 0.0, vm, grid=CellGrid((1024,), period=(169.0,)), scheme="spectral"
+    )).D[0, 0]
+    rel = abs(D_lattice - D_grid) / abs(D_grid)
+    D_avg = 0.128  # D of the constant unit rate at weights (1, 4)
+    gap = (D_lattice - D_avg) / D_avg
+    elapsed = time.perf_counter() - t0
+    assert rel <= 1e-6
+    assert gap > 1e-3
+    print(f"criterion 11: PASS — |D_lattice - D_grid| / D = {rel:.2e} "
+          f"<= 1e-6, D = {D_lattice:.6f} is {gap:.2%} above the averaged {D_avg} "
+          f"in {elapsed:.2f} s")

@@ -599,12 +599,14 @@ def test_summary_counts_kinetic_steps_dt_mass_and_split_estimate(monkeypatch, sc
     from kinhom.kinetic_ref import KineticSolver
     from kinhom.phase_space import checkpoint_substeps
 
-    calls = []
+    calls, steps = [], []
     step = KineticSolver.step
 
-    def counted(self, *args):
+    def counted(self, spectra, dt):
+        # a stacked call advances one Strang step per entry, each at its own size
         calls.append(self.epsilon)
-        return step(self, *args)
+        steps.extend([self.epsilon] * (len(dt) if isinstance(dt, tuple) else 1))
+        return step(self, spectra, dt)
 
     monkeypatch.setattr(KineticSolver, "step", counted)
     text = SMALL_EPS_REDUCED.replace("scheme = shift", f"scheme = {scheme}")
@@ -616,12 +618,14 @@ def test_summary_counts_kinetic_steps_dt_mass_and_split_estimate(monkeypatch, sc
                                epsilon=eps)
         plan = checkpoint_substeps(cfg.checkpoint_times(), cfg.macro["t"], solver.default_dt())
         n_sub = sum(n for _, n, _ in plan)
-        assert summary[f"kinetic_steps_eps_{eps:g}"] == runs * n_sub == calls.count(eps)
+        assert summary[f"kinetic_steps_eps_{eps:g}"] == runs * n_sub == steps.count(eps)
+        # per coarse step, one stacked coarse-and-fine call and one lone fine call
+        assert calls.count(eps) == 2 * n_sub
         assert summary[f"kinetic_dt_eps_{eps:g}"] == plan[-1][2]
         assert 0.0 <= summary[f"kinetic_mass_drift_eps_{eps:g}"] <= 1e-13
         assert summary[f"kinetic_min_f_eps_{eps:g}"] == min(s.f.min() for s in states)
         assert 0.0 < summary[f"split_est_eps_{eps:g}"] == states[-1].split_est < 1e-2
-    assert len(calls) == sum(summary[f"kinetic_steps_eps_{e:g}"] for e in cfg.kinetic["epsilons"])
+    assert len(steps) == sum(summary[f"kinetic_steps_eps_{e:g}"] for e in cfg.kinetic["epsilons"])
 
 
 def _count_assembles(monkeypatch):

@@ -482,21 +482,102 @@ def test_fine_run_takes_exactly_twice_the_coarse_steps():
     plan = checkpoint_substeps(times, times[-1], dt)
     assert plan[0][1] == 3
     assert checkpoint_substeps(times, times[-1], dt / 2)[0][1] == 7
-    taken = []
+    calls = []
     step = solver.step
 
-    def recorded(f, sub_dt):
-        taken.append(sub_dt)
-        return step(f, sub_dt)
+    def recorded(f, sizes):
+        calls.append(sizes)
+        return step(f, sizes)
 
     solver.step = recorded
     states = solver.run(_smooth_initial(GRID, VM), times[-1], checkpoints=times)
-    expect = []
+    # each coarse step is one stacked call, the coarse run's step with the
+    # fine run's first, and one lone call, the fine run's second step
+    expect_calls, expect_coarse, expect_fine = [], [], []
     for _, n_sub, sub_dt in plan:
-        expect += [sub_dt] * n_sub + [sub_dt / 2] * (2 * n_sub)
-    assert taken == expect
+        expect_calls += [(sub_dt, sub_dt / 2), sub_dt / 2] * n_sub
+        expect_coarse += [sub_dt] * n_sub
+        expect_fine += [sub_dt / 2] * (2 * n_sub)
+    assert calls == expect_calls
+    # one Strang step per stacked entry, each with its own size: entry 0 of a
+    # stacked call advances the coarse run, entry 1 and a lone call the fine run
+    coarse = [sizes[0] for sizes in calls if isinstance(sizes, tuple)]
+    fine = [sizes[1] if isinstance(sizes, tuple) else sizes for sizes in calls]
+    assert coarse == expect_coarse
+    assert fine == expect_fine
     assert [s.steps for s in states] == [0, 9, 18]
     assert [s.dt for s in states] == [dt] + [sub_dt for _, _, sub_dt in plan]
+
+
+def _stack_solver(case):
+    """The solvers a stacked step is checked on, with their kept row count."""
+    if case == "two-node":
+        return KineticSolver(SINUSOIDAL, VM, GRID, epsilon=0.1), 1
+    if case == "three-node-table":
+        vm = velocity_from_tables(nodes=np.array([[-1.3], [0.4], [1.0]]),
+                                  weights=np.array([0.7, 1.1, 2.0]))
+        g = np.random.default_rng(3).uniform(0.2, 2.0, (3, 3))
+        kernel = make_kernel("table", table=(g + g.T) / 2)
+        return KineticSolver(kernel, vm, GRID, epsilon=0.1), 2
+    if case == "negative-control":
+        lopsided = np.array([[1.0, 2.0], [0.5, 1.0]])
+        return KineticSolver(lopsided, VM, GRID, epsilon=0.1, validate=False), 2
+    vm = velocity_from_tables(nodes=np.array([[0.7]]), weights=np.array([1.0]))
+    return KineticSolver(np.array([[1.3]]), vm, GRID, epsilon=0.1), 0
+
+
+@pytest.mark.parametrize("case", ["two-node", "three-node-table", "negative-control",
+                                  "one-node"])
+def test_a_stacked_step_is_bitwise_the_two_single_steps(case):
+    solver, rows = _stack_solver(case)
+    n_nodes, n_x = solver.vm.n_nodes, GRID.n_points
+    rng = np.random.default_rng(17)
+    # random data on an even grid carry O(1) Nyquist content
+    coarse = _hat(rng.standard_normal((n_x, n_nodes)))
+    fine = _hat(rng.standard_normal((n_x, n_nodes)))
+    dt = solver.default_dt()
+    sizes = (dt, dt / 2)
+    pair = np.stack([coarse, fine])
+    for _ in range(3):
+        pair = solver.step(pair, sizes)
+        coarse = solver.step(coarse, dt)
+        fine = solver.step(fine, dt / 2)
+        assert np.array_equal(pair[0], coarse)
+        assert np.array_equal(pair[1], fine)
+    # the stacked tables, built once from the per-size ones
+    phase = solver._phase_cache[sizes]
+    assert phase.shape == (2, n_nodes, n_x // 2 + 1)
+    assert np.array_equal(phase[1], solver._phase_cache[dt / 2])
+    tables = solver._collision_matrices(sizes)
+    assert tables.shape == (n_nodes - 1, 2, rows, n_x)
+    assert solver._collision_matrices(sizes) is tables
+    assert np.array_equal(tables[:, 0], solver._collision_matrices(dt))
+
+
+@pytest.mark.parametrize("kernel", [
+    SINUSOIDAL,
+    make_kernel("quasi_periodic", base=1.0, alpha1=0.2, alpha2=0.2),
+], ids=["sinusoidal", "quasi_periodic"])
+def test_run_is_bitwise_a_coarse_loop_then_a_fine_loop_of_single_steps(kernel):
+    times = np.array([0.0, 0.013, 0.03, 0.05])
+    f0 = _smooth_initial(GRID, VM)
+    states = KineticSolver(kernel, VM, GRID, epsilon=0.2).run(f0, times[-1], checkpoints=times)
+    # a fresh solver, so no table of the run is reused
+    solver = KineticSolver(kernel, VM, GRID, epsilon=0.2)
+    plan = checkpoint_substeps(times, times[-1], solver.default_dt())
+    assert len(states) == len(plan) + 1
+    coarse = fine = _hat(f0)
+    for state, (_, n_sub, sub_dt) in zip(states[1:], plan):
+        for _ in range(n_sub):
+            coarse = solver.step(coarse, sub_dt)
+        for _ in range(2 * n_sub):
+            fine = solver.step(fine, sub_dt / 2)
+        c = np.ascontiguousarray(_real(coarse, GRID))
+        fi = np.ascontiguousarray(_real(fine, GRID))
+        assert np.array_equal(state.f, (4.0 * fi - c) / 3.0)
+        w = VM.weights
+        est = float(np.sqrt(np.sum(w * (fi - c) ** 2) / np.sum(w * fi**2))) / 3.0
+        assert state.split_est == est
 
 
 def test_extrapolated_run_conserves_mass_and_l2():

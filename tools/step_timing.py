@@ -9,6 +9,11 @@ builds the solver of the scenario's smallest ``eps`` at its coarse step
 and prints the microseconds per call of:
 
 * ``step``: one whole Strang step, :meth:`KineticSolver.step`;
+* ``pair_step``: one stacked step of a coarse and a fine state at
+  ``(dt, dt/2)``, ``(2, K, n_x//2 + 1)``;
+* ``coarse_unit``: ``pair_step`` plus the lone second fine step, what
+  :meth:`KineticSolver.run` pays per coarse step (three ``step`` rows
+  before the pair was stacked);
 * ``transport_half``: one exact-shift half-step (a step makes two);
 * ``irfft``: the deviations ``f[1:] - f[0]`` back to real space, K-1 rows;
 * ``collision_full``: the kept rows of the collision increment from those
@@ -46,7 +51,8 @@ import workloads  # noqa: E402
 from kinhom import harness, kinetic_ref  # noqa: E402
 from kinhom.kinetic_ref import KineticSolver  # noqa: E402
 
-SUB_STEPS = ("step", "transport_half", "irfft", "collision_full", "rfft_lift")
+SUB_STEPS = ("step", "pair_step", "coarse_unit", "transport_half", "irfft", "collision_full",
+             "rfft_lift")
 TABLES = ("tables", "expm_scipy")
 
 
@@ -54,12 +60,20 @@ def calls(solver: KineticSolver, spectra: np.ndarray, dt: float) -> dict:
     """One zero-argument callable per sub-step, on the data a step passes it."""
     n_x = solver.grid.n_points
     half = solver.transport_half(spectra, dt)
-    g = np.fft.irfft(half[1:] - half[0], n=n_x)
+    g = np.fft.irfft(half[..., 1:, :] - half[..., :1, :], n=n_x)
     increment = solver.collision_full(g, dt)
+    stacked, sizes = np.stack([spectra, spectra]), (dt, dt / 2)
+
+    def coarse_unit():
+        pair = solver.step(stacked, sizes)
+        pair[1] = solver.step(pair[1], sizes[1])
+
     return {
         "step": lambda: solver.step(spectra, dt),
+        "pair_step": lambda: solver.step(stacked, sizes),
+        "coarse_unit": coarse_unit,
         "transport_half": lambda: solver.transport_half(spectra, dt),
-        "irfft": lambda: np.fft.irfft(half[1:] - half[0], n=n_x),
+        "irfft": lambda: np.fft.irfft(half[..., 1:, :] - half[..., :1, :], n=n_x),
         "collision_full": lambda: solver.collision_full(g, dt),
         "rfft_lift": lambda: solver._add_increment(half.copy(), increment),
     }
