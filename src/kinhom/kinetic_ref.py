@@ -64,7 +64,9 @@ Everything that depends only on the step size is built once per size and
 reused by every sub-step: the FFT phase factors of the half-step (keyed on
 the exact ``dt``) and the per-point collision tables (looked up by the
 exact ``dt`` and, on a miss, by ``dt`` to 12 significant digits, so
-sub-steps that differ by roundoff share one set).  A size tuple gets the
+sub-steps that differ by roundoff share one set).  :meth:`KineticSolver.run`
+steps equal checkpoint intervals, whose sizes differ by roundoff, at one
+size, so a run builds one table set per size.  A size tuple gets the
 stack of its sizes' tables, built once from them and cached under the
 tuple, so a stacked sub-step makes one lookup.
 
@@ -456,12 +458,15 @@ class KineticSolver:
         """Integrate to ``T`` and return the checkpoint states.
 
         The coarse step (:meth:`default_dt`) is shrunk per checkpoint
-        interval so checkpoint times are hit exactly.  A fine run takes
-        exactly twice its steps at half its size, and every state holds
-        ``(4 fine - coarse)/3`` with the step-doubling ``split_est``.  The
-        L2 monitor is evaluated at every checkpoint; growth beyond 1e-8
-        relative over the initial value is logged as a warning (it cannot
-        happen for balanced kernels).
+        interval so checkpoint times are hit exactly.  Intervals whose steps
+        agree to 12 significant digits (equal intervals, whose lengths
+        differ by roundoff) are all stepped at the first one's size and
+        share its tables; each state reports its own interval's step.  A
+        fine run takes exactly twice its steps at half its size, and every
+        state holds ``(4 fine - coarse)/3`` with the step-doubling
+        ``split_est``.  The L2 monitor is evaluated at every checkpoint;
+        growth beyond 1e-8 relative over the initial value is logged as a
+        warning (it cannot happen for balanced kernels).
         """
         f = np.array(f0, dtype=float)
         n_x = self._n_x
@@ -486,11 +491,15 @@ class KineticSolver:
         pair = np.stack([f_hat, f_hat])
         steps = 0
         weights = self.vm.weights
+        shared = {}
         for t1, n_sub, sub_dt in plan:
+            # equal checkpoint intervals give sizes that differ by roundoff;
+            # step them at the first one, so they share one set of tables
+            dt = shared.setdefault(step_key(sub_dt), sub_dt)
             # the fine run takes two steps per coarse step: twice the coarse
             # count, not checkpoint_substeps at dt/2, whose ceil may round
             # one step further up
-            sizes = (sub_dt, sub_dt / 2)
+            sizes = (dt, dt / 2)
             for _ in range(n_sub):
                 pair = self.step(pair, sizes)
                 pair[1] = self.step(pair[1], sizes[1])

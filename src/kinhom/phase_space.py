@@ -93,12 +93,22 @@ def uniform_circle(n: int, speed: float = 1.0) -> VelocityMeasure:
     """``n`` equispaced directions on the circle of radius ``speed`` in 2-D.
 
     Weights are ``2*pi/n`` so the discrete measure matches the uniform
-    angular measure on the circle.
+    angular measure on the circle.  The nodes at quarter turns (``4k/n``
+    an integer) lie on the axes and are stored exactly: ``(±speed, 0)``
+    and ``(0, ±speed)``.  ``cos`` and ``sin`` of the rounded angle leave up
+    to about 1e-15 where the exact value is 0, and the upwind cell operator
+    would couple such a node along the second axis (see
+    :mod:`kinhom.cell_solver`).
     """
     if n < 3:
         raise ValueError("need at least 3 circle nodes")
-    theta = 2.0 * np.pi * np.arange(n) / n
-    nodes = speed * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    k = np.arange(n)
+    theta = 2.0 * np.pi * k / n
+    unit = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    axes = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    on_axis = (4 * k) % n == 0
+    unit[on_axis] = axes[4 * k[on_axis] // n]
+    nodes = speed * unit
     weights = np.full(n, 2.0 * np.pi / n)
     return VelocityMeasure(nodes=nodes, weights=weights, field=nodes)
 

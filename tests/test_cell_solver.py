@@ -235,6 +235,24 @@ def test_transport_has_zero_cell_mean():
             assert np.max(np.abs(means)) < 1e-12 * max(np.abs(u).max(), 1.0)
 
 
+def test_circle_axis_nodes_couple_along_their_own_axis_only():
+    # an axis node of the circle moves along one axis: each of its rows of A
+    # holds the diagonal and the one upwind neighbour along that axis, so the
+    # node's block splits into independent cyclic bidiagonal lines
+    vm, grid = uniform_circle(8), CellGrid((8, 8))
+    op = assemble(make_kernel("sinusoidal", base=1.0, alpha=0.5, dim=2), 0.0, vm, grid,
+                  scheme="upwind")
+    A, K = op.A_mat.tocsr(), vm.n_nodes
+    n0, n1 = grid.shape
+    i, j = np.divmod(np.arange(grid.n_points), n1)
+    for k, (di, dj) in zip((0, 2, 4, 6), ((-1, 0), (0, -1), (1, 0), (0, 1))):
+        rows = np.arange(grid.n_points) * K + k
+        upwind = (((i + di) % n0) * n1 + (j + dj) % n1) * K + k
+        for r, u in zip(rows, upwind):
+            cols = A.indices[A.indptr[r]:A.indptr[r + 1]]
+            assert sorted(cols) == sorted([r, u])
+
+
 def test_variational_residual_is_roundoff():
     for build in (
         lambda: assemble(SINUSOIDAL, 0.0, VM, GRID32, scheme="spectral"),

@@ -39,3 +39,14 @@ def test_cell_timing_prints_ms_per_position_of_each_layer(timing, capsys):
 def test_cell_timing_refuses_zero_sweeps(timing):
     with pytest.raises(SystemExit):
         timing.main(["--reduced", "--sweeps", "0"])
+
+
+def test_cell_timing_times_the_one_circle2d_cell(timing, capsys):
+    assert timing.main(["--workload", "circle2d", "--reduced", "--sweeps", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # the reduced scenario: the x = 0 cell, 8 x 8 upwind with the 8-node circle
+    assert lines[0] == ("circle2d seed 1: 1 position, 64-point upwind cell, 8 velocities, "
+                        "min of 2 sweeps")
+    rows = [line.split() for line in lines[2:]]
+    assert [name for name, _ in rows] == list(timing.LAYERS)
+    assert all(math.isfinite(float(value)) and float(value) > 0.0 for _, value in rows)

@@ -554,6 +554,24 @@ def test_a_stacked_step_is_bitwise_the_two_single_steps(case):
     assert np.array_equal(tables[:, 0], solver._collision_matrices(dt))
 
 
+def test_a_run_over_equal_intervals_builds_one_table_set_per_size():
+    # ten equal checkpoint intervals: (t1 - t0) / n_sub differs by roundoff
+    # between them, and the run steps them all at one size
+    solver = KineticSolver(SINUSOIDAL, VM, GRID, epsilon=0.2)
+    times = np.linspace(0.0, 0.05, 11)
+    plan = checkpoint_substeps(times, times[-1], solver.default_dt())
+    assert len({sub_dt for _, _, sub_dt in plan}) > 1
+    states = solver.run(_smooth_initial(GRID, VM), times[-1], checkpoints=times)
+    dt = plan[0][2]
+    sizes = [dt, dt / 2, (dt, dt / 2)]
+    # one phase table and one collision table per size: coarse, fine and the pair
+    assert list(solver._phase_cache) == sizes
+    assert list(solver._collision_by_dt) == sizes
+    assert len(solver._collision_cache) == 2
+    # each state still reports its own interval's step
+    assert [s.dt for s in states[1:]] == [sub_dt for _, _, sub_dt in plan]
+
+
 @pytest.mark.parametrize("kernel", [
     SINUSOIDAL,
     make_kernel("quasi_periodic", base=1.0, alpha1=0.2, alpha2=0.2),

@@ -32,6 +32,21 @@ def test_uniform_circle_quadrature():
     assert np.allclose(second, np.pi * 4.0 * np.eye(2), atol=1e-12)
 
 
+@pytest.mark.parametrize("speed", [1.0, 1.3])
+@pytest.mark.parametrize("n", [4, 8, 12, 16])
+def test_uniform_circle_axis_nodes_are_exact(n, speed):
+    # the quarter turns k = 0, n/4, n/2, 3n/4 lie on the axes; cos and sin of
+    # the rounded angle leave about 1e-16 where the exact component is 0
+    vm = uniform_circle(n, speed=speed)
+    quarter = n // 4
+    expect = speed * np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    assert np.array_equal(vm.nodes[::quarter], expect)
+    assert np.array_equal(vm.field[::quarter], expect)
+    # no other node has a zero component
+    off_axis = np.delete(vm.nodes, np.arange(0, n, quarter), axis=0)
+    assert np.all(off_axis != 0.0)
+
+
 def test_h1_circle_no_blind_directions():
     # enumeration oracle: 8 equispaced directions leave no probe direction
     # orthogonal to every node; the best-aligned node is within pi/8 of any

@@ -1,16 +1,21 @@
-"""Per-position cost of the sampled cell solves of the ``tanh`` workload.
+"""Per-position cost of the cell solves of the ``tanh`` or ``circle2d`` workload.
 
     python3 tools/cell_timing.py
     python3 tools/cell_timing.py --seed 1 --sweeps 5 --reduced
+    python3 tools/cell_timing.py --workload circle2d --sweeps 5
 
 Under ``x_dependence = tanh`` the effective stage solves one cell problem
 per macro position.  This tool sweeps those positions (the macro cell
-centres of the ``tanh`` scenario of ``perfbench/workloads.py``) and prints
-the milliseconds per position of each layer of a solve:
+centres of the ``tanh`` scenario of ``perfbench/workloads.py``), or the one
+``x = 0`` cell of ``circle2d`` (a 64^2 upwind cell with the 8-node circle),
+and prints the milliseconds per position of each layer of a solve:
 
-* ``assemble``: the operator at one position;
+* ``assemble``: the operator at one position, with the LU factorization
+  of ``A``;
 * ``equilibrium_F``: the principal-eigenvalue check;
 * ``solve_chi_star``: the adjoint correctors;
+* ``verify_variational``: the weak-form check, which the pipeline runs on
+  the ``x = 0`` cell only;
 * ``solve_cell``: the whole solve as the effective stage calls it.
 
 A sweep times every position once; each line is the minimum over
@@ -37,10 +42,16 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import workloads  # noqa: E402
 from kinhom import harness  # noqa: E402
-from kinhom.cell_solver import assemble, equilibrium_F, solve_chi_star  # noqa: E402
+from kinhom.cell_solver import (  # noqa: E402
+    assemble,
+    equilibrium_F,
+    solve_chi_star,
+    verify_variational,
+)
 from kinhom.effective import solve_cell  # noqa: E402
 
-LAYERS = ("assemble", "equilibrium_F", "solve_chi_star", "solve_cell")
+LAYERS = ("assemble", "equilibrium_F", "solve_chi_star", "verify_variational", "solve_cell")
+WORKLOADS = ("tanh", "circle2d")
 
 
 def sweep(cell, positions) -> dict[str, float]:
@@ -58,9 +69,12 @@ def sweep(cell, positions) -> dict[str, float]:
         t2 = clock()
         solve_chi_star(op, tol=settings["tol"])
         t3 = clock()
+        verify_variational(op)
+        t4 = clock()
         total["assemble"] += t1 - t0
         total["equilibrium_F"] += t2 - t1
         total["solve_chi_star"] += t3 - t2
+        total["verify_variational"] += t4 - t3
     plans = {}
     for x in positions:
         t0 = clock()
@@ -71,17 +85,21 @@ def sweep(cell, positions) -> dict[str, float]:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--workload", choices=WORKLOADS, default="tanh",
+                   help="tanh: every macro position; circle2d: the x = 0 cell (default tanh)")
     p.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
     p.add_argument("--sweeps", type=int, default=5, help="sweeps over the positions (default 5)")
-    p.add_argument("--reduced", action="store_true", help="the reduced tanh scenario")
+    p.add_argument("--reduced", action="store_true", help="the reduced scenario")
     args = p.parse_args(argv)
     if args.sweeps < 1:
         p.error("--sweeps must be at least 1")
 
-    cfg = harness.parse_config(workloads.scenario("tanh", args.seed, reduced=args.reduced))
+    cfg = harness.parse_config(workloads.scenario(args.workload, args.seed,
+                                                  reduced=args.reduced))
     vm, kernel = cfg.build_velocity(), cfg.build_kernel()
     grid = cfg.build_cell_grid()
-    positions = [float(x) for x in cfg.build_macro_grid().axes()[0]]
+    positions = ([float(x) for x in cfg.build_macro_grid().axes()[0]]
+                 if args.workload == "tanh" else [0.0])
     cell = solve_cell(kernel, 0.0, vm, backend=cfg.cell_backend(kernel), grid=grid,
                       scheme=cfg.cell["scheme"], n_modes=cfg.cell["n_modes"], tol=cfg.cell["tol"])
     best = dict.fromkeys(LAYERS, float("inf"))
@@ -89,12 +107,13 @@ def main(argv=None) -> int:
         for name, secs in sweep(cell, positions).items():
             best[name] = min(best[name], secs)
 
-    print(f"tanh seed {args.seed}: {len(positions)} positions, {grid.n_points}-point "
+    print(f"{args.workload} seed {args.seed}: {len(positions)} "
+          f"position{'s' * (len(positions) != 1)}, {grid.n_points}-point "
           f"{cfg.cell['scheme']} cell, {vm.n_nodes} velocities, "
           f"min of {args.sweeps} sweeps")
-    print(f"{'layer':<16}{'ms/position':>12}")
+    print(f"{'layer':<20}{'ms/position':>12}")
     for name in LAYERS:
-        print(f"{name:<16}{1e3 * best[name] / len(positions):>12.3f}")
+        print(f"{name:<20}{1e3 * best[name] / len(positions):>12.3f}")
     return 0
 
 
