@@ -131,25 +131,45 @@ def _spectral_matrix(n: int, period: float) -> np.ndarray:
     return scipy.linalg.circulant(col)
 
 
+def _upwind_matrix_2d(shape: tuple[int, int], spacing: tuple[float, float],
+                      velocity: tuple[float, float]) -> sparse.csr_matrix:
+    """First-order upwind ``a . grad_y`` on a periodic 2-D grid (C order).
+
+    Bitwise ``kron(T_0, I) + kron(I, T_1)`` of the 1-D stencils of
+    :func:`_upwind_matrix`, filled by index arithmetic: the one sum
+    ``|a_0|/h_0 + |a_1|/h_1`` on the diagonal, ``-|a_ax|/h_ax`` at the upwind
+    neighbour along each axis whose term is not zero (the sum drops the
+    entries that come out zero), columns sorted.
+    """
+    import scipy.sparse as sparse
+
+    n = shape[0] * shape[1]
+    steps = [abs(a / h) for a, h in zip(velocity, spacing)]
+    diag = steps[0] + steps[1]
+    if diag == 0.0:
+        return sparse.csr_matrix((n, n))
+    points = np.arange(n, dtype=np.int32).reshape(shape)
+    cols = [points] + [np.roll(points, 1 if a > 0 else -1, axis=ax)
+                       for ax, (a, step) in enumerate(zip(velocity, steps)) if step != 0.0]
+    cols = np.sort(np.stack(cols, axis=-1).reshape(n, -1), axis=1)
+    # a neighbour along axis 1 sits less than shape[1] columns from the
+    # diagonal, one along axis 0 at least that far
+    offset = np.abs(cols - points.reshape(n, 1))
+    data = np.where(offset == 0, diag, np.where(offset < shape[1], -steps[1], -steps[0]))
+    indptr = np.arange(0, cols.size + 1, cols.shape[1], dtype=np.int32)
+    return sparse.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(n, n))
+
+
 def _transport_matrix(grid: CellGrid, velocity: np.ndarray, scheme: str):
     """Discrete ``a . grad_y`` on the flattened grid for one velocity node."""
-    mats = []
-    for axis in range(grid.dim):
-        n = grid.shape[axis]
-        h = grid.spacing[axis]
-        a = float(velocity[axis])
-        if scheme == "upwind":
-            mats.append(_upwind_matrix(n, h, a))
-        else:
-            mats.append(a * _spectral_matrix(n, grid.period[axis]))
+    a = [float(c) for c in velocity]
+    if scheme == "upwind":
+        if grid.dim == 1:
+            return _upwind_matrix(grid.shape[0], grid.spacing[0], a[0])
+        return _upwind_matrix_2d(grid.shape, grid.spacing, tuple(a))
+    mats = [a[ax] * _spectral_matrix(grid.shape[ax], grid.period[ax]) for ax in range(grid.dim)]
     if grid.dim == 1:
         return mats[0]
-    if scheme == "upwind":
-        import scipy.sparse as sparse
-
-        eye0 = sparse.identity(grid.shape[0], format="csr")
-        eye1 = sparse.identity(grid.shape[1], format="csr")
-        return sparse.kron(mats[0], eye1, format="csr") + sparse.kron(eye0, mats[1], format="csr")
     return np.kron(mats[0], np.eye(grid.shape[1])) + np.kron(np.eye(grid.shape[0]), mats[1])
 
 

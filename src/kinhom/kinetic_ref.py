@@ -16,9 +16,12 @@ run and a fine run of exactly twice the steps (Hairer, Lubich & Wanner,
 O((dt Sigma/eps^2)^2) splitting bias, the coarse step is capped at
 ``c_split eps^2 / Sigma_max`` with ``c_split = 0.5``, and each state
 carries the step-doubling estimate ``|S_{dt/2} - S_dt| / (3 |S_{dt/2}|)``
-of the fine run's own splitting error, a bound on what extrapolation
-leaves.  The combination is linear, so it conserves mass, but it does not
-keep positivity.
+of the unextrapolated fine run's own splitting error.  It is an
+estimate, not a bound, and it over-states what extrapolation leaves: on
+the ``small_eps`` benchmark scenario it reads 1.33e-3 where the
+extrapolated states differ from a ``c_split = 0.1`` run by 1.98e-5,
+about 67 times less.  The combination is linear, so it conserves mass,
+but it does not keep positivity.
 
 Between steps the state is the real FFT of ``f`` along ``x``, held
 velocity-major: shape ``(K, n_x//2 + 1)``, one contiguous row per velocity
@@ -47,7 +50,8 @@ The coarse and the fine run are stepped together: :meth:`KineticSolver.run`
 holds them as one stacked ``(2, K, n_x//2 + 1)`` pair, and each coarse step
 is one :meth:`~KineticSolver.step` of the pair at the size tuple ``(dt,
 dt/2)``, the coarse step with the fine run's first, then one step of the
-fine run alone at ``dt/2``: two ``step`` calls and four FFT calls per
+fine run alone at ``dt/2``, written back into the pair (``step``'s
+``out``): two ``step`` calls and four FFT calls per
 coarse step instead of three and six, most of whose cost on a 1-D grid is
 the per-call overhead of numpy's FFT.  ``step``, ``transport_half`` and
 ``collision_full`` take an optional leading stack axis, with ``dt`` a
@@ -340,15 +344,17 @@ class KineticSolver:
 
     # -- split sub-steps ----------------------------------------------------------
 
-    def transport_half(self, spectra: np.ndarray, dt: float | tuple[float, ...]) -> np.ndarray:
+    def transport_half(self, spectra: np.ndarray, dt: float | tuple[float, ...],
+                       out: np.ndarray | None = None) -> np.ndarray:
         """Advance ``df/dt + (a/eps) df/dx = 0`` over ``dt/2`` by exact shift.
 
         ``spectra`` is the real FFT of ``f`` along ``x``, velocity-major
         ``(K, n_x//2 + 1)``, or a stack ``(S, K, n_x//2 + 1)`` of such states
         with ``dt`` a tuple of their ``S`` step sizes; the shift multiplies
-        it by the phase factors and returns the product.
+        it by the phase factors and returns the product, written into
+        ``out`` when given.
         """
-        return spectra * self._phase_table(dt)
+        return np.multiply(spectra, self._phase_table(dt), out=out)
 
     def _phase_table(self, dt: float | tuple[float, ...]) -> np.ndarray:
         """The phase factors of a half-step, ``(K, n_x//2 + 1)``, cached
@@ -419,7 +425,8 @@ class KineticSolver:
             out += mats[l] * g[..., l, None, :]
         return out
 
-    def step(self, spectra: np.ndarray, dt: float | tuple[float, ...]) -> np.ndarray:
+    def step(self, spectra: np.ndarray, dt: float | tuple[float, ...],
+             out: np.ndarray | None = None) -> np.ndarray:
         """One Strang step on the real FFT of ``f`` along ``x``, ``(K, n_x//2 + 1)``.
 
         Transport half; then the collision increment, computed in real
@@ -431,11 +438,13 @@ class KineticSolver:
         tuple of ``S`` sizes takes one step of each, every entry at its own
         size, in the same calls: the arithmetic per element is that of the
         single steps, so each entry is bitwise what a single step gives.
+        The last half-step writes into ``out`` when given, which may be
+        ``spectra`` itself: the first half-step has read it by then.
         """
         spectra = self.transport_half(spectra, dt)
         g = np.fft.irfft(spectra[..., 1:, :] - spectra[..., :1, :], n=self._n_x)
         self._add_increment(spectra, self.collision_full(g, dt))
-        return self.transport_half(spectra, dt)
+        return self.transport_half(spectra, dt, out=out)
 
     def _add_increment(self, spectra: np.ndarray, increment: np.ndarray) -> None:
         """Add the increment, its kept rows in real space, to ``spectra`` in place.
@@ -485,8 +494,8 @@ class KineticSolver:
         # both runs carry the velocity-major real FFT along x from one
         # transform of f0, stacked: pair[0] the coarse run, pair[1] the fine
         # run.  Each coarse step steps the pair at (dt, dt/2), then the fine
-        # run alone at dt/2.  States go back to (n_x, K) only at checkpoints,
-        # so every reduction below sums in that order
+        # run alone at dt/2, in place.  States go back to (n_x, K) only at
+        # checkpoints, so every reduction below sums in that order
         f_hat = np.fft.rfft(np.ascontiguousarray(f.T))
         pair = np.stack([f_hat, f_hat])
         steps = 0
@@ -502,7 +511,7 @@ class KineticSolver:
             sizes = (dt, dt / 2)
             for _ in range(n_sub):
                 pair = self.step(pair, sizes)
-                pair[1] = self.step(pair[1], sizes[1])
+                self.step(pair[1], sizes[1], out=pair[1])
             steps += 3 * n_sub
             f = np.ascontiguousarray(np.fft.irfft(pair[0], n=n_x).T)
             fine = np.ascontiguousarray(np.fft.irfft(pair[1], n=n_x).T)

@@ -19,10 +19,14 @@ the input, with the same operator and the same scheme either way:
 * periodic grid, the same ``D`` in every cell: ``L`` is
   circulant, so a step is the pointwise Fourier multiplier
   ``(1 + (1-theta) dt lam) / (1 - theta dt lam)`` with ``lam = rfftn(L e_0)``
-  read off the assembled matrix (real transforms: ``L`` and ``rho`` are
-  real, so half the spectrum determines the step);
+  (real transforms: ``L`` and ``rho`` are real, so half the spectrum
+  determines the step).  The first column ``L e_0`` comes from the same
+  assembly on a periodic grid of 3 cells per axis at the same spacing,
+  which holds the whole stencil, so ``L`` itself is never built;
 * per-cell coefficients or a no-flux grid: the implicit matrix is
-  LU-factorized (``splu``).
+  LU-factorized (``splu``).  Only this path assembles ``L``
+  (:attr:`DriftDiffusionSolver.L`, built at first use), at its first
+  step size.
 
 A run keeps only its checkpoints, so it advances one checkpoint interval
 per ``step(rho, dt, n)`` call.  On the Fourier path the ``n`` steps of an
@@ -33,9 +37,10 @@ are cached per step size.  The zero mode of the symbol is set to exactly 0,
 the column sum of a flux-form ``L``, so the multiplier keeps the mass
 exactly instead of compounding the transform's roundoff over the steps.
 
-scipy is imported by the solver, not by this module: constructing a
-``DriftDiffusionSolver`` (the sparse assembly of ``L``) loads
-``scipy.sparse``, and the first LU-path step size loads its ``splu``.
+scipy is imported by the solver, not by this module: the first sparse
+assembly, of the 3-cell stencil at construction on the Fourier path or of
+``L`` at the first LU-path step size, loads ``scipy.sparse``, and the
+first LU-path step size loads its ``splu``.
 """
 
 from __future__ import annotations
@@ -90,6 +95,84 @@ def _per_cell(coef, n_cells: int, expect_shape: tuple) -> np.ndarray:
     )
 
 
+def _flux_form(shape: tuple[int, ...], spacing: tuple[float, ...], D: np.ndarray,
+               periodic: bool) -> sparse.csr_matrix:
+    """The flux-form ``div(D^T grad)`` on a cell-centred grid, C order.
+
+    ``D`` holds one ``(d, d)`` tensor per cell.  Every face carries one
+    flux, from the face-averaged tensor; the mixed terms ``D_{j,ax} d_j``
+    (periodic grids only) take the centred difference along ``j`` averaged
+    over the face's two cells.
+    """
+    import scipy.sparse as sparse
+
+    d = len(shape)
+    n = int(np.prod(shape))
+    cells = np.arange(n).reshape(shape)
+    rows: list[np.ndarray] = []
+    cols: list[np.ndarray] = []
+    vals: list[np.ndarray] = []
+
+    def add(r, c, v):
+        rows.append(np.asarray(r).ravel())
+        cols.append(np.asarray(c).ravel())
+        vals.append(np.asarray(v).ravel())
+
+    for ax in range(d):
+        h = spacing[ax]
+        C = cells
+        R = np.roll(cells, -1, axis=ax)
+        mask = np.ones(shape, dtype=bool)
+        if not periodic:
+            sl = [slice(None)] * d
+            sl[ax] = -1
+            mask[tuple(sl)] = False  # no face beyond the last cell
+        Cm, Rm = C[mask], R[mask]
+
+        # one flux per interior/periodic face: list of (column, coefficient)
+        face_terms: list[tuple[np.ndarray, np.ndarray]] = []
+
+        Dax = D[:, ax, ax]
+        a_f = 0.5 * (Dax[Cm] + Dax[Rm]) / h
+        face_terms.append((Rm, a_f))
+        face_terms.append((Cm, -a_f))
+
+        # mixed terms D_{j,ax} d_j rho at the face (periodic only)
+        for j in range(d):
+            if j == ax:
+                continue
+            Dj = D[:, j, ax]
+            d_f = 0.5 * (Dj[Cm] + Dj[Rm])
+            if np.all(d_f == 0.0):
+                continue
+            hj = spacing[j]
+            Rj = np.roll(cells, -1, axis=j)
+            Lj = np.roll(cells, 1, axis=j)
+            quarter = d_f / (4.0 * hj)
+            face_terms.append((Rj[mask], quarter))
+            face_terms.append((Lj[mask], -quarter))
+            RjR = np.roll(R, -1, axis=j)
+            LjR = np.roll(R, 1, axis=j)
+            face_terms.append((RjR[mask], quarter))
+            face_terms.append((LjR[mask], -quarter))
+
+        # divergence: face (C -> R) adds +flux/h at C and -flux/h at R
+        for col, coef in face_terms:
+            add(Cm, col, coef / h)
+            add(Rm, col, -coef / h)
+
+    return sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n),
+    )
+
+
+def _check_conservation(colsum: float, scale: float) -> None:
+    """Exact-conservation sanity: column sums of a flux-form divergence vanish."""
+    if colsum > 1e-12 * max(1.0, scale):
+        raise AssertionError(f"flux-form assembly lost conservation ({colsum:.3e})")
+
+
 class DriftDiffusionSolver:
     """Flux-form theta scheme for the homogenized diffusion equation.
 
@@ -117,93 +200,30 @@ class DriftDiffusionSolver:
         d = grid.dim
         n = grid.n_points
         self.D = _per_cell(D, n, (d, d))
-        self.L = self._assemble()
+        if grid.bc != "periodic" and d == 2:
+            off = np.abs(self.D[:, 0, 1]).max() + np.abs(self.D[:, 1, 0]).max()
+            if off > 0:
+                raise NotImplementedError(
+                    "off-diagonal diffusion with no-flux boundaries is not supported"
+                )
         self.symbol = self._circulant_symbol()
         # the multiplier power per (step key, count) when ``symbol`` is set,
         # else the LU factors of the implicit matrix per step key
         self._factor_cache: dict[object, object] = {}
         self._rhs_cache: dict[float, sparse.csr_matrix] = {}
 
-    # -- operator assembly ----------------------------------------------------
+    # -- operator ---------------------------------------------------------------
 
-    def _assemble(self) -> sparse.csr_matrix:
-        import scipy.sparse as sparse
+    @functools.cached_property
+    def L(self) -> sparse.csr_matrix:
+        """The flux-form operator, ``(n, n)`` sparse, assembled at first use.
 
-        grid = self.grid
-        d = grid.dim
-        n = grid.n_points
-        shape = grid.shape
-        periodic = grid.bc == "periodic"
-        if not periodic and d == 2:
-            off = np.abs(self.D[:, 0, 1]).max() + np.abs(self.D[:, 1, 0]).max()
-            if off > 0:
-                raise NotImplementedError(
-                    "off-diagonal diffusion with no-flux boundaries is not supported"
-                )
-
-        cells = np.arange(n).reshape(shape)
-        rows: list[np.ndarray] = []
-        cols: list[np.ndarray] = []
-        vals: list[np.ndarray] = []
-
-        def add(r, c, v):
-            rows.append(np.asarray(r).ravel())
-            cols.append(np.asarray(c).ravel())
-            vals.append(np.asarray(v).ravel())
-
-        for ax in range(d):
-            h = grid.spacing[ax]
-            C = cells
-            R = np.roll(cells, -1, axis=ax)
-            if periodic:
-                mask = np.ones(shape, dtype=bool)
-            else:
-                mask = np.ones(shape, dtype=bool)
-                sl = [slice(None)] * d
-                sl[ax] = -1
-                mask[tuple(sl)] = False  # no face beyond the last cell
-            Cm, Rm = C[mask], R[mask]
-
-            # one flux per interior/periodic face: list of (column, coefficient)
-            face_terms: list[tuple[np.ndarray, np.ndarray]] = []
-
-            Dax = self.D[:, ax, ax]
-            a_f = 0.5 * (Dax[Cm] + Dax[Rm]) / h
-            face_terms.append((Rm, a_f))
-            face_terms.append((Cm, -a_f))
-
-            # mixed terms D_{j,ax} d_j rho at the face (periodic only)
-            for j in range(d):
-                if j == ax:
-                    continue
-                Dj = self.D[:, j, ax]
-                d_f = 0.5 * (Dj[Cm] + Dj[Rm])
-                if np.all(d_f == 0.0):
-                    continue
-                hj = grid.spacing[j]
-                Rj = np.roll(cells, -1, axis=j)
-                Lj = np.roll(cells, 1, axis=j)
-                quarter = d_f / (4.0 * hj)
-                face_terms.append((Rj[mask], quarter))
-                face_terms.append((Lj[mask], -quarter))
-                RjR = np.roll(R, -1, axis=j)
-                LjR = np.roll(R, 1, axis=j)
-                face_terms.append((RjR[mask], quarter))
-                face_terms.append((LjR[mask], -quarter))
-
-            # divergence: face (C -> R) adds +flux/h at C and -flux/h at R
-            for col, coef in face_terms:
-                add(Cm, col, coef / h)
-                add(Rm, col, -coef / h)
-
-        L = sparse.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n),
-        )
-        # exact-conservation sanity: column sums of a flux-form divergence vanish
-        colsum = np.abs(np.asarray(L.sum(axis=0))).max()
-        if colsum > 1e-12 * max(1.0, abs(L).max()):
-            raise AssertionError(f"flux-form assembly lost conservation ({colsum:.3e})")
+        The LU path builds it at its first step size; the Fourier path never
+        does (its symbol comes from the stencil alone), so only a caller
+        that reads it pays for it there.
+        """
+        L = _flux_form(self.grid.shape, self.grid.spacing, self.D, self.grid.bc == "periodic")
+        _check_conservation(np.abs(np.asarray(L.sum(axis=0))).max(), abs(L).max())
         return L
 
     def _circulant_symbol(self) -> np.ndarray | None:
@@ -212,13 +232,23 @@ class DriftDiffusionSolver:
         ``L`` is circulant when the grid is periodic and every cell holds
         the same ``D``; its first column is then the stencil, and the DFT
         diagonalizes it.  ``L`` is real, so the half spectrum of ``rfftn``
-        holds every eigenvalue up to conjugation.
+        holds every eigenvalue up to conjugation.  The column comes from
+        :func:`_flux_form` on the smallest periodic grid that holds the
+        stencil, 3 cells per axis at the same spacing: offsets -1, 0 and 1
+        along each axis are distinct there, so its first column has the
+        entries of ``L e_0``, placed by offset, and ``L`` is not assembled.
         """
         if self.grid.bc != "periodic" or np.any(self.D != self.D[0]):
             return None
-        e0 = np.zeros(self.grid.n_points)
+        d = self.grid.dim
+        stencil = _flux_form((3,) * d, self.grid.spacing,
+                             np.broadcast_to(self.D[0], (3**d, d, d)), periodic=True)
+        e0 = np.zeros(3**d)
         e0[0] = 1.0
-        symbol = np.fft.rfftn((self.L @ e0).reshape(self.grid.shape))
+        column = np.zeros(self.grid.shape)
+        column[np.ix_(*[[0, 1, -1]] * d)] = (stencil @ e0).reshape((3,) * d)
+        _check_conservation(abs(column.sum()), np.abs(column).max())
+        symbol = np.fft.rfftn(column)
         # the zero mode is the first column sum, 0 in flux form; rfftn
         # returns it as roundoff, which the multiplier would compound
         symbol.flat[0] = 0.0

@@ -397,7 +397,12 @@ def test_upwind_matrix_is_bitwise_the_lil_reference(speed):
     (SINUSOIDAL, two_velocity_1d(weights=(1.0, 2.0)), CellGrid((16,))),
     (SINUSOIDAL, two_velocity_1d(weights=(1.0, 2.0)), CellGrid((33,))),
     (make_kernel("sinusoidal", base=1.0, alpha=0.5, dim=2), uniform_circle(8), CellGrid((8, 8))),
-], ids=["1d-16", "1d-33", "2d-8x8"])
+    # a non-square grid: the two axes' neighbours sit at different strides
+    (make_kernel("sinusoidal", base=1.0, alpha=0.5, dim=2), uniform_circle(8), CellGrid((8, 6))),
+    # nodes with two non-zero components of mixed sign, upwind on both axes
+    (make_kernel("sinusoidal", base=1.0, alpha=0.5, dim=2), uniform_circle(6), CellGrid((8, 8))),
+    (make_kernel("sinusoidal", base=1.0, alpha=0.5, dim=2), uniform_circle(12), CellGrid((6, 8))),
+], ids=["1d-16", "1d-33", "2d-8x8", "2d-8x6", "2d-circle6-8x8", "2d-circle12-6x8"])
 def test_upwind_assembly_is_bitwise_the_sparse_reference(kernel, vm, grid):
     op = assemble(kernel, 0.0, vm, grid, scheme="upwind")
     for got, want in zip((op.P, op.A_mat, op.K_mat), _reference_matrices(kernel, vm, grid)):
@@ -421,7 +426,9 @@ def _fresh_rates(kernel, x, grid, vm):
     (1, two_velocity_1d(weights=(1.0, 2.0)), CellGrid((16,))),
     (1, two_velocity_1d(weights=(1.0, 2.0)), CellGrid((33,))),
     (2, uniform_circle(8), CellGrid((8, 8))),
-], ids=["1d-16", "1d-33", "2d-8x8"])
+    (2, uniform_circle(8), CellGrid((8, 6))),
+    (2, uniform_circle(12), CellGrid((6, 8))),
+], ids=["1d-16", "1d-33", "2d-8x8", "2d-8x6", "2d-circle12-6x8"])
 def test_sampled_operators_from_one_plan_are_bitwise_the_sparse_reference(
         dim, vm, grid, monkeypatch):
     # positions of a tanh-modulated kernel in a row, as the effective stage

@@ -602,11 +602,11 @@ def test_summary_counts_kinetic_steps_dt_mass_and_split_estimate(monkeypatch, sc
     calls, steps = [], []
     step = KineticSolver.step
 
-    def counted(self, spectra, dt):
+    def counted(self, spectra, dt, out=None):
         # a stacked call advances one Strang step per entry, each at its own size
         calls.append(self.epsilon)
         steps.extend([self.epsilon] * (len(dt) if isinstance(dt, tuple) else 1))
-        return step(self, spectra, dt)
+        return step(self, spectra, dt, out=out)
 
     monkeypatch.setattr(KineticSolver, "step", counted)
     text = SMALL_EPS_REDUCED.replace("scheme = shift", f"scheme = {scheme}")

@@ -485,9 +485,9 @@ def test_fine_run_takes_exactly_twice_the_coarse_steps():
     calls = []
     step = solver.step
 
-    def recorded(f, sizes):
+    def recorded(f, sizes, out=None):
         calls.append(sizes)
-        return step(f, sizes)
+        return step(f, sizes, out=out)
 
     solver.step = recorded
     states = solver.run(_smooth_initial(GRID, VM), times[-1], checkpoints=times)
@@ -552,6 +552,21 @@ def test_a_stacked_step_is_bitwise_the_two_single_steps(case):
     assert tables.shape == (n_nodes - 1, 2, rows, n_x)
     assert solver._collision_matrices(sizes) is tables
     assert np.array_equal(tables[:, 0], solver._collision_matrices(dt))
+
+
+def test_a_step_into_its_own_input_is_bitwise_the_fresh_step():
+    # the run steps the fine half of its pair in place, through ``out``
+    solver = KineticSolver(SINUSOIDAL, VM, GRID, epsilon=0.1)
+    rng = np.random.default_rng(5)
+    coarse = _hat(rng.standard_normal((GRID.n_points, VM.n_nodes)))
+    fine = _hat(rng.standard_normal((GRID.n_points, VM.n_nodes)))
+    dt = solver.default_dt()
+    want = solver.step(fine, dt)
+    pair = np.stack([coarse, fine])
+    view = pair[1]
+    assert solver.step(view, dt, out=view) is view
+    assert np.array_equal(pair[1], want)
+    assert np.array_equal(pair[0], coarse)
 
 
 def test_a_run_over_equal_intervals_builds_one_table_set_per_size():

@@ -262,3 +262,96 @@ def test_initial_density_integrates_velocity_nodes():
         mg, vm = cfg.build_macro_grid(), cfg.build_velocity()
         rho = vm.integrate(cfg.initial_f(mg, vm)).reshape(mg.shape)
         assert np.max(np.abs(rho - cfg.initial_rho(mg))) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# the Fourier symbol from the 3-cell stencil, L only on demand
+# ---------------------------------------------------------------------------
+
+FOURIER_CASES = [
+    ((128,), np.array([[0.3]])),
+    ((2048,), np.array([[0.7]])),
+    ((48, 40), np.array([[0.4, 0.12], [0.09, 0.25]])),
+    ((32, 32), np.array([[0.5, 0.0], [0.0, 0.2]])),
+]
+
+
+@pytest.mark.parametrize("shape, D", FOURIER_CASES)
+def test_fourier_solver_never_assembles_the_full_operator(monkeypatch, shape, D):
+    from kinhom import macro_solver
+
+    flux_form = macro_solver._flux_form
+
+    def stencil_only(cells, *args, **kwargs):
+        assert max(cells) <= 3, f"assembled the full {cells} operator"
+        return flux_form(cells, *args, **kwargs)
+
+    monkeypatch.setattr(macro_solver, "_flux_form", stencil_only)
+    mg = MacroGrid(half_width=2.0, shape=shape, bc="periodic")
+    solver = DriftDiffusionSolver(mg, D=D)
+    assert solver.symbol is not None
+    field = solver.run(np.random.default_rng(1).random(shape), 0.1, dt=0.01,
+                       checkpoints=np.array([0.0, 0.05, 0.1]))
+    assert field.steps == 10
+    assert "L" not in vars(solver)
+
+
+@pytest.mark.parametrize("shape, D", FOURIER_CASES)
+def test_fourier_symbol_is_the_dft_of_the_assembled_first_column(shape, D):
+    mg = MacroGrid(half_width=2.0, shape=shape, bc="periodic")
+    solver = DriftDiffusionSolver(mg, D=D)
+    e0 = np.zeros(mg.n_points)
+    e0[0] = 1.0
+    want = np.fft.rfftn((solver.L @ e0).reshape(shape))
+    want.flat[0] = 0.0
+    if len(shape) == 1:
+        assert np.array_equal(solver.symbol, want)
+    else:
+        # summing the duplicate entries of a 2-D row may take another order
+        # on the 3-cell grid than on the full one
+        assert np.max(np.abs(solver.symbol - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_the_operator_is_built_on_demand_and_kept():
+    mg = MacroGrid(half_width=2.0, shape=(24, 20), bc="periodic")
+    solver = DriftDiffusionSolver(mg, D=np.array([[0.4, 0.12], [0.09, 0.25]]))
+    assert "L" not in vars(solver)
+    L = solver.L
+    assert L.shape == (mg.n_points, mg.n_points)
+    assert solver.L is L
+    # flux form: every column sums to zero
+    assert np.max(np.abs(np.asarray(L.sum(axis=0)))) <= 1e-12 * abs(L).max()
+    # the LU path builds it at its first step size, not at construction
+    lu = DriftDiffusionSolver(MacroGrid(half_width=2.0, shape=(32,), bc="no-flux"),
+                              D=np.array([[0.3]]))
+    assert lu.symbol is None and "L" not in vars(lu)
+    lu.step(np.ones(32), 0.01)
+    assert "L" in vars(lu)
+
+
+@pytest.mark.parametrize("grid, D", [
+    (MacroGrid(half_width=2.0, shape=(64,), bc="periodic"), np.array([[0.3]])),
+    (MacroGrid(half_width=2.0, shape=(16, 16), bc="periodic"),
+     np.array([[0.4, 0.12], [0.09, 0.25]])),
+    (MacroGrid(half_width=2.0, shape=(32,), bc="no-flux"), np.array([[0.3]])),
+], ids=["fourier-1d", "fourier-2d", "lu"])
+def test_a_non_conservative_column_is_refused(monkeypatch, grid, D):
+    from kinhom import macro_solver
+
+    flux_form = macro_solver._flux_form
+
+    def leaky(cells, *args, **kwargs):
+        L = flux_form(cells, *args, **kwargs)
+        n = L.shape[0]
+        return L + sparse.csr_matrix(([1e-6], ([n - 1], [0])), shape=(n, n))
+
+    monkeypatch.setattr(macro_solver, "_flux_form", leaky)
+    if grid.bc == "periodic":
+        # the Fourier path gates the stencil's column at construction
+        with pytest.raises(AssertionError, match="conservation"):
+            DriftDiffusionSolver(grid, D=D)
+    else:
+        # the LU path gates L when its first step size assembles it
+        solver = DriftDiffusionSolver(grid, D=D)
+        with pytest.raises(AssertionError, match="conservation"):
+            solver.step(np.ones(grid.shape), 0.01)

@@ -10,8 +10,11 @@ centres of the ``tanh`` scenario of ``perfbench/workloads.py``), or the one
 ``x = 0`` cell of ``circle2d`` (a 64^2 upwind cell with the 8-node circle),
 and prints the milliseconds per position of each layer of a solve:
 
-* ``assemble``: the operator at one position, with the LU factorization
-  of ``A``;
+* ``plan``: the index plan of the upwind operator, which holds the
+  transport stencils (built once per sweep and shared by its positions,
+  so this row is its cost spread over them);
+* ``assemble``: the operator at one position from that plan, with the LU
+  factorization of ``A``;
 * ``equilibrium_F``: the principal-eigenvalue check;
 * ``solve_chi_star``: the adjoint correctors;
 * ``verify_variational``: the weak-form check, which the pipeline runs on
@@ -22,8 +25,8 @@ A sweep times every position once; each line is the minimum over
 ``--sweeps`` sweeps of the sweep's total divided by the number of
 positions.  As in the effective stage, the ``x = 0`` cell stays alive
 while the sweeps run, and the positions of a sweep share one index plan
-of the grid operator (each sweep builds its own).  BLAS runs
-single-threaded.
+of the grid operator (each sweep builds its own, and ``solve_cell``
+builds one more, which it counts).  BLAS runs single-threaded.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 import workloads  # noqa: E402
 from kinhom import harness  # noqa: E402
 from kinhom.cell_solver import (  # noqa: E402
+    _plan_key,
+    _UpwindPlan,
     assemble,
     equilibrium_F,
     solve_chi_star,
@@ -50,7 +55,7 @@ from kinhom.cell_solver import (  # noqa: E402
 )
 from kinhom.effective import solve_cell  # noqa: E402
 
-LAYERS = ("assemble", "equilibrium_F", "solve_chi_star", "verify_variational", "solve_cell")
+LAYERS = ("plan", "assemble", "equilibrium_F", "solve_chi_star", "verify_variational", "solve_cell")
 WORKLOADS = ("tanh", "circle2d")
 
 
@@ -61,6 +66,9 @@ def sweep(cell, positions) -> dict[str, float]:
     total = dict.fromkeys(LAYERS, 0.0)
     clock = time.perf_counter
     plans = {}
+    t0 = clock()
+    plans[_plan_key(grid, vm)] = _UpwindPlan(grid, vm)
+    total["plan"] += clock() - t0
     for x in positions:
         t0 = clock()
         op = assemble(kernel, x, vm, grid, scheme=scheme, plans=plans)

@@ -66,7 +66,7 @@ def calls(solver: KineticSolver, spectra: np.ndarray, dt: float) -> dict:
 
     def coarse_unit():
         pair = solver.step(stacked, sizes)
-        pair[1] = solver.step(pair[1], sizes[1])
+        solver.step(pair[1], sizes[1], out=pair[1])
 
     return {
         "step": lambda: solver.step(spectra, dt),
