@@ -21,6 +21,7 @@ from kinhom.collision import (
 )
 from kinhom.cell_solver import (
     CellOperator,
+    CellStack,
     CompatibilityError,
     ConvergenceError,
     assemble,
@@ -66,6 +67,7 @@ __all__ = [
     "check_sdb",
     "make_kernel",
     "CellOperator",
+    "CellStack",
     "CompatibilityError",
     "ConvergenceError",
     "assemble",

@@ -32,8 +32,13 @@ same iteration counts) without its per-call set-up.  The upwind operator
 is assembled from an index plan, built once per (cell grid, velocity set):
 the sparse structure of ``A``, ``K`` and ``P``, where each part's entries
 sit in ``P``, the CSC order of ``A`` and the transport values.  An operator
-at one position then fills only data; the operators of one sampled family
-share a plan through the ``plans`` dict of :func:`assemble`.
+at one position then fills only data, and only at first use: assembly
+samples and gates the rates, and the matrices and the factorization of
+``A`` follow when a solve asks for them.  The positions of one sampled
+family are solved together: :class:`CellStack` puts their upwind
+operators on the diagonal of one block-diagonal system, built from the
+shared plan and factored once, and the solves run on it as on one cell,
+with every per-cell gate applied to each block.
 
 scipy is imported inside the functions that build, factor or densify an
 operator, so importing this module, and the gates the check stage runs
@@ -56,10 +61,14 @@ from kinhom.phase_space import CellGrid, VelocityMeasure
 if TYPE_CHECKING:
     from scipy import sparse
 
+    from kinhom.collision import SdbReport
+
 __all__ = [
     "CompatibilityError",
     "ConvergenceError",
     "CellOperator",
+    "CellRates",
+    "CellStack",
     "DENSE_CELL_BYTES",
     "SpectralCellOperator",
     "SpectralField",
@@ -69,6 +78,7 @@ __all__ = [
     "assemble_spectral_ap",
     "dense_cell_gate",
     "equilibrium_F",
+    "gate_rates",
     "lattice_cell_gate",
     "solve_corrector",
     "solve_adjoint_corrector",
@@ -230,22 +240,18 @@ def _adjoint(mat):
 class _CellOperatorBase:
     """State shared by both backends.
 
-    Subclasses pass ``A = transport + Sigma`` and the gain ``K`` to
-    :meth:`_set_matrices`, which stores ``A_mat``, ``K_mat``, ``P = A - K``,
-    the factorized ``A_fact`` and the conjugate transposes ``P_H`` and
-    ``K_H``, built once so adjoint actions do not rebuild them per call.
-    A subclass that has ``P`` and a CSC copy of ``A`` already passes them.
-    Subclasses also populate ``weights`` (flat inner-product weights),
-    ``const`` (the constant function), ``sigma_min``, ``vm``, and
+    The matrices are built at first use: ``A_mat`` (``A = transport +
+    Sigma``), ``K_mat`` (the gain) and ``P = A - K`` come from the
+    subclass's :meth:`_build`, which may also hand over ``P`` and a CSC
+    copy of ``A`` it has already; the factorized ``A_fact`` and the
+    conjugate transposes ``P_H`` and ``K_H`` follow from them, each once,
+    so adjoint actions do not rebuild them per call.  A subclass that has
+    its matrices at construction passes them to :meth:`_set_matrices`
+    instead.  Subclasses also populate ``weights`` (flat inner-product
+    weights), ``const`` (the constant function), ``sigma_min``, ``vm``, and
     conversion helpers.  The equilibrium ``F`` follows from ``const``.
     """
 
-    P: np.ndarray
-    K_mat: np.ndarray
-    A_mat: np.ndarray
-    P_H: np.ndarray
-    K_H: np.ndarray
-    A_fact: _Factorized
     weights: np.ndarray
     const: np.ndarray
     sigma_min: float
@@ -277,13 +283,48 @@ class _CellOperatorBase:
         F.flags.writeable = False
         return F
 
-    def _set_matrices(self, A, K_mat, P=None, A_csc=None) -> None:
-        self.A_mat = A
-        self.K_mat = K_mat
-        self.P = A - K_mat if P is None else P
-        self.A_fact = _Factorized(A if A_csc is None else A_csc)
-        self.P_H = _adjoint(self.P)
-        self.K_H = _adjoint(K_mat)
+    def _build(self) -> tuple:
+        """``(A, K, P or None, A in CSC or None)`` of the operator."""
+        raise NotImplementedError
+
+    @functools.cached_property
+    def _matrices(self) -> tuple:
+        """``(A, K, P)``, built at first use."""
+        A, K_mat, P, A_csc = self._build()
+        self._A_csc = A_csc  # kept for the factorization, which drops it
+        return A, K_mat, A - K_mat if P is None else P
+
+    @property
+    def A_mat(self):
+        return self._matrices[0]
+
+    @property
+    def K_mat(self):
+        return self._matrices[1]
+
+    @property
+    def P(self):
+        return self._matrices[2]
+
+    @functools.cached_property
+    def A_fact(self) -> _Factorized:
+        A = self.A_mat
+        A_csc = self.__dict__.pop("_A_csc", None)
+        return _Factorized(A if A_csc is None else A_csc)
+
+    @functools.cached_property
+    def P_H(self):
+        return _adjoint(self.P)
+
+    @functools.cached_property
+    def K_H(self):
+        return _adjoint(self.K_mat)
+
+    def _set_matrices(self, A, K_mat) -> None:
+        """Take ``A`` and ``K_mat`` as the operator's; what follows from them is rebuilt at use."""
+        for name in ("A_fact", "P_H", "K_H", "_A_csc"):
+            self.__dict__.pop(name, None)
+        self._matrices = (A, K_mat, A - K_mat)
 
     # -- operator actions ----------------------------------------------------
 
@@ -450,33 +491,59 @@ class _UpwindPlan:
             part.flags.writeable = False
 
     def matrices(self, sigma: np.ndarray, gain: np.ndarray):
-        """``(A, K, P, A in CSC)`` for the loss ``sigma`` and gain blocks ``gain``."""
+        """``(A, K, P, A in CSC)`` for the loss ``sigma`` and gain blocks ``gain``.
+
+        ``sigma`` is flat, ``(size,)``, and ``gain`` ``(n, K, K)`` for one
+        operator.  With ``sigma`` of shape ``(m, size)`` and ``gain`` of
+        ``(m, n, K, K)`` the matrices are block-diagonal, block ``i`` the
+        operator of row ``i``, with the same entries an operator built
+        alone has.
+        """
         import scipy.sparse as sparse
 
-        a = self.transport.copy()
-        a[self.on_diag] += sigma  # T_kk + Sigma, the one sum on A's diagonal
+        sigma = np.asarray(sigma)
+        m = 1 if sigma.ndim == 1 else sigma.shape[0]
+        shape = (m * self.shape[0], m * self.shape[1])
+        a = np.tile(self.transport, m)
+        # T_kk + Sigma, the one sum on A's diagonal
+        a[self._tiled(self.on_diag, m)] += sigma.ravel()
         g = gain.ravel()
-        A = sparse.csr_matrix((a, self.A_indices, self.A_indptr), shape=self.shape)
-        Km = sparse.csr_matrix((g, self.K_indices, self.K_indptr), shape=self.shape)
+        A = sparse.csr_matrix((a, *self._stacked(self.A_indices, self.A_indptr, m)), shape=shape)
+        Km = sparse.csr_matrix((g, *self._stacked(self.K_indices, self.K_indptr, m)), shape=shape)
         # P's data is a - g where both hold an entry, a or -g where one does:
         # -g everywhere K is, then a added in place ((-g) + a is a - g to the bit)
-        p = np.zeros(self.P_indices.size)
-        p[self.from_K] = g
+        p = np.zeros(m * self.P_indices.size)
+        p[self._tiled(self.from_K, m)] = g
         np.negative(p, out=p)
-        p[self.from_A] += a
+        p[self._tiled(self.from_A, m)] += a
         # A - K drops an entry that comes out zero; keep its structure exactly
-        P = (sparse.csr_matrix((p, self.P_indices, self.P_indptr), shape=self.shape)
+        P = (sparse.csr_matrix((p, *self._stacked(self.P_indices, self.P_indptr, m)), shape=shape)
              if p.all() else A - Km)
-        A_csc = sparse.csc_matrix((a[self.csc_order], self.csc_indices, self.csc_indptr),
-                                  shape=self.shape)
+        a_csc = a[self.csc_order] if m == 1 else a.reshape(m, -1)[:, self.csc_order].ravel()
+        A_csc = sparse.csc_matrix((a_csc, *self._stacked(self.csc_indices, self.csc_indptr, m)),
+                                  shape=shape)
         return A, Km, P, A_csc
 
+    @staticmethod
+    def _tiled(mask: np.ndarray, m: int) -> np.ndarray:
+        """``mask`` of one operator's entries, repeated for ``m`` blocks."""
+        return mask if m == 1 else np.tile(mask, m)
 
-def _upwind_matrices(grid: CellGrid, vm: VelocityMeasure, plans: dict | None,
-                     sigma: np.ndarray, gain: np.ndarray):
-    """``(weights, (A, K, P, A in CSC))`` from the plan in ``plans``, built if missing.
+    def _stacked(self, indices: np.ndarray, indptr: np.ndarray, m: int):
+        """Index arrays of ``m`` copies of one operator's part on the diagonal."""
+        if m == 1:
+            return indices, indptr
+        blocks = np.arange(m, dtype=np.int32)[:, None]
+        nnz = np.int32(indices.size)
+        return ((indices + np.int32(self.shape[0]) * blocks).ravel(),
+                np.append((indptr[:-1] + nnz * blocks).ravel(), np.int32(m) * nnz))
 
-    A plan no dict keeps is freed on return, before the factorization's peak.
+
+def _upwind_plan(grid: CellGrid, vm: VelocityMeasure, plans: dict | None) -> _UpwindPlan:
+    """The plan of ``grid`` and ``vm`` in ``plans``, built (and kept there) if missing.
+
+    A plan no dict keeps is freed once its matrices are built, before the
+    factorization's peak.
     """
     key = _plan_key(grid, vm)
     plan = None if plans is None else plans.get(key)
@@ -484,29 +551,54 @@ def _upwind_matrices(grid: CellGrid, vm: VelocityMeasure, plans: dict | None,
         plan = _UpwindPlan(grid, vm)
         if plans is not None:
             plans[key] = plan
-    return plan.weights, plan.matrices(sigma, gain)
+    return plan
 
 
-def _gated_gain_loss(kernel, x, grid: CellGrid, vm: VelocityMeasure):
-    """Gain ``(n, K, K)`` and loss ``(n, K)`` of the rates sampled on ``grid``.
+@dataclass(frozen=True)
+class CellRates:
+    """Gated rates at one position: gain blocks ``(n, K, K)`` and loss ``(n, K)``.
 
-    Refuses rates that are not positive and finite, or that fail
-    semi-detailed balance.  The rates are freed on return: the operator
-    keeps only the gain, so they are not alive at the factorization's peak.
+    Made by :func:`gate_rates`; :func:`assemble` takes them in place of
+    sampling and gating the kernel again.
     """
-    K, n = vm.n_nodes, grid.n_points
-    samp = _sampled(kernel, x, grid, vm).reshape(n, K, K)
+
+    gain: np.ndarray
+    loss: np.ndarray
+
+
+def gate_rates(samples, vm: VelocityMeasure, sdb: SdbReport | None = None) -> CellRates:
+    """Gain and loss of rates sampled on a cell grid, ``(..., K, K)``.
+
+    Refuses rates that are not positive and finite (before the balance
+    gate, which would read their gap as NaN), then rates that fail
+    semi-detailed balance.  ``sdb`` is the balance report of these very
+    samples when the caller has measured it (:func:`kinhom.collision.
+    check_sdb`), so the gap is not measured twice.  The samples are not
+    kept: the gain is a new array, so they can be freed before the
+    factorization's peak.
+    """
+    K = vm.n_nodes
+    samp = np.asarray(samples).reshape(-1, K, K)
     if not np.all(np.isfinite(samp) & (samp > 0)):
         raise ValueError("scattering rates must be positive and finite on the grid")
-    sdb_gap(samp, vm.weights).require()
-    return gain_loss(samp, vm.weights)
+    (sdb_gap(samp, vm.weights) if sdb is None else sdb).require()
+    return CellRates(*gain_loss(samp, vm.weights))
 
 
 class CellOperator(_CellOperatorBase):
-    """Cell operator sampled on a periodic grid (see :func:`assemble`)."""
+    """Cell operator sampled on a periodic grid (see :func:`assemble`).
+
+    Construction samples and gates the rates and keeps the gain ``gain``
+    ``(n, K, K)`` and the flat loss ``sigma_flat``; the matrices follow at
+    first use.
+    """
 
     def __init__(self, kernel, x, vm: VelocityMeasure, grid: CellGrid, scheme: str,
-                 plans: dict | None = None):
+                 plans: dict | None = None, rates: CellRates | None = None):
+        # the matrices wait for the first solve, but scipy still loads at
+        # the first assembly of a process, which the check stage never makes
+        import scipy.sparse.linalg  # noqa: F401
+
         if grid.dim != vm.dim:
             raise ValueError(f"cell grid dim {grid.dim} != velocity dim {vm.dim}")
         if scheme not in ("upwind", "spectral"):
@@ -517,6 +609,7 @@ class CellOperator(_CellOperatorBase):
         self.grid = grid
         self.scheme = scheme
         self.dtype = float
+        self._plans = plans
 
         K = vm.n_nodes
         n = grid.n_points
@@ -525,28 +618,36 @@ class CellOperator(_CellOperatorBase):
         self.field_shape = (*grid.shape, K)
         dense_cell_gate(scheme, self.size)
 
-        gain, sigma = _gated_gain_loss(kernel, x, grid, vm)
-        self.sigma_min = float(sigma.min())
+        if rates is None:
+            rates = gate_rates(_sampled(kernel, x, grid, vm), vm)
+        elif rates.gain.shape != (n, K, K):
+            raise ValueError(f"rates of shape {rates.gain.shape} do not fit the "
+                             f"{n}-point grid with {K} velocities")
+        self.sigma_min = float(rates.loss.min())
         if self.sigma_min <= 0:
             raise ValueError("absorption rate must be strictly positive")
-        sigma_flat = sigma.reshape(-1)
-
-        if scheme == "spectral":
-            T = np.zeros((self.size, self.size))
-            for k in range(K):
-                T[k::K, k::K] = _transport_matrix(grid, vm.field[k], scheme)
-            Km = np.zeros((self.size, self.size))
-            diag_idx = np.arange(n) * K
-            for k in range(K):
-                for l in range(K):
-                    Km[diag_idx + k, diag_idx + l] = gain[:, k, l]
-            self._set_matrices(T + np.diag(sigma_flat), Km)
-            self.weights = np.tile(vm.weights, n) / n
-        else:
-            self.weights, matrices = _upwind_matrices(grid, vm, plans, sigma_flat, gain)
-            self._set_matrices(*matrices)
+        self.gain = rates.gain
+        self.sigma_flat = rates.loss.reshape(-1)
         self.const = np.ones(self.size)
-        self.sigma_flat = sigma_flat
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        return np.tile(self.vm.weights, self.n_points) / self.n_points
+
+    def _build(self) -> tuple:
+        if self.scheme == "upwind":
+            plan = _upwind_plan(self.grid, self.vm, self._plans)
+            return plan.matrices(self.sigma_flat, self.gain)
+        K, n = self.vm.n_nodes, self.n_points
+        T = np.zeros((self.size, self.size))
+        for k in range(K):
+            T[k::K, k::K] = _transport_matrix(self.grid, self.vm.field[k], self.scheme)
+        Km = np.zeros((self.size, self.size))
+        diag_idx = np.arange(n) * K
+        for k in range(K):
+            for l in range(K):
+                Km[diag_idx + k, diag_idx + l] = self.gain[:, k, l]
+        return T + np.diag(self.sigma_flat), Km, None, None
 
     # -- inner-product geometry --------------------------------------------
 
@@ -577,16 +678,85 @@ class CellOperator(_CellOperatorBase):
 
 
 def assemble(kernel, x, vm: VelocityMeasure, grid: CellGrid,
-             scheme: str = "upwind", *, plans: dict | None = None) -> CellOperator:
+             scheme: str = "upwind", *, plans: dict | None = None,
+             rates: CellRates | None = None) -> CellOperator:
     """Build the grid-backend cell operator at macro position ``x``.
 
-    Refuses kernels that fail semi-detailed balance.  An ``upwind``
-    operator is filled in from an index plan of its grid and velocity set;
-    ``plans`` is a dict the caller keeps to share plans between operators
-    (the positions of one sampled family), keyed by what a plan depends
+    Refuses rates that are not positive or fail semi-detailed balance;
+    ``rates`` are the kernel's rates at ``x`` on ``grid`` already through
+    :func:`gate_rates`, when the caller has them, so they are neither
+    sampled nor gated again.  The matrices and the factorization of ``A``
+    are built at first use.  An ``upwind`` operator is filled in from an
+    index plan of its grid and velocity set; ``plans`` is a dict the caller
+    keeps to share plans between operators, keyed by what a plan depends
     on.  Without it the plan is built for this operator alone.
     """
-    return CellOperator(kernel, x, vm, grid, scheme, plans)
+    return CellOperator(kernel, x, vm, grid, scheme, plans, rates)
+
+
+class CellStack(_CellOperatorBase):
+    """Upwind cell operators of one grid and velocity set, stacked block-diagonally.
+
+    Block ``i`` is the operator of the flat loss ``loss[i]`` and the gain
+    ``gain[i]`` (``(m, size)`` and ``(m, n, K, K)``, as
+    :class:`CellOperator` keeps them), built from the one index plan of
+    ``plans`` (see :func:`assemble`); the stack's ``A`` is factored once.
+    Fields are flat, block after block.  Pairings, norms and means return
+    one value per block, so :func:`equilibrium_F`, :func:`solve_chi_star`
+    and :func:`kinhom.effective.diffusion_matrix` treat every block as the
+    cell it is: each gate holds per block, and the per-cell results (the
+    eigenvalue, the flux, the diagnostics, ``D``) come one per block.  The
+    corrector solves run one Krylov loop on the whole stack.
+    """
+
+    def __init__(self, grid: CellGrid, vm: VelocityMeasure, loss: np.ndarray,
+                 gain: np.ndarray, plans: dict | None = None):
+        self.grid = grid
+        self.vm = vm
+        self.dtype = float
+        self.n_blocks, self.block_size = loss.shape
+        self.size = loss.size
+        self.loss = loss
+        self.gain = gain
+        self._plans = plans
+        self.sigma_min = float(loss.min())
+        n = grid.n_points
+        self.weights = np.tile(np.tile(vm.weights, n) / n, self.n_blocks)
+        self.const = np.ones(self.size)
+
+    def _build(self) -> tuple:
+        return _upwind_plan(self.grid, self.vm, self._plans).matrices(self.loss, self.gain)
+
+    def _blocks(self, flat: np.ndarray) -> np.ndarray:
+        return flat.reshape(self.n_blocks, self.block_size)
+
+    def inner(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Per block, the weighted pairing of :meth:`CellOperator.inner`."""
+        return np.add.reduce(self._blocks(self.weights * f * g), axis=1)
+
+    def norm(self, f: np.ndarray) -> np.ndarray:
+        return np.sqrt(np.add.reduce(self._blocks(self.weights * (f * f)), axis=1))
+
+    def mean_v(self, f: np.ndarray) -> np.ndarray:
+        return self.inner(self.const, f)
+
+    @functools.cached_property
+    def F(self) -> np.ndarray:
+        F = (self._blocks(self.const) / self.mean_v(self.const)[:, None]).reshape(-1)
+        F.flags.writeable = False
+        return F
+
+    def wrap(self, flat: np.ndarray) -> np.ndarray:
+        return flat
+
+    def unwrap(self, field) -> np.ndarray:
+        flat = np.asarray(field)
+        if flat.shape != (self.size,):
+            raise ValueError(f"expected flat size {self.size}, got {flat.shape}")
+        return flat
+
+    def velocity_profile(self, component: int) -> np.ndarray:
+        return np.tile(self.vm.field[:, component], self.n_blocks * self.grid.n_points)
 
 
 # ---------------------------------------------------------------------------
@@ -757,6 +927,30 @@ def assemble_spectral_ap(kernel: ScatteringKernel, x, vm: VelocityMeasure,
 # ---------------------------------------------------------------------------
 
 
+def _per_cell(value):
+    """A per-cell result: a float for one cell, the array of a stack's blocks as it is."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def _scaled(coef, flat: np.ndarray) -> np.ndarray:
+    """``coef * flat`` for a per-cell ``coef``: a scalar, or one value per block of a stack."""
+    if np.ndim(coef) == 0:
+        return coef * flat
+    return (coef[:, None] * flat.reshape(coef.size, -1)).reshape(-1)
+
+
+def _ratio(num, den, otherwise):
+    """``num / den`` per cell, ``otherwise`` where ``den`` is not positive."""
+    if np.ndim(den) == 0:
+        return num / den if den > 0 else otherwise
+    return np.where(den > 0, num / np.where(den > 0, den, 1.0), otherwise)
+
+
+def _first_failing(values, failing) -> float:
+    """The value of the first cell that fails a gate."""
+    return float(np.ravel(values)[np.argmax(np.ravel(failing))])
+
+
 def equilibrium_F(op: _CellOperatorBase):
     """Principal eigenvalue of the gain-relaxation map; normalized equilibrium.
 
@@ -765,21 +959,24 @@ def equilibrium_F(op: _CellOperatorBase):
     equilibrium is the constant.  ``lam`` is the Rayleigh quotient of
     ``O = K A^{-1}`` at ``h``, one application; it must be 1 within 1e-8
     (anything else signals kernel/quadrature inconsistency).  The returned
-    field is ``op.F = 1 / mu(V)``, so ``int M(F) dmu = 1``.
+    field is ``op.F = 1 / mu(V)``, so ``int M(F) dmu = 1``.  On a
+    :class:`CellStack` the quotient, and its gate, are per block.
 
     Returns
     -------
     (lam, F) :
-        The eigenvalue and the wrapped equilibrium field.
+        The eigenvalue (one per block of a stack) and the wrapped
+        equilibrium field.
     """
     h = op.A_mat @ op.const
-    lam = float(np.real(op.inner(h, op.apply_O(h)))) / float(np.real(op.inner(h, h)))
-    if abs(lam - 1.0) > 1e-8:
+    lam = np.real(op.inner(h, op.apply_O(h))) / np.real(op.inner(h, h))
+    off = np.abs(lam - 1.0) > 1e-8
+    if np.any(off):
         raise ConvergenceError(
-            f"principal eigenvalue {lam!r} deviates from 1 beyond 1.0e-08; "
+            f"principal eigenvalue {_first_failing(lam, off)!r} deviates from 1 beyond 1.0e-08; "
             "kernel and quadrature are inconsistent"
         )
-    return lam, op.wrap(op.F)
+    return _per_cell(lam), op.wrap(op.F)
 
 
 @dataclass(frozen=True)
@@ -899,14 +1096,14 @@ def _deflated_gmres(op: _CellOperatorBase, action, rhs: np.ndarray,
     ``action`` is the map ``v -> (I - O) v`` (or its adjoint twin); the
     projector removes the ``deflate`` direction, which spans the cokernel,
     so the restricted operator is nonsingular and iterates stay in the
-    solvable subspace.  Returns the solution and the number of operator
-    applications.
+    solvable subspace; on a :class:`CellStack` it removes each block's.
+    Returns the solution and the number of operator applications.
     """
     norm2 = op.inner(deflate, deflate)
     count = 0
 
     def project(f):
-        return f - (op.inner(deflate, f) / norm2) * deflate
+        return f - _scaled(op.inner(deflate, f) / norm2, deflate)
 
     def projected(v):
         nonlocal count
@@ -928,31 +1125,37 @@ def _gauged_solve(op: _CellOperatorBase, rhs, tol: float | None, *,
     Checks ``<null, rhs> = 0`` against ``1e-10 * max(1, ||rhs||)`` (``||F||
     ||rhs||`` for ``P*``), solves the rewritten fixed-point system by
     deflated GMRES, maps back through ``A^{-1}`` (or its adjoint), gauges
-    the result to zero mean, and gates on a relative residual of 1e-9.
+    the result to zero mean, and gates on a relative residual of 1e-9.  On
+    a :class:`CellStack` each gate and the gauge are per block, and the
+    residual and bound constant come one per block.
     """
     null, null_scale = (op.F, op.norm(op.F)) if adjoint else (op.const, 1.0)
     rhs_flat = op.unwrap(rhs).astype(op.dtype)
     rhs_norm = op.norm(rhs_flat)
-    compat = float(np.real(op.inner(null, rhs_flat)))
+    compat = np.real(op.inner(null, rhs_flat))
     kind = "adjoint " if adjoint else ""
-    if abs(compat) > 1e-10 * max(1.0, null_scale * rhs_norm):
+    off = np.abs(compat) > 1e-10 * np.fmax(1.0, null_scale * rhs_norm)
+    if np.any(off):
         pairing = "rhs F" if adjoint else "g"
         raise CompatibilityError(
-            f"int M({pairing}) dmu = {compat:.3e} violates the {kind}solvability condition"
+            f"int M({pairing}) dmu = {_first_failing(compat, off):.3e} violates the "
+            f"{kind}solvability condition"
         )
     apply_O = op.apply_O_adjoint if adjoint else op.apply_O
     tol = 1e-12 if tol is None else tol
     h, n_iter = _deflated_gmres(op, lambda v: v - apply_O(v), rhs_flat, null, tol)
     f = op.hermitize(op.apply_A_adjoint_inverse(h) if adjoint else op.apply_A_inverse(h))
-    f = f - (op.mean_v(f) / op.mean_v(op.const)) * op.const
+    f = f - _scaled(op.mean_v(f) / op.mean_v(op.const), op.const)
     residual = op.norm((op.apply_P_adjoint(f) if adjoint else op.apply_P(f)) - rhs_flat)
-    if rhs_norm > 0 and residual > 1e-9 * rhs_norm:
+    failing = (np.asarray(rhs_norm) > 0) & (residual > 1e-9 * rhs_norm)
+    if np.any(failing):
         raise ConvergenceError(
-            f"{kind}corrector residual {residual:.3e} exceeds 1e-9 relative"
+            f"{kind}corrector residual {_first_failing(residual, failing):.3e} "
+            "exceeds 1e-9 relative"
         )
-    constant = op.norm(f) / rhs_norm if rhs_norm > 0 else 0.0
-    return CorrectorSolution(field=op.wrap(f), residual=residual,
-                             bound_constant=constant, iterations=n_iter)
+    constant = _ratio(op.norm(f), rhs_norm, 0.0)
+    return CorrectorSolution(field=op.wrap(f), residual=_per_cell(residual),
+                             bound_constant=_per_cell(constant), iterations=n_iter)
 
 
 def solve_corrector(op: _CellOperatorBase, g, tol: float | None = None) -> CorrectorSolution:
@@ -980,7 +1183,8 @@ class ChiStarSolution:
 
     ``residual`` is the largest ``||P* chi_j - rhs_j|| / ||rhs_j||`` and
     ``bound_constant`` the largest ``||chi_j|| / ||rhs_j||``; a vanishing
-    right-hand side reports the absolute residual and a zero constant.
+    right-hand side reports the absolute residual and a zero constant.  For
+    a :class:`CellStack` both are per block and ``b`` is ``(m, d)``.
     """
 
     chi: list
@@ -996,22 +1200,23 @@ def solve_chi_star(op: _CellOperatorBase, tol: float | None = None) -> ChiStarSo
     where ``b_j = int M(a_j F) dmu`` is the equilibrium flux.  The shift by
     ``b_j`` restores solvability whenever the flux does not vanish; ``b``
     is returned so downstream consumers know the co-moving frame.  The
-    residual and bound diagnostics come from each corrector solve.
+    residual and bound diagnostics come from each corrector solve.  On a
+    :class:`CellStack`, ``b`` is ``(m, d)`` and the diagnostics are per block.
     """
     d = op.vm.dim
-    chi = []
-    b = np.zeros(d)
+    chi, b = [], []
     worst_res = worst_const = 0.0
     for j in range(d):
         a_j = op.velocity_profile(j)
-        b[j] = float(np.real(op.inner(op.F, a_j)))  # int M(a_j F) dmu
-        rhs = -(a_j - b[j] * op.const)
+        b_j = np.real(op.inner(op.F, a_j))  # int M(a_j F) dmu
+        b.append(b_j)
+        rhs = -(a_j - _scaled(b_j, op.const))
         sol = solve_adjoint_corrector(op, rhs, tol=tol)
         chi.append(sol.field)
-        nrm = op.norm(rhs)
-        worst_res = max(worst_res, sol.residual / nrm if nrm > 0 else sol.residual)
-        worst_const = max(worst_const, sol.bound_constant)
-    return ChiStarSolution(chi=chi, b=b, residual=worst_res, bound_constant=worst_const)
+        worst_res = np.maximum(worst_res, _ratio(sol.residual, op.norm(rhs), sol.residual))
+        worst_const = np.maximum(worst_const, sol.bound_constant)
+    return ChiStarSolution(chi=chi, b=np.stack(b, axis=-1), residual=_per_cell(worst_res),
+                           bound_constant=_per_cell(worst_const))
 
 
 def verify_variational(op: _CellOperatorBase, seed: int = 0) -> float:

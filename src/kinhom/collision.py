@@ -417,5 +417,5 @@ def sdb_gap(rates, weights: np.ndarray) -> SdbReport:
 
 
 def check_sdb(kernel, x, grid: CellGrid, vm: VelocityMeasure) -> SdbReport:
-    """:func:`sdb_gap` of the kernel sampled on a cell grid."""
+    """:func:`sdb_gap` of the kernel sampled on a cell grid (or of its samples there)."""
     return sdb_gap(_sampled(kernel, x, grid, vm), vm.weights)

@@ -32,7 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kinhom.cell_solver import assemble, assemble_spectral_ap, equilibrium_F, solve_chi_star
+from kinhom.cell_solver import (
+    CellRates,
+    CellStack,
+    assemble,
+    assemble_spectral_ap,
+    equilibrium_F,
+    solve_chi_star,
+)
 from kinhom.phase_space import CellGrid, VelocityMeasure
 
 __all__ = [
@@ -57,7 +64,9 @@ def diffusion_matrix(op, chi, convention: str = "effective") -> np.ndarray:
     Computes the corrector-flux pairing ``M_ij = int M(chi_i a_j F) dmu``.
     With ``convention="effective"`` (default) returns ``-M``, the
     positive-definite divergence-form tensor; ``convention="pairing"``
-    returns the raw (negative-definite) moment matrix.
+    returns the raw (negative-definite) moment matrix.  A
+    :class:`~kinhom.cell_solver.CellStack` gives one tensor per block,
+    ``(m, d, d)``.
     """
     if convention not in ("effective", "pairing"):
         raise ValueError(f"unknown convention {convention!r}")
@@ -66,22 +75,30 @@ def diffusion_matrix(op, chi, convention: str = "effective") -> np.ndarray:
     # is the coefficient vector of a_j F only because both fields sit on the
     # zero-frequency row: the profile a_j(v) does not depend on y, nor does
     # the constant equilibrium
-    mat = np.array([[float(np.real(op.inner(op.velocity_profile(j) * op.F, op.unwrap(c))))
+    mat = np.array([[np.real(op.inner(op.velocity_profile(j) * op.F, op.unwrap(c)))
                      for j in range(d)] for c in chi])
+    mat = np.moveaxis(mat, 2, 0) if mat.ndim == 3 else mat
     return -mat if convention == "effective" else mat
 
 
 def ellipticity_gate(D: np.ndarray) -> float:
-    """Smallest eigenvalue of ``sym(D)``; raises if meaningfully negative."""
-    sym = 0.5 * (D + D.T)
-    lam_min = float(np.linalg.eigvalsh(sym).min())
-    scale = max(float(np.trace(sym)), 1.0)
-    if lam_min <= -1e-10 * scale:
+    """Smallest eigenvalue of ``sym(D)``; raises if meaningfully negative.
+
+    ``D`` is one ``(d, d)`` tensor or a stack ``(m, d, d)``, gated tensor by
+    tensor in one batched ``eigvalsh``; the smallest eigenvalue of them all
+    is returned.
+    """
+    sym = 0.5 * (D + np.swapaxes(D, -1, -2))
+    lam_min = np.linalg.eigvalsh(sym).min(axis=-1)
+    scale = np.fmax(np.trace(sym, axis1=-2, axis2=-1), 1.0)
+    failing = lam_min <= -1e-10 * scale
+    if np.any(failing):
         raise EllipticityError(
-            f"symmetrized diffusion tensor has eigenvalue {lam_min:.3e}; "
+            f"symmetrized diffusion tensor has eigenvalue "
+            f"{np.ravel(lam_min)[np.argmax(np.ravel(failing))]:.3e}; "
             "the velocity set does not span this direction"
         )
-    return lam_min
+    return float(lam_min.min())
 
 
 @dataclass(frozen=True)
@@ -99,6 +116,7 @@ class EffectiveCoefficients:
     flux: np.ndarray
     residual: float
     bound_constant: float
+    ellipticity_min: float  # smallest eigenvalue of sym(D) over the positions
 
     @property
     def constant(self) -> bool:
@@ -118,6 +136,7 @@ class CellSolution:
     lam: float
     b: np.ndarray        # equilibrium flux
     D: np.ndarray        # divergence-form diffusion tensor, ellipticity-gated
+    ellipticity_min: float  # smallest eigenvalue of sym(D)
     residual: float
     bound_constant: float
     settings: dict       # the solve_cell keywords it was solved with, backend resolved
@@ -125,15 +144,17 @@ class CellSolution:
 
 def solve_cell(kernel, x, vm: VelocityMeasure, *, backend: str | None = None,
                grid: CellGrid | None = None, scheme: str = "upwind", n_modes: int = 8,
-               tol: float | None = None, plans: dict | None = None) -> CellSolution:
+               tol: float | None = None, plans: dict | None = None,
+               rates: CellRates | None = None) -> CellSolution:
     """Solve the cell problem at ``x``: operator, equilibrium, correctors, ``D``.
 
     ``backend`` is ``"grid"`` (needs ``grid`` and ``scheme``) or
     ``"spectral_ap"`` (uses ``n_modes``); ``None`` picks
     :func:`default_backend`.  ``plans`` shares the grid operator's index
-    plan between solves (see :func:`kinhom.cell_solver.assemble`); it is
-    not a setting.  Raises :class:`EllipticityError` when the diffusion
-    tensor has a non-positive direction.
+    plan between solves and ``rates`` hands the grid operator rates gated
+    already (see :func:`kinhom.cell_solver.assemble`); neither is a
+    setting.  Raises :class:`EllipticityError` when the diffusion tensor
+    has a non-positive direction.
     """
     backend = default_backend(kernel) if backend is None else backend
     if backend == "spectral_ap":
@@ -141,15 +162,65 @@ def solve_cell(kernel, x, vm: VelocityMeasure, *, backend: str | None = None,
     elif grid is None:
         raise ValueError("grid backend needs a cell grid")
     else:
-        op = assemble(kernel, x, vm, grid, scheme=scheme, plans=plans)
+        op = assemble(kernel, x, vm, grid, scheme=scheme, plans=plans, rates=rates)
     lam, _ = equilibrium_F(op)
     star = solve_chi_star(op, tol=tol)
     D = diffusion_matrix(op, star.chi)
-    ellipticity_gate(D)
-    return CellSolution(op=op, lam=lam, b=star.b, D=D, residual=star.residual,
-                        bound_constant=star.bound_constant,
+    return CellSolution(op=op, lam=lam, b=star.b, D=D, ellipticity_min=ellipticity_gate(D),
+                        residual=star.residual, bound_constant=star.bound_constant,
                         settings=dict(backend=backend, grid=grid, scheme=scheme,
                                       n_modes=n_modes, tol=tol))
+
+
+# Most unknowns one stacked solve of a sampled family takes (at least one
+# position).  SuperLU's workspace grows with the stack, the time hardly:
+# through the effective stage of the tanh benchmark (512 positions of 128
+# unknowns; 2-core Xeon, one pinned CPU, min of 5 operations), stacks of
+# 1024, 2048, 4096, 8192 and 65,536 unknowns took 0.17, 0.13-0.23, 0.11,
+# 0.10 and 0.12-0.13 s, against 0.48 s for one solve per position, and
+# added 2.1, 3.3, 6.3, 8.5 and 44 MB to the peak memory of the process,
+# against 1.1 MB.  At 4096 the benchmark's tanh peak_rss_mb read 91.3 MB
+# against 89.1 MB for one solve per position.
+STACK_UNKNOWNS = 4096
+
+
+def _stacked_rates(kernel, xs: np.ndarray, vm: VelocityMeasure, grid: CellGrid):
+    """Loss ``(m, size)`` and gain ``(m, n, K, K)`` of the operators at ``xs``.
+
+    One operator is assembled (and gated) per position and dropped once its
+    rates are copied, before the next one is assembled.
+    """
+    n, K = grid.n_points, vm.n_nodes
+    loss = np.empty((xs.size, n * K))
+    gain = np.empty((xs.size, n, K, K))
+    for i, xi in enumerate(xs):
+        op = assemble(kernel, float(xi), vm, grid)
+        loss[i], gain[i] = op.sigma_flat, op.gain
+    return loss, gain
+
+
+def _solve_stacked(kernel, x: np.ndarray, vm: VelocityMeasure, grid: CellGrid,
+                   tol: float | None):
+    """``(D, flux, residual, bound constant)`` of the upwind cells at ``x``.
+
+    The positions are solved in chunks of at most ``STACK_UNKNOWNS``
+    unknowns (at least one position), each chunk one
+    :class:`~kinhom.cell_solver.CellStack` from one shared index plan.
+    ``D`` and the flux come per position, the diagnostics as their worst.
+    """
+    per_chunk = max(1, STACK_UNKNOWNS // (grid.n_points * vm.n_nodes))
+    plans = {}
+    D, b, residual, bound = [], [], 0.0, 0.0
+    for start in range(0, x.size, per_chunk):
+        stack = CellStack(grid, vm, *_stacked_rates(kernel, x[start:start + per_chunk], vm, grid),
+                          plans=plans)
+        equilibrium_F(stack)
+        star = solve_chi_star(stack, tol=tol)
+        D.append(diffusion_matrix(stack, star.chi))
+        b.append(star.b)
+        residual = max(residual, float(star.residual.max()))
+        bound = max(bound, float(star.bound_constant.max()))
+    return np.concatenate(D), np.concatenate(b), residual, bound
 
 
 def assemble_effective(cell: CellSolution, x=None) -> EffectiveCoefficients:
@@ -160,25 +231,39 @@ def assemble_effective(cell: CellSolution, x=None) -> EffectiveCoefficients:
     positions.  A kernel without modulation, or ``x = None``, gives the
     cell's own ``D``, flux and diagnostics.  Otherwise sampled assembly
     solves one cell per position with the kernel, velocity set and settings
-    of ``cell``, keeps only its ``D``, flux and diagnostics, and drops each
-    operator before the next solve; the drift ``U`` is zero at every
-    position (see the module docstring).  The positions share one index
-    plan of the grid operator, which this call drops when it returns.
+    of ``cell`` and keeps only its ``D``, flux and diagnostics; the drift
+    ``U`` is zero at every position (see the module docstring).  Upwind
+    grid cells are assembled one position at a time, each operator dropped
+    once its rates are copied, and solved in stacks of at most
+    ``STACK_UNKNOWNS`` unknowns (see :class:`kinhom.cell_solver.CellStack`)
+    that share one index plan, which this call drops when it returns; the
+    ellipticity gate then runs once over all positions.  Dense cells (the
+    grid's ``spectral`` scheme, the ``spectral_ap`` lattice) cost their
+    factorization, not per-call overhead, and keep one :func:`solve_cell`
+    per position, each operator dropped before the next solve.
     """
     kernel, vm = cell.op.kernel, cell.op.vm
     if x is None or kernel.x_dependence == "none":
         return EffectiveCoefficients(x=None, D=cell.D, U=np.zeros(vm.dim), flux=cell.b,
-                                     residual=cell.residual, bound_constant=cell.bound_constant)
+                                     residual=cell.residual, bound_constant=cell.bound_constant,
+                                     ellipticity_min=cell.ellipticity_min)
 
     x_arr = np.asarray(x, dtype=float).reshape(-1)
     if x_arr.size == 0 or not np.all(np.isfinite(x_arr)):
         raise ValueError(f"sampled macro positions x must be non-empty and finite; got {x_arr}")
-    kept = []  # per position: D, flux, residual, bound constant
-    plans = {}
-    for xi in x_arr:
-        s = solve_cell(kernel, float(xi), vm, plans=plans, **cell.settings)
-        kept.append((s.D, s.b, s.residual, s.bound_constant))
-    D, b, residual, bound = zip(*kept)
-    return EffectiveCoefficients(x=x_arr, D=np.stack(D), U=np.zeros((x_arr.size, vm.dim)),
-                                 flux=np.stack(b), residual=max(residual),
-                                 bound_constant=max(bound))
+    settings = cell.settings
+    if settings["backend"] == "grid" and settings["scheme"] == "upwind":
+        D, b, residual, bound = _solve_stacked(kernel, x_arr, vm, settings["grid"],
+                                               settings["tol"])
+        ellipticity_min = ellipticity_gate(D)
+    else:
+        kept = []  # per position: D, flux, residual, bound constant, ellipticity
+        for xi in x_arr:
+            s = solve_cell(kernel, float(xi), vm, **settings)
+            kept.append((s.D, s.b, s.residual, s.bound_constant, s.ellipticity_min))
+        D, b, residual, bound, ellipticity = zip(*kept)
+        D, b, residual, bound = np.stack(D), np.stack(b), max(residual), max(bound)
+        ellipticity_min = min(ellipticity)
+    return EffectiveCoefficients(x=x_arr, D=D, U=np.zeros((x_arr.size, vm.dim)), flux=b,
+                                 residual=residual, bound_constant=bound,
+                                 ellipticity_min=ellipticity_min)

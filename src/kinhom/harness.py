@@ -28,21 +28,34 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from kinhom.cell_solver import dense_cell_gate, lattice_cell_gate, verify_variational
+from kinhom.cell_solver import (
+    CellRates,
+    dense_cell_gate,
+    gate_rates,
+    lattice_cell_gate,
+    verify_variational,
+)
 from kinhom.cell_solver import (  # noqa: F401  (perfbench/tracing.py wraps these names here)
     assemble,
     assemble_spectral_ap,
     equilibrium_F,
     solve_chi_star,
 )
-from kinhom.collision import ONE_DIMENSIONAL_KINDS, ScatteringKernel, check_sdb, make_kernel, sdb_gap
+from kinhom.collision import (
+    ONE_DIMENSIONAL_KINDS,
+    ScatteringKernel,
+    SdbReport,
+    check_sdb,
+    make_kernel,
+    sdb_gap,
+)
 from kinhom.effective import (
     EffectiveCoefficients,
     assemble_effective,
     default_backend,
-    ellipticity_gate,
     solve_cell,
 )
+from kinhom.effective import ellipticity_gate  # noqa: F401  (perfbench/tracing.py wraps it here)
 from kinhom.kinetic_ref import (
     KineticSolver,
     KineticState,
@@ -674,9 +687,10 @@ def run_pipeline(
 ) -> PipelineReport:
     """Execute the full homogenization pipeline for one scenario.
 
-    Stages: gate checks (balance, velocity-span, dense-cell size, and the
-    kinetic pre-flight when a ``[kinetic]`` section is present), cell
-    solves, effective coefficients, macro integration, then — when a
+    Stages: gate checks (balance of the ``x = 0`` rates, and on the grid
+    their positivity; velocity-span, dense-cell size, and the kinetic
+    pre-flight when a ``[kinetic]`` section is present), cell solves,
+    effective coefficients, macro integration, then — when a
     ``[kinetic]`` section is present — kinetic runs per epsilon with sweep
     and sigma tables.
     ``stop_after`` truncates the run after the named stage, leaving later
@@ -698,9 +712,9 @@ def run_pipeline(
         if backend == "grid":
             grid = cfg.build_cell_grid()
             dense_cell_gate(cfg.cell["scheme"], grid.n_points * vm.n_nodes)
-            sdb = check_sdb(kernel, 0.0, grid, vm)
+            sdb, rates = _checked_cell_rates(kernel, grid, vm)
         else:
-            grid = None
+            grid = rates = None
             lattice_cell_gate(kernel, vm, cfg.cell["n_modes"])
             sdb = sdb_gap(kernel.node_matrix(vm), vm.weights)
         report.sdb_gap = sdb.max_rel_gap
@@ -712,7 +726,7 @@ def run_pipeline(
 
     with _stage("cell"):
         cell = solve_cell(kernel, 0.0, vm, backend=backend, grid=grid, scheme=cfg.cell["scheme"],
-                          n_modes=cfg.cell["n_modes"], tol=cfg.cell["tol"])
+                          n_modes=cfg.cell["n_modes"], tol=cfg.cell["tol"], rates=rates)
         report.lam = cell.lam
         report.flux = cell.b
         report.variational_residual = verify_variational(cell.op, seed=seed)
@@ -729,8 +743,7 @@ def run_pipeline(
         # the worst diagnostics over every cell solve, the sampled ones included
         report.corrector_residual = max(report.corrector_residual, coeffs.residual)
         report.bound_constant = max(report.bound_constant, coeffs.bound_constant)
-        D_all = coeffs.D if coeffs.D.ndim == 3 else coeffs.D[None, :, :]
-        report.ellipticity_min = min(ellipticity_gate(Dm) for Dm in D_all)
+        report.ellipticity_min = coeffs.ellipticity_min
     if stop_after == "effective":
         return _finish()
 
@@ -750,6 +763,19 @@ def run_pipeline(
             _run_kinetic(cfg, report, vm, kernel, mg, macro)
 
     return _finish()
+
+
+def _checked_cell_rates(kernel, grid: CellGrid, vm: VelocityMeasure) -> tuple[SdbReport, CellRates]:
+    """``(balance report, gated rates)`` of the ``x = 0`` cell, sampled once.
+
+    The check stage measures the balance gap on these samples and refuses
+    rates that are not positive or not balanced; the cell stage's ``x = 0``
+    operator takes the gated rates instead of sampling and gating again.
+    The samples are freed on return.
+    """
+    samples = kernel.sample_cell(0.0, grid, vm)
+    sdb = check_sdb(samples, 0.0, grid, vm)
+    return sdb, gate_rates(samples, vm, sdb)
 
 
 def _kinetic_preflight(cfg, kernel) -> float:

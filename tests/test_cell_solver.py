@@ -449,9 +449,87 @@ def test_sampled_operators_from_one_plan_are_bitwise_the_sparse_reference(
         P, A, Km = _reference_matrices(_fresh_rates(kernel, x, grid, vm), vm, grid)
         for got, want in zip((op.P, op.A_mat, op.K_mat), (P, A, Km)):
             _assert_bitwise(got, want)
+        op.A_fact  # the factorization is built at first use
         assert factored[i].format == "csc"
         _assert_bitwise(factored[i], A.tocsc())
     assert len(plans) == 1
+
+
+@pytest.mark.parametrize("dim, vm, grid", [
+    (1, two_velocity_1d(weights=(1.0, 2.0)), CellGrid((16,))),
+    (1, velocity_from_tables([[-1.0], [0.0], [1.0]], [1.0, 1.0, 1.0]), CellGrid((9,))),
+    (2, uniform_circle(8), CellGrid((8, 6))),
+], ids=["1d-16", "1d-resting-9", "2d-8x6"])
+def test_a_stack_holds_each_position_operator_on_its_diagonal(dim, vm, grid, monkeypatch):
+    kernel = make_kernel("sinusoidal", base=1.0, alpha=0.5, x_dependence="tanh",
+                         x_amplitude=0.5, dim=dim)
+    ops = [assemble(kernel, x, vm, grid) for x in (-1.3, 0.4, 2.0)]
+    plans = {}
+    stack = cell_solver.CellStack(grid, vm, np.stack([op.sigma_flat for op in ops]),
+                                  np.stack([op.gain for op in ops]), plans=plans)
+    factored = []
+    monkeypatch.setattr(cell_solver, "splu", lambda mat: factored.append(mat) or splu(mat))
+    stack.A_fact
+    assert len(plans) == 1 and len(factored) == 1
+    n = ops[0].size
+    for got, parts in ((stack.A_mat, [op.A_mat for op in ops]),
+                       (stack.K_mat, [op.K_mat for op in ops]),
+                       (stack.P, [op.P for op in ops]),
+                       (factored[0], [op.A_mat.tocsc() for op in ops])):
+        assert got.nnz == sum(p.nnz for p in parts)
+        for i, part in enumerate(parts):
+            _assert_bitwise(got[i * n:(i + 1) * n, i * n:(i + 1) * n], part)
+    rng = np.random.default_rng(2)
+    f, g = rng.standard_normal((2, stack.size))
+    for i, op in enumerate(ops):
+        block = slice(i * n, (i + 1) * n)
+        assert stack.inner(f, g)[i] == op.inner(f[block], g[block])
+        assert stack.norm(f)[i] == op.norm(f[block])
+        assert np.array_equal(stack.F[block], op.F)
+        assert np.array_equal(stack.velocity_profile(0)[block], op.velocity_profile(0))
+
+
+def _stack_of(kernel, xs, vm=VM, grid=CellGrid((16,))):
+    ops = [assemble(kernel, x, vm, grid) for x in xs]
+    return cell_solver.CellStack(grid, vm, np.stack([op.sigma_flat for op in ops]),
+                                 np.stack([op.gain for op in ops]))
+
+
+def test_a_stack_gates_each_block():
+    kernel = make_kernel("sinusoidal", base=1.0, alpha=0.5, x_dependence="tanh",
+                         x_amplitude=0.5)
+    stack = _stack_of(kernel, (-1.0, 0.0, 1.0))
+    lam, _ = equilibrium_F(stack)
+    assert lam.shape == (3,) and np.max(np.abs(lam - 1.0)) < 1e-12
+    # one block's gain 1 % above its loss: only its eigenvalue is off
+    stack._set_matrices(stack.A_mat, stack.K_mat.multiply(
+        np.repeat([1.0, 1.01, 1.0], stack.block_size)[:, None]).tocsr())
+    with pytest.raises(ConvergenceError, match=r"eigenvalue 1\.0\d+ deviates"):
+        equilibrium_F(stack)
+    # a right-hand side compatible in two blocks but not in the third
+    stack = _stack_of(kernel, (-1.0, 0.0, 1.0))
+    rhs = stack.velocity_profile(0)
+    rhs[2 * stack.block_size:] += 0.5
+    with pytest.raises(CompatibilityError, match="int M\\(rhs F\\) dmu = 5.000e-01"):
+        solve_adjoint_corrector(stack, rhs)
+
+
+def test_a_stack_solves_each_block_as_its_own_cell():
+    kernel = make_kernel("sinusoidal", base=1.0, alpha=0.5, x_dependence="tanh",
+                         x_amplitude=0.5)
+    vm = two_velocity_1d(weights=(1.0, 2.0))
+    xs = (-2.0, 0.3, 0.3, 1.1)
+    stack = _stack_of(kernel, xs, vm=vm)
+    star = solve_chi_star(stack)
+    n = stack.block_size
+    assert star.b.shape == (4, 1) and star.residual.shape == star.bound_constant.shape == (4,)
+    for i, x in enumerate(xs):
+        one = solve_chi_star(assemble(kernel, x, vm, CellGrid((16,))))
+        assert star.b[i, 0] == one.b[0] != 0.0
+        np.testing.assert_allclose(star.chi[0][i * n:(i + 1) * n], one.chi[0].values.ravel(),
+                                   rtol=1e-10, atol=1e-13)
+        assert star.bound_constant[i] == pytest.approx(one.bound_constant, rel=1e-11)
+        assert star.residual[i] < 1e-11
 
 
 def test_a_plan_serves_only_its_grid_and_velocity_set():

@@ -34,6 +34,17 @@ def test_cell_timing_prints_ms_per_position_of_each_layer(timing, capsys):
     rows = [line.split() for line in lines[2:]]
     assert [name for name, _ in rows] == list(timing.LAYERS)
     assert all(math.isfinite(float(value)) and float(value) > 0.0 for _, value in rows)
+    assert rows[-1][0] == "family"
+
+
+def test_cell_timing_family_row_times_the_stacked_solve(timing, monkeypatch):
+    # the family row runs the effective stage's stacked solve, once a sweep
+    calls = []
+    solve = timing._solve_stacked
+    monkeypatch.setattr(timing, "_solve_stacked",
+                        lambda kernel, x, *a: calls.append(len(x)) or solve(kernel, x, *a))
+    assert timing.main(["--reduced", "--sweeps", "2"]) == 0
+    assert calls == [32, 32]
 
 
 def test_cell_timing_refuses_zero_sweeps(timing):

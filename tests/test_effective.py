@@ -146,12 +146,23 @@ def test_sampled_assembly_matches_a_per_cell_reference(backend):
     eff = assemble_effective(solve_cell(TANH, 0.0, vm, backend=backend, grid=grid), x=x)
     solved = [solve_cell(TANH, xi, vm, backend=backend, grid=grid) for xi in x]
     assert np.array_equal(eff.x, x)
-    assert np.array_equal(eff.D, np.stack([s.D for s in solved]))
     assert np.array_equal(eff.U, np.zeros((x.size, 1)))
     assert not np.signbit(eff.U).any()
+    # the flux pairs the equilibrium with a(v): no solve enters it
     assert np.array_equal(eff.flux, np.stack([s.b for s in solved]))
-    assert eff.residual == max(s.residual for s in solved)
-    assert eff.bound_constant == max(s.bound_constant for s in solved)
+    D = np.stack([s.D for s in solved])
+    if backend == "spectral_ap":
+        # dense cells keep one solve per position
+        assert np.array_equal(eff.D, D)
+        assert eff.residual == max(s.residual for s in solved)
+        assert eff.bound_constant == max(s.bound_constant for s in solved)
+    else:
+        # upwind cells are solved as one stacked system: the per-position
+        # solves up to roundoff
+        np.testing.assert_allclose(eff.D, D, rtol=1e-11, atol=0.0)
+        np.testing.assert_allclose(eff.bound_constant, max(s.bound_constant for s in solved),
+                                   rtol=1e-11, atol=0.0)
+        assert 0.0 < eff.residual < 1e-11
 
 
 def test_sampled_assembly_keeps_no_operator(monkeypatch):
@@ -209,7 +220,8 @@ def test_sampled_positions_need_not_increase(x):
     # with no slow gradient to take, each position is its own cell solve
     eff = assemble_effective(solve_cell(TANH, 0.0, VM, grid=CellGrid((16,))), x=x)
     solved = [solve_cell(TANH, xi, VM, grid=CellGrid((16,))) for xi in x]
-    assert np.array_equal(eff.D, np.stack([s.D for s in solved]))
+    # one stacked solve against one solve per position: equal up to roundoff
+    np.testing.assert_allclose(eff.D, np.stack([s.D for s in solved]), rtol=1e-11, atol=0.0)
     assert np.array_equal(eff.U, np.zeros((x.size, 1)))
 
 
@@ -237,3 +249,61 @@ def test_equilibrium_is_the_constant_at_every_position(backend, scheme):
         _, F = equilibrium_F(op)
         expected = op.const / np.sum(vm.weights)
         assert np.max(np.abs(op.unwrap(F) - expected)) <= 1e-12
+
+
+def test_stacked_family_in_chunks_matches_per_position_solves(monkeypatch):
+    # weights (1, 2) give a non-zero flux b; 8 positions of 32 unknowns in
+    # stacks of at most 3 positions: chunks of 3, 3 and 2
+    vm = two_velocity_1d(weights=(1.0, 2.0))
+    grid = CellGrid((16,))
+    x = np.linspace(-2.0, 2.0, 8)
+    cell = solve_cell(TANH, 0.0, vm, grid=grid)
+    monkeypatch.setattr(effective, "STACK_UNKNOWNS", 3 * 32 + 31)
+    factored = []
+    splu = cell_solver.splu
+    monkeypatch.setattr(cell_solver, "splu", lambda mat: factored.append(mat.shape) or splu(mat))
+    eff = assemble_effective(cell, x=x)
+    # one factorization a chunk, none a position
+    assert factored == [(96, 96), (96, 96), (64, 64)]
+    monkeypatch.undo()
+    solved = [solve_cell(TANH, xi, vm, grid=grid) for xi in x]
+    np.testing.assert_allclose(eff.D, np.stack([s.D for s in solved]), rtol=1e-11, atol=0.0)
+    flux = np.stack([s.b for s in solved])
+    assert np.all(flux != 0.0) and np.array_equal(eff.flux, flux)
+    np.testing.assert_allclose(eff.bound_constant, max(s.bound_constant for s in solved),
+                               rtol=1e-11, atol=0.0)
+    assert 0.0 < eff.residual < 1e-11
+    assert eff.ellipticity_min == ellipticity_gate(eff.D) > 0.0
+
+
+def test_a_family_factors_only_stacks_within_the_bound(monkeypatch):
+    # the tanh benchmark's cell (64 points, 2 velocities): 40 positions take
+    # one full stack and one of the remaining 8
+    grid = CellGrid((64,))
+    cell = solve_cell(TANH, 0.0, VM, grid=grid)
+    factored = []
+    splu = cell_solver.splu
+    monkeypatch.setattr(cell_solver, "splu", lambda mat: factored.append(mat.shape[0]) or splu(mat))
+    eff = assemble_effective(cell, x=np.linspace(-3.0, 3.0, 40))
+    assert eff.D.shape == (40, 1, 1)
+    per_stack = effective.STACK_UNKNOWNS // 128
+    assert factored == [per_stack * 128, (40 - per_stack) * 128]
+    assert max(factored) <= effective.STACK_UNKNOWNS
+
+
+def test_dense_families_keep_one_solve_per_position(monkeypatch):
+    solves = []
+    original = effective.solve_cell
+    cell = solve_cell(TANH, 0.0, VM, grid=CellGrid((16,)), scheme="spectral")
+    monkeypatch.setattr(effective, "solve_cell",
+                        lambda *a, **k: solves.append(1) or original(*a, **k))
+    eff = assemble_effective(cell, x=np.linspace(-1.0, 1.0, 3))
+    assert len(solves) == 3 and eff.D.shape == (3, 1, 1)
+
+
+def test_ellipticity_gate_takes_a_stack_of_tensors():
+    D = np.stack([np.eye(2), np.diag([2.0, 0.5]), np.array([[1.0, 0.3], [0.1, 1.0]])])
+    assert ellipticity_gate(D) == min(ellipticity_gate(Dm) for Dm in D) == 0.5
+    D[1] = np.diag([1.0, -0.5])
+    with pytest.raises(EllipticityError, match="eigenvalue -5.000e-01"):
+        ellipticity_gate(D)

@@ -668,6 +668,55 @@ def test_pipeline_solves_a_modulated_cell_per_macro_point(monkeypatch):
     assert calls == {"assemble": cfg.macro["n"] + 1, "assemble_spectral_ap": 0}
 
 
+def _count_rate_samples(monkeypatch):
+    """Count samples of the cell rates and measurements of their balance gap."""
+    from kinhom import cell_solver, collision
+
+    calls = {"sample_cell": 0, "sdb_gap": 0}
+    sample_cell, sdb_gap = collision.ScatteringKernel.sample_cell, collision.sdb_gap
+
+    def counted_sample(self, *args, **kwargs):
+        calls["sample_cell"] += 1
+        return sample_cell(self, *args, **kwargs)
+
+    def counted_gap(*args, **kwargs):
+        calls["sdb_gap"] += 1
+        return sdb_gap(*args, **kwargs)
+
+    monkeypatch.setattr(collision.ScatteringKernel, "sample_cell", counted_sample)
+    for module in (collision, cell_solver, harness):
+        monkeypatch.setattr(module, "sdb_gap", counted_gap)
+    return calls
+
+
+def test_the_x0_rates_are_sampled_and_gated_once(monkeypatch):
+    # the check stage samples the x = 0 rates and measures their balance gap;
+    # the cell stage's operator takes the gated rates as they are
+    calls = _count_rate_samples(monkeypatch)
+    report = run_pipeline(parse_config(MINIMAL), stop_after="cell")
+    assert calls == {"sample_cell": 1, "sdb_gap": 1}
+    assert report.sdb_gap <= 1e-12
+    # the sampled positions of a modulated kernel sample and gate once each
+    calls.update(sample_cell=0, sdb_gap=0)
+    cfg = parse_config(TANH_REDUCED)
+    run_pipeline(cfg, stop_after="effective")
+    assert calls == {"sample_cell": cfg.macro["n"] + 1, "sdb_gap": cfg.macro["n"] + 1}
+
+
+def test_the_check_stage_refuses_bad_rates_before_any_solve(monkeypatch):
+    from kinhom import collision
+
+    calls = _count_assembles(monkeypatch)
+    with pytest.raises(StageError, match="stage check: kernel violates semi-detailed balance"):
+        run_pipeline(parse_config(UNBALANCED), stop_after="check")
+    sample_cell = collision.ScatteringKernel.sample_cell
+    monkeypatch.setattr(collision.ScatteringKernel, "sample_cell",
+                        lambda self, *a, **k: -sample_cell(self, *a, **k))
+    with pytest.raises(StageError, match="stage check: scattering rates must be positive"):
+        run_pipeline(parse_config(MINIMAL), stop_after="check")
+    assert calls == {"assemble": 0, "assemble_spectral_ap": 0}
+
+
 TANH_REDUCED = """\
 [scenario]
 name = tanh
@@ -688,19 +737,28 @@ n = 32
 
 def test_summary_reports_the_worst_corrector_diagnostics():
     # the x = 0 cell is not the worst one: its residual is about 7e-16
-    # against 7e-13 elsewhere, and its bound constant 0.51 against 1.004
-    from kinhom.effective import solve_cell
+    # against 2e-13 over the sampled family, and its bound constant 0.51
+    # against 1.004
+    from kinhom.effective import assemble_effective, solve_cell
 
     cfg = parse_config(TANH_REDUCED)
     summary = run_pipeline(cfg, stop_after="effective").summary
     kernel, vm, grid = cfg.build_kernel(), cfg.build_velocity(), cfg.build_cell_grid()
-    cells = [solve_cell(kernel, float(x), vm, backend="grid", grid=grid,
-                        scheme=cfg.cell["scheme"], n_modes=cfg.cell["n_modes"],
-                        tol=cfg.cell["tol"])
-             for x in [0.0, *cfg.build_macro_grid().axes()[0]]]
-    assert summary["corrector_residual"] == max(c.residual for c in cells)
-    assert summary["bound_constant"] == max(c.bound_constant for c in cells)
-    assert summary["bound_constant"] > cells[0].bound_constant
+    x = cfg.build_macro_grid().axes()[0]
+    settings = dict(backend="grid", grid=grid, scheme=cfg.cell["scheme"],
+                    n_modes=cfg.cell["n_modes"], tol=cfg.cell["tol"])
+    cell = solve_cell(kernel, 0.0, vm, **settings)
+    # the sampled family is solved as stacked systems, so its diagnostics are
+    # its own: the per-position solves' up to roundoff
+    family = assemble_effective(cell, x=x)
+    assert summary["corrector_residual"] == max(cell.residual, family.residual)
+    assert summary["bound_constant"] == max(cell.bound_constant, family.bound_constant)
+    assert summary["corrector_residual"] > cell.residual
+    assert summary["bound_constant"] > cell.bound_constant
+    solved = [solve_cell(kernel, float(xi), vm, **settings) for xi in x]
+    assert family.bound_constant == pytest.approx(max(s.bound_constant for s in solved),
+                                                  rel=1e-11, abs=0.0)
+    assert family.residual < 1e-11
 
 
 def test_pipeline_with_kinetic_produces_sweep_and_sigma_rows():

@@ -4,8 +4,8 @@
     python3 tools/cell_timing.py --seed 1 --sweeps 5 --reduced
     python3 tools/cell_timing.py --workload circle2d --sweeps 5
 
-Under ``x_dependence = tanh`` the effective stage solves one cell problem
-per macro position.  This tool sweeps those positions (the macro cell
+Under ``x_dependence = tanh`` every macro position has its own cell
+problem.  This tool sweeps those positions (the macro cell
 centres of the ``tanh`` scenario of ``perfbench/workloads.py``), or the one
 ``x = 0`` cell of ``circle2d`` (a 64^2 upwind cell with the 8-node circle),
 and prints the milliseconds per position of each layer of a solve:
@@ -13,20 +13,27 @@ and prints the milliseconds per position of each layer of a solve:
 * ``plan``: the index plan of the upwind operator, which holds the
   transport stencils (built once per sweep and shared by its positions,
   so this row is its cost spread over them);
-* ``assemble``: the operator at one position from that plan, with the LU
-  factorization of ``A``;
-* ``equilibrium_F``: the principal-eigenvalue check;
+* ``assemble``: the operator at one position, which samples and gates
+  the rates;
+* ``equilibrium_F``: the principal-eigenvalue check, which builds the
+  matrices from the plan and factors ``A`` at their first use;
 * ``solve_chi_star``: the adjoint correctors;
 * ``verify_variational``: the weak-form check, which the pipeline runs on
   the ``x = 0`` cell only;
-* ``solve_cell``: the whole solve as the effective stage calls it.
+* ``solve_cell``: the whole solve of one position, as the ``x = 0`` cell
+  is solved;
+* ``family``: the positions solved as the effective stage solves them,
+  in block-diagonal stacks of at most ``STACK_UNKNOWNS`` unknowns
+  (:mod:`kinhom.effective`), with their own plan.
 
 A sweep times every position once; each line is the minimum over
 ``--sweeps`` sweeps of the sweep's total divided by the number of
 positions.  As in the effective stage, the ``x = 0`` cell stays alive
 while the sweeps run, and the positions of a sweep share one index plan
-of the grid operator (each sweep builds its own, and ``solve_cell``
-builds one more, which it counts).  BLAS runs single-threaded.
+of the grid operator (each sweep builds its own; ``solve_cell`` and
+``family`` build one more each, which they count).  So ``solve_cell`` is
+the per-position cost of solving the family one position at a time, and
+``family`` that of the stacked solve.  BLAS runs single-threaded.
 """
 
 from __future__ import annotations
@@ -39,6 +46,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
@@ -53,9 +62,10 @@ from kinhom.cell_solver import (  # noqa: E402
     solve_chi_star,
     verify_variational,
 )
-from kinhom.effective import solve_cell  # noqa: E402
+from kinhom.effective import _solve_stacked, solve_cell  # noqa: E402
 
-LAYERS = ("plan", "assemble", "equilibrium_F", "solve_chi_star", "verify_variational", "solve_cell")
+LAYERS = ("plan", "assemble", "equilibrium_F", "solve_chi_star", "verify_variational", "solve_cell",
+          "family")
 WORKLOADS = ("tanh", "circle2d")
 
 
@@ -88,6 +98,9 @@ def sweep(cell, positions) -> dict[str, float]:
         t0 = clock()
         solve_cell(kernel, x, vm, plans=plans, **settings)
         total["solve_cell"] += clock() - t0
+    t0 = clock()
+    _solve_stacked(kernel, np.array(positions), vm, grid, settings["tol"])
+    total["family"] += clock() - t0
     return total
 
 
