@@ -243,13 +243,19 @@ class _CellOperatorBase:
     The matrices are built at first use: ``A_mat`` (``A = transport +
     Sigma``), ``K_mat`` (the gain) and ``P = A - K`` come from the
     subclass's :meth:`_build`, which may also hand over ``P`` and a CSC
-    copy of ``A`` it has already; the factorized ``A_fact`` and the
-    conjugate transposes ``P_H`` and ``K_H`` follow from them, each once,
-    so adjoint actions do not rebuild them per call.  A subclass that has
-    its matrices at construction passes them to :meth:`_set_matrices`
-    instead.  Subclasses also populate ``weights`` (flat inner-product
+    copy of ``A`` it has already, and ``A`` is factored (``A_fact``) with
+    them, before a solve allocates its vectors; the conjugate transposes
+    ``P_H`` and ``K_H`` follow, each once, so adjoint actions do not
+    rebuild them per call.  A subclass that has its matrices at
+    construction passes them to :meth:`_set_matrices` instead.  Subclasses also populate ``weights`` (flat inner-product
     weights), ``const`` (the constant function), ``sigma_min``, ``vm``, and
     conversion helpers.  The equilibrium ``F`` follows from ``const``.
+
+    An operator holds ``n_blocks`` cells on the diagonal of its matrices,
+    one but for a :class:`CellStack`, with fields flat, block after block.
+    The solves work per block: :meth:`pairings`, :meth:`norms` and
+    :meth:`means` give one value a block, and :meth:`per_cell` turns such
+    values into the operator's result, the one cell's for one cell.
     """
 
     weights: np.ndarray
@@ -257,29 +263,53 @@ class _CellOperatorBase:
     sigma_min: float
     vm: VelocityMeasure
     dtype: type
+    n_blocks = 1
 
     # -- inner-product geometry --------------------------------------------
 
-    def inner(self, f: np.ndarray, g: np.ndarray):
-        """Weighted pairing ``int M(conj(f) g) dmu`` on flat vectors."""
-        return np.sum(self.weights * np.conj(f) * g)
+    def _blocks(self, flat: np.ndarray) -> np.ndarray:
+        return flat.reshape(self.n_blocks, -1)
 
-    def norm(self, f: np.ndarray) -> float:
-        return float(np.sqrt(np.real(np.sum(self.weights * np.abs(f) ** 2))))
+    def pairings(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Per block, the weighted pairing ``int M(conj(f) g) dmu`` of flat vectors."""
+        return np.add.reduce(self._blocks(self.weights * np.conj(f) * g), axis=1)
 
-    def mean_v(self, f: np.ndarray) -> float:
-        """``int M(f) dmu`` of a flat field.
+    def norms(self, f: np.ndarray) -> np.ndarray:
+        return np.sqrt(np.real(np.add.reduce(self._blocks(self.weights * np.abs(f) ** 2),
+                                             axis=1)))
+
+    def means(self, f: np.ndarray) -> np.ndarray:
+        """Per block, ``int M(f) dmu`` of a flat field.
 
         Pairing against the constant field keeps this correct for both
         backends: on the grid it is the plain weighted sum, on the frequency
         lattice only the zero mode carries a nonzero cell mean.
         """
-        return float(np.real(self.inner(self.const, f)))
+        return np.real(self.pairings(self.const, f))
+
+    def per_cell(self, values: np.ndarray):
+        """The operator's result from per-block ``values``, ``(n_blocks, ...)``.
+
+        One cell's is its block's value (a scalar for a scalar); a
+        :class:`CellStack` returns the values of all its blocks.
+        """
+        return values[0]
+
+    def inner(self, f: np.ndarray, g: np.ndarray):
+        """Weighted pairing ``int M(conj(f) g) dmu`` on flat vectors."""
+        return self.per_cell(self.pairings(f, g))
+
+    def norm(self, f: np.ndarray):
+        return self.per_cell(self.norms(f))
+
+    def mean_v(self, f: np.ndarray):
+        """``int M(f) dmu`` of a flat field (see :meth:`means`)."""
+        return self.per_cell(self.means(f))
 
     @functools.cached_property
     def F(self) -> np.ndarray:
         """Flat equilibrium ``1 / mu(V)`` spanning ``ker P``; read-only, as the solves share it."""
-        F = self.const / self.mean_v(self.const)
+        F = (self._blocks(self.const) / self.means(self.const)[:, None]).reshape(-1)
         F.flags.writeable = False
         return F
 
@@ -289,10 +319,9 @@ class _CellOperatorBase:
 
     @functools.cached_property
     def _matrices(self) -> tuple:
-        """``(A, K, P)``, built at first use."""
+        """``(A, K, P, factorized A)``, built at first use."""
         A, K_mat, P, A_csc = self._build()
-        self._A_csc = A_csc  # kept for the factorization, which drops it
-        return A, K_mat, A - K_mat if P is None else P
+        return A, K_mat, A - K_mat if P is None else P, _Factorized(A if A_csc is None else A_csc)
 
     @property
     def A_mat(self):
@@ -306,11 +335,9 @@ class _CellOperatorBase:
     def P(self):
         return self._matrices[2]
 
-    @functools.cached_property
+    @property
     def A_fact(self) -> _Factorized:
-        A = self.A_mat
-        A_csc = self.__dict__.pop("_A_csc", None)
-        return _Factorized(A if A_csc is None else A_csc)
+        return self._matrices[3]
 
     @functools.cached_property
     def P_H(self):
@@ -321,10 +348,10 @@ class _CellOperatorBase:
         return _adjoint(self.K_mat)
 
     def _set_matrices(self, A, K_mat) -> None:
-        """Take ``A`` and ``K_mat`` as the operator's; what follows from them is rebuilt at use."""
-        for name in ("A_fact", "P_H", "K_H", "_A_csc"):
+        """Take ``A`` and ``K_mat`` as the operator's, and factor ``A``."""
+        for name in ("P_H", "K_H"):
             self.__dict__.pop(name, None)
-        self._matrices = (A, K_mat, A - K_mat)
+        self._matrices = (A, K_mat, A - K_mat, _Factorized(A))
 
     # -- operator actions ----------------------------------------------------
 
@@ -491,18 +518,16 @@ class _UpwindPlan:
             part.flags.writeable = False
 
     def matrices(self, sigma: np.ndarray, gain: np.ndarray):
-        """``(A, K, P, A in CSC)`` for the loss ``sigma`` and gain blocks ``gain``.
+        """``(A, K, P, A in CSC)`` for the losses ``sigma`` and gain blocks ``gain``.
 
-        ``sigma`` is flat, ``(size,)``, and ``gain`` ``(n, K, K)`` for one
-        operator.  With ``sigma`` of shape ``(m, size)`` and ``gain`` of
-        ``(m, n, K, K)`` the matrices are block-diagonal, block ``i`` the
+        ``sigma`` is ``(m, size)`` and ``gain`` ``(m, n, K, K)``, one row
+        an operator.  The matrices are block-diagonal, block ``i`` the
         operator of row ``i``, with the same entries an operator built
         alone has.
         """
         import scipy.sparse as sparse
 
-        sigma = np.asarray(sigma)
-        m = 1 if sigma.ndim == 1 else sigma.shape[0]
+        m = sigma.shape[0]
         shape = (m * self.shape[0], m * self.shape[1])
         a = np.tile(self.transport, m)
         # T_kk + Sigma, the one sum on A's diagonal
@@ -519,7 +544,7 @@ class _UpwindPlan:
         # A - K drops an entry that comes out zero; keep its structure exactly
         P = (sparse.csr_matrix((p, *self._stacked(self.P_indices, self.P_indptr, m)), shape=shape)
              if p.all() else A - Km)
-        a_csc = a[self.csc_order] if m == 1 else a.reshape(m, -1)[:, self.csc_order].ravel()
+        a_csc = a.reshape(m, -1)[:, self.csc_order].ravel()
         A_csc = sparse.csc_matrix((a_csc, *self._stacked(self.csc_indices, self.csc_indptr, m)),
                                   shape=shape)
         return A, Km, P, A_csc
@@ -556,36 +581,101 @@ def _upwind_plan(grid: CellGrid, vm: VelocityMeasure, plans: dict | None) -> _Up
 
 @dataclass(frozen=True)
 class CellRates:
-    """Gated rates at one position: gain blocks ``(n, K, K)`` and loss ``(n, K)``.
+    """Gated rates at position ``x`` on ``grid`` with the velocity set ``vm``.
 
-    Made by :func:`gate_rates`; :func:`assemble` takes them in place of
-    sampling and gating the kernel again.
+    The gain blocks ``gain`` are ``(n, K, K)`` and the loss ``loss``
+    ``(n, K)``.  Made by :func:`gate_rates`; :func:`assemble` takes them in
+    place of sampling and gating the kernel again, at the position, grid
+    and velocity set they were gated at only.
     """
 
+    x: object
+    grid: CellGrid
+    vm: VelocityMeasure
     gain: np.ndarray
     loss: np.ndarray
 
+    def gated_at(self, x, grid: CellGrid, vm: VelocityMeasure) -> bool:
+        """Whether these are the rates at ``x`` on ``grid`` with ``vm``."""
+        return (np.array_equal(self.x, x) and self.grid == grid
+                and np.array_equal(self.vm.nodes, vm.nodes)
+                and np.array_equal(self.vm.weights, vm.weights))
 
-def gate_rates(samples, vm: VelocityMeasure, sdb: SdbReport | None = None) -> CellRates:
-    """Gain and loss of rates sampled on a cell grid, ``(..., K, K)``.
 
-    Refuses rates that are not positive and finite (before the balance
-    gate, which would read their gap as NaN), then rates that fail
-    semi-detailed balance.  ``sdb`` is the balance report of these very
-    samples when the caller has measured it (:func:`kinhom.collision.
-    check_sdb`), so the gap is not measured twice.  The samples are not
-    kept: the gain is a new array, so they can be freed before the
-    factorization's peak.
+def gate_rates(kernel, x, grid: CellGrid, vm: VelocityMeasure,
+               sdb: SdbReport | None = None) -> CellRates:
+    """The rates of ``kernel`` at ``x`` sampled on ``grid``, gated.
+
+    ``kernel`` is a kernel or its samples there, ``(*grid.shape, K, K)``
+    (as for :func:`kinhom.collision.check_sdb`).  Refuses rates that are
+    not positive and finite (before the balance gate, which would read
+    their gap as NaN), then rates that fail semi-detailed balance.  ``sdb``
+    is :func:`kinhom.collision.check_sdb` of these very samples when the
+    caller has measured it; it is taken as given, not measured again.  The
+    samples are not kept: the gain is a new array, so they can be freed
+    before the factorization's peak.
     """
     K = vm.n_nodes
-    samp = np.asarray(samples).reshape(-1, K, K)
+    samp = _sampled(kernel, x, grid, vm).reshape(-1, K, K)
     if not np.all(np.isfinite(samp) & (samp > 0)):
         raise ValueError("scattering rates must be positive and finite on the grid")
     (sdb_gap(samp, vm.weights) if sdb is None else sdb).require()
-    return CellRates(*gain_loss(samp, vm.weights))
+    return CellRates(x, grid, vm, *gain_loss(samp, vm.weights))
 
 
-class CellOperator(_CellOperatorBase):
+class _GridCells(_CellOperatorBase):
+    """Grid cells of one grid and velocity set: one operator, or a stack of them.
+
+    Block ``i`` is the cell of the flat loss ``loss[i]`` and the gain
+    blocks ``gain[i]`` (``(m, size)`` and ``(m, n, K, K)``, kept as
+    ``losses`` and ``gains``); an upwind operator's matrices come from the
+    index plan of ``plans`` (see :func:`assemble`), at first use.  Fields
+    are flat.
+    """
+
+    def __init__(self, grid: CellGrid, vm: VelocityMeasure, loss: np.ndarray,
+                 gain: np.ndarray, plans: dict | None = None):
+        self.grid = grid
+        self.vm = vm
+        self.dtype = float
+        self.n_points = grid.n_points
+        self.n_blocks, self.block_size = loss.shape
+        self.size = loss.size
+        self.losses = loss
+        self.gains = gain
+        self._plans = plans
+        self.sigma_min = float(loss.min())
+        self.const = np.ones(self.size)
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        return np.tile(np.tile(self.vm.weights, self.n_points) / self.n_points, self.n_blocks)
+
+    def _build(self) -> tuple:
+        return _upwind_plan(self.grid, self.vm, self._plans).matrices(self.losses, self.gains)
+
+    def pairings(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Per block ``int M(f g) dmu``: grid fields are real, so no ``conj``."""
+        return np.add.reduce(self._blocks(self.weights * f * g), axis=1)
+
+    def norms(self, f: np.ndarray) -> np.ndarray:
+        return np.sqrt(np.add.reduce(self._blocks(self.weights * (f * f)), axis=1))
+
+    def velocity_profile(self, component: int) -> np.ndarray:
+        """Flat field of ``a_component(v)`` (y-independent)."""
+        return np.tile(self.vm.field[:, component], self.n_blocks * self.n_points)
+
+    def wrap(self, flat: np.ndarray) -> np.ndarray:
+        return flat
+
+    def unwrap(self, field) -> np.ndarray:
+        flat = np.asarray(field)
+        if flat.shape != (self.size,):
+            raise ValueError(f"expected flat size {self.size}, got {flat.shape}")
+        return flat
+
+
+class CellOperator(_GridCells):
     """Cell operator sampled on a periodic grid (see :func:`assemble`).
 
     Construction samples and gates the rates and keeps the gain ``gain``
@@ -605,39 +695,30 @@ class CellOperator(_CellOperatorBase):
             raise ValueError(f"unknown transport scheme {scheme!r}")
         self.kernel = kernel
         self.x = x
-        self.vm = vm
-        self.grid = grid
         self.scheme = scheme
-        self.dtype = float
-        self._plans = plans
-
-        K = vm.n_nodes
-        n = grid.n_points
-        self.n_points = n
-        self.size = n * K
-        self.field_shape = (*grid.shape, K)
-        dense_cell_gate(scheme, self.size)
+        self.field_shape = (*grid.shape, vm.n_nodes)
+        dense_cell_gate(scheme, grid.n_points * vm.n_nodes)
 
         if rates is None:
-            rates = gate_rates(_sampled(kernel, x, grid, vm), vm)
-        elif rates.gain.shape != (n, K, K):
-            raise ValueError(f"rates of shape {rates.gain.shape} do not fit the "
-                             f"{n}-point grid with {K} velocities")
-        self.sigma_min = float(rates.loss.min())
+            rates = gate_rates(kernel, x, grid, vm)
+        elif not rates.gated_at(x, grid, vm):
+            raise ValueError(f"rates gated at x = {rates.x!r} on {rates.grid} do not serve "
+                             f"x = {x!r} on {grid} with this velocity set")
+        super().__init__(grid, vm, rates.loss.reshape(1, -1), rates.gain[None], plans)
         if self.sigma_min <= 0:
             raise ValueError("absorption rate must be strictly positive")
-        self.gain = rates.gain
-        self.sigma_flat = rates.loss.reshape(-1)
-        self.const = np.ones(self.size)
 
-    @functools.cached_property
-    def weights(self) -> np.ndarray:
-        return np.tile(self.vm.weights, self.n_points) / self.n_points
+    @property
+    def gain(self) -> np.ndarray:
+        return self.gains[0]
+
+    @property
+    def sigma_flat(self) -> np.ndarray:
+        return self.losses[0]
 
     def _build(self) -> tuple:
         if self.scheme == "upwind":
-            plan = _upwind_plan(self.grid, self.vm, self._plans)
-            return plan.matrices(self.sigma_flat, self.gain)
+            return super()._build()
         K, n = self.vm.n_nodes, self.n_points
         T = np.zeros((self.size, self.size))
         for k in range(K):
@@ -649,15 +730,6 @@ class CellOperator(_CellOperatorBase):
                 Km[diag_idx + k, diag_idx + l] = self.gain[:, k, l]
         return T + np.diag(self.sigma_flat), Km, None, None
 
-    # -- inner-product geometry --------------------------------------------
-
-    def inner(self, f: np.ndarray, g: np.ndarray):
-        """Weighted pairing ``int M(f g) dmu``: grid fields are real, so no ``conj``."""
-        return np.add.reduce(self.weights * f * g)
-
-    def norm(self, f: np.ndarray) -> float:
-        return float(np.sqrt(np.add.reduce(self.weights * (f * f))))
-
     # -- field conversion ----------------------------------------------------
 
     def wrap(self, flat: np.ndarray) -> PhaseField:
@@ -667,14 +739,7 @@ class CellOperator(_CellOperatorBase):
     def unwrap(self, field) -> np.ndarray:
         if isinstance(field, PhaseField):
             return field.values.reshape(-1)
-        flat = np.asarray(field)
-        if flat.shape != (self.size,):
-            raise ValueError(f"expected flat size {self.size}, got {flat.shape}")
-        return flat
-
-    def velocity_profile(self, component: int) -> np.ndarray:
-        """Flat field of ``a_component(v)`` (y-independent)."""
-        return np.tile(self.vm.field[:, component], self.n_points)
+        return super().unwrap(field)
 
 
 def assemble(kernel, x, vm: VelocityMeasure, grid: CellGrid,
@@ -685,78 +750,35 @@ def assemble(kernel, x, vm: VelocityMeasure, grid: CellGrid,
     Refuses rates that are not positive or fail semi-detailed balance;
     ``rates`` are the kernel's rates at ``x`` on ``grid`` already through
     :func:`gate_rates`, when the caller has them, so they are neither
-    sampled nor gated again.  The matrices and the factorization of ``A``
-    are built at first use.  An ``upwind`` operator is filled in from an
-    index plan of its grid and velocity set; ``plans`` is a dict the caller
-    keeps to share plans between operators, keyed by what a plan depends
-    on.  Without it the plan is built for this operator alone.
+    sampled nor gated again (rates gated elsewhere are refused).  The
+    matrices and the factorization of ``A`` are built at first use.  An
+    ``upwind`` operator is filled in from an index plan of its grid and
+    velocity set; ``plans`` is a dict the caller keeps to share plans
+    between operators, keyed by what a plan depends on.  Without it the
+    plan is built for this operator alone.
     """
     return CellOperator(kernel, x, vm, grid, scheme, plans, rates)
 
 
-class CellStack(_CellOperatorBase):
+class CellStack(_GridCells):
     """Upwind cell operators of one grid and velocity set, stacked block-diagonally.
 
     Block ``i`` is the operator of the flat loss ``loss[i]`` and the gain
-    ``gain[i]`` (``(m, size)`` and ``(m, n, K, K)``, as
-    :class:`CellOperator` keeps them), built from the one index plan of
-    ``plans`` (see :func:`assemble`); the stack's ``A`` is factored once.
-    Fields are flat, block after block.  Pairings, norms and means return
-    one value per block, so :func:`equilibrium_F`, :func:`solve_chi_star`
-    and :func:`kinhom.effective.diffusion_matrix` treat every block as the
-    cell it is: each gate holds per block, and the per-cell results (the
-    eigenvalue, the flux, the diagnostics, ``D``) come one per block.  The
-    corrector solves run one Krylov loop on the whole stack.
+    ``gain[i]`` (``(m, size)`` and ``(m, n, K, K)``, what
+    :class:`CellOperator` keeps as ``sigma_flat`` and ``gain``), built
+    from the one index plan of ``plans`` (see :func:`assemble`) as a
+    :class:`CellOperator` is, with the same geometry block by block; the
+    stack's ``A`` is factored once.  Fields are flat, block after block.
+    Results are per block: :meth:`inner`, :meth:`norm` and :meth:`mean_v`
+    return one value a block, so :func:`equilibrium_F`,
+    :func:`solve_chi_star` and :func:`kinhom.effective.diffusion_matrix`
+    gate every block as the cell it is and return the eigenvalue, the flux,
+    the diagnostics and ``D`` one per block.  The corrector solves run one
+    Krylov loop on the whole stack.
     """
 
-    def __init__(self, grid: CellGrid, vm: VelocityMeasure, loss: np.ndarray,
-                 gain: np.ndarray, plans: dict | None = None):
-        self.grid = grid
-        self.vm = vm
-        self.dtype = float
-        self.n_blocks, self.block_size = loss.shape
-        self.size = loss.size
-        self.loss = loss
-        self.gain = gain
-        self._plans = plans
-        self.sigma_min = float(loss.min())
-        n = grid.n_points
-        self.weights = np.tile(np.tile(vm.weights, n) / n, self.n_blocks)
-        self.const = np.ones(self.size)
-
-    def _build(self) -> tuple:
-        return _upwind_plan(self.grid, self.vm, self._plans).matrices(self.loss, self.gain)
-
-    def _blocks(self, flat: np.ndarray) -> np.ndarray:
-        return flat.reshape(self.n_blocks, self.block_size)
-
-    def inner(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """Per block, the weighted pairing of :meth:`CellOperator.inner`."""
-        return np.add.reduce(self._blocks(self.weights * f * g), axis=1)
-
-    def norm(self, f: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.add.reduce(self._blocks(self.weights * (f * f)), axis=1))
-
-    def mean_v(self, f: np.ndarray) -> np.ndarray:
-        return self.inner(self.const, f)
-
-    @functools.cached_property
-    def F(self) -> np.ndarray:
-        F = (self._blocks(self.const) / self.mean_v(self.const)[:, None]).reshape(-1)
-        F.flags.writeable = False
-        return F
-
-    def wrap(self, flat: np.ndarray) -> np.ndarray:
-        return flat
-
-    def unwrap(self, field) -> np.ndarray:
-        flat = np.asarray(field)
-        if flat.shape != (self.size,):
-            raise ValueError(f"expected flat size {self.size}, got {flat.shape}")
-        return flat
-
-    def velocity_profile(self, component: int) -> np.ndarray:
-        return np.tile(self.vm.field[:, component], self.n_blocks * self.grid.n_points)
+    def per_cell(self, values: np.ndarray) -> np.ndarray:
+        return values
 
 
 # ---------------------------------------------------------------------------
@@ -927,28 +949,23 @@ def assemble_spectral_ap(kernel: ScatteringKernel, x, vm: VelocityMeasure,
 # ---------------------------------------------------------------------------
 
 
-def _per_cell(value):
-    """A per-cell result: a float for one cell, the array of a stack's blocks as it is."""
-    return float(value) if np.ndim(value) == 0 else value
-
-
 def _scaled(coef, flat: np.ndarray) -> np.ndarray:
-    """``coef * flat`` for a per-cell ``coef``: a scalar, or one value per block of a stack."""
-    if np.ndim(coef) == 0:
-        return coef * flat
+    """``flat`` cut into ``coef.size`` equal blocks, block ``i`` scaled by ``coef[i]``.
+
+    A scalar ``coef`` scales the whole of ``flat``.
+    """
+    coef = np.atleast_1d(coef)
     return (coef[:, None] * flat.reshape(coef.size, -1)).reshape(-1)
 
 
-def _ratio(num, den, otherwise):
-    """``num / den`` per cell, ``otherwise`` where ``den`` is not positive."""
-    if np.ndim(den) == 0:
-        return num / den if den > 0 else otherwise
+def _ratio(num: np.ndarray, den: np.ndarray, otherwise) -> np.ndarray:
+    """``num / den`` per block, ``otherwise`` where ``den`` is not positive."""
     return np.where(den > 0, num / np.where(den > 0, den, 1.0), otherwise)
 
 
-def _first_failing(values, failing) -> float:
-    """The value of the first cell that fails a gate."""
-    return float(np.ravel(values)[np.argmax(np.ravel(failing))])
+def _first_failing(values: np.ndarray, failing: np.ndarray) -> float:
+    """The value of the first block that fails a gate."""
+    return float(values[np.argmax(failing)])
 
 
 def equilibrium_F(op: _CellOperatorBase):
@@ -969,14 +986,14 @@ def equilibrium_F(op: _CellOperatorBase):
         equilibrium field.
     """
     h = op.A_mat @ op.const
-    lam = np.real(op.inner(h, op.apply_O(h))) / np.real(op.inner(h, h))
+    lam = np.real(op.pairings(h, op.apply_O(h))) / np.real(op.pairings(h, h))
     off = np.abs(lam - 1.0) > 1e-8
     if np.any(off):
         raise ConvergenceError(
             f"principal eigenvalue {_first_failing(lam, off)!r} deviates from 1 beyond 1.0e-08; "
             "kernel and quadrature are inconsistent"
         )
-    return _per_cell(lam), op.wrap(op.F)
+    return op.per_cell(lam), op.wrap(op.F)
 
 
 @dataclass(frozen=True)
@@ -1129,10 +1146,10 @@ def _gauged_solve(op: _CellOperatorBase, rhs, tol: float | None, *,
     a :class:`CellStack` each gate and the gauge are per block, and the
     residual and bound constant come one per block.
     """
-    null, null_scale = (op.F, op.norm(op.F)) if adjoint else (op.const, 1.0)
+    null, null_scale = (op.F, op.norms(op.F)) if adjoint else (op.const, 1.0)
     rhs_flat = op.unwrap(rhs).astype(op.dtype)
-    rhs_norm = op.norm(rhs_flat)
-    compat = np.real(op.inner(null, rhs_flat))
+    rhs_norm = op.norms(rhs_flat)
+    compat = np.real(op.pairings(null, rhs_flat))
     kind = "adjoint " if adjoint else ""
     off = np.abs(compat) > 1e-10 * np.fmax(1.0, null_scale * rhs_norm)
     if np.any(off):
@@ -1145,17 +1162,17 @@ def _gauged_solve(op: _CellOperatorBase, rhs, tol: float | None, *,
     tol = 1e-12 if tol is None else tol
     h, n_iter = _deflated_gmres(op, lambda v: v - apply_O(v), rhs_flat, null, tol)
     f = op.hermitize(op.apply_A_adjoint_inverse(h) if adjoint else op.apply_A_inverse(h))
-    f = f - _scaled(op.mean_v(f) / op.mean_v(op.const), op.const)
-    residual = op.norm((op.apply_P_adjoint(f) if adjoint else op.apply_P(f)) - rhs_flat)
-    failing = (np.asarray(rhs_norm) > 0) & (residual > 1e-9 * rhs_norm)
+    f = f - _scaled(op.means(f) / op.means(op.const), op.const)
+    residual = op.norms((op.apply_P_adjoint(f) if adjoint else op.apply_P(f)) - rhs_flat)
+    failing = (rhs_norm > 0) & (residual > 1e-9 * rhs_norm)
     if np.any(failing):
         raise ConvergenceError(
             f"{kind}corrector residual {_first_failing(residual, failing):.3e} "
             "exceeds 1e-9 relative"
         )
-    constant = _ratio(op.norm(f), rhs_norm, 0.0)
-    return CorrectorSolution(field=op.wrap(f), residual=_per_cell(residual),
-                             bound_constant=_per_cell(constant), iterations=n_iter)
+    constant = _ratio(op.norms(f), rhs_norm, 0.0)
+    return CorrectorSolution(field=op.wrap(f), residual=op.per_cell(residual),
+                             bound_constant=op.per_cell(constant), iterations=n_iter)
 
 
 def solve_corrector(op: _CellOperatorBase, g, tol: float | None = None) -> CorrectorSolution:
@@ -1208,15 +1225,16 @@ def solve_chi_star(op: _CellOperatorBase, tol: float | None = None) -> ChiStarSo
     worst_res = worst_const = 0.0
     for j in range(d):
         a_j = op.velocity_profile(j)
-        b_j = np.real(op.inner(op.F, a_j))  # int M(a_j F) dmu
+        b_j = np.real(op.pairings(op.F, a_j))  # int M(a_j F) dmu
         b.append(b_j)
         rhs = -(a_j - _scaled(b_j, op.const))
         sol = solve_adjoint_corrector(op, rhs, tol=tol)
         chi.append(sol.field)
-        worst_res = np.maximum(worst_res, _ratio(sol.residual, op.norm(rhs), sol.residual))
-        worst_const = np.maximum(worst_const, sol.bound_constant)
-    return ChiStarSolution(chi=chi, b=np.stack(b, axis=-1), residual=_per_cell(worst_res),
-                           bound_constant=_per_cell(worst_const))
+        residual, constant = np.atleast_1d(sol.residual), np.atleast_1d(sol.bound_constant)
+        worst_res = np.maximum(worst_res, _ratio(residual, op.norms(rhs), residual))
+        worst_const = np.maximum(worst_const, constant)
+    return ChiStarSolution(chi=chi, b=op.per_cell(np.stack(b, axis=-1)),
+                           residual=op.per_cell(worst_res), bound_constant=op.per_cell(worst_const))
 
 
 def verify_variational(op: _CellOperatorBase, seed: int = 0) -> float:

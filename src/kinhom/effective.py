@@ -75,9 +75,9 @@ def diffusion_matrix(op, chi, convention: str = "effective") -> np.ndarray:
     # is the coefficient vector of a_j F only because both fields sit on the
     # zero-frequency row: the profile a_j(v) does not depend on y, nor does
     # the constant equilibrium
-    mat = np.array([[np.real(op.inner(op.velocity_profile(j) * op.F, op.unwrap(c)))
+    mat = np.array([[np.real(op.pairings(op.velocity_profile(j) * op.F, op.unwrap(c)))
                      for j in range(d)] for c in chi])
-    mat = np.moveaxis(mat, 2, 0) if mat.ndim == 3 else mat
+    mat = op.per_cell(np.moveaxis(mat, 2, 0))  # (blocks, d, d) -> the operator's result
     return -mat if convention == "effective" else mat
 
 

@@ -775,7 +775,7 @@ def _checked_cell_rates(kernel, grid: CellGrid, vm: VelocityMeasure) -> tuple[Sd
     """
     samples = kernel.sample_cell(0.0, grid, vm)
     sdb = check_sdb(samples, 0.0, grid, vm)
-    return sdb, gate_rates(samples, vm, sdb)
+    return sdb, gate_rates(samples, 0.0, grid, vm, sdb=sdb)
 
 
 def _kinetic_preflight(cfg, kernel) -> float:

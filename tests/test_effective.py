@@ -162,7 +162,8 @@ def test_sampled_assembly_matches_a_per_cell_reference(backend):
         np.testing.assert_allclose(eff.D, D, rtol=1e-11, atol=0.0)
         np.testing.assert_allclose(eff.bound_constant, max(s.bound_constant for s in solved),
                                    rtol=1e-11, atol=0.0)
-        assert 0.0 < eff.residual < 1e-11
+        # the residual is roundoff itself: held to the per-position scale
+        assert 0.0 < eff.residual <= 10 * max(s.residual for s in solved)
 
 
 def test_sampled_assembly_keeps_no_operator(monkeypatch):
@@ -272,7 +273,7 @@ def test_stacked_family_in_chunks_matches_per_position_solves(monkeypatch):
     assert np.all(flux != 0.0) and np.array_equal(eff.flux, flux)
     np.testing.assert_allclose(eff.bound_constant, max(s.bound_constant for s in solved),
                                rtol=1e-11, atol=0.0)
-    assert 0.0 < eff.residual < 1e-11
+    assert 0.0 < eff.residual <= 10 * max(s.residual for s in solved)
     assert eff.ellipticity_min == ellipticity_gate(eff.D) > 0.0
 
 

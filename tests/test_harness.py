@@ -737,28 +737,23 @@ n = 32
 
 def test_summary_reports_the_worst_corrector_diagnostics():
     # the x = 0 cell is not the worst one: its residual is about 7e-16
-    # against 2e-13 over the sampled family, and its bound constant 0.51
-    # against 1.004
-    from kinhom.effective import assemble_effective, solve_cell
+    # against 7e-13 elsewhere, and its bound constant 0.51 against 1.004
+    from kinhom.effective import solve_cell
 
     cfg = parse_config(TANH_REDUCED)
     summary = run_pipeline(cfg, stop_after="effective").summary
     kernel, vm, grid = cfg.build_kernel(), cfg.build_velocity(), cfg.build_cell_grid()
-    x = cfg.build_macro_grid().axes()[0]
-    settings = dict(backend="grid", grid=grid, scheme=cfg.cell["scheme"],
-                    n_modes=cfg.cell["n_modes"], tol=cfg.cell["tol"])
-    cell = solve_cell(kernel, 0.0, vm, **settings)
-    # the sampled family is solved as stacked systems, so its diagnostics are
-    # its own: the per-position solves' up to roundoff
-    family = assemble_effective(cell, x=x)
-    assert summary["corrector_residual"] == max(cell.residual, family.residual)
-    assert summary["bound_constant"] == max(cell.bound_constant, family.bound_constant)
-    assert summary["corrector_residual"] > cell.residual
-    assert summary["bound_constant"] > cell.bound_constant
-    solved = [solve_cell(kernel, float(xi), vm, **settings) for xi in x]
-    assert family.bound_constant == pytest.approx(max(s.bound_constant for s in solved),
-                                                  rel=1e-11, abs=0.0)
-    assert family.residual < 1e-11
+    cells = [solve_cell(kernel, float(x), vm, backend="grid", grid=grid,
+                        scheme=cfg.cell["scheme"], n_modes=cfg.cell["n_modes"],
+                        tol=cfg.cell["tol"])
+             for x in [0.0, *cfg.build_macro_grid().axes()[0]]]
+    # the sampled positions are solved as stacked systems, so their
+    # diagnostics are the per-position solves' up to roundoff; the residual
+    # is roundoff itself, held to the scale of the per-position ones
+    assert summary["bound_constant"] == pytest.approx(max(c.bound_constant for c in cells),
+                                                      rel=1e-11, abs=0.0)
+    assert cells[0].residual < summary["corrector_residual"] <= 10 * max(c.residual for c in cells)
+    assert summary["bound_constant"] > cells[0].bound_constant
 
 
 def test_pipeline_with_kinetic_produces_sweep_and_sigma_rows():
