@@ -25,8 +25,8 @@ the gain-relaxation map  O = K A^{-1}  with eigenvalue 1, which one
 application checks.  Corrector equations are Krylov solves of the
 rewritten fixed-point system with the one-dimensional kernel deflated out.
 
-Cell problems are small and solved many times (one per macro position when
-the rates vary with x), so a solve does only its arithmetic: GMRES runs in
+Cell problems are small and many (one per macro position when the rates
+vary with x), so a solve does only its arithmetic: GMRES runs in
 this module, operation for operation scipy's ``gmres`` (same iterates,
 same iteration counts) without its per-call set-up.  The upwind operator
 is assembled from an index plan, built once per (cell grid, velocity set):
@@ -38,7 +38,9 @@ samples and gates the rates, and the matrices and the factorization of
 family are solved together: :class:`CellStack` puts their upwind
 operators on the diagonal of one block-diagonal system, built from the
 shared plan and factored once, and the solves run on it as on one cell,
-with every per-cell gate applied to each block.
+with every per-cell gate applied to each block.  A single grid operator
+is the one-block case of the same geometry: the solves work per block
+and hand back a single cell's results as scalars.
 
 scipy is imported inside the functions that build, factor or densify an
 operator, so importing this module, and the gates the check stage runs
