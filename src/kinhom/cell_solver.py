@@ -611,7 +611,10 @@ def gate_rates(kernel, x, grid: CellGrid, vm: VelocityMeasure,
     ``kernel`` is a kernel or its samples there, ``(*grid.shape, K, K)``
     (as for :func:`kinhom.collision.check_sdb`).  Refuses rates that are
     not positive and finite (before the balance gate, which would read
-    their gap as NaN), then rates that fail semi-detailed balance.  ``sdb``
+    their gap as NaN), then rates that fail semi-detailed balance.  The
+    first gate is ``min > 0`` and ``max < inf``: a NaN fails both
+    comparisons (``min`` and ``max`` propagate it), and 0, negative values
+    and ±inf fail one, with no boolean temporaries.  ``sdb``
     is :func:`kinhom.collision.check_sdb` of these very samples when the
     caller has measured it; it is taken as given, not measured again.  The
     samples are not kept: the gain is a new array, so they can be freed
@@ -619,7 +622,7 @@ def gate_rates(kernel, x, grid: CellGrid, vm: VelocityMeasure,
     """
     K = vm.n_nodes
     samp = _sampled(kernel, x, grid, vm).reshape(-1, K, K)
-    if not np.all(np.isfinite(samp) & (samp > 0)):
+    if not (samp.min() > 0 and samp.max() < np.inf):
         raise ValueError("scattering rates must be positive and finite on the grid")
     (sdb_gap(samp, vm.weights) if sdb is None else sdb).require()
     return CellRates(x, grid, vm, *gain_loss(samp, vm.weights))
@@ -647,7 +650,11 @@ class _GridCells(_CellOperatorBase):
         self.gains = gain
         self._plans = plans
         self.sigma_min = float(loss.min())
-        self.const = np.ones(self.size)
+
+    @functools.cached_property
+    def const(self) -> np.ndarray:
+        # at first use, so an operator that is only gated never allocates it
+        return np.ones(self.size)
 
     @functools.cached_property
     def weights(self) -> np.ndarray:

@@ -401,13 +401,19 @@ def sdb_gap(rates, weights: np.ndarray) -> SdbReport:
 
     Compares the outgoing rate (second slot integrated) with the incoming
     rate (first slot integrated) at every sample and node; the relative gap
-    is measured against the larger of the two.  For a separable kernel the
-    node table alone decides, since the positive factor ``c(x) s(y)``
-    cancels from the relative gap.
+    is measured against the larger of the two.  Each sum is one
+    matrix-vector product over all samples at once: the rates as C-ordered
+    rows of ``K``, and a C-ordered copy of the transposed rates likewise,
+    times ``weights``.  The two take the same arithmetic, so symmetric
+    rates read a gap of exactly 0 (``weights @ rates`` sums in another
+    order and reads roundoff).  For a separable kernel the node table alone
+    decides, since the positive factor ``c(x) s(y)`` cancels from the
+    relative gap.
     """
-    rates = np.asarray(rates, dtype=float)
-    outgoing = np.tensordot(rates, weights, axes=([-1], [0]))
-    incoming = np.tensordot(rates, weights, axes=([-2], [0]))
+    rates = np.asarray(rates, dtype=float, order="C")
+    K = rates.shape[-1]
+    outgoing = rates.reshape(-1, K) @ weights
+    incoming = np.swapaxes(rates, -1, -2).copy().reshape(-1, K) @ weights
     gap = np.abs(outgoing - incoming)
     scale = np.maximum(np.maximum(np.abs(outgoing), np.abs(incoming)), 1e-300)
     return SdbReport(

@@ -24,6 +24,7 @@ import logging
 import os
 import tempfile
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -905,13 +906,18 @@ def _summarize(report: PipelineReport) -> dict[str, float | int | str]:
 # ---------------------------------------------------------------------------
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, blocks: Iterable[str]) -> None:
+    """Write the text ``blocks`` to ``path`` through a temp file and a rename.
+
+    The blocks are written as they come, so a generator of them never has
+    the whole text in memory at once.
+    """
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(blocks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -919,44 +925,51 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _csv(header: list[str], columns: list) -> str:
-    """Comma-separated table: the header line, then one line per row.
+def _csv_blocks(header: list[str], columns: list) -> Iterator[str]:
+    """Comma-separated table, block by block: the header line, then the rows.
 
     ``columns`` holds one equal-length sequence per header name.  Float
     columns are written with ``FMT``, integer columns with ``%d`` and any
     other column with ``%s``.  Each block of ``_CSV_BLOCK`` rows is one
-    ``%`` pass over its row-major cells; the blocks bound the number of
-    cell objects alive at once.
+    ``%`` pass over its row-major cells, yielded as one string; the blocks
+    bound the cell objects and the text alive at once.
     """
     columns = [np.asarray(col) for col in columns]
     n_rows, n_cols = len(columns[0]), len(columns)
     specs = {"f": FMT, "i": "%d", "u": "%d"}
     line = ",".join(specs.get(col.dtype.kind, "%s") for col in columns) + "\n"
-    parts = [",".join(header) + "\n"]
+    yield ",".join(header) + "\n"
     for lo in range(0, n_rows, _CSV_BLOCK):
         hi = min(lo + _CSV_BLOCK, n_rows)
         cells: list = [None] * ((hi - lo) * n_cols)
         for c, col in enumerate(columns):
             cells[c::n_cols] = col[lo:hi].tolist()
-        parts.append(line * (hi - lo) % tuple(cells))
-    return "".join(parts)
+        yield line * (hi - lo) % tuple(cells)
+
+
+def _csv(header: list[str], columns: list) -> str:
+    """The whole table of :func:`_csv_blocks` as one string."""
+    return "".join(_csv_blocks(header, columns))
 
 
 def emit_tables(report: PipelineReport, out_dir: str) -> dict[str, str]:
     """Write every table the report carries; returns ``{name: path}``.
 
     All files are comma-separated with one header line and decimal values
-    at 17 significant digits, written atomically (temp file + rename).
+    at 17 significant digits, written atomically (temp file + rename).  The
+    tables are streamed: each is written block by block as
+    :func:`_csv_blocks` formats it, so no table's whole text is held at
+    once.
     """
     cfg = report.config
     paths: dict[str, str] = {}
 
-    def emit(name: str, text: str) -> None:
+    def emit(name: str, blocks: Iterable[str]) -> None:
         path = os.path.join(out_dir, name)
-        _atomic_write(path, text)
+        _atomic_write(path, blocks)
         paths[name] = path
 
-    emit("config.ini", dump_config(cfg))
+    emit("config.ini", [dump_config(cfg)])
 
     coeffs = report.coefficients
     if coeffs is not None:
@@ -979,7 +992,7 @@ def emit_tables(report: PipelineReport, out_dir: str) -> dict[str, str]:
         columns += [Us[:, i] for i in range(d)]
         columns += [bs[:, i] for i in range(d)]
         columns += [[report.lam] * n, [report.ellipticity_min] * n]
-        emit("effective.csv", _csv(header, columns))
+        emit("effective.csv", _csv_blocks(header, columns))
 
     if report.macro is not None:
         mf = report.macro
@@ -987,7 +1000,7 @@ def emit_tables(report: PipelineReport, out_dir: str) -> dict[str, str]:
             n_x = mf.grid.shape[0]
             columns = [np.repeat(mf.times, n_x), np.tile(mf.grid.axes()[0], len(mf.times)),
                        mf.values.ravel()]
-            emit("macro.csv", _csv(["t", "x", "rho"], columns))
+            emit("macro.csv", _csv_blocks(["t", "x", "rho"], columns))
 
     for eps, states in report.kinetic_states.items():
         x = states[0].grid.axes()[0]
@@ -1002,7 +1015,7 @@ def emit_tables(report: PipelineReport, out_dir: str) -> dict[str, str]:
             np.tile(np.arange(K), len(states) * x.size),
             np.concatenate([s.f.ravel() for s in states]),
         ]
-        emit(f"kinetic_eps_{eps:g}.csv", _csv(["t", "x", "v_index", "f"], columns))
+        emit(f"kinetic_eps_{eps:g}.csv", _csv_blocks(["t", "x", "v_index", "f"], columns))
 
     if report.sweep is not None:
         rows = report.sweep.rows
@@ -1012,18 +1025,18 @@ def emit_tables(report: PipelineReport, out_dir: str) -> dict[str, str]:
             [r.runtime for r in rows],
             ["yes" if r.l2_flag else "no" for r in rows],
         ]
-        emit("sweep.csv", _csv(["epsilon", "err", "runtime_s", "l2_flag"], columns))
+        emit("sweep.csv", _csv_blocks(["epsilon", "err", "runtime_s", "l2_flag"], columns))
 
     if report.sigma_rows:
         names = ["epsilon", "phi", "m", "c", "lhs", "rhs", "residual"]
         columns = [[getattr(r, name) for r in report.sigma_rows] for name in names]
-        emit("sigma.csv", _csv(names, columns))
+        emit("sigma.csv", _csv_blocks(names, columns))
 
     if report.summary:
         lines = [
             f"{k} = " + (FMT % v if isinstance(v, float) else str(v))
             for k, v in report.summary.items()
         ]
-        emit("summary.txt", "\n".join(lines) + "\n")
+        emit("summary.txt", ["\n".join(lines) + "\n"])
 
     return paths

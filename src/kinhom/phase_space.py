@@ -9,6 +9,7 @@ transport direction ``a(v_k)`` which is what actually multiplies gradients
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,7 +158,7 @@ class CellGrid:
 
     @property
     def n_points(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     @property
     def spacing(self) -> tuple[float, ...]:
@@ -207,7 +208,7 @@ class MacroGrid:
 
     @property
     def n_points(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     @property
     def spacing(self) -> tuple[float, ...]:

@@ -61,3 +61,17 @@ def test_cell_timing_times_the_one_circle2d_cell(timing, capsys):
     rows = [line.split() for line in lines[2:]]
     assert [name for name, _ in rows] == list(timing.LAYERS)
     assert all(math.isfinite(float(value)) and float(value) > 0.0 for _, value in rows)
+
+
+def test_cell_timing_gate_row_samples_and_gates_each_position_alone(timing, monkeypatch, capsys):
+    # the gate row, just before family, samples and gates the rates of every
+    # position once a sweep, straight from the kernel
+    gated = []
+    gate = timing.gate_rates
+    monkeypatch.setattr(timing, "gate_rates",
+                        lambda kernel, x, *a: gated.append(x) or gate(kernel, x, *a))
+    assert timing.main(["--reduced", "--sweeps", "2"]) == 0
+    names, values = zip(*(line.split() for line in capsys.readouterr().out.splitlines()[2:]))
+    assert names[-2:] == ("gate", "family")
+    assert math.isfinite(float(values[-2])) and float(values[-2]) > 0.0
+    assert len(gated) == 2 * 32 and len(set(gated)) == 32

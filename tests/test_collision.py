@@ -9,6 +9,7 @@ from kinhom.collision import (
     apply_Q_star,
     check_sdb,
     make_kernel,
+    sdb_gap,
 )
 from kinhom.cell_solver import assemble, assemble_spectral_ap
 from kinhom.effective import solve_cell
@@ -262,3 +263,31 @@ def test_fast_period_is_the_shortest_oscillating_wave():
     approx = make_kernel("quasi_approx", alpha1=0.3, alpha2=0.2, p=3, q=2)
     assert approx.natural_period == 2.0
     assert approx.fast_period() == pytest.approx(2.0 / 3.0, rel=1e-15)
+
+
+def _tensordot_gap(rates, weights):
+    """The balance gap from the two ``np.tensordot`` sums ``sdb_gap`` once made."""
+    outgoing = np.tensordot(rates, weights, axes=([-1], [0]))
+    incoming = np.tensordot(rates, weights, axes=([-2], [0]))
+    gap = np.abs(outgoing - incoming)
+    scale = np.maximum(np.maximum(np.abs(outgoing), np.abs(incoming)), 1e-300)
+    return gap.max(), (gap / scale).max()
+
+
+@pytest.mark.parametrize("shape", [(16,), (4, 5)], ids=["1d", "2d"])
+@pytest.mark.parametrize("K", [2, 3, 8])
+def test_sdb_gap_matches_the_tensordot_sums(K, shape):
+    rng = np.random.default_rng(K)
+    weights = rng.uniform(0.5, 2.0, K)
+    rates = rng.uniform(0.2, 2.0, (*shape, K, K))
+    report = sdb_gap(rates, weights)
+    max_abs, max_rel = _tensordot_gap(rates, weights)
+    assert max_abs > 0.1 and abs(report.max_abs_gap - max_abs) <= 1e-15 * max_abs
+    assert abs(report.max_rel_gap - max_rel) <= 1e-15 * max_rel
+    # symmetric rates balance under any weights, and both sums take the same
+    # arithmetic, so the gap is exactly 0 as with the tensordot sums
+    symmetric = rates + np.swapaxes(rates, -1, -2)
+    assert sdb_gap(symmetric, weights).max_rel_gap == _tensordot_gap(symmetric, weights)[1] == 0.0
+    table = symmetric[(0,) * len(shape)]
+    assert sdb_gap(table, weights).max_rel_gap == 0.0
+    assert sdb_gap(np.asfortranarray(table), weights).max_rel_gap == 0.0

@@ -11,7 +11,7 @@ import pytest
 
 from kinhom import cell_solver, effective, harness
 from kinhom.cell_solver import assemble, assemble_spectral_ap, equilibrium_F, solve_chi_star
-from kinhom.collision import make_kernel
+from kinhom.collision import BalanceError, make_kernel
 from kinhom.effective import (
     EllipticityError,
     assemble_effective,
@@ -308,3 +308,50 @@ def test_ellipticity_gate_takes_a_stack_of_tensors():
     D[1] = np.diag([1.0, -0.5])
     with pytest.raises(EllipticityError, match="eigenvalue -5.000e-01"):
         ellipticity_gate(D)
+
+
+def _family_with_one_position_altered(monkeypatch, alter, bad_x=0.5):
+    """``x = 0`` cell of a fresh tanh kernel whose samples at ``bad_x`` pass through ``alter``.
+
+    Also counts the balance gates the sampled positions run.
+    """
+    kernel = make_kernel("sinusoidal", base=1.0, alpha=0.5, x_dependence="tanh", x_amplitude=0.5)
+    cell = solve_cell(kernel, 0.0, VM, grid=CellGrid((16,)))
+    sample = kernel.sample_cell
+
+    def altered(x, grid, vm):
+        vals = sample(x, grid, vm)
+        return alter(vals.copy()) if x == bad_x else vals
+
+    monkeypatch.setattr(kernel, "sample_cell", altered)
+    gates = []
+    gap = cell_solver.sdb_gap
+    monkeypatch.setattr(cell_solver, "sdb_gap", lambda *a: gates.append(1) or gap(*a))
+    return cell, gates
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.25],
+                         ids=["nan", "+inf", "-inf", "zero", "negative"])
+def test_a_sampled_position_with_one_bad_rate_is_refused_before_the_balance_gate(
+        monkeypatch, bad):
+    def one_bad_sample(vals):
+        vals[5, 1, 0] = bad
+        return vals
+
+    cell, gates = _family_with_one_position_altered(monkeypatch, one_bad_sample)
+    with pytest.raises(ValueError, match="positive and finite on the grid") as err:
+        assemble_effective(cell, x=np.array([-1.0, 0.5, 1.0]))
+    assert not isinstance(err.value, BalanceError)
+    # the position before it was gated for balance; the bad one never reached that gate
+    assert len(gates) == 1
+
+
+def test_an_unbalanced_node_table_at_a_sampled_position_is_refused(monkeypatch):
+    def unbalanced(vals):
+        vals[..., 0, 1] *= 1.5  # positive and finite, out of semi-detailed balance
+        return vals
+
+    cell, gates = _family_with_one_position_altered(monkeypatch, unbalanced)
+    with pytest.raises(BalanceError, match="semi-detailed balance"):
+        assemble_effective(cell, x=np.array([-1.0, 0.5, 1.0]))
+    assert len(gates) == 2

@@ -925,6 +925,49 @@ def test_kinetic_tables_match_the_float_column_writer(tmp_path):
             assert fh.read() == expect.encode()
 
 
+def test_long_tables_are_written_block_by_block(tmp_path, monkeypatch):
+    # emit_tables hands each table to the writer as a stream of blocks of at
+    # most _CSV_BLOCK rows, never as the whole text
+    report = run_pipeline(parse_config(SMALL_EPS_REDUCED))
+    monkeypatch.setattr(harness, "_CSV_BLOCK", 64)
+    largest = {}
+    atomic_write = harness._atomic_write
+
+    def recording(path, blocks):
+        assert not isinstance(blocks, str)
+        blocks = list(blocks)
+        largest[Path(path).name] = (max((b.count("\n") for b in blocks[1:]), default=0),
+                                    len(blocks))
+        atomic_write(path, blocks)
+
+    monkeypatch.setattr(harness, "_atomic_write", recording)
+    paths = emit_tables(report, str(tmp_path))
+    for eps in report.kinetic_states:
+        assert largest[f"kinetic_eps_{eps:g}.csv"][0] == 64
+    assert largest["macro.csv"][0] == 64
+    for name in ("macro.csv", *(f"kinetic_eps_{eps:g}.csv" for eps in report.kinetic_states)):
+        with open(paths[name]) as fh:
+            rows = sum(1 for _ in fh) - 1
+        assert largest[name][1] == 1 + -(-rows // 64)  # the header, then the row blocks
+
+
+def test_a_table_that_fails_while_streaming_leaves_no_file(tmp_path):
+    # the blocks are formatted while the temp file is open: a failure part way
+    # leaves neither a partial table nor the temp file, and an older table as it was
+    def blocks():
+        yield "a\n"
+        raise RuntimeError("formatting failed")
+
+    path = tmp_path / "table.csv"
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        harness._atomic_write(str(path), blocks())
+    assert list(tmp_path.iterdir()) == []
+    path.write_text("old\n")
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        harness._atomic_write(str(path), blocks())
+    assert list(tmp_path.iterdir()) == [path] and path.read_text() == "old\n"
+
+
 def test_rate_scaling_correspondence():
     # (sigma, eps, T, dt) and (c sigma, c eps, c T, c dt) generate identical
     # discrete evolutions for cell-constant rates, so the sweep errors and

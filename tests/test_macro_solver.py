@@ -355,3 +355,39 @@ def test_a_non_conservative_column_is_refused(monkeypatch, grid, D):
         solver = DriftDiffusionSolver(grid, D=D)
         with pytest.raises(AssertionError, match="conservation"):
             solver.step(np.ones(grid.shape), 0.01)
+
+
+def _per_cell_D(mg):
+    x = mg.axes()[0]
+    return (0.3 + 0.1 * np.sin(np.pi * x / mg.half_width)).reshape(-1, 1, 1)
+
+
+@pytest.mark.parametrize("bc", ["periodic", "no-flux"])
+@pytest.mark.parametrize("theta", [0.0, 1e-12, 0.25, 0.5, 1.0])
+def test_lu_step_matches_the_product_then_solve_reference(bc, theta):
+    # from theta = 1/2 on a step is one solve, (1/theta) lu.solve(rho) -
+    # ((1-theta)/theta) rho; below it, where that difference would amplify
+    # roundoff by (1-theta)/theta (1e12 at theta = 1e-12), it keeps the product
+    mg = MacroGrid(half_width=2.0, shape=(64,), bc=bc)
+    solver = DriftDiffusionSolver(mg, D=_per_cell_D(mg), theta=theta)
+    assert solver.symbol is None
+    dt = 0.5 * solver._stability_limit() if theta < 0.5 else 0.01
+    eye = sparse.identity(mg.n_points, format="csc")
+    lu = splu((eye - theta * dt * solver.L).tocsc())
+    rhs = (eye + (1.0 - theta) * dt * solver.L).tocsr()
+    rho = _gaussian(mg.axes()[0], 0.3) + 0.05
+    ref = rho
+    for _ in range(50):
+        ref = lu.solve(rhs @ ref)
+    got = solver.step(rho, dt, 50)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("bc", ["periodic", "no-flux"])
+def test_one_solve_lu_step_keeps_the_mass_over_a_thousand_steps(bc):
+    mg = MacroGrid(half_width=4.0, shape=(512,), bc=bc)
+    solver = DriftDiffusionSolver(mg, D=_per_cell_D(mg))
+    rho = _gaussian(mg.axes()[0], 0.5) + 0.05
+    m0 = rho.sum() * mg.cell_volume
+    m1 = solver.step(rho, 1e-3, 1000).sum() * mg.cell_volume
+    assert abs(m1 - m0) <= 1e-13 * m0

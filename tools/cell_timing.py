@@ -22,6 +22,10 @@ and prints the milliseconds per position of each layer of a solve:
   the ``x = 0`` cell only;
 * ``solve_cell``: the whole solve of one position, as the ``x = 0`` cell
   is solved;
+* ``gate``: the kernel's rates at one position sampled on the cell grid
+  and gated (:func:`kinhom.cell_solver.gate_rates`: positivity,
+  finiteness and semi-detailed balance), with no operator around them, so
+  ``assemble`` minus ``gate`` is what the operator itself costs;
 * ``family``: the positions solved as the effective stage solves them,
   in block-diagonal stacks of at most ``STACK_UNKNOWNS`` unknowns
   (:mod:`kinhom.effective`), with their own plan.
@@ -59,13 +63,14 @@ from kinhom.cell_solver import (  # noqa: E402
     _UpwindPlan,
     assemble,
     equilibrium_F,
+    gate_rates,
     solve_chi_star,
     verify_variational,
 )
 from kinhom.effective import _solve_stacked, solve_cell  # noqa: E402
 
 LAYERS = ("plan", "assemble", "equilibrium_F", "solve_chi_star", "verify_variational", "solve_cell",
-          "family")
+          "gate", "family")
 WORKLOADS = ("tanh", "circle2d")
 
 
@@ -98,6 +103,10 @@ def sweep(cell, positions) -> dict[str, float]:
         t0 = clock()
         solve_cell(kernel, x, vm, plans=plans, **settings)
         total["solve_cell"] += clock() - t0
+    t0 = clock()
+    for x in positions:
+        gate_rates(kernel, x, grid, vm)
+    total["gate"] += clock() - t0
     t0 = clock()
     _solve_stacked(kernel, np.array(positions), vm, grid, settings["tol"])
     total["family"] += clock() - t0
