@@ -28,19 +28,18 @@ rewritten fixed-point system with the one-dimensional kernel deflated out.
 Cell problems are small and many (one per macro position when the rates
 vary with x), so a solve does only its arithmetic: GMRES runs in
 this module, operation for operation scipy's ``gmres`` (same iterates,
-same iteration counts) without its per-call set-up.  The upwind operator
-is assembled from an index plan, built once per (cell grid, velocity set):
-the sparse structure of ``A``, ``K`` and ``P``, where each part's entries
-sit in ``P``, the CSC order of ``A`` and the transport values.  An operator
-at one position then fills only data, and only at first use: assembly
-samples and gates the rates, and the matrices and the factorization of
-``A`` follow when a solve asks for them.  The positions of one sampled
-family are solved together: :class:`CellStack` puts their upwind
-operators on the diagonal of one block-diagonal system, built from the
-shared plan and factored once, and the solves run on it as on one cell,
-with every per-cell gate applied to each block.  A single grid operator
-is the one-block case of the same geometry: the solves work per block
-and hand back a single cell's results as scalars.
+same iteration counts) without its per-call set-up.  Assembly samples and
+gates the rates; the matrices and the factorization of ``A`` follow when
+a solve asks for them.  The upwind ``A`` and ``K`` are then built
+directly, one sparse constructor each, from the cached transport
+stencils and the rates, and ``P = A - K`` and the factorization from
+them.  The positions of one sampled family are solved together:
+:class:`CellStack` puts their upwind operators on the diagonal of one
+block-diagonal system, built the same way with block offsets and factored
+once, and the solves run on it as on one cell, with every per-cell gate
+applied to each block.  A single grid operator is the one-block case of
+the same geometry: the solves work per block and hand back a single
+cell's results as scalars.
 
 scipy is imported inside the functions that build, factor or densify an
 operator, so importing this module, and the gates the check stage runs
@@ -242,15 +241,15 @@ def _adjoint(mat):
 class _CellOperatorBase:
     """State shared by both backends.
 
-    The matrices are built at first use: ``A_mat`` (``A = transport +
-    Sigma``), ``K_mat`` (the gain) and ``P = A - K`` come from the
-    subclass's :meth:`_build`, which may also hand over ``P`` and a CSC
-    copy of ``A`` it has already, and ``A`` is factored (``A_fact``) with
-    them, before a solve allocates its vectors; the conjugate transposes
-    ``P_H`` and ``K_H`` follow, each once, so adjoint actions do not
-    rebuild them per call.  A subclass that has its matrices at
-    construction passes them to :meth:`_set_matrices` instead.  Subclasses also populate ``weights`` (flat inner-product
-    weights), ``const`` (the constant function), ``sigma_min``, ``vm``, and
+    The matrices are built at first use: the subclass's :meth:`_build`
+    returns ``A_mat`` (``A = transport + Sigma``) and ``K_mat`` (the
+    gain), and ``P = A - K`` and the factorization of ``A`` (``A_fact``)
+    are formed from them, before a solve allocates its vectors; the
+    conjugate transposes ``P_H`` and ``K_H`` follow, each once, so adjoint
+    actions do not rebuild them per call.  A subclass that has its
+    matrices at construction passes them to :meth:`_set_matrices` instead.
+    Subclasses also populate ``weights`` (flat inner-product weights),
+    ``const`` (the constant function), ``sigma_min``, ``vm``, and
     conversion helpers.  The equilibrium ``F`` follows from ``const``.
 
     An operator holds ``n_blocks`` cells on the diagonal of its matrices,
@@ -316,14 +315,18 @@ class _CellOperatorBase:
         return F
 
     def _build(self) -> tuple:
-        """``(A, K, P or None, A in CSC or None)`` of the operator."""
+        """``(A, K)`` of the operator."""
         raise NotImplementedError
+
+    @staticmethod
+    def _completed(A, K_mat) -> tuple:
+        """``(A, K, P, factorized A)`` from ``A`` and ``K``."""
+        return A, K_mat, A - K_mat, _Factorized(A)
 
     @functools.cached_property
     def _matrices(self) -> tuple:
         """``(A, K, P, factorized A)``, built at first use."""
-        A, K_mat, P, A_csc = self._build()
-        return A, K_mat, A - K_mat if P is None else P, _Factorized(A if A_csc is None else A_csc)
+        return self._completed(*self._build())
 
     @property
     def A_mat(self):
@@ -353,7 +356,7 @@ class _CellOperatorBase:
         """Take ``A`` and ``K_mat`` as the operator's, and factor ``A``."""
         for name in ("P_H", "K_H"):
             self.__dict__.pop(name, None)
-        self._matrices = (A, K_mat, A - K_mat, _Factorized(A))
+        self._matrices = self._completed(A, K_mat)
 
     # -- operator actions ----------------------------------------------------
 
@@ -440,145 +443,40 @@ def dense_cell_gate(scheme: str, size: int) -> None:
         )
 
 
-def _plan_key(grid: CellGrid, vm: VelocityMeasure) -> tuple:
-    """What an upwind plan depends on: the grid and the nodes' speeds and weights."""
-    return (grid.shape, grid.period, vm.field.shape, vm.field.tobytes(), vm.weights.tobytes())
+def _upwind_matrices(grid: CellGrid, vm: VelocityMeasure, loss: np.ndarray,
+                     gain: np.ndarray) -> tuple:
+    """``(A, K)`` of the upwind cells of ``loss`` ``(m, size)`` and ``gain`` ``(m, n, K, K)``.
 
-
-class _UpwindPlan:
-    """Index plan of the upwind cell operator on one grid and velocity set.
-
-    Everything of ``A = T + Sigma``, ``K`` and ``P = A - K`` that does not
-    depend on the rates: the CSR structure of the three, the transport
-    values on ``A``'s entries, the entries of ``A``'s diagonal, where
-    ``A``'s and ``K``'s entries sit in ``P``, the CSC order of ``A``, and
-    the weights.  :meth:`matrices` then fills data only, and the result is
-    bitwise what ``A - K`` and ``A.tocsc()`` give.  The arrays are shared
-    by the operators built from the plan, so they are read-only.  Building
-    it costs about one assembly by constructors: one COO build of ``A``,
-    one sparse add for ``P`` and one ``tocsc``.
+    Block ``i`` of the block-diagonal matrices is the cell of row ``i``:
+    ``A = T + Sigma`` with velocity k's stencil ``T_k[r, c]`` at ``(r*K + k,
+    c*K + k)`` and the loss on the diagonal, and the gain a dense ``K x K``
+    block on each grid point, rows in (point, node) order.
     """
+    import scipy.sparse as sparse
 
-    def __init__(self, grid: CellGrid, vm: VelocityMeasure):
-        import scipy.sparse as sparse
-
-        K, n = vm.n_nodes, grid.n_points
-        size = n * K
-        self.shape = (size, size)
-
-        # A's structure from one COO build: Sigma on the diagonal, velocity
-        # k's stencil T_k[r, c] at (r*K + k, c*K + k).  Entries are coded, the
-        # diagonal 1 and stencil entry i 2 (i + 1), so a diagonal entry that
-        # sums both parts still names the stencil entry.  Indices are int32,
-        # the type scipy picks, so the constructors convert no array
-        diag = np.arange(size, dtype=np.int32)
-        rows, cols, stencil = [diag], [diag], []
-        for k in range(K):
-            Tk = _transport_matrix(grid, vm.field[k], "upwind")
-            rows.append(np.repeat(diag[k::K], np.diff(Tk.indptr)))
-            cols.append(Tk.indices * np.int32(K) + np.int32(k))
-            stencil.append(Tk.data)
-        stencil = np.concatenate(stencil)
-        codes = np.concatenate([np.ones(size, dtype=np.int32),
-                                2 * np.arange(1, stencil.size + 1, dtype=np.int32)])
-        A = sparse.csr_matrix((codes, (np.concatenate(rows), np.concatenate(cols))),
-                              shape=self.shape)
-        self.on_diag = (A.data & 1).astype(bool)  # in row order, one entry a row
-        has_stencil = A.data > 1
-        self.transport = np.zeros(A.nnz)
-        self.transport[has_stencil] = stencil[(A.data[has_stencil] >> 1) - 1]
-        self.A_indices, self.A_indptr = A.indices, A.indptr
-
-        # the gain: a dense K x K block on each grid point, rows in (point, node) order
-        block_cols = diag[::K, None, None] + np.arange(K, dtype=np.int32)
-        Kc = sparse.csr_matrix((np.full(size * K, 2, dtype=np.int8),
-                                np.broadcast_to(block_cols, (n, K, K)).ravel(),
-                                np.arange(0, size * K + 1, K, dtype=np.int32)), shape=self.shape)
-        self.K_indices, self.K_indptr = Kc.indices, Kc.indptr
-
-        # P's structure is the merge A - K makes; adding A coded 1 and K coded 2
-        # makes the same merge, and the code says whose entries each one holds.
-        # Both keep their order in P, so a mask of P's entries places each.
-        # The sum's indices sit in a buffer sized for both operands; the
-        # operators keep a compact copy
-        Pc = sparse.csr_matrix((np.ones(A.nnz, dtype=np.int8), A.indices, A.indptr),
-                               shape=self.shape) + Kc
-        self.from_A = (Pc.data & 1).astype(bool)
-        self.from_K = (Pc.data & 2).astype(bool)
-        self.P_indices, self.P_indptr = Pc.indices.copy(), Pc.indptr
-
-        # A in CSC: the transpose of the entry numbers gives the order
-        At = sparse.csr_matrix((np.arange(A.nnz, dtype=np.int32), A.indices, A.indptr),
-                               shape=self.shape).tocsc()
-        self.csc_order, self.csc_indices, self.csc_indptr = At.data, At.indices, At.indptr
-
-        self.weights = np.tile(vm.weights, n) / n
-        for part in (self.on_diag, self.transport, self.A_indices, self.A_indptr,
-                     self.K_indices, self.K_indptr, self.from_A, self.from_K,
-                     self.P_indices, self.P_indptr, self.csc_order, self.csc_indices,
-                     self.csc_indptr, self.weights):
-            part.flags.writeable = False
-
-    def matrices(self, sigma: np.ndarray, gain: np.ndarray):
-        """``(A, K, P, A in CSC)`` for the losses ``sigma`` and gain blocks ``gain``.
-
-        ``sigma`` is ``(m, size)`` and ``gain`` ``(m, n, K, K)``, one row
-        an operator.  The matrices are block-diagonal, block ``i`` the
-        operator of row ``i``, with the same entries an operator built
-        alone has.
-        """
-        import scipy.sparse as sparse
-
-        m = sigma.shape[0]
-        shape = (m * self.shape[0], m * self.shape[1])
-        a = np.tile(self.transport, m)
-        # T_kk + Sigma, the one sum on A's diagonal
-        a[self._tiled(self.on_diag, m)] += sigma.ravel()
-        g = gain.ravel()
-        A = sparse.csr_matrix((a, *self._stacked(self.A_indices, self.A_indptr, m)), shape=shape)
-        Km = sparse.csr_matrix((g, *self._stacked(self.K_indices, self.K_indptr, m)), shape=shape)
-        # P's data is a - g where both hold an entry, a or -g where one does:
-        # -g everywhere K is, then a added in place ((-g) + a is a - g to the bit)
-        p = np.zeros(m * self.P_indices.size)
-        p[self._tiled(self.from_K, m)] = g
-        np.negative(p, out=p)
-        p[self._tiled(self.from_A, m)] += a
-        # A - K drops an entry that comes out zero; keep its structure exactly
-        P = (sparse.csr_matrix((p, *self._stacked(self.P_indices, self.P_indptr, m)), shape=shape)
-             if p.all() else A - Km)
-        a_csc = a.reshape(m, -1)[:, self.csc_order].ravel()
-        A_csc = sparse.csc_matrix((a_csc, *self._stacked(self.csc_indices, self.csc_indptr, m)),
-                                  shape=shape)
-        return A, Km, P, A_csc
-
-    @staticmethod
-    def _tiled(mask: np.ndarray, m: int) -> np.ndarray:
-        """``mask`` of one operator's entries, repeated for ``m`` blocks."""
-        return mask if m == 1 else np.tile(mask, m)
-
-    def _stacked(self, indices: np.ndarray, indptr: np.ndarray, m: int):
-        """Index arrays of ``m`` copies of one operator's part on the diagonal."""
-        if m == 1:
-            return indices, indptr
-        blocks = np.arange(m, dtype=np.int32)[:, None]
-        nnz = np.int32(indices.size)
-        return ((indices + np.int32(self.shape[0]) * blocks).ravel(),
-                np.append((indptr[:-1] + nnz * blocks).ravel(), np.int32(m) * nnz))
-
-
-def _upwind_plan(grid: CellGrid, vm: VelocityMeasure, plans: dict | None) -> _UpwindPlan:
-    """The plan of ``grid`` and ``vm`` in ``plans``, built (and kept there) if missing.
-
-    A plan no dict keeps is freed once its matrices are built, before the
-    factorization's peak.
-    """
-    key = _plan_key(grid, vm)
-    plan = None if plans is None else plans.get(key)
-    if plan is None:
-        plan = _UpwindPlan(grid, vm)
-        if plans is not None:
-            plans[key] = plan
-    return plan
+    m, size = loss.shape
+    K, n = vm.n_nodes, grid.n_points
+    rows, cols, vals = [], [], []
+    for k in range(K):
+        Tk = _transport_matrix(grid, vm.field[k], "upwind")
+        rows.append(np.repeat(np.arange(k, size, K, dtype=np.int32), np.diff(Tk.indptr)))
+        cols.append(Tk.indices * K + k)
+        vals.append(Tk.data)
+    # indices are int32, the type scipy picks, so the constructors convert
+    # no array
+    offsets = np.int32(size) * np.arange(m, dtype=np.int32)[:, None]
+    diag = np.arange(m * size, dtype=np.int32)
+    # one constructor: a diagonal entry sums two terms, so the order of
+    # summation cannot matter
+    A = sparse.csr_matrix((np.concatenate([loss.ravel(), np.tile(np.concatenate(vals), m)]),
+                           (np.concatenate([diag, (np.concatenate(rows) + offsets).ravel()]),
+                            np.concatenate([diag, (np.concatenate(cols) + offsets).ravel()]))),
+                          shape=(m * size, m * size))
+    block_cols = diag[::K, None, None] + np.arange(K, dtype=np.int32)
+    Km = sparse.csr_matrix((gain.ravel(), np.broadcast_to(block_cols, (m * n, K, K)).ravel(),
+                            np.arange(0, m * size * K + 1, K, dtype=np.int32)),
+                           shape=(m * size, m * size))
+    return A, Km
 
 
 @dataclass(frozen=True)
@@ -633,13 +531,17 @@ class _GridCells(_CellOperatorBase):
 
     Block ``i`` is the cell of the flat loss ``loss[i]`` and the gain
     blocks ``gain[i]`` (``(m, size)`` and ``(m, n, K, K)``, kept as
-    ``losses`` and ``gains``); an upwind operator's matrices come from the
-    index plan of ``plans`` (see :func:`assemble`), at first use.  Fields
-    are flat.
+    ``losses`` and ``gains``; other shapes are refused); an upwind
+    operator's matrices are built from them at first use.  Fields are flat.
     """
 
     def __init__(self, grid: CellGrid, vm: VelocityMeasure, loss: np.ndarray,
-                 gain: np.ndarray, plans: dict | None = None):
+                 gain: np.ndarray):
+        n, K, m = grid.n_points, vm.n_nodes, len(loss)
+        for name, part, shape in (("loss", loss, (m, n * K)), ("gain", gain, (m, n, K, K))):
+            if part.shape != shape:
+                raise ValueError(f"{name} of shape {part.shape} does not fit {m} cells of "
+                                 f"{n} points and {K} velocities: expected {shape}")
         self.grid = grid
         self.vm = vm
         self.dtype = float
@@ -648,7 +550,6 @@ class _GridCells(_CellOperatorBase):
         self.size = loss.size
         self.losses = loss
         self.gains = gain
-        self._plans = plans
         self.sigma_min = float(loss.min())
 
     @functools.cached_property
@@ -661,7 +562,7 @@ class _GridCells(_CellOperatorBase):
         return np.tile(np.tile(self.vm.weights, self.n_points) / self.n_points, self.n_blocks)
 
     def _build(self) -> tuple:
-        return _upwind_plan(self.grid, self.vm, self._plans).matrices(self.losses, self.gains)
+        return _upwind_matrices(self.grid, self.vm, self.losses, self.gains)
 
     def pairings(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Per block ``int M(f g) dmu``: grid fields are real, so no ``conj``."""
@@ -693,7 +594,7 @@ class CellOperator(_GridCells):
     """
 
     def __init__(self, kernel, x, vm: VelocityMeasure, grid: CellGrid, scheme: str,
-                 plans: dict | None = None, rates: CellRates | None = None):
+                 rates: CellRates | None = None):
         # the matrices wait for the first solve, but scipy still loads at
         # the first assembly of a process, which the check stage never makes
         import scipy.sparse.linalg  # noqa: F401
@@ -713,7 +614,7 @@ class CellOperator(_GridCells):
         elif not rates.gated_at(x, grid, vm):
             raise ValueError(f"rates gated at x = {rates.x!r} on {rates.grid} do not serve "
                              f"x = {x!r} on {grid} with this velocity set")
-        super().__init__(grid, vm, rates.loss.reshape(1, -1), rates.gain[None], plans)
+        super().__init__(grid, vm, rates.loss.reshape(1, -1), rates.gain[None])
         if self.sigma_min <= 0:
             raise ValueError("absorption rate must be strictly positive")
 
@@ -737,7 +638,7 @@ class CellOperator(_GridCells):
         for k in range(K):
             for l in range(K):
                 Km[diag_idx + k, diag_idx + l] = self.gain[:, k, l]
-        return T + np.diag(self.sigma_flat), Km, None, None
+        return T + np.diag(self.sigma_flat), Km
 
     # -- field conversion ----------------------------------------------------
 
@@ -752,21 +653,18 @@ class CellOperator(_GridCells):
 
 
 def assemble(kernel, x, vm: VelocityMeasure, grid: CellGrid,
-             scheme: str = "upwind", *, plans: dict | None = None,
-             rates: CellRates | None = None) -> CellOperator:
+             scheme: str = "upwind", *, rates: CellRates | None = None) -> CellOperator:
     """Build the grid-backend cell operator at macro position ``x``.
 
     Refuses rates that are not positive or fail semi-detailed balance;
     ``rates`` are the kernel's rates at ``x`` on ``grid`` already through
     :func:`gate_rates`, when the caller has them, so they are neither
     sampled nor gated again (rates gated elsewhere are refused).  The
-    matrices and the factorization of ``A`` are built at first use.  An
-    ``upwind`` operator is filled in from an index plan of its grid and
-    velocity set; ``plans`` is a dict the caller keeps to share plans
-    between operators, keyed by what a plan depends on.  Without it the
-    plan is built for this operator alone.
+    matrices and the factorization of ``A`` are built at first use, an
+    ``upwind`` operator's ``A`` and ``K`` directly from the cached
+    transport stencils and the rates, one sparse constructor each.
     """
-    return CellOperator(kernel, x, vm, grid, scheme, plans, rates)
+    return CellOperator(kernel, x, vm, grid, scheme, rates)
 
 
 class CellStack(_GridCells):
@@ -774,16 +672,16 @@ class CellStack(_GridCells):
 
     Block ``i`` is the operator of the flat loss ``loss[i]`` and the gain
     ``gain[i]`` (``(m, size)`` and ``(m, n, K, K)``, what
-    :class:`CellOperator` keeps as ``sigma_flat`` and ``gain``), built
-    from the one index plan of ``plans`` (see :func:`assemble`) as a
-    :class:`CellOperator` is, with the same geometry block by block; the
-    stack's ``A`` is factored once.  Fields are flat, block after block.
-    Results are per block: :meth:`inner`, :meth:`norm` and :meth:`mean_v`
-    return one value a block, so :func:`equilibrium_F`,
-    :func:`solve_chi_star` and :func:`kinhom.effective.diffusion_matrix`
-    gate every block as the cell it is and return the eigenvalue, the flux,
-    the diagnostics and ``D`` one per block.  The corrector solves run one
-    Krylov loop on the whole stack.
+    :class:`CellOperator` keeps as ``sigma_flat`` and ``gain``), built as
+    a :class:`CellOperator` is, with block offsets and the same geometry
+    block by block; the stack's ``A`` is factored once.  Fields are flat,
+    block after block.  Results are per block: :meth:`inner`,
+    :meth:`norm` and :meth:`mean_v` return one value a block, so
+    :func:`equilibrium_F`, :func:`solve_chi_star` and
+    :func:`kinhom.effective.diffusion_matrix` gate every block as the cell
+    it is and return the eigenvalue, the flux, the diagnostics and ``D``
+    one per block.  The corrector solves run one Krylov loop on the whole
+    stack.
     """
 
     def per_cell(self, values: np.ndarray) -> np.ndarray:

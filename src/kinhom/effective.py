@@ -144,15 +144,13 @@ class CellSolution:
 
 def solve_cell(kernel, x, vm: VelocityMeasure, *, backend: str | None = None,
                grid: CellGrid | None = None, scheme: str = "upwind", n_modes: int = 8,
-               tol: float | None = None, plans: dict | None = None,
-               rates: CellRates | None = None) -> CellSolution:
+               tol: float | None = None, rates: CellRates | None = None) -> CellSolution:
     """Solve the cell problem at ``x``: operator, equilibrium, correctors, ``D``.
 
     ``backend`` is ``"grid"`` (needs ``grid`` and ``scheme``) or
     ``"spectral_ap"`` (uses ``n_modes``); ``None`` picks
-    :func:`default_backend`.  ``plans`` shares the grid operator's index
-    plan between solves and ``rates`` hands the grid operator rates gated
-    already (see :func:`kinhom.cell_solver.assemble`); neither is a
+    :func:`default_backend`.  ``rates`` hands the grid operator rates gated
+    already (see :func:`kinhom.cell_solver.assemble`); it is not a
     setting.  Raises :class:`EllipticityError` when the diffusion tensor
     has a non-positive direction.
     """
@@ -162,7 +160,7 @@ def solve_cell(kernel, x, vm: VelocityMeasure, *, backend: str | None = None,
     elif grid is None:
         raise ValueError("grid backend needs a cell grid")
     else:
-        op = assemble(kernel, x, vm, grid, scheme=scheme, plans=plans, rates=rates)
+        op = assemble(kernel, x, vm, grid, scheme=scheme, rates=rates)
     lam, _ = equilibrium_F(op)
     star = solve_chi_star(op, tol=tol)
     D = diffusion_matrix(op, star.chi)
@@ -205,15 +203,13 @@ def _solve_stacked(kernel, x: np.ndarray, vm: VelocityMeasure, grid: CellGrid,
 
     The positions are solved in chunks of at most ``STACK_UNKNOWNS``
     unknowns (at least one position), each chunk one
-    :class:`~kinhom.cell_solver.CellStack` from one shared index plan.
+    :class:`~kinhom.cell_solver.CellStack`.
     ``D`` and the flux come per position, the diagnostics as their worst.
     """
     per_chunk = max(1, STACK_UNKNOWNS // (grid.n_points * vm.n_nodes))
-    plans = {}
     D, b, residual, bound = [], [], 0.0, 0.0
     for start in range(0, x.size, per_chunk):
-        stack = CellStack(grid, vm, *_stacked_rates(kernel, x[start:start + per_chunk], vm, grid),
-                          plans=plans)
+        stack = CellStack(grid, vm, *_stacked_rates(kernel, x[start:start + per_chunk], vm, grid))
         equilibrium_F(stack)
         star = solve_chi_star(stack, tol=tol)
         D.append(diffusion_matrix(stack, star.chi))
@@ -235,9 +231,9 @@ def assemble_effective(cell: CellSolution, x=None) -> EffectiveCoefficients:
     ``U`` is zero at every position (see the module docstring).  Upwind
     grid cells are assembled one position at a time, each operator dropped
     once its rates are copied, and solved in stacks of at most
-    ``STACK_UNKNOWNS`` unknowns (see :class:`kinhom.cell_solver.CellStack`)
-    that share one index plan, which this call drops when it returns; the
-    ellipticity gate then runs once over all positions.  Dense cells (the
+    ``STACK_UNKNOWNS`` unknowns (see :class:`kinhom.cell_solver.CellStack`),
+    each stack's matrices built directly from its rates; the ellipticity
+    gate then runs once over all positions.  Dense cells (the
     grid's ``spectral`` scheme, the ``spectral_ap`` lattice) cost their
     factorization, not per-call overhead, and keep one :func:`solve_cell`
     per position, each operator dropped before the next solve.

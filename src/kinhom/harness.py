@@ -18,6 +18,7 @@ at 17 significant digits, written atomically.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import difflib
 import io
 import logging
@@ -609,17 +610,18 @@ class PipelineReport:
     summary: dict[str, float | int | str] = field(default_factory=dict)
 
 
-def _stage(name: str):
-    class _Ctx:
-        def __enter__(self):
-            return self
+@contextlib.contextmanager
+def _stage(name: str) -> Iterator[None]:
+    """Re-raise a failure of stage ``name`` as :class:`StageError`.
 
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, StageError):
-                raise StageError(name, str(exc)) from exc
-            return False
-
-    return _Ctx()
+    Only ``Exception`` is wrapped: an interrupt or an exit passes unchanged.
+    """
+    try:
+        yield
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError(name, str(exc)) from exc
 
 
 # fast test profiles m(y) = wave(freq * y) of the sigma test, besides m = 1

@@ -431,9 +431,9 @@ def _fresh_rates(kernel, x, grid, vm):
 ], ids=["1d-16", "1d-33", "2d-8x8", "2d-8x6", "2d-circle12-6x8"])
 def test_sampled_operators_from_one_plan_are_bitwise_the_sparse_reference(
         dim, vm, grid, monkeypatch):
-    # positions of a tanh-modulated kernel in a row, as the effective stage
-    # solves them: one plan serves all, and each operator is the reference
-    # built at its own rates
+    # positions of a tanh-modulated kernel in a row, one operator each: each
+    # operator is the reference built at its own rates, and its factored A
+    # that reference's CSC copy
     kernel = make_kernel("sinusoidal", base=1.0, alpha=0.5, x_dependence="tanh",
                          x_amplitude=0.5, dim=dim)
     factored = []
@@ -443,15 +443,13 @@ def test_sampled_operators_from_one_plan_are_bitwise_the_sparse_reference(
         return splu(mat)
 
     monkeypatch.setattr(cell_solver, "splu", recording_splu)
-    plans = {}
     for i, x in enumerate((-1.3, 0.4, 2.0, 0.4)):
-        op = assemble(kernel, x, vm, grid, plans=plans)
+        op = assemble(kernel, x, vm, grid)
         P, A, Km = _reference_matrices(_fresh_rates(kernel, x, grid, vm), vm, grid)
         for got, want in zip((op.P, op.A_mat, op.K_mat), (P, A, Km)):
             _assert_bitwise(got, want)
         assert factored[i].format == "csc"
         _assert_bitwise(factored[i], A.tocsc())
-    assert len(plans) == 1
 
 
 @pytest.mark.parametrize("dim, vm, grid", [
@@ -463,13 +461,12 @@ def test_a_stack_holds_each_position_operator_on_its_diagonal(dim, vm, grid, mon
     kernel = make_kernel("sinusoidal", base=1.0, alpha=0.5, x_dependence="tanh",
                          x_amplitude=0.5, dim=dim)
     ops = [assemble(kernel, x, vm, grid) for x in (-1.3, 0.4, 2.0)]
-    plans = {}
     stack = cell_solver.CellStack(grid, vm, np.stack([op.sigma_flat for op in ops]),
-                                  np.stack([op.gain for op in ops]), plans=plans)
+                                  np.stack([op.gain for op in ops]))
     factored = []
     monkeypatch.setattr(cell_solver, "splu", lambda mat: factored.append(mat) or splu(mat))
     stack.A_fact
-    assert len(plans) == 1 and len(factored) == 1
+    assert len(factored) == 1
     n = ops[0].size
     for got, parts in ((stack.A_mat, [op.A_mat for op in ops]),
                        (stack.K_mat, [op.K_mat for op in ops]),
@@ -508,6 +505,18 @@ def _stack_of(kernel, xs, vm=VM, grid=CellGrid((16,))):
     ops = [assemble(kernel, x, vm, grid) for x in xs]
     return cell_solver.CellStack(grid, vm, np.stack([op.sigma_flat for op in ops]),
                                  np.stack([op.gain for op in ops]))
+
+
+@pytest.mark.parametrize("loss_shape, gain_shape, refused", [
+    ((2, 33), (2, 16, 2, 2), "loss of shape \\(2, 33\\)"),   # one column too wide
+    ((2, 32), (3, 16, 2, 2), "gain of shape \\(3, 16, 2, 2\\)"),  # a block too many
+    ((32,), (1, 16, 2, 2), "loss of shape \\(32,\\)"),      # a flat loss, no block axis
+    ((2, 32), (2, 16, 2, 3), "gain of shape \\(2, 16, 2, 3\\)"),
+], ids=["wide-loss", "extra-gain-block", "flat-loss", "gain-blocks"])
+def test_a_stack_refuses_rates_of_another_shape(loss_shape, gain_shape, refused):
+    # 16 points and 2 velocities: a loss (m, 32) and a gain (m, 16, 2, 2)
+    with pytest.raises(ValueError, match=refused + ".* expected"):
+        cell_solver.CellStack(CellGrid((16,)), VM, np.ones(loss_shape), np.ones(gain_shape))
 
 
 def test_a_stack_gates_each_block():
@@ -550,10 +559,10 @@ def test_a_stack_solves_each_block_as_its_own_cell():
     assert np.all(star.residual > 0.0) and star.residual.max() <= 10 * max(residuals)
 
 
-def test_a_plan_serves_only_its_grid_and_velocity_set():
-    # one dict of plans across grids and velocity sets of equal sizes, taken
-    # in turn: an operator built from another entry's plan would differ from
-    # its reference
+def test_operators_and_stacks_of_other_grids_and_velocity_sets_are_bitwise_the_reference():
+    # grids and velocity sets of equal sizes, taken in turn: one operator per
+    # position and a 3-block stack of the positions, each block the reference
+    # built at its own rates
     kernel = make_kernel("sinusoidal", base=1.0, alpha=0.5, x_dependence="tanh",
                          x_amplitude=0.5)
     cases = [
@@ -566,17 +575,28 @@ def test_a_plan_serves_only_its_grid_and_velocity_set():
         (1.0, velocity_from_tables([[0.0]], [1.0])),  # P = A - K cancels to no entries
         (1.0, velocity_from_tables([[0.0]], [2.0])),
     ]
-    plans = {}
-    for x in (0.3, -0.8):
-        for period, vm in cases:
-            grid = CellGrid((16,), period=period)
-            op = assemble(kernel, x, vm, grid, plans=plans)
-            for got, want in zip((op.P, op.A_mat, op.K_mat),
-                                 _reference_matrices(_fresh_rates(kernel, x, grid, vm), vm, grid)):
+    xs = (0.3, -0.8, 1.7)
+    for period, vm in cases:
+        grid = CellGrid((16,), period=period)
+        ops, refs = [], []
+        for x in xs:
+            op = assemble(kernel, x, vm, grid)
+            ref = _reference_matrices(_fresh_rates(kernel, x, grid, vm), vm, grid)
+            for got, want in zip((op.P, op.A_mat, op.K_mat), ref):
                 _assert_bitwise(got, want)
             assert np.array_equal(op.weights, np.tile(vm.weights, 16) / 16)
             assert np.array_equal(op.velocity_profile(0), np.tile(vm.field[:, 0], 16))
-    assert len(plans) == len(cases)
+            ops.append(op)
+            refs.append(ref)
+        stack = cell_solver.CellStack(grid, vm, np.stack([op.sigma_flat for op in ops]),
+                                      np.stack([op.gain for op in ops]))
+        n = ops[0].size
+        for got, parts in zip((stack.P, stack.A_mat, stack.K_mat), zip(*refs)):
+            assert got.nnz == sum(p.nnz for p in parts)
+            for i, part in enumerate(parts):
+                _assert_bitwise(got[i * n:(i + 1) * n, i * n:(i + 1) * n], part)
+        if vm.n_nodes == 1 and vm.field[0, 0] == 0.0:
+            assert stack.P.nnz == 0
 
 
 @pytest.mark.parametrize("build", [

@@ -1,15 +1,13 @@
 """Homogenized coefficients: closed forms, gates, covariance, sampling."""
 
 import gc
-import importlib.util
 import re
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kinhom import cell_solver, effective, harness
+from kinhom import cell_solver, effective
 from kinhom.cell_solver import assemble, assemble_spectral_ap, equilibrium_F, solve_chi_star
 from kinhom.collision import BalanceError, make_kernel
 from kinhom.effective import (
@@ -184,30 +182,6 @@ def test_sampled_assembly_keeps_no_operator(monkeypatch):
     # at most the previous position's operator lives while the next is built
     assert max(alive) <= 1
     assert [ref for ref in built if ref() is not None] == []
-
-
-def test_each_pipeline_run_builds_and_drops_its_own_plans(monkeypatch):
-    # the sampled positions share one index plan for one effective stage: a
-    # finished run leaves no plan behind, so no later run reuses one
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    built = []
-    init = cell_solver._UpwindPlan.__init__
-
-    def recording_init(self, grid, vm):
-        init(self, grid, vm)
-        built.append(weakref.ref(self))
-
-    monkeypatch.setattr(cell_solver._UpwindPlan, "__init__", recording_init)
-    cfg = harness.parse_config(workloads.scenario("tanh", 3, reduced=True))
-    for run in (1, 2):
-        harness.run_pipeline(cfg)
-        gc.collect()
-        # one plan for the x = 0 cell, one for all the sampled positions
-        assert len(built) == 2 * run
-        assert [ref for ref in built if ref() is not None] == []
 
 
 @pytest.mark.parametrize("x", [

@@ -717,6 +717,25 @@ def test_the_check_stage_refuses_bad_rates_before_any_solve(monkeypatch):
     assert calls == {"assemble": 0, "assemble_spectral_ap": 0}
 
 
+@pytest.mark.parametrize("interrupt", [KeyboardInterrupt(), SystemExit(3)],
+                         ids=["keyboard-interrupt", "system-exit"])
+def test_an_interrupt_in_a_stage_is_not_a_stage_failure(interrupt, monkeypatch):
+    # a stage wraps the failures of its work, Exception only: an interrupt or
+    # an exit passes through unchanged
+    with pytest.raises(type(interrupt)) as info:
+        with harness._stage("cell"):
+            raise interrupt
+    assert info.value is interrupt
+
+    def interrupted(*args, **kwargs):
+        raise interrupt
+
+    monkeypatch.setattr(harness, "solve_cell", interrupted)
+    with pytest.raises(type(interrupt)) as info:
+        run_pipeline(parse_config(MINIMAL), stop_after="cell")
+    assert info.value is interrupt
+
+
 TANH_REDUCED = """\
 [scenario]
 name = tanh

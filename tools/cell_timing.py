@@ -10,13 +10,10 @@ centres of the ``tanh`` scenario of ``perfbench/workloads.py``), or the one
 ``x = 0`` cell of ``circle2d`` (a 64^2 upwind cell with the 8-node circle),
 and prints the milliseconds per position of each layer of a solve:
 
-* ``plan``: the index plan of the upwind operator, which holds the
-  transport stencils (built once per sweep and shared by its positions,
-  so this row is its cost spread over them);
 * ``assemble``: the operator at one position, which samples and gates
   the rates;
 * ``equilibrium_F``: the principal-eigenvalue check, which builds the
-  matrices from the plan and factors ``A`` at their first use;
+  matrices from the rates and factors ``A`` at their first use;
 * ``solve_chi_star``: the adjoint correctors;
 * ``verify_variational``: the weak-form check, which the pipeline runs on
   the ``x = 0`` cell only;
@@ -28,16 +25,14 @@ and prints the milliseconds per position of each layer of a solve:
   ``assemble`` minus ``gate`` is what the operator itself costs;
 * ``family``: the positions solved as the effective stage solves them,
   in block-diagonal stacks of at most ``STACK_UNKNOWNS`` unknowns
-  (:mod:`kinhom.effective`), with their own plan.
+  (:mod:`kinhom.effective`).
 
 A sweep times every position once; each line is the minimum over
 ``--sweeps`` sweeps of the sweep's total divided by the number of
 positions.  As in the effective stage, the ``x = 0`` cell stays alive
-while the sweeps run, and the positions of a sweep share one index plan
-of the grid operator (each sweep builds its own; ``solve_cell`` and
-``family`` build one more each, which they count).  So ``solve_cell`` is
-the per-position cost of solving the family one position at a time, and
-``family`` that of the stacked solve.  BLAS runs single-threaded.
+while the sweeps run.  ``solve_cell`` is the per-position cost of
+solving the family one position at a time, and ``family`` that of the
+stacked solve.  BLAS runs single-threaded.
 """
 
 from __future__ import annotations
@@ -59,8 +54,6 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 import workloads  # noqa: E402
 from kinhom import harness  # noqa: E402
 from kinhom.cell_solver import (  # noqa: E402
-    _plan_key,
-    _UpwindPlan,
     assemble,
     equilibrium_F,
     gate_rates,
@@ -69,7 +62,7 @@ from kinhom.cell_solver import (  # noqa: E402
 )
 from kinhom.effective import _solve_stacked, solve_cell  # noqa: E402
 
-LAYERS = ("plan", "assemble", "equilibrium_F", "solve_chi_star", "verify_variational", "solve_cell",
+LAYERS = ("assemble", "equilibrium_F", "solve_chi_star", "verify_variational", "solve_cell",
           "gate", "family")
 WORKLOADS = ("tanh", "circle2d")
 
@@ -80,13 +73,9 @@ def sweep(cell, positions) -> dict[str, float]:
     grid, scheme = settings["grid"], settings["scheme"]
     total = dict.fromkeys(LAYERS, 0.0)
     clock = time.perf_counter
-    plans = {}
-    t0 = clock()
-    plans[_plan_key(grid, vm)] = _UpwindPlan(grid, vm)
-    total["plan"] += clock() - t0
     for x in positions:
         t0 = clock()
-        op = assemble(kernel, x, vm, grid, scheme=scheme, plans=plans)
+        op = assemble(kernel, x, vm, grid, scheme=scheme)
         t1 = clock()
         equilibrium_F(op)
         t2 = clock()
@@ -98,10 +87,9 @@ def sweep(cell, positions) -> dict[str, float]:
         total["equilibrium_F"] += t2 - t1
         total["solve_chi_star"] += t3 - t2
         total["verify_variational"] += t4 - t3
-    plans = {}
     for x in positions:
         t0 = clock()
-        solve_cell(kernel, x, vm, plans=plans, **settings)
+        solve_cell(kernel, x, vm, **settings)
         total["solve_cell"] += clock() - t0
     t0 = clock()
     for x in positions:
