@@ -31,15 +31,15 @@ this module, operation for operation scipy's ``gmres`` (same iterates,
 same iteration counts) without its per-call set-up.  Assembly samples and
 gates the rates; the matrices and the factorization of ``A`` follow when
 a solve asks for them.  The upwind ``A`` and ``K`` are then built
-directly, one sparse constructor each, from the cached transport
-stencils and the rates, and ``P = A - K`` and the factorization from
-them.  The positions of one sampled family are solved together:
-:class:`CellStack` puts their upwind operators on the diagonal of one
-block-diagonal system, built the same way with block offsets and factored
-once, and the solves run on it as on one cell, with every per-cell gate
-applied to each block.  A single grid operator is the one-block case of
-the same geometry: the solves work per block and hand back a single
-cell's results as scalars.
+directly, one sparse constructor each: the entries of ``A`` for every
+point, velocity node and axis in one pass of index arithmetic, with the
+rates, and ``P = A - K`` and the factorization from them.  The positions
+of one sampled family are solved together: :class:`CellStack` puts their
+upwind operators on the diagonal of one block-diagonal system, built the
+same way with block offsets and factored once, and the solves run on it
+as on one cell, with every per-cell gate applied to each block.  A single
+grid operator is the one-block case of the same geometry: the solves work
+per block and hand back a single cell's results as scalars.
 
 scipy is imported inside the functions that build, factor or densify an
 operator, so importing this module, and the gates the check stage runs
@@ -101,36 +101,6 @@ class ConvergenceError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=32)
-def _upwind_matrix(n: int, h: float, speed: float) -> sparse.csr_matrix:
-    """First-order upwind discretization of ``speed * d/dy`` (periodic).
-
-    Built once per ``(n, h, speed)`` and shared by every cell operator, so
-    its arrays are read-only.
-    """
-    import scipy.sparse as sparse
-
-    if speed == 0.0:
-        return _read_only(sparse.csr_matrix((n, n)))
-    # backward difference (f_j - f_{j-1}) / h for speed > 0, forward
-    # difference (f_{j+1} - f_j) / h otherwise: |speed|/h on the diagonal,
-    # its negative at the upwind neighbour; two entries a row, columns sorted
-    diag = abs(speed / h)
-    j = np.arange(n)
-    nb = (j - 1) % n if speed > 0 else (j + 1) % n
-    low = np.where(nb < j, -diag, diag)  # value at the lower column
-    data = np.stack([low, -low], axis=1).ravel()
-    indices = np.stack([np.minimum(j, nb), np.maximum(j, nb)], axis=1).ravel()
-    return _read_only(sparse.csr_matrix((data, indices, np.arange(0, 2 * n + 1, 2)),
-                                        shape=(n, n)))
-
-
-def _read_only(mat: sparse.csr_matrix) -> sparse.csr_matrix:
-    for part in (mat.data, mat.indices, mat.indptr):
-        part.flags.writeable = False
-    return mat
-
-
 def _spectral_matrix(n: int, period: float) -> np.ndarray:
     """Dense Fourier-collocation differentiation matrix (periodic)."""
     import scipy.linalg
@@ -140,48 +110,6 @@ def _spectral_matrix(n: int, period: float) -> np.ndarray:
         k[n // 2] = 0.0
     col = np.fft.ifft(1j * k).real  # derivative of the discrete delta
     return scipy.linalg.circulant(col)
-
-
-def _upwind_matrix_2d(shape: tuple[int, int], spacing: tuple[float, float],
-                      velocity: tuple[float, float]) -> sparse.csr_matrix:
-    """First-order upwind ``a . grad_y`` on a periodic 2-D grid (C order).
-
-    Bitwise ``kron(T_0, I) + kron(I, T_1)`` of the 1-D stencils of
-    :func:`_upwind_matrix`, filled by index arithmetic: the one sum
-    ``|a_0|/h_0 + |a_1|/h_1`` on the diagonal, ``-|a_ax|/h_ax`` at the upwind
-    neighbour along each axis whose term is not zero (the sum drops the
-    entries that come out zero), columns sorted.
-    """
-    import scipy.sparse as sparse
-
-    n = shape[0] * shape[1]
-    steps = [abs(a / h) for a, h in zip(velocity, spacing)]
-    diag = steps[0] + steps[1]
-    if diag == 0.0:
-        return sparse.csr_matrix((n, n))
-    points = np.arange(n, dtype=np.int32).reshape(shape)
-    cols = [points] + [np.roll(points, 1 if a > 0 else -1, axis=ax)
-                       for ax, (a, step) in enumerate(zip(velocity, steps)) if step != 0.0]
-    cols = np.sort(np.stack(cols, axis=-1).reshape(n, -1), axis=1)
-    # a neighbour along axis 1 sits less than shape[1] columns from the
-    # diagonal, one along axis 0 at least that far
-    offset = np.abs(cols - points.reshape(n, 1))
-    data = np.where(offset == 0, diag, np.where(offset < shape[1], -steps[1], -steps[0]))
-    indptr = np.arange(0, cols.size + 1, cols.shape[1], dtype=np.int32)
-    return sparse.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(n, n))
-
-
-def _transport_matrix(grid: CellGrid, velocity: np.ndarray, scheme: str):
-    """Discrete ``a . grad_y`` on the flattened grid for one velocity node."""
-    a = [float(c) for c in velocity]
-    if scheme == "upwind":
-        if grid.dim == 1:
-            return _upwind_matrix(grid.shape[0], grid.spacing[0], a[0])
-        return _upwind_matrix_2d(grid.shape, grid.spacing, tuple(a))
-    mats = [a[ax] * _spectral_matrix(grid.shape[ax], grid.period[ax]) for ax in range(grid.dim)]
-    if grid.dim == 1:
-        return mats[0]
-    return np.kron(mats[0], np.eye(grid.shape[1])) + np.kron(np.eye(grid.shape[0]), mats[1])
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +174,10 @@ class _CellOperatorBase:
     gain), and ``P = A - K`` and the factorization of ``A`` (``A_fact``)
     are formed from them, before a solve allocates its vectors; the
     conjugate transposes ``P_H`` and ``K_H`` follow, each once, so adjoint
-    actions do not rebuild them per call.  A subclass that has its
-    matrices at construction passes them to :meth:`_set_matrices` instead.
-    Subclasses also populate ``weights`` (flat inner-product weights),
-    ``const`` (the constant function), ``sigma_min``, ``vm``, and
-    conversion helpers.  The equilibrium ``F`` follows from ``const``.
+    actions do not rebuild them per call.  Subclasses also populate
+    ``weights`` (flat inner-product weights), ``const`` (the constant
+    function), ``sigma_min``, ``vm``, and conversion helpers.  The
+    equilibrium ``F`` follows from ``const``.
 
     An operator holds ``n_blocks`` cells on the diagonal of its matrices,
     one but for a :class:`CellStack`, with fields flat, block after block.
@@ -318,15 +245,11 @@ class _CellOperatorBase:
         """``(A, K)`` of the operator."""
         raise NotImplementedError
 
-    @staticmethod
-    def _completed(A, K_mat) -> tuple:
-        """``(A, K, P, factorized A)`` from ``A`` and ``K``."""
-        return A, K_mat, A - K_mat, _Factorized(A)
-
     @functools.cached_property
     def _matrices(self) -> tuple:
         """``(A, K, P, factorized A)``, built at first use."""
-        return self._completed(*self._build())
+        A, K_mat = self._build()
+        return A, K_mat, A - K_mat, _Factorized(A)
 
     @property
     def A_mat(self):
@@ -351,12 +274,6 @@ class _CellOperatorBase:
     @functools.cached_property
     def K_H(self):
         return _adjoint(self.K_mat)
-
-    def _set_matrices(self, A, K_mat) -> None:
-        """Take ``A`` and ``K_mat`` as the operator's, and factor ``A``."""
-        for name in ("P_H", "K_H"):
-            self.__dict__.pop(name, None)
-        self._matrices = self._completed(A, K_mat)
 
     # -- operator actions ----------------------------------------------------
 
@@ -443,40 +360,61 @@ def dense_cell_gate(scheme: str, size: int) -> None:
         )
 
 
+def _gain_matrix(gain: np.ndarray) -> sparse.csr_matrix:
+    """The block-diagonal gain of the cells of ``gain`` ``(m, n, K, K)``.
+
+    A dense ``K x K`` block on each grid point of each cell, rows in (cell,
+    point, node) order.
+    """
+    import scipy.sparse as sparse
+
+    K = gain.shape[-1]
+    size = gain.size // K
+    block_cols = np.arange(0, size, K, dtype=np.int32)[:, None, None] + np.arange(K, dtype=np.int32)
+    cols = np.broadcast_to(block_cols, (size // K, K, K)).ravel()
+    return sparse.csr_matrix((gain.ravel(), cols, np.arange(0, size * K + 1, K, dtype=np.int32)),
+                             shape=(size, size))
+
+
 def _upwind_matrices(grid: CellGrid, vm: VelocityMeasure, loss: np.ndarray,
                      gain: np.ndarray) -> tuple:
     """``(A, K)`` of the upwind cells of ``loss`` ``(m, size)`` and ``gain`` ``(m, n, K, K)``.
 
-    Block ``i`` of the block-diagonal matrices is the cell of row ``i``:
-    ``A = T + Sigma`` with velocity k's stencil ``T_k[r, c]`` at ``(r*K + k,
-    c*K + k)`` and the loss on the diagonal, and the gain a dense ``K x K``
-    block on each grid point, rows in (point, node) order.
+    Block ``i`` of the block-diagonal matrices is the cell of row ``i``,
+    rows in (point, node) order.  ``A = T + Sigma``, with ``T`` the
+    first-order upwind ``a . grad_y`` on the periodic grid: at each point
+    and node ``k``, the loss plus ``|a_k,ax| / h_ax`` summed over the axes
+    on the diagonal, and ``-|a_k,ax| / h_ax`` at the upwind neighbour along
+    each axis whose term is not zero, ``f_{j-1}`` for a positive component
+    and ``f_{j+1}`` otherwise.  ``K`` is :func:`_gain_matrix` of ``gain``.
     """
     import scipy.sparse as sparse
 
     m, size = loss.shape
     K, n = vm.n_nodes, grid.n_points
-    rows, cols, vals = [], [], []
-    for k in range(K):
-        Tk = _transport_matrix(grid, vm.field[k], "upwind")
-        rows.append(np.repeat(np.arange(k, size, K, dtype=np.int32), np.diff(Tk.indptr)))
-        cols.append(Tk.indices * K + k)
-        vals.append(Tk.data)
-    # indices are int32, the type scipy picks, so the constructors convert
+    steps = np.abs(vm.field) / np.array(grid.spacing)  # (K, dim)
+    # one diagonal value per entry, so a diagonal sums its terms in one order
+    diag_vals = (loss.reshape(m, n, K) + steps.sum(axis=1)).ravel()
+    # the neighbours f_{j-1} and f_{j+1} of every point along every axis,
+    # (dim, 2, n), and one line of entries per non-zero (node, axis) term;
+    # indices are int32, the type scipy picks, so the constructor converts
     # no array
+    points = np.arange(n, dtype=np.int32).reshape(grid.shape)
+    neighbours = np.stack([[np.roll(points, s, axis=ax).ravel() for s in (1, -1)]
+                           for ax in range(grid.dim)])
+    node, ax = np.nonzero(steps)
+    k = node.astype(np.int32)[:, None]
+    rows = (points.reshape(1, n) * np.int32(K) + k).reshape(1, -1)
+    cols = (neighbours[ax, (vm.field[node, ax] <= 0).astype(np.intp)] * np.int32(K)
+            + k).reshape(1, -1)
+    off_vals = np.repeat(-steps[node, ax], n)
     offsets = np.int32(size) * np.arange(m, dtype=np.int32)[:, None]
     diag = np.arange(m * size, dtype=np.int32)
-    # one constructor: a diagonal entry sums two terms, so the order of
-    # summation cannot matter
-    A = sparse.csr_matrix((np.concatenate([loss.ravel(), np.tile(np.concatenate(vals), m)]),
-                           (np.concatenate([diag, (np.concatenate(rows) + offsets).ravel()]),
-                            np.concatenate([diag, (np.concatenate(cols) + offsets).ravel()]))),
+    A = sparse.csr_matrix((np.concatenate([diag_vals, np.tile(off_vals, m)]),
+                           (np.concatenate([diag, (rows + offsets).ravel()]),
+                            np.concatenate([diag, (cols + offsets).ravel()]))),
                           shape=(m * size, m * size))
-    block_cols = diag[::K, None, None] + np.arange(K, dtype=np.int32)
-    Km = sparse.csr_matrix((gain.ravel(), np.broadcast_to(block_cols, (m * n, K, K)).ravel(),
-                            np.arange(0, m * size * K + 1, K, dtype=np.int32)),
-                           shape=(m * size, m * size))
-    return A, Km
+    return A, _gain_matrix(gain)
 
 
 @dataclass(frozen=True)
@@ -629,16 +567,14 @@ class CellOperator(_GridCells):
     def _build(self) -> tuple:
         if self.scheme == "upwind":
             return super()._build()
-        K, n = self.vm.n_nodes, self.n_points
+        grid, K = self.grid, self.vm.n_nodes
+        diffs = [_spectral_matrix(grid.shape[ax], grid.period[ax]) for ax in range(grid.dim)]
         T = np.zeros((self.size, self.size))
         for k in range(K):
-            T[k::K, k::K] = _transport_matrix(self.grid, self.vm.field[k], self.scheme)
-        Km = np.zeros((self.size, self.size))
-        diag_idx = np.arange(n) * K
-        for k in range(K):
-            for l in range(K):
-                Km[diag_idx + k, diag_idx + l] = self.gain[:, k, l]
-        return T + np.diag(self.sigma_flat), Km
+            mats = [a * d for a, d in zip(self.vm.field[k].tolist(), diffs)]
+            T[k::K, k::K] = mats[0] if grid.dim == 1 else (
+                np.kron(mats[0], np.eye(grid.shape[1])) + np.kron(np.eye(grid.shape[0]), mats[1]))
+        return T + np.diag(self.sigma_flat), _gain_matrix(self.gains).toarray()
 
     # -- field conversion ----------------------------------------------------
 
@@ -661,8 +597,8 @@ def assemble(kernel, x, vm: VelocityMeasure, grid: CellGrid,
     :func:`gate_rates`, when the caller has them, so they are neither
     sampled nor gated again (rates gated elsewhere are refused).  The
     matrices and the factorization of ``A`` are built at first use, an
-    ``upwind`` operator's ``A`` and ``K`` directly from the cached
-    transport stencils and the rates, one sparse constructor each.
+    ``upwind`` operator's ``A`` and ``K`` directly from the grid, the
+    velocity set and the rates, one sparse constructor each.
     """
     return CellOperator(kernel, x, vm, grid, scheme, rates)
 
@@ -799,12 +735,7 @@ class SpectralCellOperator(_CellOperatorBase):
         g = kernel.node_matrix(vm)
         sdb_gap(g, vm.weights).require()  # the profile factor cancels from the gap
         gain_v, sig_v = gain_loss(c * g, vm.weights)  # per node pair, per node
-
-        a = vm.field[:, 0]
-        transport = np.diag(np.kron(1j * self.lattice, np.ones(K)) * np.tile(a, n_lat))
-        A = transport + np.kron(mult, np.diag(sig_v))
-        Km = np.kron(mult, gain_v)
-        self._set_matrices(A, Km)
+        self._mult, self._gain_v, self._sig_v = mult, gain_v, sig_v
         self.size = n_lat * K
         self.weights = np.tile(vm.weights, n_lat)
         const = np.zeros(self.size, dtype=complex)
@@ -814,6 +745,13 @@ class SpectralCellOperator(_CellOperatorBase):
         self.zero_row = zero_row
         # Sigma(y, v) = s(y) * sig_v[v] with s bounded below by its closed-form minimum
         self.sigma_min = float(kernel._profile_min() * sig_v.min())
+
+    def _build(self) -> tuple:
+        K = self.vm.n_nodes
+        a = self.vm.field[:, 0]
+        transport = np.diag(np.kron(1j * self.lattice, np.ones(K)) * np.tile(a, self.n_lattice))
+        return (transport + np.kron(self._mult, np.diag(self._sig_v)),
+                np.kron(self._mult, self._gain_v))
 
     # -- field conversion ------------------------------------------------------
 

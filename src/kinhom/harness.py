@@ -890,9 +890,10 @@ def _summarize(report: PipelineReport) -> dict[str, float | int | str]:
             out[f"err_eps_{row.epsilon:g}"] = row.err
         out["sweep_monotone"] = "yes" if report.sweep.monotone else "no"
         out["sweep_min_ratio"] = report.sweep.min_ratio
+    if report.kinetic_states:
+        period = cfg.build_kernel().fast_period()
     for eps, states in report.kinetic_states.items():
         first, last = states[0], states[-1]
-        period = cfg.build_kernel().fast_period()
         out[f"kinetic_points_per_period_eps_{eps:g}"] = _points_per_period(last.grid, eps, period)
         out[f"kinetic_steps_eps_{eps:g}"] = last.steps
         out[f"kinetic_dt_eps_{eps:g}"] = float(last.dt)
@@ -947,11 +948,6 @@ def _csv_blocks(header: list[str], columns: list) -> Iterator[str]:
         for c, col in enumerate(columns):
             cells[c::n_cols] = col[lo:hi].tolist()
         yield line * (hi - lo) % tuple(cells)
-
-
-def _csv(header: list[str], columns: list) -> str:
-    """The whole table of :func:`_csv_blocks` as one string."""
-    return "".join(_csv_blocks(header, columns))
 
 
 def emit_tables(report: PipelineReport, out_dir: str) -> dict[str, str]:

@@ -65,14 +65,12 @@ so with either the error does not fall with ``eps`` and the scheme is not
 asymptotic-preserving (Jin, *SIAM J. Sci. Comput.* 21 (1999) 441-454).
 
 Everything that depends only on the step size is built once per size and
-reused by every sub-step: the FFT phase factors of the half-step (keyed on
-the exact ``dt``) and the per-point collision tables (looked up by the
-exact ``dt`` and, on a miss, by ``dt`` to 12 significant digits, so
-sub-steps that differ by roundoff share one set).  :meth:`KineticSolver.run`
-steps equal checkpoint intervals, whose sizes differ by roundoff, at one
-size, so a run builds one table set per size.  A size tuple gets the
-stack of its sizes' tables, built once from them and cached under the
-tuple, so a stacked sub-step makes one lookup.
+reused by every sub-step: the FFT phase factors of the half-step and the
+per-point collision tables, one pair of tables cached under the exact
+``dt``.  :meth:`KineticSolver.run` steps equal checkpoint intervals, whose
+sizes differ by roundoff, at one size, so a run builds one pair per size.
+A size tuple gets the stacks of its sizes' tables, built once from them
+and cached under the tuple, so a stacked sub-step makes one lookup.
 
 The collision step is ``M = expm(dt Q / eps^2)`` at every point, all
 ``n_x`` of them in one batched scaling-and-squaring Padé(13) exponential
@@ -332,9 +330,7 @@ class KineticSolver:
         self._speeds = vm.field[:, 0]
         self._kappa = shift_wavenumbers(grid)
         # everything that depends only on the step size, built once per size
-        self._phase_cache: dict[float | tuple, np.ndarray] = {}
-        self._collision_by_dt: dict[float | tuple, np.ndarray] = {}
-        self._collision_cache: dict[float, np.ndarray] = {}
+        self._table_cache: dict[float | tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- step-size policy -------------------------------------------------------
 
@@ -354,52 +350,39 @@ class KineticSolver:
         it by the phase factors and returns the product, written into
         ``out`` when given.
         """
-        return np.multiply(spectra, self._phase_table(dt), out=out)
+        return np.multiply(spectra, self._tables(dt)[0], out=out)
 
-    def _phase_table(self, dt: float | tuple[float, ...]) -> np.ndarray:
-        """The phase factors of a half-step, ``(K, n_x//2 + 1)``, cached
-        under the exact ``dt``; for a tuple of ``S`` sizes, the ``(S, K,
-        n_x//2 + 1)`` stack of their tables, cached under the tuple."""
-        phase = self._phase_cache.get(dt)
-        if phase is None:
+    def _tables(self, dt: float | tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """The tables of a step of size ``dt``, ``(phase, collision)``, cached
+        under the exact ``dt``.
+
+        ``phase`` holds the factors of a half-step, ``(K, n_x//2 + 1)``.
+        ``collision`` holds columns ``1..K-1`` of the per-point ``expm(dt Q /
+        eps^2) - I`` in the rows the solver keeps: a contiguous ``(K-1, R,
+        n_x)`` array indexed ``[l - 1, i, x]``, entry ``(k, l)`` of the
+        matrix at point ``x`` with ``k`` the ``i``-th kept row (``1..K-1``
+        for a validated kernel, all ``K`` for a negative control), so
+        ``D[l - 1]`` is the whole-grid column ``l`` of every matrix.  For a
+        tuple of ``S`` sizes, the stacks of their tables, ``(S, K, n_x//2 +
+        1)`` and ``(K-1, S, R, n_x)``, cached under the tuple.
+        """
+        tables = self._table_cache.get(dt)
+        if tables is None:
             if isinstance(dt, tuple):
-                phase = np.stack([self._phase_table(d) for d in dt])
+                phases, mats = zip(*(self._tables(d) for d in dt))
+                tables = np.stack(phases), np.stack(mats, axis=1)
             else:
                 shift = self._speeds * dt / (2.0 * self.epsilon)
                 phase = np.ascontiguousarray(_phase(self._kappa, shift).T)
                 if self._n_x % 2 == 0:
                     # the Nyquist mode is real on the grid: keep cos(kappa_N shift)
                     phase[:, -1] = phase[:, -1].real
-            self._phase_cache[dt] = phase
-        return phase
-
-    def _collision_matrices(self, dt: float | tuple[float, ...]) -> np.ndarray:
-        """Columns ``1..K-1`` of the per-point ``expm(dt Q / eps^2) - I``, in
-        the rows the solver keeps.
-
-        A contiguous ``(K-1, R, n_x)`` array indexed ``[l - 1, i, x]``:
-        entry ``(k, l)`` of the matrix at point ``x``, ``k`` the ``i``-th kept
-        row (``1..K-1`` for a validated kernel, all ``K`` for a negative
-        control), so ``D[l - 1]`` is the whole-grid column ``l`` of every
-        matrix.  Looked up by the exact ``dt`` first, then by its
-        :func:`step_key`.  For a tuple of ``S`` sizes, the ``(K-1, S, R,
-        n_x)`` stack of their tables along axis 1, cached under the tuple.
-        """
-        mats = self._collision_by_dt.get(dt)
-        if mats is None:
-            if isinstance(dt, tuple):
-                mats = np.stack([self._collision_matrices(d) for d in dt], axis=1)
-            else:
-                key = step_key(dt)
-                mats = self._collision_cache.get(key)
-                if mats is None:
-                    mats = _expm(dt / self.epsilon**2 * self._Q)
-                    nodes = np.arange(mats.shape[1])
-                    mats[:, nodes, nodes] -= 1.0
-                    mats = np.ascontiguousarray(mats[:, self._rows, 1:].transpose(2, 1, 0))
-                    self._collision_cache[key] = mats
-            self._collision_by_dt[dt] = mats
-        return mats
+                mats = _expm(dt / self.epsilon**2 * self._Q)
+                nodes = np.arange(mats.shape[1])
+                mats[:, nodes, nodes] -= 1.0
+                tables = phase, np.ascontiguousarray(mats[:, self._rows, 1:].transpose(2, 1, 0))
+            self._table_cache[dt] = tables
+        return tables
 
     def collision_full(self, g: np.ndarray, dt: float | tuple[float, ...]) -> np.ndarray:
         """Kept rows of the increment ``(M - I) f`` of the collision step
@@ -417,7 +400,7 @@ class KineticSolver:
         n_x)`` of deviations with a tuple of ``S`` sizes gives ``(S, R,
         n_x)``, each entry with its own size's tables.
         """
-        mats = self._collision_matrices(dt)
+        mats = self._tables(dt)[1]
         if not mats.shape[0]:
             return np.zeros(mats.shape[1:])
         out = mats[0] * g[..., 0, None, :]

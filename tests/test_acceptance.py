@@ -270,18 +270,26 @@ def test_criterion_6_oscillation_functional_residuals(crossval_report):
     for row in rows:
         by_key.setdefault((row.phi, row.m, row.c), {})[row.epsilon] = row.residual
     # oscillating component psi = phi(t, x) cos(2 pi y) c(v): monotone in eps
+    # down to a floor, the psi = 1 bound below; under it a residual is the
+    # roundoff of a vanishing pairing, which must stay there but need not fall
+    floor = 1e-10
     checked = 0
     for (phi, m, c), res in by_key.items():
         if m != "cos2pi":
             continue
         series = [res[e] for e in epsilons]
-        assert series[0] > series[1] > series[2], (phi, m, c, series)
+        assert series[0] > floor, (phi, m, c, series)
+        for prev, cur in zip(series, series[1:]):
+            if prev > floor:
+                assert prev > cur, (phi, m, c, series)
+            else:
+                assert cur <= floor, (phi, m, c, series)
         checked += 1
     assert checked == 4  # {1, gauss} x {1, a1}
     # psi = 1 pairs the conserved masses: machine-level at every eps
     for eps in epsilons:
-        assert by_key[("1", "1", "1")][eps] <= 1e-10
-    print("criterion 6: PASS — cos(2 pi y) residuals decrease with eps; "
+        assert by_key[("1", "1", "1")][eps] <= floor
+    print("criterion 6: PASS — cos(2 pi y) residuals decrease with eps to 1e-10; "
           "psi = 1 residual <= 1e-10")
 
 

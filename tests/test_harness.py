@@ -15,7 +15,7 @@ from kinhom.cli import main as cli_main
 from kinhom.harness import (
     ConfigError,
     StageError,
-    _csv,
+    _csv_blocks,
     dump_config,
     emit_tables,
     parse_config,
@@ -900,6 +900,11 @@ def test_emitted_tables_and_determinism(tmp_path):
             assert strip(text_a) == strip(text_b)
         else:
             assert text_a == text_b
+
+
+def _csv(header, columns):
+    """The whole table of :func:`_csv_blocks` as one string."""
+    return "".join(_csv_blocks(header, columns))
 
 
 def test_csv_writer_matches_a_per_row_formatter(monkeypatch):

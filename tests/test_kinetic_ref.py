@@ -239,7 +239,7 @@ def test_collision_is_bitwise_the_node_order_sum_of_its_tables(n_nodes):
     f = rng.standard_normal((n_nodes, grid.n_points))
     g = f[1:] - f[0]
     dt = solver.default_dt()
-    tables = solver._collision_matrices(dt)  # [l - 1, i, x]
+    tables = solver._tables(dt)[1]  # [l - 1, i, x]
     # a validated kernel keeps rows 1..K-1
     assert tables.shape == (n_nodes - 1, n_nodes - 1, grid.n_points)
     expect = np.empty((n_nodes - 1, grid.n_points))
@@ -261,7 +261,7 @@ def test_collision_tables_match_the_per_point_expm(n_nodes, multiple):
     solver = _balanced_solver(n_nodes, grid, np.random.default_rng(n_nodes))
     dt = multiple * solver.default_dt()
     D = scipy.linalg.expm(dt / solver.epsilon**2 * solver._Q) - np.eye(n_nodes)
-    tables = solver._collision_matrices(dt).transpose(2, 1, 0)  # (n_x, K-1, K-1)
+    tables = solver._tables(dt)[1].transpose(2, 1, 0)  # (n_x, K-1, K-1)
     tol = 2e-14 * np.max(np.abs(D))
     assert np.max(np.abs(tables - D[:, 1:, 1:])) <= tol
     lifted = np.einsum("kr,xrl->xkl", solver._lift, tables)
@@ -288,7 +288,7 @@ def test_two_node_tables_match_the_closed_form_on_small_eps():
         A = dt / eps**2 * solver._Q
         t = -np.trace(A, axis1=1, axis2=2)
         exact = (-np.expm1(-t) / t)[:, None, None] * A
-        tables = solver._collision_matrices(dt)  # (1, 1, n_x): entry (1, 1)
+        tables = solver._tables(dt)[1]  # (1, 1, n_x): entry (1, 1)
         tol = 1e-14 * np.max(np.abs(exact))
         assert np.max(np.abs(tables[0, 0] - exact[:, 1, 1])) <= tol
         lifted = solver._lift[:, 0] * tables[0, 0][:, None]  # column 1
@@ -364,7 +364,7 @@ def test_one_node_run_is_pure_transport():
 
 @pytest.mark.parametrize("epsilon", [1e-4], ids=["exact"])
 def test_collision_cache_tells_small_steps_apart(epsilon):
-    # the cache key keeps 12 significant digits, whatever the size of dt
+    # the cache key is the exact step, whatever the size of dt
     def solver():
         return KineticSolver(SINUSOIDAL, VM, GRID, epsilon=epsilon)
 
@@ -373,35 +373,6 @@ def test_collision_cache_tells_small_steps_apart(epsilon):
     _solver_collide(warm, f, 1.0e-12)
     assert np.array_equal(_solver_collide(warm, f, 1.0004e-12),
                           _solver_collide(solver(), f, 1.0004e-12))
-    # steps that differ only by roundoff share one set of matrices
-    dt = warm.default_dt()
-    assert np.array_equal(_solver_collide(warm, f, np.nextafter(dt, 1.0)),
-                          _solver_collide(warm, f, dt))
-
-
-def test_collision_tables_are_looked_up_by_exact_step_first(monkeypatch):
-    # step_key formats a string; a repeated step finds its tables without it,
-    # and a roundoff neighbour falls back to it once and shares the same set
-    from kinhom import kinetic_ref
-
-    keys = []
-    step_key = kinetic_ref.step_key
-
-    def counted(dt):
-        keys.append(dt)
-        return step_key(dt)
-
-    monkeypatch.setattr(kinetic_ref, "step_key", counted)
-    solver = KineticSolver(SINUSOIDAL, VM, GRID, epsilon=0.2)
-    dt = solver.default_dt()
-    first = solver._collision_matrices(dt)
-    for _ in range(3):
-        assert solver._collision_matrices(dt) is first
-    assert keys == [dt]
-    near = np.nextafter(dt, 1.0)
-    assert solver._collision_matrices(near) is first
-    assert solver._collision_matrices(near) is first
-    assert keys == [dt, near]
 
 
 def test_per_point_rate_table_matches_kernel_evaluation():
@@ -545,13 +516,12 @@ def test_a_stacked_step_is_bitwise_the_two_single_steps(case):
         assert np.array_equal(pair[0], coarse)
         assert np.array_equal(pair[1], fine)
     # the stacked tables, built once from the per-size ones
-    phase = solver._phase_cache[sizes]
+    phase, tables = solver._table_cache[sizes]
+    assert solver._tables(sizes) is solver._table_cache[sizes]
     assert phase.shape == (2, n_nodes, n_x // 2 + 1)
-    assert np.array_equal(phase[1], solver._phase_cache[dt / 2])
-    tables = solver._collision_matrices(sizes)
+    assert np.array_equal(phase[1], solver._tables(dt / 2)[0])
     assert tables.shape == (n_nodes - 1, 2, rows, n_x)
-    assert solver._collision_matrices(sizes) is tables
-    assert np.array_equal(tables[:, 0], solver._collision_matrices(dt))
+    assert np.array_equal(tables[:, 0], solver._tables(dt)[1])
 
 
 def test_a_step_into_its_own_input_is_bitwise_the_fresh_step():
@@ -579,10 +549,8 @@ def test_a_run_over_equal_intervals_builds_one_table_set_per_size():
     states = solver.run(_smooth_initial(GRID, VM), times[-1], checkpoints=times)
     dt = plan[0][2]
     sizes = [dt, dt / 2, (dt, dt / 2)]
-    # one phase table and one collision table per size: coarse, fine and the pair
-    assert list(solver._phase_cache) == sizes
-    assert list(solver._collision_by_dt) == sizes
-    assert len(solver._collision_cache) == 2
+    # one pair of tables per size: coarse, fine and the pair
+    assert list(solver._table_cache) == sizes
     # each state still reports its own interval's step
     assert [s.dt for s in states[1:]] == [sub_dt for _, _, sub_dt in plan]
 
