@@ -387,6 +387,16 @@ def _reference_matrices(kernel, vm, grid):
     return (A - Km).tocsr(), A, Km
 
 
+@pytest.mark.parametrize("speed", [1.5, -0.7, 6e-17, 0.0])
+def test_upwind_matrix_is_bitwise_the_lil_reference(speed):
+    # one velocity node: A is the lil stencil of that speed plus the loss
+    vm, grid = velocity_from_tables([[speed]], [1.0]), CellGrid((16,))
+    op = assemble(SINUSOIDAL, 0.0, vm, grid, scheme="upwind")
+    for got, want in zip((op.P, op.A_mat, op.K_mat), _reference_matrices(SINUSOIDAL, vm, grid)):
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, part), getattr(want, part))
+
+
 @pytest.mark.parametrize("kernel, vm, grid", [
     (SINUSOIDAL, two_velocity_1d(weights=(1.0, 2.0)), CellGrid((16,))),
     (SINUSOIDAL, two_velocity_1d(weights=(1.0, 2.0)), CellGrid((33,))),
