@@ -11,8 +11,7 @@ exist at that point::
     kinhom sweep     --config scenario.ini            # convergence table
     kinhom pipeline  --config scenario.ini --out out/ # everything
 
-``--out DIR`` overrides the scenario's output directory and ``--seed S``
-pins the randomized diagnostics.
+``--out DIR`` overrides the scenario's output directory.
 
 Exit status: 0 on success, 1 when a stage fails, 2 on a bad scenario file.
 """
@@ -64,8 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, metavar="PATH", help="scenario file")
         p.add_argument("--out", metavar="DIR", default=None,
                        help="output directory (default: the scenario's [output] dir)")
-        p.add_argument("--seed", type=int, default=0, metavar="S",
-                       help="seed for the randomized diagnostics")
     return parser
 
 
@@ -92,7 +89,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     try:
-        report = run_pipeline(cfg, seed=args.seed, stop_after=_STOP[args.command])
+        report = run_pipeline(cfg, stop_after=_STOP[args.command])
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -171,15 +171,15 @@ def solve_cell(kernel, x, vm: VelocityMeasure, *, backend: str | None = None,
 
 
 # Most unknowns one stacked solve of a sampled family takes (at least one
-# position).  SuperLU's workspace grows with the stack, the time hardly:
-# through the effective stage of the tanh benchmark (512 positions of 128
-# unknowns; 2-core Xeon, one pinned CPU, min of 5 operations), stacks of
-# 1024, 2048, 4096, 8192 and 65,536 unknowns took 0.17, 0.13-0.23, 0.11,
-# 0.10 and 0.12-0.13 s, against 0.48 s for one solve per position, and
-# added 2.1, 3.3, 6.3, 8.5 and 44 MB to the peak memory of the process,
-# against 1.1 MB.  At 4096 the benchmark's tanh peak_rss_mb read 91.3 MB
-# against 89.1 MB for one solve per position.
-STACK_UNKNOWNS = 4096
+# position): the length of its Krylov vectors, whose worst block sets the
+# iteration count (12-18 a stack on tanh).  Through the tanh benchmark's
+# effective stage (512 positions of 128 unknowns; 2-core Xeon, one pinned
+# CPU, min of 5), stacks of 4096, 8192, 16,384, 32,768 and 65,536 unknowns
+# took 95, 77, 72, 74 and 81 ms (1030 ms one position at a time) and added
+# 1.7-3.3, 3.6-4.7, 7.3-8.8, 14 and 27 MB to the peak memory (0.5 MB).  At
+# 16,384 the 39 MB basis stays above glibc's 32 MB mmap ceiling, so freeing
+# it moves no allocator threshold: tanh peak_rss_mb 91.5-92.1, 94.2 at 8192.
+STACK_UNKNOWNS = 16384
 
 
 def _stacked_rates(kernel, xs: np.ndarray, vm: VelocityMeasure, grid: CellGrid):
@@ -232,11 +232,11 @@ def assemble_effective(cell: CellSolution, x=None) -> EffectiveCoefficients:
     grid cells are assembled one position at a time, each operator dropped
     once its rates are copied, and solved in stacks of at most
     ``STACK_UNKNOWNS`` unknowns (see :class:`kinhom.cell_solver.CellStack`),
-    each stack's matrices built directly from its rates; the ellipticity
-    gate then runs once over all positions.  Dense cells (the
-    grid's ``spectral`` scheme, the ``spectral_ap`` lattice) cost their
-    factorization, not per-call overhead, and keep one :func:`solve_cell`
-    per position, each operator dropped before the next solve.
+    with no factorization; the ellipticity gate then runs once over all
+    positions.  Dense cells (the grid's ``spectral`` scheme, the
+    ``spectral_ap`` lattice) cost their factorization, not per-call
+    overhead, and keep one :func:`solve_cell` per position, each operator
+    dropped before the next solve.
     """
     kernel, vm = cell.op.kernel, cell.op.vm
     if x is None or kernel.x_dependence == "none":

@@ -697,8 +697,8 @@ def run_pipeline(
     ``[kinetic]`` section is present — kinetic runs per epsilon with sweep
     and sigma tables.
     ``stop_after`` truncates the run after the named stage, leaving later
-    report fields unset.  The stages run serially; ``jobs`` is ignored
-    (``perfbench/run.py`` still passes it).
+    report fields unset.  ``jobs`` and ``seed`` are ignored: the stages
+    run serially and nothing is random (``perfbench/run.py`` passes both).
     """
     report = PipelineReport(config=cfg)
 
@@ -732,7 +732,7 @@ def run_pipeline(
                           n_modes=cfg.cell["n_modes"], tol=cfg.cell["tol"], rates=rates)
         report.lam = cell.lam
         report.flux = cell.b
-        report.variational_residual = verify_variational(cell.op, seed=seed)
+        report.variational_residual = verify_variational(cell.op)
         report.corrector_residual = cell.residual
         report.bound_constant = cell.bound_constant
     if stop_after == "cell":

@@ -3,8 +3,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, gmres, splu
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from kinhom import cell_solver
 from kinhom.cell_solver import (
@@ -20,6 +21,7 @@ from kinhom.cell_solver import (
     verify_variational,
 )
 from kinhom.collision import BalanceError, _sampled, gain_loss, make_kernel
+from kinhom.effective import solve_cell
 from kinhom.phase_space import CellGrid, two_velocity_1d, uniform_circle, velocity_from_tables
 
 VM = two_velocity_1d()
@@ -207,6 +209,14 @@ def test_discrete_duality(scheme):
         assert abs(lhs - rhs) < 1e-12 * max(abs(lhs), 1.0)
 
 
+def _solve_A(op, h):
+    """``A^{-1} h`` by a direct solve: no solve of the package inverts ``A``."""
+    A = op.A_mat
+    if sparse.issparse(A):
+        return scipy.sparse.linalg.spsolve(A.tocsc(), h)
+    return np.linalg.solve(A, h)
+
+
 def test_absorption_inverse_bound_and_positivity():
     # <Af, f> >= sigma_min ||f||^2 for both schemes, so ||A^-1|| <= 1/sigma_min;
     # upwind A is an M-matrix, so A^-1 preserves positivity
@@ -215,12 +225,12 @@ def test_absorption_inverse_bound_and_positivity():
         op = assemble(SINUSOIDAL, 0.0, VM, GRID32, scheme=scheme)
         for _ in range(25):
             h = rng.standard_normal(op.size)
-            f = op.apply_A_inverse(h)
+            f = _solve_A(op, h)
             assert op.norm(f) <= op.norm(h) / op.sigma_min * (1 + 1e-12)
     op = assemble(SINUSOIDAL, 0.0, VM, GRID32, scheme="upwind")
     for _ in range(25):
         h = rng.uniform(0.1, 1.0, op.size)
-        assert np.all(op.apply_A_inverse(h) > 0)
+        assert np.all(_solve_A(op, h) > 0)
 
 
 def test_transport_has_zero_cell_mean():
@@ -263,6 +273,124 @@ def test_variational_residual_is_roundoff():
     ):
         op = build()
         assert verify_variational(op) < 1e-12
+
+
+def test_variational_residual_sees_an_unbalanced_gain():
+    # ||P F|| / ||F|| is roundoff on every backend; a gain 1 % above the
+    # loss leaves P F = -0.01 K F, which reads at least 1e-3
+    for build in (
+        lambda: assemble(SINUSOIDAL, 0.0, VM, GRID32, scheme="upwind"),
+        lambda: assemble(make_kernel("sinusoidal", base=1.0, alpha=0.5, dim=2),
+                         0.0, uniform_circle(8), CellGrid((8, 8))),
+        lambda: assemble(SINUSOIDAL, 0.0, VM, GRID32, scheme="spectral"),
+        lambda: assemble_spectral_ap(
+            make_kernel("quasi_periodic", base=1.0, alpha1=0.2, alpha2=0.2), 0.0, VM
+        ),
+    ):
+        op = build()
+        assert verify_variational(op) < 1e-12
+        op = build()
+        A, K_mat = op._build()
+        op._build = lambda: (A, 1.01 * K_mat)
+        assert verify_variational(op) >= 1e-3
+
+
+# ---------------------------------------------------------------------------
+# the upwind splitting M = T + Sigma_bar, inverted by FFT
+# ---------------------------------------------------------------------------
+
+def _upwind_family(vm, grid, xs=(-1.3, 0.4, 2.0)):
+    kernel = make_kernel("sinusoidal", base=1.0, alpha=0.5, x_dependence="tanh",
+                         x_amplitude=0.5, dim=grid.dim)
+    return _stack_of(kernel, xs, vm=vm, grid=grid)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: assemble(SINUSOIDAL, 0.0, two_velocity_1d(weights=(1.0, 2.0)), CellGrid((16,))),
+    lambda: assemble(SINUSOIDAL, 0.0, two_velocity_1d(weights=(1.0, 2.0)), CellGrid((33,))),
+    # both signs, a speed at roundoff and a resting node
+    lambda: assemble(SINUSOIDAL, 0.0, velocity_from_tables([[1.5], [-0.7], [6e-17], [0.0]],
+                                                           [1.0, 1.0, 1.0, 1.0]), CellGrid((16,))),
+    lambda: assemble(make_kernel("sinusoidal", base=1.0, alpha=0.5, dim=2), 0.0,
+                     uniform_circle(12), CellGrid((6, 8))),
+    lambda: assemble(make_kernel("sinusoidal", base=1.0, alpha=0.5, dim=2), 0.0,
+                     uniform_circle(8), CellGrid((9, 8))),
+    lambda: _upwind_family(two_velocity_1d(weights=(1.0, 2.0)), CellGrid((16,))),
+    lambda: _upwind_family(uniform_circle(8), CellGrid((8, 6))),
+], ids=["1d-16", "1d-33", "1d-speeds-16", "2d-circle12-6x8", "2d-9x8", "stack-1d",
+        "stack-2d-8x6"])
+def test_upwind_M_inverse_inverts_transport_plus_the_mean_loss(build):
+    # M = A - diag(Sigma - Sigma_bar): the transport of A with each block's
+    # and node's loss averaged over the grid points
+    op = build()
+    n, K = op.grid.n_points, op.vm.n_nodes
+    loss = op.losses.reshape(op.n_blocks, n, K)
+    mean = np.broadcast_to(loss.mean(axis=1)[:, None], loss.shape).ravel()
+    np.testing.assert_allclose(op.M.excess, op.losses.ravel() - mean, rtol=0, atol=1e-15)
+    M = (op.A_mat - sparse.diags(op.M.excess)).toarray()
+    np.testing.assert_allclose(op.M.one, M @ op.const, rtol=0, atol=1e-13)
+    W = op.weights
+    M_star = (M.T * W) / W[:, None]
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        f = rng.standard_normal(op.size)
+        for mat, inverse in ((M, op.M.solve), (M_star, op.M.solve_adjoint)):
+            g = inverse(f)
+            assert g.dtype == float and g.shape == f.shape
+            assert np.max(np.abs(mat @ g - f)) <= 1e-13 * np.max(np.abs(f))
+    # O = N M^-1 with N = M - P, so O M f = M f - P f
+    f = rng.standard_normal(op.size)
+    np.testing.assert_allclose(op.apply_O(M @ f), M @ f - op.apply_P(f), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(op.apply_O_adjoint(M_star @ f), M_star @ f - op.apply_P_adjoint(f),
+                               rtol=0, atol=1e-13)
+
+
+def _dense_D(op):
+    """``D`` from a dense bordered solve of ``P* chi_j = -(a_j - b_j)``, gauged to mean zero."""
+    P = op.dense_P()
+    W = op.weights
+    P_star = (P.T * W) / W[:, None]
+    bordered = np.block([[P_star, op.const[:, None]], [W[None, :], np.zeros((1, 1))]])
+    F = op.F
+    D = np.empty((op.vm.dim, op.vm.dim))
+    chi = []
+    for j in range(op.vm.dim):
+        a_j = op.velocity_profile(j)
+        rhs = -(a_j - op.inner(F, a_j) * op.const)
+        chi.append(np.linalg.solve(bordered, np.append(rhs, 0.0))[:-1])
+    for i in range(op.vm.dim):
+        for j in range(op.vm.dim):
+            D[i, j] = -op.inner(op.velocity_profile(j) * F, chi[i])
+    return D
+
+
+@pytest.mark.parametrize("kernel, vm, grid", [
+    (SINUSOIDAL, two_velocity_1d(weights=(1.0, 2.0)), CellGrid((16,))),
+    (make_kernel("sinusoidal", base=1.0, alpha=0.5, dim=2), uniform_circle(8), CellGrid((8, 8))),
+], ids=["1d-16", "2d-circle8-8x8"])
+def test_upwind_D_matches_a_dense_direct_solve_of_P_star(kernel, vm, grid):
+    cell = solve_cell(kernel, 0.0, vm, grid=grid)
+    want = _dense_D(cell.op)
+    assert np.max(np.abs(cell.D - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+def _corrector_iterations(n):
+    op = assemble(make_kernel("sinusoidal", base=1.0, alpha=0.5, dim=2), 0.0,
+                  uniform_circle(8), CellGrid((n, n)))
+    iterations = []
+    for j in range(2):
+        a_j = op.velocity_profile(j)
+        rhs = -(a_j - op.inner(op.F, a_j) * op.const)
+        iterations.append(solve_adjoint_corrector(op, rhs).iterations)
+    return iterations
+
+
+def test_gmres_iterations_do_not_grow_with_the_cell_grid():
+    # the circle2d rates: 21 iterations a corrector at 32^2 and 22 at 64^2
+    # and 128^2, while the unknowns grow 16-fold; the splitting takes all
+    # the transport into M, so the count does not follow the grid
+    coarse, fine = _corrector_iterations(32), _corrector_iterations(128)
+    assert max(coarse) <= 22 and max(fine) <= max(coarse) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -438,27 +566,16 @@ def _fresh_rates(kernel, x, grid, vm):
     (2, uniform_circle(8), CellGrid((8, 6))),
     (2, uniform_circle(12), CellGrid((6, 8))),
 ], ids=["1d-16", "1d-33", "2d-8x8", "2d-8x6", "2d-circle12-6x8"])
-def test_sampled_operators_from_one_plan_are_bitwise_the_sparse_reference(
-        dim, vm, grid, monkeypatch):
+def test_sampled_operators_from_one_plan_are_bitwise_the_sparse_reference(dim, vm, grid):
     # positions of a tanh-modulated kernel in a row, one operator each: each
-    # operator is the reference built at its own rates, and its factored A
-    # that reference's CSC copy
+    # operator is the reference built at its own rates
     kernel = make_kernel("sinusoidal", base=1.0, alpha=0.5, x_dependence="tanh",
                          x_amplitude=0.5, dim=dim)
-    factored = []
-
-    def recording_splu(mat):
-        factored.append(mat)
-        return splu(mat)
-
-    monkeypatch.setattr(cell_solver, "splu", recording_splu)
-    for i, x in enumerate((-1.3, 0.4, 2.0, 0.4)):
+    for x in (-1.3, 0.4, 2.0, 0.4):
         op = assemble(kernel, x, vm, grid)
         P, A, Km = _reference_matrices(_fresh_rates(kernel, x, grid, vm), vm, grid)
         for got, want in zip((op.P, op.A_mat, op.K_mat), (P, A, Km)):
             _assert_bitwise(got, want)
-        assert factored[i].format == "csc"
-        _assert_bitwise(factored[i], A.tocsc())
 
 
 @pytest.mark.parametrize("dim, vm, grid", [
@@ -466,21 +583,16 @@ def test_sampled_operators_from_one_plan_are_bitwise_the_sparse_reference(
     (1, velocity_from_tables([[-1.0], [0.0], [1.0]], [1.0, 1.0, 1.0]), CellGrid((9,))),
     (2, uniform_circle(8), CellGrid((8, 6))),
 ], ids=["1d-16", "1d-resting-9", "2d-8x6"])
-def test_a_stack_holds_each_position_operator_on_its_diagonal(dim, vm, grid, monkeypatch):
+def test_a_stack_holds_each_position_operator_on_its_diagonal(dim, vm, grid):
     kernel = make_kernel("sinusoidal", base=1.0, alpha=0.5, x_dependence="tanh",
                          x_amplitude=0.5, dim=dim)
     ops = [assemble(kernel, x, vm, grid) for x in (-1.3, 0.4, 2.0)]
     stack = cell_solver.CellStack(grid, vm, np.stack([op.sigma_flat for op in ops]),
                                   np.stack([op.gain for op in ops]))
-    factored = []
-    monkeypatch.setattr(cell_solver, "splu", lambda mat: factored.append(mat) or splu(mat))
-    stack.A_fact
-    assert len(factored) == 1
     n = ops[0].size
     for got, parts in ((stack.A_mat, [op.A_mat for op in ops]),
                        (stack.K_mat, [op.K_mat for op in ops]),
-                       (stack.P, [op.P for op in ops]),
-                       (factored[0], [op.A_mat.tocsc() for op in ops])):
+                       (stack.P, [op.P for op in ops])):
         assert got.nnz == sum(p.nnz for p in parts)
         for i, part in enumerate(parts):
             _assert_bitwise(got[i * n:(i + 1) * n, i * n:(i + 1) * n], part)
@@ -714,8 +826,12 @@ def test_adjoint_actions_are_bitwise_the_conjugate_transpose(build):
 
     assert np.array_equal(op.apply_P_adjoint(f), weighted_adjoint(op.P, f))
     assert np.array_equal(op.apply_K_adjoint(f), weighted_adjoint(op.K_mat, f))
-    assert np.array_equal(op.apply_O_adjoint(f),
-                          weighted_adjoint(op.K_mat, op.apply_A_adjoint_inverse(f)))
+    # O* = N* M*^-1, N = K where M = A and K - diag(excess) otherwise
+    m_inv = op.M.solve_adjoint(f)
+    n_star = weighted_adjoint(op.K_mat, m_inv)
+    if op.M.excess is not None:
+        n_star = n_star - op.M.excess * m_inv
+    assert np.array_equal(op.apply_O_adjoint(f), n_star)
 
 
 # ---------------------------------------------------------------------------

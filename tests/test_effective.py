@@ -226,6 +226,14 @@ def test_equilibrium_is_the_constant_at_every_position(backend, scheme):
         assert np.max(np.abs(op.unwrap(F) - expected)) <= 1e-12
 
 
+def _recorded_stacks(monkeypatch) -> list:
+    """The cell stacks the effective stage builds, in order."""
+    stacks = []
+    monkeypatch.setattr(effective, "CellStack",
+                        lambda *a: stacks.append(cell_solver.CellStack(*a)) or stacks[-1])
+    return stacks
+
+
 def test_stacked_family_in_chunks_matches_per_position_solves(monkeypatch):
     # weights (1, 2) give a non-zero flux b; 8 positions of 32 unknowns in
     # stacks of at most 3 positions: chunks of 3, 3 and 2
@@ -234,12 +242,10 @@ def test_stacked_family_in_chunks_matches_per_position_solves(monkeypatch):
     x = np.linspace(-2.0, 2.0, 8)
     cell = solve_cell(TANH, 0.0, vm, grid=grid)
     monkeypatch.setattr(effective, "STACK_UNKNOWNS", 3 * 32 + 31)
-    factored = []
-    splu = cell_solver.splu
-    monkeypatch.setattr(cell_solver, "splu", lambda mat: factored.append(mat.shape) or splu(mat))
+    stacks = _recorded_stacks(monkeypatch)
     eff = assemble_effective(cell, x=x)
-    # one factorization a chunk, none a position
-    assert factored == [(96, 96), (96, 96), (64, 64)]
+    # one stack a chunk, none a position
+    assert [stack.size for stack in stacks] == [96, 96, 64]
     monkeypatch.undo()
     solved = [solve_cell(TANH, xi, vm, grid=grid) for xi in x]
     np.testing.assert_allclose(eff.D, np.stack([s.D for s in solved]), rtol=1e-11, atol=0.0)
@@ -252,18 +258,42 @@ def test_stacked_family_in_chunks_matches_per_position_solves(monkeypatch):
 
 
 def test_a_family_factors_only_stacks_within_the_bound(monkeypatch):
-    # the tanh benchmark's cell (64 points, 2 velocities): 40 positions take
-    # one full stack and one of the remaining 8
+    # the tanh benchmark's cell (64 points, 2 velocities): a full stack's
+    # worth of positions plus 8 take one full stack and one of the 8
     grid = CellGrid((64,))
     cell = solve_cell(TANH, 0.0, VM, grid=grid)
-    factored = []
-    splu = cell_solver.splu
-    monkeypatch.setattr(cell_solver, "splu", lambda mat: factored.append(mat.shape[0]) or splu(mat))
-    eff = assemble_effective(cell, x=np.linspace(-3.0, 3.0, 40))
-    assert eff.D.shape == (40, 1, 1)
+    stacks = _recorded_stacks(monkeypatch)
     per_stack = effective.STACK_UNKNOWNS // 128
-    assert factored == [per_stack * 128, (40 - per_stack) * 128]
-    assert max(factored) <= effective.STACK_UNKNOWNS
+    n_x = per_stack + 8
+    eff = assemble_effective(cell, x=np.linspace(-3.0, 3.0, n_x))
+    assert eff.D.shape == (n_x, 1, 1)
+    sizes = [stack.size for stack in stacks]
+    assert sizes == [per_stack * 128, 8 * 128]
+    assert max(sizes) <= effective.STACK_UNKNOWNS
+
+
+def test_upwind_cells_and_families_solve_without_a_factorization(monkeypatch):
+    # no upwind path factors a matrix: with scipy's sparse and dense LU
+    # refused, a 1-D and a 2-D cell and a stacked family still solve
+    import scipy.linalg
+    import scipy.sparse.linalg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an upwind cell solve factored a matrix")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", refuse)
+    monkeypatch.setattr(scipy.linalg, "lu_factor", refuse)
+    vm = two_velocity_1d(weights=(1.0, 2.0))
+    cell = solve_cell(TANH, 0.0, vm, grid=CellGrid((16,)))
+    circle = solve_cell(make_kernel("sinusoidal", base=1.0, alpha=0.5, dim=2), 0.0,
+                        uniform_circle(8), grid=CellGrid((8, 8)))
+    stacks = _recorded_stacks(monkeypatch)
+    eff = assemble_effective(cell, x=np.linspace(-2.0, 2.0, 8))
+    assert len(stacks) == 1 and eff.D.shape == (8, 1, 1)
+    assert cell.D[0, 0] > 0 and circle.ellipticity_min > 0 and eff.ellipticity_min > 0
+    # the dense scheme still factors its A
+    with pytest.raises(AssertionError, match="factored a matrix"):
+        solve_cell(TANH, 0.0, vm, grid=CellGrid((16,)), scheme="spectral")
 
 
 def test_dense_families_keep_one_solve_per_position(monkeypatch):

@@ -13,10 +13,12 @@ and prints the milliseconds per position of each layer of a solve:
 * ``assemble``: the operator at one position, which samples and gates
   the rates;
 * ``equilibrium_F``: the principal-eigenvalue check, which builds the
-  matrices from the rates and factors ``A`` at their first use;
-* ``solve_chi_star``: the adjoint correctors;
-* ``verify_variational``: the weak-form check, which the pipeline runs on
-  the ``x = 0`` cell only;
+  matrices and the splitting ``P = M - N`` from the rates at their first
+  use (for an upwind cell the Fourier symbol of ``M``, no factorization);
+* ``solve_chi_star``: the adjoint correctors, split GMRES solves with one
+  FFT pair per iteration on an upwind cell;
+* ``verify_variational``: the weak-form residual ``||P F|| / ||F||``, which
+  the pipeline reads on the ``x = 0`` cell only;
 * ``solve_cell``: the whole solve of one position, as the ``x = 0`` cell
   is solved;
 * ``gate``: the kernel's rates at one position sampled on the cell grid
