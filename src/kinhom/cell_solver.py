@@ -4,28 +4,36 @@ The discrete cell operator is
 
     P = a(v) . grad_y + Sigma - K      (transport + absorption - gain)
 
-acting on phase-space fields over (cell grid) x (velocity set).  Its
-adjoint in the natural weighted inner product  <f, g> = int M(f g) dmu  is
-assembled as the weighted transpose, so duality, conservation, and the
-Fredholm alternative hold *exactly* in floating point, not just in the
+acting on real phase-space fields over (points of a periodic grid) x
+(velocity set).  Its adjoint in the natural weighted inner product  <f, g>
+= int M(f g) dmu  is the weighted transpose, so duality, conservation, and
+the Fredholm alternative hold *exactly* in floating point, not just in the
 continuum limit.
 
-Two backends share one protocol:
+Every cell lives on a periodic grid, a torus, and two backends fill it:
 
-* a grid backend (`assemble`) sampling the kernel on a periodic grid, with
-  first-order upwind (sparse, positivity-preserving) or Fourier collocation
-  (dense, spectrally accurate) transport;
-* a frequency-lattice backend (`assemble_spectral_ap`) for quasi-periodic
-  profiles, a Galerkin compression onto integer combinations of the
-  profile's generator frequencies.
+* the grid backend (`assemble`) samples the kernel on the cell grid, with
+  first-order upwind (sparse, positivity-preserving) or Fourier
+  collocation (spectrally accurate) transport;
+* the frequency-lattice backend (`assemble_spectral_ap`) takes a
+  quasi-periodic profile as the trace ``s(y) = S(y, ..., y)`` of a
+  function ``S`` on the torus of its generator frequencies ``g_j``
+  (period ``2 pi / g_j`` along axis ``j``, so ``d/dy`` is the sum of the
+  axis derivatives; Kozlov, *Math. USSR Sb.* 35 (1979) 481-498), samples
+  ``S`` on ``2 n_modes + 1`` points an axis, and transports by Fourier
+  collocation there: the fields' Fourier coefficients are their
+  coefficients on the lattice of frequencies ``sum_j t_j g_j``.
 
-Solves split ``P = M - N`` and invert only ``M``: ``A``, LU-factored, on
-a dense operator, ``T + Sigma_bar`` (upwind transport plus each node's
-mean loss) by FFT on upwind grid cells (:class:`_FourierSplit`).  The loss
-is the gain's row sum, so the equilibrium is the constant: ``M 1`` is the
-eigenvector of ``O = N M^{-1}`` with eigenvalue 1, which one application
-checks.  Correctors are Krylov solves of ``(I - O) v = g``, ``f = M^{-1}
-v``, with the one-dimensional kernel deflated out.
+Solves split ``P = M - N`` and invert only ``M = T + Sigma_bar``, the
+transport plus each node's mean loss, which is diagonal in Fourier space
+and inverted by FFT (:class:`_FourierSplit`).  The loss is the gain's row
+sum, so the equilibrium is the constant: ``M 1`` is the eigenvector of ``O
+= N M^{-1}`` with eigenvalue 1, which one application checks.  Correctors
+are Krylov solves of ``(I - O) v = g``, ``f = M^{-1} v``, with the
+one-dimensional kernel deflated out.  An upwind cell applies ``P`` and
+``K`` as sparse matrices; a collocation cell applies ``P`` as ``M f - N
+f`` and forms no matrix, so neither needs a factorization or a dense
+array.
 
 Cell problems are small and many (one per macro position when the rates
 vary with x), so a solve does only its arithmetic: GMRES runs in this
@@ -33,19 +41,19 @@ module, operation for operation scipy's ``gmres`` without its per-call
 set-up.  Assembly samples and gates the rates; the matrices and the
 splitting follow when a solve asks for them.  :class:`CellStack` solves
 the positions of one sampled family together, as one block-diagonal
-system with every per-cell gate applied to each block; a single grid
-operator is its one-block case.
+system with every per-cell gate applied to each block; a single operator
+is its one-block case.
 
-scipy is imported inside the functions that build, factor or densify an
-operator, so importing this module, and the gates the check stage runs
-(:func:`dense_cell_gate`, :func:`lattice_cell_gate`), load numpy alone;
-the first assembly of a process loads ``scipy.sparse``, the first solve
+scipy is imported inside the functions that build an upwind operator and
+in the Krylov loop, so importing this module loads numpy alone; the first
+grid assembly of a process loads ``scipy.sparse``, the first solve
 ``scipy.linalg``.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -65,17 +73,15 @@ __all__ = [
     "CellOperator",
     "CellRates",
     "CellStack",
-    "DENSE_CELL_BYTES",
+    "RING_LEVEL",
     "SpectralCellOperator",
     "SpectralField",
     "CorrectorSolution",
     "ChiStarSolution",
     "assemble",
     "assemble_spectral_ap",
-    "dense_cell_gate",
     "equilibrium_F",
     "gate_rates",
-    "lattice_cell_gate",
     "solve_corrector",
     "solve_adjoint_corrector",
     "solve_chi_star",
@@ -92,72 +98,70 @@ class ConvergenceError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# differentiation matrices
+# the splitting P = M - N
 # ---------------------------------------------------------------------------
 
 
-def _spectral_matrix(n: int, period: float) -> np.ndarray:
-    """Dense Fourier-collocation differentiation matrix (periodic)."""
-    import scipy.linalg
+def _upwind_terms(grid: CellGrid, field: np.ndarray) -> list[np.ndarray]:
+    """Per axis, the first-order upwind symbol of each node, ``(K, n_freq)``.
 
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=period / n)
-    if n % 2 == 0:
-        k[n // 2] = 0.0
-    col = np.fft.ifft(1j * k).real  # derivative of the discrete delta
-    return scipy.linalg.circulant(col)
+    ``|a_k,ax| / h_ax (1 - exp(-+ i xi_ax h_ax))`` (``-`` upwind from
+    ``f_{j-1}``), at the frequencies ``rfftn`` keeps along the axis.
+    """
+    steps = np.abs(field) / np.array(grid.spacing)  # (K, dim)
+    terms = []
+    for ax, n_ax in enumerate(grid.shape):
+        # rfftn keeps the non-negative frequencies of the last axis only
+        freqs = np.arange(n_ax // 2 + 1 if ax == len(grid.shape) - 1 else n_ax)
+        shift = np.exp(-2j * np.pi * freqs / n_ax)  # f_{j-1}
+        shifts = np.where(field[:, ax, None] > 0, shift, shift.conj())
+        terms.append(steps[:, ax, None] * (1.0 - shifts))  # (K, n_freq)
+    return terms
 
 
-# ---------------------------------------------------------------------------
-# splittings P = M - N
-# ---------------------------------------------------------------------------
+def _collocation_terms(grid, field: np.ndarray) -> list[np.ndarray]:
+    """Per axis, the Fourier-collocation symbol ``i a_k,ax xi_ax`` of each node.
 
-
-class _Factorized:
-    """``M = A`` (LU-factored; ``M*`` in the ``weights`` product) and ``N = K``: dense cells."""
-
-    excess = None  # N = K
-
-    def __init__(self, A: np.ndarray, weights: np.ndarray, const: np.ndarray):
-        import scipy.linalg
-
-        self.solve = functools.partial(scipy.linalg.lu_solve, scipy.linalg.lu_factor(A))
-        self._trans = 2 if np.iscomplexobj(A) else 1
-        self._weights = weights
-        self.one = A @ const  # M 1
-
-    def solve_adjoint(self, b: np.ndarray) -> np.ndarray:
-        return self.solve(self._weights * b, trans=self._trans) / self._weights
+    The derivative drops the unpaired Nyquist wavenumber of an even axis,
+    so it maps real fields to real fields and has exactly zero mean.
+    """
+    terms = []
+    for ax, (n_ax, period) in enumerate(zip(grid.shape, grid.period)):
+        freq = np.fft.rfftfreq if ax == len(grid.shape) - 1 else np.fft.fftfreq
+        wavenumber = freq(n_ax, 1.0 / n_ax)  # integers, as rfftn orders them
+        if n_ax % 2 == 0:
+            wavenumber[n_ax // 2] = 0.0
+        terms.append(1j * field[:, ax, None] * (2.0 * np.pi / period * wavenumber))
+    return terms
 
 
 class _FourierSplit:
-    """``M = T + Sigma_bar`` of upwind grid cells, inverted by FFT.
+    """``M = T + Sigma_bar``, applied and inverted by FFT.
 
     ``Sigma_bar`` is the loss ``(m, size)`` averaged over the grid points,
-    per block and node.  ``M`` couples no blocks or nodes and is circulant
-    on the periodic grid, with symbol ``Sigma_bar_k + sum_ax |a_k,ax| /
-    h_ax (1 - exp(-+ i xi_ax h_ax))`` (``-`` upwind from ``f_{j-1}``), so
-    ``M^{-1}`` is an ``rfftn``, a multiply and an ``irfftn`` over node-major
-    fields, contiguous along the transforms; ``M* = M^T`` (the weights are
-    constant on a node) takes the conjugate symbol.  The reference-medium
-    splitting of FFT-based homogenization (Moulinec and Suquet, *Comput.
-    Methods Appl. Mech. Engrg.* 157 (1998) 69-94).  ``N = M - P = K - diag(excess)``.
+    per block and node, and ``T`` the transport whose per-axis node symbols
+    are ``terms`` (:func:`_upwind_terms` or :func:`_collocation_terms`).
+    ``M`` couples no blocks or nodes and is a convolution on the periodic
+    grid, with symbol ``Sigma_bar_k`` plus the terms, so ``M`` and
+    ``M^{-1}`` are an ``rfftn``, a multiply and an ``irfftn`` over
+    node-major fields, contiguous along the transforms; ``M* = M^T`` (the
+    weights are constant on a node) takes the conjugate symbol.  The
+    reference-medium splitting of FFT-based homogenization (Moulinec and
+    Suquet, *Comput. Methods Appl. Mech. Engrg.* 157 (1998) 69-94).  ``N =
+    M - P = K - diag(excess)``.
     """
 
-    def __init__(self, grid: CellGrid, vm: VelocityMeasure, loss: np.ndarray):
-        m, K, dim = len(loss), vm.n_nodes, grid.dim
-        by_point = loss.reshape(m, grid.n_points, K)
+    def __init__(self, grid, loss: np.ndarray, terms: list[np.ndarray]):
+        m, dim = len(loss), len(grid.shape)
+        by_point = loss.reshape(m, grid.n_points, -1)
+        K = by_point.shape[2]
         mean = by_point.mean(axis=1)  # (m, K)
         self.excess = (by_point - mean[:, None]).ravel()
         self.one = np.repeat(mean[:, None], grid.n_points, axis=1).ravel()  # M 1, as T 1 = 0
-        steps = np.abs(vm.field) / np.array(grid.spacing)  # (K, dim)
         symbol = mean.reshape(m, K, *(1,) * dim).astype(complex)
-        for ax, n_ax in enumerate(grid.shape):
-            # rfftn keeps the non-negative frequencies of the last axis only
-            freqs = np.arange(n_ax // 2 + 1 if ax == dim - 1 else n_ax)
-            shift = np.exp(-2j * np.pi * freqs / n_ax)  # f_{j-1}
-            shifts = np.where(vm.field[:, ax, None] > 0, shift, shift.conj())
-            term = steps[:, ax, None] * (1.0 - shifts)  # (K, n_freq)
+        for ax, term in enumerate(terms):
             symbol = symbol + term.reshape(K, *(-1 if a == ax else 1 for a in range(dim)))
+        self._symbol = symbol
         self._inverse = 1.0 / symbol
         self._shape = (m, *grid.shape, K)
         self._axes = tuple(range(2, 2 + dim))
@@ -168,6 +172,12 @@ class _FourierSplit:
                             s=self._shape[1:-1], axes=self._axes)
         return np.moveaxis(out, 1, -1).reshape(-1)
 
+    def apply(self, f: np.ndarray) -> np.ndarray:
+        return self._transform(f, self._symbol)
+
+    def apply_adjoint(self, f: np.ndarray) -> np.ndarray:
+        return self._transform(f, self._symbol.conj())
+
     def solve(self, b: np.ndarray) -> np.ndarray:
         return self._transform(b, self._inverse)
 
@@ -176,39 +186,56 @@ class _FourierSplit:
 
 
 # ---------------------------------------------------------------------------
-# shared solver protocol
+# cells on a periodic grid
 # ---------------------------------------------------------------------------
 
 
-def _adjoint(mat):
-    """Conjugate transpose; for a real matrix the transpose, sharing storage."""
-    return mat.conj().T if np.iscomplexobj(mat) else mat.T
-
-
 class _CellOperatorBase:
-    """State shared by both backends.
+    """Cells of one periodic grid and velocity set: one operator, or a stack of them.
 
-    The matrices are built at first use: :meth:`_build` returns ``A_mat``
-    (``A = transport + Sigma``) and ``K_mat`` (the gain), and ``P = A -
-    K`` and the splitting ``P = M - N`` (``M``) follow from them; the
-    conjugate transposes ``P_H`` and ``K_H`` are built once each.
-    Subclasses also populate ``weights`` (flat inner-product weights),
-    ``const`` (the constant function, from which ``F`` follows),
-    ``sigma_min``, ``vm``, and conversion helpers.
-
-    An operator holds ``n_blocks`` cells on the diagonal of its matrices,
-    one but for a :class:`CellStack`, with fields flat, block after block.
-    The solves work per block: :meth:`pairings`, :meth:`norms` and
+    Block ``i`` is the cell of the flat loss ``loss[i]`` and the gain blocks
+    ``gain[i]`` (``(m, size)`` and ``(m, n, K, K)``, kept as ``losses`` and
+    ``gains``; other shapes are refused) on the ``n`` points of ``grid``
+    (a :class:`~kinhom.phase_space.CellGrid`, or the lattice's
+    :class:`_Torus`), with the transport ``a_k`` along every axis.  Fields
+    are real and flat, block after block, in (point, node) order.  The
+    solves work per block: :meth:`pairings`, :meth:`norms` and
     :meth:`means` give one value a block, and :meth:`per_cell` turns such
     values into the operator's result, the one cell's for one cell.
+
+    ``scheme`` is the transport.  An ``upwind`` cell builds ``A_mat`` (``A
+    = T + Sigma``), ``K_mat`` (the gain) and ``P = A - K`` as sparse
+    matrices at first use and acts through them; a ``spectral`` (Fourier
+    collocation) cell acts through the symbol of ``M`` and the gain blocks
+    and forms no matrix.  Both split ``P = M - N`` at ``M``
+    (:class:`_FourierSplit`), built at first use.
     """
 
-    weights: np.ndarray
-    const: np.ndarray
-    sigma_min: float
-    vm: VelocityMeasure
-    dtype: type
-    n_blocks = 1
+    def __init__(self, grid, vm: VelocityMeasure, loss: np.ndarray, gain: np.ndarray,
+                 scheme: str = "upwind"):
+        n, K, m = grid.n_points, vm.n_nodes, len(loss)
+        for name, part, shape in (("loss", loss, (m, n * K)), ("gain", gain, (m, n, K, K))):
+            if part.shape != shape:
+                raise ValueError(f"{name} of shape {part.shape} does not fit {m} cells of "
+                                 f"{n} points and {K} velocities: expected {shape}")
+        self.grid = grid
+        self.vm = vm
+        self.scheme = scheme
+        self.n_points = n
+        self.n_blocks, self.block_size = loss.shape
+        self.size = loss.size
+        self.losses = loss
+        self.gains = gain
+        self.sigma_min = float(loss.min())
+
+    @functools.cached_property
+    def const(self) -> np.ndarray:
+        # at first use, so an operator that is only gated never allocates it
+        return np.ones(self.size)
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        return np.tile(np.tile(self.vm.weights, self.n_points) / self.n_points, self.n_blocks)
 
     # -- inner-product geometry --------------------------------------------
 
@@ -216,21 +243,15 @@ class _CellOperatorBase:
         return flat.reshape(self.n_blocks, -1)
 
     def pairings(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """Per block, the weighted pairing ``int M(conj(f) g) dmu`` of flat vectors."""
-        return np.add.reduce(self._blocks(self.weights * np.conj(f) * g), axis=1)
+        """Per block, the weighted pairing ``int M(f g) dmu`` of flat vectors."""
+        return np.add.reduce(self._blocks(self.weights * f * g), axis=1)
 
     def norms(self, f: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.real(np.add.reduce(self._blocks(self.weights * np.abs(f) ** 2),
-                                             axis=1)))
+        return np.sqrt(np.add.reduce(self._blocks(self.weights * (f * f)), axis=1))
 
     def means(self, f: np.ndarray) -> np.ndarray:
-        """Per block, ``int M(f) dmu`` of a flat field.
-
-        Pairing against the constant field keeps this correct for both
-        backends: on the grid it is the plain weighted sum, on the frequency
-        lattice only the zero mode carries a nonzero cell mean.
-        """
-        return np.real(self.pairings(self.const, f))
+        """Per block, ``int M(f) dmu`` of a flat field: the weighted sum of its samples."""
+        return self.pairings(self.const, f)
 
     def per_cell(self, values: np.ndarray):
         """The operator's result from per-block ``values``, ``(n_blocks, ...)``.
@@ -241,7 +262,7 @@ class _CellOperatorBase:
         return values[0]
 
     def inner(self, f: np.ndarray, g: np.ndarray):
-        """Weighted pairing ``int M(conj(f) g) dmu`` on flat vectors."""
+        """Weighted pairing ``int M(f g) dmu`` on flat vectors."""
         return self.per_cell(self.pairings(f, g))
 
     def norm(self, f: np.ndarray):
@@ -258,18 +279,29 @@ class _CellOperatorBase:
         F.flags.writeable = False
         return F
 
-    def _build(self) -> tuple:
-        """``(A, K)`` of the operator."""
-        raise NotImplementedError
+    # -- the splitting and the upwind matrices ---------------------------------
 
-    def _split(self, A):  # a dense operator: M = A, N = K
-        return _Factorized(A, self.weights, self.const)
+    @functools.cached_property
+    def M(self) -> _FourierSplit:
+        if self.scheme == "upwind":
+            # the sparse matrices first, so that the symbol is not alive under
+            # the peak of their construction (0.5 MB on circle2d)
+            self._matrices  # noqa: B018
+        field = np.broadcast_to(self.vm.field, (self.vm.n_nodes, len(self.grid.shape)))
+        terms = _upwind_terms if self.scheme == "upwind" else _collocation_terms
+        return _FourierSplit(self.grid, self.losses, terms(self.grid, field))
+
+    def _build(self) -> tuple:
+        """``(A, K)`` of an upwind cell."""
+        if self.scheme != "upwind":
+            raise ValueError(f"a {self.scheme} cell forms no matrix; use its actions")
+        return _upwind_matrices(self.grid, self.vm, self.losses, self.gains)
 
     @functools.cached_property
     def _matrices(self) -> tuple:
-        """``(A, K, P, M)``, built at first use."""
+        """``(A, K, P)``, built at first use."""
         A, K_mat = self._build()
-        return A, K_mat, A - K_mat, self._split(A)
+        return A, K_mat, A - K_mat
 
     @property
     def A_mat(self):
@@ -283,97 +315,79 @@ class _CellOperatorBase:
     def P(self):
         return self._matrices[2]
 
-    @property
-    def M(self):
-        return self._matrices[3]
-
     @functools.cached_property
     def P_H(self):
-        return _adjoint(self.P)
+        return self.P.T
 
     @functools.cached_property
     def K_H(self):
-        return _adjoint(self.K_mat)
+        return self.K_mat.T
 
     # -- operator actions ----------------------------------------------------
 
     def apply_P(self, f: np.ndarray) -> np.ndarray:
-        return self.P @ f
+        if self.scheme == "upwind":
+            return self.P @ f
+        return self.M.apply(f) - self.apply_K(f) + self.M.excess * f
 
     def apply_P_adjoint(self, f: np.ndarray) -> np.ndarray:
-        return (self.P_H @ (self.weights * f)) / self.weights
+        if self.scheme == "upwind":
+            return (self.P_H @ (self.weights * f)) / self.weights
+        return self.M.apply_adjoint(f) - self.apply_K_adjoint(f) + self.M.excess * f
 
     def apply_K(self, f: np.ndarray) -> np.ndarray:
-        return self.K_mat @ f
+        if self.scheme == "upwind":
+            return self.K_mat @ f
+        K = self.vm.n_nodes
+        return np.einsum("pkl,pl->pk", self.gains.reshape(-1, K, K), f.reshape(-1, K)).ravel()
 
     def apply_K_adjoint(self, f: np.ndarray) -> np.ndarray:
-        return (self.K_H @ (self.weights * f)) / self.weights
+        if self.scheme == "upwind":
+            return (self.K_H @ (self.weights * f)) / self.weights
+        K, w = self.vm.n_nodes, self.vm.weights
+        return (np.einsum("plk,pl->pk", self.gains.reshape(-1, K, K), f.reshape(-1, K) * w)
+                / w).ravel()
 
     def apply_O(self, f: np.ndarray) -> np.ndarray:
-        """``N M^{-1}``, ``N = M - P = K - diag(M.excess)``; ``K A^{-1}`` where ``M = A``."""
-        u, excess = self.M.solve(f), self.M.excess
-        return self.apply_K(u) if excess is None else self.apply_K(u) - excess * u
+        """``N M^{-1}``, ``N = M - P = K - diag(M.excess)``."""
+        u = self.M.solve(f)
+        return self.apply_K(u) - self.M.excess * u
 
     def apply_O_adjoint(self, f: np.ndarray) -> np.ndarray:
-        u, excess = self.M.solve_adjoint(f), self.M.excess
-        return self.apply_K_adjoint(u) if excess is None else self.apply_K_adjoint(u) - excess * u
+        u = self.M.solve_adjoint(f)
+        return self.apply_K_adjoint(u) - self.M.excess * u
 
-    def hermitize(self, flat: np.ndarray) -> np.ndarray:
-        """Project onto fields with real samples (identity on a real grid)."""
+    # -- fields ----------------------------------------------------------------
+
+    def velocity_profile(self, component: int) -> np.ndarray:
+        """Flat field of ``a_component(v)`` (y-independent)."""
+        return np.tile(self.vm.field[:, component], self.n_blocks * self.n_points)
+
+    def wrap(self, flat: np.ndarray):
         return flat
 
-    # -- diagnostics -----------------------------------------------------------
+    def unwrap(self, field) -> np.ndarray:
+        flat = np.asarray(field)
+        if flat.shape != (self.size,):
+            raise ValueError(f"expected flat size {self.size}, got {flat.shape}")
+        return flat
 
     def dense_P(self) -> np.ndarray:
-        n = self.P.shape[0]
+        """``P`` as a dense array, :meth:`apply_P` of each identity column."""
+        n = self.size
         if n > 6000:
             raise ValueError(f"dense dump limited to 6000 rows, operator has {n}")
-        import scipy.sparse
-
-        return self.P.toarray() if scipy.sparse.issparse(self.P) else np.array(self.P)
+        out, column = np.empty((n, n)), np.zeros(n)
+        for j in range(n):
+            column[j] = 1.0
+            out[:, j] = self.apply_P(column)
+            column[j] = 0.0
+        return out
 
 
 # ---------------------------------------------------------------------------
 # grid backend
 # ---------------------------------------------------------------------------
-
-
-# Largest memory a dense cell operator may take, the grid's ``scheme =
-# "spectral"`` and the frequency lattice alike: half of an 8 GiB machine,
-# the smallest the tests and the benchmark run on, so the rest of the
-# process and the machine's other work keep the other half.  That is about
-# 9460 grid unknowns (6 * 8 * 9460**2 bytes), or 5792 lattice unknowns
-# (8 * 16 * 5792**2); larger grid cells take ``scheme = "upwind"`` (sparse)
-# or the spectral_ap backend, larger lattices fewer modes.
-DENSE_CELL_BYTES = 4 * 2**30
-
-
-def _dense_cell_bytes(size: int) -> int:
-    """Bytes of the dense grid operator on ``size`` unknowns.
-
-    Counts six float64 ``size x size`` arrays: transport, gain, ``A``,
-    ``P`` and the LU factor of ``A`` are alive together, and forming ``A``
-    takes one more temporarily.
-    """
-    return 6 * 8 * size * size
-
-
-def dense_cell_gate(scheme: str, size: int) -> None:
-    """Refuse a dense ``spectral`` grid cell on ``size`` unknowns over budget.
-
-    Raises ``ValueError`` with the byte count when the dense operator would
-    exceed ``DENSE_CELL_BYTES``; ``upwind`` is sparse and always passes.
-    Allocates nothing, so the check stage can run it before any solve.
-    """
-    if scheme != "spectral":
-        return
-    need = _dense_cell_bytes(size)
-    if need > DENSE_CELL_BYTES:
-        raise ValueError(
-            f"dense spectral cell operator on {size} unknowns needs {need} "
-            f"bytes ({need / 2**30:.1f} GiB), over DENSE_CELL_BYTES = "
-            f"{DENSE_CELL_BYTES}; use scheme = upwind or a coarser cell grid"
-        )
 
 
 def _gain_matrix(gain: np.ndarray) -> sparse.csr_matrix:
@@ -480,78 +494,12 @@ def gate_rates(kernel, x, grid: CellGrid, vm: VelocityMeasure,
     return CellRates(x, grid, vm, *gain_loss(samp, vm.weights))
 
 
-class _GridCells(_CellOperatorBase):
-    """Grid cells of one grid and velocity set: one operator, or a stack of them.
-
-    Block ``i`` is the cell of the flat loss ``loss[i]`` and the gain blocks
-    ``gain[i]`` (``(m, size)`` and ``(m, n, K, K)``, kept as ``losses`` and
-    ``gains``; other shapes are refused), from which an upwind operator's
-    matrices and splitting are built at first use.  Fields are flat.
-    """
-
-    scheme = "upwind"
-
-    def __init__(self, grid: CellGrid, vm: VelocityMeasure, loss: np.ndarray,
-                 gain: np.ndarray):
-        n, K, m = grid.n_points, vm.n_nodes, len(loss)
-        for name, part, shape in (("loss", loss, (m, n * K)), ("gain", gain, (m, n, K, K))):
-            if part.shape != shape:
-                raise ValueError(f"{name} of shape {part.shape} does not fit {m} cells of "
-                                 f"{n} points and {K} velocities: expected {shape}")
-        self.grid = grid
-        self.vm = vm
-        self.dtype = float
-        self.n_points = grid.n_points
-        self.n_blocks, self.block_size = loss.shape
-        self.size = loss.size
-        self.losses = loss
-        self.gains = gain
-        self.sigma_min = float(loss.min())
-
-    @functools.cached_property
-    def const(self) -> np.ndarray:
-        # at first use, so an operator that is only gated never allocates it
-        return np.ones(self.size)
-
-    @functools.cached_property
-    def weights(self) -> np.ndarray:
-        return np.tile(np.tile(self.vm.weights, self.n_points) / self.n_points, self.n_blocks)
-
-    def _build(self) -> tuple:
-        return _upwind_matrices(self.grid, self.vm, self.losses, self.gains)
-
-    def _split(self, A):
-        if self.scheme != "upwind":
-            return super()._split(A)
-        return _FourierSplit(self.grid, self.vm, self.losses)
-
-    def pairings(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """Per block ``int M(f g) dmu``: grid fields are real, so no ``conj``."""
-        return np.add.reduce(self._blocks(self.weights * f * g), axis=1)
-
-    def norms(self, f: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.add.reduce(self._blocks(self.weights * (f * f)), axis=1))
-
-    def velocity_profile(self, component: int) -> np.ndarray:
-        """Flat field of ``a_component(v)`` (y-independent)."""
-        return np.tile(self.vm.field[:, component], self.n_blocks * self.n_points)
-
-    def wrap(self, flat: np.ndarray) -> np.ndarray:
-        return flat
-
-    def unwrap(self, field) -> np.ndarray:
-        flat = np.asarray(field)
-        if flat.shape != (self.size,):
-            raise ValueError(f"expected flat size {self.size}, got {flat.shape}")
-        return flat
-
-
-class CellOperator(_GridCells):
+class CellOperator(_CellOperatorBase):
     """Cell operator sampled on a periodic grid (see :func:`assemble`).
 
     Construction samples and gates the rates and keeps the gain ``gain``
-    ``(n, K, K)`` and the flat loss ``sigma_flat``; the matrices follow at
-    first use.
+    ``(n, K, K)`` and the flat loss ``sigma_flat``; the splitting and, on
+    an upwind cell, the matrices follow at first use.
     """
 
     def __init__(self, kernel, x, vm: VelocityMeasure, grid: CellGrid, scheme: str,
@@ -566,16 +514,14 @@ class CellOperator(_GridCells):
             raise ValueError(f"unknown transport scheme {scheme!r}")
         self.kernel = kernel
         self.x = x
-        self.scheme = scheme
         self.field_shape = (*grid.shape, vm.n_nodes)
-        dense_cell_gate(scheme, grid.n_points * vm.n_nodes)
 
         if rates is None:
             rates = gate_rates(kernel, x, grid, vm)
         elif not rates.gated_at(x, grid, vm):
             raise ValueError(f"rates gated at x = {rates.x!r} on {rates.grid} do not serve "
                              f"x = {x!r} on {grid} with this velocity set")
-        super().__init__(grid, vm, rates.loss.reshape(1, -1), rates.gain[None])
+        super().__init__(grid, vm, rates.loss.reshape(1, -1), rates.gain[None], scheme)
         if self.sigma_min <= 0:
             raise ValueError("absorption rate must be strictly positive")
 
@@ -587,23 +533,10 @@ class CellOperator(_GridCells):
     def sigma_flat(self) -> np.ndarray:
         return self.losses[0]
 
-    def _build(self) -> tuple:
-        if self.scheme == "upwind":
-            return super()._build()
-        grid, K = self.grid, self.vm.n_nodes
-        diffs = [_spectral_matrix(grid.shape[ax], grid.period[ax]) for ax in range(grid.dim)]
-        T = np.zeros((self.size, self.size))
-        for k in range(K):
-            mats = [a * d for a, d in zip(self.vm.field[k].tolist(), diffs)]
-            T[k::K, k::K] = mats[0] if grid.dim == 1 else (
-                np.kron(mats[0], np.eye(grid.shape[1])) + np.kron(np.eye(grid.shape[0]), mats[1]))
-        return T + np.diag(self.sigma_flat), _gain_matrix(self.gains).toarray()
-
     # -- field conversion ----------------------------------------------------
 
     def wrap(self, flat: np.ndarray) -> PhaseField:
-        return PhaseField(values=np.real(flat).reshape(self.field_shape),
-                          grid=self.grid, vm=self.vm)
+        return PhaseField(values=flat.reshape(self.field_shape), grid=self.grid, vm=self.vm)
 
     def unwrap(self, field) -> np.ndarray:
         if isinstance(field, PhaseField):
@@ -619,20 +552,20 @@ def assemble(kernel, x, vm: VelocityMeasure, grid: CellGrid,
     ``rates`` are the kernel's rates at ``x`` on ``grid`` already through
     :func:`gate_rates`, when the caller has them, so they are neither
     sampled nor gated again (rates gated elsewhere are refused).  The
-    matrices and the splitting are built at first use.
+    splitting and the matrices are built at first use.
     """
     return CellOperator(kernel, x, vm, grid, scheme, rates)
 
 
-class CellStack(_GridCells):
-    """Upwind cell operators of one grid and velocity set, stacked block-diagonally.
+class CellStack(_CellOperatorBase):
+    """Cell operators of one grid, velocity set and scheme, stacked block-diagonally.
 
     Block ``i`` is the operator of the flat loss ``loss[i]`` and the gain
-    ``gain[i]`` (``(m, size)`` and ``(m, n, K, K)``, what
-    :class:`CellOperator` keeps as ``sigma_flat`` and ``gain``), built as
-    a :class:`CellOperator` is, with block offsets, and with one Fourier
-    symbol a block.  Fields are flat, block after block.  Results are per
-    block, so :func:`equilibrium_F`, :func:`solve_chi_star` and
+    ``gain[i]`` (``(m, size)`` and ``(m, n, K, K)``, what an operator
+    keeps as ``losses[0]`` and ``gains[0]``), built as that operator is,
+    with block offsets, and with one Fourier symbol a block.  Fields are
+    flat, block after block.  Results are per block, so
+    :func:`equilibrium_F`, :func:`solve_chi_star` and
     :func:`kinhom.effective.diffusion_matrix` gate every block as the cell
     it is and return one value a block; the corrector solves run one
     Krylov loop on the whole stack.
@@ -647,13 +580,32 @@ class CellStack(_GridCells):
 # ---------------------------------------------------------------------------
 
 
+#: Outermost-ring weight of the lattice corrector above which the harness
+#: warns; D's error stays below its square (about 1e-8 here).
+RING_LEVEL = 1e-4
+
+
 @dataclass(frozen=True)
 class SpectralField:
-    """Phase-space field in frequency coordinates: ``coeffs[m, k]``."""
+    """Phase-space field of the frequency lattice.
 
-    coeffs: np.ndarray       # (n_lattice, K) complex
+    ``values`` are its real samples on the lattice's torus, ``(*torus,
+    K)``; ``coeffs[m, k]`` are their Fourier coefficients at the lattice
+    frequencies ``freqs[m]``, the torus modes in row-major order from
+    ``-n_modes`` to ``n_modes`` along each generator.
+    """
+
+    values: np.ndarray
     freqs: np.ndarray        # (n_lattice,) float
     vm: VelocityMeasure
+
+    @functools.cached_property
+    def coeffs(self) -> np.ndarray:
+        """``(n_lattice, K)`` complex: the FFT of the samples over the torus."""
+        axes = tuple(range(self.values.ndim - 1))
+        n_points = math.prod(self.values.shape[:-1])
+        modes = np.fft.fftshift(np.fft.fftn(self.values, axes=axes), axes=axes)
+        return modes.reshape(n_points, -1) / n_points
 
     def sample(self, y: np.ndarray) -> np.ndarray:
         """Real samples at fast coordinates ``y``, shape ``(len(y), K)``."""
@@ -665,6 +617,18 @@ class SpectralField:
         if zero.size == 0:
             return np.zeros(self.vm.n_nodes)
         return self.coeffs[zero[0]].real
+
+
+@dataclass(frozen=True)
+class _Torus:
+    """Periodic grid of the lattice: ``shape`` points over ``period`` along each axis."""
+
+    shape: tuple[int, ...]
+    period: tuple[float, ...]
+
+    @property
+    def n_points(self) -> int:
+        return math.prod(self.shape)
 
 
 def _lattice_generators(kernel: ScatteringKernel) -> list[float]:
@@ -679,130 +643,87 @@ def _lattice_generators(kernel: ScatteringKernel) -> list[float]:
     return gens
 
 
-def _lattice_cell_bytes(size: int) -> int:
-    """Bytes of the frequency-lattice operator on ``size`` unknowns.
+def _torus_profile(kernel: ScatteringKernel, gens: list[float], shape: tuple) -> np.ndarray:
+    """The profile's lift ``S`` at the torus points, flat, row-major.
 
-    Counts eight complex128 ``size x size`` arrays: ``A``, the gain, ``P``,
-    the LU factor of ``A`` and the conjugate transposes of ``P`` and the
-    gain are alive together, and forming ``A`` takes two more temporarily
-    (measured peak: about 7.3 such arrays).
+    The profile mode of frequency ``+-g_j`` varies along axis ``j`` alone,
+    as ``exp(+-2 pi i t / n_j)`` at point ``t`` of the axis.
     """
-    return 8 * 16 * size * size
-
-
-def lattice_cell_gate(kernel: ScatteringKernel, vm: VelocityMeasure, n_modes: int) -> None:
-    """Refuse a frequency-lattice cell over ``DENSE_CELL_BYTES``.
-
-    The lattice keeps ``2 n_modes + 1`` modes per generator, times the
-    velocity nodes.  Raises ``ValueError`` with the byte count; allocates
-    nothing, so the check stage can run it before any solve.
-    """
-    size = (2 * int(n_modes) + 1) ** len(_lattice_generators(kernel)) * vm.n_nodes
-    need = _lattice_cell_bytes(size)
-    if need > DENSE_CELL_BYTES:
-        raise ValueError(
-            f"frequency-lattice cell operator on {size} unknowns needs {need} "
-            f"bytes ({need / 2**30:.1f} GiB), over DENSE_CELL_BYTES = "
-            f"{DENSE_CELL_BYTES}; lower cell.n_modes"
-        )
+    freqs, coeffs = kernel.profile_frequencies()
+    points = np.indices(shape)
+    S = np.zeros(shape, dtype=complex)
+    for f, cf in zip(freqs, coeffs):
+        if abs(f) < 1e-12:
+            S += cf
+        else:
+            j = gens.index(round(float(abs(f)), 9))
+            S += cf * np.exp(2j * np.pi * np.sign(f) * points[j] / shape[j])
+    return S.real.ravel()
 
 
 class SpectralCellOperator(_CellOperatorBase):
-    """Galerkin compression of the cell operator onto a frequency lattice.
+    """Cell operator of a quasi-periodic profile on its lifted torus.
 
-    Unknowns are complex coefficients on integer combinations of the
-    profile's generator frequencies (one or two generators in 1-D).  The
-    inner product is the Parseval pairing weighted by the velocity measure,
-    under which the adjoint is the conjugate transpose, so the Fredholm
-    bookkeeping is as exact as in the grid backend.
+    The profile's generator frequencies ``g_j`` (at most two; a profile
+    without one takes a single point) span a torus with period ``2 pi /
+    g_j`` along axis ``j``, on which the rates ``c(x) S g`` are sampled at
+    ``2 n_modes + 1`` points an axis and transport is Fourier collocation
+    with ``a_k`` along every axis.  A field's Fourier coefficients are its
+    coefficients on the lattice ``freqs = sum_j t_j g_j``, ``|t_j| <=
+    n_modes`` (``lattice``), which :meth:`wrap` hands out as a
+    :class:`SpectralField`.  Collocation and the Galerkin compression onto
+    that lattice agree on every mode whose neighbours stay inside it, and
+    differ below convergence only through the outermost ring
+    (:meth:`ring_weight`).
     """
 
     def __init__(self, kernel: ScatteringKernel, x, vm: VelocityMeasure, n_modes: int = 8):
         if vm.dim != 1:
             raise ValueError("the frequency-lattice backend is one-dimensional")
-        lattice_cell_gate(kernel, vm, n_modes)
-        freqs, coeffs = kernel.profile_frequencies()
-        c = float(np.asarray(kernel.x_factor(x)))
         gens = _lattice_generators(kernel)
-        self.kernel = kernel
-        self.x = x
-        self.vm = vm
-        self.dtype = complex
-
-        # integer-coordinate lattice: the box -m..m per generator, row-major,
-        # so -t is the reversed index and t = 0 the middle one
         m = int(n_modes)
         box = (2 * m + 1,) * len(gens)
-        n_lat = int(np.prod(box))
-        coords = np.indices(box).reshape(len(gens), n_lat).T - m
-        self.lattice = (coords * np.array(gens)).sum(axis=1)
-        self.n_lattice = n_lat
-        self.mirror = np.arange(n_lat - 1, -1, -1)
-
-        # profile multiplication operator on the lattice
-        mult = np.zeros((n_lat, n_lat), dtype=complex)
-        for f, cf in zip(freqs, coeffs):
-            shift = np.zeros(len(gens), dtype=int)
-            if abs(f) >= 1e-12:
-                shift[gens.index(round(float(abs(f)), 9))] = int(np.sign(f))
-            target = coords + shift
-            inside = np.all(np.abs(target) <= m, axis=1)
-            rows = np.ravel_multi_index(tuple((target[inside] + m).T), box)
-            mult[rows, np.flatnonzero(inside)] += cf
-        K = vm.n_nodes
-        g = kernel.node_matrix(vm)
-        sdb_gap(g, vm.weights).require()  # the profile factor cancels from the gap
-        gain_v, sig_v = gain_loss(c * g, vm.weights)  # per node pair, per node
-        self._mult, self._gain_v, self._sig_v = mult, gain_v, sig_v
-        self.size = n_lat * K
-        self.weights = np.tile(vm.weights, n_lat)
-        const = np.zeros(self.size, dtype=complex)
-        zero_row = n_lat // 2
-        const[zero_row * K: zero_row * K + K] = 1.0
-        self.const = const
-        self.zero_row = zero_row
-        # Sigma(y, v) = s(y) * sig_v[v] with s bounded below by its closed-form minimum
-        self.sigma_min = float(kernel._profile_min() * sig_v.min())
-
-    def _build(self) -> tuple:
-        K = self.vm.n_nodes
-        a = self.vm.field[:, 0]
-        transport = np.diag(np.kron(1j * self.lattice, np.ones(K)) * np.tile(a, self.n_lattice))
-        return (transport + np.kron(self._mult, np.diag(self._sig_v)),
-                np.kron(self._mult, self._gain_v))
+        torus = _Torus(box or (1,), tuple(2.0 * np.pi / g for g in gens) or (2.0 * np.pi,))
+        samples = kernel._rates(x, _torus_profile(kernel, gens, torus.shape), vm)
+        rates = gate_rates(samples.reshape(*torus.shape, vm.n_nodes, vm.n_nodes), x, torus, vm)
+        super().__init__(torus, vm, rates.loss.reshape(1, -1), rates.gain[None], "spectral")
+        self.kernel = kernel
+        self.x = x
+        self.n_modes = m
+        # the box -m..m per generator, row-major, as SpectralField.coeffs orders it
+        self._coords = np.indices(box).reshape(len(gens), math.prod(box)).T - m
+        self.lattice = (self._coords * np.array(gens)).sum(axis=1)
 
     # -- field conversion ------------------------------------------------------
 
     def wrap(self, flat: np.ndarray) -> SpectralField:
-        coeffs = np.asarray(flat, dtype=complex).reshape(self.n_lattice, self.vm.n_nodes)
-        return SpectralField(coeffs=coeffs, freqs=self.lattice, vm=self.vm)
+        return SpectralField(values=flat.reshape(*self.grid.shape, self.vm.n_nodes),
+                             freqs=self.lattice, vm=self.vm)
 
     def unwrap(self, field) -> np.ndarray:
         if isinstance(field, SpectralField):
-            return field.coeffs.reshape(-1)
-        flat = np.asarray(field, dtype=complex)
-        if flat.shape != (self.size,):
-            raise ValueError(f"expected flat size {self.size}, got {flat.shape}")
-        return flat
+            return field.values.reshape(-1)
+        return super().unwrap(field)
 
-    def hermitize(self, flat: np.ndarray) -> np.ndarray:
-        """Project onto conjugate-symmetric (real-valued) coefficient vectors."""
-        co = np.asarray(flat, dtype=complex).reshape(self.n_lattice, self.vm.n_nodes)
-        sym = 0.5 * (co + np.conj(co[self.mirror]))
-        return sym.reshape(-1)
+    def ring_weight(self, field) -> float:
+        """``||field on the outermost lattice ring|| / ||field||``.
 
-    def velocity_profile(self, component: int) -> np.ndarray:
-        out = np.zeros(self.size, dtype=complex)
-        K = self.vm.n_nodes
-        out[self.zero_row * K: self.zero_row * K + K] = self.vm.field[:, component]
-        return out
+        The ring is the modes with some ``|t_j| = n_modes``, the last ones
+        the truncation keeps; the norms are Parseval's, weighted by the
+        velocity measure.  For the adjoint corrector it measures what the
+        truncation drops: D's error stays below its square.
+        """
+        power = np.abs(self.wrap(self.unwrap(field)).coeffs) ** 2 @ self.vm.weights
+        ring = np.any(np.abs(self._coords) == self.n_modes, axis=1)
+        total = power.sum()
+        return float(np.sqrt(power[ring].sum() / total)) if total > 0 else 0.0
 
 
 def assemble_spectral_ap(kernel: ScatteringKernel, x, vm: VelocityMeasure,
                          n_modes: int = 8) -> SpectralCellOperator:
     """Build the frequency-lattice cell operator for a quasi-periodic kernel.
 
-    Refuses kernels that fail semi-detailed balance.
+    Refuses rates that are not positive or fail semi-detailed balance.
     """
     return SpectralCellOperator(kernel, x, vm, n_modes=n_modes)
 
@@ -849,7 +770,7 @@ def equilibrium_F(op: _CellOperatorBase):
         equilibrium field.
     """
     h = op.M.one
-    lam = np.real(op.pairings(h, op.apply_O(h))) / np.real(op.pairings(h, h))
+    lam = op.pairings(h, op.apply_O(h)) / op.pairings(h, h)
     off = np.abs(lam - 1.0) > 1e-8
     if np.any(off):
         raise ConvergenceError(
@@ -991,7 +912,7 @@ def _deflated_gmres(op: _CellOperatorBase, action, rhs: np.ndarray,
         count += 1
         return project(action(v))
 
-    x, info = _gmres(projected, project(rhs.astype(op.dtype)), tol,
+    x, info = _gmres(projected, project(rhs), tol,
                      restart=min(rhs.size, 300), maxiter=50)
     if info != 0:
         raise ConvergenceError(f"deflated GMRES failed to converge (info={info})")
@@ -1011,9 +932,9 @@ def _gauged_solve(op: _CellOperatorBase, rhs, tol: float | None, *,
     residual and bound constant come one per block.
     """
     null, null_scale = (op.F, op.norms(op.F)) if adjoint else (op.const, 1.0)
-    rhs_flat = op.unwrap(rhs).astype(op.dtype)
+    rhs_flat = op.unwrap(rhs).astype(float)
     rhs_norm = op.norms(rhs_flat)
-    compat = np.real(op.pairings(null, rhs_flat))
+    compat = op.pairings(null, rhs_flat)
     kind = "adjoint " if adjoint else ""
     off = np.abs(compat) > 1e-10 * np.fmax(1.0, null_scale * rhs_norm)
     if np.any(off):
@@ -1025,7 +946,7 @@ def _gauged_solve(op: _CellOperatorBase, rhs, tol: float | None, *,
     apply_O = op.apply_O_adjoint if adjoint else op.apply_O
     tol = 1e-12 if tol is None else tol
     h, n_iter = _deflated_gmres(op, lambda v: v - apply_O(v), rhs_flat, null, tol)
-    f = op.hermitize(op.M.solve_adjoint(h) if adjoint else op.M.solve(h))
+    f = op.M.solve_adjoint(h) if adjoint else op.M.solve(h)
     f = f - _scaled(op.means(f) / op.means(op.const), op.const)
     residual = op.norms((op.apply_P_adjoint(f) if adjoint else op.apply_P(f)) - rhs_flat)
     failing = (rhs_norm > 0) & (residual > 1e-9 * rhs_norm)
@@ -1089,7 +1010,7 @@ def solve_chi_star(op: _CellOperatorBase, tol: float | None = None) -> ChiStarSo
     worst_res = worst_const = 0.0
     for j in range(d):
         a_j = op.velocity_profile(j)
-        b_j = np.real(op.pairings(op.F, a_j))  # int M(a_j F) dmu
+        b_j = op.pairings(op.F, a_j)  # int M(a_j F) dmu
         b.append(b_j)
         rhs = -(a_j - _scaled(b_j, op.const))
         sol = solve_adjoint_corrector(op, rhs, tol=tol)

@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, blurb in [
-        ("check", "validate the scenario: balance, velocity-span and dense-cell size gates, "
+        ("check", "validate the scenario: balance and velocity-span gates, "
                   "and warn on an under-resolved kinetic reference"),
         ("cell", "solve the cell problems (equilibrium and correctors)"),
         ("effective", "compute homogenized diffusion/drift coefficients"),

@@ -71,11 +71,9 @@ def diffusion_matrix(op, chi, convention: str = "effective") -> np.ndarray:
     if convention not in ("effective", "pairing"):
         raise ValueError(f"unknown convention {convention!r}")
     d = op.vm.dim
-    # M_ij = <a_j F, chi_i>.  On the frequency lattice the elementwise product
-    # is the coefficient vector of a_j F only because both fields sit on the
-    # zero-frequency row: the profile a_j(v) does not depend on y, nor does
-    # the constant equilibrium
-    mat = np.array([[np.real(op.pairings(op.velocity_profile(j) * op.F, op.unwrap(c)))
+    # M_ij = <a_j F, chi_i>: every backend's fields are real samples on its
+    # grid or torus, so a_j F is the pointwise product
+    mat = np.array([[op.pairings(op.velocity_profile(j) * op.F, op.unwrap(c))
                      for j in range(d)] for c in chi])
     mat = op.per_cell(np.moveaxis(mat, 2, 0))  # (blocks, d, d) -> the operator's result
     return -mat if convention == "effective" else mat
@@ -140,6 +138,7 @@ class CellSolution:
     residual: float
     bound_constant: float
     settings: dict       # the solve_cell keywords it was solved with, backend resolved
+    chi: list            # the adjoint correctors, wrapped
 
 
 def solve_cell(kernel, x, vm: VelocityMeasure, *, backend: str | None = None,
@@ -167,7 +166,7 @@ def solve_cell(kernel, x, vm: VelocityMeasure, *, backend: str | None = None,
     return CellSolution(op=op, lam=lam, b=star.b, D=D, ellipticity_min=ellipticity_gate(D),
                         residual=star.residual, bound_constant=star.bound_constant,
                         settings=dict(backend=backend, grid=grid, scheme=scheme,
-                                      n_modes=n_modes, tol=tol))
+                                      n_modes=n_modes, tol=tol), chi=star.chi)
 
 
 # Most unknowns one stacked solve of a sampled family takes (at least one
@@ -182,36 +181,43 @@ def solve_cell(kernel, x, vm: VelocityMeasure, *, backend: str | None = None,
 STACK_UNKNOWNS = 16384
 
 
-def _stacked_rates(kernel, xs: np.ndarray, vm: VelocityMeasure, grid: CellGrid):
-    """Loss ``(m, size)`` and gain ``(m, n, K, K)`` of the operators at ``xs``.
+def _stack(build, xs: np.ndarray, like) -> CellStack:
+    """The operators ``build(x)`` at ``xs`` as one :class:`CellStack` laid out ``like`` one.
 
     One operator is assembled (and gated) per position and dropped once its
     rates are copied, before the next one is assembled.
     """
-    n, K = grid.n_points, vm.n_nodes
-    loss = np.empty((xs.size, n * K))
-    gain = np.empty((xs.size, n, K, K))
+    loss = np.empty((xs.size, like.block_size))
+    gain = np.empty((xs.size, *like.gains.shape[1:]))
     for i, xi in enumerate(xs):
-        op = assemble(kernel, float(xi), vm, grid)
-        loss[i], gain[i] = op.sigma_flat, op.gain
-    return loss, gain
+        op = build(float(xi))
+        loss[i], gain[i] = op.losses[0], op.gains[0]
+    return CellStack(like.grid, like.vm, loss, gain, like.scheme)
 
 
-def _solve_stacked(kernel, x: np.ndarray, vm: VelocityMeasure, grid: CellGrid,
-                   tol: float | None):
-    """``(D, flux, residual, bound constant)`` of the upwind cells at ``x``.
+def _solve_stacked(cell: CellSolution, x: np.ndarray):
+    """``(D, flux, residual, bound constant)`` of the cells at ``x``.
 
-    The positions are solved in chunks of at most ``STACK_UNKNOWNS``
-    unknowns (at least one position), each chunk one
-    :class:`~kinhom.cell_solver.CellStack`.
-    ``D`` and the flux come per position, the diagnostics as their worst.
+    The cells take the kernel, velocity set and settings of ``cell``, on
+    either backend.  The positions are solved in chunks of at most
+    ``STACK_UNKNOWNS`` unknowns (at least one position), each chunk one
+    :class:`~kinhom.cell_solver.CellStack`.  ``D`` and the flux come per
+    position, the diagnostics as their worst.
     """
-    per_chunk = max(1, STACK_UNKNOWNS // (grid.n_points * vm.n_nodes))
+    like, settings = cell.op, cell.settings
+    kernel, vm = like.kernel, like.vm
+    if settings["backend"] == "spectral_ap":
+        def build(xi):
+            return assemble_spectral_ap(kernel, xi, vm, n_modes=settings["n_modes"])
+    else:
+        def build(xi):
+            return assemble(kernel, xi, vm, settings["grid"], scheme=settings["scheme"])
+    per_chunk = max(1, STACK_UNKNOWNS // like.block_size)
     D, b, residual, bound = [], [], 0.0, 0.0
     for start in range(0, x.size, per_chunk):
-        stack = CellStack(grid, vm, *_stacked_rates(kernel, x[start:start + per_chunk], vm, grid))
+        stack = _stack(build, x[start:start + per_chunk], like)
         equilibrium_F(stack)
-        star = solve_chi_star(stack, tol=tol)
+        star = solve_chi_star(stack, tol=settings["tol"])
         D.append(diffusion_matrix(stack, star.chi))
         b.append(star.b)
         residual = max(residual, float(star.residual.max()))
@@ -228,15 +234,12 @@ def assemble_effective(cell: CellSolution, x=None) -> EffectiveCoefficients:
     cell's own ``D``, flux and diagnostics.  Otherwise sampled assembly
     solves one cell per position with the kernel, velocity set and settings
     of ``cell`` and keeps only its ``D``, flux and diagnostics; the drift
-    ``U`` is zero at every position (see the module docstring).  Upwind
-    grid cells are assembled one position at a time, each operator dropped
-    once its rates are copied, and solved in stacks of at most
-    ``STACK_UNKNOWNS`` unknowns (see :class:`kinhom.cell_solver.CellStack`),
-    with no factorization; the ellipticity gate then runs once over all
-    positions.  Dense cells (the grid's ``spectral`` scheme, the
-    ``spectral_ap`` lattice) cost their factorization, not per-call
-    overhead, and keep one :func:`solve_cell` per position, each operator
-    dropped before the next solve.
+    ``U`` is zero at every position (see the module docstring).  Every
+    backend and scheme takes one path: the positions are assembled one at
+    a time, each operator dropped once its rates are copied, and solved in
+    stacks of at most ``STACK_UNKNOWNS`` unknowns (see
+    :class:`kinhom.cell_solver.CellStack`), with no factorization; the
+    ellipticity gate then runs once over all positions.
     """
     kernel, vm = cell.op.kernel, cell.op.vm
     if x is None or kernel.x_dependence == "none":
@@ -247,19 +250,7 @@ def assemble_effective(cell: CellSolution, x=None) -> EffectiveCoefficients:
     x_arr = np.asarray(x, dtype=float).reshape(-1)
     if x_arr.size == 0 or not np.all(np.isfinite(x_arr)):
         raise ValueError(f"sampled macro positions x must be non-empty and finite; got {x_arr}")
-    settings = cell.settings
-    if settings["backend"] == "grid" and settings["scheme"] == "upwind":
-        D, b, residual, bound = _solve_stacked(kernel, x_arr, vm, settings["grid"],
-                                               settings["tol"])
-        ellipticity_min = ellipticity_gate(D)
-    else:
-        kept = []  # per position: D, flux, residual, bound constant, ellipticity
-        for xi in x_arr:
-            s = solve_cell(kernel, float(xi), vm, **settings)
-            kept.append((s.D, s.b, s.residual, s.bound_constant, s.ellipticity_min))
-        D, b, residual, bound, ellipticity = zip(*kept)
-        D, b, residual, bound = np.stack(D), np.stack(b), max(residual), max(bound)
-        ellipticity_min = min(ellipticity)
+    D, b, residual, bound = _solve_stacked(cell, x_arr)
     return EffectiveCoefficients(x=x_arr, D=D, U=np.zeros((x_arr.size, vm.dim)), flux=b,
                                  residual=residual, bound_constant=bound,
-                                 ellipticity_min=ellipticity_min)
+                                 ellipticity_min=ellipticity_gate(D))

@@ -31,10 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from kinhom.cell_solver import (
+    RING_LEVEL,
     CellRates,
-    dense_cell_gate,
     gate_rates,
-    lattice_cell_gate,
     verify_variational,
 )
 from kinhom.cell_solver import (  # noqa: F401  (perfbench/tracing.py wraps these names here)
@@ -601,6 +600,7 @@ class PipelineReport:
     variational_residual: float = 0.0
     corrector_residual: float = 0.0
     bound_constant: float = 0.0
+    lattice_ring_weight: float | None = None  # the frequency lattice's truncation, see _ring_check
     coefficients: EffectiveCoefficients | None = None
     ellipticity_min: float = 0.0
     macro: MacroField | None = None
@@ -691,9 +691,10 @@ def run_pipeline(
     """Execute the full homogenization pipeline for one scenario.
 
     Stages: gate checks (balance of the ``x = 0`` rates, and on the grid
-    their positivity; velocity-span, dense-cell size, and the kinetic
-    pre-flight when a ``[kinetic]`` section is present), cell solves,
-    effective coefficients, macro integration, then — when a
+    their positivity; velocity-span, and the kinetic pre-flight when a
+    ``[kinetic]`` section is present), cell solves (on the frequency
+    lattice, with its ring weight), effective coefficients, macro
+    integration, then — when a
     ``[kinetic]`` section is present — kinetic runs per epsilon with sweep
     and sigma tables.
     ``stop_after`` truncates the run after the named stage, leaving later
@@ -714,11 +715,9 @@ def run_pipeline(
         backend = cfg.cell_backend(kernel)
         if backend == "grid":
             grid = cfg.build_cell_grid()
-            dense_cell_gate(cfg.cell["scheme"], grid.n_points * vm.n_nodes)
             sdb, rates = _checked_cell_rates(kernel, grid, vm)
         else:
             grid = rates = None
-            lattice_cell_gate(kernel, vm, cfg.cell["n_modes"])
             sdb = sdb_gap(kernel.node_matrix(vm), vm.weights)
         report.sdb_gap = sdb.max_rel_gap
         sdb.require()
@@ -735,6 +734,8 @@ def run_pipeline(
         report.variational_residual = verify_variational(cell.op)
         report.corrector_residual = cell.residual
         report.bound_constant = cell.bound_constant
+        if backend == "spectral_ap":
+            report.lattice_ring_weight = _ring_check(cell)
     if stop_after == "cell":
         return _finish()
 
@@ -779,6 +780,24 @@ def _checked_cell_rates(kernel, grid: CellGrid, vm: VelocityMeasure) -> tuple[Sd
     samples = kernel.sample_cell(0.0, grid, vm)
     sdb = check_sdb(samples, 0.0, grid, vm)
     return sdb, gate_rates(samples, 0.0, grid, vm, sdb=sdb)
+
+
+def _ring_check(cell) -> float:
+    """The frequency lattice's ring weight, with a warning above ``RING_LEVEL``.
+
+    The largest :meth:`~kinhom.cell_solver.SpectralCellOperator.ring_weight`
+    of the ``x = 0`` cell's adjoint correctors: above the level the lattice
+    truncates the corrector enough to move D beyond about 1e-8, and a larger
+    ``cell.n_modes`` resolves it.  It only warns.
+    """
+    weight = max(cell.op.ring_weight(chi) for chi in cell.chi)
+    if weight > RING_LEVEL:
+        log.warning(
+            "frequency lattice at n_modes=%d leaves %.3g of the corrector on its "
+            "outermost ring (above %g): D is truncated; raise cell.n_modes",
+            cell.op.n_modes, weight, RING_LEVEL,
+        )
+    return weight
 
 
 def _kinetic_preflight(cfg, kernel) -> float:
@@ -868,6 +887,8 @@ def _summarize(report: PipelineReport) -> dict[str, float | int | str]:
         out["variational_residual"] = report.variational_residual
         out["corrector_residual"] = report.corrector_residual
         out["bound_constant"] = report.bound_constant
+        if report.lattice_ring_weight is not None:
+            out["lattice_ring_weight"] = report.lattice_ring_weight
         for j in range(len(report.flux)):
             out[f"b_{j + 1}"] = float(report.flux[j])
     if report.coefficients is not None:

@@ -9,7 +9,6 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from kinhom import cell_solver
 from kinhom.cell_solver import (
-    DENSE_CELL_BYTES,
     CompatibilityError,
     ConvergenceError,
     assemble,
@@ -94,8 +93,7 @@ def test_eigenvalue_gate_refuses_an_inconsistent_gain(build):
     # a gain 1 % above the loss breaks P 1 = 0; the Rayleigh quotient then
     # reads 1.01 and the gate refuses the operator
     op = build()
-    A, K_mat = op._build()
-    op._build = lambda: (A, 1.01 * K_mat)
+    op.gains = 1.01 * op.gains  # before the first solve builds anything
     with pytest.raises(ConvergenceError, match="deviates from 1 beyond 1.0e-08"):
         equilibrium_F(op)
 
@@ -211,9 +209,10 @@ def test_discrete_duality(scheme):
 
 def _solve_A(op, h):
     """``A^{-1} h`` by a direct solve: no solve of the package inverts ``A``."""
-    A = op.A_mat
-    if sparse.issparse(A):
-        return scipy.sparse.linalg.spsolve(A.tocsc(), h)
+    if op.scheme == "upwind":
+        return scipy.sparse.linalg.spsolve(op.A_mat.tocsc(), h)
+    # a collocation cell forms no A: P + K from the actions on the identity
+    A = op.dense_P() + np.column_stack([op.apply_K(e) for e in np.eye(op.size)])
     return np.linalg.solve(A, h)
 
 
@@ -290,8 +289,7 @@ def test_variational_residual_sees_an_unbalanced_gain():
         op = build()
         assert verify_variational(op) < 1e-12
         op = build()
-        A, K_mat = op._build()
-        op._build = lambda: (A, 1.01 * K_mat)
+        op.gains = 1.01 * op.gains
         assert verify_variational(op) >= 1e-3
 
 
@@ -735,16 +733,14 @@ def test_inner_and_norm_are_bitwise_the_conjugated_pairing(build):
     rng = np.random.default_rng(5)
     w = op.weights
     for _ in range(4):
-        f, g = (rng.standard_normal(op.size).astype(op.dtype) for _ in range(2))
-        if op.dtype is complex:
-            f, g = f + 1j * rng.standard_normal(op.size), g - 1j * rng.standard_normal(op.size)
+        f, g = rng.standard_normal((2, op.size))
         got, want = op.inner(f, g), np.sum(w * np.conj(f) * g)
         assert got == want and type(got) is type(want)
         assert op.norm(f) == float(np.sqrt(np.real(np.sum(w * np.abs(f) ** 2))))
 
 
 def _reference_lattice(kernel, x, vm, n_modes):
-    """``(A, K, lattice, mirror, zero_row)`` built with a coordinate dict, as before."""
+    """``(A, K, lattice, mirror, zero_row, coords)`` built with a coordinate dict."""
     freqs, coeffs = kernel.profile_frequencies()
     gens = sorted({round(float(abs(f)), 9) for f in freqs if abs(f) > 1e-12})
     m = int(n_modes)
@@ -778,7 +774,7 @@ def _reference_lattice(kernel, x, vm, n_modes):
     gain_v, sig_v = gain_loss(c * kernel.node_matrix(vm), vm.weights)
     transport = np.diag(np.kron(1j * lattice, np.ones(K)) * np.tile(vm.field[:, 0], n_lat))
     A = transport + np.kron(mult, np.diag(sig_v))
-    return A, np.kron(mult, gain_v), lattice, mirror, index[tuple([0] * coords.shape[1])]
+    return A, np.kron(mult, gain_v), lattice, mirror, index[tuple([0] * coords.shape[1])], coords
 
 
 @pytest.mark.parametrize("n_modes", [1, 3, 8])
@@ -793,16 +789,29 @@ def _reference_lattice(kernel, x, vm, n_modes):
                  x_amplitude=0.5), 0.7),
 ], ids=["constant", "sinusoidal", "quasi_periodic", "quasi_approx", "defect", "tanh"])
 def test_lattice_assembly_is_bitwise_the_dict_reference(kernel, x, n_modes):
+    # the torus cell's lattice frequencies are the dict reference's, to the
+    # bit, and in lattice coordinates its operator is the reference's
+    # Galerkin P on every mode whose neighbours stay in the box, where the
+    # collocation product does not alias (to roundoff: it forms no matrix)
     vm = two_velocity_1d(weights=(1.0, 2.0))
     op = assemble_spectral_ap(kernel, x, vm, n_modes=n_modes)
-    A, Km, lattice, mirror, zero_row = _reference_lattice(kernel, x, vm, n_modes)
-    for got, want in ((op.A_mat, A), (op.K_mat, Km), (op.P, A - Km),
-                      (op.lattice, lattice), (op.mirror, mirror)):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert op.zero_row == zero_row
-    const = np.zeros(op.size, dtype=complex)
-    const[zero_row * vm.n_nodes:(zero_row + 1) * vm.n_nodes] = 1.0
-    assert np.array_equal(op.const, const)
+    A, Km, lattice, mirror, zero_row, coords = _reference_lattice(kernel, x, vm, n_modes)
+    assert op.lattice.dtype == lattice.dtype and np.array_equal(op.lattice, lattice)
+    # the constant field is the zero row's coefficient alone, and a real
+    # field's coefficients are conjugate-symmetric through the mirror
+    const = op.wrap(op.const).coeffs
+    assert np.max(np.abs(const[zero_row] - 1.0)) <= 1e-15
+    assert np.max(np.abs(np.delete(const, zero_row, axis=0)), initial=0.0) <= 1e-15
+    chi = op.wrap(np.random.default_rng(6).standard_normal(op.size)).coeffs
+    assert np.max(np.abs(chi[mirror] - chi.conj())) <= 1e-15
+    # P in lattice coordinates: Phi^H P Phi / n, Phi the torus samples of the modes
+    K, shape = vm.n_nodes, op.grid.shape
+    points = np.indices(shape).reshape(len(shape), -1).T
+    Phi = np.kron(np.exp(2j * np.pi * (points / np.array(shape)) @ coords.T), np.eye(K))
+    P_lat = Phi.conj().T @ op.dense_P() @ Phi / op.n_points
+    inside = np.repeat(np.all(np.abs(coords) < n_modes, axis=1), K)
+    want = (A - Km)[:, inside]
+    assert np.max(np.abs(P_lat[:, inside] - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("build", [
@@ -814,24 +823,33 @@ def test_lattice_assembly_is_bitwise_the_dict_reference(kernel, x, n_modes):
     ),
 ], ids=["upwind", "spectral", "spectral_ap"])
 def test_adjoint_actions_are_bitwise_the_conjugate_transpose(build):
+    # upwind: bitwise the weighted transpose of the sparse matrices; a
+    # collocation cell forms no matrix, so its adjoint actions are held to
+    # the weighted transpose of its dense actions, to roundoff
     op = build()
     rng = np.random.default_rng(3)
-    f = rng.standard_normal(op.size).astype(op.dtype)
-    if op.dtype is complex:
-        f = f + 1j * rng.standard_normal(op.size)
+    f = rng.standard_normal(op.size)
     w = op.weights
 
     def weighted_adjoint(M, g):
-        return (M.conj().T @ (w * g)) / w
+        return (M.T @ (w * g)) / w
 
-    assert np.array_equal(op.apply_P_adjoint(f), weighted_adjoint(op.P, f))
-    assert np.array_equal(op.apply_K_adjoint(f), weighted_adjoint(op.K_mat, f))
-    # O* = N* M*^-1, N = K where M = A and K - diag(excess) otherwise
+    if op.scheme == "upwind":
+        P, K_mat = op.P, op.K_mat
+
+        def check(got, want):
+            assert np.array_equal(got, want)
+    else:
+        P, K_mat = op.dense_P(), np.column_stack([op.apply_K(e) for e in np.eye(op.size)])
+
+        def check(got, want):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    check(op.apply_P_adjoint(f), weighted_adjoint(P, f))
+    check(op.apply_K_adjoint(f), weighted_adjoint(K_mat, f))
+    # O* = N* M*^-1 with N = K - diag(excess)
     m_inv = op.M.solve_adjoint(f)
-    n_star = weighted_adjoint(op.K_mat, m_inv)
-    if op.M.excess is not None:
-        n_star = n_star - op.M.excess * m_inv
-    assert np.array_equal(op.apply_O_adjoint(f), n_star)
+    check(op.apply_O_adjoint(f), weighted_adjoint(K_mat, m_inv) - op.M.excess * m_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -969,8 +987,8 @@ def _scipy_deflated_gmres(op, action, rhs, deflate, tol):
         count["n"] += 1
         return project_out(action(v))
 
-    lin = LinearOperator((rhs.size, rhs.size), matvec=projected, dtype=op.dtype)
-    b = project_out(rhs.astype(op.dtype))
+    lin = LinearOperator((rhs.size, rhs.size), matvec=projected, dtype=float)
+    b = project_out(rhs.astype(float))
     x, info = gmres(lin, b, rtol=tol, atol=0.0, restart=min(rhs.size, 300), maxiter=50)
     if info != 0:
         raise ConvergenceError(f"deflated GMRES failed to converge (info={info})")
@@ -1015,46 +1033,100 @@ def test_cell_solves_are_bitwise_the_scipy_gmres_solves(build, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# dense memory guard
+# large collocation cells
 # ---------------------------------------------------------------------------
 
-def test_dense_size_estimate_without_building():
-    # 64^2 points x 8 velocities is refused, without building anything
-    assert cell_solver._dense_cell_bytes(64 * 64 * 8) > DENSE_CELL_BYTES
-    # the largest dense cell of the acceptance suite, 1024 points x 2 nodes, fits
-    assert cell_solver._dense_cell_bytes(1024 * 2) <= DENSE_CELL_BYTES
+def test_a_64x64_spectral_circle_cell_solves():
+    # 32768 unknowns: a dense spectral operator would have taken 51.5 GB and
+    # was refused; the collocation cell forms no matrix, and its D is the
+    # 16^2 cell's, converged
+    kernel = make_kernel("sinusoidal", base=1.0, alpha=0.5, dim=2)
+    coarse, fine = (solve_cell(kernel, 0.0, uniform_circle(8), grid=CellGrid((n, n)),
+                               scheme="spectral") for n in (16, 64))
+    assert fine.op.size == 64 * 64 * 8
+    assert np.max(np.abs(fine.D - coarse.D)) <= 1e-12 * np.max(np.abs(coarse.D))
 
 
-def test_dense_cell_over_budget_is_refused(monkeypatch):
-    grid = CellGrid((16,))
-    needed = cell_solver._dense_cell_bytes(grid.n_points * VM.n_nodes)
-    monkeypatch.setattr(cell_solver, "DENSE_CELL_BYTES", needed)
-    assemble(SINUSOIDAL, 0.0, VM, grid, scheme="spectral")
-    monkeypatch.setattr(cell_solver, "DENSE_CELL_BYTES", needed - 1)
-    with pytest.raises(ValueError, match=f"32 unknowns needs {needed} bytes"):
-        assemble(SINUSOIDAL, 0.0, VM, grid, scheme="spectral")
-    # the sparse scheme has no dense matrices to refuse
-    assemble(SINUSOIDAL, 0.0, VM, grid, scheme="upwind")
+# ---------------------------------------------------------------------------
+# the closed-form oracle of 1-D cells with b = 0
+# ---------------------------------------------------------------------------
+
+VM3 = velocity_from_tables([[-1.0], [0.0], [1.0]], [1.0, 2.0, 1.0])
+TABLE3 = np.array([[1.0, 0.5, 2.0], [0.5, 3.0, 0.7], [2.0, 0.7, 1.2]])
 
 
-def test_lattice_size_estimate_without_building():
-    # 61^2 modes x 2 velocities (n_modes = 30) is refused, without building anything
-    assert cell_solver._lattice_cell_bytes(61 * 61 * 2) > DENSE_CELL_BYTES
-    # 33^2 modes x 2 velocities (n_modes = 16, about 0.5 GiB at its peak) fits
-    assert cell_solver._lattice_cell_bytes(33 * 33 * 2) <= DENSE_CELL_BYTES
+def _D_exact(kernel, vm, x):
+    """``D_g / (c <s>)``, the exact D of a 1-D cell with zero flux ``b``.
+
+    ``D_g`` is the D of the node factor ``g`` alone, from one bordered ``K x
+    K`` solve of ``L* psi = -a``.  Then ``chi = psi / (c <s>) + w(y)``, with
+    ``w' = 1 - s / <s>``, solves the adjoint cell problem whatever the
+    profile ``s``, and ``w`` pairs against the zero flux.
+    """
+    w, a, K = vm.weights, vm.field[:, 0], vm.n_nodes
+    gain, loss = gain_loss(kernel.node_matrix(vm), w)
+    L_star = np.diag(loss) - gain.T * w[None, :] / w[:, None]
+    bordered = np.block([[L_star, np.ones((K, 1))], [w[None, :], np.zeros((1, 1))]])
+    psi = np.linalg.solve(bordered, np.append(-a, 0.0))[:K]
+    D_g = -np.sum(w * a * psi) / w.sum()
+    return D_g / (float(kernel.x_factor(x)) * kernel.profile.mean())
 
 
-@pytest.mark.parametrize("kernel, size", [
-    (SINUSOIDAL, 5 * 2),                                                       # one generator
-    (make_kernel("quasi_periodic", base=1.0, alpha1=0.2, alpha2=0.2), 25 * 2),  # two
-], ids=["sinusoidal", "quasi_periodic"])
-def test_lattice_cell_over_budget_is_refused(monkeypatch, kernel, size):
-    # the gate and the operator count the same lattice
-    needed = cell_solver._lattice_cell_bytes(size)
-    monkeypatch.setattr(cell_solver, "DENSE_CELL_BYTES", needed)
-    assert assemble_spectral_ap(kernel, 0.0, VM, n_modes=2).size == size
-    monkeypatch.setattr(cell_solver, "DENSE_CELL_BYTES", needed - 1)
-    with pytest.raises(ValueError, match=f"{size} unknowns needs {needed} bytes"):
-        assemble_spectral_ap(kernel, 0.0, VM, n_modes=2)
-    with pytest.raises(ValueError, match=f"{size} unknowns needs {needed} bytes"):
-        cell_solver.lattice_cell_gate(kernel, VM, 2)
+ORACLE_CASES = {
+    "sinusoidal": (make_kernel("sinusoidal", base=1.0, alpha=0.5), VM, 0.0),
+    "3-node-table": (make_kernel("sinusoidal", base=1.5, alpha=0.6, table=TABLE3), VM3, 0.0),
+    "tanh": (make_kernel("sinusoidal", base=1.0, alpha=0.5, x_dependence="tanh",
+                         x_amplitude=0.5), VM, 0.7),
+    "quasi_periodic": (make_kernel("quasi_periodic", base=1.0, alpha1=0.2, alpha2=0.2), VM, 0.0),
+    "quasi_periodic-3-node": (make_kernel("quasi_periodic", base=1.3, alpha1=0.3, alpha2=0.45,
+                                          table=TABLE3), VM3, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CASES))
+def test_fourier_cells_give_the_closed_form_D(name):
+    # the spectral grid and the lattice's torus solve the oracle's ansatz
+    # exactly, at any truncation: D to roundoff
+    kernel, vm, x = ORACLE_CASES[name]
+    want = _D_exact(kernel, vm, x)
+    assert want > 0 and abs(np.sum(vm.weights * vm.field[:, 0])) == 0.0  # b = 0
+    cells = [solve_cell(kernel, x, vm, backend="spectral_ap", n_modes=n) for n in (2, 8)]
+    if kernel.natural_period is not None:
+        cells.append(solve_cell(kernel, x, vm, grid=CellGrid((64,)), scheme="spectral"))
+    for cell in cells:
+        assert abs(cell.D[0, 0] - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("name", ["sinusoidal", "3-node-table", "tanh"])
+def test_upwind_D_converges_to_the_closed_form_at_first_order(name):
+    # relative error n |D_n - D| / D: 0.119-0.125 (sinusoidal), 0.254-0.306
+    # (3-node table) and 0.152-0.162 (tanh) at n = 16..256
+    kernel, vm, x = ORACLE_CASES[name]
+    want = _D_exact(kernel, vm, x)
+    errs = [abs(solve_cell(kernel, x, vm, grid=CellGrid((n,))).D[0, 0] - want) / want
+            for n in (16, 32, 64, 128)]
+    for n, err in zip((16, 32, 64, 128), errs):
+        assert 0.05 / n < err <= 0.35 / n
+    assert all(1.8 < coarse / fine < 2.2 for coarse, fine in zip(errs, errs[1:]))
+
+
+# ---------------------------------------------------------------------------
+# the lattice truncation
+# ---------------------------------------------------------------------------
+
+def test_ring_weight_decays_with_n_modes_and_bounds_the_D_error():
+    # weights (1, 4), alpha = 0.45: squared ring weights 1.9e-4, 1.9e-7 and
+    # 1.6e-10 against D errors of 1.6e-5, 1.6e-8 and 1.2e-11 (n_modes 2, 3, 4)
+    vm = two_velocity_1d(weights=(1.0, 4.0))
+    kernel = make_kernel("quasi_periodic", base=1.0, alpha1=0.45, alpha2=0.45)
+    ref = solve_cell(kernel, 0.0, vm, backend="spectral_ap", n_modes=16).D[0, 0]
+    weights = []
+    for n_modes in (2, 3, 4):
+        cell = solve_cell(kernel, 0.0, vm, backend="spectral_ap", n_modes=n_modes)
+        weights.append(cell.op.ring_weight(cell.chi[0]))
+        assert abs(cell.D[0, 0] - ref) / ref < weights[-1] ** 2
+    assert weights[0] > cell_solver.RING_LEVEL > weights[2]
+    assert all(coarse > 10 * fine for coarse, fine in zip(weights, weights[1:]))
+    # a profile with no oscillating mode has no ring
+    constant = solve_cell(CONSTANT, 0.0, vm, backend="spectral_ap", n_modes=2)
+    assert constant.op.ring_weight(constant.chi[0]) == 0.0

@@ -1,4 +1,4 @@
-"""``tools/cell_timing.py`` on the reduced ``tanh`` workload."""
+"""``tools/cell_timing.py`` on the reduced workloads."""
 
 import importlib.util
 import math
@@ -75,3 +75,14 @@ def test_cell_timing_gate_row_samples_and_gates_each_position_alone(timing, monk
     assert names[-2:] == ("gate", "family")
     assert math.isfinite(float(values[-2])) and float(values[-2]) > 0.0
     assert len(gated) == 2 * 32 and len(set(gated)) == 32
+
+
+def test_cell_timing_times_the_one_small_eps_cell(timing, capsys):
+    assert timing.main(["--workload", "small_eps", "--reduced", "--sweeps", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # the reduced scenario: the x = 0 cell, 16-point Fourier collocation
+    assert lines[0] == ("small_eps seed 1: 1 position, 16-point spectral cell, 2 velocities, "
+                        "min of 2 sweeps")
+    rows = [line.split() for line in lines[2:]]
+    assert [name for name, _ in rows] == list(timing.LAYERS)
+    assert all(math.isfinite(float(value)) and float(value) > 0.0 for _, value in rows)

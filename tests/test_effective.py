@@ -149,19 +149,13 @@ def test_sampled_assembly_matches_a_per_cell_reference(backend):
     # the flux pairs the equilibrium with a(v): no solve enters it
     assert np.array_equal(eff.flux, np.stack([s.b for s in solved]))
     D = np.stack([s.D for s in solved])
-    if backend == "spectral_ap":
-        # dense cells keep one solve per position
-        assert np.array_equal(eff.D, D)
-        assert eff.residual == max(s.residual for s in solved)
-        assert eff.bound_constant == max(s.bound_constant for s in solved)
-    else:
-        # upwind cells are solved as one stacked system: the per-position
-        # solves up to roundoff
-        np.testing.assert_allclose(eff.D, D, rtol=1e-11, atol=0.0)
-        np.testing.assert_allclose(eff.bound_constant, max(s.bound_constant for s in solved),
-                                   rtol=1e-11, atol=0.0)
-        # the residual is roundoff itself: held to the per-position scale
-        assert 0.0 < eff.residual <= 10 * max(s.residual for s in solved)
+    # every backend's cells are solved as one stacked system: the
+    # per-position solves up to roundoff
+    np.testing.assert_allclose(eff.D, D, rtol=1e-11, atol=0.0)
+    np.testing.assert_allclose(eff.bound_constant, max(s.bound_constant for s in solved),
+                               rtol=1e-11, atol=0.0)
+    # the residual is roundoff itself: held to the per-position scale
+    assert 0.0 < eff.residual <= 10 * max(s.residual for s in solved)
 
 
 def test_sampled_assembly_keeps_no_operator(monkeypatch):
@@ -273,8 +267,9 @@ def test_a_family_factors_only_stacks_within_the_bound(monkeypatch):
 
 
 def test_upwind_cells_and_families_solve_without_a_factorization(monkeypatch):
-    # no upwind path factors a matrix: with scipy's sparse and dense LU
-    # refused, a 1-D and a 2-D cell and a stacked family still solve
+    # no path factors a matrix: with scipy's sparse and dense LU refused, a
+    # 1-D and a 2-D cell, a stacked family and the collocation cells still
+    # solve
     import scipy.linalg
     import scipy.sparse.linalg
 
@@ -291,19 +286,27 @@ def test_upwind_cells_and_families_solve_without_a_factorization(monkeypatch):
     eff = assemble_effective(cell, x=np.linspace(-2.0, 2.0, 8))
     assert len(stacks) == 1 and eff.D.shape == (8, 1, 1)
     assert cell.D[0, 0] > 0 and circle.ellipticity_min > 0 and eff.ellipticity_min > 0
-    # the dense scheme still factors its A
-    with pytest.raises(AssertionError, match="factored a matrix"):
-        solve_cell(TANH, 0.0, vm, grid=CellGrid((16,)), scheme="spectral")
+    # Fourier collocation on the grid and on the lattice's torus as well
+    for spectral in (solve_cell(TANH, 0.0, vm, grid=CellGrid((16,)), scheme="spectral"),
+                     solve_cell(TANH, 0.0, vm, backend="spectral_ap")):
+        assert spectral.D[0, 0] > 0
+        assert assemble_effective(spectral, x=np.linspace(-2.0, 2.0, 4)).D.shape == (4, 1, 1)
 
 
-def test_dense_families_keep_one_solve_per_position(monkeypatch):
-    solves = []
-    original = effective.solve_cell
-    cell = solve_cell(TANH, 0.0, VM, grid=CellGrid((16,)), scheme="spectral")
+@pytest.mark.parametrize("settings, block_size", [
+    (dict(grid=CellGrid((16,)), scheme="spectral"), 32),
+    (dict(backend="spectral_ap", n_modes=3), 14),
+], ids=["spectral", "spectral_ap"])
+def test_spectral_families_are_solved_in_stacks(monkeypatch, settings, block_size):
+    # the collocation cells take the upwind family path: one stack of the
+    # positions, no solve_cell a position
+    cell = solve_cell(TANH, 0.0, VM, **settings)
     monkeypatch.setattr(effective, "solve_cell",
-                        lambda *a, **k: solves.append(1) or original(*a, **k))
+                        lambda *a, **k: pytest.fail("one solve a position"))
+    stacks = _recorded_stacks(monkeypatch)
     eff = assemble_effective(cell, x=np.linspace(-1.0, 1.0, 3))
-    assert len(solves) == 3 and eff.D.shape == (3, 1, 1)
+    assert eff.D.shape == (3, 1, 1)
+    assert [(stack.scheme, stack.size) for stack in stacks] == [("spectral", 3 * block_size)]
 
 
 def test_ellipticity_gate_takes_a_stack_of_tensors():

@@ -378,15 +378,15 @@ def test_stage_errors_name_the_stage():
     assert info.value.stage == "check"
 
 
-def test_check_stage_refuses_an_oversized_dense_cell():
-    # 64^2 points x 8 velocities: the dense spectral operator would take
-    # 6 * 8 * 32768^2 bytes, so the check stage refuses it before any solve
-    text = ("[scenario]\nname = dense\ndimension = 2\n"
+def test_check_stage_passes_a_64x64_spectral_circle_cell():
+    # 64^2 points x 8 velocities: a dense spectral operator would have taken
+    # 6 * 8 * 32768^2 bytes; the collocation cell forms no matrix, so the
+    # check stage has no size to refuse (tests/test_cell_solver.py solves it)
+    text = ("[scenario]\nname = large\ndimension = 2\n"
             "[velocity]\nfamily = uniform_circle\nn = 8\n"
             "[cell]\nn = 64\nscheme = spectral\n")
-    with pytest.raises(StageError, match="51539607552 bytes") as info:
-        run_pipeline(parse_config(text), stop_after="check")
-    assert info.value.stage == "check"
+    checked = run_pipeline(parse_config(text), stop_after="check")
+    assert checked.sdb_gap <= 1e-12 and checked.lam == 0.0
 
 
 def test_two_dimensional_frequency_lattice_is_refused():
@@ -399,15 +399,18 @@ def test_two_dimensional_frequency_lattice_is_refused():
     parse_config(text.replace("spectral_ap", "grid"))
 
 
-def test_check_stage_refuses_an_oversized_frequency_lattice():
-    # 61^2 modes x 2 velocities: the lattice operator would take
-    # 8 * 16 * 7442^2 bytes, so the check stage refuses it before any solve
+def test_an_n_modes_30_frequency_lattice_passes_check_and_cell():
+    # 61^2 modes x 2 velocities: a dense lattice operator would have taken
+    # 8 * 16 * 7442^2 bytes and was refused; on the torus it is 7442 samples
+    # a field, and its D is the n_modes = 8 one
     text = ("[sigma]\nfamily = quasi_periodic\n"
             "[cell]\nbackend = spectral_ap\nn_modes = 30\n")
-    with pytest.raises(StageError, match="7442 unknowns needs 7089070592 bytes") as info:
-        run_pipeline(parse_config(text), stop_after="check")
-    assert info.value.stage == "check"
-    run_pipeline(parse_config(text.replace("30", "16")), stop_after="check")
+    report = run_pipeline(parse_config(text), stop_after="cell")
+    assert abs(report.lam - 1.0) <= 1e-12 and report.corrector_residual < 1e-9
+    assert report.summary["lattice_ring_weight"] < 1e-12
+    D = [run_pipeline(parse_config(text.replace("30", n)), stop_after="effective")
+         .coefficients.D[0, 0] for n in ("30", "8")]
+    assert abs(D[0] - D[1]) <= 1e-13 * D[1]
 
 
 CIRCLE2D_REDUCED = """\
@@ -558,6 +561,28 @@ def test_kinetic_stage_warns_below_three_points_per_fast_period(caplog):
         if expect:
             assert summary["kinetic_points_per_period_eps_0.025"] == pytest.approx(1.6)
             assert "eps=0.025 has 1.6 macro cells per fast period (below 3)" in warned[0]
+
+
+def test_cell_stage_reports_the_lattice_ring_weight_and_warns_above_its_level(caplog):
+    # weights (1, 4), alpha = 0.45: the corrector keeps 1.4e-2 of its norm on
+    # the outermost ring at n_modes = 2 (D off by 1.6e-5), 1.2e-5 at 4
+    text = ("[velocity]\nweights = 1.0, 4.0\n"
+            "[sigma]\nfamily = quasi_periodic\nalpha1 = 0.45\nalpha2 = 0.45\n"
+            "[cell]\nbackend = spectral_ap\nn_modes = {}\n")
+    for n_modes, expect in ((2, 1), (4, 0)):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="kinhom.harness"):
+            summary = run_pipeline(parse_config(text.format(n_modes)), stop_after="cell").summary
+        warned = [r.getMessage() for r in caplog.records if r.name == "kinhom.harness"]
+        assert len(warned) == expect
+        if expect:
+            assert summary["lattice_ring_weight"] == pytest.approx(1.39e-2, rel=1e-2)
+            assert "n_modes=2 leaves 0.0139 of the corrector on its outermost ring" in warned[0]
+        else:
+            assert summary["lattice_ring_weight"] == pytest.approx(1.25e-5, rel=1e-2)
+    # the grid backend has no lattice to truncate
+    grid = run_pipeline(parse_config(MINIMAL), stop_after="cell")
+    assert "lattice_ring_weight" not in grid.summary
 
 
 @pytest.mark.parametrize("reduced", [False, True], ids=["small_eps", "small_eps-reduced"])

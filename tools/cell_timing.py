@@ -1,22 +1,26 @@
-"""Per-position cost of the cell solves of the ``tanh`` or ``circle2d`` workload.
+"""Per-position cost of the cell solves of a benchmark workload.
 
     python3 tools/cell_timing.py
     python3 tools/cell_timing.py --seed 1 --sweeps 5 --reduced
     python3 tools/cell_timing.py --workload circle2d --sweeps 5
+    python3 tools/cell_timing.py --workload small_eps --sweeps 5
 
 Under ``x_dependence = tanh`` every macro position has its own cell
 problem.  This tool sweeps those positions (the macro cell
 centres of the ``tanh`` scenario of ``perfbench/workloads.py``), or the one
-``x = 0`` cell of ``circle2d`` (a 64^2 upwind cell with the 8-node circle),
-and prints the milliseconds per position of each layer of a solve:
+``x = 0`` cell of ``circle2d`` (a 64^2 upwind cell with the 8-node circle)
+or of ``small_eps`` (a 64-point Fourier-collocation cell with two
+velocities), and prints the milliseconds per position of each layer of a
+solve:
 
 * ``assemble``: the operator at one position, which samples and gates
   the rates;
 * ``equilibrium_F``: the principal-eigenvalue check, which builds the
-  matrices and the splitting ``P = M - N`` from the rates at their first
-  use (for an upwind cell the Fourier symbol of ``M``, no factorization);
+  splitting ``P = M - N`` (the Fourier symbol of ``M``, no factorization)
+  and, on an upwind cell, the sparse matrices from the rates at their
+  first use;
 * ``solve_chi_star``: the adjoint correctors, split GMRES solves with one
-  FFT pair per iteration on an upwind cell;
+  FFT pair per iteration;
 * ``verify_variational``: the weak-form residual ``||P F|| / ||F||``, which
   the pipeline reads on the ``x = 0`` cell only;
 * ``solve_cell``: the whole solve of one position, as the ``x = 0`` cell
@@ -66,7 +70,7 @@ from kinhom.effective import _solve_stacked, solve_cell  # noqa: E402
 
 LAYERS = ("assemble", "equilibrium_F", "solve_chi_star", "verify_variational", "solve_cell",
           "gate", "family")
-WORKLOADS = ("tanh", "circle2d")
+WORKLOADS = ("tanh", "circle2d", "small_eps")
 
 
 def sweep(cell, positions) -> dict[str, float]:
@@ -98,7 +102,7 @@ def sweep(cell, positions) -> dict[str, float]:
         gate_rates(kernel, x, grid, vm)
     total["gate"] += clock() - t0
     t0 = clock()
-    _solve_stacked(kernel, np.array(positions), vm, grid, settings["tol"])
+    _solve_stacked(cell, np.array(positions))
     total["family"] += clock() - t0
     return total
 
@@ -106,7 +110,8 @@ def sweep(cell, positions) -> dict[str, float]:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--workload", choices=WORKLOADS, default="tanh",
-                   help="tanh: every macro position; circle2d: the x = 0 cell (default tanh)")
+                   help="tanh: every macro position; circle2d, small_eps: the x = 0 cell "
+                        "(default tanh)")
     p.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
     p.add_argument("--sweeps", type=int, default=5, help="sweeps over the positions (default 5)")
     p.add_argument("--reduced", action="store_true", help="the reduced scenario")
