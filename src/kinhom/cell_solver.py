@@ -13,7 +13,7 @@ continuum limit.
 Every cell lives on a periodic grid, a torus, and two backends fill it:
 
 * the grid backend (`assemble`) samples the kernel on the cell grid, with
-  first-order upwind (sparse, positivity-preserving) or Fourier
+  first-order upwind (positivity-preserving) or Fourier
   collocation (spectrally accurate) transport;
 * the frequency-lattice backend (`assemble_spectral_ap`) takes a
   quasi-periodic profile as the trace ``s(y) = S(y, ..., y)`` of a
@@ -30,23 +30,22 @@ and inverted by FFT (:class:`_FourierSplit`).  The loss is the gain's row
 sum, so the equilibrium is the constant: ``M 1`` is the eigenvector of ``O
 = N M^{-1}`` with eigenvalue 1, which one application checks.  Correctors
 are Krylov solves of ``(I - O) v = g``, ``f = M^{-1} v``, with the
-one-dimensional kernel deflated out.  An upwind cell applies ``P`` and
-``K`` as sparse matrices; a collocation cell applies ``P`` as ``M f - N
-f`` and forms no matrix, so neither needs a factorization or a dense
-array.
+one-dimensional kernel deflated out.  Every cell applies ``P`` as ``M f -
+N f``, with ``K`` one block-diagonal sparse matrix, so no cell forms its
+transport as a matrix, a factorization or a dense array.
 
 Cell problems are small and many (one per macro position when the rates
 vary with x), so a solve does only its arithmetic: GMRES runs in this
 module, operation for operation scipy's ``gmres`` without its per-call
-set-up.  Assembly samples and gates the rates; the matrices and the
+set-up.  Assembly samples and gates the rates; the gain matrix and the
 splitting follow when a solve asks for them.  :class:`CellStack` solves
 the positions of one sampled family together, as one block-diagonal
 system with every per-cell gate applied to each block; a single operator
 is its one-block case.
 
-scipy is imported inside the functions that build an upwind operator and
-in the Krylov loop, so importing this module loads numpy alone; the first
-grid assembly of a process loads ``scipy.sparse``, the first solve
+scipy is imported inside grid assembly, the gain matrix's build and the
+Krylov loop, so importing this module loads numpy alone; the first grid
+assembly of a process loads ``scipy.sparse``, the first solve
 ``scipy.linalg``.
 """
 
@@ -190,6 +189,22 @@ class _FourierSplit:
 # ---------------------------------------------------------------------------
 
 
+def _gain_matrix(gain: np.ndarray) -> sparse.csr_matrix:
+    """The block-diagonal gain of the cells of ``gain`` ``(m, n, K, K)``.
+
+    A dense ``K x K`` block on each grid point of each cell, rows in (cell,
+    point, node) order.
+    """
+    import scipy.sparse as sparse
+
+    K = gain.shape[-1]
+    size = gain.size // K
+    block_cols = np.arange(0, size, K, dtype=np.int32)[:, None, None] + np.arange(K, dtype=np.int32)
+    cols = np.broadcast_to(block_cols, (size // K, K, K)).ravel()
+    return sparse.csr_matrix((gain.ravel(), cols, np.arange(0, size * K + 1, K, dtype=np.int32)),
+                             shape=(size, size))
+
+
 class _CellOperatorBase:
     """Cells of one periodic grid and velocity set: one operator, or a stack of them.
 
@@ -203,16 +218,17 @@ class _CellOperatorBase:
     :meth:`means` give one value a block, and :meth:`per_cell` turns such
     values into the operator's result, the one cell's for one cell.
 
-    ``scheme`` is the transport.  An ``upwind`` cell builds ``A_mat`` (``A
-    = T + Sigma``), ``K_mat`` (the gain) and ``P = A - K`` as sparse
-    matrices at first use and acts through them; a ``spectral`` (Fourier
-    collocation) cell acts through the symbol of ``M`` and the gain blocks
-    and forms no matrix.  Both split ``P = M - N`` at ``M``
-    (:class:`_FourierSplit`), built at first use.
+    ``scheme`` is the transport, ``upwind`` or ``spectral`` (Fourier
+    collocation), and picks the symbol of ``M`` alone.  Every cell splits
+    ``P = M - N`` at ``M`` (:class:`_FourierSplit`) and acts through that
+    symbol and ``K_mat``, the sparse block-diagonal gain, both built at
+    first use: ``P f = M f - K f + (Sigma - Sigma_bar) f``.
     """
 
     def __init__(self, grid, vm: VelocityMeasure, loss: np.ndarray, gain: np.ndarray,
                  scheme: str = "upwind"):
+        if scheme not in ("upwind", "spectral"):
+            raise ValueError(f"unknown transport scheme {scheme!r}")
         n, K, m = grid.n_points, vm.n_nodes, len(loss)
         for name, part, shape in (("loss", loss, (m, n * K)), ("gain", gain, (m, n, K, K))):
             if part.shape != shape:
@@ -279,45 +295,18 @@ class _CellOperatorBase:
         F.flags.writeable = False
         return F
 
-    # -- the splitting and the upwind matrices ---------------------------------
+    # -- the splitting and the gain --------------------------------------------
 
     @functools.cached_property
     def M(self) -> _FourierSplit:
-        if self.scheme == "upwind":
-            # the sparse matrices first, so that the symbol is not alive under
-            # the peak of their construction (0.5 MB on circle2d)
-            self._matrices  # noqa: B018
         field = np.broadcast_to(self.vm.field, (self.vm.n_nodes, len(self.grid.shape)))
         terms = _upwind_terms if self.scheme == "upwind" else _collocation_terms
         return _FourierSplit(self.grid, self.losses, terms(self.grid, field))
 
-    def _build(self) -> tuple:
-        """``(A, K)`` of an upwind cell."""
-        if self.scheme != "upwind":
-            raise ValueError(f"a {self.scheme} cell forms no matrix; use its actions")
-        return _upwind_matrices(self.grid, self.vm, self.losses, self.gains)
-
     @functools.cached_property
-    def _matrices(self) -> tuple:
-        """``(A, K, P)``, built at first use."""
-        A, K_mat = self._build()
-        return A, K_mat, A - K_mat
-
-    @property
-    def A_mat(self):
-        return self._matrices[0]
-
-    @property
-    def K_mat(self):
-        return self._matrices[1]
-
-    @property
-    def P(self):
-        return self._matrices[2]
-
-    @functools.cached_property
-    def P_H(self):
-        return self.P.T
+    def K_mat(self) -> sparse.csr_matrix:
+        """The block-diagonal gain :func:`_gain_matrix` of ``gains``, built at first use."""
+        return _gain_matrix(self.gains)
 
     @functools.cached_property
     def K_H(self):
@@ -326,27 +315,17 @@ class _CellOperatorBase:
     # -- operator actions ----------------------------------------------------
 
     def apply_P(self, f: np.ndarray) -> np.ndarray:
-        if self.scheme == "upwind":
-            return self.P @ f
+        """``M f - N f``, ``N = K - diag(M.excess)``."""
         return self.M.apply(f) - self.apply_K(f) + self.M.excess * f
 
     def apply_P_adjoint(self, f: np.ndarray) -> np.ndarray:
-        if self.scheme == "upwind":
-            return (self.P_H @ (self.weights * f)) / self.weights
         return self.M.apply_adjoint(f) - self.apply_K_adjoint(f) + self.M.excess * f
 
     def apply_K(self, f: np.ndarray) -> np.ndarray:
-        if self.scheme == "upwind":
-            return self.K_mat @ f
-        K = self.vm.n_nodes
-        return np.einsum("pkl,pl->pk", self.gains.reshape(-1, K, K), f.reshape(-1, K)).ravel()
+        return self.K_mat @ f
 
     def apply_K_adjoint(self, f: np.ndarray) -> np.ndarray:
-        if self.scheme == "upwind":
-            return (self.K_H @ (self.weights * f)) / self.weights
-        K, w = self.vm.n_nodes, self.vm.weights
-        return (np.einsum("plk,pl->pk", self.gains.reshape(-1, K, K), f.reshape(-1, K) * w)
-                / w).ravel()
+        return (self.K_H @ (self.weights * f)) / self.weights
 
     def apply_O(self, f: np.ndarray) -> np.ndarray:
         """``N M^{-1}``, ``N = M - P = K - diag(M.excess)``."""
@@ -390,63 +369,6 @@ class _CellOperatorBase:
 # ---------------------------------------------------------------------------
 
 
-def _gain_matrix(gain: np.ndarray) -> sparse.csr_matrix:
-    """The block-diagonal gain of the cells of ``gain`` ``(m, n, K, K)``.
-
-    A dense ``K x K`` block on each grid point of each cell, rows in (cell,
-    point, node) order.
-    """
-    import scipy.sparse as sparse
-
-    K = gain.shape[-1]
-    size = gain.size // K
-    block_cols = np.arange(0, size, K, dtype=np.int32)[:, None, None] + np.arange(K, dtype=np.int32)
-    cols = np.broadcast_to(block_cols, (size // K, K, K)).ravel()
-    return sparse.csr_matrix((gain.ravel(), cols, np.arange(0, size * K + 1, K, dtype=np.int32)),
-                             shape=(size, size))
-
-
-def _upwind_matrices(grid: CellGrid, vm: VelocityMeasure, loss: np.ndarray,
-                     gain: np.ndarray) -> tuple:
-    """``(A, K)`` of the upwind cells of ``loss`` ``(m, size)`` and ``gain`` ``(m, n, K, K)``.
-
-    Block ``i`` of the block-diagonal matrices is the cell of row ``i``,
-    rows in (point, node) order.  ``A = T + Sigma``, with ``T`` the
-    first-order upwind ``a . grad_y`` on the periodic grid: at each point
-    and node ``k``, the loss plus ``|a_k,ax| / h_ax`` summed over the axes
-    on the diagonal, and ``-|a_k,ax| / h_ax`` at the upwind neighbour along
-    each axis whose term is not zero, ``f_{j-1}`` for a positive component
-    and ``f_{j+1}`` otherwise.  ``K`` is :func:`_gain_matrix` of ``gain``.
-    """
-    import scipy.sparse as sparse
-
-    m, size = loss.shape
-    K, n = vm.n_nodes, grid.n_points
-    steps = np.abs(vm.field) / np.array(grid.spacing)  # (K, dim)
-    # one diagonal value per entry, so a diagonal sums its terms in one order
-    diag_vals = (loss.reshape(m, n, K) + steps.sum(axis=1)).ravel()
-    # the neighbours f_{j-1} and f_{j+1} of every point along every axis,
-    # (dim, 2, n), and one line of entries per non-zero (node, axis) term;
-    # indices are int32, the type scipy picks, so the constructor converts
-    # no array
-    points = np.arange(n, dtype=np.int32).reshape(grid.shape)
-    neighbours = np.stack([[np.roll(points, s, axis=ax).ravel() for s in (1, -1)]
-                           for ax in range(grid.dim)])
-    node, ax = np.nonzero(steps)
-    k = node.astype(np.int32)[:, None]
-    rows = (points.reshape(1, n) * np.int32(K) + k).reshape(1, -1)
-    cols = (neighbours[ax, (vm.field[node, ax] <= 0).astype(np.intp)] * np.int32(K)
-            + k).reshape(1, -1)
-    off_vals = np.repeat(-steps[node, ax], n)
-    offsets = np.int32(size) * np.arange(m, dtype=np.int32)[:, None]
-    diag = np.arange(m * size, dtype=np.int32)
-    A = sparse.csr_matrix((np.concatenate([diag_vals, np.tile(off_vals, m)]),
-                           (np.concatenate([diag, (rows + offsets).ravel()]),
-                            np.concatenate([diag, (cols + offsets).ravel()]))),
-                          shape=(m * size, m * size))
-    return A, _gain_matrix(gain)
-
-
 @dataclass(frozen=True)
 class CellRates:
     """Gated rates at position ``x`` on ``grid`` with the velocity set ``vm``.
@@ -484,7 +406,7 @@ def gate_rates(kernel, x, grid: CellGrid, vm: VelocityMeasure,
     is :func:`kinhom.collision.check_sdb` of these very samples when the
     caller has measured it; it is taken as given, not measured again.  The
     samples are not kept: the gain is a new array, so they can be freed
-    before the matrices are built.
+    before the gain matrix is built.
     """
     K = vm.n_nodes
     samp = _sampled(kernel, x, grid, vm).reshape(-1, K, K)
@@ -498,20 +420,18 @@ class CellOperator(_CellOperatorBase):
     """Cell operator sampled on a periodic grid (see :func:`assemble`).
 
     Construction samples and gates the rates and keeps the gain ``gain``
-    ``(n, K, K)`` and the flat loss ``sigma_flat``; the splitting and, on
-    an upwind cell, the matrices follow at first use.
+    ``(n, K, K)`` and the flat loss ``sigma_flat``; the splitting and the
+    gain matrix follow at first use.
     """
 
     def __init__(self, kernel, x, vm: VelocityMeasure, grid: CellGrid, scheme: str,
                  rates: CellRates | None = None):
-        # the matrices wait for the first solve, but scipy still loads at
+        # the gain matrix waits for the first solve, but scipy still loads at
         # the first assembly of a process, which the check stage never makes
         import scipy.sparse  # noqa: F401
 
         if grid.dim != vm.dim:
             raise ValueError(f"cell grid dim {grid.dim} != velocity dim {vm.dim}")
-        if scheme not in ("upwind", "spectral"):
-            raise ValueError(f"unknown transport scheme {scheme!r}")
         self.kernel = kernel
         self.x = x
         self.field_shape = (*grid.shape, vm.n_nodes)
@@ -552,7 +472,7 @@ def assemble(kernel, x, vm: VelocityMeasure, grid: CellGrid,
     ``rates`` are the kernel's rates at ``x`` on ``grid`` already through
     :func:`gate_rates`, when the caller has them, so they are neither
     sampled nor gated again (rates gated elsewhere are refused).  The
-    splitting and the matrices are built at first use.
+    splitting and the gain matrix are built at first use.
     """
     return CellOperator(kernel, x, vm, grid, scheme, rates)
 
@@ -631,16 +551,26 @@ class _Torus:
         return math.prod(self.shape)
 
 
+def _generator_key(f) -> float:
+    """The lookup key of frequency ``+-f``: ``|f|`` to 9 decimals."""
+    return round(float(abs(f)), 9)
+
+
 def _lattice_generators(kernel: ScatteringKernel) -> list[float]:
     """The distinct positive frequencies of the kernel's profile, sorted.
 
     They generate the frequency lattice; at most two are supported.
+    Frequencies with one :func:`_generator_key` are one generator, which
+    keeps the exact value of the first of them.
     """
     freqs, _ = kernel.profile_frequencies()
-    gens = sorted({round(float(abs(f)), 9) for f in freqs if abs(f) > 1e-12})
+    gens = {}
+    for f in freqs:
+        if abs(f) > 1e-12:
+            gens.setdefault(_generator_key(f), float(abs(f)))
     if len(gens) > 2:
         raise ValueError("at most two generator frequencies are supported")
-    return gens
+    return sorted(gens.values())
 
 
 def _torus_profile(kernel: ScatteringKernel, gens: list[float], shape: tuple) -> np.ndarray:
@@ -650,13 +580,14 @@ def _torus_profile(kernel: ScatteringKernel, gens: list[float], shape: tuple) ->
     as ``exp(+-2 pi i t / n_j)`` at point ``t`` of the axis.
     """
     freqs, coeffs = kernel.profile_frequencies()
+    keys = [_generator_key(g) for g in gens]
     points = np.indices(shape)
     S = np.zeros(shape, dtype=complex)
     for f, cf in zip(freqs, coeffs):
         if abs(f) < 1e-12:
             S += cf
         else:
-            j = gens.index(round(float(abs(f)), 9))
+            j = keys.index(_generator_key(f))
             S += cf * np.exp(2j * np.pi * np.sign(f) * points[j] / shape[j])
     return S.real.ravel()
 

@@ -3,7 +3,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
 from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, gmres
 
@@ -101,6 +100,10 @@ def test_eigenvalue_gate_refuses_an_inconsistent_gain(build):
 def test_unknown_transport_scheme_is_refused():
     with pytest.raises(ValueError, match="unknown transport scheme 'central'"):
         assemble(SINUSOIDAL, 0.0, VM, GRID32, scheme="central")
+    # a stack is built from rates alone, and refuses a misspelt scheme too
+    op = assemble(SINUSOIDAL, 0.0, VM, GRID32)
+    with pytest.raises(ValueError, match="unknown transport scheme 'upwnd'"):
+        cell_solver.CellStack(GRID32, VM, op.losses, op.gains, "upwnd")
 
 
 def test_non_finite_sampled_rates_are_refused():
@@ -208,12 +211,8 @@ def test_discrete_duality(scheme):
 
 
 def _solve_A(op, h):
-    """``A^{-1} h`` by a direct solve: no solve of the package inverts ``A``."""
-    if op.scheme == "upwind":
-        return scipy.sparse.linalg.spsolve(op.A_mat.tocsc(), h)
-    # a collocation cell forms no A: P + K from the actions on the identity
-    A = op.dense_P() + np.column_stack([op.apply_K(e) for e in np.eye(op.size)])
-    return np.linalg.solve(A, h)
+    """``A^{-1} h`` by a direct solve: no cell forms ``A``, so ``A = P + K`` from the actions."""
+    return np.linalg.solve(op.dense_P() + op.K_mat.toarray(), h)
 
 
 def test_absorption_inverse_bound_and_positivity():
@@ -246,25 +245,19 @@ def test_transport_has_zero_cell_mean():
 
 
 def test_circle_axis_nodes_couple_along_their_own_axis_only():
-    # an axis node of the circle moves along one axis: each of its rows of A
-    # holds the diagonal and the one upwind neighbour along that axis, so the
-    # node's block splits into independent cyclic bidiagonal lines
+    # an axis node of the circle moves along one axis: its upwind symbol
+    # along the other axis is exactly 0, so the node's block splits into
+    # independent cyclic lines along its own axis
     vm, grid = uniform_circle(8), CellGrid((8, 8))
-    op = assemble(make_kernel("sinusoidal", base=1.0, alpha=0.5, dim=2), 0.0, vm, grid,
-                  scheme="upwind")
-    A, K = op.A_mat.tocsr(), vm.n_nodes
-    n0, n1 = grid.shape
-    i, j = np.divmod(np.arange(grid.n_points), n1)
-    for k, (di, dj) in zip((0, 2, 4, 6), ((-1, 0), (0, -1), (1, 0), (0, 1))):
-        rows = np.arange(grid.n_points) * K + k
-        upwind = (((i + di) % n0) * n1 + (j + dj) % n1) * K + k
-        for r, u in zip(rows, upwind):
-            cols = A.indices[A.indptr[r]:A.indptr[r + 1]]
-            assert sorted(cols) == sorted([r, u])
+    terms = cell_solver._upwind_terms(grid, vm.field)
+    for k, axis in zip((0, 2, 4, 6), (0, 1, 0, 1)):
+        assert np.all(terms[1 - axis][k] == 0.0)
+        assert np.all(terms[axis][k][1:] != 0.0)
 
 
 def test_variational_residual_is_roundoff():
     for build in (
+        lambda: assemble(SINUSOIDAL, 0.0, VM, GRID32, scheme="upwind"),
         lambda: assemble(SINUSOIDAL, 0.0, VM, GRID32, scheme="spectral"),
         lambda: assemble_spectral_ap(
             make_kernel("quasi_periodic", base=1.0, alpha1=0.2, alpha2=0.2), 0.0, VM
@@ -318,14 +311,16 @@ def _upwind_family(vm, grid, xs=(-1.3, 0.4, 2.0)):
 ], ids=["1d-16", "1d-33", "1d-speeds-16", "2d-circle12-6x8", "2d-9x8", "stack-1d",
         "stack-2d-8x6"])
 def test_upwind_M_inverse_inverts_transport_plus_the_mean_loss(build):
-    # M = A - diag(Sigma - Sigma_bar): the transport of A with each block's
-    # and node's loss averaged over the grid points
+    # M = T + Sigma_bar: the reference transport of each block with its
+    # per-node loss averaged over the grid points
     op = build()
     n, K = op.grid.n_points, op.vm.n_nodes
     loss = op.losses.reshape(op.n_blocks, n, K)
     mean = np.broadcast_to(loss.mean(axis=1)[:, None], loss.shape).ravel()
     np.testing.assert_allclose(op.M.excess, op.losses.ravel() - mean, rtol=0, atol=1e-15)
-    M = (op.A_mat - sparse.diags(op.M.excess)).toarray()
+    T = _reference_transport(op.vm, op.grid)
+    M = (sparse.block_diag([T] * op.n_blocks) + sparse.diags(mean)).toarray()
+    assert np.max(np.abs(_dense(op.M.apply, op.size) - M)) <= 1e-14 * np.max(np.abs(M))
     np.testing.assert_allclose(op.M.one, M @ op.const, rtol=0, atol=1e-13)
     W = op.weights
     M_star = (M.T * W) / W[:, None]
@@ -471,7 +466,7 @@ def test_chi_star_diagnostics_come_from_the_solves(build):
 
 
 # ---------------------------------------------------------------------------
-# assembly pinned to the sparse construction it replaced
+# actions pinned to the sparse construction they replaced
 # ---------------------------------------------------------------------------
 
 def _reference_upwind(n, h, speed):
@@ -488,11 +483,9 @@ def _reference_upwind(n, h, speed):
     return (speed / h) * mat.tocsr()
 
 
-def _reference_matrices(kernel, vm, grid):
-    """``(P, A, K)`` built with kron, sum(blocks) and COO, as before."""
-    K, n = vm.n_nodes, grid.n_points
-    size = n * K
-    gain, sigma = gain_loss(_sampled(kernel, 0.0, grid, vm).reshape(n, K, K), vm.weights)
+def _reference_transport(vm, grid):
+    """The upwind transport ``T`` of one cell, built with kron and sum(blocks)."""
+    K = vm.n_nodes
     blocks = []
     for k in range(K):
         mats = [_reference_upwind(grid.shape[ax], grid.spacing[ax], float(vm.field[k, ax]))
@@ -505,7 +498,15 @@ def _reference_matrices(kernel, vm, grid):
             Tk = sparse.kron(mats[0], eye1, format="csr") + sparse.kron(eye0, mats[1], format="csr")
         Ek = sparse.csr_matrix(([1.0], ([k], [k])), shape=(K, K))
         blocks.append(sparse.kron(Tk, Ek, format="csr"))
-    T = sum(blocks)
+    return sum(blocks)
+
+
+def _reference_matrices(kernel, vm, grid):
+    """``(P, A, K)`` built with kron, sum(blocks) and COO, as before."""
+    K, n = vm.n_nodes, grid.n_points
+    size = n * K
+    gain, sigma = gain_loss(_sampled(kernel, 0.0, grid, vm).reshape(n, K, K), vm.weights)
+    T = _reference_transport(vm, grid)
     jj, kk, ll = np.meshgrid(np.arange(n), np.arange(K), np.arange(K), indexing="ij")
     Km = sparse.csr_matrix((gain.ravel(), ((jj * K + kk).ravel(), (jj * K + ll).ravel())),
                            shape=(size, size))
@@ -513,14 +514,37 @@ def _reference_matrices(kernel, vm, grid):
     return (A - Km).tocsr(), A, Km
 
 
+def _dense(apply, size):
+    """The dense matrix of the linear map ``apply`` on flat fields of ``size``."""
+    return np.column_stack([apply(e) for e in np.eye(size)])
+
+
+def _assert_bitwise(got, want):
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, part), getattr(want, part))
+
+
+def _assert_matches_reference(op, P, A, Km):
+    """``op`` against the reference ``(P, A, K)`` of the same cells.
+
+    ``K_mat`` is the reference's to the bit.  ``P`` (:meth:`dense_P`) and
+    ``A = M + diag(M.excess)`` come from FFT actions, so they match to
+    roundoff: 1e-14 of the largest entry of ``A``, as on a one-node set
+    ``P`` is the transport alone, 0 or at 1e-15.
+    """
+    _assert_bitwise(op.K_mat, Km)
+    A = A.toarray()
+    tol = 1e-14 * np.max(np.abs(A))
+    assert np.max(np.abs(op.dense_P() - P.toarray())) <= tol
+    assert np.max(np.abs(_dense(op.M.apply, op.size) + np.diag(op.M.excess) - A)) <= tol
+
+
 @pytest.mark.parametrize("speed", [1.5, -0.7, 6e-17, 0.0])
 def test_upwind_matrix_is_bitwise_the_lil_reference(speed):
     # one velocity node: A is the lil stencil of that speed plus the loss
     vm, grid = velocity_from_tables([[speed]], [1.0]), CellGrid((16,))
     op = assemble(SINUSOIDAL, 0.0, vm, grid, scheme="upwind")
-    for got, want in zip((op.P, op.A_mat, op.K_mat), _reference_matrices(SINUSOIDAL, vm, grid)):
-        for part in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(got, part), getattr(want, part))
+    _assert_matches_reference(op, *_reference_matrices(SINUSOIDAL, vm, grid))
 
 
 @pytest.mark.parametrize("kernel, vm, grid", [
@@ -540,14 +564,7 @@ def test_upwind_matrix_is_bitwise_the_lil_reference(speed):
         "2d-circle12-6x8"])
 def test_upwind_assembly_is_bitwise_the_sparse_reference(kernel, vm, grid):
     op = assemble(kernel, 0.0, vm, grid, scheme="upwind")
-    for got, want in zip((op.P, op.A_mat, op.K_mat), _reference_matrices(kernel, vm, grid)):
-        for part in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(got, part), getattr(want, part))
-
-
-def _assert_bitwise(got, want):
-    for part in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(got, part), getattr(want, part))
+    _assert_matches_reference(op, *_reference_matrices(kernel, vm, grid))
 
 
 def _fresh_rates(kernel, x, grid, vm):
@@ -571,9 +588,8 @@ def test_sampled_operators_from_one_plan_are_bitwise_the_sparse_reference(dim, v
                          x_amplitude=0.5, dim=dim)
     for x in (-1.3, 0.4, 2.0, 0.4):
         op = assemble(kernel, x, vm, grid)
-        P, A, Km = _reference_matrices(_fresh_rates(kernel, x, grid, vm), vm, grid)
-        for got, want in zip((op.P, op.A_mat, op.K_mat), (P, A, Km)):
-            _assert_bitwise(got, want)
+        _assert_matches_reference(op, *_reference_matrices(_fresh_rates(kernel, x, grid, vm),
+                                                           vm, grid))
 
 
 @pytest.mark.parametrize("dim, vm, grid", [
@@ -588,12 +604,12 @@ def test_a_stack_holds_each_position_operator_on_its_diagonal(dim, vm, grid):
     stack = cell_solver.CellStack(grid, vm, np.stack([op.sigma_flat for op in ops]),
                                   np.stack([op.gain for op in ops]))
     n = ops[0].size
-    for got, parts in ((stack.A_mat, [op.A_mat for op in ops]),
-                       (stack.K_mat, [op.K_mat for op in ops]),
-                       (stack.P, [op.P for op in ops])):
-        assert got.nnz == sum(p.nnz for p in parts)
-        for i, part in enumerate(parts):
-            _assert_bitwise(got[i * n:(i + 1) * n, i * n:(i + 1) * n], part)
+    _assert_bitwise(stack.K_mat, sparse.block_diag([op.K_mat for op in ops], format="csr"))
+    for got, parts in ((stack.dense_P(), [op.dense_P() for op in ops]),
+                       (_dense(stack.M.apply, stack.size), [_dense(op.M.apply, n) for op in ops])):
+        want = scipy.linalg.block_diag(*parts)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.array_equal(stack.M.excess, np.concatenate([op.M.excess for op in ops]))
     rng = np.random.default_rng(2)
     f, g = rng.standard_normal((2, stack.size))
     for i, op in enumerate(ops):
@@ -611,8 +627,9 @@ def test_assembly_takes_gated_rates_only_where_they_were_gated():
     samples = kernel.sample_cell(0.4, grid, VM)
     rates = cell_solver.gate_rates(samples, 0.4, grid, VM)
     op, fresh = assemble(kernel, 0.4, VM, grid, rates=rates), assemble(kernel, 0.4, VM, grid)
-    for got, want in ((op.P, fresh.P), (op.A_mat, fresh.A_mat), (op.K_mat, fresh.K_mat)):
-        _assert_bitwise(got, want)
+    assert np.array_equal(op.losses, fresh.losses) and np.array_equal(op.gains, fresh.gains)
+    _assert_bitwise(op.K_mat, fresh.K_mat)
+    assert np.array_equal(op.dense_P(), fresh.dense_P())
     for x, other_grid, vm in ((0.7, grid, VM),
                               (0.4, CellGrid((16,), period=2.0), VM),
                               (0.4, grid, two_velocity_1d(weights=(1.0, 2.0)))):
@@ -646,9 +663,7 @@ def test_a_stack_gates_each_block():
     assert lam.shape == (3,) and np.max(np.abs(lam - 1.0)) < 1e-12
     # one block's gain 1 % above its loss: only its eigenvalue is off
     stack = _stack_of(kernel, (-1.0, 0.0, 1.0))
-    A, K_mat = stack._build()
-    stack._build = lambda: (A, K_mat.multiply(
-        np.repeat([1.0, 1.01, 1.0], stack.block_size)[:, None]).tocsr())
+    stack.gains = stack.gains * np.array([1.0, 1.01, 1.0])[:, None, None, None]
     with pytest.raises(ConvergenceError, match=r"eigenvalue 1\.0\d+ deviates"):
         equilibrium_F(stack)
     # a right-hand side compatible in two blocks but not in the third
@@ -703,21 +718,15 @@ def test_operators_and_stacks_of_other_grids_and_velocity_sets_are_bitwise_the_r
         for x in xs:
             op = assemble(kernel, x, vm, grid)
             ref = _reference_matrices(_fresh_rates(kernel, x, grid, vm), vm, grid)
-            for got, want in zip((op.P, op.A_mat, op.K_mat), ref):
-                _assert_bitwise(got, want)
+            _assert_matches_reference(op, *ref)
             assert np.array_equal(op.weights, np.tile(vm.weights, 16) / 16)
             assert np.array_equal(op.velocity_profile(0), np.tile(vm.field[:, 0], 16))
             ops.append(op)
             refs.append(ref)
         stack = cell_solver.CellStack(grid, vm, np.stack([op.sigma_flat for op in ops]),
                                       np.stack([op.gain for op in ops]))
-        n = ops[0].size
-        for got, parts in zip((stack.P, stack.A_mat, stack.K_mat), zip(*refs)):
-            assert got.nnz == sum(p.nnz for p in parts)
-            for i, part in enumerate(parts):
-                _assert_bitwise(got[i * n:(i + 1) * n, i * n:(i + 1) * n], part)
-        if vm.n_nodes == 1 and vm.field[0, 0] == 0.0:
-            assert stack.P.nnz == 0
+        _assert_matches_reference(stack, *(sparse.block_diag(parts, format="csr")
+                                           for parts in zip(*refs)))
 
 
 @pytest.mark.parametrize("build", [
@@ -740,9 +749,14 @@ def test_inner_and_norm_are_bitwise_the_conjugated_pairing(build):
 
 
 def _reference_lattice(kernel, x, vm, n_modes):
-    """``(A, K, lattice, mirror, zero_row, coords)`` built with a coordinate dict."""
+    """``(A, K, lattice, mirror, zero_row, coords)`` built with a coordinate dict.
+
+    The generators are the profile's exact frequencies; rounded to 9
+    decimals they only key the lookup of a mode's generator.
+    """
     freqs, coeffs = kernel.profile_frequencies()
-    gens = sorted({round(float(abs(f)), 9) for f in freqs if abs(f) > 1e-12})
+    keys = sorted({round(float(abs(f)), 9) for f in freqs if abs(f) > 1e-12})
+    gens = [next(float(abs(f)) for f in freqs if round(float(abs(f)), 9) == key) for key in keys]
     m = int(n_modes)
     if len(gens) == 0:
         coords = np.zeros((1, 1), dtype=int)
@@ -763,7 +777,7 @@ def _reference_lattice(kernel, x, vm, n_modes):
         if abs(f) < 1e-12:
             shift = tuple([0] * coords.shape[1])
         else:
-            g_idx = gens.index(round(float(abs(f)), 9))
+            g_idx = keys.index(round(float(abs(f)), 9))
             shift = tuple(int(np.sign(f)) if i == g_idx else 0 for i in range(coords.shape[1]))
         for i, t in enumerate(coords):
             j = index.get(tuple(np.asarray(t) + np.asarray(shift)))
@@ -814,6 +828,25 @@ def test_lattice_assembly_is_bitwise_the_dict_reference(kernel, x, n_modes):
     assert np.max(np.abs(P_lat[:, inside] - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("kernel", [
+    SINUSOIDAL,
+    make_kernel("quasi_periodic", base=1.0, alpha1=0.2, alpha2=-0.3),
+    make_kernel("quasi_approx", base=1.0, alpha1=0.2, alpha2=0.3, p=239, q=169),
+], ids=["sinusoidal", "quasi_periodic", "quasi_approx"])
+def test_lattice_is_built_from_the_exact_profile_frequencies(kernel):
+    # the generators are the profile's frequencies, not their 9-decimal
+    # lookup keys: a unit step along generator j is g_j, and the torus
+    # period along axis j is 2 pi / g_j (1 for the sinusoidal profile)
+    op = assemble_spectral_ap(kernel, 0.0, VM, n_modes=2)
+    freqs, _ = kernel.profile_frequencies()
+    gens = np.unique(np.abs(freqs[freqs != 0.0]))
+    for j, g in enumerate(gens):
+        step = np.all(op._coords == np.eye(len(gens), dtype=int)[j], axis=1)
+        assert op.lattice[step].tolist() == [g]
+        assert op.grid.period[j] == 2.0 * np.pi / g
+    assert op.grid.period[0] == 1.0
+
+
 @pytest.mark.parametrize("build", [
     lambda: assemble(SINUSOIDAL, 0.0, two_velocity_1d(weights=(1.0, 2.0)), CellGrid((16,))),
     lambda: assemble(SINUSOIDAL, 0.0, two_velocity_1d(weights=(1.0, 2.0)), CellGrid((16,)),
@@ -823,9 +856,9 @@ def test_lattice_assembly_is_bitwise_the_dict_reference(kernel, x, n_modes):
     ),
 ], ids=["upwind", "spectral", "spectral_ap"])
 def test_adjoint_actions_are_bitwise_the_conjugate_transpose(build):
-    # upwind: bitwise the weighted transpose of the sparse matrices; a
-    # collocation cell forms no matrix, so its adjoint actions are held to
-    # the weighted transpose of its dense actions, to roundoff
+    # K and O* are bitwise the weighted transpose of the sparse gain; no
+    # cell forms P, so its adjoint action is held to the weighted transpose
+    # of its dense action, to roundoff
     op = build()
     rng = np.random.default_rng(3)
     f = rng.standard_normal(op.size)
@@ -834,22 +867,13 @@ def test_adjoint_actions_are_bitwise_the_conjugate_transpose(build):
     def weighted_adjoint(M, g):
         return (M.T @ (w * g)) / w
 
-    if op.scheme == "upwind":
-        P, K_mat = op.P, op.K_mat
-
-        def check(got, want):
-            assert np.array_equal(got, want)
-    else:
-        P, K_mat = op.dense_P(), np.column_stack([op.apply_K(e) for e in np.eye(op.size)])
-
-        def check(got, want):
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-    check(op.apply_P_adjoint(f), weighted_adjoint(P, f))
-    check(op.apply_K_adjoint(f), weighted_adjoint(K_mat, f))
+    want = weighted_adjoint(op.dense_P(), f)
+    assert np.max(np.abs(op.apply_P_adjoint(f) - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.array_equal(op.apply_K_adjoint(f), weighted_adjoint(op.K_mat, f))
     # O* = N* M*^-1 with N = K - diag(excess)
     m_inv = op.M.solve_adjoint(f)
-    check(op.apply_O_adjoint(f), weighted_adjoint(K_mat, m_inv) - op.M.excess * m_inv)
+    assert np.array_equal(op.apply_O_adjoint(f),
+                          weighted_adjoint(op.K_mat, m_inv) - op.M.excess * m_inv)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,7 @@ solve:
   the rates;
 * ``equilibrium_F``: the principal-eigenvalue check, which builds the
   splitting ``P = M - N`` (the Fourier symbol of ``M``, no factorization)
-  and, on an upwind cell, the sparse matrices from the rates at their
-  first use;
+  and the sparse gain ``K`` from the rates at their first use;
 * ``solve_chi_star``: the adjoint correctors, split GMRES solves with one
   FFT pair per iteration;
 * ``verify_variational``: the weak-form residual ``||P F|| / ||F||``, which
