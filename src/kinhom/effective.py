@@ -24,6 +24,16 @@ solutions:
 Ellipticity of the symmetrized tensor is a hard gate: a non-positive
 direction means the velocity set cannot span that direction and the
 macroscopic model is meaningless there.
+
+A slowly modulated kernel ``c(x) s(y) g(v, w)`` is sampled at macro
+positions.  Each position is still assembled and gated, but its cell is
+the ``x = 0`` cell with the rates scaled by ``c(x) / c(0)`` (checked), so
+``D`` is an analytic function of the one scalar ``c``.  The family is
+solved at nested Chebyshev-Lobatto nodes in ``c`` until the Chebyshev tail
+of ``D`` is small, and ``D`` is interpolated at every position
+(barycentric; Trefethen, *Approximation Theory and Approximation
+Practice*, SIAM 2013); when that would take more than half as many cells
+as there are distinct ``c``, each distinct ``c`` is solved instead.
 """
 
 from __future__ import annotations
@@ -115,6 +125,8 @@ class EffectiveCoefficients:
     residual: float
     bound_constant: float
     ellipticity_min: float  # smallest eigenvalue of sym(D) over the positions
+    family_cell_solves: int = 0     # cells solved for a sampled family
+    family_cheb_tail: float = 0.0   # its Chebyshev tail in c, 0 when solved at each c
 
     @property
     def constant(self) -> bool:
@@ -170,39 +182,43 @@ def solve_cell(kernel, x, vm: VelocityMeasure, *, backend: str | None = None,
 
 
 # Most unknowns one stacked solve of a sampled family takes (at least one
-# position): the length of its Krylov vectors, whose worst block sets the
-# iteration count (12-18 a stack on tanh).  Through the tanh benchmark's
-# effective stage (512 positions of 128 unknowns; 2-core Xeon, one pinned
-# CPU, min of 5), stacks of 4096, 8192, 16,384, 32,768 and 65,536 unknowns
-# took 95, 77, 72, 74 and 81 ms (1030 ms one position at a time) and added
-# 1.7-3.3, 3.6-4.7, 7.3-8.8, 14 and 27 MB to the peak memory (0.5 MB).  At
-# 16,384 the 39 MB basis stays above glibc's 32 MB mmap ceiling, so freeing
-# it moves no allocator threshold: tanh peak_rss_mb 91.5-92.1, 94.2 at 8192.
+# cell): the length of its Krylov vectors, whose worst block sets the
+# iteration count (12-18 a stack on tanh).  Solving all 512 positions of
+# 128 unknowns of the tanh benchmark (2-core Xeon, one pinned CPU, min of
+# 5), stacks of 4096, 8192, 16,384, 32,768 and 65,536 unknowns took 95, 77,
+# 72, 74 and 81 ms (1030 ms one position at a time) and added 1.7-3.3,
+# 3.6-4.7, 7.3-8.8, 14 and 27 MB to the peak memory (0.5 MB).  At 16,384
+# the 39 MB basis stays above glibc's 32 MB mmap ceiling, so freeing it
+# moves no allocator threshold.  That family's Chebyshev nodes take stacks
+# of 17 and 16 cells (2176 and 2048 unknowns).
 STACK_UNKNOWNS = 16384
 
+# Largest gap, relative to the x0 cell's largest gain, between a position's
+# gated gain and c(x) / c(x0) times the x0 cell's: both are c s(y) g(v, w)
+# w_l, so on the ray they differ in their last bits only.
+RAY_RTOL = 1e-12
 
-def _stack(build, xs: np.ndarray, like) -> CellStack:
-    """The operators ``build(x)`` at ``xs`` as one :class:`CellStack` laid out ``like`` one.
-
-    One operator is assembled (and gated) per position and dropped once its
-    rates are copied, before the next one is assembled.
-    """
-    loss = np.empty((xs.size, like.block_size))
-    gain = np.empty((xs.size, *like.gains.shape[1:]))
-    for i, xi in enumerate(xs):
-        op = build(float(xi))
-        loss[i], gain[i] = op.losses[0], op.gains[0]
-    return CellStack(like.grid, like.vm, loss, gain, like.scheme)
+# Chebyshev-Lobatto node counts in c: 17, then 33, 65, ..., each level
+# keeping the nodes of the last.  A level is taken once the last two
+# Chebyshev coefficients of D are at most CHEB_TAIL relative to the first.
+# Stacked solves agree with per-position ones to about 6e-13 relative, so
+# a smaller tail buys nothing.  On the tanh benchmark's 512 positions (c in
+# [0.5, 1.5]) the tail is 5.6e-9 at 17 nodes and 1.2e-15 at 33, where D is
+# within 6e-13 of the stacked solves at every position; at beta = 0.9 it
+# is 4.2e-13 at 65 nodes, D within 1.1e-12.
+CHEB_FIRST = 17
+CHEB_TAIL = 1e-12
 
 
-def _solve_stacked(cell: CellSolution, x: np.ndarray):
-    """``(D, flux, residual, bound constant)`` of the cells at ``x``.
+def _ray_ratios(cell: CellSolution, x: np.ndarray) -> np.ndarray:
+    """``c(x) / c(x0)`` at every position, each position's rates gated and on that ray.
 
-    The cells take the kernel, velocity set and settings of ``cell``, on
-    either backend.  The positions are solved in chunks of at most
-    ``STACK_UNKNOWNS`` unknowns (at least one position), each chunk one
-    :class:`~kinhom.cell_solver.CellStack`.  ``D`` and the flux come per
-    position, the diagnostics as their worst.
+    Every position is assembled with the kernel, velocity set and settings
+    of ``cell`` (so sampled and gated: positive, finite, in semi-detailed
+    balance), one at a time.  Its gain must be ``c(x) / c(x0)`` times that
+    of ``cell``, at ``x0``, within ``RAY_RTOL``; the loss is the gain's row
+    sum, so it follows.  A position off that ray is refused with a
+    :class:`ValueError` naming it, as the family is solved along the ray.
     """
     like, settings = cell.op, cell.settings
     kernel, vm = like.kernel, like.vm
@@ -212,17 +228,112 @@ def _solve_stacked(cell: CellSolution, x: np.ndarray):
     else:
         def build(xi):
             return assemble(kernel, xi, vm, settings["grid"], scheme=settings["scheme"])
+    c0, gain0 = kernel.x_factor(like.x), like.gains[0]
+    scale = np.abs(gain0).max()
+    level = RAY_RTOL * scale
+    ratios = np.empty(x.size)
+    for i, xi in enumerate(x.tolist()):
+        ratios[i] = ratio = float(kernel.x_factor(xi) / c0)
+        off = np.abs(build(xi).gains[0] - ratio * gain0).max()
+        if not off <= ratio * level:
+            raise ValueError(
+                f"rates at x = {xi!r} are off the ray through the x0 = {like.x!r} cell: not "
+                f"c(x) / c(x0) = {ratio!r} times its rates, by {off / (ratio * scale):.3e} "
+                "relative; the family is solved along that ray"
+            )
+    return ratios
+
+
+def _solve_at(cell: CellSolution, ratios: np.ndarray):
+    """``(D, residual, bound constant)`` of the cells of ``ratios`` times ``cell``'s rates.
+
+    The cells take the grid, velocity set and settings of ``cell``, on
+    either backend, and are solved in chunks of at most ``STACK_UNKNOWNS``
+    unknowns (at least one cell), each chunk one
+    :class:`~kinhom.cell_solver.CellStack` built from the scaled rates of
+    ``cell``.  ``D`` comes one a cell, the diagnostics as their worst.
+    """
+    like = cell.op
     per_chunk = max(1, STACK_UNKNOWNS // like.block_size)
-    D, b, residual, bound = [], [], 0.0, 0.0
-    for start in range(0, x.size, per_chunk):
-        stack = _stack(build, x[start:start + per_chunk], like)
+    D, residual, bound = [], 0.0, 0.0
+    for start in range(0, ratios.size, per_chunk):
+        r = ratios[start:start + per_chunk, None]
+        stack = CellStack(like.grid, like.vm, r * like.losses, r[..., None, None] * like.gains,
+                          like.scheme)
         equilibrium_F(stack)
-        star = solve_chi_star(stack, tol=settings["tol"])
+        star = solve_chi_star(stack, tol=cell.settings["tol"])
         D.append(diffusion_matrix(stack, star.chi))
-        b.append(star.b)
         residual = max(residual, float(star.residual.max()))
         bound = max(bound, float(star.bound_constant.max()))
-    return np.concatenate(D), np.concatenate(b), residual, bound
+    return np.concatenate(D), residual, bound
+
+
+def _lobatto(lo: float, hi: float, n: int) -> np.ndarray:
+    """``n`` Chebyshev-Lobatto nodes on ``[lo, hi]``, from ``hi`` down to ``lo``."""
+    nodes = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(np.pi * np.arange(n) / (n - 1))
+    nodes[0], nodes[-1] = hi, lo
+    return nodes
+
+
+def _chebyshev_tail(values: np.ndarray) -> float:
+    """Size of the last two Chebyshev coefficients of ``values`` at :func:`_lobatto` nodes.
+
+    Their largest magnitude over the tensor entries, relative to the
+    largest of the first coefficient's (coefficients by the DCT-I).
+    """
+    N = len(values) - 1
+    f = values.reshape(N + 1, -1) * np.where(np.arange(N + 1) % N, 1.0, 0.5)[:, None]
+    k = np.array([0, N - 1, N])
+    a = np.abs(np.cos(np.pi * np.outer(k, np.arange(N + 1)) / N) @ f)
+    return float(max(a[1].max(), 0.5 * a[2].max()) / (0.5 * a[0].max()))
+
+
+def _barycentric(nodes: np.ndarray, values: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The polynomial through ``values`` at the :func:`_lobatto` ``nodes``, at ``at``."""
+    w = np.where(np.arange(nodes.size) % 2, -1.0, 1.0)
+    w[[0, -1]] *= 0.5
+    diff = at[:, None] - nodes
+    hit = diff == 0.0
+    weights = np.where(hit.any(axis=1, keepdims=True), hit, w / np.where(hit, 1.0, diff))
+    return np.tensordot(weights / weights.sum(axis=1, keepdims=True), values, axes=1)
+
+
+def _solve_family(cell: CellSolution, x: np.ndarray):
+    """``(D, residual, bound constant, cell solves, Chebyshev tail)`` at ``x``.
+
+    Every position is gated and checked on the ray through ``cell``
+    (:func:`_ray_ratios`), so its cell is ``cell``'s with the rates scaled
+    by ``r = c(x) / c(x0)``, and ``D`` depends on ``x`` through ``r``
+    alone, analytically.  The family is solved (:func:`_solve_at`) at
+    nested Chebyshev-Lobatto nodes on ``[r_min, r_max]`` (``CHEB_FIRST``,
+    then twice as dense) until the Chebyshev tail of ``D`` is at most
+    ``CHEB_TAIL``, and ``D`` is interpolated at every ``r``.  A level with
+    more nodes than half the distinct ``r`` is not tried: the distinct
+    ``r`` are solved instead, each once, with a tail of 0.  The
+    diagnostics are the worst over every solve; the end nodes are
+    ``r_min`` and ``r_max``.
+    """
+    ratios = _ray_ratios(cell, x)
+    distinct, where = np.unique(ratios, return_inverse=True)
+    residual = bound = 0.0
+    solves, n, values = 0, CHEB_FIRST, None
+    while 2 * n <= distinct.size:
+        nodes = _lobatto(distinct[0], distinct[-1], n)
+        new = nodes if values is None else nodes[1::2]
+        D, res, bnd = _solve_at(cell, new)
+        residual, bound, solves = max(residual, res), max(bound, bnd), solves + new.size
+        if values is None:
+            values = D
+        else:  # the last level's nodes are every other node of this one
+            merged = np.empty((n, *D.shape[1:]))
+            merged[::2], merged[1::2] = values, D
+            values = merged
+        tail = _chebyshev_tail(values)
+        if tail <= CHEB_TAIL:
+            return _barycentric(nodes, values, ratios), residual, bound, solves, tail
+        n = 2 * n - 1
+    D, res, bnd = _solve_at(cell, distinct)
+    return D[where], max(residual, res), max(bound, bnd), solves + distinct.size, 0.0
 
 
 def assemble_effective(cell: CellSolution, x=None) -> EffectiveCoefficients:
@@ -231,15 +342,23 @@ def assemble_effective(cell: CellSolution, x=None) -> EffectiveCoefficients:
     ``cell`` is the :func:`solve_cell` result at ``x = 0``.  ``x`` is
     ``None`` (no modulation) or a non-empty 1-D array of finite macro
     positions.  A kernel without modulation, or ``x = None``, gives the
-    cell's own ``D``, flux and diagnostics.  Otherwise sampled assembly
-    solves one cell per position with the kernel, velocity set and settings
-    of ``cell`` and keeps only its ``D``, flux and diagnostics; the drift
-    ``U`` is zero at every position (see the module docstring).  Every
-    backend and scheme takes one path: the positions are assembled one at
-    a time, each operator dropped once its rates are copied, and solved in
-    stacks of at most ``STACK_UNKNOWNS`` unknowns (see
+    cell's own ``D``, flux and diagnostics.  Otherwise every position is
+    assembled and gated one at a time with the kernel, velocity set and
+    settings of ``cell``, and its rates must be ``c(x) / c(0)`` times those
+    of ``cell`` (every built-in kernel is ``c(x) s(y) g(v, w)``); a
+    position off that ray is refused.  ``D`` then depends on ``x`` only
+    through the scalar ``c``, analytically, and the family is solved at a
+    few values of ``c`` (:func:`_solve_family`): nested Chebyshev-Lobatto
+    nodes on ``[c_min, c_max]`` with ``D`` interpolated at each position,
+    or the distinct ``c`` themselves when they are fewer.  Either way the
+    cells are solved in stacks of at most ``STACK_UNKNOWNS`` unknowns (see
     :class:`kinhom.cell_solver.CellStack`), with no factorization; the
-    ellipticity gate then runs once over all positions.
+    ellipticity gate then runs once over all positions.  The flux pairs
+    the equilibrium ``1 / mu(V)`` with ``a(v)``, the same at every ``c``,
+    so it is the cell's; the drift ``U`` is zero at every position (see the
+    module docstring).  ``family_cell_solves`` counts the cells solved and
+    ``family_cheb_tail`` is the Chebyshev tail taken (0 when the distinct
+    ``c`` were solved).
     """
     kernel, vm = cell.op.kernel, cell.op.vm
     if x is None or kernel.x_dependence == "none":
@@ -250,7 +369,8 @@ def assemble_effective(cell: CellSolution, x=None) -> EffectiveCoefficients:
     x_arr = np.asarray(x, dtype=float).reshape(-1)
     if x_arr.size == 0 or not np.all(np.isfinite(x_arr)):
         raise ValueError(f"sampled macro positions x must be non-empty and finite; got {x_arr}")
-    D, b, residual, bound = _solve_stacked(cell, x_arr)
-    return EffectiveCoefficients(x=x_arr, D=D, U=np.zeros((x_arr.size, vm.dim)), flux=b,
-                                 residual=residual, bound_constant=bound,
-                                 ellipticity_min=ellipticity_gate(D))
+    D, residual, bound, solves, tail = _solve_family(cell, x_arr)
+    return EffectiveCoefficients(x=x_arr, D=D, U=np.zeros((x_arr.size, vm.dim)),
+                                 flux=np.tile(cell.b, (x_arr.size, 1)), residual=residual,
+                                 bound_constant=bound, ellipticity_min=ellipticity_gate(D),
+                                 family_cell_solves=solves, family_cheb_tail=tail)

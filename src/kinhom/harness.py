@@ -901,6 +901,9 @@ def _summarize(report: PipelineReport) -> dict[str, float | int | str]:
                 out[f"D_eff_{i + 1}{j + 1}"] = float(D[i, j])
         for i in range(U.shape[0]):
             out[f"U_{i + 1}"] = float(U[i])
+        if not coeffs.constant:
+            out["family_cell_solves"] = coeffs.family_cell_solves
+            out["family_cheb_tail"] = coeffs.family_cheb_tail
     if report.macro is not None:
         mass = report.macro.mass()
         out["macro_mass_drift"] = float(abs(mass[-1] - mass[0]) / mass[0])

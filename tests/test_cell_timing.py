@@ -31,17 +31,18 @@ def test_cell_timing_prints_ms_per_position_of_each_layer(timing, capsys):
     assert lines[0] == ("tanh seed 1: 32 positions, 16-point upwind cell, 2 velocities, "
                         "min of 2 sweeps")
     assert lines[1].split() == ["layer", "ms/position"]
-    rows = [line.split() for line in lines[2:]]
+    rows = [line.split()[:2] for line in lines[2:]]
     assert [name for name, _ in rows] == list(timing.LAYERS)
     assert all(math.isfinite(float(value)) and float(value) > 0.0 for _, value in rows)
-    assert rows[-1][0] == "family"
+    # 32 distinct c: fewer than twice the 17 first Chebyshev nodes, so each is solved
+    assert lines[-1].split()[0] == "family" and lines[-1].endswith("  (32 cells)")
 
 
 def test_cell_timing_family_row_times_the_stacked_solve(timing, monkeypatch):
-    # the family row runs the effective stage's stacked solve, once a sweep
+    # the family row runs the effective stage's family solve, once a sweep
     calls = []
-    solve = timing._solve_stacked
-    monkeypatch.setattr(timing, "_solve_stacked",
+    solve = timing._solve_family
+    monkeypatch.setattr(timing, "_solve_family",
                         lambda kernel, x, *a: calls.append(len(x)) or solve(kernel, x, *a))
     assert timing.main(["--reduced", "--sweeps", "2"]) == 0
     assert calls == [32, 32]
@@ -58,7 +59,7 @@ def test_cell_timing_times_the_one_circle2d_cell(timing, capsys):
     # the reduced scenario: the x = 0 cell, 8 x 8 upwind with the 8-node circle
     assert lines[0] == ("circle2d seed 1: 1 position, 64-point upwind cell, 8 velocities, "
                         "min of 2 sweeps")
-    rows = [line.split() for line in lines[2:]]
+    rows = [line.split()[:2] for line in lines[2:]]
     assert [name for name, _ in rows] == list(timing.LAYERS)
     assert all(math.isfinite(float(value)) and float(value) > 0.0 for _, value in rows)
 
@@ -71,7 +72,7 @@ def test_cell_timing_gate_row_samples_and_gates_each_position_alone(timing, monk
     monkeypatch.setattr(timing, "gate_rates",
                         lambda kernel, x, *a: gated.append(x) or gate(kernel, x, *a))
     assert timing.main(["--reduced", "--sweeps", "2"]) == 0
-    names, values = zip(*(line.split() for line in capsys.readouterr().out.splitlines()[2:]))
+    names, values = zip(*(line.split()[:2] for line in capsys.readouterr().out.splitlines()[2:]))
     assert names[-2:] == ("gate", "family")
     assert math.isfinite(float(values[-2])) and float(values[-2]) > 0.0
     assert len(gated) == 2 * 32 and len(set(gated)) == 32
@@ -83,6 +84,6 @@ def test_cell_timing_times_the_one_small_eps_cell(timing, capsys):
     # the reduced scenario: the x = 0 cell, 16-point Fourier collocation
     assert lines[0] == ("small_eps seed 1: 1 position, 16-point spectral cell, 2 velocities, "
                         "min of 2 sweeps")
-    rows = [line.split() for line in lines[2:]]
+    rows = [line.split()[:2] for line in lines[2:]]
     assert [name for name, _ in rows] == list(timing.LAYERS)
     assert all(math.isfinite(float(value)) and float(value) > 0.0 for _, value in rows)

@@ -252,18 +252,92 @@ def test_stacked_family_in_chunks_matches_per_position_solves(monkeypatch):
 
 
 def test_a_family_factors_only_stacks_within_the_bound(monkeypatch):
-    # the tanh benchmark's cell (64 points, 2 velocities): a full stack's
-    # worth of positions plus 8 take one full stack and one of the 8
+    # the tanh benchmark's cell (64 points, 2 velocities) at a full stack's
+    # worth of positions plus 8: the family is solved at 17 Chebyshev nodes
+    # in c, then at the 16 between them, each level one stack within the bound
     grid = CellGrid((64,))
     cell = solve_cell(TANH, 0.0, VM, grid=grid)
     stacks = _recorded_stacks(monkeypatch)
-    per_stack = effective.STACK_UNKNOWNS // 128
-    n_x = per_stack + 8
-    eff = assemble_effective(cell, x=np.linspace(-3.0, 3.0, n_x))
+    n_x = effective.STACK_UNKNOWNS // 128 + 8
+    x = np.linspace(-3.0, 3.0, n_x)
+    eff = assemble_effective(cell, x=x)
     assert eff.D.shape == (n_x, 1, 1)
     sizes = [stack.size for stack in stacks]
-    assert sizes == [per_stack * 128, 8 * 128]
+    assert sizes == [17 * 128, 16 * 128] and eff.family_cell_solves == 33
     assert max(sizes) <= effective.STACK_UNKNOWNS
+    # a bound below a level chunks its nodes as it chunks positions
+    monkeypatch.setattr(effective, "STACK_UNKNOWNS", 10 * 128)
+    stacks.clear()
+    chunked = assemble_effective(cell, x=x)
+    assert [stack.size for stack in stacks] == [10 * 128, 7 * 128, 10 * 128, 6 * 128]
+    np.testing.assert_allclose(chunked.D, eff.D, rtol=1e-11, atol=0.0)
+
+
+def _per_position_stacks(cell, x):
+    """``(D, flux, bound constant)`` of the positions' own operators, stacked.
+
+    The reference the Chebyshev family is held to: every position's cell
+    assembled from its own sampled rates and solved in stacks of at most
+    ``STACK_UNKNOWNS`` unknowns, with no interpolation.
+    """
+    like, grid = cell.op, cell.settings["grid"]
+    per_chunk = effective.STACK_UNKNOWNS // like.block_size
+    D, b, bound = [], [], 0.0
+    for start in range(0, x.size, per_chunk):
+        ops = [assemble(like.kernel, float(xi), like.vm, grid) for xi in x[start:start + per_chunk]]
+        stack = cell_solver.CellStack(grid, like.vm, np.stack([op.losses[0] for op in ops]),
+                                      np.stack([op.gains[0] for op in ops]), like.scheme)
+        equilibrium_F(stack)
+        star = solve_chi_star(stack)
+        D.append(diffusion_matrix(stack, star.chi))
+        b.append(star.b)
+        bound = max(bound, float(star.bound_constant.max()))
+    return np.concatenate(D), np.concatenate(b), bound
+
+
+@pytest.mark.parametrize("beta, weights, solves", [
+    (0.5, (1.0, 1.0), 17 + 16),
+    (0.9, (1.0, 2.0), 17 + 16 + 32),
+    (0.99, (1.0, 1.0), 17 + 16 + 32 + 64 + 512),
+], ids=["benchmark", "beta0.9-flux", "beta0.99-direct"])
+def test_a_family_in_c_holds_the_per_position_stacked_solves(beta, weights, solves):
+    # the tanh benchmark's 512 macro cell centres on [-4, 4] and 64-point
+    # upwind cell.  D is analytic in c on [1 - beta, 1 + beta], with a
+    # singularity at c = 0: at beta = 0.5 33 nodes take the tail below
+    # CHEB_TAIL, at beta = 0.9 65; at beta = 0.99 the 257 nodes after 129
+    # pass half the positions, so every position is solved after all, at
+    # 641 cells against 512
+    vm = two_velocity_1d(weights=weights)
+    kernel = make_kernel("sinusoidal", base=1.0, alpha=0.5, x_dependence="tanh",
+                         x_amplitude=beta)
+    x = -4.0 + 8.0 * (np.arange(512) + 0.5) / 512
+    cell = solve_cell(kernel, 0.0, vm, grid=CellGrid((64,)))
+    eff = assemble_effective(cell, x=x)
+    D, flux, bound = _per_position_stacks(cell, x)
+    assert eff.family_cell_solves == solves <= 1.3 * x.size
+    if solves > x.size:
+        assert eff.family_cheb_tail == 0.0
+    else:
+        assert 0.0 < eff.family_cheb_tail <= effective.CHEB_TAIL
+    np.testing.assert_allclose(eff.D, D, rtol=1e-11, atol=0.0)
+    np.testing.assert_allclose(eff.bound_constant, bound, rtol=1e-11, atol=0.0)
+    # the flux pairs the equilibrium with a(v), the same at every c
+    assert np.array_equal(eff.flux, flux) and np.all((flux != 0.0) == (weights[0] != weights[1]))
+
+
+def test_each_distinct_c_of_repeated_positions_is_solved_once(monkeypatch):
+    # 20 distinct positions, each three times: 17 nodes pass half the 20
+    # distinct c (not half the 60 positions), so the 20 are solved, once each
+    x = np.repeat(np.linspace(-2.0, 2.0, 20), 3)
+    cell = solve_cell(TANH, 0.0, VM, grid=CellGrid((16,)))
+    stacks = _recorded_stacks(monkeypatch)
+    eff = assemble_effective(cell, x=x)
+    assert [stack.size for stack in stacks] == [20 * 32]
+    assert (eff.family_cell_solves, eff.family_cheb_tail) == (20, 0.0)
+    assert np.array_equal(eff.D[0::3], eff.D[1::3]) and np.array_equal(eff.D[0::3], eff.D[2::3])
+    monkeypatch.undo()
+    solved = [solve_cell(TANH, xi, VM, grid=CellGrid((16,))) for xi in x[::3]]
+    np.testing.assert_allclose(eff.D[::3], np.stack([s.D for s in solved]), rtol=1e-11, atol=0.0)
 
 
 def test_upwind_cells_and_families_solve_without_a_factorization(monkeypatch):
@@ -362,3 +436,26 @@ def test_an_unbalanced_node_table_at_a_sampled_position_is_refused(monkeypatch):
     with pytest.raises(BalanceError, match="semi-detailed balance"):
         assemble_effective(cell, x=np.array([-1.0, 0.5, 1.0]))
     assert len(gates) == 2
+
+
+def _one_point_scaled(factor):
+    def alter(vals):
+        vals[5] *= factor  # every rate at one grid point: positive, finite, balanced
+        return vals
+    return alter
+
+
+def test_a_sampled_position_off_the_ray_is_refused_after_its_gates(monkeypatch):
+    cell, gates = _family_with_one_position_altered(monkeypatch, _one_point_scaled(1.5))
+    with pytest.raises(ValueError, match=r"rates at x = 0\.5 are off the ray") as err:
+        assemble_effective(cell, x=np.array([-1.0, 0.5, 1.0]))
+    assert not isinstance(err.value, BalanceError)
+    # it passed the balance gate, as the position before it did; the one after is never built
+    assert len(gates) == 2
+
+
+def test_samples_passed_through_unscaled_stay_on_the_ray(monkeypatch):
+    # negative control of the refusal above: the same altered path, factor 1
+    cell, gates = _family_with_one_position_altered(monkeypatch, _one_point_scaled(1.0))
+    eff = assemble_effective(cell, x=np.array([-1.0, 0.5, 1.0]))
+    assert len(gates) == 3 and eff.D.shape == (3, 1, 1) and eff.family_cell_solves == 3

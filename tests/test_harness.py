@@ -800,6 +800,20 @@ def test_summary_reports_the_worst_corrector_diagnostics():
     assert summary["bound_constant"] > cells[0].bound_constant
 
 
+def test_summary_reports_the_family_solves_of_modulated_scenarios_only(tmp_path):
+    # 32 positions, 32 distinct c: 17 Chebyshev nodes would pass half of
+    # them, so each c is solved once and no Chebyshev tail is taken
+    emit_tables(run_pipeline(parse_config(TANH_REDUCED), stop_after="effective"),
+                str(tmp_path / "tanh"))
+    lines = (tmp_path / "tanh" / "summary.txt").read_text().splitlines()
+    assert "family_cell_solves = 32" in lines
+    assert "family_cheb_tail = 0" in lines
+    unmodulated = TANH_REDUCED.replace("x_dependence = tanh", "x_dependence = none")
+    emit_tables(run_pipeline(parse_config(unmodulated), stop_after="effective"),
+                str(tmp_path / "none"))
+    assert "family_" not in (tmp_path / "none" / "summary.txt").read_text()
+
+
 def test_pipeline_with_kinetic_produces_sweep_and_sigma_rows():
     report = run_pipeline(parse_config(KINETIC))
     assert set(report.kinetic_states) == {0.4, 0.2}

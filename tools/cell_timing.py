@@ -28,16 +28,19 @@ solve:
   and gated (:func:`kinhom.cell_solver.gate_rates`: positivity,
   finiteness and semi-detailed balance), with no operator around them, so
   ``assemble`` minus ``gate`` is what the operator itself costs;
-* ``family``: the positions solved as the effective stage solves them,
-  in block-diagonal stacks of at most ``STACK_UNKNOWNS`` unknowns
-  (:mod:`kinhom.effective`).
+* ``family``: the positions solved as the effective stage solves them
+  (:mod:`kinhom.effective`): each one assembled, gated and checked on the
+  ray ``c(x) / c(0)`` times the ``x = 0`` rates, then the cells at the
+  Chebyshev nodes in ``c`` (or at each distinct ``c``) in block-diagonal
+  stacks of at most ``STACK_UNKNOWNS`` unknowns, and ``D`` interpolated;
+  the row ends with the number of cells solved.
 
 A sweep times every position once; each line is the minimum over
 ``--sweeps`` sweeps of the sweep's total divided by the number of
 positions.  As in the effective stage, the ``x = 0`` cell stays alive
 while the sweeps run.  ``solve_cell`` is the per-position cost of
 solving the family one position at a time, and ``family`` that of the
-stacked solve.  BLAS runs single-threaded.
+effective stage's.  BLAS runs single-threaded.
 """
 
 from __future__ import annotations
@@ -65,15 +68,15 @@ from kinhom.cell_solver import (  # noqa: E402
     solve_chi_star,
     verify_variational,
 )
-from kinhom.effective import _solve_stacked, solve_cell  # noqa: E402
+from kinhom.effective import _solve_family, solve_cell  # noqa: E402
 
 LAYERS = ("assemble", "equilibrium_F", "solve_chi_star", "verify_variational", "solve_cell",
           "gate", "family")
 WORKLOADS = ("tanh", "circle2d", "small_eps")
 
 
-def sweep(cell, positions) -> dict[str, float]:
-    """Seconds spent in each layer over one pass of ``positions``."""
+def sweep(cell, positions) -> tuple[dict[str, float], int]:
+    """Seconds spent in each layer over one pass of ``positions``, and the family's cell solves."""
     kernel, vm, settings = cell.op.kernel, cell.op.vm, cell.settings
     grid, scheme = settings["grid"], settings["scheme"]
     total = dict.fromkeys(LAYERS, 0.0)
@@ -101,9 +104,9 @@ def sweep(cell, positions) -> dict[str, float]:
         gate_rates(kernel, x, grid, vm)
     total["gate"] += clock() - t0
     t0 = clock()
-    _solve_stacked(cell, np.array(positions))
+    solves = _solve_family(cell, np.array(positions))[3]
     total["family"] += clock() - t0
-    return total
+    return total, solves
 
 
 def main(argv=None) -> int:
@@ -128,7 +131,8 @@ def main(argv=None) -> int:
                       scheme=cfg.cell["scheme"], n_modes=cfg.cell["n_modes"], tol=cfg.cell["tol"])
     best = dict.fromkeys(LAYERS, float("inf"))
     for _ in range(args.sweeps):
-        for name, secs in sweep(cell, positions).items():
+        total, solves = sweep(cell, positions)
+        for name, secs in total.items():
             best[name] = min(best[name], secs)
 
     print(f"{args.workload} seed {args.seed}: {len(positions)} "
@@ -137,7 +141,8 @@ def main(argv=None) -> int:
           f"min of {args.sweeps} sweeps")
     print(f"{'layer':<20}{'ms/position':>12}")
     for name in LAYERS:
-        print(f"{name:<20}{1e3 * best[name] / len(positions):>12.3f}")
+        row = f"{name:<20}{1e3 * best[name] / len(positions):>12.3f}"
+        print(row + f"  ({solves} cells)" if name == "family" else row)
     return 0
 
 
