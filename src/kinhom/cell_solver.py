@@ -64,13 +64,10 @@ from kinhom.phase_space import CellGrid, VelocityMeasure
 if TYPE_CHECKING:
     from scipy import sparse
 
-    from kinhom.collision import SdbReport
-
 __all__ = [
     "CompatibilityError",
     "ConvergenceError",
     "CellOperator",
-    "CellRates",
     "CellStack",
     "RING_LEVEL",
     "SpectralCellOperator",
@@ -369,51 +366,26 @@ class _CellOperatorBase:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CellRates:
-    """Gated rates at position ``x`` on ``grid`` with the velocity set ``vm``.
+def gate_rates(kernel, x, grid: CellGrid, vm: VelocityMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """The gated rates of ``kernel`` at ``x`` sampled on ``grid``, ``(gain, loss)``.
 
-    The gain blocks ``gain`` are ``(n, K, K)`` and the loss ``loss``
-    ``(n, K)``.  Made by :func:`gate_rates`; :func:`assemble` takes them in
-    place of sampling and gating the kernel again, at the position, grid
-    and velocity set they were gated at only.
-    """
-
-    x: object
-    grid: CellGrid
-    vm: VelocityMeasure
-    gain: np.ndarray
-    loss: np.ndarray
-
-    def gated_at(self, x, grid: CellGrid, vm: VelocityMeasure) -> bool:
-        """Whether these are the rates at ``x`` on ``grid`` with ``vm``."""
-        return (np.array_equal(self.x, x) and self.grid == grid
-                and np.array_equal(self.vm.nodes, vm.nodes)
-                and np.array_equal(self.vm.weights, vm.weights))
-
-
-def gate_rates(kernel, x, grid: CellGrid, vm: VelocityMeasure,
-               sdb: SdbReport | None = None) -> CellRates:
-    """The rates of ``kernel`` at ``x`` sampled on ``grid``, gated.
-
-    ``kernel`` is a kernel or its samples there, ``(*grid.shape, K, K)``
-    (as for :func:`kinhom.collision.check_sdb`).  Refuses rates that are
-    not positive and finite (before the balance gate, which would read
-    their gap as NaN), then rates that fail semi-detailed balance.  The
-    first gate is ``min > 0`` and ``max < inf``: a NaN fails both
-    comparisons (``min`` and ``max`` propagate it), and 0, negative values
-    and ±inf fail one, with no boolean temporaries.  ``sdb``
-    is :func:`kinhom.collision.check_sdb` of these very samples when the
-    caller has measured it; it is taken as given, not measured again.  The
-    samples are not kept: the gain is a new array, so they can be freed
-    before the gain matrix is built.
+    ``kernel`` is a kernel or its samples there, ``(*grid.shape, K, K)``.
+    Refuses rates that are not positive and finite (before the balance
+    gate, which would read their gap as NaN), then rates that fail
+    semi-detailed balance.  The first gate is ``min > 0`` and ``max <
+    inf``: a NaN fails both comparisons (``min`` and ``max`` propagate
+    it), and 0, negative values and ±inf fail one, with no boolean
+    temporaries.  The gain blocks are ``(n, K, K)`` and the loss ``(n,
+    K)`` (:func:`kinhom.collision.gain_loss`).  The samples are not kept:
+    the gain is a new array, so they can be freed before the gain matrix
+    is built.
     """
     K = vm.n_nodes
     samp = _sampled(kernel, x, grid, vm).reshape(-1, K, K)
     if not (samp.min() > 0 and samp.max() < np.inf):
         raise ValueError("scattering rates must be positive and finite on the grid")
-    (sdb_gap(samp, vm.weights) if sdb is None else sdb).require()
-    return CellRates(x, grid, vm, *gain_loss(samp, vm.weights))
+    sdb_gap(samp, vm.weights).require()
+    return gain_loss(samp, vm.weights)
 
 
 class CellOperator(_CellOperatorBase):
@@ -424,8 +396,7 @@ class CellOperator(_CellOperatorBase):
     gain matrix follow at first use.
     """
 
-    def __init__(self, kernel, x, vm: VelocityMeasure, grid: CellGrid, scheme: str,
-                 rates: CellRates | None = None):
+    def __init__(self, kernel, x, vm: VelocityMeasure, grid: CellGrid, scheme: str):
         # the gain matrix waits for the first solve, but scipy still loads at
         # the first assembly of a process, which the check stage never makes
         import scipy.sparse  # noqa: F401
@@ -436,12 +407,8 @@ class CellOperator(_CellOperatorBase):
         self.x = x
         self.field_shape = (*grid.shape, vm.n_nodes)
 
-        if rates is None:
-            rates = gate_rates(kernel, x, grid, vm)
-        elif not rates.gated_at(x, grid, vm):
-            raise ValueError(f"rates gated at x = {rates.x!r} on {rates.grid} do not serve "
-                             f"x = {x!r} on {grid} with this velocity set")
-        super().__init__(grid, vm, rates.loss.reshape(1, -1), rates.gain[None], scheme)
+        gain, loss = gate_rates(kernel, x, grid, vm)
+        super().__init__(grid, vm, loss.reshape(1, -1), gain[None], scheme)
         if self.sigma_min <= 0:
             raise ValueError("absorption rate must be strictly positive")
 
@@ -465,16 +432,14 @@ class CellOperator(_CellOperatorBase):
 
 
 def assemble(kernel, x, vm: VelocityMeasure, grid: CellGrid,
-             scheme: str = "upwind", *, rates: CellRates | None = None) -> CellOperator:
+             scheme: str = "upwind") -> CellOperator:
     """Build the grid-backend cell operator at macro position ``x``.
 
-    Refuses rates that are not positive or fail semi-detailed balance;
-    ``rates`` are the kernel's rates at ``x`` on ``grid`` already through
-    :func:`gate_rates`, when the caller has them, so they are neither
-    sampled nor gated again (rates gated elsewhere are refused).  The
-    splitting and the gain matrix are built at first use.
+    Samples the rates once and refuses them unless positive, finite and in
+    semi-detailed balance (:func:`gate_rates`).  The splitting and the
+    gain matrix are built at first use.
     """
-    return CellOperator(kernel, x, vm, grid, scheme, rates)
+    return CellOperator(kernel, x, vm, grid, scheme)
 
 
 class CellStack(_CellOperatorBase):
@@ -616,8 +581,8 @@ class SpectralCellOperator(_CellOperatorBase):
         box = (2 * m + 1,) * len(gens)
         torus = _Torus(box or (1,), tuple(2.0 * np.pi / g for g in gens) or (2.0 * np.pi,))
         samples = kernel._rates(x, _torus_profile(kernel, gens, torus.shape), vm)
-        rates = gate_rates(samples.reshape(*torus.shape, vm.n_nodes, vm.n_nodes), x, torus, vm)
-        super().__init__(torus, vm, rates.loss.reshape(1, -1), rates.gain[None], "spectral")
+        gain, loss = gate_rates(samples.reshape(*torus.shape, vm.n_nodes, vm.n_nodes), x, torus, vm)
+        super().__init__(torus, vm, loss.reshape(1, -1), gain[None], "spectral")
         self.kernel = kernel
         self.x = x
         self.n_modes = m

@@ -43,7 +43,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from kinhom.cell_solver import (
-    CellRates,
     CellStack,
     assemble,
     assemble_spectral_ap,
@@ -68,25 +67,20 @@ class EllipticityError(RuntimeError):
     """The symmetrized diffusion tensor has a non-positive direction."""
 
 
-def diffusion_matrix(op, chi, convention: str = "effective") -> np.ndarray:
+def diffusion_matrix(op, chi) -> np.ndarray:
     """Homogenized diffusion tensor from correctors and the equilibrium ``op.F``.
 
-    Computes the corrector-flux pairing ``M_ij = int M(chi_i a_j F) dmu``.
-    With ``convention="effective"`` (default) returns ``-M``, the
-    positive-definite divergence-form tensor; ``convention="pairing"``
-    returns the raw (negative-definite) moment matrix.  A
+    Computes the corrector-flux pairing ``M_ij = int M(chi_i a_j F) dmu``
+    and returns ``-M``, the positive-definite divergence-form tensor.  A
     :class:`~kinhom.cell_solver.CellStack` gives one tensor per block,
     ``(m, d, d)``.
     """
-    if convention not in ("effective", "pairing"):
-        raise ValueError(f"unknown convention {convention!r}")
     d = op.vm.dim
     # M_ij = <a_j F, chi_i>: every backend's fields are real samples on its
     # grid or torus, so a_j F is the pointwise product
     mat = np.array([[op.pairings(op.velocity_profile(j) * op.F, op.unwrap(c))
                      for j in range(d)] for c in chi])
-    mat = op.per_cell(np.moveaxis(mat, 2, 0))  # (blocks, d, d) -> the operator's result
-    return -mat if convention == "effective" else mat
+    return -op.per_cell(np.moveaxis(mat, 2, 0))  # (blocks, d, d) -> the operator's result
 
 
 def ellipticity_gate(D: np.ndarray) -> float:
@@ -153,32 +147,34 @@ class CellSolution:
     chi: list            # the adjoint correctors, wrapped
 
 
+def _assemble(kernel, x, vm: VelocityMeasure, settings: dict):
+    """The cell operator at ``x`` on the backend of the :func:`solve_cell` ``settings``."""
+    if settings["backend"] == "spectral_ap":
+        return assemble_spectral_ap(kernel, x, vm, n_modes=settings["n_modes"])
+    if settings["grid"] is None:
+        raise ValueError("grid backend needs a cell grid")
+    return assemble(kernel, x, vm, settings["grid"], scheme=settings["scheme"])
+
+
 def solve_cell(kernel, x, vm: VelocityMeasure, *, backend: str | None = None,
                grid: CellGrid | None = None, scheme: str = "upwind", n_modes: int = 8,
-               tol: float | None = None, rates: CellRates | None = None) -> CellSolution:
+               tol: float | None = None) -> CellSolution:
     """Solve the cell problem at ``x``: operator, equilibrium, correctors, ``D``.
 
     ``backend`` is ``"grid"`` (needs ``grid`` and ``scheme``) or
     ``"spectral_ap"`` (uses ``n_modes``); ``None`` picks
-    :func:`default_backend`.  ``rates`` hands the grid operator rates gated
-    already (see :func:`kinhom.cell_solver.assemble`); it is not a
-    setting.  Raises :class:`EllipticityError` when the diffusion tensor
-    has a non-positive direction.
+    :func:`default_backend`.  Raises :class:`EllipticityError` when the
+    diffusion tensor has a non-positive direction.
     """
-    backend = default_backend(kernel) if backend is None else backend
-    if backend == "spectral_ap":
-        op = assemble_spectral_ap(kernel, x, vm, n_modes=n_modes)
-    elif grid is None:
-        raise ValueError("grid backend needs a cell grid")
-    else:
-        op = assemble(kernel, x, vm, grid, scheme=scheme, rates=rates)
+    settings = dict(backend=default_backend(kernel) if backend is None else backend,
+                    grid=grid, scheme=scheme, n_modes=n_modes, tol=tol)
+    op = _assemble(kernel, x, vm, settings)
     lam, _ = equilibrium_F(op)
     star = solve_chi_star(op, tol=tol)
     D = diffusion_matrix(op, star.chi)
     return CellSolution(op=op, lam=lam, b=star.b, D=D, ellipticity_min=ellipticity_gate(D),
                         residual=star.residual, bound_constant=star.bound_constant,
-                        settings=dict(backend=backend, grid=grid, scheme=scheme,
-                                      n_modes=n_modes, tol=tol), chi=star.chi)
+                        settings=settings, chi=star.chi)
 
 
 # Most unknowns one stacked solve of a sampled family takes (at least one
@@ -220,21 +216,15 @@ def _ray_ratios(cell: CellSolution, x: np.ndarray) -> np.ndarray:
     sum, so it follows.  A position off that ray is refused with a
     :class:`ValueError` naming it, as the family is solved along the ray.
     """
-    like, settings = cell.op, cell.settings
-    kernel, vm = like.kernel, like.vm
-    if settings["backend"] == "spectral_ap":
-        def build(xi):
-            return assemble_spectral_ap(kernel, xi, vm, n_modes=settings["n_modes"])
-    else:
-        def build(xi):
-            return assemble(kernel, xi, vm, settings["grid"], scheme=settings["scheme"])
+    like, kernel = cell.op, cell.op.kernel
     c0, gain0 = kernel.x_factor(like.x), like.gains[0]
     scale = np.abs(gain0).max()
     level = RAY_RTOL * scale
     ratios = np.empty(x.size)
     for i, xi in enumerate(x.tolist()):
         ratios[i] = ratio = float(kernel.x_factor(xi) / c0)
-        off = np.abs(build(xi).gains[0] - ratio * gain0).max()
+        gain = _assemble(kernel, xi, like.vm, cell.settings).gains[0]
+        off = np.abs(gain - ratio * gain0).max()
         if not off <= ratio * level:
             raise ValueError(
                 f"rates at x = {xi!r} are off the ray through the x0 = {like.x!r} cell: not "

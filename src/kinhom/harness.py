@@ -32,8 +32,6 @@ import numpy as np
 
 from kinhom.cell_solver import (
     RING_LEVEL,
-    CellRates,
-    gate_rates,
     verify_variational,
 )
 from kinhom.cell_solver import (  # noqa: F401  (perfbench/tracing.py wraps these names here)
@@ -45,10 +43,8 @@ from kinhom.cell_solver import (  # noqa: F401  (perfbench/tracing.py wraps thes
 from kinhom.collision import (
     ONE_DIMENSIONAL_KINDS,
     ScatteringKernel,
-    SdbReport,
     check_sdb,
     make_kernel,
-    sdb_gap,
 )
 from kinhom.effective import (
     EffectiveCoefficients,
@@ -690,10 +686,11 @@ def run_pipeline(
 ) -> PipelineReport:
     """Execute the full homogenization pipeline for one scenario.
 
-    Stages: gate checks (balance of the ``x = 0`` rates, and on the grid
-    their positivity; velocity-span, and the kinetic pre-flight when a
-    ``[kinetic]`` section is present), cell solves (on the frequency
-    lattice, with its ring weight), effective coefficients, macro
+    Stages: gate checks (balance of the kernel's node table, which decides
+    balance at every position; velocity-span, and the kinetic pre-flight
+    when a ``[kinetic]`` section is present), cell solves (each operator
+    samples its rates and gates their positivity and balance; on the
+    frequency lattice, with its ring weight), effective coefficients, macro
     integration, then — when a
     ``[kinetic]`` section is present — kinetic runs per epsilon with sweep
     and sigma tables.
@@ -713,12 +710,8 @@ def run_pipeline(
         h1 = validate_h1(vm)
         report.h1_ok = bool(h1.ok)
         backend = cfg.cell_backend(kernel)
-        if backend == "grid":
-            grid = cfg.build_cell_grid()
-            sdb, rates = _checked_cell_rates(kernel, grid, vm)
-        else:
-            grid = rates = None
-            sdb = sdb_gap(kernel.node_matrix(vm), vm.weights)
+        grid = cfg.build_cell_grid() if backend == "grid" else None
+        sdb = check_sdb(kernel, vm)
         report.sdb_gap = sdb.max_rel_gap
         sdb.require()
         if cfg.kinetic is not None:
@@ -728,7 +721,7 @@ def run_pipeline(
 
     with _stage("cell"):
         cell = solve_cell(kernel, 0.0, vm, backend=backend, grid=grid, scheme=cfg.cell["scheme"],
-                          n_modes=cfg.cell["n_modes"], tol=cfg.cell["tol"], rates=rates)
+                          n_modes=cfg.cell["n_modes"], tol=cfg.cell["tol"])
         report.lam = cell.lam
         report.flux = cell.b
         report.variational_residual = verify_variational(cell.op)
@@ -767,19 +760,6 @@ def run_pipeline(
             _run_kinetic(cfg, report, vm, kernel, mg, macro)
 
     return _finish()
-
-
-def _checked_cell_rates(kernel, grid: CellGrid, vm: VelocityMeasure) -> tuple[SdbReport, CellRates]:
-    """``(balance report, gated rates)`` of the ``x = 0`` cell, sampled once.
-
-    The check stage measures the balance gap on these samples and refuses
-    rates that are not positive or not balanced; the cell stage's ``x = 0``
-    operator takes the gated rates instead of sampling and gating again.
-    The samples are freed on return.
-    """
-    samples = kernel.sample_cell(0.0, grid, vm)
-    sdb = check_sdb(samples, 0.0, grid, vm)
-    return sdb, gate_rates(samples, 0.0, grid, vm, sdb=sdb)
 
 
 def _ring_check(cell) -> float:

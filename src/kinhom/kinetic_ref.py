@@ -92,7 +92,7 @@ zero and the run is pure transport.
 For balanced kernels the weighted column sums vanish too, and that
 transfers to the exponential: ``mu^T Q = 0`` gives ``mu^T (M - I) = 0``,
 so row 0 of the increment is ``-sum_{k >= 1} (mu_k / mu_0)`` times row
-``k``.  A validated solver keeps rows ``R = 1..K-1`` only, forward
+``k``.  The solver keeps rows ``R = 1..K-1`` only, forward
 transforms K-1 rows and rebuilds row 0's spectrum from theirs in the add
 to the state; the weighted zero mode ``sum_k mu_k f_hat_k[0]``, the mass,
 then holds to roundoff.  Balance holds to the gate's tolerance
@@ -100,9 +100,10 @@ then holds to roundoff.  Balance holds to the gate's tolerance
 - out_l)`` and ``expm(s Q)`` is row-stochastic, so the row-0 defect this
 drops is at most about ``SDB_TOL (dt Sigma_max / eps^2) (mu(V) / mu_0) max|f|``
 a step.  The collision step is L2-dissipative, which is what the monitor
-checks.  The solver refuses kernels that violate semi-detailed balance
-unless explicitly told not to; those negative controls keep all K rows, so
-their mass drifts as the unbalanced kernel makes it.
+checks.  The solver takes a kernel only, evaluates its rates at every
+grid point, and refuses them unless they are positive, finite and in
+semi-detailed balance there, which is what makes dropping row 0 exact
+to the gate's tolerance.
 """
 
 from __future__ import annotations
@@ -259,28 +260,24 @@ class KineticSolver:
     Parameters
     ----------
     kernel :
-        A :class:`~kinhom.collision.ScatteringKernel` (evaluated pointwise
-        at ``y = x/eps``, so quasi-periodic profiles need no grid
-        commensurability), or a raw node table — constant ``(K, K)`` or
-        per-point ``(n_x, K, K)`` — for controlled experiments.
+        A :class:`~kinhom.collision.ScatteringKernel`, evaluated pointwise
+        at ``y = x/eps`` (so quasi-periodic profiles need no grid
+        commensurability).  Its rates there must be positive, finite and
+        in semi-detailed balance at every grid point.
     grid :
         Periodic 1-D macro grid.
     c_split :
         Splitting cap ``c_split eps^2 / Sigma_max`` on the coarse step of
         :meth:`run`.  ``"auto"`` is :data:`C_SPLIT_EXTRAPOLATED`.
-    validate :
-        Refuse kernels failing semi-detailed balance.  Disable only for
-        negative-control experiments.
     """
 
     def __init__(
         self,
-        kernel,
+        kernel: ScatteringKernel,
         vm: VelocityMeasure,
         grid: MacroGrid,
         epsilon: float,
         c_split: float | str = "auto",
-        validate: bool = True,
     ):
         if grid.dim != 1 or vm.dim != 1:
             raise ValueError("the kinetic reference is one-dimensional")
@@ -294,37 +291,25 @@ class KineticSolver:
         self.c_split = float(C_SPLIT_EXTRAPOLATED if c_split == "auto" else c_split)
 
         # an int once: ``grid.n_points`` is a product over the shape
-        n_x = self._n_x = grid.n_points
+        self._n_x = grid.n_points
         x = grid.axes()[0]
-        if isinstance(kernel, ScatteringKernel):
-            rates = kernel.evaluate(x, x / self.epsilon, vm)  # (n_x, K, K)
-        else:
-            arr = np.asarray(kernel, dtype=float)
-            if arr.shape == (vm.n_nodes, vm.n_nodes):
-                rates = np.broadcast_to(arr, (n_x, vm.n_nodes, vm.n_nodes)).copy()
-            elif arr.shape == (n_x, vm.n_nodes, vm.n_nodes):
-                rates = arr.copy()
-            else:
-                raise ValueError(f"kernel table has shape {arr.shape}")
+        if not isinstance(kernel, ScatteringKernel):
+            raise TypeError(f"the kinetic reference takes a ScatteringKernel, not {type(kernel)}")
+        rates = kernel.evaluate(x, x / self.epsilon, vm)  # (n_x, K, K)
         if not np.all(np.isfinite(rates) & (rates > 0)):
             raise ValueError("scattering rates must be positive and finite")
-        if validate:
-            sdb_gap(rates, vm.weights).require()
+        sdb_gap(rates, vm.weights).require()
         # per-point generators Q = gain - diag(loss)
         self._Q, loss = gain_loss(rates, vm.weights)
         nodes = np.arange(vm.n_nodes)
         self._Q[:, nodes, nodes] -= loss
-        # the rows of (M - I) f that collision_full returns, and the (K, rows)
-        # matrix that lifts their spectra to all K rows: balance gives
-        # mu^T (M - I) = 0, so row 0 is -sum_{k >= 1} (mu_k / mu_0) row k; a
-        # negative control keeps every row
-        first = 1 if validate else 0
-        self._rows = slice(first, None)
-        self._lift = np.eye(vm.n_nodes)[:, first:]
-        if validate:
-            self._lift[0] = -vm.weights[1:] / vm.weights[0]
-        # its columns as complex (K, 1) blocks: a complex-by-complex column
-        # multiply costs a third of a mixed one or of a (K, rows) matmul
+        # the matrix (K, K-1) that lifts the spectra of rows 1..K-1 of (M - I) f,
+        # which collision_full returns, to all K rows: balance gives
+        # mu^T (M - I) = 0, so row 0 is -sum_{k >= 1} (mu_k / mu_0) row k.
+        # Its columns as complex (K, 1) blocks: a complex-by-complex column
+        # multiply costs a third of a mixed one or of a (K, K-1) matmul
+        self._lift = np.eye(vm.n_nodes)[:, 1:]
+        self._lift[0] = -vm.weights[1:] / vm.weights[0]
         self._lift_columns = list(self._lift.T.astype(complex)[:, :, None])
         self._sigma_max = float(loss.max())
         self._speeds = vm.field[:, 0]
@@ -360,8 +345,7 @@ class KineticSolver:
         ``collision`` holds columns ``1..K-1`` of the per-point ``expm(dt Q /
         eps^2) - I`` in the rows the solver keeps: a contiguous ``(K-1, R,
         n_x)`` array indexed ``[l - 1, i, x]``, entry ``(k, l)`` of the
-        matrix at point ``x`` with ``k`` the ``i``-th kept row (``1..K-1``
-        for a validated kernel, all ``K`` for a negative control), so
+        matrix at point ``x`` with ``k`` the ``i``-th kept row (``1..K-1``), so
         ``D[l - 1]`` is the whole-grid column ``l`` of every matrix.  For a
         tuple of ``S`` sizes, the stacks of their tables, ``(S, K, n_x//2 +
         1)`` and ``(K-1, S, R, n_x)``, cached under the tuple.
@@ -380,7 +364,7 @@ class KineticSolver:
                 mats = _expm(dt / self.epsilon**2 * self._Q)
                 nodes = np.arange(mats.shape[1])
                 mats[:, nodes, nodes] -= 1.0
-                tables = phase, np.ascontiguousarray(mats[:, self._rows, 1:].transpose(2, 1, 0))
+                tables = phase, np.ascontiguousarray(mats[:, 1:, 1:].transpose(2, 1, 0))
             self._table_cache[dt] = tables
         return tables
 
@@ -394,8 +378,7 @@ class KineticSolver:
         + D[:, 2] g[1] + ...`` with ``D = M - I``, summed in that order,
         elementwise over the grid: one multiply and one add of whole
         ``(R, n_x)`` blocks per deviation row.  The result is ``(R, n_x)``:
-        rows ``1..K-1`` for a validated kernel, whose row 0 follows from mass
-        conservation, and all ``K`` rows for a negative control.  With one
+        rows ``1..K-1``, whose row 0 follows from mass conservation.  With one
         node there are no deviations and it is zero.  A stack ``(S, K-1,
         n_x)`` of deviations with a tuple of ``S`` sizes gives ``(S, R,
         n_x)``, each entry with its own size's tables.
@@ -415,8 +398,8 @@ class KineticSolver:
         Transport half; then the collision increment, computed in real
         space from the K-1 deviations ``f[1:] - f[0]`` (one inverse FFT of
         K-1 rows), sent to Fourier space in the rows
-        :meth:`collision_full` returns (one forward FFT of K-1 rows for a
-        validated kernel) and lifted to all K rows in the add; then
+        :meth:`collision_full` returns (one forward FFT of K-1 rows) and
+        lifted to all K rows in the add; then
         transport half.  A stack ``(S, K, n_x//2 + 1)`` of states with a
         tuple of ``S`` sizes takes one step of each, every entry at its own
         size, in the same calls: the arithmetic per element is that of the

@@ -179,7 +179,7 @@ def test_criterion_2_constant_kernel_closed_forms():
     assert abs(b[0]) <= 1e-10
     v = VM.field[:, 0]
     assert np.max(np.abs(chi[0].values - (-v / 2.0)[None, :])) <= 1e-10
-    pairing = diffusion_matrix(op, chi, convention="pairing")
+    pairing = -diffusion_matrix(op, chi)
     assert abs(pairing[0, 0] + 0.5) <= 1e-10
     eff = assemble_effective(solve_cell(kernel, 0.0, VM, grid=grid))
     assert abs(eff.D[0, 0] - 0.5) <= 1e-10
@@ -235,10 +235,10 @@ def test_criterion_4_randomized_structure_invariants():
         rhs = float(np.sum(f.values * apply_Q_star(kernel, 0.0, h).values * vm.weights))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
-        assert check_sdb(kernel, 0.0, grid, vm).passed
+        assert check_sdb(kernel, vm).passed
         broken = (g + g.T) / 2
         broken[0, 1] += rng.uniform(0.1, 0.5)
-        assert not check_sdb(make_kernel("table", table=broken), 0.0, grid, vm).passed
+        assert not check_sdb(make_kernel("table", table=broken), vm).passed
 
         op = assemble(kernel, 0.0, vm, cell, scheme="upwind")
         vec = rng.standard_normal(op.size)

@@ -620,23 +620,6 @@ def test_a_stack_holds_each_position_operator_on_its_diagonal(dim, vm, grid):
         assert np.array_equal(stack.velocity_profile(0)[block], op.velocity_profile(0))
 
 
-def test_assembly_takes_gated_rates_only_where_they_were_gated():
-    kernel = make_kernel("sinusoidal", base=1.0, alpha=0.5, x_dependence="tanh",
-                         x_amplitude=0.5)
-    grid = CellGrid((16,))
-    samples = kernel.sample_cell(0.4, grid, VM)
-    rates = cell_solver.gate_rates(samples, 0.4, grid, VM)
-    op, fresh = assemble(kernel, 0.4, VM, grid, rates=rates), assemble(kernel, 0.4, VM, grid)
-    assert np.array_equal(op.losses, fresh.losses) and np.array_equal(op.gains, fresh.gains)
-    _assert_bitwise(op.K_mat, fresh.K_mat)
-    assert np.array_equal(op.dense_P(), fresh.dense_P())
-    for x, other_grid, vm in ((0.7, grid, VM),
-                              (0.4, CellGrid((16,), period=2.0), VM),
-                              (0.4, grid, two_velocity_1d(weights=(1.0, 2.0)))):
-        with pytest.raises(ValueError, match="rates gated at x = 0.4 on"):
-            assemble(kernel, x, vm, other_grid, rates=rates)
-
-
 def _stack_of(kernel, xs, vm=VM, grid=CellGrid((16,))):
     ops = [assemble(kernel, x, vm, grid) for x in xs]
     return cell_solver.CellStack(grid, vm, np.stack([op.sigma_flat for op in ops]),

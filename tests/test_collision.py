@@ -26,9 +26,8 @@ def _random_sdb_kernel(rng, K):
 
 def test_sdb_detection_negative_control():
     vm = two_velocity_1d()
-    grid = CellGrid((4,))
     kernel = make_kernel("table", table=np.array([[1.0, 2.0], [3.0, 4.0]]))
-    report = check_sdb(kernel, 0.0, grid, vm)
+    report = check_sdb(kernel, vm)
     # outgoing row sums (3, 7) vs incoming column sums (4, 6): gap 1
     assert not report.passed
     assert abs(report.max_abs_gap - 1.0) < 1e-15
@@ -37,9 +36,8 @@ def test_sdb_detection_negative_control():
 def test_sdb_detection_positive_control():
     rng = np.random.default_rng(11)
     vm = velocity_from_tables(nodes=[[-1.0], [0.5], [2.0]], weights=[1.0, 0.7, 2.0])
-    grid = CellGrid((4,))
     for _ in range(20):
-        report = check_sdb(_random_sdb_kernel(rng, 3), 0.0, grid, vm)
+        report = check_sdb(_random_sdb_kernel(rng, 3), vm)
         assert report.passed
 
 
@@ -65,7 +63,7 @@ def test_every_backend_gates_on_one_balance_gap(delta, balanced):
         f"[sigma]\nfamily = table\ntable = 1.0, {1.0 + delta!r}; 1.0, 1.0\n"
     )
     verdicts = {
-        "check_sdb": check_sdb(kernel, 0.0, CellGrid((8,)), vm).passed,
+        "check_sdb": check_sdb(kernel, vm).passed,
         "assemble": _accepts(lambda: assemble(kernel, 0.0, vm, CellGrid((8,)))),
         "assemble_spectral_ap": _accepts(lambda: assemble_spectral_ap(kernel, 0.0, vm)),
         "KineticSolver": _accepts(lambda: KineticSolver(
@@ -199,6 +197,24 @@ def test_positivity_guard():
         with pytest.raises(ValueError, match="defect width must be positive and finite"):
             make_kernel("sinusoidal_defect", base=1.0, alpha=0.25,
                         defect_amplitude=0.5, defect_width=width)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("constant", dict(s0=np.nan)),
+    ("table", dict(table=[[1.0, np.nan], [1.0, 1.0]])),
+    ("table", dict(table=[[1.0, np.inf], [1.0, 1.0]])),
+    ("sinusoidal", dict(base=np.nan, alpha=0.5)),
+    ("sinusoidal", dict(base=np.inf, alpha=0.5)),
+    ("sinusoidal", dict(base=-np.inf, alpha=0.5)),
+    ("sinusoidal", dict(base=1.0, alpha=np.nan)),
+    ("quasi_periodic", dict(base=1.0, alpha1=0.2, alpha2=np.nan)),
+    ("constant", dict(x_dependence="tanh", x_amplitude=np.nan)),
+])
+def test_non_finite_kernel_parameters_are_refused(kind, params):
+    # NaN fails the "<= 0" and ">= 1" checks, so each of these once built a
+    # kernel whose cell samples were not finite
+    with pytest.raises(ValueError, match="kernel parameters must be finite"):
+        make_kernel(kind, **params)
 
 
 def test_tanh_macro_modulation():

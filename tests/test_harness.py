@@ -694,52 +694,58 @@ def test_pipeline_solves_a_modulated_cell_per_macro_point(monkeypatch):
 
 
 def _count_rate_samples(monkeypatch):
-    """Count samples of the cell rates and measurements of their balance gap."""
+    """Count samples of the cell rates and balance gaps of node tables and of samples."""
     from kinhom import cell_solver, collision
 
-    calls = {"sample_cell": 0, "sdb_gap": 0}
+    calls = {"sample_cell": 0, "table_gap": 0, "sample_gap": 0}
     sample_cell, sdb_gap = collision.ScatteringKernel.sample_cell, collision.sdb_gap
 
     def counted_sample(self, *args, **kwargs):
         calls["sample_cell"] += 1
         return sample_cell(self, *args, **kwargs)
 
-    def counted_gap(*args, **kwargs):
-        calls["sdb_gap"] += 1
-        return sdb_gap(*args, **kwargs)
+    def counted_gap(rates, *args, **kwargs):
+        calls["table_gap" if np.ndim(rates) == 2 else "sample_gap"] += 1
+        return sdb_gap(rates, *args, **kwargs)
 
     monkeypatch.setattr(collision.ScatteringKernel, "sample_cell", counted_sample)
-    for module in (collision, cell_solver, harness):
+    for module in (collision, cell_solver):
         monkeypatch.setattr(module, "sdb_gap", counted_gap)
     return calls
 
 
 def test_the_x0_rates_are_sampled_and_gated_once(monkeypatch):
-    # the check stage samples the x = 0 rates and measures their balance gap;
-    # the cell stage's operator takes the gated rates as they are
+    # the check stage measures the balance gap of the node table; the cell
+    # stage's operator samples the x = 0 rates and gates them
     calls = _count_rate_samples(monkeypatch)
     report = run_pipeline(parse_config(MINIMAL), stop_after="cell")
-    assert calls == {"sample_cell": 1, "sdb_gap": 1}
+    assert calls == {"sample_cell": 1, "table_gap": 1, "sample_gap": 1}
     assert report.sdb_gap <= 1e-12
     # the sampled positions of a modulated kernel sample and gate once each
-    calls.update(sample_cell=0, sdb_gap=0)
+    calls.update(sample_cell=0, table_gap=0, sample_gap=0)
     cfg = parse_config(TANH_REDUCED)
     run_pipeline(cfg, stop_after="effective")
-    assert calls == {"sample_cell": cfg.macro["n"] + 1, "sdb_gap": cfg.macro["n"] + 1}
+    n = cfg.macro["n"] + 1
+    assert calls == {"sample_cell": n, "table_gap": 1, "sample_gap": n}
 
 
 def test_the_check_stage_refuses_bad_rates_before_any_solve(monkeypatch):
-    from kinhom import collision
+    from kinhom import collision, effective
 
     calls = _count_assembles(monkeypatch)
     with pytest.raises(StageError, match="stage check: kernel violates semi-detailed balance"):
         run_pipeline(parse_config(UNBALANCED), stop_after="check")
+    assert calls == {"assemble": 0, "assemble_spectral_ap": 0}
+    # negative samples pass the check stage, which samples nothing, and are
+    # refused at the x = 0 cell's assembly, before its solve
+    solves = []
+    monkeypatch.setattr(effective, "equilibrium_F", lambda *a: solves.append(a))
     sample_cell = collision.ScatteringKernel.sample_cell
     monkeypatch.setattr(collision.ScatteringKernel, "sample_cell",
                         lambda self, *a, **k: -sample_cell(self, *a, **k))
-    with pytest.raises(StageError, match="stage check: scattering rates must be positive"):
-        run_pipeline(parse_config(MINIMAL), stop_after="check")
-    assert calls == {"assemble": 0, "assemble_spectral_ap": 0}
+    with pytest.raises(StageError, match="stage cell: scattering rates must be positive"):
+        run_pipeline(parse_config(MINIMAL), stop_after="cell")
+    assert calls == {"assemble": 1, "assemble_spectral_ap": 0} and solves == []
 
 
 @pytest.mark.parametrize("interrupt", [KeyboardInterrupt(), SystemExit(3)],

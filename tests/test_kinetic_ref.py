@@ -127,20 +127,10 @@ def test_l2_monitor_never_grows_for_balanced_kernels():
     assert all(n1 <= n0 * (1 + 1e-12) for n0, n1 in zip(norms, norms[1:]))
 
 
-def test_unbalanced_kernel_is_refused_unless_negative_control():
-    lopsided = np.array([[1.0, 2.0], [0.5, 1.0]])
+def test_unbalanced_kernel_is_refused():
+    lopsided = make_kernel("table", table=[[1.0, 2.0], [0.5, 1.0]])
     with pytest.raises(BalanceError):
         KineticSolver(lopsided, VM, GRID, epsilon=0.5)
-    # negative control: the gate off, mass genuinely drifts
-    solver = KineticSolver(lopsided, VM, GRID, epsilon=0.5, validate=False)
-    f = _smooth_initial(GRID, VM)
-    m0 = (f @ VM.weights).sum() * GRID.cell_volume
-    spectra = _hat(f)
-    for _ in range(50):
-        spectra = solver.step(spectra, solver.default_dt())
-    f = _real(spectra, GRID)
-    m1 = (f @ VM.weights).sum() * GRID.cell_volume
-    assert abs(m1 - m0) > 1e-6 * abs(m0)
 
 
 def test_shift_transport_matches_integer_roll():
@@ -225,7 +215,7 @@ def _balanced_solver(n_nodes, grid, rng):
     nodes = np.linspace(-1.0, 1.0, n_nodes)[:, None]
     vm = velocity_from_tables(nodes=nodes, weights=np.linspace(0.5, 1.5, n_nodes))
     table = rng.uniform(0.5, 1.5, (n_nodes, n_nodes))
-    return KineticSolver(table + table.T, vm, grid, epsilon=0.05)
+    return KineticSolver(make_kernel("table", table=table + table.T), vm, grid, epsilon=0.05)
 
 
 @pytest.mark.parametrize("n_nodes", [2, 4, 8])
@@ -240,7 +230,7 @@ def test_collision_is_bitwise_the_node_order_sum_of_its_tables(n_nodes):
     g = f[1:] - f[0]
     dt = solver.default_dt()
     tables = solver._tables(dt)[1]  # [l - 1, i, x]
-    # a validated kernel keeps rows 1..K-1
+    # the solver keeps rows 1..K-1
     assert tables.shape == (n_nodes - 1, n_nodes - 1, grid.n_points)
     expect = np.empty((n_nodes - 1, grid.n_points))
     for i in range(n_nodes - 1):
@@ -332,17 +322,13 @@ def test_deviation_steps_match_full_matrix_steps(n_nodes):
 
 
 def test_velocity_constant_data_get_a_zero_increment():
-    # Q 1 = 0 for any table, the unbalanced one too: a velocity-constant f has
-    # no deviations, and its increment is exactly zero
-    lopsided = np.array([[1.0, 2.0], [0.5, 1.0]])
-    for kernel, validate in ((SINUSOIDAL, True), (lopsided, False)):
-        solver = KineticSolver(kernel, VM, GRID, epsilon=0.2, validate=validate)
-        row = np.random.default_rng(5).standard_normal(GRID.n_points)
-        f = np.stack([row] * VM.n_nodes)
-        out = solver.collision_full(f[1:] - f[0], solver.default_dt())
-        # rows 1..K-1 for the balanced kernel, all K for the negative control
-        rows = VM.n_nodes - 1 if validate else VM.n_nodes
-        assert out.shape == (rows, GRID.n_points) and not np.any(out)
+    # Q 1 = 0: a velocity-constant f has no deviations, and its increment,
+    # rows 1..K-1, is exactly zero
+    solver = KineticSolver(SINUSOIDAL, VM, GRID, epsilon=0.2)
+    row = np.random.default_rng(5).standard_normal(GRID.n_points)
+    f = np.stack([row] * VM.n_nodes)
+    out = solver.collision_full(f[1:] - f[0], solver.default_dt())
+    assert out.shape == (VM.n_nodes - 1, GRID.n_points) and not np.any(out)
 
 
 def test_one_node_run_is_pure_transport():
@@ -351,7 +337,7 @@ def test_one_node_run_is_pure_transport():
     eps, T = 0.3, 0.05
     for n_x in (33, 64):
         grid = MacroGrid(half_width=1.0, shape=(n_x,), bc="periodic")
-        solver = KineticSolver(np.array([[1.3]]), vm, grid, epsilon=eps)
+        solver = KineticSolver(make_kernel("table", table=[[1.3]]), vm, grid, epsilon=eps)
         x = grid.axes()[0]
         # odd grids have no Nyquist mode, so random data shift exactly
         f0 = (np.random.default_rng(n_x).standard_normal((n_x, 1)) if n_x % 2
@@ -379,16 +365,10 @@ def test_per_point_rate_table_matches_kernel_evaluation():
     eps = 0.35
     x = GRID.axes()[0]
     rates = SINUSOIDAL.evaluate(x, x / eps, VM)
-    from_table = KineticSolver(rates, VM, GRID, epsilon=eps)
-    from_kernel = KineticSolver(SINUSOIDAL, VM, GRID, epsilon=eps)
-    f = _smooth_initial(GRID, VM)
-    dt = from_kernel.default_dt()
-    by_table = _real(from_table.step(_hat(f), dt), GRID)
-    by_kernel = _real(from_kernel.step(_hat(f), dt), GRID)
-    assert np.max(np.abs(by_table - by_kernel)) < 1e-15
+    solver = KineticSolver(SINUSOIDAL, VM, GRID, epsilon=eps)
     # per-point loop reference for the vectorized generators: g diag(mu) - diag(g mu)
     tol = 4.0 * np.finfo(float).eps * rates.max()
-    for g, Q in zip(rates, from_table._Q):
+    for g, Q in zip(rates, solver._Q):
         assert np.max(np.abs(Q - (g * VM.weights - np.diag(g @ VM.weights)))) <= tol
 
 
@@ -399,15 +379,22 @@ def test_constructor_and_run_guards():
         KineticSolver(SINUSOIDAL, VM,
                       MacroGrid(half_width=2.0, shape=(64,), bc="no-flux"),
                       epsilon=0.5)
-    with pytest.raises(ValueError):
-        KineticSolver(np.array([[1.0, 1.0], [1.0, -1.0]]), VM, GRID, epsilon=0.5)
-    # `rates <= 0` is False for NaN, so a NaN rate passed the guard
-    for bad in (np.nan, np.inf):
-        rates = SINUSOIDAL.evaluate(GRID.axes()[0], GRID.axes()[0] / 0.5, VM)
-        rates[7, 0, 1] = bad
-        for validate in (True, False):
-            with pytest.raises(ValueError, match="positive and finite"):
-                KineticSolver(rates, VM, GRID, epsilon=0.5, validate=validate)
+    # the solver takes kernels, not rate tables
+    with pytest.raises(TypeError, match="takes a ScatteringKernel"):
+        KineticSolver(np.ones((2, 2)), VM, GRID, epsilon=0.5)
+    # `rates <= 0` is False for NaN, so a NaN rate passed the guard; one bad
+    # rate is planted in what the kernel evaluates
+    for bad in (-1.0, np.nan, np.inf):
+        kernel = make_kernel("sinusoidal", base=1.0, alpha=0.5)
+
+        def planted(*args, _evaluate=kernel.evaluate, _bad=bad):
+            rates = _evaluate(*args)
+            rates[7, 0, 1] = _bad
+            return rates
+
+        kernel.evaluate = planted
+        with pytest.raises(ValueError, match="positive and finite"):
+            KineticSolver(kernel, VM, GRID, epsilon=0.5)
     solver = KineticSolver(SINUSOIDAL, VM, GRID, epsilon=0.5)
     with pytest.raises(ValueError):
         solver.run(np.zeros((3, 3)), 0.1)
@@ -490,15 +477,11 @@ def _stack_solver(case):
         g = np.random.default_rng(3).uniform(0.2, 2.0, (3, 3))
         kernel = make_kernel("table", table=(g + g.T) / 2)
         return KineticSolver(kernel, vm, GRID, epsilon=0.1), 2
-    if case == "negative-control":
-        lopsided = np.array([[1.0, 2.0], [0.5, 1.0]])
-        return KineticSolver(lopsided, VM, GRID, epsilon=0.1, validate=False), 2
     vm = velocity_from_tables(nodes=np.array([[0.7]]), weights=np.array([1.0]))
-    return KineticSolver(np.array([[1.3]]), vm, GRID, epsilon=0.1), 0
+    return KineticSolver(make_kernel("table", table=[[1.3]]), vm, GRID, epsilon=0.1), 0
 
 
-@pytest.mark.parametrize("case", ["two-node", "three-node-table", "negative-control",
-                                  "one-node"])
+@pytest.mark.parametrize("case", ["two-node", "three-node-table", "one-node"])
 def test_a_stacked_step_is_bitwise_the_two_single_steps(case):
     solver, rows = _stack_solver(case)
     n_nodes, n_x = solver.vm.n_nodes, GRID.n_points
