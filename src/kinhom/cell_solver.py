@@ -31,22 +31,23 @@ sum, so the equilibrium is the constant: ``M 1`` is the eigenvector of ``O
 = N M^{-1}`` with eigenvalue 1, which one application checks.  Correctors
 are Krylov solves of ``(I - O) v = g``, ``f = M^{-1} v``, with the
 one-dimensional kernel deflated out.  Every cell applies ``P`` as ``M f -
-N f``, with ``K`` one block-diagonal sparse matrix, so no cell forms its
-transport as a matrix, a factorization or a dense array.
+N f``, so no cell forms its transport as a matrix, a factorization or a
+dense array.  Every kernel is the separable ``c(x) s(y) g(v, w)``, so a
+cell keeps its rates as the samples ``c(x) s(y_j)`` and one ``K x K`` gain
+table ``G = g w``: ``K f`` is the samples times ``f G^T`` at each point.
 
 Cell problems are small and many (one per macro position when the rates
 vary with x), so a solve does only its arithmetic: GMRES runs in this
 module, operation for operation scipy's ``gmres`` without its per-call
-set-up.  Assembly samples and gates the rates; the gain matrix and the
-splitting follow when a solve asks for them.  :class:`CellStack` solves
-the positions of one sampled family together, as one block-diagonal
-system with every per-cell gate applied to each block; a single operator
-is its one-block case.
+set-up.  Assembly samples and gates the rates; the splitting follows when
+a solve asks for it.  :class:`CellStack` solves the positions of one
+sampled family together, as one block-diagonal system with every
+per-cell gate applied to each block; a single operator is its one-block
+case.
 
-scipy is imported inside grid assembly, the gain matrix's build and the
-Krylov loop, so importing this module loads numpy alone; the first grid
-assembly of a process loads ``scipy.sparse``, the first solve
-``scipy.linalg``.
+scipy is imported inside the Krylov loop alone, so importing this module
+and assembling a cell load numpy alone; the first solve loads
+``scipy.linalg``; no cell loads scipy's sparse package.
 """
 
 from __future__ import annotations
@@ -54,15 +55,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from kinhom.collision import PhaseField, ScatteringKernel, _sampled, gain_loss, sdb_gap
+from kinhom.collision import PhaseField, ScatteringKernel, sdb_gap
 from kinhom.phase_space import CellGrid, VelocityMeasure
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 __all__ = [
     "CompatibilityError",
@@ -186,48 +183,33 @@ class _FourierSplit:
 # ---------------------------------------------------------------------------
 
 
-def _gain_matrix(gain: np.ndarray) -> sparse.csr_matrix:
-    """The block-diagonal gain of the cells of ``gain`` ``(m, n, K, K)``.
-
-    A dense ``K x K`` block on each grid point of each cell, rows in (cell,
-    point, node) order.
-    """
-    import scipy.sparse as sparse
-
-    K = gain.shape[-1]
-    size = gain.size // K
-    block_cols = np.arange(0, size, K, dtype=np.int32)[:, None, None] + np.arange(K, dtype=np.int32)
-    cols = np.broadcast_to(block_cols, (size // K, K, K)).ravel()
-    return sparse.csr_matrix((gain.ravel(), cols, np.arange(0, size * K + 1, K, dtype=np.int32)),
-                             shape=(size, size))
-
-
 class _CellOperatorBase:
     """Cells of one periodic grid and velocity set: one operator, or a stack of them.
 
-    Block ``i`` is the cell of the flat loss ``loss[i]`` and the gain blocks
-    ``gain[i]`` (``(m, size)`` and ``(m, n, K, K)``, kept as ``losses`` and
-    ``gains``; other shapes are refused) on the ``n`` points of ``grid``
-    (a :class:`~kinhom.phase_space.CellGrid`, or the lattice's
-    :class:`_Torus`), with the transport ``a_k`` along every axis.  Fields
-    are real and flat, block after block, in (point, node) order.  The
-    solves work per block: :meth:`pairings`, :meth:`norms` and
-    :meth:`means` give one value a block, and :meth:`per_cell` turns such
-    values into the operator's result, the one cell's for one cell.
+    Block ``i`` is the cell of the samples ``samples[i]`` ``c(x) s(y_j)``
+    and the gain table ``G = g w`` (``(m, n)`` and ``(K, K)``; other shapes
+    are refused) on the ``n`` points of ``grid`` (a
+    :class:`~kinhom.phase_space.CellGrid`, or the lattice's
+    :class:`_Torus`), with the transport ``a_k`` along every axis; its
+    flat loss ``losses[i]``, the samples times the row sums of ``G``, is
+    formed here once.  Fields are real and flat, block after block, in
+    (point, node) order.  The solves work per block: :meth:`pairings`,
+    :meth:`norms` and :meth:`means` give one value a block, and
+    :meth:`per_cell` turns such values into the operator's result, the one
+    cell's for one cell.
 
     ``scheme`` is the transport, ``upwind`` or ``spectral`` (Fourier
     collocation), and picks the symbol of ``M`` alone.  Every cell splits
-    ``P = M - N`` at ``M`` (:class:`_FourierSplit`) and acts through that
-    symbol and ``K_mat``, the sparse block-diagonal gain, both built at
-    first use: ``P f = M f - K f + (Sigma - Sigma_bar) f``.
+    ``P = M - N`` at ``M`` (:class:`_FourierSplit`, built at first use):
+    ``P f = M f - K f + (Sigma - Sigma_bar) f``.
     """
 
-    def __init__(self, grid, vm: VelocityMeasure, loss: np.ndarray, gain: np.ndarray,
+    def __init__(self, grid, vm: VelocityMeasure, samples: np.ndarray, G: np.ndarray,
                  scheme: str = "upwind"):
         if scheme not in ("upwind", "spectral"):
             raise ValueError(f"unknown transport scheme {scheme!r}")
-        n, K, m = grid.n_points, vm.n_nodes, len(loss)
-        for name, part, shape in (("loss", loss, (m, n * K)), ("gain", gain, (m, n, K, K))):
+        n, K, m = grid.n_points, vm.n_nodes, len(samples)
+        for name, part, shape in (("samples", samples, (m, n)), ("gain", G, (K, K))):
             if part.shape != shape:
                 raise ValueError(f"{name} of shape {part.shape} does not fit {m} cells of "
                                  f"{n} points and {K} velocities: expected {shape}")
@@ -235,11 +217,12 @@ class _CellOperatorBase:
         self.vm = vm
         self.scheme = scheme
         self.n_points = n
-        self.n_blocks, self.block_size = loss.shape
-        self.size = loss.size
-        self.losses = loss
-        self.gains = gain
-        self.sigma_min = float(loss.min())
+        self.n_blocks, self.block_size = m, n * K
+        self.size = m * n * K
+        self.samples = samples
+        self.G = G
+        self.losses = (samples[..., None] * G.sum(axis=1)).reshape(m, -1)
+        self.sigma_min = float(self.losses.min())
 
     @functools.cached_property
     def const(self) -> np.ndarray:
@@ -292,22 +275,13 @@ class _CellOperatorBase:
         F.flags.writeable = False
         return F
 
-    # -- the splitting and the gain --------------------------------------------
+    # -- the splitting --------------------------------------------------------
 
     @functools.cached_property
     def M(self) -> _FourierSplit:
         field = np.broadcast_to(self.vm.field, (self.vm.n_nodes, len(self.grid.shape)))
         terms = _upwind_terms if self.scheme == "upwind" else _collocation_terms
         return _FourierSplit(self.grid, self.losses, terms(self.grid, field))
-
-    @functools.cached_property
-    def K_mat(self) -> sparse.csr_matrix:
-        """The block-diagonal gain :func:`_gain_matrix` of ``gains``, built at first use."""
-        return _gain_matrix(self.gains)
-
-    @functools.cached_property
-    def K_H(self):
-        return self.K_mat.T
 
     # -- operator actions ----------------------------------------------------
 
@@ -318,11 +292,19 @@ class _CellOperatorBase:
     def apply_P_adjoint(self, f: np.ndarray) -> np.ndarray:
         return self.M.apply_adjoint(f) - self.apply_K_adjoint(f) + self.M.excess * f
 
+    def _gain(self, f: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """The samples times ``f right`` at every point, ``right`` ``(K, K)`` C-ordered."""
+        by_point = f.reshape(-1, self.vm.n_nodes) @ right
+        return (self.samples.reshape(-1, 1) * by_point).reshape(-1)
+
     def apply_K(self, f: np.ndarray) -> np.ndarray:
-        return self.K_mat @ f
+        # a copy: matmul took twice as long with the transposed view on the right
+        return self._gain(f, self.G.T.copy())
 
     def apply_K_adjoint(self, f: np.ndarray) -> np.ndarray:
-        return (self.K_H @ (self.weights * f)) / self.weights
+        """The weighted transpose of ``K``: ``G^T`` conjugated by the weights."""
+        w = self.vm.weights
+        return self._gain(f, self.G * w[:, None] / w)
 
     def apply_O(self, f: np.ndarray) -> np.ndarray:
         """``N M^{-1}``, ``N = M - P = K - diag(M.excess)``."""
@@ -366,55 +348,47 @@ class _CellOperatorBase:
 # ---------------------------------------------------------------------------
 
 
-def gate_rates(kernel, x, grid: CellGrid, vm: VelocityMeasure) -> tuple[np.ndarray, np.ndarray]:
-    """The gated rates of ``kernel`` at ``x`` sampled on ``grid``, ``(gain, loss)``.
+def _gated(samples: np.ndarray, kernel, vm: VelocityMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """``(samples, G = g w)`` once the samples are positive and finite and ``g`` in balance.
 
-    ``kernel`` is a kernel or its samples there, ``(*grid.shape, K, K)``.
-    Refuses rates that are not positive and finite (before the balance
-    gate, which would read their gap as NaN), then rates that fail
-    semi-detailed balance.  The first gate is ``min > 0`` and ``max <
-    inf``: a NaN fails both comparisons (``min`` and ``max`` propagate
-    it), and 0, negative values and ±inf fail one, with no boolean
-    temporaries.  The gain blocks are ``(n, K, K)`` and the loss ``(n,
-    K)`` (:func:`kinhom.collision.gain_loss`).  The samples are not kept:
-    the gain is a new array, so they can be freed before the gain matrix
-    is built.
+    The first gate is ``min > 0`` and ``max < inf``: a NaN fails both (``min``
+    and ``max`` propagate it), 0, negative values and ±inf one.  The second
+    is the :func:`sdb_gap` of the node table ``g`` alone, as the positive
+    samples cancel from the relative gap.
     """
-    K = vm.n_nodes
-    samp = _sampled(kernel, x, grid, vm).reshape(-1, K, K)
-    if not (samp.min() > 0 and samp.max() < np.inf):
+    if not (samples.min() > 0 and samples.max() < np.inf):
         raise ValueError("scattering rates must be positive and finite on the grid")
-    sdb_gap(samp, vm.weights).require()
-    return gain_loss(samp, vm.weights)
+    g = kernel.node_matrix(vm)
+    sdb_gap(g, vm.weights).require()
+    return samples, g * vm.weights
+
+
+def gate_rates(kernel, x, grid: CellGrid, vm: VelocityMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """The gated rates of ``kernel`` at ``x`` on ``grid``, ``(samples, G)`` (see :func:`_gated`).
+
+    ``samples`` ``(n,)`` are ``c(x) s(y_j)``
+    (:meth:`~kinhom.collision.ScatteringKernel.sample_cell`), ``G`` ``(K,
+    K)`` the gain table ``g w``.
+    """
+    return _gated(kernel.sample_cell(x, grid), kernel, vm)
 
 
 class CellOperator(_CellOperatorBase):
     """Cell operator sampled on a periodic grid (see :func:`assemble`).
 
-    Construction samples and gates the rates and keeps the gain ``gain``
-    ``(n, K, K)`` and the flat loss ``sigma_flat``; the splitting and the
-    gain matrix follow at first use.
+    Construction samples and gates the rates (:func:`gate_rates`) and
+    keeps the samples ``c(x) s(y_j)``, the gain table ``G`` and the flat
+    loss ``sigma_flat``; the splitting follows at first use.
     """
 
     def __init__(self, kernel, x, vm: VelocityMeasure, grid: CellGrid, scheme: str):
-        # the gain matrix waits for the first solve, but scipy still loads at
-        # the first assembly of a process, which the check stage never makes
-        import scipy.sparse  # noqa: F401
-
         if grid.dim != vm.dim:
             raise ValueError(f"cell grid dim {grid.dim} != velocity dim {vm.dim}")
         self.kernel = kernel
         self.x = x
         self.field_shape = (*grid.shape, vm.n_nodes)
-
-        gain, loss = gate_rates(kernel, x, grid, vm)
-        super().__init__(grid, vm, loss.reshape(1, -1), gain[None], scheme)
-        if self.sigma_min <= 0:
-            raise ValueError("absorption rate must be strictly positive")
-
-    @property
-    def gain(self) -> np.ndarray:
-        return self.gains[0]
+        samples, G = gate_rates(kernel, x, grid, vm)
+        super().__init__(grid, vm, samples[None], G, scheme)
 
     @property
     def sigma_flat(self) -> np.ndarray:
@@ -433,11 +407,11 @@ class CellOperator(_CellOperatorBase):
 
 def assemble(kernel, x, vm: VelocityMeasure, grid: CellGrid,
              scheme: str = "upwind") -> CellOperator:
-    """Build the grid-backend cell operator at macro position ``x``.
+    """Build the grid-backend cell operator of ``kernel`` at macro position ``x``.
 
-    Samples the rates once and refuses them unless positive, finite and in
-    semi-detailed balance (:func:`gate_rates`).  The splitting and the
-    gain matrix are built at first use.
+    Samples ``c(x) s(y)`` once and refuses the rates unless positive,
+    finite and in semi-detailed balance (:func:`gate_rates`).  The
+    splitting is built at first use.
     """
     return CellOperator(kernel, x, vm, grid, scheme)
 
@@ -445,11 +419,11 @@ def assemble(kernel, x, vm: VelocityMeasure, grid: CellGrid,
 class CellStack(_CellOperatorBase):
     """Cell operators of one grid, velocity set and scheme, stacked block-diagonally.
 
-    Block ``i`` is the operator of the flat loss ``loss[i]`` and the gain
-    ``gain[i]`` (``(m, size)`` and ``(m, n, K, K)``, what an operator
-    keeps as ``losses[0]`` and ``gains[0]``), built as that operator is,
-    with block offsets, and with one Fourier symbol a block.  Fields are
-    flat, block after block.  Results are per block, so
+    Block ``i`` is the operator of the samples ``samples[i]`` (``(m, n)``;
+    an operator keeps its own as ``samples[0]``) and the one gain table
+    ``G`` of them all, built as that operator is, with block offsets, and
+    with one Fourier symbol a block.  Fields are flat, block after block.
+    Results are per block, so
     :func:`equilibrium_F`, :func:`solve_chi_star` and
     :func:`kinhom.effective.diffusion_matrix` gate every block as the cell
     it is and return one value a block; the corrector solves run one
@@ -562,8 +536,8 @@ class SpectralCellOperator(_CellOperatorBase):
 
     The profile's generator frequencies ``g_j`` (at most two; a profile
     without one takes a single point) span a torus with period ``2 pi /
-    g_j`` along axis ``j``, on which the rates ``c(x) S g`` are sampled at
-    ``2 n_modes + 1`` points an axis and transport is Fourier collocation
+    g_j`` along axis ``j``, on which ``c(x) S`` is sampled at ``2 n_modes +
+    1`` points an axis and transport is Fourier collocation
     with ``a_k`` along every axis.  A field's Fourier coefficients are its
     coefficients on the lattice ``freqs = sum_j t_j g_j``, ``|t_j| <=
     n_modes`` (``lattice``), which :meth:`wrap` hands out as a
@@ -580,9 +554,9 @@ class SpectralCellOperator(_CellOperatorBase):
         m = int(n_modes)
         box = (2 * m + 1,) * len(gens)
         torus = _Torus(box or (1,), tuple(2.0 * np.pi / g for g in gens) or (2.0 * np.pi,))
-        samples = kernel._rates(x, _torus_profile(kernel, gens, torus.shape), vm)
-        gain, loss = gate_rates(samples.reshape(*torus.shape, vm.n_nodes, vm.n_nodes), x, torus, vm)
-        super().__init__(torus, vm, loss.reshape(1, -1), gain[None], "spectral")
+        samples = float(kernel.x_factor(x)) * _torus_profile(kernel, gens, torus.shape)
+        samples, G = _gated(samples, kernel, vm)
+        super().__init__(torus, vm, samples[None], G, "spectral")
         self.kernel = kernel
         self.x = x
         self.n_modes = m
@@ -651,8 +625,8 @@ def _first_failing(values: np.ndarray, failing: np.ndarray) -> float:
 def equilibrium_F(op: _CellOperatorBase):
     """Principal eigenvalue of the iteration map ``O = N M^{-1}``; normalized equilibrium.
 
-    The loss is the gain's row sum (see :func:`kinhom.collision.gain_loss`),
-    so ``P 1 = 0`` and ``h = M 1`` satisfies ``O h = N 1 = M 1 - P 1 = h``.
+    The loss is the gain's row sum (the samples times those of ``G``), so
+    ``P 1 = 0`` and ``h = M 1`` satisfies ``O h = N 1 = M 1 - P 1 = h``.
     ``lam``, the Rayleigh quotient ``1 - <h, P 1> / <h, h>`` of ``O`` at
     ``h`` (one application, no solve), must be 1 within 1e-8 (else kernel
     and quadrature are inconsistent).  The returned field is ``op.F = 1 /
@@ -698,7 +672,7 @@ def _gmres(matvec, b: np.ndarray, rtol: float, restart: int,
            maxiter: int) -> tuple[np.ndarray, int]:
     """Restarted GMRES from ``x0 = 0``; returns ``(x, info)``.
 
-    The arithmetic of ``scipy.sparse.linalg.gmres(A, b, rtol=rtol, atol=0,
+    The arithmetic of scipy's ``sparse.linalg.gmres(A, b, rtol=rtol, atol=0,
     restart=restart, maxiter=maxiter)`` (scipy 1.17, no preconditioner),
     operation for operation, so ``x``, ``info`` and the ``matvec`` calls are
     the same: modified Gram-Schmidt, LAPACK ``lartg`` rotations, the

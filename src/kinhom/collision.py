@@ -23,11 +23,13 @@ the gain:
 
     Sigma(y, v) = int sigma(x, y, v, w) dmu(w),     Q = K - Sigma * id.
 
-:func:`gain_loss` builds ``(K, Sigma)`` for every operator in the package:
-the cell operators, the kinetic reference, :func:`apply_Q` and
-:func:`apply_Q_star`.  With this loss ``Q 1 = 0`` for every kernel.  Mass
-conservation and the duality of ``Q`` and ``Q*`` need semi-detailed
-balance, equal outgoing and incoming rates
+:func:`gain_loss` builds ``(K, Sigma)`` from full rate arrays for the
+kinetic reference, :func:`apply_Q` and :func:`apply_Q_star`; the cell
+operators keep the separable factors instead, the samples ``c(x) s(y)``
+of :meth:`ScatteringKernel.sample_cell` and the one table ``g w``, and
+form the same loss from them.  With this loss ``Q 1 = 0`` for every
+kernel.  Mass conservation and the duality of ``Q`` and ``Q*`` need
+semi-detailed balance, equal outgoing and incoming rates
 
     out(v) = int sigma(., v, w) dmu(w),   in(v) = int sigma(., w, v) dmu(w).
 
@@ -149,6 +151,9 @@ class ScatteringKernel:
         self.alpha = float(alpha)
         self.alpha1 = float(alpha1)
         self.alpha2 = float(alpha2)
+        for name, value in (("p", p), ("q", q)):
+            if not (np.isfinite(value) and value == round(value)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         self.p = int(p)
         self.q = int(q)
         self.s0 = float(s0)
@@ -274,28 +279,24 @@ class ScatteringKernel:
 
     # -- sampling -------------------------------------------------------------
 
-    def _rates(self, x, s: np.ndarray, vm: VelocityMeasure) -> np.ndarray:
-        """``c(x) s g``, shape ``(*s.shape, K, K)``."""
-        out = np.multiply.outer(s, self.node_matrix(vm))
-        c = self.x_factor(x)
-        return np.asarray(c)[..., None, None] * out if np.ndim(c) else float(c) * out
-
     def evaluate(self, x, y: np.ndarray, vm: VelocityMeasure) -> np.ndarray:
         """Pointwise rates ``sigma(x, y, v_k, v_l)``, shape ``(*y, K, K)``.
 
         Index ``k`` is the first velocity slot, ``l`` the second.  The
         kinetic reference evaluates this along ``y = x/eps``, defect included.
         """
-        return self._rates(x, self.profile_values(y), vm)
+        out = np.multiply.outer(self.profile_values(y), self.node_matrix(vm))
+        c = self.x_factor(x)
+        return np.asarray(c)[..., None, None] * out if np.ndim(c) else float(c) * out
 
-    def sample_cell(self, x, grid: CellGrid, vm: VelocityMeasure) -> np.ndarray:
-        """Rates on a full cell grid, shape ``(*grid.shape, K, K)``.
+    def sample_cell(self, x, grid: CellGrid) -> np.ndarray:
+        """The rate factor ``c(x) s(y)`` at the points of a cell grid, flat ``(n,)``.
 
-        The cell samples ``profile`` only: a vanishing defect leaves the
-        homogenized coefficients unchanged, so no cell copies it.  The
-        profile samples of the last grid are kept, so the sampled positions
-        of a modulated kernel evaluate ``s`` once; the rates ``c(x) s g``
-        are the same to the bit.
+        Points are in ``grid.points()`` order; the rates are these samples
+        times the node table ``g``.  The cell samples ``profile`` only: a
+        vanishing defect leaves the homogenized coefficients unchanged, so
+        no cell copies it.  The profile samples of the last grid are kept,
+        so the sampled positions of a modulated kernel evaluate ``s`` once.
         """
         period = self.natural_period
         if period is None:
@@ -316,8 +317,7 @@ class ScatteringKernel:
             s = self.profile.evaluate(pts[:, 0] if grid.dim == 1 else pts)
             s.flags.writeable = False
             self._cell_profile = (grid, s)
-        vals = self._rates(x, self._cell_profile[1], vm)
-        return vals.reshape(*grid.shape, vm.n_nodes, vm.n_nodes)
+        return float(self.x_factor(x)) * self._cell_profile[1]
 
     def __repr__(self) -> str:
         return f"ScatteringKernel(kind={self.kind!r}, x_dependence={self.x_dependence!r})"
@@ -348,7 +348,8 @@ def make_kernel(kind: str, **params) -> ScatteringKernel:
 
 def _sampled(kernel_or_array, x, grid: CellGrid, vm: VelocityMeasure) -> np.ndarray:
     if isinstance(kernel_or_array, ScatteringKernel):
-        return kernel_or_array.sample_cell(x, grid, vm)
+        samples = kernel_or_array.sample_cell(x, grid).reshape(grid.shape)
+        return np.multiply.outer(samples, kernel_or_array.node_matrix(vm))
     arr = np.asarray(kernel_or_array, dtype=float)
     if arr.shape != (*grid.shape, vm.n_nodes, vm.n_nodes):
         raise ValueError("sampled kernel has the wrong shape")
@@ -431,6 +432,6 @@ def check_sdb(kernel: ScatteringKernel, vm: VelocityMeasure) -> SdbReport:
 
     The positive factor ``c(x) s(y)`` of every rate cancels from the
     relative gap, so the table decides balance everywhere and nothing is
-    sampled; the operators still gate the rates they sample.
+    sampled; each cell operator gates the same table once.
     """
     return sdb_gap(kernel.node_matrix(vm), vm.weights)

@@ -27,17 +27,20 @@ macroscopic model is meaningless there.
 
 A slowly modulated kernel ``c(x) s(y) g(v, w)`` is sampled at macro
 positions.  Each position is still assembled and gated, but its cell is
-the ``x = 0`` cell with the rates scaled by ``c(x) / c(0)`` (checked), so
-``D`` is an analytic function of the one scalar ``c``.  The family is
-solved at nested Chebyshev-Lobatto nodes in ``c`` until the Chebyshev tail
-of ``D`` is small, and ``D`` is interpolated at every position
-(barycentric; Trefethen, *Approximation Theory and Approximation
-Practice*, SIAM 2013); when that would take more than half as many cells
-as there are distinct ``c``, each distinct ``c`` is solved instead.
+the ``x = 0`` cell with its samples ``c(0) s(y)`` scaled by ``c(x) /
+c(0)`` (checked) and the same gain table ``g w``, so ``D`` is an analytic
+function of the one scalar ``c``.  The family is solved at nested
+Chebyshev-Lobatto nodes in ``c``, from a level predicted by the decay of
+``D``'s Chebyshev coefficients, until the Chebyshev tail of ``D`` is
+small, and ``D`` is interpolated at every position (barycentric;
+Trefethen, *Approximation Theory and Approximation Practice*, SIAM 2013);
+when that would take more than half as many cells as there are distinct
+``c``, each distinct ``c`` is solved instead.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,20 +192,19 @@ def solve_cell(kernel, x, vm: VelocityMeasure, *, backend: str | None = None,
 # of 17 and 16 cells (2176 and 2048 unknowns).
 STACK_UNKNOWNS = 16384
 
-# Largest gap, relative to the x0 cell's largest gain, between a position's
-# gated gain and c(x) / c(x0) times the x0 cell's: both are c s(y) g(v, w)
-# w_l, so on the ray they differ in their last bits only.
+# Largest gap, relative to the x0 cell's largest sample, between a
+# position's gated samples c(x) s(y) and c(x) / c(x0) times the x0 cell's:
+# on the ray they differ in their last bits only.
 RAY_RTOL = 1e-12
 
-# Chebyshev-Lobatto node counts in c: 17, then 33, 65, ..., each level
-# keeping the nodes of the last.  A level is taken once the last two
-# Chebyshev coefficients of D are at most CHEB_TAIL relative to the first.
-# Stacked solves agree with per-position ones to about 6e-13 relative, so
-# a smaller tail buys nothing.  On the tanh benchmark's 512 positions (c in
-# [0.5, 1.5]) the tail is 5.6e-9 at 17 nodes and 1.2e-15 at 33, where D is
-# within 6e-13 of the stacked solves at every position; at beta = 0.9 it
-# is 4.2e-13 at 65 nodes, D within 1.1e-12.
-CHEB_FIRST = 17
+# Chebyshev-Lobatto levels in c have 2^k + 1 nodes, each keeping the nodes
+# of the last.  A level is taken once the last two Chebyshev coefficients
+# of D are at most CHEB_TAIL relative to the first.  Stacked solves agree
+# with per-position ones to about 6e-13 relative, so a smaller tail buys
+# nothing.  The first level is predicted (_first_level): on the tanh
+# benchmark's 512 positions (c in [0.5, 1.5]) it is 33 nodes, where the
+# tail is 1.2e-15 and D within 6e-13 of the stacked solves at every
+# position; at beta = 0.9 it is 65 (tail 4.2e-13, D within 1.1e-12).
 CHEB_TAIL = 1e-12
 
 
@@ -211,20 +213,21 @@ def _ray_ratios(cell: CellSolution, x: np.ndarray) -> np.ndarray:
 
     Every position is assembled with the kernel, velocity set and settings
     of ``cell`` (so sampled and gated: positive, finite, in semi-detailed
-    balance), one at a time.  Its gain must be ``c(x) / c(x0)`` times that
-    of ``cell``, at ``x0``, within ``RAY_RTOL``; the loss is the gain's row
-    sum, so it follows.  A position off that ray is refused with a
-    :class:`ValueError` naming it, as the family is solved along the ray.
+    balance), one at a time.  Its samples ``c(x) s(y)`` must be ``c(x) /
+    c(x0)`` times those of ``cell``, at ``x0``, within ``RAY_RTOL``; the
+    gain table is the kernel's, so the rates follow.  A position off that
+    ray is refused with a :class:`ValueError` naming it, as the family is
+    solved along the ray.
     """
     like, kernel = cell.op, cell.op.kernel
-    c0, gain0 = kernel.x_factor(like.x), like.gains[0]
-    scale = np.abs(gain0).max()
+    c0, samples0 = kernel.x_factor(like.x), like.samples[0]
+    scale = np.abs(samples0).max()
     level = RAY_RTOL * scale
     ratios = np.empty(x.size)
     for i, xi in enumerate(x.tolist()):
         ratios[i] = ratio = float(kernel.x_factor(xi) / c0)
-        gain = _assemble(kernel, xi, like.vm, cell.settings).gains[0]
-        off = np.abs(gain - ratio * gain0).max()
+        samples = _assemble(kernel, xi, like.vm, cell.settings).samples[0]
+        off = np.abs(samples - ratio * samples0).max()
         if not off <= ratio * level:
             raise ValueError(
                 f"rates at x = {xi!r} are off the ray through the x0 = {like.x!r} cell: not "
@@ -240,16 +243,16 @@ def _solve_at(cell: CellSolution, ratios: np.ndarray):
     The cells take the grid, velocity set and settings of ``cell``, on
     either backend, and are solved in chunks of at most ``STACK_UNKNOWNS``
     unknowns (at least one cell), each chunk one
-    :class:`~kinhom.cell_solver.CellStack` built from the scaled rates of
-    ``cell``.  ``D`` comes one a cell, the diagnostics as their worst.
+    :class:`~kinhom.cell_solver.CellStack` of the scaled samples of
+    ``cell`` and its gain table.  ``D`` comes one a cell, the diagnostics
+    as their worst.
     """
     like = cell.op
     per_chunk = max(1, STACK_UNKNOWNS // like.block_size)
     D, residual, bound = [], 0.0, 0.0
     for start in range(0, ratios.size, per_chunk):
         r = ratios[start:start + per_chunk, None]
-        stack = CellStack(like.grid, like.vm, r * like.losses, r[..., None, None] * like.gains,
-                          like.scheme)
+        stack = CellStack(like.grid, like.vm, r * like.samples, like.G, like.scheme)
         equilibrium_F(stack)
         star = solve_chi_star(stack, tol=cell.settings["tol"])
         D.append(diffusion_matrix(stack, star.chi))
@@ -288,6 +291,20 @@ def _barycentric(nodes: np.ndarray, values: np.ndarray, at: np.ndarray) -> np.nd
     return np.tensordot(weights / weights.sum(axis=1, keepdims=True), values, axes=1)
 
 
+def _first_level(lo: float, hi: float) -> int:
+    """Nodes of the first Chebyshev-Lobatto level for ``D`` on ``[lo, hi]``, ``0 < lo < hi``.
+
+    Taking ``D`` analytic in ``c`` but at ``c = 0``, where the rates vanish,
+    its Chebyshev coefficients decay as ``rho^-k``, ``rho = a + sqrt(a^2 -
+    1)``, ``a = (hi + lo) / (hi - lo)``, and reach ``CHEB_TAIL`` at degree
+    ``ln(1 / CHEB_TAIL) / ln rho``: the smallest ``2^k + 1`` nodes, at
+    least 3, of that degree.  The tail test still gates every level.
+    """
+    a = (hi + lo) / (hi - lo)
+    degree = math.log(1.0 / CHEB_TAIL) / math.log(a + math.sqrt(a * a - 1.0))
+    return 2 ** max(1, math.ceil(math.log2(degree))) + 1
+
+
 def _solve_family(cell: CellSolution, x: np.ndarray):
     """``(D, residual, bound constant, cell solves, Chebyshev tail)`` at ``x``.
 
@@ -295,18 +312,19 @@ def _solve_family(cell: CellSolution, x: np.ndarray):
     (:func:`_ray_ratios`), so its cell is ``cell``'s with the rates scaled
     by ``r = c(x) / c(x0)``, and ``D`` depends on ``x`` through ``r``
     alone, analytically.  The family is solved (:func:`_solve_at`) at
-    nested Chebyshev-Lobatto nodes on ``[r_min, r_max]`` (``CHEB_FIRST``,
-    then twice as dense) until the Chebyshev tail of ``D`` is at most
-    ``CHEB_TAIL``, and ``D`` is interpolated at every ``r``.  A level with
-    more nodes than half the distinct ``r`` is not tried: the distinct
-    ``r`` are solved instead, each once, with a tail of 0.  The
-    diagnostics are the worst over every solve; the end nodes are
+    nested Chebyshev-Lobatto nodes on ``[r_min, r_max]`` (the level of
+    :func:`_first_level`, then twice as dense) until the Chebyshev tail of
+    ``D`` is at most ``CHEB_TAIL``, and ``D`` is interpolated at every
+    ``r``.  A level with more nodes than half the distinct ``r`` is not
+    tried: the distinct ``r`` are solved instead, each once, with a tail of
+    0.  The diagnostics are the worst over every solve; the end nodes are
     ``r_min`` and ``r_max``.
     """
     ratios = _ray_ratios(cell, x)
     distinct, where = np.unique(ratios, return_inverse=True)
     residual = bound = 0.0
-    solves, n, values = 0, CHEB_FIRST, None
+    solves, values = 0, None
+    n = _first_level(distinct[0], distinct[-1]) if distinct.size > 1 else distinct.size
     while 2 * n <= distinct.size:
         nodes = _lobatto(distinct[0], distinct[-1], n)
         new = nodes if values is None else nodes[1::2]
@@ -339,7 +357,8 @@ def assemble_effective(cell: CellSolution, x=None) -> EffectiveCoefficients:
     position off that ray is refused.  ``D`` then depends on ``x`` only
     through the scalar ``c``, analytically, and the family is solved at a
     few values of ``c`` (:func:`_solve_family`): nested Chebyshev-Lobatto
-    nodes on ``[c_min, c_max]`` with ``D`` interpolated at each position,
+    nodes on ``[c_min, c_max]``, from a predicted first level, with ``D``
+    interpolated at each position,
     or the distinct ``c`` themselves when they are fewer.  Either way the
     cells are solved in stacks of at most ``STACK_UNKNOWNS`` unknowns (see
     :class:`kinhom.cell_solver.CellStack`), with no factorization; the

@@ -243,8 +243,10 @@ def test_criterion_4_randomized_structure_invariants():
         op = assemble(kernel, 0.0, vm, cell, scheme="upwind")
         vec = rng.standard_normal(op.size)
         bound = op.norm(vec) / op.sigma_min
-        # no cell forms A: read the bound off a direct solve of A = P + K
-        resolvent = np.linalg.solve(op.dense_P() + op.K_mat.toarray(), vec)
+        # no cell forms A: read the bound off a direct solve of A = P + K,
+        # K from its action on the identity columns
+        K_dense = np.column_stack([op.apply_K(e) for e in np.eye(op.size)])
+        resolvent = np.linalg.solve(op.dense_P() + K_dense, vec)
         assert op.norm(resolvent) <= bound * (1.0 + 1e-12)
 
         u = PeriodicGridFn(rng.standard_normal(32), period=1.0)

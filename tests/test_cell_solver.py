@@ -91,8 +91,9 @@ def test_equilibrium_is_the_constant_from_one_application_of_O(build):
 def test_eigenvalue_gate_refuses_an_inconsistent_gain(build):
     # a gain 1 % above the loss breaks P 1 = 0; the Rayleigh quotient then
     # reads 1.01 and the gate refuses the operator
+    # the loss was formed at construction: scaling the gain table leaves it
     op = build()
-    op.gains = 1.01 * op.gains  # before the first solve builds anything
+    op.G = 1.01 * op.G
     with pytest.raises(ConvergenceError, match="deviates from 1 beyond 1.0e-08"):
         equilibrium_F(op)
 
@@ -103,17 +104,19 @@ def test_unknown_transport_scheme_is_refused():
     # a stack is built from rates alone, and refuses a misspelt scheme too
     op = assemble(SINUSOIDAL, 0.0, VM, GRID32)
     with pytest.raises(ValueError, match="unknown transport scheme 'upwnd'"):
-        cell_solver.CellStack(GRID32, VM, op.losses, op.gains, "upwnd")
+        cell_solver.CellStack(GRID32, VM, op.samples, op.G, "upwnd")
 
 
 def test_non_finite_sampled_rates_are_refused():
     # refused before the balance gate, which would read the gap as NaN and
     # blame semi-detailed balance
     for bad in (np.nan, np.inf):
-        rates = np.ones((32, 2, 2))
-        rates[5, 1, 0] = bad
+        kernel = make_kernel("constant", s0=1.0)
+        samples = np.ones(32)
+        samples[5] = bad
+        kernel.sample_cell = lambda x, grid: samples
         with pytest.raises(ValueError, match="positive and finite on the grid"):
-            assemble(rates, 0.0, VM, GRID32)
+            assemble(kernel, 0.0, VM, GRID32)
 
 
 # ---------------------------------------------------------------------------
@@ -202,17 +205,21 @@ def test_unbalanced_kernel_is_refused():
 def test_discrete_duality(scheme):
     rng = np.random.default_rng(1)
     op = assemble(SINUSOIDAL, 0.0, VM, GRID32, scheme=scheme)
+    K = _dense(op.apply_K, op.size)
     for _ in range(25):
         f = rng.standard_normal(op.size)
         g = rng.standard_normal(op.size)
         lhs = op.inner(op.apply_P(f), g)
         rhs = op.inner(f, op.apply_P_adjoint(g))
         assert abs(lhs - rhs) < 1e-12 * max(abs(lhs), 1.0)
+        # K from its action on the identity columns, against K*'s action
+        lhs = op.inner(K @ f, g)
+        assert abs(lhs - op.inner(f, op.apply_K_adjoint(g))) < 1e-12 * max(abs(lhs), 1.0)
 
 
 def _solve_A(op, h):
     """``A^{-1} h`` by a direct solve: no cell forms ``A``, so ``A = P + K`` from the actions."""
-    return np.linalg.solve(op.dense_P() + op.K_mat.toarray(), h)
+    return np.linalg.solve(op.dense_P() + _dense(op.apply_K, op.size), h)
 
 
 def test_absorption_inverse_bound_and_positivity():
@@ -282,7 +289,7 @@ def test_variational_residual_sees_an_unbalanced_gain():
         op = build()
         assert verify_variational(op) < 1e-12
         op = build()
-        op.gains = 1.01 * op.gains
+        op.G = 1.01 * op.G  # the loss stays as formed at construction
         assert verify_variational(op) >= 1e-3
 
 
@@ -519,20 +526,28 @@ def _dense(apply, size):
     return np.column_stack([apply(e) for e in np.eye(size)])
 
 
-def _assert_bitwise(got, want):
-    for part in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(got, part), getattr(want, part))
+def _assert_gain_matches(op, Km):
+    """``apply_K`` and ``apply_K_adjoint`` of ``op`` against the dense gain ``Km``.
+
+    ``Km`` holds the sampled ``c s g w`` of each point's ``K x K`` block;
+    the actions take ``c s`` and ``G = g w`` apart, so they match to
+    roundoff, 1e-14 of the largest entry.  The adjoint is the weighted
+    transpose.
+    """
+    W = op.weights
+    for got, want in ((op.apply_K, Km), (op.apply_K_adjoint, (Km.T * W) / W[:, None])):
+        assert np.max(np.abs(_dense(got, op.size) - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def _assert_matches_reference(op, P, A, Km):
     """``op`` against the reference ``(P, A, K)`` of the same cells.
 
-    ``K_mat`` is the reference's to the bit.  ``P`` (:meth:`dense_P`) and
-    ``A = M + diag(M.excess)`` come from FFT actions, so they match to
-    roundoff: 1e-14 of the largest entry of ``A``, as on a one-node set
-    ``P`` is the transport alone, 0 or at 1e-15.
+    ``K`` and its adjoint (:func:`_assert_gain_matches`), ``P``
+    (:meth:`dense_P`) and ``A = M + diag(M.excess)`` come from actions, so
+    they match to roundoff: 1e-14 of the largest entry of ``K`` and of
+    ``A``, as on a one-node set ``P`` is the transport alone, 0 or at 1e-15.
     """
-    _assert_bitwise(op.K_mat, Km)
+    _assert_gain_matches(op, Km.toarray())
     A = A.toarray()
     tol = 1e-14 * np.max(np.abs(A))
     assert np.max(np.abs(op.dense_P() - P.toarray())) <= tol
@@ -600,11 +615,13 @@ def test_sampled_operators_from_one_plan_are_bitwise_the_sparse_reference(dim, v
 def test_a_stack_holds_each_position_operator_on_its_diagonal(dim, vm, grid):
     kernel = make_kernel("sinusoidal", base=1.0, alpha=0.5, x_dependence="tanh",
                          x_amplitude=0.5, dim=dim)
-    ops = [assemble(kernel, x, vm, grid) for x in (-1.3, 0.4, 2.0)]
-    stack = cell_solver.CellStack(grid, vm, np.stack([op.sigma_flat for op in ops]),
-                                  np.stack([op.gain for op in ops]))
+    xs = (-1.3, 0.4, 2.0)
+    ops = [assemble(kernel, x, vm, grid) for x in xs]
+    stack = cell_solver.CellStack(grid, vm, np.stack([op.samples[0] for op in ops]), ops[0].G)
     n = ops[0].size
-    _assert_bitwise(stack.K_mat, sparse.block_diag([op.K_mat for op in ops], format="csr"))
+    _assert_gain_matches(stack, scipy.linalg.block_diag(
+        *(_reference_matrices(_fresh_rates(kernel, x, grid, vm), vm, grid)[2].toarray()
+          for x in xs)))
     for got, parts in ((stack.dense_P(), [op.dense_P() for op in ops]),
                        (_dense(stack.M.apply, stack.size), [_dense(op.M.apply, n) for op in ops])):
         want = scipy.linalg.block_diag(*parts)
@@ -622,20 +639,19 @@ def test_a_stack_holds_each_position_operator_on_its_diagonal(dim, vm, grid):
 
 def _stack_of(kernel, xs, vm=VM, grid=CellGrid((16,))):
     ops = [assemble(kernel, x, vm, grid) for x in xs]
-    return cell_solver.CellStack(grid, vm, np.stack([op.sigma_flat for op in ops]),
-                                 np.stack([op.gain for op in ops]))
+    return cell_solver.CellStack(grid, vm, np.stack([op.samples[0] for op in ops]), ops[0].G)
 
 
-@pytest.mark.parametrize("loss_shape, gain_shape, refused", [
-    ((2, 33), (2, 16, 2, 2), "loss of shape \\(2, 33\\)"),   # one column too wide
-    ((2, 32), (3, 16, 2, 2), "gain of shape \\(3, 16, 2, 2\\)"),  # a block too many
-    ((32,), (1, 16, 2, 2), "loss of shape \\(32,\\)"),      # a flat loss, no block axis
-    ((2, 32), (2, 16, 2, 3), "gain of shape \\(2, 16, 2, 3\\)"),
+@pytest.mark.parametrize("samples_shape, gain_shape, refused", [
+    ((2, 17), (2, 2), "samples of shape \\(2, 17\\)"),   # one point too many
+    ((2, 16), (3, 2, 2), "gain of shape \\(3, 2, 2\\)"),  # a table a block
+    ((16,), (2, 2), "samples of shape \\(16,\\)"),       # flat samples, no block axis
+    ((2, 16), (2, 3), "gain of shape \\(2, 3\\)"),
 ], ids=["wide-loss", "extra-gain-block", "flat-loss", "gain-blocks"])
-def test_a_stack_refuses_rates_of_another_shape(loss_shape, gain_shape, refused):
-    # 16 points and 2 velocities: a loss (m, 32) and a gain (m, 16, 2, 2)
+def test_a_stack_refuses_rates_of_another_shape(samples_shape, gain_shape, refused):
+    # 16 points and 2 velocities: samples (m, 16) and one gain table (2, 2)
     with pytest.raises(ValueError, match=refused + ".* expected"):
-        cell_solver.CellStack(CellGrid((16,)), VM, np.ones(loss_shape), np.ones(gain_shape))
+        cell_solver.CellStack(CellGrid((16,)), VM, np.ones(samples_shape), np.ones(gain_shape))
 
 
 def test_a_stack_gates_each_block():
@@ -644,9 +660,10 @@ def test_a_stack_gates_each_block():
     stack = _stack_of(kernel, (-1.0, 0.0, 1.0))
     lam, _ = equilibrium_F(stack)
     assert lam.shape == (3,) and np.max(np.abs(lam - 1.0)) < 1e-12
-    # one block's gain 1 % above its loss: only its eigenvalue is off
+    # one block's gain 1 % above its loss, which was formed at construction:
+    # only its eigenvalue is off
     stack = _stack_of(kernel, (-1.0, 0.0, 1.0))
-    stack.gains = stack.gains * np.array([1.0, 1.01, 1.0])[:, None, None, None]
+    stack.samples = stack.samples * np.array([1.0, 1.01, 1.0])[:, None]
     with pytest.raises(ConvergenceError, match=r"eigenvalue 1\.0\d+ deviates"):
         equilibrium_F(stack)
     # a right-hand side compatible in two blocks but not in the third
@@ -706,8 +723,8 @@ def test_operators_and_stacks_of_other_grids_and_velocity_sets_are_bitwise_the_r
             assert np.array_equal(op.velocity_profile(0), np.tile(vm.field[:, 0], 16))
             ops.append(op)
             refs.append(ref)
-        stack = cell_solver.CellStack(grid, vm, np.stack([op.sigma_flat for op in ops]),
-                                      np.stack([op.gain for op in ops]))
+        stack = cell_solver.CellStack(grid, vm, np.stack([op.samples[0] for op in ops]),
+                                      ops[0].G)
         _assert_matches_reference(stack, *(sparse.block_diag(parts, format="csr")
                                            for parts in zip(*refs)))
 
@@ -839,9 +856,9 @@ def test_lattice_is_built_from_the_exact_profile_frequencies(kernel):
     ),
 ], ids=["upwind", "spectral", "spectral_ap"])
 def test_adjoint_actions_are_bitwise_the_conjugate_transpose(build):
-    # K and O* are bitwise the weighted transpose of the sparse gain; no
-    # cell forms P, so its adjoint action is held to the weighted transpose
-    # of its dense action, to roundoff
+    # K* and O* are the weighted transpose of the dense gain of the sampled
+    # c s g w, to roundoff; no cell forms P, so its adjoint action is held
+    # to the weighted transpose of its dense action
     op = build()
     rng = np.random.default_rng(3)
     f = rng.standard_normal(op.size)
@@ -850,13 +867,33 @@ def test_adjoint_actions_are_bitwise_the_conjugate_transpose(build):
     def weighted_adjoint(M, g):
         return (M.T @ (w * g)) / w
 
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
     want = weighted_adjoint(op.dense_P(), f)
     assert np.max(np.abs(op.apply_P_adjoint(f) - want)) <= 1e-13 * np.max(np.abs(want))
-    assert np.array_equal(op.apply_K_adjoint(f), weighted_adjoint(op.K_mat, f))
+    Km = _dense_gain(op)
+    _assert_gain_matches(op, Km)
+    assert close(op.apply_K_adjoint(f), weighted_adjoint(Km, f))
     # O* = N* M*^-1 with N = K - diag(excess)
     m_inv = op.M.solve_adjoint(f)
-    assert np.array_equal(op.apply_O_adjoint(f),
-                          weighted_adjoint(op.K_mat, m_inv) - op.M.excess * m_inv)
+    assert close(op.apply_O_adjoint(f), weighted_adjoint(Km, m_inv) - op.M.excess * m_inv)
+
+
+def _dense_gain(op):
+    """The dense ``K`` of one cell: ``c(x) s(y_j) g(v_k, v_l) w_l`` on each point's block.
+
+    A grid cell's rates come from ``evaluate`` (:func:`_fresh_rates`), the
+    torus cell's from the profile's lift ``S`` at the torus points.
+    """
+    kernel, vm = op.kernel, op.vm
+    if isinstance(op, cell_solver.SpectralCellOperator):
+        gens = cell_solver._lattice_generators(kernel)
+        S = cell_solver._torus_profile(kernel, gens, op.grid.shape)
+        rates = kernel.x_factor(op.x) * np.multiply.outer(S, kernel.node_matrix(vm))
+    else:
+        rates = _fresh_rates(kernel, op.x, op.grid, vm)
+    return scipy.linalg.block_diag(*(rates.reshape(-1, vm.n_nodes, vm.n_nodes) * vm.weights))
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ def test_cell_timing_prints_ms_per_position_of_each_layer(timing, capsys):
     rows = [line.split()[:2] for line in lines[2:]]
     assert [name for name, _ in rows] == list(timing.LAYERS)
     assert all(math.isfinite(float(value)) and float(value) > 0.0 for _, value in rows)
-    # 32 distinct c: fewer than twice the 17 first Chebyshev nodes, so each is solved
+    # 32 distinct c: fewer than twice the 33 predicted Chebyshev nodes, so each is solved
     assert lines[-1].split()[0] == "family" and lines[-1].endswith("  (32 cells)")
 
 

@@ -164,15 +164,14 @@ def test_sinusoidal_profile_and_frequencies(name):
 def test_quasi_periodic_has_no_period_and_refuses_cell_sampling():
     kernel = make_kernel("quasi_periodic", base=1.0, alpha1=0.2, alpha2=0.2)
     assert kernel.natural_period is None
-    vm = two_velocity_1d()
     with pytest.raises(RepresentationError):
-        kernel.sample_cell(0.0, CellGrid((16,)), vm)
+        kernel.sample_cell(0.0, CellGrid((16,)))
 
 
 def test_cell_sampling_refuses_dimension_mismatch():
     kernel = make_kernel("constant", s0=1.0)  # oscillates in one dimension
     with pytest.raises(RepresentationError):
-        kernel.sample_cell(0.0, CellGrid((8, 8)), two_velocity_1d())
+        kernel.sample_cell(0.0, CellGrid((8, 8)))
 
 
 def test_quasi_approx_period_is_denominator():
@@ -197,6 +196,21 @@ def test_positivity_guard():
         with pytest.raises(ValueError, match="defect width must be positive and finite"):
             make_kernel("sinusoidal_defect", base=1.0, alpha=0.25,
                         defect_amplitude=0.5, defect_width=width)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("p", 2.7), ("p", np.inf), ("p", np.nan), ("q", 1.5), ("q", -np.inf),
+])
+def test_non_integral_approximant_orders_are_refused(name, value):
+    # p = 2.7 was cast to 2, a silently different approximant, and p = inf
+    # raised OverflowError from the cast
+    params = dict(alpha1=0.2, alpha2=0.2, p=2, q=1)
+    params[name] = value
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        make_kernel("quasi_approx", **params)
+    # integral values of any type build the same approximant
+    params[name] = 3.0
+    assert getattr(make_kernel("quasi_approx", **params), name) == 3
 
 
 @pytest.mark.parametrize("kind, params", [
@@ -258,8 +272,7 @@ def test_defect_is_invisible_to_the_grid_cell():
     defect = make_kernel("sinusoidal_defect", base=1.0, alpha=0.25,
                          defect_amplitude=0.5, defect_width=0.25)
     background = make_kernel("sinusoidal", base=1.0, alpha=0.25)
-    assert np.array_equal(defect.sample_cell(0.0, grid, vm),
-                          background.sample_cell(0.0, grid, vm))
+    assert np.array_equal(defect.sample_cell(0.0, grid), background.sample_cell(0.0, grid))
     D = [solve_cell(k, 0.0, vm, grid=grid, scheme="upwind").D for k in (defect, background)]
     assert np.array_equal(D[0], D[1])
     assert abs(defect.evaluate(0.0, np.zeros(1), vm)[0, 0, 0] - 1.5) < 1e-15

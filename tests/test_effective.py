@@ -252,8 +252,8 @@ def test_stacked_family_in_chunks_matches_per_position_solves(monkeypatch):
 
 def test_a_family_factors_only_stacks_within_the_bound(monkeypatch):
     # the tanh benchmark's cell (64 points, 2 velocities) at a full stack's
-    # worth of positions plus 8: the family is solved at 17 Chebyshev nodes
-    # in c, then at the 16 between them, each level one stack within the bound
+    # worth of positions plus 8: the family is solved at the 33 Chebyshev
+    # nodes in c predicted for c in [0.50, 1.50], one stack within the bound
     grid = CellGrid((64,))
     cell = solve_cell(TANH, 0.0, VM, grid=grid)
     stacks = _recorded_stacks(monkeypatch)
@@ -262,8 +262,16 @@ def test_a_family_factors_only_stacks_within_the_bound(monkeypatch):
     eff = assemble_effective(cell, x=x)
     assert eff.D.shape == (n_x, 1, 1)
     sizes = [stack.size for stack in stacks]
-    assert sizes == [17 * 128, 16 * 128] and eff.family_cell_solves == 33
+    assert sizes == [33 * 128] and eff.family_cell_solves == 33
     assert max(sizes) <= effective.STACK_UNKNOWNS
+    # a first level too coarse for the tail: 17 nodes, then the 16 between
+    # them, each level one stack, and the same D
+    monkeypatch.setattr(effective, "_first_level", lambda lo, hi: 17)
+    stacks.clear()
+    nested = assemble_effective(cell, x=x)
+    assert [stack.size for stack in stacks] == [17 * 128, 16 * 128]
+    assert nested.family_cell_solves == 33
+    np.testing.assert_allclose(nested.D, eff.D, rtol=1e-11, atol=0.0)
     # a bound below a level chunks its nodes as it chunks positions
     monkeypatch.setattr(effective, "STACK_UNKNOWNS", 10 * 128)
     stacks.clear()
@@ -284,8 +292,8 @@ def _per_position_stacks(cell, x):
     D, b, bound = [], [], 0.0
     for start in range(0, x.size, per_chunk):
         ops = [assemble(like.kernel, float(xi), like.vm, grid) for xi in x[start:start + per_chunk]]
-        stack = cell_solver.CellStack(grid, like.vm, np.stack([op.losses[0] for op in ops]),
-                                      np.stack([op.gains[0] for op in ops]), like.scheme)
+        stack = cell_solver.CellStack(grid, like.vm, np.stack([op.samples[0] for op in ops]),
+                                      ops[0].G, like.scheme)
         equilibrium_F(stack)
         star = solve_chi_star(stack)
         D.append(diffusion_matrix(stack, star.chi))
@@ -295,17 +303,17 @@ def _per_position_stacks(cell, x):
 
 
 @pytest.mark.parametrize("beta, weights, solves", [
-    (0.5, (1.0, 1.0), 17 + 16),
-    (0.9, (1.0, 2.0), 17 + 16 + 32),
-    (0.99, (1.0, 1.0), 17 + 16 + 32 + 64 + 512),
+    (0.5, (1.0, 1.0), 33),
+    (0.9, (1.0, 2.0), 65),
+    (0.99, (1.0, 1.0), 512),
 ], ids=["benchmark", "beta0.9-flux", "beta0.99-direct"])
 def test_a_family_in_c_holds_the_per_position_stacked_solves(beta, weights, solves):
     # the tanh benchmark's 512 macro cell centres on [-4, 4] and 64-point
     # upwind cell.  D is analytic in c on [1 - beta, 1 + beta], with a
-    # singularity at c = 0: at beta = 0.5 33 nodes take the tail below
-    # CHEB_TAIL, at beta = 0.9 65; at beta = 0.99 the 257 nodes after 129
-    # pass half the positions, so every position is solved after all, at
-    # 641 cells against 512
+    # singularity at c = 0: at beta = 0.5 the predicted 33 nodes take the
+    # tail below CHEB_TAIL, at beta = 0.9 65; at beta = 0.99 the predicted
+    # 257 nodes pass half the positions, so every position is solved at
+    # once, 512 cells
     vm = two_velocity_1d(weights=weights)
     kernel = make_kernel("sinusoidal", base=1.0, alpha=0.5, x_dependence="tanh",
                          x_amplitude=beta)
@@ -313,8 +321,8 @@ def test_a_family_in_c_holds_the_per_position_stacked_solves(beta, weights, solv
     cell = solve_cell(kernel, 0.0, vm, grid=CellGrid((64,)))
     eff = assemble_effective(cell, x=x)
     D, flux, bound = _per_position_stacks(cell, x)
-    assert eff.family_cell_solves == solves <= 1.3 * x.size
-    if solves > x.size:
+    assert eff.family_cell_solves == solves <= x.size
+    if solves == x.size:
         assert eff.family_cheb_tail == 0.0
     else:
         assert 0.0 < eff.family_cheb_tail <= effective.CHEB_TAIL
@@ -325,8 +333,9 @@ def test_a_family_in_c_holds_the_per_position_stacked_solves(beta, weights, solv
 
 
 def test_each_distinct_c_of_repeated_positions_is_solved_once(monkeypatch):
-    # 20 distinct positions, each three times: 17 nodes pass half the 20
-    # distinct c (not half the 60 positions), so the 20 are solved, once each
+    # 20 distinct positions, each three times: the predicted 33 nodes pass
+    # half the 20 distinct c (not half the 60 positions), so the 20 are
+    # solved, once each
     x = np.repeat(np.linspace(-2.0, 2.0, 20), 3)
     cell = solve_cell(TANH, 0.0, VM, grid=CellGrid((16,)))
     stacks = _recorded_stacks(monkeypatch)
@@ -399,8 +408,8 @@ def _family_with_one_position_altered(monkeypatch, alter, bad_x=0.5):
     cell = solve_cell(kernel, 0.0, VM, grid=CellGrid((16,)))
     sample = kernel.sample_cell
 
-    def altered(x, grid, vm):
-        vals = sample(x, grid, vm)
+    def altered(x, grid):
+        vals = sample(x, grid)
         return alter(vals.copy()) if x == bad_x else vals
 
     monkeypatch.setattr(kernel, "sample_cell", altered)
@@ -415,7 +424,7 @@ def _family_with_one_position_altered(monkeypatch, alter, bad_x=0.5):
 def test_a_sampled_position_with_one_bad_rate_is_refused_before_the_balance_gate(
         monkeypatch, bad):
     def one_bad_sample(vals):
-        vals[5, 1, 0] = bad
+        vals[5] = bad
         return vals
 
     cell, gates = _family_with_one_position_altered(monkeypatch, one_bad_sample)
@@ -427,11 +436,18 @@ def test_a_sampled_position_with_one_bad_rate_is_refused_before_the_balance_gate
 
 
 def test_an_unbalanced_node_table_at_a_sampled_position_is_refused(monkeypatch):
-    def unbalanced(vals):
-        vals[..., 0, 1] *= 1.5  # positive and finite, out of semi-detailed balance
-        return vals
+    # the samples at x = 0.5 pass; the node table read right after them is
+    # positive and finite, out of semi-detailed balance
+    sampled = []
+    cell, gates = _family_with_one_position_altered(
+        monkeypatch, lambda vals: sampled.append(0.5) or vals)
+    kernel, table = cell.op.kernel, cell.op.kernel.node_matrix
 
-    cell, gates = _family_with_one_position_altered(monkeypatch, unbalanced)
+    def node_matrix(vm):
+        g = table(vm)
+        return g * np.array([[1.0, 1.5], [1.0, 1.0]]) if sampled else g
+
+    monkeypatch.setattr(kernel, "node_matrix", node_matrix)
     with pytest.raises(BalanceError, match="semi-detailed balance"):
         assemble_effective(cell, x=np.array([-1.0, 0.5, 1.0]))
     assert len(gates) == 2

@@ -55,7 +55,8 @@ CHECK_SCENARIOS = {
 
 def test_import_parse_and_check_stage_do_not_load_scipy(tmp_path):
     # loading scipy.linalg and scipy.sparse took about 0.2 s of the
-    # benchmark's setup_s; scipy loads at the first operator assembly
+    # benchmark's setup_s; an operator assembly loads no scipy either,
+    # scipy.linalg loads at the first solve
     paths = []
     for name, text in CHECK_SCENARIOS.items():
         paths.append(tmp_path / f"{name}.ini")
@@ -72,11 +73,29 @@ def test_import_parse_and_check_stage_do_not_load_scipy(tmp_path):
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         "cfg = parse_config(open(sys.argv[1]).read())\n"
         "kinhom.assemble(cfg.build_kernel(), 0.0, cfg.build_velocity(), cfg.build_cell_grid())\n"
-        "print('scipy.sparse' in sys.modules)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = os.path.dirname(os.path.dirname(kinhom.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src] + sys.path)}
     proc = subprocess.run([sys.executable, "-c", code, *map(str, paths)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\nTrue\n"
+    assert proc.stdout == "[]\n[]\n"
+
+
+def test_the_cell_stage_does_not_load_scipy_sparse():
+    # a cell keeps its rates as samples and one K x K gain table, so no
+    # stage up to the effective coefficients builds a sparse matrix; the
+    # macro solve may still load scipy.sparse
+    code = (
+        "import sys\n"
+        "from kinhom.harness import parse_config, run_pipeline\n"
+        "run_pipeline(parse_config(sys.stdin.read()), stop_after='effective')\n"
+        "print('scipy.linalg' in sys.modules, 'scipy.sparse' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(kinhom.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src] + sys.path)}
+    proc = subprocess.run([sys.executable, "-c", code], input=CHECK_SCENARIOS["circle2d"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True False\n"

@@ -716,17 +716,18 @@ def _count_rate_samples(monkeypatch):
 
 def test_the_x0_rates_are_sampled_and_gated_once(monkeypatch):
     # the check stage measures the balance gap of the node table; the cell
-    # stage's operator samples the x = 0 rates and gates them
+    # stage's operator samples the x = 0 rates and gates them, with one gap
+    # of the same table; no gap of samples is taken
     calls = _count_rate_samples(monkeypatch)
     report = run_pipeline(parse_config(MINIMAL), stop_after="cell")
-    assert calls == {"sample_cell": 1, "table_gap": 1, "sample_gap": 1}
+    assert calls == {"sample_cell": 1, "table_gap": 2, "sample_gap": 0}
     assert report.sdb_gap <= 1e-12
     # the sampled positions of a modulated kernel sample and gate once each
     calls.update(sample_cell=0, table_gap=0, sample_gap=0)
     cfg = parse_config(TANH_REDUCED)
     run_pipeline(cfg, stop_after="effective")
     n = cfg.macro["n"] + 1
-    assert calls == {"sample_cell": n, "table_gap": 1, "sample_gap": n}
+    assert calls == {"sample_cell": n, "table_gap": 1 + n, "sample_gap": 0}
 
 
 def test_the_check_stage_refuses_bad_rates_before_any_solve(monkeypatch):

@@ -17,16 +17,17 @@ solve:
   the rates;
 * ``equilibrium_F``: the principal-eigenvalue check, which builds the
   splitting ``P = M - N`` (the Fourier symbol of ``M``, no factorization)
-  and the sparse gain ``K`` from the rates at their first use;
+  at its first use;
 * ``solve_chi_star``: the adjoint correctors, split GMRES solves with one
   FFT pair per iteration;
 * ``verify_variational``: the weak-form residual ``||P F|| / ||F||``, which
   the pipeline reads on the ``x = 0`` cell only;
 * ``solve_cell``: the whole solve of one position, as the ``x = 0`` cell
   is solved;
-* ``gate``: the kernel's rates at one position sampled on the cell grid
-  and gated (:func:`kinhom.cell_solver.gate_rates`: positivity,
-  finiteness and semi-detailed balance), with no operator around them, so
+* ``gate``: the kernel's rate factor ``c(x) s(y)`` at one position
+  sampled on the cell grid and gated (:func:`kinhom.cell_solver.gate_rates`:
+  positivity and finiteness of the samples, semi-detailed balance of the
+  node table), with no operator around them, so
   ``assemble`` minus ``gate`` is what the operator itself costs;
 * ``family``: the positions solved as the effective stage solves them
   (:mod:`kinhom.effective`): each one assembled, gated and checked on the
