@@ -8,14 +8,11 @@ cross-validates the whole chain against a direct kinetic reference solver
 at finite scale separation.
 """
 
-from kinhom.mv_algebra import PeriodicGridFn, RepresentationError, SpectralAPFn
+from kinhom.mv_algebra import RepresentationError, SpectralAPFn
 from kinhom.phase_space import CellGrid, MacroGrid, VelocityMeasure
 from kinhom.collision import (
     BalanceError,
-    PhaseField,
     ScatteringKernel,
-    apply_Q,
-    apply_Q_star,
     check_sdb,
     make_kernel,
 )
@@ -53,17 +50,13 @@ from kinhom.harness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "PeriodicGridFn",
     "SpectralAPFn",
     "RepresentationError",
     "CellGrid",
     "MacroGrid",
     "VelocityMeasure",
     "BalanceError",
-    "PhaseField",
     "ScatteringKernel",
-    "apply_Q",
-    "apply_Q_star",
     "check_sdb",
     "make_kernel",
     "CellOperator",

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kinhom.collision import PhaseField, ScatteringKernel, sdb_gap
+from kinhom.collision import ScatteringKernel, sdb_gap
 from kinhom.phase_space import CellGrid, VelocityMeasure
 
 __all__ = [
@@ -68,7 +68,6 @@ __all__ = [
     "CellStack",
     "RING_LEVEL",
     "SpectralCellOperator",
-    "SpectralField",
     "CorrectorSolution",
     "ChiStarSolution",
     "assemble",
@@ -264,10 +263,6 @@ class _CellOperatorBase:
     def norm(self, f: np.ndarray):
         return self.per_cell(self.norms(f))
 
-    def mean_v(self, f: np.ndarray):
-        """``int M(f) dmu`` of a flat field (see :meth:`means`)."""
-        return self.per_cell(self.means(f))
-
     @functools.cached_property
     def F(self) -> np.ndarray:
         """Flat equilibrium ``1 / mu(V)`` spanning ``ker P``; read-only, as the solves share it."""
@@ -321,15 +316,6 @@ class _CellOperatorBase:
         """Flat field of ``a_component(v)`` (y-independent)."""
         return np.tile(self.vm.field[:, component], self.n_blocks * self.n_points)
 
-    def wrap(self, flat: np.ndarray):
-        return flat
-
-    def unwrap(self, field) -> np.ndarray:
-        flat = np.asarray(field)
-        if flat.shape != (self.size,):
-            raise ValueError(f"expected flat size {self.size}, got {flat.shape}")
-        return flat
-
     def dense_P(self) -> np.ndarray:
         """``P`` as a dense array, :meth:`apply_P` of each identity column."""
         n = self.size
@@ -378,7 +364,7 @@ class CellOperator(_CellOperatorBase):
 
     Construction samples and gates the rates (:func:`gate_rates`) and
     keeps the samples ``c(x) s(y_j)``, the gain table ``G`` and the flat
-    loss ``sigma_flat``; the splitting follows at first use.
+    loss ``losses[0]``; the splitting follows at first use.
     """
 
     def __init__(self, kernel, x, vm: VelocityMeasure, grid: CellGrid, scheme: str):
@@ -386,23 +372,8 @@ class CellOperator(_CellOperatorBase):
             raise ValueError(f"cell grid dim {grid.dim} != velocity dim {vm.dim}")
         self.kernel = kernel
         self.x = x
-        self.field_shape = (*grid.shape, vm.n_nodes)
         samples, G = gate_rates(kernel, x, grid, vm)
         super().__init__(grid, vm, samples[None], G, scheme)
-
-    @property
-    def sigma_flat(self) -> np.ndarray:
-        return self.losses[0]
-
-    # -- field conversion ----------------------------------------------------
-
-    def wrap(self, flat: np.ndarray) -> PhaseField:
-        return PhaseField(values=flat.reshape(self.field_shape), grid=self.grid, vm=self.vm)
-
-    def unwrap(self, field) -> np.ndarray:
-        if isinstance(field, PhaseField):
-            return field.values.reshape(-1)
-        return super().unwrap(field)
 
 
 def assemble(kernel, x, vm: VelocityMeasure, grid: CellGrid,
@@ -442,40 +413,6 @@ class CellStack(_CellOperatorBase):
 #: Outermost-ring weight of the lattice corrector above which the harness
 #: warns; D's error stays below its square (about 1e-8 here).
 RING_LEVEL = 1e-4
-
-
-@dataclass(frozen=True)
-class SpectralField:
-    """Phase-space field of the frequency lattice.
-
-    ``values`` are its real samples on the lattice's torus, ``(*torus,
-    K)``; ``coeffs[m, k]`` are their Fourier coefficients at the lattice
-    frequencies ``freqs[m]``, the torus modes in row-major order from
-    ``-n_modes`` to ``n_modes`` along each generator.
-    """
-
-    values: np.ndarray
-    freqs: np.ndarray        # (n_lattice,) float
-    vm: VelocityMeasure
-
-    @functools.cached_property
-    def coeffs(self) -> np.ndarray:
-        """``(n_lattice, K)`` complex: the FFT of the samples over the torus."""
-        axes = tuple(range(self.values.ndim - 1))
-        n_points = math.prod(self.values.shape[:-1])
-        modes = np.fft.fftshift(np.fft.fftn(self.values, axes=axes), axes=axes)
-        return modes.reshape(n_points, -1) / n_points
-
-    def sample(self, y: np.ndarray) -> np.ndarray:
-        """Real samples at fast coordinates ``y``, shape ``(len(y), K)``."""
-        phases = np.exp(1j * np.asarray(y, dtype=float)[:, None] * self.freqs[None, :])
-        return (phases @ self.coeffs).real
-
-    def mean_y(self) -> np.ndarray:
-        zero = np.flatnonzero(np.abs(self.freqs) < 1e-12)
-        if zero.size == 0:
-            return np.zeros(self.vm.n_nodes)
-        return self.coeffs[zero[0]].real
 
 
 @dataclass(frozen=True)
@@ -537,13 +474,12 @@ class SpectralCellOperator(_CellOperatorBase):
     The profile's generator frequencies ``g_j`` (at most two; a profile
     without one takes a single point) span a torus with period ``2 pi /
     g_j`` along axis ``j``, on which ``c(x) S`` is sampled at ``2 n_modes +
-    1`` points an axis and transport is Fourier collocation
-    with ``a_k`` along every axis.  A field's Fourier coefficients are its
-    coefficients on the lattice ``freqs = sum_j t_j g_j``, ``|t_j| <=
-    n_modes`` (``lattice``), which :meth:`wrap` hands out as a
-    :class:`SpectralField`.  Collocation and the Galerkin compression onto
-    that lattice agree on every mode whose neighbours stay inside it, and
-    differ below convergence only through the outermost ring
+    1`` points an axis and transport is Fourier collocation with ``a_k``
+    along every axis.  A field's Fourier coefficients (:meth:`coeffs`) are
+    its coefficients on the lattice ``sum_j t_j g_j``, ``|t_j| <=
+    n_modes`` (``lattice``).  Collocation and the Galerkin compression
+    onto that lattice agree on every mode whose neighbours stay inside it,
+    and differ below convergence only through the outermost ring
     (:meth:`ring_weight`).
     """
 
@@ -560,30 +496,30 @@ class SpectralCellOperator(_CellOperatorBase):
         self.kernel = kernel
         self.x = x
         self.n_modes = m
-        # the box -m..m per generator, row-major, as SpectralField.coeffs orders it
+        # the box -m..m per generator, row-major, as coeffs orders it
         self._coords = np.indices(box).reshape(len(gens), math.prod(box)).T - m
         self.lattice = (self._coords * np.array(gens)).sum(axis=1)
 
-    # -- field conversion ------------------------------------------------------
+    def coeffs(self, flat: np.ndarray) -> np.ndarray:
+        """``(n_lattice, K)`` complex: the Fourier coefficients of a flat field at ``lattice``.
 
-    def wrap(self, flat: np.ndarray) -> SpectralField:
-        return SpectralField(values=flat.reshape(*self.grid.shape, self.vm.n_nodes),
-                             freqs=self.lattice, vm=self.vm)
+        The FFT of its samples over the torus, modes in the order of
+        ``lattice``.
+        """
+        axes = tuple(range(len(self.grid.shape)))
+        values = flat.reshape(*self.grid.shape, self.vm.n_nodes)
+        modes = np.fft.fftshift(np.fft.fftn(values, axes=axes), axes=axes)
+        return modes.reshape(self.n_points, -1) / self.n_points
 
-    def unwrap(self, field) -> np.ndarray:
-        if isinstance(field, SpectralField):
-            return field.values.reshape(-1)
-        return super().unwrap(field)
-
-    def ring_weight(self, field) -> float:
-        """``||field on the outermost lattice ring|| / ||field||``.
+    def ring_weight(self, flat: np.ndarray) -> float:
+        """``||flat on the outermost lattice ring|| / ||flat||``.
 
         The ring is the modes with some ``|t_j| = n_modes``, the last ones
         the truncation keeps; the norms are Parseval's, weighted by the
         velocity measure.  For the adjoint corrector it measures what the
         truncation drops: D's error stays below its square.
         """
-        power = np.abs(self.wrap(self.unwrap(field)).coeffs) ** 2 @ self.vm.weights
+        power = np.abs(self.coeffs(flat)) ** 2 @ self.vm.weights
         ring = np.any(np.abs(self._coords) == self.n_modes, axis=1)
         total = power.sum()
         return float(np.sqrt(power[ring].sum() / total)) if total > 0 else 0.0
@@ -636,8 +572,8 @@ def equilibrium_F(op: _CellOperatorBase):
     Returns
     -------
     (lam, F) :
-        The eigenvalue (one per block of a stack) and the wrapped
-        equilibrium field.
+        The eigenvalue (one per block of a stack) and the flat equilibrium
+        field ``op.F``.
     """
     h = op.M.one
     lam = op.pairings(h, op.apply_O(h)) / op.pairings(h, h)
@@ -647,14 +583,14 @@ def equilibrium_F(op: _CellOperatorBase):
             f"principal eigenvalue {_first_failing(lam, off)!r} deviates from 1 beyond 1.0e-08; "
             "kernel and quadrature are inconsistent"
         )
-    return op.per_cell(lam), op.wrap(op.F)
+    return op.per_cell(lam), op.F
 
 
 @dataclass(frozen=True)
 class CorrectorSolution:
-    """A corrector field with its solve diagnostics."""
+    """A flat corrector field with its solve diagnostics."""
 
-    field: object
+    field: np.ndarray
     residual: float
     bound_constant: float
     iterations: int
@@ -802,7 +738,9 @@ def _gauged_solve(op: _CellOperatorBase, rhs, tol: float | None, *,
     residual and bound constant come one per block.
     """
     null, null_scale = (op.F, op.norms(op.F)) if adjoint else (op.const, 1.0)
-    rhs_flat = op.unwrap(rhs).astype(float)
+    rhs_flat = np.asarray(rhs, dtype=float)
+    if rhs_flat.shape != (op.size,):
+        raise ValueError(f"expected flat size {op.size}, got {rhs_flat.shape}")
     rhs_norm = op.norms(rhs_flat)
     compat = op.pairings(null, rhs_flat)
     kind = "adjoint " if adjoint else ""
@@ -826,7 +764,7 @@ def _gauged_solve(op: _CellOperatorBase, rhs, tol: float | None, *,
             "exceeds 1e-9 relative"
         )
     constant = _ratio(op.norms(f), rhs_norm, 0.0)
-    return CorrectorSolution(field=op.wrap(f), residual=op.per_cell(residual),
+    return CorrectorSolution(field=f, residual=op.per_cell(residual),
                              bound_constant=op.per_cell(constant), iterations=n_iter)
 
 
@@ -859,7 +797,7 @@ class ChiStarSolution:
     a :class:`CellStack` both are per block and ``b`` is ``(m, d)``.
     """
 
-    chi: list
+    chi: list               # one flat field a transport direction
     b: np.ndarray
     residual: float
     bound_constant: float

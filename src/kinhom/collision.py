@@ -12,7 +12,7 @@ table builds the periodic or quasi-periodic part of ``s`` as a
 the kinetic reference's pointwise :meth:`ScatteringKernel.evaluate` adds
 the defect.
 
-The gain/loss operators act on sampled phase-space fields:
+The gain/loss operators act on phase-space fields:
 
     (Q f)(y, v)  = int sigma(x, y, v, w) (f(y, w) - f(y, v)) dmu(w)
     (K f)(y, v)  = int sigma(x, y, v, w) f(y, w) dmu(w)
@@ -24,12 +24,12 @@ the gain:
     Sigma(y, v) = int sigma(x, y, v, w) dmu(w),     Q = K - Sigma * id.
 
 :func:`gain_loss` builds ``(K, Sigma)`` from full rate arrays for the
-kinetic reference, :func:`apply_Q` and :func:`apply_Q_star`; the cell
-operators keep the separable factors instead, the samples ``c(x) s(y)``
-of :meth:`ScatteringKernel.sample_cell` and the one table ``g w``, and
-form the same loss from them.  With this loss ``Q 1 = 0`` for every
-kernel.  Mass conservation and the duality of ``Q`` and ``Q*`` need
-semi-detailed balance, equal outgoing and incoming rates
+kinetic reference; the cell operators of :mod:`kinhom.cell_solver` keep
+the separable factors instead, the samples ``c(x) s(y)`` of
+:meth:`ScatteringKernel.sample_cell` and the one table ``g w``, and form
+the same loss from them.  With this loss ``Q 1 = 0`` for every kernel.
+Mass conservation and the duality of ``Q`` and ``Q*`` need semi-detailed
+balance, equal outgoing and incoming rates
 
     out(v) = int sigma(., v, w) dmu(w),   in(v) = int sigma(., w, v) dmu(w).
 
@@ -50,12 +50,9 @@ from kinhom.phase_space import CellGrid, VelocityMeasure
 __all__ = [
     "BalanceError",
     "ONE_DIMENSIONAL_KINDS",
-    "PhaseField",
     "ScatteringKernel",
     "SdbReport",
     "make_kernel",
-    "apply_Q",
-    "apply_Q_star",
     "check_sdb",
     "gain_loss",
     "sdb_gap",
@@ -68,42 +65,6 @@ class BalanceError(ValueError):
 
 # kernel families whose profile exists only in one dimension
 ONE_DIMENSIONAL_KINDS = ("quasi_periodic", "quasi_approx", "sinusoidal_defect")
-
-
-# ---------------------------------------------------------------------------
-# phase-space fields
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PhaseField:
-    """Samples ``f(y_j, v_k)`` on a cell grid times a velocity set.
-
-    ``values`` has shape ``(*grid.shape, K)``; the velocity index is last.
-    """
-
-    values: np.ndarray
-    grid: CellGrid
-    vm: VelocityMeasure
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        expected = (*self.grid.shape, self.vm.n_nodes)
-        if values.shape != expected:
-            raise ValueError(f"field shape {values.shape} != grid x velocity {expected}")
-        object.__setattr__(self, "values", values)
-
-    def velocity_integral(self) -> np.ndarray:
-        """``int f dmu`` at every grid point."""
-        return self.vm.integrate(self.values, axis=-1)
-
-    def mean_y(self) -> np.ndarray:
-        """Cell average per velocity node, shape ``(K,)``."""
-        axes = tuple(range(self.grid.dim))
-        return self.values.mean(axis=axes)
-
-    def with_values(self, values: np.ndarray) -> "PhaseField":
-        return PhaseField(values=values, grid=self.grid, vm=self.vm)
 
 
 # ---------------------------------------------------------------------------
@@ -346,16 +307,6 @@ def make_kernel(kind: str, **params) -> ScatteringKernel:
 # ---------------------------------------------------------------------------
 
 
-def _sampled(kernel_or_array, x, grid: CellGrid, vm: VelocityMeasure) -> np.ndarray:
-    if isinstance(kernel_or_array, ScatteringKernel):
-        samples = kernel_or_array.sample_cell(x, grid).reshape(grid.shape)
-        return np.multiply.outer(samples, kernel_or_array.node_matrix(vm))
-    arr = np.asarray(kernel_or_array, dtype=float)
-    if arr.shape != (*grid.shape, vm.n_nodes, vm.n_nodes):
-        raise ValueError("sampled kernel has the wrong shape")
-    return arr
-
-
 def gain_loss(rates, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weighted gain block and loss rate of rates ``(..., K, K)``.
 
@@ -364,17 +315,6 @@ def gain_loss(rates, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     gain = np.asarray(rates, dtype=float) * weights
     return gain, gain.sum(axis=-1)
-
-
-def apply_Q(kernel, x, f: PhaseField) -> PhaseField:
-    """Jump operator: gain minus same-slot loss."""
-    gain, loss = gain_loss(_sampled(kernel, x, f.grid, f.vm), f.vm.weights)
-    return f.with_values(np.einsum("...kl,...l->...k", gain, f.values) - loss * f.values)
-
-
-def apply_Q_star(kernel, x, f: PhaseField) -> PhaseField:
-    """Adjoint jump operator (kernel velocity slots swapped)."""
-    return apply_Q(np.swapaxes(_sampled(kernel, x, f.grid, f.vm), -1, -2), x, f)
 
 
 #: Largest relative semi-detailed balance gap a solver accepts.

@@ -13,9 +13,10 @@ solutions:
   negative (semi-)definite; the divergence-form tensor is its negative,
   which is what this module returns and what the macro solver consumes.
 * ``U``   pairs the correctors against the slow gradient of the
-  equilibrium, and is zero: ``collision.gain_loss`` takes the loss rate as
-  the gain's row sum, so ``P 1 = 0`` for every rate table and the
-  equilibrium is the constant ``1 / mu(V)`` at every macro position.  It
+  equilibrium, and is zero: every cell operator forms its loss rate as
+  the gain's row sum (the samples ``c(x) s(y)`` times the row sums of
+  ``g w``), so ``P 1 = 0`` for every kernel and the equilibrium is the
+  constant ``1 / mu(V)`` at every macro position.  It
   is kept only as a reported zero; the macro solver does not take it.
 * ``b``   is the equilibrium flux ``int M(a F) dmu``; a nonzero value
   means the expansion lives in a co-moving frame, and downstream
@@ -81,8 +82,8 @@ def diffusion_matrix(op, chi) -> np.ndarray:
     d = op.vm.dim
     # M_ij = <a_j F, chi_i>: every backend's fields are real samples on its
     # grid or torus, so a_j F is the pointwise product
-    mat = np.array([[op.pairings(op.velocity_profile(j) * op.F, op.unwrap(c))
-                     for j in range(d)] for c in chi])
+    mat = np.array([[op.pairings(op.velocity_profile(j) * op.F, c) for j in range(d)]
+                    for c in chi])
     return -op.per_cell(np.moveaxis(mat, 2, 0))  # (blocks, d, d) -> the operator's result
 
 
@@ -147,7 +148,7 @@ class CellSolution:
     residual: float
     bound_constant: float
     settings: dict       # the solve_cell keywords it was solved with, backend resolved
-    chi: list            # the adjoint correctors, wrapped
+    chi: list            # the adjoint correctors, flat fields
 
 
 def _assemble(kernel, x, vm: VelocityMeasure, settings: dict):

@@ -1,21 +1,13 @@
 """Discrete functions that carry a mean value.
 
 The homogenized limit sees a microstructure profile only through mean-value
-quantities.  Two representations carry them:
-
-``SpectralAPFn``
-    A finite trigonometric sum ``u(y) = sum_m c_m exp(i lam_m . y)`` with
-    real frequencies that need not be commensurate.  Coefficients are stored
-    with conjugate symmetry so samples are real.  The mean value is the
-    coefficient at frequency zero.  Every scattering kernel carries its
-    periodic or quasi-periodic profile in this form
-    (``ScatteringKernel.profile``).
-
-``PeriodicGridFn``
-    Uniform collocation samples of a periodic function.  The mean value is
-    the plain grid average, which is exact (trapezoid == midpoint on a
-    periodic grid) for trigonometric content below the Nyquist limit; the
-    spectral derivative has exactly zero mean.
+quantities.  ``SpectralAPFn`` carries them: a finite trigonometric sum
+``u(y) = sum_m c_m exp(i lam_m . y)`` with real frequencies that need not
+be commensurate.  Coefficients are stored with conjugate symmetry so
+samples are real.  The mean value is the coefficient at frequency zero.
+Every scattering kernel carries its periodic or quasi-periodic profile in
+this form (``ScatteringKernel.profile``); the cell operators sample it on
+their grids and hold fields as flat sample arrays.
 
 Operands that do not fit together raise ``RepresentationError``.
 """
@@ -26,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "RepresentationError",
-    "PeriodicGridFn",
     "SpectralAPFn",
 ]
 
@@ -36,74 +27,6 @@ FREQ_TOL = 1e-9
 
 class RepresentationError(ValueError):
     """Operands use incompatible discrete representations."""
-
-
-class PeriodicGridFn:
-    """Periodic function sampled on a uniform grid.
-
-    Parameters
-    ----------
-    values :
-        Real samples, shape ``(n,)`` in one dimension or ``(n1, n2)`` in two.
-        Sample ``j`` sits at ``y_j = j * period / n``.
-    period :
-        Period per dimension (scalar broadcasts).  Defaults to 1, i.e. the
-        unit cell.
-    """
-
-    def __init__(self, values: np.ndarray, period: float | tuple[float, ...] = 1.0):
-        values = np.asarray(values, dtype=float)
-        if values.ndim not in (1, 2):
-            raise RepresentationError(f"grid functions are 1-D or 2-D, got ndim={values.ndim}")
-        if np.isscalar(period):
-            period = (float(period),) * values.ndim
-        period = tuple(float(p) for p in period)
-        if len(period) != values.ndim:
-            raise RepresentationError("period length must match dimension")
-        if any(p <= 0 for p in period):
-            raise RepresentationError("periods must be positive")
-        self.values = values
-        self.period = period
-
-    @property
-    def dim(self) -> int:
-        return self.values.ndim
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.values.shape
-
-    def mean(self) -> float:
-        return float(self.values.mean())
-
-    def seminorm(self, p: int = 2) -> float:
-        """The Besicovitch seminorm ``(M(|u|^p))**(1/p)`` for p in {1, 2}."""
-        if p not in (1, 2):
-            raise ValueError("seminorm supports p in {1, 2}")
-        return float(np.mean(np.abs(self.values) ** p) ** (1.0 / p))
-
-    def grad(self, scheme: str = "spectral") -> tuple["PeriodicGridFn", ...]:
-        """Partial derivatives along each fast direction.
-
-        Differentiates in Fourier space: exact below Nyquist, Nyquist mode
-        dropped, so each derivative has exactly zero mean.
-        """
-        if scheme != "spectral":
-            raise ValueError(f"unknown gradient scheme {scheme!r}")
-        fhat = np.fft.fftn(self.values)
-        out = []
-        for axis, (n, p) in enumerate(zip(self.shape, self.period)):
-            k = 2.0 * np.pi * np.fft.fftfreq(n, d=p / n)
-            if n % 2 == 0:
-                k[n // 2] = 0.0  # odd derivative of the Nyquist mode
-            shape = [1] * self.dim
-            shape[axis] = n
-            dhat = fhat * (1j * k.reshape(shape))
-            out.append(PeriodicGridFn(np.fft.ifftn(dhat).real, self.period))
-        return tuple(out)
-
-    def __repr__(self) -> str:
-        return f"PeriodicGridFn(shape={self.shape}, period={self.period})"
 
 
 def _canonical_freq_key(freq: np.ndarray) -> tuple[float, ...]:

@@ -78,11 +78,6 @@ class VelocityMeasure:
         """mu(V), the measure of the whole velocity set."""
         return float(self.weights.sum())
 
-    def integrate(self, values: np.ndarray, axis: int = -1) -> np.ndarray:
-        """Weighted sum over the velocity axis (defaults to the last axis)."""
-        values = np.asarray(values)
-        return np.tensordot(values, self.weights, axes=([axis], [0]))
-
 
 def two_velocity_1d(speed: float = 1.0, weights: tuple[float, float] = (1.0, 1.0)) -> VelocityMeasure:
     """The two-node set {-speed, +speed} in one dimension."""

@@ -21,12 +21,11 @@ from kinhom.cell_solver import (
     solve_chi_star,
     solve_corrector,
 )
-from kinhom.collision import PhaseField, apply_Q, apply_Q_star, check_sdb, make_kernel
+from kinhom.collision import check_sdb, make_kernel
 from kinhom.effective import assemble_effective, diffusion_matrix, solve_cell
 from kinhom.harness import parse_config, run_pipeline
 from kinhom.kinetic_ref import periodic_shift, shift_wavenumbers
 from kinhom.macro_solver import DriftDiffusionSolver
-from kinhom.mv_algebra import PeriodicGridFn
 from kinhom.phase_space import (
     CellGrid,
     MacroGrid,
@@ -159,12 +158,15 @@ def test_criterion_1_principal_eigenvalue_gate():
         op = assemble(kernel, 0.0, vm, grid, scheme="upwind")
         lam, F = equilibrium_F(op)
         assert abs(lam - 1.0) <= 1e-8
-        assert op.unwrap(F).real.min() > 0.0
+        assert F.min() > 0.0
     quasi = make_kernel("quasi_periodic", base=1.0, alpha1=0.2, alpha2=0.2)
     op = assemble_spectral_ap(quasi, 0.0, VM)
     lam, F = equilibrium_F(op)
     assert abs(lam - 1.0) <= 1e-8
-    assert F.sample(np.linspace(0.0, 5.0, 64)).real.min() > 0.0
+    # F between the torus points: Fourier interpolation on the lattice
+    y = np.linspace(0.0, 5.0, 64)
+    samples = (np.exp(1j * y[:, None] * op.lattice[None, :]) @ op.coeffs(F)).real
+    assert samples.min() > 0.0
     print("criterion 1: PASS — |lambda - 1| <= 1e-8 and F > 0 on every family")
 
 
@@ -173,12 +175,12 @@ def test_criterion_2_constant_kernel_closed_forms():
     kernel = make_kernel("constant", s0=1.0)
     op = assemble(kernel, 0.0, VM, grid, scheme="upwind")
     lam, F = equilibrium_F(op)
-    assert np.max(np.abs(op.unwrap(F).real - 0.5)) <= 1e-10
+    assert np.max(np.abs(F - 0.5)) <= 1e-10
     star = solve_chi_star(op)
     chi, b = star.chi, star.b
     assert abs(b[0]) <= 1e-10
     v = VM.field[:, 0]
-    assert np.max(np.abs(chi[0].values - (-v / 2.0)[None, :])) <= 1e-10
+    assert np.max(np.abs(chi[0].reshape(-1, VM.n_nodes) - (-v / 2.0)[None, :])) <= 1e-10
     pairing = -diffusion_matrix(op, chi)
     assert abs(pairing[0, 0] + 0.5) <= 1e-10
     eff = assemble_effective(solve_cell(kernel, 0.0, VM, grid=grid))
@@ -197,26 +199,25 @@ def test_criterion_3_dense_oracle_equivalence():
     _, _, Vh = scipy.linalg.svd(P)
     null = Vh[-1] / np.sum(op.weights * Vh[-1])
     _, F = equilibrium_F(op)
-    assert np.max(np.abs(op.unwrap(F) - null)) <= 1e-8
+    assert np.max(np.abs(F - null)) <= 1e-8
 
     g = op.velocity_profile(0)
     aug = np.vstack([P, op.weights[None, :]])
     dense_fwd, *_ = np.linalg.lstsq(aug, np.concatenate([g, [0.0]]), rcond=None)
     fwd = solve_corrector(op, g)
-    assert np.max(np.abs(op.unwrap(fwd.field) - dense_fwd)) <= 1e-8
+    assert np.max(np.abs(fwd.field - dense_fwd)) <= 1e-8
 
     W = np.diag(op.weights)
     P_star = np.linalg.solve(W, P.T @ W)
     aug_adj = np.vstack([P_star, op.weights[None, :]])
     dense_adj, *_ = np.linalg.lstsq(aug_adj, np.concatenate([-g, [0.0]]), rcond=None)
     adj = solve_adjoint_corrector(op, -g)
-    assert np.max(np.abs(op.unwrap(adj.field) - dense_adj)) <= 1e-8
+    assert np.max(np.abs(adj.field - dense_adj)) <= 1e-8
     print("criterion 3: PASS — 1-D null space; F and both correctors match dense solves")
 
 
 def test_criterion_4_randomized_structure_invariants():
     rng = np.random.default_rng(2024)
-    grid = CellGrid((8,))
     cell = CellGrid((16,))
     for _ in range(100):
         K = int(rng.integers(2, 5))
@@ -225,14 +226,18 @@ def test_criterion_4_randomized_structure_invariants():
         vm = velocity_from_tables(nodes=nodes[:, None], weights=weights)
         g = rng.uniform(0.2, 2.0, (K, K))
         kernel = make_kernel("table", table=(g + g.T) / 2)
+        op = assemble(kernel, 0.0, vm, cell, scheme="upwind")
 
-        f = PhaseField(rng.standard_normal((8, K)), grid, vm)
-        h = PhaseField(rng.standard_normal((8, K)), grid, vm)
-        Qf = apply_Q(kernel, 0.0, f)
-        scale = max(np.abs(Qf.values).max(), 1.0)
-        assert np.max(np.abs(Qf.velocity_integral())) <= 1e-12 * scale
-        lhs = float(np.sum(Qf.values * h.values * vm.weights))
-        rhs = float(np.sum(f.values * apply_Q_star(kernel, 0.0, h).values * vm.weights))
+        # the collision of the cell the pipeline solves: Q = K - Sigma, and
+        # Q* = K* - Sigma with K* the weighted transpose
+        f, h = rng.standard_normal(op.size), rng.standard_normal(op.size)
+        Qf = op.apply_K(f) - op.losses[0] * f
+        Qh = op.apply_K_adjoint(h) - op.losses[0] * h
+        scale = max(np.abs(Qf).max(), 1.0)
+        assert np.max(np.abs(Qf.reshape(-1, K) @ vm.weights)) <= 1e-12 * scale
+        w = np.tile(vm.weights, op.n_points)
+        lhs = float(np.sum(Qf * h * w))
+        rhs = float(np.sum(f * Qh * w))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
         assert check_sdb(kernel, vm).passed
@@ -240,7 +245,6 @@ def test_criterion_4_randomized_structure_invariants():
         broken[0, 1] += rng.uniform(0.1, 0.5)
         assert not check_sdb(make_kernel("table", table=broken), vm).passed
 
-        op = assemble(kernel, 0.0, vm, cell, scheme="upwind")
         vec = rng.standard_normal(op.size)
         bound = op.norm(vec) / op.sigma_min
         # no cell forms A: read the bound off a direct solve of A = P + K,
@@ -249,9 +253,12 @@ def test_criterion_4_randomized_structure_invariants():
         resolvent = np.linalg.solve(op.dense_P() + K_dense, vec)
         assert op.norm(resolvent) <= bound * (1.0 + 1e-12)
 
-        u = PeriodicGridFn(rng.standard_normal(32), period=1.0)
-        (du,) = u.grad(scheme="spectral")
-        assert abs(du.mean()) <= 1e-12 * max(du.seminorm(), 1.0)
+        # the collocation transport T u = M u - Sigma_bar u has zero grid mean
+        spectral = assemble(kernel, 0.0, vm, CellGrid((32,)), scheme="spectral")
+        u = rng.standard_normal(spectral.size)
+        du = (spectral.M.apply(u) - spectral.M.one * u).reshape(32, K)
+        seminorm = np.sqrt(np.mean(du ** 2))
+        assert np.max(np.abs(du.mean(axis=0))) <= 1e-12 * max(seminorm, 1.0)
     print("criterion 4: PASS — conservation, duality, balance controls, "
           "resolvent bound, zero-mean derivative (100 trials @ 1e-12)")
 
@@ -343,7 +350,7 @@ def test_criterion_9_drifting_equilibrium_path():
                   scheme="upwind")
     _, F = equilibrium_F(op)
     rhs = -(op.velocity_profile(0) - b * op.const)
-    compat = abs(op.inner(op.unwrap(F), rhs)) / (op.norm(op.unwrap(F)) * op.norm(rhs))
+    compat = abs(op.inner(F, rhs)) / (op.norm(F) * op.norm(rhs))
     assert compat <= 1e-10
     row = report.sweep.rows[0]
     assert row.epsilon == 0.2

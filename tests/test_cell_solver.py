@@ -18,7 +18,7 @@ from kinhom.cell_solver import (
     solve_corrector,
     verify_variational,
 )
-from kinhom.collision import BalanceError, _sampled, gain_loss, make_kernel
+from kinhom.collision import BalanceError, gain_loss, make_kernel
 from kinhom.effective import solve_cell
 from kinhom.phase_space import CellGrid, two_velocity_1d, uniform_circle, velocity_from_tables
 
@@ -26,6 +26,12 @@ VM = two_velocity_1d()
 GRID32 = CellGrid((32,))
 SINUSOIDAL = make_kernel("sinusoidal", base=1.0, alpha=0.5)
 CONSTANT = make_kernel("constant", s0=1.0)
+
+
+def _lattice_samples(op, flat, y):
+    """Fourier interpolation of a torus cell's flat field at ``y``, ``(len(y), K)``."""
+    phases = np.exp(1j * np.asarray(y, dtype=float)[:, None] * op.lattice[None, :])
+    return (phases @ op.coeffs(flat)).real
 
 
 # ---------------------------------------------------------------------------
@@ -38,12 +44,12 @@ def test_constant_kernel_closed_forms(scheme):
     op = assemble(CONSTANT, 0.0, VM, GRID32, scheme=scheme)
     lam, F = equilibrium_F(op)
     assert abs(lam - 1.0) < 1e-12
-    assert np.max(np.abs(F.values - 0.5)) < 1e-10
+    assert np.max(np.abs(F - 0.5)) < 1e-10
     star = solve_chi_star(op)
     chi, b = star.chi, star.b
     assert abs(b[0]) < 1e-12
     expect = -VM.field[:, 0] / 2.0
-    assert np.max(np.abs(chi[0].values - expect[None, :])) < 1e-10
+    assert np.max(np.abs(chi[0].reshape(-1, VM.n_nodes) - expect[None, :])) < 1e-10
 
 
 def test_constant_kernel_closed_forms_spectral_ap():
@@ -51,11 +57,11 @@ def test_constant_kernel_closed_forms_spectral_ap():
     lam, F = equilibrium_F(op)
     assert abs(lam - 1.0) < 1e-12
     y = np.linspace(0.0, 3.0, 7)
-    assert np.max(np.abs(F.sample(y) - 0.5)) < 1e-10
+    assert np.max(np.abs(_lattice_samples(op, F, y) - 0.5)) < 1e-10
     star = solve_chi_star(op)
     chi, b = star.chi, star.b
     assert abs(b[0]) < 1e-12
-    assert np.max(np.abs(chi[0].sample(y) - (-VM.field[:, 0] / 2.0)[None, :])) < 1e-10
+    assert np.max(np.abs(_lattice_samples(op, chi[0], y) - (-VM.field[:, 0] / 2.0)[None, :])) < 1e-10
 
 
 @pytest.mark.parametrize("build", [
@@ -75,12 +81,12 @@ def test_equilibrium_is_the_constant_from_one_application_of_O(build):
     lam, F = equilibrium_F(op)
     assert len(calls) == 1
     assert abs(lam - 1.0) < 1e-12
-    flat = op.unwrap(F)
-    assert np.array_equal(flat, op.const / op.mean_v(op.const))
+    mu = op.inner(op.const, op.const)
+    assert np.array_equal(F, op.const / mu)
     # the operator carries the same equilibrium the solves read
-    assert np.array_equal(op.F, op.const / op.mean_v(op.const)) and np.array_equal(op.F, flat)
-    assert np.max(np.abs(flat - op.const / 3.0)) <= 1e-15
-    assert op.mean_v(flat) == pytest.approx(1.0, abs=1e-15)
+    assert F is op.F
+    assert np.max(np.abs(F - op.const / 3.0)) <= 1e-15
+    assert op.inner(op.const, F) == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("build", [
@@ -131,9 +137,9 @@ def test_null_space_dimension_and_equilibrium_direction():
     # the kernel direction from the dense SVD matches equilibrium_F
     _, _, Vh = scipy.linalg.svd(P)
     null = Vh[-1]
-    null = null / np.sum(op.weights * null)  # normalize mean_v to 1
+    null = null / np.sum(op.weights * null)  # normalize int M(null) dmu to 1
     _, F = equilibrium_F(op)
-    assert np.max(np.abs(op.unwrap(F) - null)) < 1e-8
+    assert np.max(np.abs(F - null)) < 1e-8
 
 
 def test_spectral_scheme_even_grid_carries_alternating_mode():
@@ -149,7 +155,7 @@ def test_spectral_scheme_even_grid_carries_alternating_mode():
     # equilibrium is untouched by the artifact: it still solves exactly
     lam, F = equilibrium_F(op)
     assert abs(lam - 1.0) < 1e-12
-    assert np.min(op.unwrap(F).real) > 0.0
+    assert np.min(F) > 0.0
 
     odd = assemble(SINUSOIDAL, 0.0, VM, CellGrid((33,)), scheme="spectral")
     s_odd = scipy.linalg.svdvals(odd.dense_P())
@@ -159,13 +165,13 @@ def test_spectral_scheme_even_grid_carries_alternating_mode():
 def test_corrector_matches_dense_least_squares():
     op = assemble(SINUSOIDAL, 0.0, VM, GRID32, scheme="spectral")
     P = op.dense_P()
-    g = op.velocity_profile(0)  # mean_v(a) = 0: compatible forward datum
+    g = op.velocity_profile(0)  # int M(a) dmu = 0: compatible forward datum
     # gauge-constrained dense solve: stack the weighted-mean row
     aug = np.vstack([P, op.weights[None, :]])
     rhs = np.concatenate([g, [0.0]])
     dense, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
     sol = solve_corrector(op, g)
-    assert np.max(np.abs(op.unwrap(sol.field) - dense)) < 1e-8
+    assert np.max(np.abs(sol.field - dense)) < 1e-8
     assert sol.residual < 1e-9
 
 
@@ -178,15 +184,32 @@ def test_adjoint_corrector_matches_dense_least_squares():
     aug = np.vstack([P_star, op.weights[None, :]])
     dense, *_ = np.linalg.lstsq(aug, np.concatenate([rhs, [0.0]]), rcond=None)
     sol = solve_adjoint_corrector(op, rhs)
-    assert np.max(np.abs(op.unwrap(sol.field) - dense)) < 1e-8
+    assert np.max(np.abs(sol.field - dense)) < 1e-8
 
 
 def test_incompatible_data_is_refused():
     op = assemble(CONSTANT, 0.0, VM, GRID32, scheme="upwind")
     with pytest.raises(CompatibilityError):
-        solve_corrector(op, op.const)  # mean_v(1) = mu(V) != 0
+        solve_corrector(op, op.const)  # int M(1) dmu = mu(V) != 0
     with pytest.raises(CompatibilityError):
         solve_adjoint_corrector(op, op.const)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: assemble(SINUSOIDAL, 0.0, VM, GRID32),
+    lambda: _stack_of(make_kernel("sinusoidal", base=1.0, alpha=0.5, x_dependence="tanh",
+                                  x_amplitude=0.5), (-1.0, 0.0, 1.0)),
+    lambda: assemble_spectral_ap(
+        make_kernel("quasi_periodic", base=1.0, alpha1=0.2, alpha2=0.2), 0.0, VM),
+], ids=["grid", "stack", "spectral_ap"])
+@pytest.mark.parametrize("solve", [solve_corrector, solve_adjoint_corrector])
+def test_a_right_hand_side_of_another_size_is_refused(build, solve):
+    # the solves take flat (point, node) fields of the operator's size, and
+    # name the size they expected before any gate reads the datum
+    op = build()
+    for rhs in (np.zeros(op.size + 1), np.zeros((op.size // 2, 2))):
+        with pytest.raises(ValueError, match=f"expected flat size {op.size}, got"):
+            solve(op, rhs)
 
 
 def test_unbalanced_kernel_is_refused():
@@ -246,9 +269,41 @@ def test_transport_has_zero_cell_mean():
         for _ in range(25):
             u = rng.standard_normal(op.size)
             Au = op.apply_P(u) + op.apply_K(u)
-            transport = Au - op.sigma_flat * u
+            transport = Au - op.losses[0] * u
             means = transport.reshape(op.n_points, VM.n_nodes).mean(axis=0)
             assert np.max(np.abs(means)) < 1e-12 * max(np.abs(u).max(), 1.0)
+
+
+def _transport(op, u):
+    """The collocation transport ``T u = M u - Sigma_bar u`` (``M 1 = Sigma_bar``)."""
+    return op.M.apply(u) - op.M.one * u
+
+
+def test_collocation_transport_differentiates_exactly_below_nyquist():
+    # T is a_k d/dy per node: exact on a resolved mode
+    vm = two_velocity_1d(weights=(1.0, 2.0))
+    op = assemble(SINUSOIDAL, 0.0, vm, CellGrid((64,)), scheme="spectral")
+    y = op.grid.axes()[0]
+    Tu = _transport(op, np.repeat(np.sin(2 * np.pi * y), vm.n_nodes)).reshape(64, vm.n_nodes)
+    expect = np.outer(2 * np.pi * np.cos(2 * np.pi * y), vm.field[:, 0])
+    assert np.max(np.abs(Tu - expect)) < 1e-12
+
+
+@pytest.mark.parametrize("build", [
+    lambda: assemble(SINUSOIDAL, 0.0, VM, GRID32, scheme="spectral"),
+    lambda: assemble(make_kernel("sinusoidal", base=1.0, alpha=0.5, dim=2), 0.0,
+                     uniform_circle(8), CellGrid((8, 8)), scheme="spectral"),
+], ids=["1d", "circle-8x8"])
+def test_collocation_transport_has_zero_mean_per_node(build):
+    # the derivative drops the unpaired Nyquist mode of an even axis and has
+    # no constant mode, so every real field's transport has zero grid mean
+    # at each node
+    op = build()
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        Tu = _transport(op, rng.standard_normal(op.size))
+        means = Tu.reshape(op.n_points, op.vm.n_nodes).mean(axis=0)
+        assert np.max(np.abs(means)) < 1e-13
 
 
 def test_circle_axis_nodes_couple_along_their_own_axis_only():
@@ -409,7 +464,8 @@ def test_upwind_converges_to_spectral_corrector():
         op = assemble(SINUSOIDAL, 0.0, VM, CellGrid((n,)), scheme="upwind")
         chi = solve_chi_star(op).chi
         stride = 256 // n
-        errs.append(np.max(np.abs(chi[0].values - chi_ref[0].values[::stride])))
+        ref = chi_ref[0].reshape(256, VM.n_nodes)[::stride]
+        errs.append(np.max(np.abs(chi[0].reshape(n, VM.n_nodes) - ref)))
     assert errs[0] > errs[1] > errs[2]
     assert errs[0] / errs[1] > 1.7 and errs[1] / errs[2] > 1.7
 
@@ -420,13 +476,14 @@ def test_lattice_backend_matches_grid_backend():
     _, F_g = equilibrium_F(op_g)
     _, F_s = equilibrium_F(op_s)
     y = op_g.grid.axes()[0]
-    assert np.max(np.abs(F_s.sample(y) - F_g.values)) < 1e-10
+    on_grid = (64, VM.n_nodes)
+    assert np.max(np.abs(_lattice_samples(op_s, F_s, y) - F_g.reshape(on_grid))) < 1e-10
     star_g = solve_chi_star(op_g)
     star_s = solve_chi_star(op_s)
     chi_g, b_g = star_g.chi, star_g.b
     chi_s, b_s = star_s.chi, star_s.b
     assert np.max(np.abs(b_g - b_s)) < 1e-10
-    assert np.max(np.abs(chi_s[0].sample(y) - chi_g[0].values)) < 1e-8
+    assert np.max(np.abs(_lattice_samples(op_s, chi_s[0], y) - chi_g[0].reshape(on_grid))) < 1e-8
 
 
 def test_equilibrium_positive_for_asymmetric_weights():
@@ -435,18 +492,20 @@ def test_equilibrium_positive_for_asymmetric_weights():
     lam, F = equilibrium_F(op)
     assert abs(lam - 1.0) < 1e-12
     # F = 1/mu(V) = 1/3 for every admissible kernel
-    assert np.max(np.abs(F.values - 1.0 / 3.0)) < 1e-10
-    assert F.values.min() > 0
+    assert np.max(np.abs(F - 1.0 / 3.0)) < 1e-10
+    assert F.min() > 0
 
 
 def test_spectral_field_sampling_consistency():
     op = assemble_spectral_ap(SINUSOIDAL, 0.0, VM, n_modes=8)
     _, F = equilibrium_F(op)
     # mean over the fast variable equals the zero-frequency coefficient
-    zero = np.flatnonzero(np.abs(F.freqs) < 1e-12)[0]
-    dense_mean = F.sample(np.linspace(0, 1, 2048, endpoint=False)).mean(axis=0)
-    assert np.max(np.abs(dense_mean - F.coeffs[zero].real)) < 1e-12
-    assert np.max(np.abs(np.asarray(F.mean_y()) - F.coeffs[zero].real)) < 1e-14
+    zero = np.flatnonzero(np.abs(op.lattice) < 1e-12)[0]
+    coeffs = op.coeffs(F)
+    dense_mean = _lattice_samples(op, F, np.linspace(0, 1, 2048, endpoint=False)).mean(axis=0)
+    assert np.max(np.abs(dense_mean - coeffs[zero].real)) < 1e-12
+    torus_mean = F.reshape(op.n_points, VM.n_nodes).mean(axis=0)
+    assert np.max(np.abs(torus_mean - coeffs[zero].real)) < 1e-14
 
 
 @pytest.mark.parametrize("build", [
@@ -462,11 +521,10 @@ def test_chi_star_diagnostics_come_from_the_solves(build):
     worst_res = worst_const = 0.0
     for j, c in enumerate(star.chi):
         rhs = -(op.velocity_profile(j) - star.b[j] * op.const)
-        chi_flat = op.unwrap(c)
-        res = op.norm(op.apply_P_adjoint(chi_flat) - rhs)
+        res = op.norm(op.apply_P_adjoint(c) - rhs)
         nrm = op.norm(rhs)
         worst_res = max(worst_res, res / nrm if nrm > 0 else res)
-        worst_const = max(worst_const, op.norm(chi_flat) / nrm if nrm > 0 else 0.0)
+        worst_const = max(worst_const, op.norm(c) / nrm if nrm > 0 else 0.0)
     assert star.residual == worst_res
     assert star.bound_constant == worst_const
     assert 0.0 < star.residual < 1e-9 and star.bound_constant > 0.0
@@ -508,11 +566,11 @@ def _reference_transport(vm, grid):
     return sum(blocks)
 
 
-def _reference_matrices(kernel, vm, grid):
-    """``(P, A, K)`` built with kron, sum(blocks) and COO, as before."""
+def _reference_matrices(rates, vm, grid):
+    """``(P, A, K)`` of ``rates`` ``(*grid.shape, K, K)`` built with kron, sum(blocks) and COO."""
     K, n = vm.n_nodes, grid.n_points
     size = n * K
-    gain, sigma = gain_loss(_sampled(kernel, 0.0, grid, vm).reshape(n, K, K), vm.weights)
+    gain, sigma = gain_loss(rates.reshape(n, K, K), vm.weights)
     T = _reference_transport(vm, grid)
     jj, kk, ll = np.meshgrid(np.arange(n), np.arange(K), np.arange(K), indexing="ij")
     Km = sparse.csr_matrix((gain.ravel(), ((jj * K + kk).ravel(), (jj * K + ll).ravel())),
@@ -559,7 +617,8 @@ def test_upwind_matrix_is_bitwise_the_lil_reference(speed):
     # one velocity node: A is the lil stencil of that speed plus the loss
     vm, grid = velocity_from_tables([[speed]], [1.0]), CellGrid((16,))
     op = assemble(SINUSOIDAL, 0.0, vm, grid, scheme="upwind")
-    _assert_matches_reference(op, *_reference_matrices(SINUSOIDAL, vm, grid))
+    rates = np.multiply.outer(SINUSOIDAL.sample_cell(0.0, grid), SINUSOIDAL.node_matrix(vm))
+    _assert_matches_reference(op, *_reference_matrices(rates, vm, grid))
 
 
 @pytest.mark.parametrize("kernel, vm, grid", [
@@ -579,7 +638,8 @@ def test_upwind_matrix_is_bitwise_the_lil_reference(speed):
         "2d-circle12-6x8"])
 def test_upwind_assembly_is_bitwise_the_sparse_reference(kernel, vm, grid):
     op = assemble(kernel, 0.0, vm, grid, scheme="upwind")
-    _assert_matches_reference(op, *_reference_matrices(kernel, vm, grid))
+    rates = np.multiply.outer(kernel.sample_cell(0.0, grid), kernel.node_matrix(vm))
+    _assert_matches_reference(op, *_reference_matrices(rates, vm, grid))
 
 
 def _fresh_rates(kernel, x, grid, vm):
@@ -687,7 +747,7 @@ def test_a_stack_solves_each_block_as_its_own_cell():
     for i, x in enumerate(xs):
         one = solve_chi_star(assemble(kernel, x, vm, CellGrid((16,))))
         assert star.b[i, 0] == one.b[0] != 0.0
-        np.testing.assert_allclose(star.chi[0][i * n:(i + 1) * n], one.chi[0].values.ravel(),
+        np.testing.assert_allclose(star.chi[0][i * n:(i + 1) * n], one.chi[0],
                                    rtol=1e-10, atol=1e-13)
         assert star.bound_constant[i] == pytest.approx(one.bound_constant, rel=1e-11, abs=0.0)
         residuals.append(one.residual)
@@ -813,10 +873,10 @@ def test_lattice_assembly_is_bitwise_the_dict_reference(kernel, x, n_modes):
     assert op.lattice.dtype == lattice.dtype and np.array_equal(op.lattice, lattice)
     # the constant field is the zero row's coefficient alone, and a real
     # field's coefficients are conjugate-symmetric through the mirror
-    const = op.wrap(op.const).coeffs
+    const = op.coeffs(op.const)
     assert np.max(np.abs(const[zero_row] - 1.0)) <= 1e-15
     assert np.max(np.abs(np.delete(const, zero_row, axis=0)), initial=0.0) <= 1e-15
-    chi = op.wrap(np.random.default_rng(6).standard_normal(op.size)).coeffs
+    chi = op.coeffs(np.random.default_rng(6).standard_normal(op.size))
     assert np.max(np.abs(chi[mirror] - chi.conj())) <= 1e-15
     # P in lattice coordinates: Phi^H P Phi / n, Phi the torus samples of the modes
     K, shape = vm.n_nodes, op.grid.shape
@@ -1050,7 +1110,7 @@ def _scipy_deflated_gmres(op, action, rhs, deflate, tol):
 def test_cell_solves_are_bitwise_the_scipy_gmres_solves(build, monkeypatch):
     op = build()
     g = op.velocity_profile(0)
-    g = g - (op.mean_v(g) / op.mean_v(op.const)) * op.const
+    g = g - (op.inner(op.const, g) / op.inner(op.const, op.const)) * op.const
 
     def solves():
         star = solve_chi_star(op)
@@ -1067,10 +1127,10 @@ def test_cell_solves_are_bitwise_the_scipy_gmres_solves(build, monkeypatch):
     assert len(loops) == 3
 
     for got, want in zip(star.chi, star_ref.chi):
-        assert np.array_equal(op.unwrap(got), op.unwrap(want))
+        assert np.array_equal(got, want)
     assert (star.residual, star.bound_constant) == (star_ref.residual, star_ref.bound_constant)
     for got, want in ((adj, adj_ref), (fwd, fwd_ref)):
-        assert np.array_equal(op.unwrap(got.field), op.unwrap(want.field))
+        assert np.array_equal(got.field, want.field)
         assert (got.residual, got.bound_constant, got.iterations) == (
             want.residual, want.bound_constant, want.iterations)
         assert got.iterations > 0

@@ -39,13 +39,22 @@ def test_cell_timing_prints_ms_per_position_of_each_layer(timing, capsys):
 
 
 def test_cell_timing_family_row_times_the_stacked_solve(timing, monkeypatch):
-    # the family row runs the effective stage's family solve, once a sweep
+    # the family row runs the effective stage, once a sweep
     calls = []
-    solve = timing._solve_family
-    monkeypatch.setattr(timing, "_solve_family",
-                        lambda kernel, x, *a: calls.append(len(x)) or solve(kernel, x, *a))
+    stage = timing.assemble_effective
+    monkeypatch.setattr(timing, "assemble_effective",
+                        lambda cell, x: calls.append(len(x)) or stage(cell, x))
     assert timing.main(["--reduced", "--sweeps", "2"]) == 0
     assert calls == [32, 32]
+
+
+def _assert_one_cell_rows(timing, lines):
+    """Every layer timed; ``family``, the effective stage, solves no cell."""
+    rows = [line.split()[:2] for line in lines[2:]]
+    assert [name for name, _ in rows] == list(timing.LAYERS)
+    assert all(math.isfinite(float(value)) and float(value) > 0.0 for _, value in rows)
+    # an unmodulated kernel's effective stage takes the x = 0 cell's D as it is
+    assert lines[-1].split()[0] == "family" and lines[-1].endswith("  (0 cells)")
 
 
 def test_cell_timing_refuses_zero_sweeps(timing):
@@ -59,9 +68,7 @@ def test_cell_timing_times_the_one_circle2d_cell(timing, capsys):
     # the reduced scenario: the x = 0 cell, 8 x 8 upwind with the 8-node circle
     assert lines[0] == ("circle2d seed 1: 1 position, 64-point upwind cell, 8 velocities, "
                         "min of 2 sweeps")
-    rows = [line.split()[:2] for line in lines[2:]]
-    assert [name for name, _ in rows] == list(timing.LAYERS)
-    assert all(math.isfinite(float(value)) and float(value) > 0.0 for _, value in rows)
+    _assert_one_cell_rows(timing, lines)
 
 
 def test_cell_timing_gate_row_samples_and_gates_each_position_alone(timing, monkeypatch, capsys):
@@ -84,6 +91,4 @@ def test_cell_timing_times_the_one_small_eps_cell(timing, capsys):
     # the reduced scenario: the x = 0 cell, 16-point Fourier collocation
     assert lines[0] == ("small_eps seed 1: 1 position, 16-point spectral cell, 2 velocities, "
                         "min of 2 sweeps")
-    rows = [line.split()[:2] for line in lines[2:]]
-    assert [name for name, _ in rows] == list(timing.LAYERS)
-    assert all(math.isfinite(float(value)) and float(value) > 0.0 for _, value in rows)
+    _assert_one_cell_rows(timing, lines)

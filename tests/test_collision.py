@@ -3,10 +3,7 @@ import pytest
 
 from kinhom.collision import (
     BalanceError,
-    PhaseField,
     RepresentationError,
-    apply_Q,
-    apply_Q_star,
     check_sdb,
     make_kernel,
     sdb_gap,
@@ -75,7 +72,8 @@ def test_every_backend_gates_on_one_balance_gap(delta, balanced):
 
 
 def test_conservation_and_duality_randomized():
-    # 100 trials: int Qf dmu = 0 and <Qf, g> = <f, Q*g> to 1e-12 relative
+    # 100 trials: int Qf dmu = 0 and <Qf, g> = <f, Q*g> to 1e-12 relative, on
+    # the collision of an assembled cell: Q = K - Sigma, Q* = K* - Sigma
     rng = np.random.default_rng(0)
     grid = CellGrid((8,))
     for _ in range(100):
@@ -83,14 +81,15 @@ def test_conservation_and_duality_randomized():
         weights = rng.uniform(0.3, 2.0, K)
         nodes = np.sort(rng.uniform(-2, 2, K))
         vm = velocity_from_tables(nodes=nodes[:, None], weights=weights)
-        kernel = _random_sdb_kernel(rng, K)
-        f = PhaseField(rng.standard_normal((8, K)), grid, vm)
-        g = PhaseField(rng.standard_normal((8, K)), grid, vm)
-        Qf = apply_Q(kernel, 0.0, f)
-        scale = np.abs(Qf.values).max()
-        assert np.max(np.abs(Qf.velocity_integral())) < 1e-12 * max(scale, 1.0)
-        lhs = float(np.sum(Qf.values * g.values * vm.weights))
-        rhs = float(np.sum(f.values * apply_Q_star(kernel, 0.0, g).values * vm.weights))
+        op = assemble(_random_sdb_kernel(rng, K), 0.0, vm, grid)
+        f, g = rng.standard_normal(op.size), rng.standard_normal(op.size)
+        Qf = op.apply_K(f) - op.losses[0] * f
+        Qg = op.apply_K_adjoint(g) - op.losses[0] * g
+        scale = np.abs(Qf).max()
+        assert np.max(np.abs(Qf.reshape(8, K) @ vm.weights)) < 1e-12 * max(scale, 1.0)
+        w = np.tile(vm.weights, 8)
+        lhs = float(np.sum(Qf * g * w))
+        rhs = float(np.sum(f * Qg * w))
         assert abs(lhs - rhs) < 1e-12 * max(abs(lhs), 1.0)
 
 
@@ -240,15 +239,6 @@ def test_tanh_macro_modulation():
     assert np.allclose(vals_right, 2.0 * 1.3, atol=1e-10)
     with pytest.raises(ValueError):
         make_kernel("constant", s0=1.0, x_dependence="tanh", x_amplitude=1.2)
-
-
-def test_phase_field_reductions():
-    vm = two_velocity_1d(weights=(1.0, 2.0))
-    grid = CellGrid((4,))
-    f = PhaseField(np.arange(8.0).reshape(4, 2), grid, vm)
-    # velocity integral: f[:,0]*1 + f[:,1]*2
-    assert np.allclose(f.velocity_integral(), [2, 8, 14, 20])
-    assert np.allclose(f.mean_y(), [3.0, 4.0])
 
 
 def test_defect_kernel_profile():

@@ -260,7 +260,7 @@ def test_initial_density_integrates_velocity_nodes():
                  "[scenario]\ndimension = 2\n[velocity]\nfamily = uniform_circle\nn = 4\n"):
         cfg = parse_config(text)
         mg, vm = cfg.build_macro_grid(), cfg.build_velocity()
-        rho = vm.integrate(cfg.initial_f(mg, vm)).reshape(mg.shape)
+        rho = (cfg.initial_f(mg, vm) @ vm.weights).reshape(mg.shape)
         assert np.max(np.abs(rho - cfg.initial_rho(mg))) < 1e-14
 
 

@@ -1,35 +1,9 @@
 import numpy as np
 import pytest
 
-from kinhom.mv_algebra import PeriodicGridFn, RepresentationError, SpectralAPFn
+from kinhom.mv_algebra import RepresentationError, SpectralAPFn
 
 RT2 = np.sqrt(2.0)
-
-
-def _grid(n):
-    return np.arange(n) / n
-
-
-def test_grid_mean_exact_for_trig_polynomial():
-    # the grid average integrates resolved trig modes exactly
-    u = PeriodicGridFn(2.0 + 0.7 * np.cos(2 * np.pi * 3 * _grid(64)))
-    assert abs(u.mean() - 2.0) < 1e-14
-
-
-def test_cosine_seminorm_matches_quadrature():
-    # closed form: M(cos^2) = 1/2, so the 2-seminorm is 1/sqrt(2);
-    # cross-check with a fine trapezoid quadrature as an independent oracle
-    grid = PeriodicGridFn(np.cos(2 * np.pi * _grid(128)))
-    y = np.linspace(0.0, 1.0, 20001)
-    quad = np.sqrt(np.trapezoid(np.cos(2 * np.pi * y) ** 2, y))
-    assert abs(grid.seminorm() - 1 / RT2) < 1e-14
-    assert abs(quad - 1 / RT2) < 1e-6
-
-
-def test_seminorm_p1_of_cosine():
-    # M(|cos|) = 2/pi
-    grid = PeriodicGridFn(np.cos(2 * np.pi * _grid(128)))
-    assert abs(grid.seminorm(p=1) - 2 / np.pi) < 1e-3
 
 
 def test_quasi_periodic_parseval():
@@ -43,19 +17,11 @@ def test_quasi_periodic_parseval():
     assert u.mean() == 1.0
 
 
-def test_gradient_has_zero_mean_and_exact_derivative():
-    y = _grid(64)
-    u = PeriodicGridFn(np.sin(2 * np.pi * y))
-    (du,) = u.grad()
-    assert np.max(np.abs(du.values - 2 * np.pi * np.cos(2 * np.pi * y))) < 1e-12
-    assert abs(du.mean()) < 1e-13
-
-
 def test_incompatible_representations_raise():
     with pytest.raises(RepresentationError, match="dimension"):
         SpectralAPFn.constant(1.0) + SpectralAPFn.constant(1.0, dim=2)
-    with pytest.raises(RepresentationError):
-        SpectralAPFn.constant(1.0) + PeriodicGridFn(np.ones(8))
+    with pytest.raises(RepresentationError, match="cannot combine SpectralAPFn with ndarray"):
+        SpectralAPFn.constant(1.0) + np.ones(8)
 
 
 @pytest.mark.parametrize("w", [2 * np.pi, 2 * RT2 * np.pi, 2 * np.pi * 239 / 169])

@@ -29,12 +29,15 @@ solve:
   positivity and finiteness of the samples, semi-detailed balance of the
   node table), with no operator around them, so
   ``assemble`` minus ``gate`` is what the operator itself costs;
-* ``family``: the positions solved as the effective stage solves them
-  (:mod:`kinhom.effective`): each one assembled, gated and checked on the
-  ray ``c(x) / c(0)`` times the ``x = 0`` rates, then the cells at the
+* ``family``: the effective stage itself,
+  :func:`kinhom.effective.assemble_effective` of the ``x = 0`` cell at the
+  positions: under ``tanh`` each position assembled, gated and checked on
+  the ray ``c(x) / c(0)`` times the ``x = 0`` rates, then the cells at the
   Chebyshev nodes in ``c`` (or at each distinct ``c``) in block-diagonal
   stacks of at most ``STACK_UNKNOWNS`` unknowns, and ``D`` interpolated;
-  the row ends with the number of cells solved.
+  an unmodulated kernel (``circle2d``, ``small_eps``) takes the ``x = 0``
+  cell's ``D`` as it is and solves no cell.  The row ends with the number
+  of cells solved.
 
 A sweep times every position once; each line is the minimum over
 ``--sweeps`` sweeps of the sweep's total divided by the number of
@@ -69,7 +72,7 @@ from kinhom.cell_solver import (  # noqa: E402
     solve_chi_star,
     verify_variational,
 )
-from kinhom.effective import _solve_family, solve_cell  # noqa: E402
+from kinhom.effective import assemble_effective, solve_cell  # noqa: E402
 
 LAYERS = ("assemble", "equilibrium_F", "solve_chi_star", "verify_variational", "solve_cell",
           "gate", "family")
@@ -105,7 +108,7 @@ def sweep(cell, positions) -> tuple[dict[str, float], int]:
         gate_rates(kernel, x, grid, vm)
     total["gate"] += clock() - t0
     t0 = clock()
-    solves = _solve_family(cell, np.array(positions))[3]
+    solves = assemble_effective(cell, np.array(positions)).family_cell_solves
     total["family"] += clock() - t0
     return total, solves
 
