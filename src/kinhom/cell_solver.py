@@ -260,9 +260,6 @@ class _CellOperatorBase:
         """Weighted pairing ``int M(f g) dmu`` on flat vectors."""
         return self.per_cell(self.pairings(f, g))
 
-    def norm(self, f: np.ndarray):
-        return self.per_cell(self.norms(f))
-
     @functools.cached_property
     def F(self) -> np.ndarray:
         """Flat equilibrium ``1 / mu(V)`` spanning ``ker P``; read-only, as the solves share it."""

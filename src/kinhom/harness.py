@@ -954,6 +954,17 @@ def _csv_blocks(header: list[str], columns: list) -> Iterator[str]:
         yield line * (hi - lo) % tuple(cells)
 
 
+def _text(values) -> np.ndarray:
+    """``values`` formatted with ``FMT`` once each, as an object array of strings.
+
+    A column that repeats few values (the ``t`` and ``x`` of the macro and
+    kinetic tables) is built from these strings, which :func:`_csv_blocks`
+    writes with ``%s`` (object arrays, so no fixed-width copies), instead
+    of formatting every repeat.
+    """
+    return np.array([FMT % v for v in np.asarray(values, dtype=float).tolist()], dtype=object)
+
+
 def emit_tables(report: PipelineReport, out_dir: str) -> dict[str, str]:
     """Write every table the report carries; returns ``{name: path}``.
 
@@ -1000,20 +1011,16 @@ def emit_tables(report: PipelineReport, out_dir: str) -> dict[str, str]:
         mf = report.macro
         if mf.grid.dim == 1:
             n_x = mf.grid.shape[0]
-            columns = [np.repeat(mf.times, n_x), np.tile(mf.grid.axes()[0], len(mf.times)),
-                       mf.values.ravel()]
+            columns = [np.repeat(_text(mf.times), n_x),
+                       np.tile(_text(mf.grid.axes()[0]), len(mf.times)), mf.values.ravel()]
             emit("macro.csv", _csv_blocks(["t", "x", "rho"], columns))
 
     for eps, states in report.kinetic_states.items():
         x = states[0].grid.axes()[0]
         K = states[0].vm.n_nodes
-        # t and x repeat across rows: format each value once and write the
-        # strings (object arrays, so no fixed-width copies) with %s
-        t_text = np.array([FMT % s.t for s in states], dtype=object)
-        x_text = np.array([FMT % v for v in x.tolist()], dtype=object)
         columns = [
-            np.repeat(t_text, x.size * K),
-            np.tile(np.repeat(x_text, K), len(states)),
+            np.repeat(_text([s.t for s in states]), x.size * K),
+            np.tile(np.repeat(_text(x), K), len(states)),
             np.tile(np.arange(K), len(states) * x.size),
             np.concatenate([s.f.ravel() for s in states]),
         ]

@@ -24,30 +24,39 @@ the input, with the same operator and the same scheme either way:
   assembly on a periodic grid of 3 cells per axis at the same spacing,
   which holds the whole stencil, so ``L`` itself is never built;
 * per-cell coefficients or a no-flux grid: the implicit matrix
-  ``I - theta dt L`` is LU-factorized (``splu``).  The right-hand matrix
-  is ``I + (1-theta) dt L = (1/theta) I - ((1-theta)/theta) (I - theta dt
-  L)``, so for ``theta >= 1/2`` a step is one solve,
-  ``(1/theta) lu.solve(rho) - ((1-theta)/theta) rho``, with no product by
+  ``A = I - theta dt L`` is factored once per step size.  In 1-D ``L`` is
+  exactly symmetric (one flux per face), and its face coefficients are
+  positive once ``D`` has passed the ellipticity gate upstream, so ``A``
+  is symmetric positive definite and tridiagonal, cyclic when
+  periodic: LAPACK ``dpttrf`` factors it, a solve is one ``dpttrs``, and
+  the two periodic corners are folded in with one Sherman-Morrison
+  correction (:class:`_SPDTridiagonal`).  A 2-D grid is not tridiagonal,
+  and ``A`` is LU-factorized (``splu``).  The right-hand matrix
+  is ``I + (1-theta) dt L = (1/theta) I - ((1-theta)/theta) A``, so for
+  ``theta >= 1/2`` a step is one solve,
+  ``(1/theta) A^{-1} rho - ((1-theta)/theta) rho``, with no product by
   it.  Below 1/2 that difference would amplify roundoff by
   ``(1-theta)/theta``, so the explicit-gated steps, ``theta = 0`` among
   them, keep the product by the right-hand matrix before the solve.
   Only this path assembles ``L``
   (:attr:`DriftDiffusionSolver.L`, built at first use), at its first
-  step size.
+  step size; the 1-D factors take ``A``'s diagonals from it.
 
 A run keeps only its checkpoints, so it advances one checkpoint interval
 per ``step(rho, dt, n)`` call.  On the Fourier path the ``n`` steps of an
 interval are one multiplication by the power ``m(dt)**n`` of the step
 multiplier ``m(dt)`` (the scheme is linear, time-invariant and diagonal in
-Fourier space); the LU path solves ``n`` times.  The power or the factors
-are cached per step size.  The zero mode of the symbol is set to exactly 0,
-the column sum of a flux-form ``L``, so the multiplier keeps the mass
-exactly instead of compounding the transform's roundoff over the steps.
+Fourier space); the factored path solves ``n`` times.  The power or the
+solve is cached per step size.  The zero mode of the symbol is set to
+exactly 0, the column sum of a flux-form ``L``, so the multiplier keeps
+the mass exactly instead of compounding the transform's roundoff over the
+steps.
 
 scipy is imported by the solver, not by this module: the first sparse
 assembly, of the 3-cell stencil at construction on the Fourier path or of
-``L`` at the first LU-path step size, loads ``scipy.sparse``, and the
-first LU-path step size loads its ``splu``.
+``L`` at the first factored step size, loads ``scipy.sparse``, and the
+first factored step size loads ``dpttrf``/``dpttrs`` (1-D) or ``splu``
+(2-D).
 """
 
 from __future__ import annotations
@@ -180,6 +189,51 @@ def _check_conservation(colsum: float, scale: float) -> None:
         raise AssertionError(f"flux-form assembly lost conservation ({colsum:.3e})")
 
 
+class _SPDTridiagonal:
+    """Solves by a symmetric positive definite tridiagonal ``A``, cyclic or not.
+
+    ``A`` has the main diagonal ``diag``, the off-diagonal ``off`` on both
+    sides and, when ``corner`` is nonzero, ``A[0, n-1] = A[n-1, 0] =
+    corner``.  LAPACK ``dpttrf`` factors the tridiagonal part as
+    ``L D L^T`` and a solve is one ``dpttrs``.  The corners are folded in
+    with one Sherman-Morrison correction (Press et al., *Numerical
+    Recipes*, 3rd ed., §2.7): with ``gamma = -A[0, 0]`` and ``u = (gamma,
+    0, ..., 0, corner)``, ``A = T - u u^T / |gamma|``, so the tridiagonal
+    ``T`` is ``A`` plus a positive semidefinite term and SPD whenever ``A``
+    is.  With ``v = u / gamma`` and ``z = T^{-1} u``, kept with the
+    factors, ``A^{-1} b = y - (v.y / (1 + v.z)) z`` for ``y = T^{-1} b``.
+    A matrix that is not positive definite is refused with ``ValueError``.
+    """
+
+    def __init__(self, diag: np.ndarray, off: np.ndarray, corner: float):
+        from scipy.linalg.lapack import dpttrf, dpttrs
+
+        self._dpttrs = dpttrs
+        diag = np.array(diag, dtype=float)
+        gamma = -diag[0]
+        if corner:
+            diag[0] -= gamma
+            diag[-1] -= corner * corner / gamma
+        self._d, self._e, info = dpttrf(diag, off)
+        if info != 0:
+            raise ValueError(f"I - theta dt L is not positive definite (dpttrf info {info})")
+        self._z = None
+        if corner:
+            u = np.zeros(diag.size)
+            u[0], u[-1] = gamma, corner
+            z = self._dpttrs(self._d, self._e, u)[0]
+            denom = 1.0 + z[0] + corner / gamma * z[-1]
+            if not denom > 0.0:
+                raise ValueError("I - theta dt L is not positive definite (cyclic correction)")
+            self._z, self._w0, self._w1 = z, 1.0 / denom, corner / gamma / denom
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        y = self._dpttrs(self._d, self._e, b)[0]
+        if self._z is not None:
+            y -= (self._w0 * y[0] + self._w1 * y[-1]) * self._z
+        return y
+
+
 class DriftDiffusionSolver:
     """Flux-form theta scheme for the homogenized diffusion equation.
 
@@ -196,7 +250,8 @@ class DriftDiffusionSolver:
         0 = explicit (stability-checked against ``h^2 / (2 d max|D|)``).
 
     ``symbol`` holds the half-spectrum eigenvalues of ``L`` when steps are
-    Fourier multipliers, and is None when they are LU solves.
+    Fourier multipliers, and is None when they are solves by the factored
+    implicit matrix.
     """
 
     def __init__(self, grid: MacroGrid, D, theta: float = 0.5):
@@ -215,7 +270,7 @@ class DriftDiffusionSolver:
                 )
         self.symbol = self._circulant_symbol()
         # the multiplier power per (step key, count) when ``symbol`` is set,
-        # else the LU factors of the implicit matrix per step key
+        # else a solve by the factored implicit matrix per step key
         self._factor_cache: dict[object, object] = {}
         # the right-hand matrix per step key, below theta = 1/2 only (see step)
         self._rhs_cache: dict[float, sparse.csr_matrix] = {}
@@ -226,9 +281,12 @@ class DriftDiffusionSolver:
     def L(self) -> sparse.csr_matrix:
         """The flux-form operator, ``(n, n)`` sparse, assembled at first use.
 
-        The LU path builds it at its first step size; the Fourier path never
-        does (its symbol comes from the stencil alone), so only a caller
-        that reads it pays for it there.
+        In 1-D it is exactly symmetric and tridiagonal, cyclic when
+        periodic; in 2-D it has the five-point pattern, nine-point with
+        mixed terms.  The factored path builds it at its first step size
+        (1-D: :class:`_SPDTridiagonal` on its diagonals; 2-D: ``splu``);
+        the Fourier path never does (its symbol comes from the stencil
+        alone), so only a caller that reads it pays for it there.
         """
         L = _flux_form(self.grid.shape, self.grid.spacing, self.D, self.grid.bc == "periodic")
         _check_conservation(np.abs(np.asarray(L.sum(axis=0))).max(), abs(L).max())
@@ -283,20 +341,30 @@ class DriftDiffusionSolver:
         return self._factor_cache[key]
 
     def _factors(self, dt: float):
-        """LU factors of ``I - theta dt L`` for steps of size ``dt``, and the right-hand matrix.
+        """A solve by ``I - theta dt L`` for steps of size ``dt``, and the right-hand matrix.
 
-        The right-hand matrix ``I + (1-theta) dt L`` is built and kept below
-        ``theta = 1/2`` only, and is None from there on (see :meth:`step`).
+        The solve is :class:`_SPDTridiagonal`'s on a 1-D grid and
+        ``splu``'s on a 2-D one.  The right-hand matrix
+        ``I + (1-theta) dt L`` is built and kept below ``theta = 1/2`` only,
+        and is None from there on (see :meth:`step`).
         """
         key = step_key(dt)
         if key not in self._factor_cache:
             import scipy.sparse as sparse
-            from scipy.sparse.linalg import splu
 
+            L, tdt = self.L, self.theta * dt
             eye = sparse.identity(self.grid.n_points, format="csr")
-            self._factor_cache[key] = splu((eye - self.theta * dt * self.L).tocsc())
+            if self.grid.dim == 1:
+                corner = -tdt * L[0, -1] if self.grid.bc == "periodic" else 0.0
+                solve = _SPDTridiagonal(1.0 - tdt * L.diagonal(), -tdt * L.diagonal(1),
+                                        corner).solve
+            else:
+                from scipy.sparse.linalg import splu
+
+                solve = splu((eye - tdt * L).tocsc()).solve
+            self._factor_cache[key] = solve
             if self.theta < 0.5:
-                self._rhs_cache[key] = (eye + (1.0 - self.theta) * dt * self.L).tocsr()
+                self._rhs_cache[key] = (eye + (1.0 - self.theta) * dt * L).tocsr()
         return self._factor_cache[key], self._rhs_cache.get(key)
 
     def step(self, rho: np.ndarray, dt: float, n: int = 1) -> np.ndarray:
@@ -313,7 +381,7 @@ class DriftDiffusionSolver:
             axes = tuple(range(len(shape)))
             rho_hat = np.fft.rfftn(np.asarray(rho, dtype=float).reshape(shape))
             return np.fft.irfftn(rho_hat * self._multiplier(dt, n), s=shape, axes=axes)
-        lu, rhs = self._factors(dt)
+        solve, rhs = self._factors(dt)
         flat = np.asarray(rho, dtype=float).reshape(-1)
         if rhs is None:
             # lhs^{-1} rhs x = (1/theta) lhs^{-1} x - ((1-theta)/theta) x; the
@@ -321,10 +389,10 @@ class DriftDiffusionSolver:
             # (1.8e-2 relative after 1000 steps at theta = 1e-12, hence rhs below 1/2)
             a, b = 1.0 / self.theta, (1.0 - self.theta) / self.theta
             for _ in range(n):
-                flat = a * lu.solve(flat) - b * flat
+                flat = a * solve(flat) - b * flat
         else:
             for _ in range(n):
-                flat = lu.solve(rhs @ flat)
+                flat = solve(rhs @ flat)
         return flat.reshape(self.grid.shape)
 
     def run(self, rho0: np.ndarray, T: float, dt: float | None = None,

@@ -246,12 +246,12 @@ def test_criterion_4_randomized_structure_invariants():
         assert not check_sdb(make_kernel("table", table=broken), vm).passed
 
         vec = rng.standard_normal(op.size)
-        bound = op.norm(vec) / op.sigma_min
+        bound = op.norms(vec)[0] / op.sigma_min
         # no cell forms A: read the bound off a direct solve of A = P + K,
         # K from its action on the identity columns
         K_dense = np.column_stack([op.apply_K(e) for e in np.eye(op.size)])
         resolvent = np.linalg.solve(op.dense_P() + K_dense, vec)
-        assert op.norm(resolvent) <= bound * (1.0 + 1e-12)
+        assert op.norms(resolvent)[0] <= bound * (1.0 + 1e-12)
 
         # the collocation transport T u = M u - Sigma_bar u has zero grid mean
         spectral = assemble(kernel, 0.0, vm, CellGrid((32,)), scheme="spectral")
@@ -350,7 +350,7 @@ def test_criterion_9_drifting_equilibrium_path():
                   scheme="upwind")
     _, F = equilibrium_F(op)
     rhs = -(op.velocity_profile(0) - b * op.const)
-    compat = abs(op.inner(F, rhs)) / (op.norm(F) * op.norm(rhs))
+    compat = abs(op.inner(F, rhs)) / (op.norms(F)[0] * op.norms(rhs)[0])
     assert compat <= 1e-10
     row = report.sweep.rows[0]
     assert row.epsilon == 0.2

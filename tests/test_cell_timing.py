@@ -35,7 +35,9 @@ def test_cell_timing_prints_ms_per_position_of_each_layer(timing, capsys):
     assert [name for name, _ in rows] == list(timing.LAYERS)
     assert all(math.isfinite(float(value)) and float(value) > 0.0 for _, value in rows)
     # 32 distinct c: fewer than twice the 33 predicted Chebyshev nodes, so each is solved
-    assert lines[-1].split()[0] == "family" and lines[-1].endswith("  (32 cells)")
+    assert lines[-2].split()[0] == "family" and lines[-2].endswith("  (32 cells)")
+    # one macro run: ten checkpoint intervals of the scenario's horizon
+    assert lines[-1].split()[0] == "macro" and lines[-1].endswith("  (1030 steps)")
 
 
 def test_cell_timing_family_row_times_the_stacked_solve(timing, monkeypatch):
@@ -45,16 +47,28 @@ def test_cell_timing_family_row_times_the_stacked_solve(timing, monkeypatch):
     monkeypatch.setattr(timing, "assemble_effective",
                         lambda cell, x: calls.append(len(x)) or stage(cell, x))
     assert timing.main(["--reduced", "--sweeps", "2"]) == 0
-    assert calls == [32, 32]
+    # and once more for the macro row's D
+    assert calls == [32, 32, 32]
+
+
+def test_cell_timing_macro_row_times_one_run_per_sweep_on_the_sampled_D(timing, monkeypatch):
+    # a fresh solver a sweep, on the per-cell D of the 32 macro positions
+    built = []
+    solver = timing.DriftDiffusionSolver
+    monkeypatch.setattr(timing, "DriftDiffusionSolver",
+                        lambda mg, D, **kw: built.append(D.shape) or solver(mg, D, **kw))
+    assert timing.main(["--reduced", "--sweeps", "2"]) == 0
+    assert built == [(32, 1, 1), (32, 1, 1)]
 
 
 def _assert_one_cell_rows(timing, lines):
-    """Every layer timed; ``family``, the effective stage, solves no cell."""
+    """Every layer timed; ``family``, the effective stage, solves no cell; one macro run."""
     rows = [line.split()[:2] for line in lines[2:]]
     assert [name for name, _ in rows] == list(timing.LAYERS)
     assert all(math.isfinite(float(value)) and float(value) > 0.0 for _, value in rows)
     # an unmodulated kernel's effective stage takes the x = 0 cell's D as it is
-    assert lines[-1].split()[0] == "family" and lines[-1].endswith("  (0 cells)")
+    assert lines[-2].split()[0] == "family" and lines[-2].endswith("  (0 cells)")
+    assert lines[-1].split()[0] == "macro" and lines[-1].endswith("  (1030 steps)")
 
 
 def test_cell_timing_refuses_zero_sweeps(timing):
@@ -72,16 +86,16 @@ def test_cell_timing_times_the_one_circle2d_cell(timing, capsys):
 
 
 def test_cell_timing_gate_row_samples_and_gates_each_position_alone(timing, monkeypatch, capsys):
-    # the gate row, just before family, samples and gates the rates of every
-    # position once a sweep, straight from the kernel
+    # the gate row, just before family and macro, samples and gates the rates
+    # of every position once a sweep, straight from the kernel
     gated = []
     gate = timing.gate_rates
     monkeypatch.setattr(timing, "gate_rates",
                         lambda kernel, x, *a: gated.append(x) or gate(kernel, x, *a))
     assert timing.main(["--reduced", "--sweeps", "2"]) == 0
     names, values = zip(*(line.split()[:2] for line in capsys.readouterr().out.splitlines()[2:]))
-    assert names[-2:] == ("gate", "family")
-    assert math.isfinite(float(values[-2])) and float(values[-2]) > 0.0
+    assert names[-3:] == ("gate", "family", "macro")
+    assert math.isfinite(float(values[-3])) and float(values[-3]) > 0.0
     assert len(gated) == 2 * 32 and len(set(gated)) == 32
 
 

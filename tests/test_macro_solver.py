@@ -192,21 +192,71 @@ def test_fft_step_matches_the_lu_step(shape, theta):
 
 
 def test_per_cell_or_no_flux_input_keeps_the_lu_step():
+    # a 1-D grid is factored as an SPD tridiagonal (cyclic when periodic),
+    # a 2-D one by splu
+    from kinhom.macro_solver import _SPDTridiagonal
+
     rho = _gaussian(MacroGrid(half_width=2.0, shape=(32,)).axes()[0], 0.3)
     varying = np.linspace(0.2, 0.4, 32).reshape(-1, 1, 1)
+    grid_2d = MacroGrid(half_width=2.0, shape=(16, 16), bc="periodic")
+    X, Y = np.meshgrid(*grid_2d.axes(), indexing="ij")
+    D_2d = np.zeros((grid_2d.n_points, 2, 2))
+    D_2d[:, 0, 0] = 0.3 + 0.1 * np.sin(X).ravel()
+    D_2d[:, 1, 1] = 0.2 + 0.05 * np.cos(Y).ravel()
     cases = [
-        (MacroGrid(half_width=2.0, shape=(32,), bc="periodic"), varying),
-        (MacroGrid(half_width=2.0, shape=(32,), bc="no-flux"), np.array([[0.3]])),
+        (MacroGrid(half_width=2.0, shape=(32,), bc="periodic"), varying, rho,
+         _SPDTridiagonal),
+        (MacroGrid(half_width=2.0, shape=(32,), bc="no-flux"), np.array([[0.3]]), rho,
+         _SPDTridiagonal),
+        (grid_2d, D_2d, np.exp(-(X**2 + Y**2) / 0.5), SuperLU),
     ]
-    for mg, D in cases:
+    for mg, D, rho0, factors_type in cases:
         solver = DriftDiffusionSolver(mg, D=D)
         assert solver.symbol is None
-        single = rho
+        single = rho0
         for _ in range(5):
             single = solver.step(single, 0.01)
-        (factors,) = solver._factor_cache.values()
-        assert isinstance(factors, SuperLU)
-        assert np.array_equal(solver.step(rho, 0.01, 5), single)
+        (solve,) = solver._factor_cache.values()
+        assert isinstance(solve.__self__, factors_type)
+        assert np.array_equal(solver.step(rho0, 0.01, 5), single)
+
+
+@pytest.mark.parametrize("bc", ["periodic", "no-flux"])
+def test_a_one_dim_per_cell_run_factors_no_sparse_matrix(monkeypatch, bc):
+    # the tanh scenario's macro stage: 512 cells, D = 0.3 (1 + 0.5 tanh x),
+    # ten checkpoint intervals, 1030 steps, with splu refused
+    import scipy.sparse.linalg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a 1-D macro step called splu")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", refuse)
+    mg = MacroGrid(half_width=4.0, shape=(512,), bc=bc)
+    x = mg.axes()[0]
+    solver = DriftDiffusionSolver(mg, D=(0.3 * (1.0 + 0.5 * np.tanh(x))).reshape(-1, 1, 1))
+    field = solver.run(_gaussian(x, 0.5), 1.03, dt=1e-3,
+                       checkpoints=np.linspace(0.0, 1.03, 11))
+    assert field.steps == 1030
+    mass = field.mass()
+    assert np.max(np.abs(mass - mass[0])) <= 1e-12 * mass[0]
+
+
+@pytest.mark.parametrize("bc, cells, value", [
+    ("periodic", [10, 11], -5.0),
+    ("no-flux", [10, 11], -5.0),
+    # the tridiagonal part stays definite; the cyclic correction is not
+    ("periodic", [0, 31], -2.0),
+], ids=["periodic", "no-flux", "periodic-corner"])
+def test_a_non_positive_definite_implicit_matrix_is_refused(bc, cells, value):
+    # a negative D, passed directly (the ellipticity gate runs upstream),
+    # makes I - theta dt L indefinite: no partial factors are kept
+    mg = MacroGrid(half_width=2.0, shape=(32,), bc=bc)
+    D = np.full((32, 1, 1), 0.3)
+    D[cells] = value
+    solver = DriftDiffusionSolver(mg, D=D)
+    with pytest.raises(ValueError, match="positive definite"):
+        solver.step(np.ones(32), 0.01)
+    assert not solver._factor_cache
 
 
 @pytest.mark.parametrize("n", [0, -1, 2.5])

@@ -37,7 +37,13 @@ solve:
   stacks of at most ``STACK_UNKNOWNS`` unknowns, and ``D`` interpolated;
   an unmodulated kernel (``circle2d``, ``small_eps``) takes the ``x = 0``
   cell's ``D`` as it is and solves no cell.  The row ends with the number
-  of cells solved.
+  of cells solved;
+* ``macro``: the macro stage on the workload's ``D`` (the ``x = 0``
+  cell's, or ``tanh``'s at its macro cell centres): a fresh
+  :class:`kinhom.macro_solver.DriftDiffusionSolver` and its ``run`` over
+  the scenario's horizon and checkpoints.  This row is the milliseconds of
+  one whole run, not per position, and ends with the number of theta
+  steps.
 
 A sweep times every position once; each line is the minimum over
 ``--sweeps`` sweeps of the sweep's total divided by the number of
@@ -73,9 +79,10 @@ from kinhom.cell_solver import (  # noqa: E402
     verify_variational,
 )
 from kinhom.effective import assemble_effective, solve_cell  # noqa: E402
+from kinhom.macro_solver import DriftDiffusionSolver  # noqa: E402
 
 LAYERS = ("assemble", "equilibrium_F", "solve_chi_star", "verify_variational", "solve_cell",
-          "gate", "family")
+          "gate", "family", "macro")
 WORKLOADS = ("tanh", "circle2d", "small_eps")
 
 
@@ -83,7 +90,7 @@ def sweep(cell, positions) -> tuple[dict[str, float], int]:
     """Seconds spent in each layer over one pass of ``positions``, and the family's cell solves."""
     kernel, vm, settings = cell.op.kernel, cell.op.vm, cell.settings
     grid, scheme = settings["grid"], settings["scheme"]
-    total = dict.fromkeys(LAYERS, 0.0)
+    total = dict.fromkeys(LAYERS[:-1], 0.0)
     clock = time.perf_counter
     for x in positions:
         t0 = clock()
@@ -113,6 +120,16 @@ def sweep(cell, positions) -> tuple[dict[str, float], int]:
     return total, solves
 
 
+def macro_run(cfg, D) -> tuple[float, int]:
+    """Seconds of one macro stage on ``D`` (solver and run), and its theta steps."""
+    mg = cfg.build_macro_grid()
+    rho0 = cfg.initial_rho(mg)
+    t0 = time.perf_counter()
+    field = DriftDiffusionSolver(mg, D, theta=cfg.macro["theta"]).run(
+        rho0, cfg.macro["t"], dt=cfg.macro_dt(), checkpoints=cfg.checkpoint_times())
+    return time.perf_counter() - t0, field.steps
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--workload", choices=WORKLOADS, default="tanh",
@@ -133,9 +150,11 @@ def main(argv=None) -> int:
                  if args.workload == "tanh" else [0.0])
     cell = solve_cell(kernel, 0.0, vm, backend=cfg.cell_backend(kernel), grid=grid,
                       scheme=cfg.cell["scheme"], n_modes=cfg.cell["n_modes"], tol=cfg.cell["tol"])
+    D = assemble_effective(cell, np.array(positions) if args.workload == "tanh" else None).D
     best = dict.fromkeys(LAYERS, float("inf"))
     for _ in range(args.sweeps):
         total, solves = sweep(cell, positions)
+        total["macro"], steps = macro_run(cfg, D)
         for name, secs in total.items():
             best[name] = min(best[name], secs)
 
@@ -144,9 +163,10 @@ def main(argv=None) -> int:
           f"{cfg.cell['scheme']} cell, {vm.n_nodes} velocities, "
           f"min of {args.sweeps} sweeps")
     print(f"{'layer':<20}{'ms/position':>12}")
+    suffix = {"family": f"  ({solves} cells)", "macro": f"  ({steps} steps)"}
     for name in LAYERS:
-        row = f"{name:<20}{1e3 * best[name] / len(positions):>12.3f}"
-        print(row + f"  ({solves} cells)" if name == "family" else row)
+        per = 1 if name == "macro" else len(positions)
+        print(f"{name:<20}{1e3 * best[name] / per:>12.3f}" + suffix.get(name, ""))
     return 0
 
 
