@@ -22,6 +22,7 @@ import argparse
 import sys
 
 from kinhom.harness import (
+    FMT,
     ConfigError,
     StageError,
     dump_config,
@@ -29,8 +30,6 @@ from kinhom.harness import (
     parse_config,
     run_pipeline,
 )
-
-FMT = "%.17g"
 
 _STOP = {
     "check": "check",

@@ -481,8 +481,7 @@ def _validate_consistency(cfg: ScenarioConfig) -> None:
         raise ConfigError("key `macro.bc`: the kinetic reference needs a periodic macro grid; "
                           "drop the [kinetic] section for no-flux scenarios")
     if cfg.macro["bc"] == "no-flux" and d != 1:
-        # the macro solver refuses off-diagonal diffusion on no-flux walls, and
-        # every assembled 2-D tensor carries off-diagonal roundoff
+        # the macro solver takes a 2-D grid only as periodic with one D
         raise ConfigError("key `macro.bc`: no-flux boundaries need `scenario.dimension` = 1")
     if not np.isfinite(cfg.initial["center"]):
         raise ConfigError("key `initial.center`: must be finite")

@@ -6,57 +6,55 @@ Solves the Cauchy problem of the homogenized limit
 
 on a truncated, cell-centered macro grid with periodic or no-flux
 boundaries.  The drift of the limit is zero: every cell equilibrium is the
-constant (see :mod:`kinhom.effective`).  The spatial operator is assembled
-in flux form: every face between two cells carries one flux value, from
-the face-averaged tensor, and the divergence telescopes, so the total mass
-is conserved to roundoff by construction — not as a happy numerical
-accident.
+constant (see :mod:`kinhom.effective`).  The spatial operator ``L`` is the
+flux form: every face between two cells carries one flux, from the
+face-averaged tensor, and the divergence telescopes, so the total mass is
+conserved to roundoff by construction.  ``L`` is never assembled as a
+matrix; each path keeps only what its steps use.
 
 Time stepping is the theta scheme (Crank-Nicolson by default,
 unconditionally stable for theta >= 1/2).  How a step is solved depends on
 the input, with the same operator and the same scheme either way:
 
-* periodic grid, the same ``D`` in every cell: ``L`` is
+* periodic grid, the same ``D`` in every cell (1-D or 2-D): ``L`` is
   circulant, so a step is the pointwise Fourier multiplier
-  ``(1 + (1-theta) dt lam) / (1 - theta dt lam)`` with ``lam = rfftn(L e_0)``
-  (real transforms: ``L`` and ``rho`` are real, so half the spectrum
-  determines the step).  The first column ``L e_0`` comes from the same
-  assembly on a periodic grid of 3 cells per axis at the same spacing,
-  which holds the whole stencil, so ``L`` itself is never built;
-* per-cell coefficients or a no-flux grid: the implicit matrix
-  ``A = I - theta dt L`` is factored once per step size.  In 1-D ``L`` is
-  exactly symmetric (one flux per face), and its face coefficients are
-  positive once ``D`` has passed the ellipticity gate upstream, so ``A``
-  is symmetric positive definite and tridiagonal, cyclic when
-  periodic: LAPACK ``dpttrf`` factors it, a solve is one ``dpttrs``, and
-  the two periodic corners are folded in with one Sherman-Morrison
-  correction (:class:`_SPDTridiagonal`).  A 2-D grid is not tridiagonal,
-  and ``A`` is LU-factorized (``splu``).  The right-hand matrix
-  is ``I + (1-theta) dt L = (1/theta) I - ((1-theta)/theta) A``, so for
-  ``theta >= 1/2`` a step is one solve,
-  ``(1/theta) A^{-1} rho - ((1-theta)/theta) rho``, with no product by
-  it.  Below 1/2 that difference would amplify roundoff by
-  ``(1-theta)/theta``, so the explicit-gated steps, ``theta = 0`` among
-  them, keep the product by the right-hand matrix before the solve.
-  Only this path assembles ``L``
-  (:attr:`DriftDiffusionSolver.L`, built at first use), at its first
-  step size; the 1-D factors take ``A``'s diagonals from it.
+  ``(1 + (1-theta) dt lam) / (1 - theta dt lam)`` on the ``rfftn`` half
+  spectrum (``L`` and ``rho`` are real).  The symbol is the closed form
+
+      lam(k) = - sum_a D_aa (2 sin(k_a h_a / 2) / h_a)^2
+               - sum_{j != a} D_ja sin(k_j h_j) sin(k_a h_a) / (h_j h_a),
+
+  real, and exactly 0 at the zero mode (the column sum of a flux-form
+  ``L``), so the multiplier keeps the mass exactly;
+* a 1-D grid with per-cell ``D``, or with no-flux walls: one coefficient
+  per face, ``0.5 (D_C + D_R) / h^2`` (``n`` faces when periodic, the last
+  joining cell ``n-1`` to cell 0, and ``n-1`` faces between no-flux
+  walls).  ``L`` is then symmetric and tridiagonal, cyclic when periodic,
+  and its face coefficients are positive once ``D`` has passed the
+  ellipticity gate upstream, so ``A = I - theta dt L`` is symmetric
+  positive definite: LAPACK ``dpttrf`` factors it once per step size, a
+  solve is one ``dpttrs``, and the two periodic corners are folded in with
+  one Sherman-Morrison correction (:class:`_SPDTridiagonal`).  The
+  right-hand matrix is ``I + (1-theta) dt L = (1/theta) I -
+  ((1-theta)/theta) A``, so for ``theta >= 1/2`` a step is one solve,
+  ``(1/theta) A^{-1} rho - ((1-theta)/theta) rho``.  Below 1/2 that
+  difference would amplify roundoff by ``(1-theta)/theta``, so the
+  explicit-gated steps, ``theta = 0`` among them, form
+  ``rho + (1-theta) dt L rho`` (the difference of the face fluxes) before
+  the solve.
+
+A 2-D grid that is not circulant (per-cell ``D``, or no-flux walls) is
+refused: no scenario builds one.
 
 A run keeps only its checkpoints, so it advances one checkpoint interval
 per ``step(rho, dt, n)`` call.  On the Fourier path the ``n`` steps of an
 interval are one multiplication by the power ``m(dt)**n`` of the step
 multiplier ``m(dt)`` (the scheme is linear, time-invariant and diagonal in
-Fourier space); the factored path solves ``n`` times.  The power or the
-solve is cached per step size.  The zero mode of the symbol is set to
-exactly 0, the column sum of a flux-form ``L``, so the multiplier keeps
-the mass exactly instead of compounding the transform's roundoff over the
-steps.
+Fourier space); the tridiagonal path solves ``n`` times.  The power or the
+solve is cached per step size.
 
-scipy is imported by the solver, not by this module: the first sparse
-assembly, of the 3-cell stencil at construction on the Fourier path or of
-``L`` at the first factored step size, loads ``scipy.sparse``, and the
-first factored step size loads ``dpttrf``/``dpttrs`` (1-D) or ``splu``
-(2-D).
+The module loads no scipy; the first tridiagonal step size loads
+``dpttrf``/``dpttrs`` from ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -64,14 +62,10 @@ from __future__ import annotations
 import functools
 import numbers
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from kinhom.phase_space import MacroGrid, checkpoint_substeps, step_key
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 __all__ = ["MacroField", "DriftDiffusionSolver"]
 
@@ -111,82 +105,22 @@ def _per_cell(coef, n_cells: int, expect_shape: tuple) -> np.ndarray:
     )
 
 
-def _flux_form(shape: tuple[int, ...], spacing: tuple[float, ...], D: np.ndarray,
-               periodic: bool) -> sparse.csr_matrix:
-    """The flux-form ``div(D^T grad)`` on a cell-centred grid, C order.
+def _faces(D: np.ndarray, h: float, periodic: bool):
+    """The 1-D flux-form ``L`` as face coefficients, their right cells and its diagonal.
 
-    ``D`` holds one ``(d, d)`` tensor per cell.  Every face carries one
-    flux, from the face-averaged tensor; the mixed terms ``D_{j,ax} d_j``
-    (periodic grids only) take the centred difference along ``j`` averaged
-    over the face's two cells.
+    ``D`` holds one coefficient per cell.  Face ``i`` joins cell ``i`` to
+    cell ``right[i]``, ``i + 1`` or, for the last face of a periodic grid,
+    0; its coefficient is ``0.5 (D_C + D_R) / h / h``, and every cell's
+    diagonal entry is minus the coefficients of its faces.
     """
-    import scipy.sparse as sparse
-
-    d = len(shape)
-    n = int(np.prod(shape))
-    cells = np.arange(n).reshape(shape)
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-
-    def add(r, c, v):
-        rows.append(np.asarray(r).ravel())
-        cols.append(np.asarray(c).ravel())
-        vals.append(np.asarray(v).ravel())
-
-    for ax in range(d):
-        h = spacing[ax]
-        C = cells
-        R = np.roll(cells, -1, axis=ax)
-        mask = np.ones(shape, dtype=bool)
-        if not periodic:
-            sl = [slice(None)] * d
-            sl[ax] = -1
-            mask[tuple(sl)] = False  # no face beyond the last cell
-        Cm, Rm = C[mask], R[mask]
-
-        # one flux per interior/periodic face: list of (column, coefficient)
-        face_terms: list[tuple[np.ndarray, np.ndarray]] = []
-
-        Dax = D[:, ax, ax]
-        a_f = 0.5 * (Dax[Cm] + Dax[Rm]) / h
-        face_terms.append((Rm, a_f))
-        face_terms.append((Cm, -a_f))
-
-        # mixed terms D_{j,ax} d_j rho at the face (periodic only)
-        for j in range(d):
-            if j == ax:
-                continue
-            Dj = D[:, j, ax]
-            d_f = 0.5 * (Dj[Cm] + Dj[Rm])
-            if np.all(d_f == 0.0):
-                continue
-            hj = spacing[j]
-            Rj = np.roll(cells, -1, axis=j)
-            Lj = np.roll(cells, 1, axis=j)
-            quarter = d_f / (4.0 * hj)
-            face_terms.append((Rj[mask], quarter))
-            face_terms.append((Lj[mask], -quarter))
-            RjR = np.roll(R, -1, axis=j)
-            LjR = np.roll(R, 1, axis=j)
-            face_terms.append((RjR[mask], quarter))
-            face_terms.append((LjR[mask], -quarter))
-
-        # divergence: face (C -> R) adds +flux/h at C and -flux/h at R
-        for col, coef in face_terms:
-            add(Cm, col, coef / h)
-            add(Rm, col, -coef / h)
-
-    return sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
-
-
-def _check_conservation(colsum: float, scale: float) -> None:
-    """Exact-conservation sanity: column sums of a flux-form divergence vanish."""
-    if colsum > 1e-12 * max(1.0, scale):
-        raise AssertionError(f"flux-form assembly lost conservation ({colsum:.3e})")
+    n = D.size
+    m = n if periodic else n - 1
+    right = np.arange(1, m + 1) % n
+    faces = 0.5 * (D[:m] + D[right]) / h / h
+    diag = np.zeros(n)
+    diag[:m] -= faces
+    diag[right] -= faces
+    return faces, right, diag
 
 
 class _SPDTridiagonal:
@@ -240,18 +174,18 @@ class DriftDiffusionSolver:
     Parameters
     ----------
     grid :
-        Cell-centered macro grid (1-D or 2-D; periodic or no-flux).
+        Cell-centered macro grid (1-D or 2-D; periodic or no-flux).  A 2-D
+        grid must be periodic with one ``D``.
     D :
         Diffusion tensor ``(d, d)``, constant or per cell (leading axis =
-        flattened grid, C order).  The symmetrized tensor must have passed
-        the ellipticity gate upstream.
+        flattened grid, C order), finite.  The symmetrized tensor must
+        have passed the ellipticity gate upstream.
     theta :
         Implicitness: 1/2 = Crank-Nicolson (default), 1 = implicit Euler,
         0 = explicit (stability-checked against ``h^2 / (2 d max|D|)``).
 
     ``symbol`` holds the half-spectrum eigenvalues of ``L`` when steps are
-    Fourier multipliers, and is None when they are solves by the factored
-    implicit matrix.
+    Fourier multipliers, and is None when they are tridiagonal solves.
     """
 
     def __init__(self, grid: MacroGrid, D, theta: float = 0.5):
@@ -260,65 +194,59 @@ class DriftDiffusionSolver:
         self.grid = grid
         self.theta = float(theta)
         d = grid.dim
-        n = grid.n_points
-        self.D = _per_cell(D, n, (d, d))
-        if grid.bc != "periodic" and d == 2:
-            off = np.abs(self.D[:, 0, 1]).max() + np.abs(self.D[:, 1, 0]).max()
-            if off > 0:
-                raise NotImplementedError(
-                    "off-diagonal diffusion with no-flux boundaries is not supported"
-                )
+        self.D = _per_cell(D, grid.n_points, (d, d))
+        if not np.all(np.isfinite(self.D)):
+            raise ValueError("D must be finite")
         self.symbol = self._circulant_symbol()
+        if self.symbol is None:
+            if d != 1:
+                raise ValueError("a 2-D macro grid must be periodic with one D")
+            self._faces, self._right, self._diag = _faces(
+                self.D[:, 0, 0], grid.spacing[0], grid.bc == "periodic")
+            # exact-conservation sanity: the column sums of a flux-form L vanish
+            colsum = self._diag.copy()
+            colsum[:self._faces.size] += self._faces
+            colsum[self._right] += self._faces
+            leak = np.abs(colsum).max()
+            if leak > 1e-12 * max(1.0, np.abs(self._diag).max()):
+                raise AssertionError(f"flux-form assembly lost conservation ({leak:.3e})")
         # the multiplier power per (step key, count) when ``symbol`` is set,
         # else a solve by the factored implicit matrix per step key
         self._factor_cache: dict[object, object] = {}
-        # the right-hand matrix per step key, below theta = 1/2 only (see step)
-        self._rhs_cache: dict[float, sparse.csr_matrix] = {}
 
     # -- operator ---------------------------------------------------------------
 
-    @functools.cached_property
-    def L(self) -> sparse.csr_matrix:
-        """The flux-form operator, ``(n, n)`` sparse, assembled at first use.
-
-        In 1-D it is exactly symmetric and tridiagonal, cyclic when
-        periodic; in 2-D it has the five-point pattern, nine-point with
-        mixed terms.  The factored path builds it at its first step size
-        (1-D: :class:`_SPDTridiagonal` on its diagonals; 2-D: ``splu``);
-        the Fourier path never does (its symbol comes from the stencil
-        alone), so only a caller that reads it pays for it there.
-        """
-        L = _flux_form(self.grid.shape, self.grid.spacing, self.D, self.grid.bc == "periodic")
-        _check_conservation(np.abs(np.asarray(L.sum(axis=0))).max(), abs(L).max())
-        return L
-
     def _circulant_symbol(self) -> np.ndarray | None:
-        """Eigenvalues ``rfftn(L e_0)`` of ``L`` when it is circulant, else None.
+        """Eigenvalues of ``L`` on the ``rfftn`` half spectrum when it is circulant, else None.
 
         ``L`` is circulant when the grid is periodic and every cell holds
-        the same ``D``; its first column is then the stencil, and the DFT
-        diagonalizes it.  ``L`` is real, so the half spectrum of ``rfftn``
-        holds every eigenvalue up to conjugation.  The column comes from
-        :func:`_flux_form` on the smallest periodic grid that holds the
-        stencil, 3 cells per axis at the same spacing: offsets -1, 0 and 1
-        along each axis are distinct there, so its first column has the
-        entries of ``L e_0``, placed by offset, and ``L`` is not assembled.
+        the same ``D``.  The symbol is the closed form of the module
+        docstring, in ``x_a = k_a h_a = 2 pi m_a / n_a``: the half-angle
+        square ``sin(x_a/2)^2`` leaves the low modes at relative roundoff,
+        where ``2 - 2 cos(x_a)`` would cancel.
         """
         if self.grid.bc != "periodic" or np.any(self.D != self.D[0]):
             return None
-        d = self.grid.dim
-        stencil = _flux_form((3,) * d, self.grid.spacing,
-                             np.broadcast_to(self.D[0], (3**d, d, d)), periodic=True)
-        e0 = np.zeros(3**d)
-        e0[0] = 1.0
-        column = np.zeros(self.grid.shape)
-        column[np.ix_(*[[0, 1, -1]] * d)] = (stencil @ e0).reshape((3,) * d)
-        _check_conservation(abs(column.sum()), np.abs(column).max())
-        symbol = np.fft.rfftn(column)
-        # the zero mode is the first column sum, 0 in flux form; rfftn
-        # returns it as roundoff, which the multiplier would compound
-        symbol.flat[0] = 0.0
+        D, shape, h = self.D[0], self.grid.shape, self.grid.spacing
+        freqs = [np.fft.fftfreq(n) for n in shape[:-1]] + [np.fft.rfftfreq(shape[-1])]
+        f = np.meshgrid(*freqs, indexing="ij", sparse=True)
+        symbol = np.zeros(tuple(x.size for x in freqs))
+        for a in range(len(shape)):
+            symbol -= D[a, a] * (2.0 * np.sin(np.pi * f[a]) / h[a]) ** 2
+            for j in range(len(shape)):
+                if j != a:
+                    symbol -= (D[j, a] * np.sin(2.0 * np.pi * f[j]) * np.sin(2.0 * np.pi * f[a])
+                               / (h[j] * h[a]))
         return symbol
+
+    def _apply_L(self, rho: np.ndarray) -> np.ndarray:
+        """``L rho`` on a 1-D grid: the difference of the face fluxes ``faces (rho_R - rho_C)``."""
+        m = self._faces.size
+        flux = self._faces * (rho[self._right] - rho[:m])
+        out = np.zeros_like(rho)
+        out[:m] = flux
+        out[self._right] -= flux
+        return out
 
     # -- stepping ----------------------------------------------------------------
 
@@ -341,31 +269,15 @@ class DriftDiffusionSolver:
         return self._factor_cache[key]
 
     def _factors(self, dt: float):
-        """A solve by ``I - theta dt L`` for steps of size ``dt``, and the right-hand matrix.
-
-        The solve is :class:`_SPDTridiagonal`'s on a 1-D grid and
-        ``splu``'s on a 2-D one.  The right-hand matrix
-        ``I + (1-theta) dt L`` is built and kept below ``theta = 1/2`` only,
-        and is None from there on (see :meth:`step`).
-        """
+        """A solve by ``A = I - theta dt L`` for steps of size ``dt`` (:class:`_SPDTridiagonal`)."""
         key = step_key(dt)
         if key not in self._factor_cache:
-            import scipy.sparse as sparse
-
-            L, tdt = self.L, self.theta * dt
-            eye = sparse.identity(self.grid.n_points, format="csr")
-            if self.grid.dim == 1:
-                corner = -tdt * L[0, -1] if self.grid.bc == "periodic" else 0.0
-                solve = _SPDTridiagonal(1.0 - tdt * L.diagonal(), -tdt * L.diagonal(1),
-                                        corner).solve
-            else:
-                from scipy.sparse.linalg import splu
-
-                solve = splu((eye - tdt * L).tocsc()).solve
-            self._factor_cache[key] = solve
-            if self.theta < 0.5:
-                self._rhs_cache[key] = (eye + (1.0 - self.theta) * dt * L).tocsr()
-        return self._factor_cache[key], self._rhs_cache.get(key)
+            tdt = self.theta * dt
+            n = self.grid.n_points
+            corner = -tdt * self._faces[-1] if self.grid.bc == "periodic" else 0.0
+            self._factor_cache[key] = _SPDTridiagonal(
+                1.0 - tdt * self._diag, -tdt * self._faces[:n - 1], corner).solve
+        return self._factor_cache[key]
 
     def step(self, rho: np.ndarray, dt: float, n: int = 1) -> np.ndarray:
         """Advance ``n`` theta-scheme steps of size ``dt`` (shape-preserving)."""
@@ -381,18 +293,18 @@ class DriftDiffusionSolver:
             axes = tuple(range(len(shape)))
             rho_hat = np.fft.rfftn(np.asarray(rho, dtype=float).reshape(shape))
             return np.fft.irfftn(rho_hat * self._multiplier(dt, n), s=shape, axes=axes)
-        solve, rhs = self._factors(dt)
+        solve = self._factors(dt)
         flat = np.asarray(rho, dtype=float).reshape(-1)
-        if rhs is None:
-            # lhs^{-1} rhs x = (1/theta) lhs^{-1} x - ((1-theta)/theta) x; the
-            # difference amplifies roundoff by (1-theta)/theta, at most 1 here
-            # (1.8e-2 relative after 1000 steps at theta = 1e-12, hence rhs below 1/2)
+        if self.theta >= 0.5:
+            # A^{-1} (I + (1-theta) dt L) x = (1/theta) A^{-1} x - ((1-theta)/theta) x;
+            # the difference amplifies roundoff by (1-theta)/theta, at most 1 here
+            # (1.8e-2 relative after 1000 steps at theta = 1e-12, hence the product below 1/2)
             a, b = 1.0 / self.theta, (1.0 - self.theta) / self.theta
             for _ in range(n):
                 flat = a * solve(flat) - b * flat
         else:
             for _ in range(n):
-                flat = solve(rhs @ flat)
+                flat = solve(flat + (1.0 - self.theta) * dt * self._apply_L(flat))
         return flat.reshape(self.grid.shape)
 
     def run(self, rho0: np.ndarray, T: float, dt: float | None = None,

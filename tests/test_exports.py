@@ -1,6 +1,7 @@
 """Every exported name of every kinhom module resolves."""
 
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -83,19 +84,25 @@ def test_import_parse_and_check_stage_do_not_load_scipy(tmp_path):
     assert proc.stdout == "[]\n[]\n"
 
 
-def test_the_cell_stage_does_not_load_scipy_sparse():
-    # a cell keeps its rates as samples and one K x K gain table, so no
-    # stage up to the effective coefficients builds a sparse matrix; the
-    # macro solve may still load scipy.sparse
+def test_no_pipeline_stage_loads_scipy_sparse():
+    # a cell keeps its rates as samples and one K x K gain table, and the
+    # macro solver is matrix-free, so no stage builds a sparse matrix:
+    # full runs of the check scenarios and of a no-flux tanh run below
+    # theta = 1/2 (the explicit product path) leave scipy.sparse unloaded,
+    # which saves the 12-20 ms its import costs after scipy.linalg
+    texts = [*CHECK_SCENARIOS.values(),
+             CHECK_SCENARIOS["tanh"] + "[macro]\nbc = no-flux\ntheta = 0.25\nn = 128\ndt = 0.001\n"]
     code = (
-        "import sys\n"
+        "import json, sys, warnings\n"
         "from kinhom.harness import parse_config, run_pipeline\n"
-        "run_pipeline(parse_config(sys.stdin.read()), stop_after='effective')\n"
+        "warnings.simplefilter('ignore')\n"
+        "for text in json.loads(sys.stdin.read()):\n"
+        "    assert run_pipeline(parse_config(text)).macro.steps > 0\n"
         "print('scipy.linalg' in sys.modules, 'scipy.sparse' in sys.modules)\n"
     )
     src = os.path.dirname(os.path.dirname(kinhom.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src] + sys.path)}
-    proc = subprocess.run([sys.executable, "-c", code], input=CHECK_SCENARIOS["circle2d"],
+    proc = subprocess.run([sys.executable, "-c", code], input=json.dumps(texts),
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "True False\n"

@@ -2,8 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy import sparse
-from scipy.sparse.linalg import SuperLU, splu
+from scipy.linalg import lu_factor, lu_solve
 
 from kinhom.harness import parse_config
 from kinhom.macro_solver import DriftDiffusionSolver
@@ -12,6 +11,48 @@ from kinhom.phase_space import MacroGrid
 
 def _gaussian(x, width):
     return np.exp(-(x**2) / (2.0 * width**2))
+
+
+def _reference_L(grid, D):
+    """The dense flux-form ``div(D^T grad)`` on ``grid``, one face at a time.
+
+    Face ``(C, R)`` along axis ``a`` carries the flux ``D_aa d_a rho`` plus,
+    on a periodic grid, ``D_ja d_j rho`` for ``j != a``, from the tensor
+    averaged over ``C`` and ``R``; ``d_j`` is the centred difference along
+    ``j`` averaged over the two cells.  The flux leaves ``C`` and enters
+    ``R``, over ``h_a``.
+    """
+    shape, h = grid.shape, grid.spacing
+    d, n = len(shape), grid.n_points
+    D = np.broadcast_to(np.asarray(D, dtype=float).reshape(-1, d, d), (n, d, d))
+    periodic = grid.bc == "periodic"
+
+    def index(cell):
+        return np.ravel_multi_index(tuple(c % m for c, m in zip(cell, shape)), shape)
+
+    L = np.zeros((n, n))
+    for cell in np.ndindex(*shape):
+        for a in range(d):
+            if not periodic and cell[a] == shape[a] - 1:
+                continue
+            right = list(cell)
+            right[a] += 1
+            C, R = index(cell), index(right)
+            D_face = 0.5 * (D[C] + D[R])
+            flux = np.zeros(n)
+            flux[R] += D_face[a, a] / h[a]
+            flux[C] -= D_face[a, a] / h[a]
+            for j in range(d):
+                if j == a or not periodic:
+                    continue
+                for base in (cell, right):
+                    for sign in (1, -1):
+                        nb = list(base)
+                        nb[j] += sign
+                        flux[index(nb)] += sign * D_face[j, a] / (4.0 * h[j])
+            L[C] += flux / h[a]
+            L[R] -= flux / h[a]
+    return L
 
 
 def _periodized_heat_solution(x, t, width, D, L):
@@ -115,11 +156,33 @@ def test_two_dim_anisotropic_variance_growth():
     assert abs(mass[-1] - mass[0]) <= 1e-12 * mass[0]
 
 
-def test_no_flux_refuses_mixed_tensor():
-    mg = MacroGrid(half_width=2.0, shape=(16, 16), bc="no-flux")
-    D = np.array([[0.5, 0.1], [0.1, 0.5]])
-    with pytest.raises(NotImplementedError):
-        DriftDiffusionSolver(mg, D=D)
+def test_a_two_dim_grid_that_is_not_circulant_is_refused():
+    # every 2-D scenario is periodic with one D; anything else is refused at
+    # construction, per-cell D and no-flux walls with or without mixed terms
+    periodic = MacroGrid(half_width=2.0, shape=(16, 16), bc="periodic")
+    no_flux = MacroGrid(half_width=2.0, shape=(16, 16), bc="no-flux")
+    per_cell = np.tile(np.diag([0.3, 0.2]), (periodic.n_points, 1, 1))
+    per_cell[7, 0, 0] = 0.4
+    for mg, D in ((periodic, per_cell),
+                  (no_flux, np.diag([0.5, 0.3])),
+                  (no_flux, np.array([[0.5, 0.1], [0.1, 0.5]]))):
+        with pytest.raises(ValueError, match="periodic with one D"):
+            DriftDiffusionSolver(mg, D=D)
+
+
+def test_a_non_finite_D_is_refused():
+    # an infinite D on a periodic grid and a NaN on a no-flux one ran to
+    # NaN densities; a per-cell NaN on a periodic grid was refused only by
+    # the cyclic correction, at the first step
+    periodic = MacroGrid(half_width=2.0, shape=(32,), bc="periodic")
+    no_flux = MacroGrid(half_width=2.0, shape=(32,), bc="no-flux")
+    per_cell = np.full((32, 1, 1), 0.3)
+    per_cell[5] = np.nan
+    for mg, D in ((periodic, np.array([[np.inf]])),
+                  (no_flux, np.array([[np.nan]])),
+                  (periodic, per_cell)):
+        with pytest.raises(ValueError, match="finite"):
+            DriftDiffusionSolver(mg, D=D)
 
 
 def test_checkpoint_lookup_and_validation():
@@ -165,7 +228,7 @@ def test_factor_cache_tells_tiny_steps_apart():
 @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
 def test_fft_step_matches_the_lu_step(shape, theta):
     # constant D on a periodic grid takes the Fourier path; the same theta
-    # scheme solved by LU on the assembled operator is the reference
+    # scheme solved by a dense LU of the reference operator is the reference
     mg = MacroGrid(half_width=2.0, shape=shape, bc="periodic")
     if len(shape) == 1:
         D = np.array([[0.3]])
@@ -175,16 +238,16 @@ def test_fft_step_matches_the_lu_step(shape, theta):
     assert solver.symbol is not None
     dt = 0.5 * solver._stability_limit() if theta == 0.0 else 0.01
 
-    eye = sparse.identity(mg.n_points, format="csc")
-    lu = splu((eye - theta * dt * solver.L).tocsc())
-    rhs = (eye + (1.0 - theta) * dt * solver.L).tocsr()
+    L, eye = _reference_L(mg, D), np.eye(mg.n_points)
+    lu = lu_factor(eye - theta * dt * L)
+    rhs = eye + (1.0 - theta) * dt * L
     rng = np.random.default_rng(3)
     rho_fft = rng.random(shape)
     rho_lu = rho_fft.ravel()
     rho0 = rho_fft
     for _ in range(50):
         rho_fft = solver.step(rho_fft, dt)
-        rho_lu = lu.solve(rhs @ rho_lu)
+        rho_lu = lu_solve(lu, rhs @ rho_lu)
     assert np.max(np.abs(rho_fft.ravel() - rho_lu)) <= 1e-13 * np.max(np.abs(rho_lu))
     # the same 50 steps as one multiplier power
     rho_pow = solver.step(rho0, dt, 50)
@@ -192,33 +255,24 @@ def test_fft_step_matches_the_lu_step(shape, theta):
 
 
 def test_per_cell_or_no_flux_input_keeps_the_lu_step():
-    # a 1-D grid is factored as an SPD tridiagonal (cyclic when periodic),
-    # a 2-D one by splu
+    # a 1-D grid is factored as an SPD tridiagonal, cyclic when periodic
     from kinhom.macro_solver import _SPDTridiagonal
 
     rho = _gaussian(MacroGrid(half_width=2.0, shape=(32,)).axes()[0], 0.3)
     varying = np.linspace(0.2, 0.4, 32).reshape(-1, 1, 1)
-    grid_2d = MacroGrid(half_width=2.0, shape=(16, 16), bc="periodic")
-    X, Y = np.meshgrid(*grid_2d.axes(), indexing="ij")
-    D_2d = np.zeros((grid_2d.n_points, 2, 2))
-    D_2d[:, 0, 0] = 0.3 + 0.1 * np.sin(X).ravel()
-    D_2d[:, 1, 1] = 0.2 + 0.05 * np.cos(Y).ravel()
     cases = [
-        (MacroGrid(half_width=2.0, shape=(32,), bc="periodic"), varying, rho,
-         _SPDTridiagonal),
-        (MacroGrid(half_width=2.0, shape=(32,), bc="no-flux"), np.array([[0.3]]), rho,
-         _SPDTridiagonal),
-        (grid_2d, D_2d, np.exp(-(X**2 + Y**2) / 0.5), SuperLU),
+        (MacroGrid(half_width=2.0, shape=(32,), bc="periodic"), varying),
+        (MacroGrid(half_width=2.0, shape=(32,), bc="no-flux"), np.array([[0.3]])),
     ]
-    for mg, D, rho0, factors_type in cases:
+    for mg, D in cases:
         solver = DriftDiffusionSolver(mg, D=D)
         assert solver.symbol is None
-        single = rho0
+        single = rho
         for _ in range(5):
             single = solver.step(single, 0.01)
         (solve,) = solver._factor_cache.values()
-        assert isinstance(solve.__self__, factors_type)
-        assert np.array_equal(solver.step(rho0, 0.01, 5), single)
+        assert isinstance(solve.__self__, _SPDTridiagonal)
+        assert np.array_equal(solver.step(rho, 0.01, 5), single)
 
 
 @pytest.mark.parametrize("bc", ["periodic", "no-flux"])
@@ -280,13 +334,14 @@ def test_explicit_gate_checks_the_step_size_whatever_the_count():
 
 
 def test_fourier_run_keeps_the_mass_over_a_thousand_steps():
-    # rfftn returned the symbol's zero mode (the first column sum of L, 0
-    # in flux form) as -1.1e-13 here; its multiplier drifted the mass by
-    # 1.3e-12 over these 1030 steps
+    # the DFT of L's first column returned the symbol's zero mode (the
+    # column sum, 0 in flux form) as -1.1e-13 here, and its multiplier
+    # drifted the mass by 1.3e-12 over these 1030 steps; the closed form
+    # is exactly 0 there
     mg = MacroGrid(half_width=2.0, shape=(96, 128), bc="periodic")
     D = np.array([[0.3, 0.1], [0.1, 0.7]])
     solver = DriftDiffusionSolver(mg, D=D)
-    assert solver.symbol is not None
+    assert solver.symbol.flat[0] == 0.0
     rho0 = np.random.default_rng(3).random(mg.shape)
     field = solver.run(rho0, 10.3, dt=0.01, checkpoints=np.linspace(0.0, 10.3, 11))
     assert field.steps == 1030
@@ -295,9 +350,8 @@ def test_fourier_run_keeps_the_mass_over_a_thousand_steps():
 
 
 def test_max_dnorm_batched_equals_the_per_cell_loop():
-    mg = MacroGrid(half_width=2.0, shape=(24, 20), bc="periodic")
-    A = np.random.default_rng(5).normal(size=(mg.n_points, 2, 2))
-    D = A + A.transpose(0, 2, 1)
+    mg = MacroGrid(half_width=2.0, shape=(64,), bc="periodic")
+    D = np.random.default_rng(5).normal(size=(mg.n_points, 1, 1))
     solver = DriftDiffusionSolver(mg, D=D)
     assert solver._max_dnorm == max(np.linalg.norm(Dc, 2) for Dc in D)
 
@@ -315,7 +369,7 @@ def test_initial_density_integrates_velocity_nodes():
 
 
 # ---------------------------------------------------------------------------
-# the Fourier symbol from the 3-cell stencil, L only on demand
+# the closed-form Fourier symbol, the 1-D face coefficients
 # ---------------------------------------------------------------------------
 
 FOURIER_CASES = [
@@ -328,83 +382,63 @@ FOURIER_CASES = [
 
 @pytest.mark.parametrize("shape, D", FOURIER_CASES)
 def test_fourier_solver_never_assembles_the_full_operator(monkeypatch, shape, D):
+    # the Fourier path takes neither face coefficients nor a factorization
     from kinhom import macro_solver
 
-    flux_form = macro_solver._flux_form
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Fourier path built a tridiagonal operator")
 
-    def stencil_only(cells, *args, **kwargs):
-        assert max(cells) <= 3, f"assembled the full {cells} operator"
-        return flux_form(cells, *args, **kwargs)
-
-    monkeypatch.setattr(macro_solver, "_flux_form", stencil_only)
+    monkeypatch.setattr(macro_solver, "_faces", refuse)
+    monkeypatch.setattr(macro_solver, "_SPDTridiagonal", refuse)
     mg = MacroGrid(half_width=2.0, shape=shape, bc="periodic")
     solver = DriftDiffusionSolver(mg, D=D)
     assert solver.symbol is not None
     field = solver.run(np.random.default_rng(1).random(shape), 0.1, dt=0.01,
                        checkpoints=np.array([0.0, 0.05, 0.1]))
     assert field.steps == 10
-    assert "L" not in vars(solver)
 
 
 @pytest.mark.parametrize("shape, D", FOURIER_CASES)
 def test_fourier_symbol_is_the_dft_of_the_assembled_first_column(shape, D):
     mg = MacroGrid(half_width=2.0, shape=shape, bc="periodic")
     solver = DriftDiffusionSolver(mg, D=D)
-    e0 = np.zeros(mg.n_points)
-    e0[0] = 1.0
-    want = np.fft.rfftn((solver.L @ e0).reshape(shape))
-    want.flat[0] = 0.0
-    if len(shape) == 1:
-        assert np.array_equal(solver.symbol, want)
-    else:
-        # summing the duplicate entries of a 2-D row may take another order
-        # on the 3-cell grid than on the full one
-        assert np.max(np.abs(solver.symbol - want)) <= 1e-15 * np.max(np.abs(want))
+    want = np.fft.rfftn(_reference_L(mg, D)[:, 0].reshape(shape))
+    assert solver.symbol.shape == want.shape
+    assert solver.symbol.flat[0] == 0.0
+    assert np.max(np.abs(solver.symbol - want)) <= 1e-15 * np.max(np.abs(want))
 
 
-def test_the_operator_is_built_on_demand_and_kept():
-    mg = MacroGrid(half_width=2.0, shape=(24, 20), bc="periodic")
-    solver = DriftDiffusionSolver(mg, D=np.array([[0.4, 0.12], [0.09, 0.25]]))
-    assert "L" not in vars(solver)
-    L = solver.L
-    assert L.shape == (mg.n_points, mg.n_points)
-    assert solver.L is L
-    # flux form: every column sums to zero
-    assert np.max(np.abs(np.asarray(L.sum(axis=0)))) <= 1e-12 * abs(L).max()
-    # the LU path builds it at its first step size, not at construction
-    lu = DriftDiffusionSolver(MacroGrid(half_width=2.0, shape=(32,), bc="no-flux"),
-                              D=np.array([[0.3]]))
-    assert lu.symbol is None and "L" not in vars(lu)
-    lu.step(np.ones(32), 0.01)
-    assert "L" in vars(lu)
+def test_fourier_symbol_is_accurate_on_the_low_modes():
+    # -2a + 2a cos(kh) cancels on the low modes (4.2e-12 relative here);
+    # -4a sin^2(kh/2) does not.  The series of -D k^2 (sin(x/2) / (x/2))^2,
+    # x = kh, to x^6 is exact to double precision for these modes
+    mg = MacroGrid(half_width=4.0, shape=(2048,), bc="periodic")
+    solver = DriftDiffusionSolver(mg, D=np.array([[0.5]]))
+    k = 2.0 * np.pi * np.arange(1, 9) / (2.0 * mg.half_width)
+    x = k * mg.spacing[0]
+    want = -0.5 * k**2 * (1.0 - x**2 / 12.0 + x**4 / 360.0 - x**6 / 20160.0)
+    assert np.max(np.abs(solver.symbol[1:9] / want - 1.0)) <= 1e-15
 
 
 @pytest.mark.parametrize("grid, D", [
-    (MacroGrid(half_width=2.0, shape=(64,), bc="periodic"), np.array([[0.3]])),
-    (MacroGrid(half_width=2.0, shape=(16, 16), bc="periodic"),
-     np.array([[0.4, 0.12], [0.09, 0.25]])),
     (MacroGrid(half_width=2.0, shape=(32,), bc="no-flux"), np.array([[0.3]])),
-], ids=["fourier-1d", "fourier-2d", "lu"])
+    (MacroGrid(half_width=2.0, shape=(32,), bc="periodic"),
+     np.linspace(0.2, 0.4, 32).reshape(-1, 1, 1)),
+], ids=["lu", "periodic-per-cell"])
 def test_a_non_conservative_column_is_refused(monkeypatch, grid, D):
+    # the column sums of the 1-D diagonals are gated at construction
     from kinhom import macro_solver
 
-    flux_form = macro_solver._flux_form
+    faces = macro_solver._faces
 
-    def leaky(cells, *args, **kwargs):
-        L = flux_form(cells, *args, **kwargs)
-        n = L.shape[0]
-        return L + sparse.csr_matrix(([1e-6], ([n - 1], [0])), shape=(n, n))
+    def leaky(*args, **kwargs):
+        coefficients, right, diag = faces(*args, **kwargs)
+        diag[-1] += 1e-6
+        return coefficients, right, diag
 
-    monkeypatch.setattr(macro_solver, "_flux_form", leaky)
-    if grid.bc == "periodic":
-        # the Fourier path gates the stencil's column at construction
-        with pytest.raises(AssertionError, match="conservation"):
-            DriftDiffusionSolver(grid, D=D)
-    else:
-        # the LU path gates L when its first step size assembles it
-        solver = DriftDiffusionSolver(grid, D=D)
-        with pytest.raises(AssertionError, match="conservation"):
-            solver.step(np.ones(grid.shape), 0.01)
+    monkeypatch.setattr(macro_solver, "_faces", leaky)
+    with pytest.raises(AssertionError, match="conservation"):
+        DriftDiffusionSolver(grid, D=D)
 
 
 def _per_cell_D(mg):
@@ -419,16 +453,15 @@ def test_lu_step_matches_the_product_then_solve_reference(bc, theta):
     # ((1-theta)/theta) rho; below it, where that difference would amplify
     # roundoff by (1-theta)/theta (1e12 at theta = 1e-12), it keeps the product
     mg = MacroGrid(half_width=2.0, shape=(64,), bc=bc)
-    solver = DriftDiffusionSolver(mg, D=_per_cell_D(mg), theta=theta)
+    D = _per_cell_D(mg)
+    solver = DriftDiffusionSolver(mg, D=D, theta=theta)
     assert solver.symbol is None
     dt = 0.5 * solver._stability_limit() if theta < 0.5 else 0.01
-    eye = sparse.identity(mg.n_points, format="csc")
-    lu = splu((eye - theta * dt * solver.L).tocsc())
-    rhs = (eye + (1.0 - theta) * dt * solver.L).tocsr()
+    L, eye = _reference_L(mg, D), np.eye(mg.n_points)
     rho = _gaussian(mg.axes()[0], 0.3) + 0.05
     ref = rho
     for _ in range(50):
-        ref = lu.solve(rhs @ ref)
+        ref = np.linalg.solve(eye - theta * dt * L, (eye + (1.0 - theta) * dt * L) @ ref)
     got = solver.step(rho, dt, 50)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
