@@ -39,11 +39,11 @@ table ``G = g w``: ``K f`` is the samples times ``f G^T`` at each point.
 Cell problems are small and many (one per macro position when the rates
 vary with x), so a solve does only its arithmetic: GMRES runs in this
 module, operation for operation scipy's ``gmres`` without its per-call
-set-up.  Assembly samples and gates the rates; the splitting follows when
-a solve asks for it.  :class:`CellStack` solves the positions of one
-sampled family together, as one block-diagonal system with every
-per-cell gate applied to each block; a single operator is its one-block
-case.
+set-up.  Assembly samples and gates the rates; the loss and the splitting
+follow when a solve asks for them.  :class:`CellStack` solves the
+positions of one sampled family together, as one block-diagonal system
+with every per-cell gate applied to each block; a single operator is its
+one-block case.
 
 scipy is imported inside the Krylov loop alone, so importing this module
 and assembling a cell load numpy alone; the first solve loads
@@ -190,12 +190,12 @@ class _CellOperatorBase:
     are refused) on the ``n`` points of ``grid`` (a
     :class:`~kinhom.phase_space.CellGrid`, or the lattice's
     :class:`_Torus`), with the transport ``a_k`` along every axis; its
-    flat loss ``losses[i]``, the samples times the row sums of ``G``, is
-    formed here once.  Fields are real and flat, block after block, in
-    (point, node) order.  The solves work per block: :meth:`pairings`,
-    :meth:`norms` and :meth:`means` give one value a block, and
-    :meth:`per_cell` turns such values into the operator's result, the one
-    cell's for one cell.
+    flat loss ``losses[i]`` is the samples times the row sums of ``G``
+    taken at construction, formed at first use.  Fields are real and
+    flat, block after block, in (point, node) order.  The solves work per
+    block: :meth:`pairings`, :meth:`norms` and :meth:`means` give one
+    value a block, and :meth:`per_cell` turns such values into the
+    operator's result, the one cell's for one cell.
 
     ``scheme`` is the transport, ``upwind`` or ``spectral`` (Fourier
     collocation), and picks the symbol of ``M`` alone.  Every cell splits
@@ -220,8 +220,23 @@ class _CellOperatorBase:
         self.size = m * n * K
         self.samples = samples
         self.G = G
-        self.losses = (samples[..., None] * G.sum(axis=1)).reshape(m, -1)
-        self.sigma_min = float(self.losses.min())
+        self._rates = (samples, G.sum(axis=1))  # the loss's factors, see losses
+
+    @functools.cached_property
+    def losses(self) -> np.ndarray:
+        """``(n_blocks, n_points K)``: the samples times the row sums of ``G``.
+
+        Formed at first use, so an operator that is only gated never forms
+        it, from the samples and row sums taken at construction: it is the
+        loss of the rates as constructed.
+        """
+        samples, row_sums = self._rates
+        return (samples[..., None] * row_sums).reshape(self.n_blocks, -1)
+
+    @functools.cached_property
+    def sigma_min(self) -> float:
+        """The smallest loss rate."""
+        return float(self.losses.min())
 
     @functools.cached_property
     def const(self) -> np.ndarray:
@@ -360,8 +375,8 @@ class CellOperator(_CellOperatorBase):
     """Cell operator sampled on a periodic grid (see :func:`assemble`).
 
     Construction samples and gates the rates (:func:`gate_rates`) and
-    keeps the samples ``c(x) s(y_j)``, the gain table ``G`` and the flat
-    loss ``losses[0]``; the splitting follows at first use.
+    keeps the samples ``c(x) s(y_j)`` and the gain table ``G``; the flat
+    loss ``losses[0]`` and the splitting follow at first use.
     """
 
     def __init__(self, kernel, x, vm: VelocityMeasure, grid: CellGrid, scheme: str):

@@ -129,6 +129,7 @@ class ScatteringKernel:
         if self._profile_min() <= 0:
             raise ValueError("profile parameters allow nonpositive rates")
         self._cell_profile: tuple[CellGrid, np.ndarray] | None = None  # see sample_cell
+        self._scalar_tables: dict[int, np.ndarray] = {}  # see node_matrix
 
     # -- construction --------------------------------------------------------
 
@@ -229,9 +230,18 @@ class ScatteringKernel:
         return float(2.0 * np.pi / live.max()) if live.size else 1.0
 
     def node_matrix(self, vm: VelocityMeasure) -> np.ndarray:
-        """The ``(K, K)`` node factor ``g`` resolved against a velocity set."""
+        """The ``(K, K)`` node factor ``g`` resolved against a velocity set.
+
+        A scalar factor ``s0`` gives one read-only ``K x K`` table per node
+        count, built at its first use.
+        """
         if self.table is None:
-            return np.full((vm.n_nodes, vm.n_nodes), self.s0)
+            K = vm.n_nodes
+            if K not in self._scalar_tables:
+                g = np.full((K, K), self.s0)
+                g.flags.writeable = False
+                self._scalar_tables[K] = g
+            return self._scalar_tables[K]
         if self.table.shape != (vm.n_nodes, vm.n_nodes):
             raise ValueError(
                 f"node table is {self.table.shape}, velocity set has {vm.n_nodes} nodes"
@@ -257,8 +267,20 @@ class ScatteringKernel:
         times the node table ``g``.  The cell samples ``profile`` only: a
         vanishing defect leaves the homogenized coefficients unchanged, so
         no cell copies it.  The profile samples of the last grid are kept,
-        so the sampled positions of a modulated kernel evaluate ``s`` once.
+        read-only, with the grid: a grid is checked against the kernel (a
+        periodic kernel, whose period the cell period contains, in the
+        kernel's dimension; :class:`RepresentationError` otherwise) and
+        sampled when it is not the kept grid object, and a call with the
+        kept grid (``CellGrid`` is frozen) is ``c(x)`` times its samples, so
+        the sampled positions of a modulated kernel check the grid and
+        evaluate ``s`` once.
         """
+        if self._cell_profile is None or self._cell_profile[0] is not grid:
+            self._cell_profile = (grid, self._profile_samples(grid))
+        return float(self.x_factor(x)) * self._cell_profile[1]
+
+    def _profile_samples(self, grid: CellGrid) -> np.ndarray:
+        """``s`` at the points of ``grid``, read-only, once the grid fits the kernel."""
         period = self.natural_period
         if period is None:
             raise RepresentationError(
@@ -273,12 +295,10 @@ class ScatteringKernel:
                 f"kernel oscillates in {self.dim} dimension(s) but the cell "
                 f"grid has {grid.dim}"
             )
-        if self._cell_profile is None or self._cell_profile[0] != grid:
-            pts = grid.points()
-            s = self.profile.evaluate(pts[:, 0] if grid.dim == 1 else pts)
-            s.flags.writeable = False
-            self._cell_profile = (grid, s)
-        return float(self.x_factor(x)) * self._cell_profile[1]
+        pts = grid.points()
+        s = self.profile.evaluate(pts[:, 0] if grid.dim == 1 else pts)
+        s.flags.writeable = False
+        return s
 
     def __repr__(self) -> str:
         return f"ScatteringKernel(kind={self.kind!r}, x_dependence={self.x_dependence!r})"

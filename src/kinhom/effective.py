@@ -189,8 +189,8 @@ def solve_cell(kernel, x, vm: VelocityMeasure, *, backend: str | None = None,
 # 72, 74 and 81 ms (1030 ms one position at a time) and added 1.7-3.3,
 # 3.6-4.7, 7.3-8.8, 14 and 27 MB to the peak memory (0.5 MB).  At 16,384
 # the 39 MB basis stays above glibc's 32 MB mmap ceiling, so freeing it
-# moves no allocator threshold.  That family's Chebyshev nodes take stacks
-# of 17 and 16 cells (2176 and 2048 unknowns).
+# moves no allocator threshold.  That family's 33 Chebyshev nodes take one
+# stack of 33 cells (4224 unknowns).
 STACK_UNKNOWNS = 16384
 
 # Largest gap, relative to the x0 cell's largest sample, between a
@@ -212,8 +212,9 @@ CHEB_TAIL = 1e-12
 def _ray_ratios(cell: CellSolution, x: np.ndarray) -> np.ndarray:
     """``c(x) / c(x0)`` at every position, each position's rates gated and on that ray.
 
-    Every position is assembled with the kernel, velocity set and settings
-    of ``cell`` (so sampled and gated: positive, finite, in semi-detailed
+    The ratios come from one call of ``c`` on all of ``x``.  Every position
+    is then assembled with the kernel, velocity set and settings of
+    ``cell`` (so sampled and gated: positive, finite, in semi-detailed
     balance), one at a time.  Its samples ``c(x) s(y)`` must be ``c(x) /
     c(x0)`` times those of ``cell``, at ``x0``, within ``RAY_RTOL``; the
     gain table is the kernel's, so the rates follow.  A position off that
@@ -224,9 +225,9 @@ def _ray_ratios(cell: CellSolution, x: np.ndarray) -> np.ndarray:
     c0, samples0 = kernel.x_factor(like.x), like.samples[0]
     scale = np.abs(samples0).max()
     level = RAY_RTOL * scale
-    ratios = np.empty(x.size)
-    for i, xi in enumerate(x.tolist()):
-        ratios[i] = ratio = float(kernel.x_factor(xi) / c0)
+    # x as n points: a flat x of two entries would read as one point of a 2-D kernel
+    ratios = kernel.x_factor(x[:, None]) / c0
+    for xi, ratio in zip(x.tolist(), ratios.tolist()):
         samples = _assemble(kernel, xi, like.vm, cell.settings).samples[0]
         off = np.abs(samples - ratio * samples0).max()
         if not off <= ratio * level:

@@ -106,3 +106,29 @@ def test_cell_timing_times_the_one_small_eps_cell(timing, capsys):
     assert lines[0] == ("small_eps seed 1: 1 position, 16-point spectral cell, 2 velocities, "
                         "min of 2 sweeps")
     _assert_one_cell_rows(timing, lines)
+
+
+def test_cell_timing_times_a_root_checkout_in_its_own_process(timing, monkeypatch, capsys):
+    # --root is this checkout: its sweeps run in a second process, which
+    # imports the kinhom of --root and takes turns with the sweeps here
+    here = []
+    timed = timing._timed
+    monkeypatch.setattr(timing, "_timed", lambda *a: here.append(1) or timed(*a))
+    assert timing.main(["--reduced", "--sweeps", "2", "--root", str(ROOT)]) == 0
+    assert len(here) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("tanh seed 1: 32 positions, 16-point upwind cell, 2 velocities, "
+                        "min of 2 sweeps")
+    assert lines[1] == f"--root {ROOT}: kinhom from {ROOT / 'src' / 'kinhom'}"
+    assert lines[2].split() == ["layer", "ms/position", "--root", "ratio"]
+    rows = [line.split() for line in lines[3:]]
+    assert [row[0] for row in rows] == list(timing.LAYERS)
+    for name, mine, theirs, ratio, *_ in rows:
+        mine, theirs, ratio = float(mine), float(theirs), float(ratio)
+        assert min(mine, theirs) > 0.0 and math.isfinite(max(mine, theirs))
+        # the ratio of the unrounded minima, this checkout over --root: each
+        # figure is printed to within 5e-4
+        assert (mine - 5e-4) / (theirs + 5e-4) - 5e-4 <= ratio
+        assert ratio <= (mine + 5e-4) / (theirs - 5e-4) + 5e-4
+    # the same checkout makes the same solves and steps, so no --root count is added
+    assert lines[-2].endswith("  (32 cells)") and lines[-1].endswith("  (1030 steps)")

@@ -173,6 +173,37 @@ def test_cell_sampling_refuses_dimension_mismatch():
         kernel.sample_cell(0.0, CellGrid((8, 8)))
 
 
+def test_a_cached_cell_grid_does_not_let_a_bad_grid_through():
+    kernel = make_kernel("quasi_approx", base=1.0, alpha1=0.2, alpha2=0.2, p=3, q=2,
+                         x_dependence="tanh", x_amplitude=0.5)
+    grid = CellGrid((16,), period=2.0)
+    first = kernel.sample_cell(0.3, grid)
+    # the kept grid gives c(x) times the kept samples
+    assert np.array_equal(kernel.sample_cell(0.3, grid), first)
+    assert np.array_equal(kernel.sample_cell(-1.0, grid),
+                          float(kernel.x_factor(-1.0)) * kernel.sample_cell(0.0, grid))
+    # a grid whose period does not contain the kernel period 2, and a 2-D grid
+    with pytest.raises(RepresentationError, match="does not contain the kernel period"):
+        kernel.sample_cell(0.3, CellGrid((16,), period=3.0))
+    with pytest.raises(RepresentationError, match="oscillates in 1 dimension"):
+        kernel.sample_cell(0.3, CellGrid((8, 8), period=2.0))
+    # refused grids leave the kept one in place; an equal but distinct grid samples alike
+    assert np.array_equal(kernel.sample_cell(0.3, grid), first)
+    twin = CellGrid((16,), period=2.0)
+    assert twin == grid and twin is not grid
+    assert np.array_equal(kernel.sample_cell(0.3, twin), first)
+    assert np.array_equal(kernel.sample_cell(0.3, grid), first)
+
+
+def test_a_scalar_node_factor_is_one_read_only_table_per_node_count():
+    kernel = make_kernel("constant", s0=2.0)
+    g = kernel.node_matrix(two_velocity_1d())
+    assert np.array_equal(g, np.full((2, 2), 2.0)) and not g.flags.writeable
+    assert kernel.node_matrix(two_velocity_1d(weights=(1.0, 3.0))) is g
+    three = velocity_from_tables(np.array([[-1.0], [0.0], [1.0]]), np.ones(3))
+    assert np.array_equal(kernel.node_matrix(three), np.full((3, 3), 2.0))
+
+
 def test_quasi_approx_period_is_denominator():
     kernel = make_kernel("quasi_approx", base=1.0, alpha1=0.2, alpha2=0.2, p=239, q=169)
     assert kernel.natural_period == 169.0

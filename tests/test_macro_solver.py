@@ -1,9 +1,15 @@
 """Macro diffusion integrator: exact solutions, conservation, orders."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 
+import kinhom
 from kinhom.harness import parse_config
 from kinhom.macro_solver import DriftDiffusionSolver
 from kinhom.phase_space import MacroGrid
@@ -275,24 +281,61 @@ def test_per_cell_or_no_flux_input_keeps_the_lu_step():
         assert np.array_equal(solver.step(rho, 0.01, 5), single)
 
 
+# the tanh scenario's macro stage: 512 cells, D = 0.3 (1 + 0.5 tanh x), ten
+# checkpoint intervals, 1030 steps, run in a fresh interpreter
+_PER_CELL_RUN = """
+import json, sys
+import numpy as np
+from kinhom.macro_solver import DriftDiffusionSolver
+from kinhom.phase_space import MacroGrid
+mg = MacroGrid(half_width=4.0, shape=(512,), bc=sys.argv[1])
+x = mg.axes()[0]
+solver = DriftDiffusionSolver(mg, D=(0.3 * (1.0 + 0.5 * np.tanh(x))).reshape(-1, 1, 1))
+field = solver.run(np.exp(-x**2 / 0.5), 1.03, dt=1e-3, checkpoints=np.linspace(0.0, 1.03, 11))
+mass = field.mass()
+(solve,) = solver._factor_cache.values()
+print(json.dumps({"steps": field.steps, "drift": float(np.max(np.abs(mass - mass[0]) / mass[0])),
+                  "solve": solve.__func__.__qualname__,
+                  "sparse": [m for m in sys.modules if m.startswith("scipy.sparse")]}))
+"""
+
+
 @pytest.mark.parametrize("bc", ["periodic", "no-flux"])
-def test_a_one_dim_per_cell_run_factors_no_sparse_matrix(monkeypatch, bc):
-    # the tanh scenario's macro stage: 512 cells, D = 0.3 (1 + 0.5 tanh x),
-    # ten checkpoint intervals, 1030 steps, with splu refused
-    import scipy.sparse.linalg
+def test_a_one_dim_per_cell_run_factors_no_sparse_matrix(bc):
+    # the run loads no scipy.sparse module: each step is one SPD tridiagonal solve
+    src = os.path.dirname(os.path.dirname(kinhom.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src] + sys.path)}
+    proc = subprocess.run([sys.executable, "-c", _PER_CELL_RUN, bc], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    run = json.loads(proc.stdout)
+    assert run["steps"] == 1030
+    assert run["drift"] <= 1e-12
+    assert run["solve"] == "_SPDTridiagonal.solve"
+    assert run["sparse"] == []
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a 1-D macro step called splu")
 
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", refuse)
-    mg = MacroGrid(half_width=4.0, shape=(512,), bc=bc)
+@pytest.mark.parametrize("theta", [0.5, 0.75, 1.0])
+@pytest.mark.parametrize("bc", ["periodic", "no-flux"])
+def test_a_tridiagonal_step_writes_into_no_caller_array(bc, theta):
+    # at theta = 0.75 a step is (4/3) A^{-1} rho - (1/3) rho: a step that
+    # scaled or subtracted in the caller's rho would change it here
+    mg = MacroGrid(half_width=2.0, shape=(32,), bc=bc)
     x = mg.axes()[0]
-    solver = DriftDiffusionSolver(mg, D=(0.3 * (1.0 + 0.5 * np.tanh(x))).reshape(-1, 1, 1))
-    field = solver.run(_gaussian(x, 0.5), 1.03, dt=1e-3,
-                       checkpoints=np.linspace(0.0, 1.03, 11))
-    assert field.steps == 1030
-    mass = field.mass()
-    assert np.max(np.abs(mass - mass[0])) <= 1e-12 * mass[0]
+    solver = DriftDiffusionSolver(mg, D=(0.3 * (1.0 + 0.5 * np.tanh(x))).reshape(-1, 1, 1),
+                                  theta=theta)
+    assert solver.symbol is None
+    rho = _gaussian(x, 0.3)
+    kept = rho.copy()
+    out = solver.step(rho, 0.01, 3)
+    assert np.array_equal(rho, kept) and not np.shares_memory(out, rho)
+    # a run's checkpoints stay as returned while later steps run from them
+    field = solver.run(rho, 0.1, dt=0.01, checkpoints=np.linspace(0.0, 0.1, 3))
+    values = field.values.copy()
+    for checkpoint in field.values:
+        solver.step(checkpoint, 0.01, 2)
+    solver.step(field.values[-1].reshape(-1), 0.01)
+    assert np.array_equal(field.values, values) and np.array_equal(rho, kept)
 
 
 @pytest.mark.parametrize("bc, cells, value", [
